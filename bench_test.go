@@ -214,11 +214,11 @@ func BenchmarkAblationHotPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(rep.WriteAllocReductionPct, "write-alloc-reduction-%")
-			b.ReportMetric(rep.ReadAllocReductionPct, "read-alloc-reduction-%")
-			b.ReportMetric(rep.WriteBytesReductionPct, "write-bytes-reduction-%")
-			b.ReportMetric(rep.ReadBytesReductionPct, "read-bytes-reduction-%")
-			b.ReportMetric(rep.WriteMeanSpeedupPct, "write-mean-speedup-%")
+			b.ReportMetric(rep.Plain.WriteAllocsPerOp, "write-allocs/op")
+			b.ReportMetric(rep.Plain.ReadAllocsPerOp, "read-allocs/op")
+			b.ReportMetric(rep.Plain.WriteKBPerOp, "write-KB/op")
+			b.ReportMetric(rep.Plain.ReadKBPerOp, "read-KB/op")
+			b.ReportMetric(rep.Plain.WriteMeanMs, "write-mean-ms")
 		}
 	}
 }

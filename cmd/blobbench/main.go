@@ -8,7 +8,7 @@
 //	blobbench -exp fig3b            # metadata write overhead (Figure 3b)
 //	blobbench -exp fig3c            # concurrent throughput   (Figure 3c)
 //	blobbench -exp ablations        # design-choice ablations
-//	blobbench -exp hotpath          # zero-copy data path vs legacy codec
+//	blobbench -exp hotpath          # data hot path: latency, allocs, trace/monitor tax
 //	blobbench -exp vshards          # sharded version plane scaling
 //	blobbench -exp ingest           # pinned readers under streaming ingestion
 //	blobbench -exp swarm            # Galaxy-Zoo tiny-read swarm
@@ -18,8 +18,9 @@
 //	blobbench -exp all
 //
 // -json FILE additionally writes the selected experiment's report as
-// JSON where one is defined: hotpath (the BENCH_5.json perf-trajectory
-// artifact, docs/perf.md), vshards (BENCH_7.json), each workload
+// JSON where one is defined: hotpath (docs/perf.md; the committed
+// BENCH_5.json is an older run of it, frozen), vshards (BENCH_7.json),
+// each workload
 // scenario, and workloads (the combined BENCH_8.json artifact,
 // docs/workloads.md).
 //
@@ -230,8 +231,8 @@ func chaos(quick bool, jsonPath string) error {
 	return writeJSON(jsonPath, rep)
 }
 
-// hotpath runs the zero-copy data path ablation (docs/perf.md) and
-// optionally writes the BENCH_5.json perf-trajectory artifact.
+// hotpath runs the data hot-path measurement (docs/perf.md) and
+// optionally writes its report as JSON.
 func hotpath(sc bench.Scale, quick bool, jsonPath string) error {
 	writes, seg := 24, uint64(64)
 	if quick {
@@ -241,24 +242,14 @@ func hotpath(sc bench.Scale, quick bool, jsonPath string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Zero-copy vectored data path vs legacy codec (%d-page segments, %d writes/mode)\n",
+	fmt.Printf("Data hot path: plain, traced, monitored (%d-page segments, %d writes/mode)\n",
 		rep.SegPages, rep.Writes)
 	fmt.Printf("latencies carry the 1/%d simulation time scale; round trips verified: %v\n\n",
 		netsim.TimeScale, rep.RoundTripsVerified)
 	for _, p := range rep.Points() {
 		fmt.Printf("   %-32s %10.2f %s\n", p.Name, p.Value, p.Unit)
 	}
-	if jsonPath != "" {
-		j, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(j, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	return nil
+	return writeJSON(jsonPath, rep)
 }
 
 // vshards sweeps the version-plane shard count under a fixed writer

@@ -168,7 +168,7 @@ func TestAblateHotPathRuns(t *testing.T) {
 	if !rep.RoundTripsVerified {
 		t.Error("hot-path round trips not verified byte-identical")
 	}
-	if rep.Legacy.WriteAllocsPerOp <= 0 || rep.Vectored.WriteAllocsPerOp <= 0 {
+	if rep.Plain.WriteAllocsPerOp <= 0 || rep.Traced.WriteAllocsPerOp <= 0 {
 		t.Errorf("degenerate alloc measurements: %+v", rep)
 	}
 	if rep.Monitored.ReadP99Ms <= 0 {

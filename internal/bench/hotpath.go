@@ -1,11 +1,13 @@
 package bench
 
-// Hot-path ablation (docs/perf.md): the zero-copy vectored data path +
-// pipelined write protocol versus the legacy codec, on the same
-// simulated Grid'5000 fabric. This is the measurement behind the perf
-// trajectory seeded by BENCH_5.json: write/read latency (mean and p99),
-// process-wide allocations and allocated bytes per operation, with
-// every read verified byte-identical against what was written.
+// Hot-path measurement (docs/perf.md): the data path — scatter-gather
+// codec plus pipelined write protocol — on the simulated Grid'5000
+// fabric, alone and under the two observability taxes (span sampling,
+// a polling monitor): write/read latency (mean and p99), process-wide
+// allocations and allocated bytes per operation, with every read
+// verified byte-identical against what was written. The committed
+// BENCH_5.json is the frozen record of this experiment's last run
+// against the since-deleted legacy codec.
 
 import (
 	"bytes"
@@ -36,51 +38,43 @@ type HotPathStats struct {
 	ReadKBPerOp      float64 `json:"read_kb_per_op"`
 }
 
-// HotPathReport is the full before/after comparison, serialized to
-// BENCH_5.json by cmd/blobbench.
+// HotPathReport is the experiment's result, serialized by cmd/blobbench
+// -exp hotpath -json.
 type HotPathReport struct {
 	SegPages  uint64 `json:"seg_pages"`
 	PageSize  uint64 `json:"page_size"`
 	Providers int    `json:"providers"`
 	Writes    int    `json:"writes"`
 
-	Legacy   HotPathStats `json:"legacy"`
-	Vectored HotPathStats `json:"vectored"`
-	// Traced is the vectored path with a 1-in-64 sampling span tracer
+	// Plain is the data path with tracing off and no monitor.
+	Plain HotPathStats `json:"plain"`
+	// Traced is the same path with a 1-in-64 sampling span tracer
 	// attached (docs/observability.md) — the recommended production
 	// sampling rate, measured so the tracing tax stays visible.
 	Traced HotPathStats `json:"traced"`
-	// Monitored is the vectored path while a cluster monitor polls the
+	// Monitored is the same path while a cluster monitor polls the
 	// deployment's MStats/MLatency/MEvents/MVmStatus every 50ms — far
 	// more aggressive than the production 1s default, so the measured
 	// tax is an upper bound on what the health plane costs.
 	Monitored HotPathStats `json:"monitored"`
 
-	// Reductions are (legacy - vectored) / legacy, in percent.
-	WriteAllocReductionPct float64 `json:"write_alloc_reduction_pct"`
-	WriteBytesReductionPct float64 `json:"write_bytes_reduction_pct"`
-	ReadAllocReductionPct  float64 `json:"read_alloc_reduction_pct"`
-	ReadBytesReductionPct  float64 `json:"read_bytes_reduction_pct"`
-	WriteMeanSpeedupPct    float64 `json:"write_mean_speedup_pct"`
-	ReadMeanSpeedupPct     float64 `json:"read_mean_speedup_pct"`
-
-	// TraceOverheadPct is (traced - vectored) / vectored write mean, in
+	// TraceOverheadPct is (traced - plain) / plain write mean, in
 	// percent: what 1-in-64 span sampling costs on the write hot path.
 	TraceOverheadPct float64 `json:"trace_overhead_pct"`
-	// MonitorOverheadPct is (monitored - vectored) / vectored read p99,
+	// MonitorOverheadPct is (monitored - plain) / plain read p99,
 	// in percent: what the polling monitor costs the read tail. The
 	// acceptance bar is <2%; negative values are run-to-run noise.
 	MonitorOverheadPct float64 `json:"monitor_overhead_pct"`
 
-	// RoundTripsVerified is true when every read in both modes returned
+	// RoundTripsVerified is true when every read in every mode returned
 	// exactly the bytes its write stored.
 	RoundTripsVerified bool `json:"round_trips_verified"`
 }
 
 // Points flattens the report for the text-table printers.
 func (r HotPathReport) Points() []AblationPoint {
-	pts := make([]AblationPoint, 0, 40)
-	for _, st := range []HotPathStats{r.Legacy, r.Vectored, r.Traced, r.Monitored} {
+	pts := make([]AblationPoint, 0, 26)
+	for _, st := range []HotPathStats{r.Plain, r.Traced, r.Monitored} {
 		pts = append(pts,
 			AblationPoint{Name: st.Mode + " write mean", Value: st.WriteMeanMs, Unit: "ms"},
 			AblationPoint{Name: st.Mode + " write p99", Value: st.WriteP99Ms, Unit: "ms"},
@@ -93,24 +87,18 @@ func (r HotPathReport) Points() []AblationPoint {
 		)
 	}
 	pts = append(pts,
-		AblationPoint{Name: "write alloc reduction", Value: r.WriteAllocReductionPct, Unit: "%"},
-		AblationPoint{Name: "write bytes reduction", Value: r.WriteBytesReductionPct, Unit: "%"},
-		AblationPoint{Name: "read alloc reduction", Value: r.ReadAllocReductionPct, Unit: "%"},
-		AblationPoint{Name: "read bytes reduction", Value: r.ReadBytesReductionPct, Unit: "%"},
-		AblationPoint{Name: "write mean speedup", Value: r.WriteMeanSpeedupPct, Unit: "%"},
-		AblationPoint{Name: "read mean speedup", Value: r.ReadMeanSpeedupPct, Unit: "%"},
 		AblationPoint{Name: "trace overhead, write mean", Value: r.TraceOverheadPct, Unit: "%"},
 		AblationPoint{Name: "monitor overhead, read p99", Value: r.MonitorOverheadPct, Unit: "%"},
 	)
 	return pts
 }
 
-// AblateHotPath measures the data hot path end to end in both codec
-// modes. writes is the operation count per mode; each operation moves a
+// AblateHotPath measures the data hot path end to end in each mode.
+// writes is the operation count per mode; each operation moves a
 // segment of segPages pages. The metadata backend/processing delay
-// models are disabled so the measurement isolates the data path the
-// ablation is about; the fabric is the paper's Grid'5000 simulation, so
-// latency numbers carry netsim.TimeScale like every other experiment.
+// models are disabled so the measurement isolates the data path; the
+// fabric is the paper's Grid'5000 simulation, so latency numbers carry
+// netsim.TimeScale like every other experiment.
 func AblateHotPath(writes int, segPages uint64, sc Scale) (HotPathReport, error) {
 	rep := HotPathReport{SegPages: segPages, PageSize: sc.PageSize, Providers: 4, Writes: writes}
 	scHot := sc
@@ -118,7 +106,7 @@ func AblateHotPath(writes int, segPages uint64, sc Scale) (HotPathReport, error)
 	scHot.MetaProcessDelay = 0
 	rep.RoundTripsVerified = true
 
-	// Both modes run against one cluster instance (disjoint blobs), so
+	// Every mode runs against one cluster instance (disjoint blobs), so
 	// the comparison never carries fabric-instantiation variance.
 	cl, err := grid5000Cluster(rep.Providers, scHot, -1)
 	if err != nil {
@@ -126,7 +114,7 @@ func AblateHotPath(writes int, segPages uint64, sc Scale) (HotPathReport, error)
 	}
 	defer cl.Shutdown()
 
-	for _, mode := range []string{"legacy", "vectored", "traced", "monitored"} {
+	for _, mode := range []string{"plain", "traced", "monitored"} {
 		var mon *monitor.Monitor
 		var mpool *rpc.Pool
 		if mode == "monitored" {
@@ -153,10 +141,8 @@ func AblateHotPath(writes int, segPages uint64, sc Scale) (HotPathReport, error)
 			rep.RoundTripsVerified = false
 		}
 		switch mode {
-		case "legacy":
-			rep.Legacy = st
-		case "vectored":
-			rep.Vectored = st
+		case "plain":
+			rep.Plain = st
 		case "traced":
 			rep.Traced = st
 		case "monitored":
@@ -164,35 +150,26 @@ func AblateHotPath(writes int, segPages uint64, sc Scale) (HotPathReport, error)
 		}
 	}
 
-	pct := func(legacy, vec float64) float64 {
-		if legacy <= 0 {
+	// Positive means the tax made the operation slower.
+	overhead := func(plain, taxed float64) float64 {
+		if plain <= 0 {
 			return 0
 		}
-		return (legacy - vec) / legacy * 100
+		return (taxed - plain) / plain * 100
 	}
-	rep.WriteAllocReductionPct = pct(rep.Legacy.WriteAllocsPerOp, rep.Vectored.WriteAllocsPerOp)
-	rep.WriteBytesReductionPct = pct(rep.Legacy.WriteKBPerOp, rep.Vectored.WriteKBPerOp)
-	rep.ReadAllocReductionPct = pct(rep.Legacy.ReadAllocsPerOp, rep.Vectored.ReadAllocsPerOp)
-	rep.ReadBytesReductionPct = pct(rep.Legacy.ReadKBPerOp, rep.Vectored.ReadKBPerOp)
-	rep.WriteMeanSpeedupPct = pct(rep.Legacy.WriteMeanMs, rep.Vectored.WriteMeanMs)
-	rep.ReadMeanSpeedupPct = pct(rep.Legacy.ReadMeanMs, rep.Vectored.ReadMeanMs)
-	// Sign flipped versus the reductions: positive means tracing made
-	// writes slower.
-	rep.TraceOverheadPct = -pct(rep.Vectored.WriteMeanMs, rep.Traced.WriteMeanMs)
-	rep.MonitorOverheadPct = -pct(rep.Vectored.ReadP99Ms, rep.Monitored.ReadP99Ms)
+	rep.TraceOverheadPct = overhead(rep.Plain.WriteMeanMs, rep.Traced.WriteMeanMs)
+	rep.MonitorOverheadPct = overhead(rep.Plain.ReadP99Ms, rep.Monitored.ReadP99Ms)
 	return rep, nil
 }
 
 // hotPathMode runs one mode's write+read sweep and returns its stats
-// and whether all round trips were byte-identical. Modes: "legacy"
-// (pre-vectored codec), "vectored" (the production path, tracing off),
-// "traced" (vectored + 1-in-64 span sampling), "monitored" (vectored
-// while the caller keeps a cluster monitor polling).
+// and whether all round trips were byte-identical. Modes: "plain"
+// (tracing off), "traced" (1-in-64 span sampling), "monitored" (the
+// caller keeps a cluster monitor polling).
 func hotPathMode(cl *cluster.Cluster, mode string, writes int, segPages uint64, sc Scale) (HotPathStats, bool, error) {
 	st := HotPathStats{Mode: mode}
 	ctx := context.Background()
 	opts := cl.ClientOptions("hotpath-" + st.Mode)
-	opts.LegacyDataPath = mode == "legacy"
 	if mode == "traced" {
 		opts.Tracer = trace.New("hotpath-traced", trace.DefaultRing, 64)
 	}

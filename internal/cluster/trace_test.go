@@ -6,19 +6,30 @@ import (
 	"strings"
 	"testing"
 
+	"blob/internal/erasure"
 	"blob/internal/trace"
 )
 
 // TestTracedWriteSpansThreeProcesses is the tracing acceptance test: one
 // traced WriteBlob against the simulated cluster must leave spans in at
 // least three processes' ring buffers (client, version manager, data
-// provider), reassemblable into a single tree rooted at core.WriteBlob.
+// provider), reassemblable into a single tree rooted at core.WriteBlob —
+// in both redundancy modes, whose page pushes are separate fan-outs.
 func TestTracedWriteSpansThreeProcesses(t *testing.T) {
-	c, err := Launch(Config{
-		DataProviders:    2,
-		MetaProviders:    2,
-		TraceSampleEvery: 1,
-	})
+	for _, tt := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"replicated", Config{DataProviders: 2, MetaProviders: 2, TraceSampleEvery: 1}},
+		{"rs(2,1)", Config{DataProviders: 3, MetaProviders: 2, TraceSampleEvery: 1,
+			Redundancy: erasure.Redundancy{K: 2, M: 1}}},
+	} {
+		t.Run(tt.name, func(t *testing.T) { tracedWriteSpans(t, tt.cfg) })
+	}
+}
+
+func tracedWriteSpans(t *testing.T, cfg Config) {
+	c, err := Launch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,13 +80,6 @@ type Options struct {
 	// fetched metadata node (simulation knob for the experiment
 	// harness; zero disables it). See mstore.Client.ProcessDelay.
 	MetaProcessDelay time.Duration
-	// LegacyDataPath selects the pre-vectored data path: contiguous
-	// request encoding, copying response decode, and strictly sequential
-	// write phases. It exists for the hot-path ablation
-	// (bench.AblateHotPath, docs/perf.md) — production clients leave it
-	// false and get the zero-copy codec plus the pipelined write
-	// protocol.
-	LegacyDataPath bool
 	// DisableHedging turns off hedged reads (docs/robustness.md):
 	// without it, a page fetch that outlives its provider's adaptive
 	// hedge delay (~p95 of that provider's recent latency) is raced
@@ -228,7 +221,6 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	}
 	ms := mstore.New(kv, opts.CacheNodes)
 	ms.ProcessDelay = opts.MetaProcessDelay
-	ms.Vectored = !opts.LegacyDataPath
 	vmShards := opts.VManagerShards
 	if len(vmShards) == 0 {
 		// A single unsharded, unreplicated manager is the degenerate

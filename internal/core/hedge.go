@@ -96,7 +96,7 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 // served, which the caller prefers when the primary failed those items
 // — and abandoned, true when the hedge served everything and the
 // primary was never decoded (resp and err are then both nil).
-func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, tier int, tc trace.Ctx, dispatched time.Time, fop *trace.Op) (resp []byte, err error, hedged [][]byte, abandoned bool) {
+func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, tier int, dispatched time.Time, fop *trace.Op) (resp []byte, err error, hedged [][]byte, abandoned bool) {
 	c := b.c
 	if c.opts.DisableHedging {
 		resp, err = b.waitPrimary(ctx, pd, addr, dispatched)
@@ -154,14 +154,13 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		return resp, err, nil, false
 	}
 
-	dl, _ := ctx.Deadline()
 	hpend := make([]*rpc.Pending, 0, len(subs))
 	hsubs := make([]*hedgeSub, 0, len(subs))
 	for _, s := range subs {
 		fop.Notef("hedge: %d pages -> %s", len(s.refs), s.addr)
 		c.HedgedReads.Inc()
-		hpend = append(hpend, c.pool.GoVecTD(s.addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(s.refs)}, tc, dl))
+		hpend = append(hpend, c.pool.Go(ctx, s.addr, provider.MGetPages,
+			[][]byte{provider.EncodeGetPages(s.refs)}))
 		hsubs = append(hsubs, s)
 	}
 	hstart := time.Now()

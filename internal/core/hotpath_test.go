@@ -1,10 +1,8 @@
 package core_test
 
 // Tests for the zero-copy data path and the pipelined write protocol:
-// legacy/vectored interoperability (either codec against the same
-// providers), byte-identical round trips under concurrency (the -race
-// gate the acceptance criteria name), and pipelined-write failure
-// handling.
+// byte-identical round trips under concurrency (the -race gate) and
+// pipelined-write failure handling.
 
 import (
 	"bytes"
@@ -16,64 +14,7 @@ import (
 	"time"
 
 	"blob/internal/cluster"
-	"blob/internal/core"
 )
-
-// TestLegacyVectoredInterop writes with each codec and reads with the
-// other: the wire format is shared, so pages written by either client
-// must verify and round-trip through both read paths.
-func TestLegacyVectoredInterop(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{DataProviders: 3, DataReplicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Shutdown)
-	ctx := context.Background()
-
-	clients := make([]*core.Client, 2)
-	for i, legacy := range []bool{false, true} {
-		opts := cl.ClientOptions(fmt.Sprintf("interop%d", i))
-		opts.LegacyDataPath = legacy
-		c, err := core.NewClient(ctx, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		clients[i] = c
-	}
-
-	blob, err := clients[0].CreateBlob(ctx, pageSize, 256*pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(77))
-	for round := 0; round < 3; round++ {
-		writer := clients[round%2]
-		reader := clients[(round+1)%2]
-		wb, err := writer.OpenBlob(ctx, blob.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := reader.OpenBlob(ctx, blob.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, 8*pageSize)
-		rng.Read(data)
-		off := uint64(round) * 16 * pageSize
-		v, err := wb.Write(ctx, data, off)
-		if err != nil {
-			t.Fatalf("round %d write: %v", round, err)
-		}
-		got := make([]byte, len(data))
-		if _, err := rb.Read(ctx, got, off, v); err != nil {
-			t.Fatalf("round %d read: %v", round, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("round %d: cross-codec round trip corrupted data", round)
-		}
-	}
-}
 
 // TestVectoredConcurrentRoundTrips is the -race gate on the pooled
 // buffer + zero-copy path end to end: concurrent writers and readers

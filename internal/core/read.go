@@ -155,8 +155,6 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		fop.AddBytes(int64(len(buf)))
 		defer func() { fop.EndErr(err) }()
 	}
-	tc := trace.FromContext(ctx)
-	dl, _ := ctx.Deadline()
 	remaining := make([]fetchItem, 0, len(leaves))
 	var striped []stripedItem
 	for _, l := range leaves {
@@ -180,7 +178,6 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 	}
 
 	var repairs []readRepair
-	legacy := b.c.opts.LegacyDataPath
 
 	// Replica tiers: try everyone's first replica in one parallel wave,
 	// then the second replica for whatever failed, and so on. A page
@@ -260,8 +257,8 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				next = append(next, g.items...)
 				continue
 			}
-			pend = append(pend, b.c.pool.GoVecTD(addr, provider.MGetPages,
-				[][]byte{provider.EncodeGetPages(g.refs)}, tc, dl))
+			pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages,
+				[][]byte{provider.EncodeGetPages(g.refs)}))
 			gs = append(gs, g)
 			ids = append(ids, id)
 			addrs = append(addrs, addr)
@@ -281,33 +278,27 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		}
 		// served records a verified page, queueing a read-repair when
 		// earlier replicas definitively missed it. The repair references
-		// the page bytes in place (it.dst or the decoded copy);
-		// scheduleReadRepair materializes its own copy only for repairs
-		// it actually schedules.
-		served := func(it fetchItem, data []byte) {
+		// the page bytes in place (it.dst); scheduleReadRepair
+		// materializes its own copy only for repairs it actually schedules.
+		served := func(it fetchItem) {
 			if len(it.missed) > 0 {
 				repairs = append(repairs, readRepair{
 					write:     it.leaf.Leaf.Write,
 					rel:       it.leaf.Leaf.RelPage,
-					data:      data,
+					data:      it.dst,
 					providers: it.missed,
 				})
 			}
 		}
 		// One status scratch serves every group: the wait loop decodes
 		// sequentially.
-		var status []provider.PageStatus
-		if !legacy {
-			maxGroup := 0
-			for _, g := range gs {
-				if len(g.refs) > maxGroup {
-					maxGroup = len(g.refs)
-				}
-			}
-			status = make([]provider.PageStatus, maxGroup)
+		maxGroup := 0
+		for _, g := range gs {
+			maxGroup = max(maxGroup, len(g.refs))
 		}
+		status := make([]provider.PageStatus, maxGroup)
 		for i, p := range pend {
-			resp, err, hedged, abandoned := b.waitFetchHedged(ctx, p, gs[i], addrs[i], tier, tc, dispatched, fop)
+			resp, err, hedged, abandoned := b.waitFetchHedged(ctx, p, gs[i], addrs[i], tier, dispatched, fop)
 			// serveHedged serves item j from verified hedge bytes when
 			// the hedge produced them — the first-usable-response-wins
 			// half of the race the primary lost (or failed).
@@ -317,7 +308,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				}
 				copy(it.dst, hedged[j])
 				b.c.HedgeWins.Inc()
-				served(it, it.dst)
+				served(it)
 				return true
 			}
 			if abandoned {
@@ -339,37 +330,8 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				}
 				continue
 			}
-			if legacy {
-				datas, err := provider.DecodeGetPages(resp, len(gs[i].refs))
-				if err != nil {
-					return err
-				}
-				for j, data := range datas {
-					it := gs[i].items[j]
-					switch {
-					case data == nil:
-						// Definite miss: the provider answered and lacks
-						// the page — a read-repair target.
-						if it = miss(it, ids[i]); !serveHedged(j, it) {
-							next = append(next, it)
-						}
-					case uint64(len(data)) != b.pageSize ||
-						wire.Checksum64(data) != it.leaf.Leaf.Checksum:
-						// Corrupt copy: fail over, but don't re-push — the
-						// provider holds a (bad) record and first-wins puts
-						// would not replace it.
-						if !serveHedged(j, it) {
-							next = append(next, it)
-						}
-					default:
-						copy(it.dst, data)
-						served(it, data)
-					}
-				}
-				continue
-			}
-			// Zero-copy path: pages land straight in their destination
-			// slices; the pooled response frame goes back immediately.
+			// Pages land straight in their destination slices; the pooled
+			// response frame goes back immediately.
 			err = provider.DecodeGetPagesInto(resp, gs[i].dsts, status[:len(gs[i].refs)])
 			p.Release()
 			if err != nil {
@@ -390,7 +352,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 						next = append(next, it)
 					}
 				default:
-					served(it, it.dst)
+					served(it)
 				}
 			}
 		}

@@ -183,8 +183,8 @@ func (c *Client) scheduleReadRepair(blob uint64, repairs []readRepair) {
 			if err != nil {
 				continue // provider gone: the repair agent will handle it
 			}
-			body := provider.EncodePutPages(blob, k.write, bt.rels, bt.datas)
-			if _, err := c.pool.Call(ctx, addr, provider.MPutPages, body); err == nil {
+			segs := provider.EncodePutPagesVec(blob, k.write, bt.rels, bt.datas)
+			if _, err := c.pool.Go(ctx, addr, provider.MPutPages, segs).Wait(ctx); err == nil {
 				c.ReadRepairs.Add(int64(len(bt.rels)))
 			}
 		}

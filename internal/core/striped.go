@@ -63,7 +63,7 @@ func (b *Blob) putStriped(ctx context.Context, writeID uint64, buf []byte) ([]*m
 			return err
 		}
 		segs := provider.EncodePutPagesVec(b.id, writeID, []uint32{rel}, [][]byte{data})
-		pend = append(pend, b.c.pool.GoVec(addr, provider.MPutPages, segs))
+		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MPutPages, segs))
 		return nil
 	}
 	for s := uint64(0); s < nStripes; s++ {
@@ -139,8 +139,6 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 	if sop != nil {
 		defer func() { sop.EndErr(err) }()
 	}
-	tc := trace.FromContext(ctx)
-	dl, _ := ctx.Deadline()
 	type group struct {
 		refs  []provider.PageRef
 		items []stripedItem
@@ -180,8 +178,8 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 			failed = append(failed, g.items...)
 			continue
 		}
-		pend = append(pend, b.c.pool.GoVecTD(addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(g.refs)}, tc, dl))
+		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages,
+			[][]byte{provider.EncodeGetPages(g.refs)}))
 		gs = append(gs, g)
 		addrs = append(addrs, addr)
 	}
@@ -280,8 +278,6 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 		g.slots = append(g.slots, s)
 	}
 
-	tc := trace.FromContext(ctx)
-	dl, _ := ctx.Deadline()
 	shards := make([][]byte, n)
 	pend := make([]*rpc.Pending, 0, len(groups))
 	gs := make([]*group, 0, len(groups))
@@ -290,8 +286,8 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 		if err != nil {
 			continue // unreachable survivor: maybe enough others remain
 		}
-		pend = append(pend, b.c.pool.GoVecTD(addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(g.refs)}, tc, dl))
+		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages,
+			[][]byte{provider.EncodeGetPages(g.refs)}))
 		gs = append(gs, g)
 	}
 	for i, p := range pend {

@@ -11,7 +11,6 @@ import (
 	"blob/internal/rpc"
 	"blob/internal/trace"
 	"blob/internal/vmanager"
-	"blob/internal/wire"
 )
 
 // WriteResult reports a completed write and its phase timings, which the
@@ -76,27 +75,22 @@ func (b *Blob) writeInternal(ctx context.Context, buf []byte, offset uint64, isA
 
 	// Phases 1 and 2 are independent — the page push is keyed by the
 	// client-generated write identity, not the version number — so the
-	// pipelined protocol runs the version-manager round trip (Phase 2)
-	// concurrently with the page/parity fan-out (Phase 1) and the write
-	// pays max(push, assign) instead of their sum. The legacy path keeps
-	// the paper's strictly sequential ordering for the ablation.
+	// version-manager round trip (Phase 2) runs concurrently with the
+	// page/parity fan-out (Phase 1) and the write pays max(push, assign)
+	// instead of their sum.
 	type assignResult struct {
 		asg vmanager.Assignment
 		err error
 		dur time.Duration
 	}
-	assign := func() assignResult {
+	assignCh := make(chan assignResult, 1)
+	go func() {
 		t := time.Now()
 		actx, aop := trace.Start(ctx, "write.assign")
 		asg, err := b.c.vm.AssignVersion(actx, b.id, writeID, offset, uint64(len(buf)), isAppend)
 		aop.EndErr(err)
-		return assignResult{asg, err, time.Since(t)}
-	}
-	pipelined := !b.c.opts.LegacyDataPath
-	assignCh := make(chan assignResult, 1)
-	if pipelined {
-		go func() { assignCh <- assign() }()
-	}
+		assignCh <- assignResult{asg, err, time.Since(t)}
+	}()
 
 	// Phase 1 (paper §III.B): get providers from the provider manager,
 	// then push all pages in parallel, batched per provider. The two
@@ -150,28 +144,21 @@ func (b *Blob) writeInternal(ctx context.Context, buf []byte, offset uint64, isA
 	}
 	pushOp.EndErr(pushErr)
 	if pushErr != nil {
-		if pipelined {
-			// The concurrently assigned version will never commit; abort
-			// it so the version manager need not wait out the dead-writer
-			// deadline before publishing later writes.
-			if ar := <-assignCh; ar.err == nil {
-				abortCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_ = b.c.vm.Abort(abortCtx, b.id, ar.asg.Version)
-				cancel()
-			}
+		// The concurrently assigned version will never commit; abort it
+		// so the version manager need not wait out the dead-writer
+		// deadline before publishing later writes.
+		if ar := <-assignCh; ar.err == nil {
+			abortCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			_ = b.c.vm.Abort(abortCtx, b.id, ar.asg.Version)
+			cancel()
 		}
 		return res, pushErr
 	}
 	res.DataTime = time.Since(t0)
 
-	// Phase 2: the version number and precomputed border versions
-	// (already in flight on the pipelined path).
-	var ar assignResult
-	if pipelined {
-		ar = <-assignCh
-	} else {
-		ar = assign()
-	}
+	// Phase 2: the version number and precomputed border versions,
+	// already in flight.
+	ar := <-assignCh
 	if ar.err != nil {
 		return res, ar.err
 	}
@@ -244,25 +231,14 @@ func (b *Blob) allocateProviders(ctx context.Context, npages, r int) (pmanager.A
 }
 
 // putPages uploads all pages in parallel, one batched request per
-// provider, and returns the per-page checksums. On the default path the
-// request bodies are scatter-gather segments aliasing buf (zero copies
-// on the client; buf stays immutable until the Waits below return) and
-// the checksums are computed by parallel workers; the legacy path keeps
-// the contiguous-encode codec for the ablation.
+// provider, and returns the per-page checksums. The request bodies are
+// scatter-gather segments aliasing buf (zero copies on the client; buf
+// stays immutable until the Waits below return) and the checksums are
+// computed by parallel workers.
 func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc pmanager.Allocation) ([]uint64, error) {
 	npages := uint64(len(buf)) / b.pageSize
 	r := len(alloc.IDs) / int(npages)
-	legacy := b.c.opts.LegacyDataPath
-
-	var checksums []uint64
-	if legacy {
-		checksums = make([]uint64, npages)
-		for p := uint64(0); p < npages; p++ {
-			checksums[p] = wire.Checksum64(buf[p*b.pageSize : (p+1)*b.pageSize])
-		}
-	} else {
-		checksums = checksumPages(buf, b.pageSize)
-	}
+	checksums := checksumPages(buf, b.pageSize)
 
 	type batch struct {
 		rels  []uint32
@@ -290,22 +266,14 @@ func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc p
 		}
 	}
 
-	// Async fan-out: the frame header carries whatever trace the write
-	// operation is running under (zero tc emits legacy frames).
-	tc := trace.FromContext(ctx)
 	pend := make([]*rpc.Pending, 0, len(batches))
 	for id, bt := range batches {
 		addr, err := b.c.providerAddr(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		if legacy {
-			body := provider.EncodePutPages(b.id, writeID, bt.rels, bt.datas)
-			pend = append(pend, b.c.pool.GoT(addr, provider.MPutPages, body, tc))
-		} else {
-			segs := provider.EncodePutPagesVec(b.id, writeID, bt.rels, bt.datas)
-			pend = append(pend, b.c.pool.GoVecT(addr, provider.MPutPages, segs, tc))
-		}
+		segs := provider.EncodePutPagesVec(b.id, writeID, bt.rels, bt.datas)
+		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MPutPages, segs))
 	}
 	for i, p := range pend {
 		if _, err := p.Wait(ctx); err != nil {
@@ -314,9 +282,7 @@ func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc p
 			drainPending(pend[i:])
 			return nil, fmt.Errorf("core: store pages: %w", err)
 		}
-		if !legacy {
-			p.Release()
-		}
+		p.Release()
 	}
 	return checksums, nil
 }

@@ -11,7 +11,6 @@ import (
 	"blob/internal/backoff"
 	"blob/internal/rpc"
 	"blob/internal/stats"
-	"blob/internal/trace"
 	"blob/internal/wire"
 )
 
@@ -143,12 +142,11 @@ func (c *Client) Put(ctx context.Context, key uint64, value []byte) error {
 	w := wire.NewWriter(len(value) + 16)
 	w.Uint64(key)
 	w.BytesField(value)
-	body := w.Bytes()
+	segs := [][]byte{w.Bytes()}
 
-	tc := trace.FromContext(ctx)
 	pend := make([]*rpc.Pending, len(reps))
 	for i, rep := range reps {
-		pend[i] = c.pool.GoT(rep.Addr, MPut, body, tc)
+		pend[i] = c.pool.Go(ctx, rep.Addr, MPut, segs)
 	}
 	var firstErr error
 	acked := 0
@@ -190,7 +188,7 @@ func (c *Client) Get(ctx context.Context, key uint64) ([]byte, error) {
 				return nil, err
 			}
 			if tier > 0 {
-				c.readRepair(key, v, reps[:tier])
+				c.readRepair(ctx, key, v, reps[:tier])
 			}
 			return v, nil
 		}
@@ -220,14 +218,15 @@ func (c *Client) Delete(ctx context.Context, key uint64) error {
 }
 
 // readRepair re-puts a value onto the replicas that missed it,
-// asynchronously and best-effort.
-func (c *Client) readRepair(key uint64, value []byte, missed []NodeInfo) {
+// asynchronously and best-effort, under the trace and remaining budget
+// of the Get that found the gap.
+func (c *Client) readRepair(ctx context.Context, key uint64, value []byte, missed []NodeInfo) {
 	w := wire.NewWriter(len(value) + 16)
 	w.Uint64(key)
 	w.BytesField(value)
-	body := w.Bytes()
+	segs := [][]byte{w.Bytes()}
 	for _, rep := range missed {
-		c.pool.Go(rep.Addr, MPut, body)
+		c.pool.Go(ctx, rep.Addr, MPut, segs)
 	}
 	c.ReadRepairs.Inc()
 }
@@ -241,76 +240,11 @@ type KV struct {
 // MultiPut stores a batch of entries, grouping them per replica node so
 // each node receives one aggregated request — the metadata write path of
 // the paper, where a whole subtree is dispatched in a handful of frames.
+// Each node's request body is assembled as scatter-gather segments whose
+// value payloads alias the callers' buffers — no group encode buffer, no
+// contiguous re-copy — so the values must stay immutable until MultiPut
+// returns.
 func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
-	if len(kvs) == 0 {
-		return nil
-	}
-	ring := c.ringOrRefresh(ctx)
-	if ring.Size() == 0 {
-		return ErrNoNodes
-	}
-	type group struct {
-		w *wire.Writer
-		n int
-	}
-	groups := make(map[string]*group)
-	for _, kv := range kvs {
-		for _, rep := range ring.ReplicasFor(kv.Key, c.replicas) {
-			g := groups[rep.Addr]
-			if g == nil {
-				g = &group{w: wire.NewWriter(1 << 12)}
-				g.w.Uvarint(0) // placeholder replaced below by re-encoding
-				groups[rep.Addr] = g
-			}
-			g.w.Uint64(kv.Key)
-			g.w.BytesField(kv.Value)
-			g.n++
-		}
-	}
-	// Re-encode with the real counts (cheap: header only).
-	tc := trace.FromContext(ctx)
-	pend := make([]*rpc.Pending, 0, len(groups))
-	for addr, g := range groups {
-		hdr := wire.NewWriter(8)
-		hdr.Uvarint(uint64(g.n))
-		// Body payload begins after the placeholder varint (1 byte: 0).
-		payload := g.w.Bytes()[1:]
-		full := make([]byte, 0, len(payload)+hdr.Len())
-		full = append(full, hdr.Bytes()...)
-		full = append(full, payload...)
-		pend = append(pend, c.pool.GoT(addr, MMultiPut, full, tc))
-	}
-	var firstErr error
-	acked := 0
-	for _, p := range pend {
-		if _, err := p.Wait(ctx); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		acked++
-	}
-	if acked == 0 && firstErr != nil {
-		return fmt.Errorf("dht: multiput failed everywhere: %w", firstErr)
-	}
-	if firstErr != nil && acked < len(groups) {
-		// Partial failure: with replicas >= 2 the surviving copies serve
-		// reads; with replicas == 1 some keys may be lost, so report.
-		if c.replicas == 1 {
-			return fmt.Errorf("dht: multiput partial failure: %w", firstErr)
-		}
-	}
-	return nil
-}
-
-// MultiPutVec is the scatter-gather MultiPut: the same per-replica
-// aggregation, but each node's request body is assembled as vectored
-// segments whose value payloads alias the callers' buffers — no group
-// encode buffer, no contiguous re-copy. The values must stay immutable
-// until MultiPutVec returns. Used by the metadata write path
-// (mstore.StoreNodes) on the zero-copy client configuration.
-func (c *Client) MultiPutVec(ctx context.Context, kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
 	}
@@ -340,11 +274,10 @@ func (c *Client) MultiPutVec(ctx context.Context, kvs []KV) error {
 			g.n++
 		}
 	}
-	tc := trace.FromContext(ctx)
 	pend := make([]*rpc.Pending, 0, len(groups))
 	for addr, g := range groups {
 		g.vw.SetSeg(g.countSeg, binary.AppendUvarint(make([]byte, 0, 10), uint64(g.n)))
-		pend = append(pend, c.pool.GoVecT(addr, MMultiPut, g.vw.Segs(), tc))
+		pend = append(pend, c.pool.Go(ctx, addr, MMultiPut, g.vw.Segs()))
 	}
 	var firstErr error
 	acked := 0

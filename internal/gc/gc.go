@@ -164,10 +164,10 @@ func (g *Collector) Collect(ctx context.Context, blobID uint64, keepFrom meta.Ve
 		if len(deadRels) == 0 {
 			continue
 		}
-		body := provider.EncodeDeletePages(blobID, rec.WriteID, deadRels)
+		segs := [][]byte{provider.EncodeDeletePages(blobID, rec.WriteID, deadRels)}
 		pend := make([]*rpc.Pending, 0, len(providers))
 		for _, p := range providers {
-			pend = append(pend, g.c.Pool().Go(p.Addr, provider.MDeletePages, body))
+			pend = append(pend, g.c.Pool().Go(ctx, p.Addr, provider.MDeletePages, segs))
 		}
 		for _, p := range pend {
 			resp, err := p.Wait(ctx)

@@ -38,13 +38,6 @@ type Client struct {
 	// it, so it also drives the cached-vs-uncached gap of Figure 3c.
 	// Zero (the default) disables the model.
 	ProcessDelay time.Duration
-
-	// Vectored selects the zero-copy store path: a write's nodes are
-	// encoded into one shared arena and dispatched with scatter-gather
-	// MultiPutVec requests whose value segments alias that arena. Off,
-	// the legacy per-node encode + contiguous MultiPut path runs (the
-	// hot-path ablation's baseline, core.Options.LegacyDataPath).
-	Vectored bool
 }
 
 // DefaultCacheNodes mirrors the paper's experimental setup: the client
@@ -62,31 +55,23 @@ func New(kv *dht.Client, cacheNodes int) *Client {
 
 // StoreNodes writes a batch of tree nodes to the metadata providers.
 // Nodes are also inserted into the local cache: a writer frequently
-// re-reads its own recent versions. On the vectored path the whole
-// batch encodes into one arena whose slices ride the scatter-gather
-// MultiPutVec untouched; a sealed arena slice stays valid even when
-// later encodes grow the arena into fresh memory.
+// re-reads its own recent versions. The whole batch encodes into one
+// arena whose slices ride the scatter-gather MultiPut untouched; a
+// sealed arena slice stays valid even when later encodes grow the arena
+// into fresh memory.
 func (c *Client) StoreNodes(ctx context.Context, nodes []meta.Node) error {
 	ctx, op := trace.Start(ctx, "mstore.store")
 	op.Notef("%d nodes", len(nodes))
 	kvs := make([]dht.KV, len(nodes))
-	var err error
-	if c.Vectored {
-		arena := wire.NewWriter(96 * len(nodes))
-		start := 0
-		for i := range nodes {
-			nodes[i].EncodeTo(arena)
-			end := arena.Len()
-			kvs[i] = dht.KV{Key: nodes[i].Key.Hash(), Value: arena.Bytes()[start:end:end]}
-			start = end
-		}
-		err = c.kv.MultiPutVec(ctx, kvs)
-	} else {
-		for i := range nodes {
-			kvs[i] = dht.KV{Key: nodes[i].Key.Hash(), Value: nodes[i].Encode()}
-		}
-		err = c.kv.MultiPut(ctx, kvs)
+	arena := wire.NewWriter(96 * len(nodes))
+	start := 0
+	for i := range nodes {
+		nodes[i].EncodeTo(arena)
+		end := arena.Len()
+		kvs[i] = dht.KV{Key: nodes[i].Key.Hash(), Value: arena.Bytes()[start:end:end]}
+		start = end
 	}
+	err := c.kv.MultiPut(ctx, kvs)
 	op.EndErr(err)
 	if err != nil {
 		return fmt.Errorf("mstore: store %d nodes: %w", len(nodes), err)

@@ -1,14 +1,13 @@
 package provider
 
-// Zero-copy request/response codecs for the page data path. The wire
-// layouts are byte-identical to the legacy EncodePutPages/DecodeGetPages
-// pair (docs/perf.md records the copy budget): the difference is purely
-// in memory traffic. EncodePutPagesVec emits scatter-gather segments
-// whose page payloads alias the caller's buffer — the rpc layer flushes
-// them with one vectored write, so page bytes cross client memory zero
-// times between the caller's buffer and the socket. DecodeGetPagesInto
-// copies each fetched page exactly once, from the pooled response frame
-// straight into the read destination the caller computed.
+// Zero-copy request/response codecs for the page data path (docs/perf.md
+// records the copy budget). EncodePutPagesVec emits scatter-gather
+// segments whose page payloads alias the caller's buffer — the rpc
+// layer flushes them with one vectored write, so page bytes cross
+// client memory zero times between the caller's buffer and the socket.
+// DecodeGetPagesInto copies each fetched page exactly once, from the
+// pooled response frame straight into the read destination the caller
+// computed.
 
 import (
 	"fmt"
@@ -17,7 +16,7 @@ import (
 )
 
 // EncodePutPagesVec builds an MPutPages request as scatter-gather body
-// segments for rpc.Pool.GoVec: small header segments carved from one
+// segments for rpc.Pool.Go: small header segments carved from one
 // arena, page payload segments aliasing datas. The datas slices must
 // stay immutable until the call completes (Pending.Wait returns). All
 // pages must share the same blob and write identity.

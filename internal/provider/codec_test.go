@@ -1,45 +1,22 @@
 package provider
 
-// Tests for the zero-copy codecs: wire-format equivalence with the
-// legacy pair, status semantics of DecodeGetPagesInto, and the
-// allocation regression gates the hot path is held to.
+// Tests for the zero-copy codecs: payload aliasing, status semantics of
+// DecodeGetPagesInto, and the allocation regression gates the hot path
+// is held to.
 
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"testing"
 )
 
-// joinSegs flattens scatter-gather segments for comparison with the
-// contiguous legacy encoding.
+// joinSegs flattens scatter-gather segments into the body a peer reads.
 func joinSegs(segs [][]byte) []byte {
 	var out []byte
 	for _, s := range segs {
 		out = append(out, s...)
 	}
 	return out
-}
-
-// TestEncodePutPagesVecEquivalent pins that the vectored encoder emits
-// byte-identical frames to the legacy contiguous encoder, so either side
-// of the ablation flag interoperates with any provider.
-func TestEncodePutPagesVecEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, npages := range []int{0, 1, 3, 64} {
-		rels := make([]uint32, npages)
-		datas := make([][]byte, npages)
-		for i := range rels {
-			rels[i] = uint32(i * 7)
-			datas[i] = make([]byte, 1+rng.Intn(4096))
-			rng.Read(datas[i])
-		}
-		legacy := EncodePutPages(42, 99, rels, datas)
-		vec := joinSegs(EncodePutPagesVec(42, 99, rels, datas))
-		if !bytes.Equal(legacy, vec) {
-			t.Fatalf("npages=%d: vectored encoding differs from legacy", npages)
-		}
-	}
 }
 
 // TestEncodePutPagesVecAliases pins the zero-copy property itself: the
@@ -105,14 +82,14 @@ func TestDecodeGetPagesInto(t *testing.T) {
 		t.Error("destination bytes differ from stored pages")
 	}
 
-	// The legacy decoder must agree on the same body.
+	// The copying decoder (repair paths) must agree on the same body.
 	datas, err := DecodeGetPages(body, len(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(datas[0], pageA) || !bytes.Equal(datas[1], pageB) ||
 		datas[2] != nil || !bytes.Equal(datas[3], short) {
-		t.Error("legacy decode of vectored response differs")
+		t.Error("DecodeGetPages of the same response differs")
 	}
 }
 

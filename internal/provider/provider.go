@@ -360,24 +360,6 @@ func (s *Store) Snapshot() Stats {
 
 // Client-side request encoders, shared by the blob client and tests.
 
-// EncodePutPages builds an MPutPages request body for pages of one write.
-// All pages must share the same blob and write identity.
-func EncodePutPages(blob, write uint64, rels []uint32, datas [][]byte) []byte {
-	size := 24
-	for _, d := range datas {
-		size += len(d) + 8
-	}
-	w := wire.NewWriter(size)
-	w.Uint64(blob)
-	w.Uint64(write)
-	w.Uvarint(uint64(len(rels)))
-	for i := range rels {
-		w.Uint32(rels[i])
-		w.BytesField(datas[i])
-	}
-	return w.Bytes()
-}
-
 // PageRef identifies one page to fetch.
 type PageRef struct {
 	Blob    uint64

@@ -75,7 +75,7 @@ func init() {
 // RegisterHandlers wires the provider's RPC methods onto srv.
 func (sv *Service) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MPutPages, sv.handlePutPages)
-	srv.HandleVec(MGetPages, sv.handleGetPages)
+	srv.HandleSegs(MGetPages, sv.handleGetPages)
 	srv.Handle(MDeleteWrite, sv.handleDeleteWrite)
 	srv.Handle(MDeletePages, sv.handleDeletePages)
 	srv.Handle(MStats, sv.handleStats)

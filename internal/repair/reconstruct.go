@@ -211,8 +211,8 @@ func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
 		p.slots = append(p.slots, slot)
 	}
 	for id, p := range pushes {
-		body := provider.EncodePutPages(blobID, st.write, p.rels, p.datas)
-		if _, err := r.c.Pool().Call(ctx, addrs[id], provider.MPutPages, body); err != nil {
+		segs := provider.EncodePutPagesVec(blobID, st.write, p.rels, p.datas)
+		if _, err := r.c.Pool().Go(ctx, addrs[id], provider.MPutPages, segs).Wait(ctx); err != nil {
 			r.logf("repair: push %d reconstructed shards to provider %d: %v", len(p.rels), id, err)
 			rep.Unrepairable += int64(len(p.rels))
 			continue

@@ -155,7 +155,7 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 		}
 		return b.probeSucceeded()
 	case breakerOpen:
-		// Async callers (Go/GoVec) never pass through allow, so their
+		// Async callers (Pool.Go) never pass through allow, so their
 		// outcomes reach an open breaker directly. Once OpenFor has
 		// elapsed, routing re-admits the peer (available) and these
 		// observations are its probes: a success closes the breaker, a

@@ -2,123 +2,12 @@ package rpc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"io"
-	"net"
 	"testing"
 	"time"
 
 	"blob/internal/netsim"
-	"blob/internal/trace"
 )
-
-// TestDeadlineFrameLayout pins the kind-0x04 wire format: a call made
-// with a context deadline must emit exactly
-// 0x04 | u64 id | u32 method | u64 traceID | u64 spanID | uvarint dlMS | uvarint len | body.
-func TestDeadlineFrameLayout(t *testing.T) {
-	cliSide, srvSide := net.Pipe()
-	defer srvSide.Close()
-	c := NewClient(cliSide)
-	defer c.Close()
-
-	tc := trace.Ctx{TraceID: 0xaaaa, SpanID: 0xbbbb}
-	go c.GoVecTD(7, [][]byte{[]byte("hi")}, tc, time.Now().Add(250*time.Millisecond))
-
-	// net.Pipe delivers each vectored segment as its own write; keep
-	// reading until the whole message (header + 2-byte body) is in.
-	buf := make([]byte, 0, 64)
-	tmp := make([]byte, 64)
-	srvSide.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for {
-		n, err := srvSide.Read(tmp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, tmp[:n]...)
-		// Fixed header is 29 bytes; once both uvarints parse, the
-		// message is complete when the body is in too.
-		if len(buf) > 29 {
-			dl, nn := binary.Uvarint(buf[29:])
-			_ = dl
-			if nn > 0 {
-				if bl, bn := binary.Uvarint(buf[29+nn:]); bn > 0 && len(buf) >= 29+nn+bn+int(bl) {
-					break
-				}
-			}
-		}
-	}
-	if buf[0] != kindRequestDeadline {
-		t.Fatalf("kind = %#x, want %#x", buf[0], kindRequestDeadline)
-	}
-	if id := binary.LittleEndian.Uint64(buf[1:]); id != 1 {
-		t.Errorf("id = %d, want 1", id)
-	}
-	if m := binary.LittleEndian.Uint32(buf[9:]); m != 7 {
-		t.Errorf("method = %d, want 7", m)
-	}
-	if tr := binary.LittleEndian.Uint64(buf[13:]); tr != 0xaaaa {
-		t.Errorf("traceID = %#x, want 0xaaaa", tr)
-	}
-	if sp := binary.LittleEndian.Uint64(buf[21:]); sp != 0xbbbb {
-		t.Errorf("spanID = %#x, want 0xbbbb", sp)
-	}
-	dlMS, nn := binary.Uvarint(buf[29:])
-	if nn <= 0 || dlMS == 0 || dlMS > 250 {
-		t.Errorf("deadlineMS = %d (read %d bytes), want 1..250", dlMS, nn)
-	}
-	blen, bn := binary.Uvarint(buf[29+nn:])
-	if bn <= 0 || blen != 2 {
-		t.Errorf("body len = %d, want 2", blen)
-	}
-	if got := string(buf[29+nn+bn:]); got != "hi" {
-		t.Errorf("body = %q, want %q", got, "hi")
-	}
-}
-
-// TestNoDeadlineKeepsLegacyFrames pins interop: without a context
-// deadline the legacy kinds must still be emitted byte-for-byte — an
-// untraced call is 0x01 and a traced one 0x03, never 0x04.
-func TestNoDeadlineKeepsLegacyFrames(t *testing.T) {
-	for _, tt := range []struct {
-		name string
-		tc   trace.Ctx
-		kind byte
-	}{
-		{"untraced", trace.Ctx{}, kindRequest},
-		{"traced", trace.Ctx{TraceID: 1, SpanID: 2}, kindRequestTraced},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			cliSide, srvSide := net.Pipe()
-			defer srvSide.Close()
-			c := NewClient(cliSide)
-			defer c.Close()
-			go c.GoVecTD(9, [][]byte{[]byte("x")}, tt.tc, time.Time{})
-			one := make([]byte, 1)
-			if _, err := io.ReadFull(srvSide, one); err != nil {
-				t.Fatal(err)
-			}
-			if one[0] != tt.kind {
-				t.Fatalf("kind = %#x, want %#x", one[0], tt.kind)
-			}
-		})
-	}
-}
-
-// TestExpiredDeadlineFailsLocally: a call whose deadline already passed
-// must fail with context.DeadlineExceeded without touching the wire.
-func TestExpiredDeadlineFailsLocally(t *testing.T) {
-	n, addr := newTestServer(t, netsim.Fast())
-	c := dialTest(t, n, addr)
-	sent := M.CallsSent.Value()
-	p := c.GoVecTD(mEcho, [][]byte{[]byte("x")}, trace.Ctx{}, time.Now().Add(-time.Second))
-	if _, err := p.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if got := M.CallsSent.Value(); got != sent {
-		t.Errorf("expired call was sent (CallsSent %d -> %d)", sent, got)
-	}
-}
 
 // TestDeadlinePropagatesToHandler: the server must hand the handler a
 // context that expires when the caller's budget does, and report the

@@ -8,7 +8,6 @@ import (
 
 	"blob/internal/backoff"
 	"blob/internal/events"
-	"blob/internal/trace"
 )
 
 // Pool maintains one multiplexed client connection per remote address,
@@ -143,7 +142,7 @@ func callFailure(err error) bool {
 }
 
 // Observe feeds one call outcome into addr's breaker — the hook for
-// async callers (GoVecT fan-outs) that wait on Pendings themselves and
+// async callers (Go fan-outs) that wait on Pendings themselves and
 // would otherwise bypass breaker accounting. latency matters only for
 // successes. Safe to call with breakers disabled.
 func (p *Pool) Observe(addr string, err error, latency time.Duration) {
@@ -302,11 +301,9 @@ func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error,
 // breaker policy. Application errors (ServerError) are returned as-is
 // and never retried — re-asking the same node is futile.
 func (p *Pool) Call(ctx context.Context, addr string, method uint32, body []byte) ([]byte, error) {
-	tc := trace.FromContext(ctx)
-	dl, _ := ctx.Deadline()
 	var resp []byte
 	err := p.do(ctx, addr, func(c *Client) (error, bool) {
-		b, err := c.GoVecTD(method, [][]byte{body}, tc, dl).Wait(ctx)
+		b, err := c.Call(ctx, method, body)
 		resp = b
 		return err, false
 	})
@@ -320,10 +317,8 @@ func (p *Pool) Call(ctx context.Context, addr string, method uint32, body []byte
 // callers get pooled-buffer reuse without giving up transparent
 // retries.
 func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []byte, decode func([]byte) error) error {
-	tc := trace.FromContext(ctx)
-	dl, _ := ctx.Deadline()
 	return p.do(ctx, addr, func(c *Client) (error, bool) {
-		pd := c.GoVecTD(method, [][]byte{body}, tc, dl)
+		pd := c.Go(ctx, method, [][]byte{body})
 		resp, err := pd.Wait(ctx)
 		if err != nil {
 			return err, false
@@ -335,39 +330,16 @@ func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []
 	})
 }
 
-// Go starts an asynchronous call to addr. Dial errors surface through
-// the returned Pending's Wait.
-func (p *Pool) Go(addr string, method uint32, body []byte) *Pending {
-	return p.GoVec(addr, method, [][]byte{body})
-}
-
-// GoT is Go with an explicit trace context for the frame header.
-func (p *Pool) GoT(addr string, method uint32, body []byte, tc trace.Ctx) *Pending {
-	return p.GoVecT(addr, method, [][]byte{body}, tc)
-}
-
-// GoVec starts an asynchronous scatter-gather call to addr (see
-// Client.GoVec for the segment aliasing rules). A warm address enqueues
-// on the cached connection immediately; a cold one dials in the
-// background, so a fan-out wave that touches a new provider is never
-// serialized behind that one dial on the calling goroutine.
-func (p *Pool) GoVec(addr string, method uint32, segs [][]byte) *Pending {
-	return p.GoVecT(addr, method, segs, trace.Ctx{})
-}
-
-// GoVecT is GoVec with an explicit trace context for the frame header —
-// the shape async fan-outs use, since they have no per-call context to
-// extract a trace from. A zero tc emits the legacy frame.
-func (p *Pool) GoVecT(addr string, method uint32, segs [][]byte, tc trace.Ctx) *Pending {
-	return p.GoVecTD(addr, method, segs, tc, time.Time{})
-}
-
-// GoVecTD is GoVecT with an absolute deadline stamped into the frame
-// (zero = none), so async fan-outs propagate their remaining budget
-// the way synchronous Calls do. Async calls bypass breaker admission —
-// fan-outs consult Available for routing instead — but callers should
-// feed outcomes back via Observe.
-func (p *Pool) GoVecTD(addr string, method uint32, segs [][]byte, tc trace.Ctx, deadline time.Time) *Pending {
+// Go starts an asynchronous scatter-gather call to addr (see Client.Go
+// for the segment aliasing rules and what is taken from ctx). A warm
+// address enqueues on the cached connection immediately; a cold one
+// dials in the background, so a fan-out wave that touches a new
+// provider is never serialized behind that one dial on the calling
+// goroutine, and dial errors surface through the returned Pending's
+// Wait. Async calls bypass breaker admission — fan-outs consult
+// Available for routing instead — but callers should feed outcomes back
+// via Observe.
+func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte) *Pending {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -376,7 +348,7 @@ func (p *Pool) GoVecTD(addr string, method uint32, segs [][]byte, tc trace.Ctx, 
 	c, warm := p.clients[addr]
 	p.mu.Unlock()
 	if warm && !c.Closed() {
-		return c.GoVecTD(method, segs, tc, deadline)
+		return c.Go(ctx, method, segs)
 	}
 
 	// Cold address: complete the Pending from a dialing goroutine. The
@@ -390,7 +362,7 @@ func (p *Pool) GoVecTD(addr string, method uint32, segs [][]byte, tc trace.Ctx, 
 			cl.err = err
 			return
 		}
-		inner := c.GoVecTD(method, segs, tc, deadline)
+		inner := c.Go(ctx, method, segs)
 		<-inner.c.done
 		cl.resp, cl.err = inner.c.resp, inner.c.err
 	}()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blob/internal/netsim"
+	"blob/internal/trace"
 )
 
 // These tests feed the server malformed byte streams and confirm it
@@ -41,11 +42,9 @@ func TestServerSurvivesGarbageStream(t *testing.T) {
 func TestServerSurvivesTruncatedRequest(t *testing.T) {
 	n, addr := newTestServer(t, netsim.Fast())
 	raw := rawDial(t, n, addr)
-	// A valid prefix: kind + id + method, then a length prefix promising
-	// 1000 bytes that never arrive.
-	buf := []byte{kindRequest}
-	buf = binary.LittleEndian.AppendUint64(buf, 1)
-	buf = binary.LittleEndian.AppendUint32(buf, mEcho)
+	// A valid header, then a length prefix promising 1000 bytes that
+	// never arrive.
+	buf := reqHeader(kindRequest, 1, mEcho, 0, trace.Ctx{}, 0)
 	buf = binary.AppendUvarint(buf, 1000)
 	buf = append(buf, []byte("short")...)
 	raw.Write(buf)
@@ -60,9 +59,7 @@ func TestServerSurvivesTruncatedRequest(t *testing.T) {
 func TestServerRejectsOversizedBody(t *testing.T) {
 	n, addr := newTestServer(t, netsim.Fast())
 	raw := rawDial(t, n, addr)
-	buf := []byte{kindRequest}
-	buf = binary.LittleEndian.AppendUint64(buf, 1)
-	buf = binary.LittleEndian.AppendUint32(buf, mEcho)
+	buf := reqHeader(kindRequest, 1, mEcho, 0, trace.Ctx{}, 0)
 	buf = binary.AppendUvarint(buf, MaxBody+1) // absurd length claim
 	raw.Write(buf)
 

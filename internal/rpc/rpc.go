@@ -16,7 +16,7 @@
 //     paper describes). Responses are batched the same way on the server
 //     side.
 //   - Message bodies are scatter-gather: a caller hands the framework a
-//     list of segments (GoVec) and the writer loop flushes header bytes
+//     list of segments (Go) and the writer loop flushes header bytes
 //     and payload segments with a single vectored write (net.Buffers /
 //     writev), so page payloads are never copied into a contiguous
 //     encode buffer. Inbound bodies land in pooled buffers (see buf.go)
@@ -28,24 +28,24 @@
 //
 // Message wire format (both directions, little endian):
 //
-//	request:          0x01 | u64 id | u32 method | uvarint len | body
-//	traced request:   0x03 | u64 id | u32 method | u64 traceID | u64 spanID | uvarint len | body
-//	deadline request: 0x04 | u64 id | u32 method | u64 traceID | u64 spanID | uvarint deadlineMS | uvarint len | body
-//	response:         0x02 | u64 id | u8 status  | uvarint len | body-or-error
+//	request:  0x05 | u64 id | u32 method | u8 flags
+//	               | [u64 traceID | u64 spanID   if flags&1]
+//	               | [uvarint deadlineMS         if flags&2]
+//	               | uvarint len | body
+//	response: 0x02 | u64 id | u8 status | uvarint len | body-or-error
 //
-// The traced request kind is an optional extension (see
-// docs/observability.md): a call whose context carries no trace emits
-// the byte-identical legacy 0x01 frame, and a server that does not
-// trace still understands 0x03 and simply forwards the ids.
-//
-// The deadline request kind (docs/robustness.md) additionally carries
-// the caller's remaining time budget in whole milliseconds (always
-// ≥ 1 on the wire; an already-expired call never leaves the client).
-// The server derives a handler-context deadline from it and drops
-// work whose budget lapsed while queued, so abandoned requests stop
-// consuming the cluster hop by hop. Its trace ids are zero when the
-// call is untraced. Calls without a context deadline keep emitting
-// the 0x01/0x03 frames byte-identically.
+// There is one request kind and one way to send it: Go (and Call, which
+// is Go plus Wait) takes the trace and the deadline from the caller's
+// context, so no call site can drop either by accident. A server that
+// does not trace still forwards the ids (docs/observability.md). The
+// deadline field is the caller's remaining budget in whole milliseconds
+// (1 ms to one day on the wire: an already-expired call never leaves
+// the client, which also clamps longer budgets to a day). The server
+// derives a handler-context deadline from it and drops work whose
+// budget lapsed while queued, so abandoned requests stop consuming the
+// cluster hop by hop (docs/robustness.md). A frame with an unknown kind
+// byte, unknown flag bits or an out-of-range budget closes the
+// connection.
 package rpc
 
 import (
@@ -82,14 +82,14 @@ func (TCP) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 // (stored, captured by a goroutine) must be copied.
 type HandlerFunc func(ctx context.Context, body []byte) ([]byte, error)
 
-// VecHandlerFunc is the scatter-gather variant of HandlerFunc: the
-// returned segments are written to the connection back to back without
-// being copied into a contiguous response buffer, so a handler can
-// answer straight out of long-lived store memory. Segments must stay
-// immutable until flushed, which happens before the client's call
-// completes; the request-body lifetime rule is the same as
+// SegHandlerFunc is the scatter-gather handler, the form the server
+// stores and runs: the returned segments are written to the connection
+// back to back without being copied into a contiguous response buffer,
+// so a handler can answer straight out of long-lived store memory.
+// Segments must stay immutable until flushed, which happens before the
+// client's call completes; the request-body lifetime rule is
 // HandlerFunc's.
-type VecHandlerFunc func(ctx context.Context, body []byte) ([][]byte, error)
+type SegHandlerFunc func(ctx context.Context, body []byte) ([][]byte, error)
 
 // ServerError is an application-level error propagated from a remote
 // handler. It is distinguishable from transport failures so callers can
@@ -128,19 +128,29 @@ var ErrTooLarge = errors.New("rpc: message too large")
 const MaxBody = 128 << 20
 
 const (
-	kindRequest         = 0x01
-	kindResponse        = 0x02
-	kindRequestTraced   = 0x03
-	kindRequestDeadline = 0x04
+	kindResponse = 0x02
+	// kindRequest is the one request kind. 0x01, 0x03 and 0x04 were the
+	// plain/traced/deadline kinds it replaced; they stay unassigned so a
+	// stale peer fails the kind check instead of being misparsed.
+	kindRequest = 0x05
+
+	// Request header flags: which optional fields follow the flags byte.
+	flagTraced   = 1 << 0 // u64 traceID | u64 spanID
+	flagDeadline = 1 << 1 // uvarint remaining budget, ms
+	knownFlags   = flagTraced | flagDeadline
 
 	statusOK  = 0
 	statusErr = 1
-	// statusExpired marks a reply to a deadline request whose budget ran
-	// out server-side (queued too long, or the handler overran it). It
-	// is only ever sent in response to kind 0x04, which old clients
-	// never emit, so the status byte stays interop-safe.
+	// statusExpired marks a reply to a request whose deadline budget ran
+	// out server-side (queued too long, or the handler overran it).
 	statusExpired = 2
 )
+
+// maxDeadlineMS bounds the deadline budget a request may carry: one day.
+// The client clamps longer budgets to it and the server rejects anything
+// above it, so the wire value always converts to a time.Duration without
+// overflow.
+const maxDeadlineMS = 24 * 60 * 60 * 1000
 
 // maxFrame bounds how many payload bytes one writer-loop flush coalesces.
 const maxFrame = 1 << 20
@@ -214,38 +224,13 @@ func Dial(n Network, addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// Go starts an asynchronous call. The returned call completes when a
-// response arrives or the connection fails; wait on it with Wait.
-func (c *Client) Go(method uint32, body []byte) *Pending {
-	return c.GoVec(method, [][]byte{body})
-}
-
-// GoT starts an asynchronous call carrying an explicit trace context.
-// A zero tc emits the byte-identical legacy frame.
-func (c *Client) GoT(method uint32, body []byte, tc trace.Ctx) *Pending {
-	return c.GoVecT(method, [][]byte{body}, tc)
-}
-
-// GoVec starts an asynchronous call whose body is the concatenation of
-// segs. The segments are not copied: they must stay immutable until the
-// call completes (Wait returns), at which point the frame has been
-// flushed to the connection.
-func (c *Client) GoVec(method uint32, segs [][]byte) *Pending {
-	return c.GoVecT(method, segs, trace.Ctx{})
-}
-
-// GoVecT is GoVec with an explicit trace context stamped into the
-// frame header. A zero tc selects the legacy request kind, so untraced
-// traffic is byte-identical with pre-tracing builds.
-func (c *Client) GoVecT(method uint32, segs [][]byte, tc trace.Ctx) *Pending {
-	return c.GoVecTD(method, segs, tc, time.Time{})
-}
-
-// deadlineBudget converts an absolute deadline into the wire's whole-
-// millisecond remaining budget. expired reports a deadline already in
-// the past — such a call must fail locally, never reach the wire.
-func deadlineBudget(deadline time.Time) (ms uint64, expired bool) {
-	if deadline.IsZero() {
+// deadlineBudget converts a context deadline into the wire's whole-
+// millisecond remaining budget (0 = none). expired reports a deadline
+// already in the past — such a call must fail locally, never reach the
+// wire.
+func deadlineBudget(ctx context.Context) (ms uint64, expired bool) {
+	deadline, ok := ctx.Deadline()
+	if !ok {
 		return 0, false
 	}
 	rem := time.Until(deadline)
@@ -253,19 +238,20 @@ func deadlineBudget(deadline time.Time) (ms uint64, expired bool) {
 		return 0, true
 	}
 	ms = uint64((rem + time.Millisecond - 1) / time.Millisecond)
-	if ms == 0 {
-		ms = 1
-	}
-	return ms, false
+	return min(ms, maxDeadlineMS), false
 }
 
-// GoVecTD is GoVecT with an absolute deadline: the remaining budget is
-// stamped into the frame (kind 0x04) so the server can stop working on
-// a request its caller has already abandoned. A zero deadline emits
-// the legacy frames; an already-expired one fails without touching the
-// connection.
-func (c *Client) GoVecTD(method uint32, segs [][]byte, tc trace.Ctx, deadline time.Time) *Pending {
-	dlMS, expired := deadlineBudget(deadline)
+// Go starts an asynchronous call whose body is the concatenation of
+// segs. The segments are not copied: they must stay immutable until the
+// call completes (Wait returns), at which point the frame has been
+// flushed to the connection. The request header carries whatever trace
+// ctx holds and, when ctx has a deadline, the remaining budget, so the
+// server can stop working on a request its caller has already
+// abandoned; an already-expired ctx fails without touching the
+// connection. ctx is read once, here: cancelling it later does not
+// recall the request — pass it to Wait for that.
+func (c *Client) Go(ctx context.Context, method uint32, segs [][]byte) *Pending {
+	dlMS, expired := deadlineBudget(ctx)
 	if expired {
 		return &Pending{c: &call{err: context.DeadlineExceeded, done: closedChan}}
 	}
@@ -279,7 +265,7 @@ func (c *Client) GoVecTD(method uint32, segs [][]byte, tc trace.Ctx, deadline ti
 	cl := &call{
 		id:     c.nextID.Add(1),
 		method: method,
-		tc:     tc,
+		tc:     trace.FromContext(ctx),
 		dlMS:   dlMS,
 		segs:   segs,
 		done:   make(chan struct{}),
@@ -304,12 +290,9 @@ func (c *Client) GoVecTD(method uint32, segs [][]byte, tc trace.Ctx, deadline ti
 	return &Pending{c: cl}
 }
 
-// Call performs a synchronous RPC. Any trace the context carries is
-// propagated in the frame header, and any context deadline rides along
-// as the request's remaining budget (see the deadline request kind).
+// Call performs a synchronous RPC: Go, then Wait, under the same ctx.
 func (c *Client) Call(ctx context.Context, method uint32, body []byte) ([]byte, error) {
-	dl, _ := ctx.Deadline()
-	return c.GoVecTD(method, [][]byte{body}, trace.FromContext(ctx), dl).Wait(ctx)
+	return c.Go(ctx, method, [][]byte{body}).Wait(ctx)
 }
 
 // Pending represents an in-flight asynchronous call.
@@ -459,24 +442,23 @@ func (c *Client) writeLoop() {
 			for _, s := range cl.segs {
 				blen += len(s)
 			}
-			switch {
-			case cl.dlMS > 0:
-				enc.hdrByte(kindRequestDeadline)
-				enc.hdrUint64(cl.id)
-				enc.hdrUint32(cl.method)
+			var flags byte
+			if !cl.tc.Zero() {
+				flags |= flagTraced
+			}
+			if cl.dlMS > 0 {
+				flags |= flagDeadline
+			}
+			enc.hdrByte(kindRequest)
+			enc.hdrUint64(cl.id)
+			enc.hdrUint32(cl.method)
+			enc.hdrByte(flags)
+			if flags&flagTraced != 0 {
 				enc.hdrUint64(cl.tc.TraceID)
 				enc.hdrUint64(cl.tc.SpanID)
+			}
+			if flags&flagDeadline != 0 {
 				enc.hdrUvarint(cl.dlMS)
-			case cl.tc.Zero():
-				enc.hdrByte(kindRequest)
-				enc.hdrUint64(cl.id)
-				enc.hdrUint32(cl.method)
-			default:
-				enc.hdrByte(kindRequestTraced)
-				enc.hdrUint64(cl.id)
-				enc.hdrUint32(cl.method)
-				enc.hdrUint64(cl.tc.TraceID)
-				enc.hdrUint64(cl.tc.SpanID)
 			}
 			enc.hdrUvarint(uint64(blen))
 			for _, s := range cl.segs {

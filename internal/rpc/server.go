@@ -51,7 +51,7 @@ func MethodName(method uint32) string {
 // released the moment the handler returns.
 type Server struct {
 	mu       sync.Mutex
-	handlers map[uint32]handlerEntry
+	handlers map[uint32]SegHandlerFunc
 	conns    map[net.Conn]struct{}
 	lis      []net.Listener
 	closed   bool
@@ -101,17 +101,11 @@ func (m *serverMetrics) hist(method uint32) *stats.Histogram {
 	return h
 }
 
-// handlerEntry holds one registered handler in either calling convention.
-type handlerEntry struct {
-	plain HandlerFunc
-	vec   VecHandlerFunc
-}
-
 // NewServer returns an empty server; register handlers before Serve.
 func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		handlers: make(map[uint32]handlerEntry),
+		handlers: make(map[uint32]SegHandlerFunc),
 		conns:    make(map[net.Conn]struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -121,32 +115,34 @@ func NewServer() *Server {
 // Handle registers a handler for a method identifier. Registration after
 // Serve has started is allowed but must not race with itself.
 func (s *Server) Handle(method uint32, h HandlerFunc) {
-	s.register(method, handlerEntry{plain: h})
+	s.HandleSegs(method, func(ctx context.Context, body []byte) ([][]byte, error) {
+		out, err := h(ctx, body)
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{out}, nil
+	})
 }
 
-// HandleVec registers a scatter-gather handler: its response segments
+// HandleSegs registers a scatter-gather handler: its response segments
 // are written to the connection without intermediate assembly (see
-// VecHandlerFunc for the aliasing rules).
-func (s *Server) HandleVec(method uint32, h VecHandlerFunc) {
-	s.register(method, handlerEntry{vec: h})
-}
-
-func (s *Server) register(method uint32, e handlerEntry) {
+// SegHandlerFunc for the aliasing rules).
+func (s *Server) HandleSegs(method uint32, h SegHandlerFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.handlers[method]; dup {
 		panic(fmt.Sprintf("rpc: duplicate handler for method %#x", method))
 	}
-	s.handlers[method] = e
+	s.handlers[method] = h
 }
 
-// lookup returns the handler for a method, if any, plus the server's
-// observability hooks (tracer, metrics) under one lock acquisition.
-func (s *Server) lookup(method uint32) (handlerEntry, bool, *trace.Tracer, *serverMetrics) {
+// lookup returns the handler for a method (nil when none is registered)
+// plus the server's observability hooks (tracer, metrics) under one lock
+// acquisition.
+func (s *Server) lookup(method uint32) (SegHandlerFunc, *trace.Tracer, *serverMetrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.handlers[method]
-	return e, ok, s.tracer, s.metrics
+	return s.handlers[method], s.tracer, s.metrics
 }
 
 // SetTracer attaches a tracer: every incoming traced request gets a
@@ -367,50 +363,27 @@ func (s *Server) serveConn(conn net.Conn) {
 		// message's first byte arrives the rest must follow within the
 		// stall timeout (see DefaultStallTimeout).
 		conn.SetReadDeadline(time.Time{})
-		kind, err := br.readByte()
-		if err != nil {
+		if _, err := br.br.Peek(1); err != nil {
 			return
 		}
 		conn.SetReadDeadline(time.Now().Add(stall))
-		if kind != kindRequest && kind != kindRequestTraced && kind != kindRequestDeadline {
-			return
-		}
-		id, err := br.readUint64()
+		hdr, err := br.readRequestHeader()
 		if err != nil {
 			return
 		}
-		method, err := br.readUint32()
-		if err != nil {
-			return
-		}
-		var tc trace.Ctx
-		if kind == kindRequestTraced || kind == kindRequestDeadline {
-			if tc.TraceID, err = br.readUint64(); err != nil {
-				return
-			}
-			if tc.SpanID, err = br.readUint64(); err != nil {
-				return
-			}
-		}
-		// The deadline kind carries the caller's remaining budget in
-		// ms; anchor it to the moment the header was parsed.
+		// The budget is anchored to the moment the header was parsed.
 		var deadline time.Time
-		if kind == kindRequestDeadline {
-			dlMS, err := br.readUvarint()
-			if err != nil {
-				return
-			}
-			if dlMS > 0 {
-				deadline = time.Now().Add(time.Duration(dlMS) * time.Millisecond)
-			}
+		if hdr.budget > 0 {
+			deadline = time.Now().Add(hdr.budget)
 		}
+		id, method, tc := hdr.id, hdr.method, hdr.tc
 		body, err := br.readBody()
 		if err != nil {
 			return
 		}
 		M.BytesReceived.Add(int64(body.Len()))
 
-		h, ok, tracer, metrics := s.lookup(method)
+		h, tracer, metrics := s.lookup(method)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -457,20 +430,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			// flushed (the reply carries it), so handlers may answer
 			// with slices of the request; anything retained beyond the
 			// response lifetime must still be copied.
-			segs, err := func() ([][]byte, error) {
-				switch {
-				case !ok:
-					return nil, fmt.Errorf("rpc: unknown method %#x", method)
-				case h.vec != nil:
-					return h.vec(hctx, body.Bytes())
-				default:
-					out, err := h.plain(hctx, body.Bytes())
-					if err != nil {
-						return nil, err
-					}
-					return [][]byte{out}, nil
-				}
-			}()
+			var segs [][]byte
+			var err error
+			if h == nil {
+				err = fmt.Errorf("rpc: unknown method %#x", method)
+			} else {
+				segs, err = h(hctx, body.Bytes())
+			}
 			if metrics != nil {
 				// Traced requests leave their trace ID as the bucket's
 				// exemplar, so a latency spike on /metrics points at a
@@ -521,12 +487,56 @@ func (f *frameReader) readByte() (byte, error) {
 	return f.br.ReadByte()
 }
 
-func (f *frameReader) readUint32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(f.br, b[:]); err != nil {
-		return 0, err
+// requestHeader is one request frame's header, up to but excluding the
+// body length.
+type requestHeader struct {
+	id     uint64
+	method uint32
+	tc     trace.Ctx     // zero when the request is untraced
+	budget time.Duration // the caller's remaining deadline budget; 0 = none
+}
+
+// errBadRequest rejects a request header no client of this build emits;
+// the server answers it by closing the connection.
+var errBadRequest = errors.New("rpc: malformed request header")
+
+// readRequestHeader parses a request frame's header (see the package
+// doc for the layout): the kind byte must be kindRequest, flag bits
+// outside knownFlags are rejected, and a deadline budget must lie in
+// [1, maxDeadlineMS] so it converts to a Duration without overflow.
+func (f *frameReader) readRequestHeader() (requestHeader, error) {
+	var h requestHeader
+	// Fixed-width fields are parsed in place in the read buffer.
+	fixed, err := f.br.Peek(14) // kind | id | method | flags
+	if err != nil {
+		return h, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	h.id = binary.LittleEndian.Uint64(fixed[1:])
+	h.method = binary.LittleEndian.Uint32(fixed[9:])
+	kind, flags := fixed[0], fixed[13]
+	f.br.Discard(14)
+	if kind != kindRequest || flags&^knownFlags != 0 {
+		return h, errBadRequest
+	}
+	if flags&flagTraced != 0 {
+		ids, err := f.br.Peek(16)
+		if err != nil {
+			return h, err
+		}
+		h.tc = trace.Ctx{TraceID: binary.LittleEndian.Uint64(ids[0:]), SpanID: binary.LittleEndian.Uint64(ids[8:])}
+		f.br.Discard(16)
+	}
+	if flags&flagDeadline != 0 {
+		ms, err := binary.ReadUvarint(f.br)
+		if err != nil {
+			return h, err
+		}
+		if ms == 0 || ms > maxDeadlineMS {
+			return h, errBadRequest
+		}
+		h.budget = time.Duration(ms) * time.Millisecond
+	}
+	return h, nil
 }
 
 func (f *frameReader) readUint64() (uint64, error) {
@@ -535,10 +545,6 @@ func (f *frameReader) readUint64() (uint64, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func (f *frameReader) readUvarint() (uint64, error) {
-	return binary.ReadUvarint(f.br)
 }
 
 // readBody reads one length-prefixed body into a pooled buffer.

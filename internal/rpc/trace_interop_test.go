@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -64,48 +63,6 @@ func waitCaptured(t *testing.T, c *captureConn, n int) []byte {
 	}
 	t.Fatalf("captured %d bytes, want %d", len(c.bytes()), n)
 	return nil
-}
-
-// TestUntracedFrameByteIdentical pins wire compatibility: a call whose
-// trace context is zero must emit exactly the legacy 0x01 frame — the
-// tracing extension is invisible unless used.
-func TestUntracedFrameByteIdentical(t *testing.T) {
-	conn := newCaptureConn()
-	c := NewClient(conn)
-	defer c.Close()
-	c.GoVec(7, [][]byte{[]byte("hi")})
-
-	want := []byte{kindRequest}
-	want = binary.LittleEndian.AppendUint64(want, 1) // first call id
-	want = binary.LittleEndian.AppendUint32(want, 7)
-	want = append(want, 2) // uvarint body length
-	want = append(want, "hi"...)
-	got := waitCaptured(t, c.conn.(*captureConn), len(want))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("untraced frame:\n got %x\nwant %x", got, want)
-	}
-}
-
-// TestTracedFrameLayout pins the traced request extension: kind 0x03
-// with traceID and spanID between method and body length.
-func TestTracedFrameLayout(t *testing.T) {
-	conn := newCaptureConn()
-	c := NewClient(conn)
-	defer c.Close()
-	tc := trace.Ctx{TraceID: 0x1122334455667788, SpanID: 0x99aabbccddeeff00}
-	c.GoVecT(7, [][]byte{[]byte("hi")}, tc)
-
-	want := []byte{kindRequestTraced}
-	want = binary.LittleEndian.AppendUint64(want, 1)
-	want = binary.LittleEndian.AppendUint32(want, 7)
-	want = binary.LittleEndian.AppendUint64(want, tc.TraceID)
-	want = binary.LittleEndian.AppendUint64(want, tc.SpanID)
-	want = append(want, 2)
-	want = append(want, "hi"...)
-	got := waitCaptured(t, conn, len(want))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("traced frame:\n got %x\nwant %x", got, want)
-	}
 }
 
 // TestTracedUntracedInterop proves the four peer pairings work over one

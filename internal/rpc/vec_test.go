@@ -1,7 +1,7 @@
 package rpc
 
-// Tests for the vectored data path: scatter-gather framing equivalence,
-// pooled-buffer lifecycle (double-release and use-after-release fail
+// Tests for the vectored data path: many-segment frames, pooled-buffer
+// lifecycle (double-release and use-after-release fail
 // fast; concurrent release/reuse is race-free), the async cold dial in
 // Pool.Go, and the allocation regression gate on the frame path.
 
@@ -30,14 +30,14 @@ func newVecServer(t testing.TB, cfg netsim.Config) (*netsim.Net, string) {
 	t.Helper()
 	n := netsim.New(cfg)
 	s := NewServer()
-	s.HandleVec(mVecEcho, func(_ context.Context, body []byte) ([][]byte, error) {
+	s.HandleSegs(mVecEcho, func(_ context.Context, body []byte) ([][]byte, error) {
 		if len(body) < 2 {
 			return [][]byte{body}, nil
 		}
 		mid := len(body) / 2
 		return [][]byte{body[:mid], body[mid:]}, nil
 	})
-	s.HandleVec(mVecSplit, func(_ context.Context, body []byte) ([][]byte, error) {
+	s.HandleSegs(mVecSplit, func(_ context.Context, body []byte) ([][]byte, error) {
 		segs := make([][]byte, len(body))
 		for i := range body {
 			segs[i] = body[i : i+1]
@@ -57,34 +57,6 @@ func newVecServer(t testing.TB, cfg netsim.Config) (*netsim.Net, string) {
 		n.Close()
 	})
 	return n, "srv:rpc"
-}
-
-// TestGoVecFramesEquivalent pins that a vectored request produces the
-// same observable RPC as the same bytes sent contiguously, for several
-// segmentations including empty segments.
-func TestGoVecFramesEquivalent(t *testing.T) {
-	n, addr := newVecServer(t, netsim.Fast())
-	c := dialTest(t, n, addr)
-	msg := []byte("fine-grain pages, coarse-grain cost")
-	cases := [][][]byte{
-		{msg},
-		{msg[:5], msg[5:]},
-		{nil, msg[:10], {}, msg[10:20], msg[20:]},
-		{},
-	}
-	for i, segs := range cases {
-		var want []byte
-		for _, s := range segs {
-			want = append(want, s...)
-		}
-		got, err := c.GoVec(mVecEcho, segs).Wait(context.Background())
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: echo = %q, want %q", i, got, want)
-		}
-	}
 }
 
 // TestVecHandlerManySegments drives a response of one segment per byte
@@ -111,7 +83,7 @@ func TestVecHandlerManySegments(t *testing.T) {
 func TestPendingRelease(t *testing.T) {
 	n, addr := newVecServer(t, netsim.Fast())
 	c := dialTest(t, n, addr)
-	p := c.Go(mEcho, []byte("release me"))
+	p := c.Go(context.Background(), mEcho, [][]byte{[]byte("release me")})
 	p.Release() // before completion: no-op
 	got, err := p.Wait(context.Background())
 	if err != nil {
@@ -172,7 +144,7 @@ func TestPooledBufferStress(t *testing.T) {
 				for j := 8; j < len(payload); j += 512 {
 					payload[j] = byte(w ^ i)
 				}
-				p := c.GoVec(mVecEcho, [][]byte{payload[:1024], payload[1024:]})
+				p := c.Go(context.Background(), mVecEcho, [][]byte{payload[:1024], payload[1024:]})
 				got, err := p.Wait(context.Background())
 				if err != nil {
 					t.Errorf("worker %d call %d: %v", w, i, err)
@@ -203,8 +175,8 @@ func TestPoolGoColdDialAsync(t *testing.T) {
 	// Cold fan-out: every Go returns without a round trip to the dialer.
 	start := time.Now()
 	pending := []*Pending{
-		pool.Go("dead:rpc", mEcho, []byte("a")), // refused: no listener
-		pool.Go(addr, mEcho, []byte("b")),
+		pool.Go(context.Background(), "dead:rpc", mEcho, [][]byte{[]byte("a")}), // refused: no listener
+		pool.Go(context.Background(), addr, mEcho, [][]byte{[]byte("b")}),
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("cold Go blocked the caller for %v", elapsed)
@@ -232,7 +204,7 @@ func TestFramePathAllocs(t *testing.T) {
 	ctx := context.Background()
 	// Warm the connection and the buffer pools.
 	for i := 0; i < 8; i++ {
-		p := c.GoVec(mVecEcho, segs)
+		p := c.Go(ctx, mVecEcho, segs)
 		if _, err := p.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +212,7 @@ func TestFramePathAllocs(t *testing.T) {
 	}
 	const runs = 50
 	avg := testing.AllocsPerRun(runs, func() {
-		p := c.GoVec(mVecEcho, segs)
+		p := c.Go(ctx, mVecEcho, segs)
 		if _, err := p.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +233,7 @@ func TestVecErrorPath(t *testing.T) {
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
 	s := NewServer()
-	s.HandleVec(7, func(_ context.Context, body []byte) ([][]byte, error) {
+	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("vec says no to %q", body)
 	})
 	l, err := n.Host("srv").Listen("rpc")

@@ -1,7 +1,7 @@
 package wire
 
 // VecWriter assembles a scatter-gather message body for the rpc layer's
-// vectored calls (rpc.Client.GoVec / rpc.VecHandlerFunc): header fields
+// calls (rpc.Client.Go / rpc.SegHandlerFunc): header fields
 // accumulate in one arena, payload segments alias the caller's buffers
 // untouched, and consecutive header runs share a single segment. It is
 // the one audited home of the arena-aliasing subtlety: a sealed segment
@@ -11,7 +11,7 @@ package wire
 //
 // The zero value is usable; NewVec pre-sizes the arena and segment
 // list. VecWriter is returned by value so the usual pattern (build,
-// hand Segs to GoVec) costs exactly two allocations.
+// hand Segs to Go) costs exactly two allocations.
 
 import "encoding/binary"
 
