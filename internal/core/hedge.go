@@ -10,10 +10,11 @@ package core
 // decoded after a hedge wins — its eventual completion is drained in
 // the background, where it still feeds the provider's breaker — so one
 // stalled replica costs a read roughly one hedge delay instead of a
-// full RPC timeout. Erasure-coded blobs hedge differently: no single
-// provider is ever required, so a straggling shard fetch is abandoned
-// outright and its pages served by stripe reconstruction from the
-// other k survivors (striped.go).
+// full RPC timeout. Erasure-coded blobs hedge differently: a stripe
+// decodes from any k of its shards, so a read stops waiting for a
+// straggling shard fetch and serves its pages by stripe reconstruction
+// from the other survivors — falling back to the straggler's own answer
+// only when fewer than k others turn up (striped.go).
 
 import (
 	"context"
@@ -234,17 +235,17 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 	return resp, err, hedged, false
 }
 
-// errShardHedged marks a striped shard fetch abandoned by the rs(k,m)
-// hedge (waitShardHedged); fetchStriped routes those pages to stripe
-// reconstruction.
+// errShardHedged marks a striped shard fetch that outlived its hedge
+// delay (waitShardHedged); fetchStriped routes those pages to stripe
+// reconstruction and keeps the fetch's Pending as a straggler.
 var errShardHedged = errors.New("core: shard fetch hedged to stripe reconstruction")
 
 // waitShardHedged waits for a striped group's direct shard fetch, but
 // only up to the provider's adaptive hedge delay: an erasure-coded
-// read never needs any one provider, so a straggler is abandoned
-// (drained in the background, still feeding its breaker) and its pages
-// served by decoding the stripe's other shards — the rs(k,m) form of a
-// hedged read. Returns errShardHedged for an abandoned straggler.
+// read rarely needs any one provider, so the caller stops waiting for a
+// straggler and serves its pages by decoding the stripe's other shards
+// — the rs(k,m) form of a hedged read. Returns errShardHedged for a
+// straggler, whose Pending stays live and the caller's to settle.
 func (b *Blob) waitShardHedged(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) ([]byte, error) {
 	if b.c.opts.DisableHedging {
 		return b.waitPrimary(ctx, pd, addr, dispatched)
@@ -268,6 +269,5 @@ func (b *Blob) waitShardHedged(ctx context.Context, pd *rpc.Pending, addr string
 		}
 	}
 	b.c.HedgedReads.Inc()
-	b.abandonFetch(pd, addr, dispatched)
 	return nil, errShardHedged
 }

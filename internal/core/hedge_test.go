@@ -3,8 +3,8 @@ package core_test
 // Gray-failure tests (docs/robustness.md): a provider that stalls
 // without crashing — heartbeats keep flowing, the manager keeps
 // placing data on it — must not stall reads. Hedged reads mask it on
-// the replicated path, shard abandonment + stripe reconstruction on
-// the erasure-coded path, and circuit breakers stop routing to it
+// the replicated path, stripe reconstruction (with the straggler's own
+// answer as the fallback) on the erasure-coded path, and circuit breakers stop routing to it
 // once the evidence accumulates.
 
 import (
@@ -169,6 +169,58 @@ func TestStripedHedgeReconstructsStalledShard(t *testing.T) {
 	if c.DegradedReads.Value() == 0 || c.ReconstructedPages.Value() == 0 {
 		t.Fatalf("reconstruction counters = %d/%d, want both > 0",
 			c.DegradedReads.Value(), c.ReconstructedPages.Value())
+	}
+}
+
+// TestStripedHedgeSlowIsNotLost: two of an rs(2,1) stripe's three
+// providers answer past the hedge delay at the same time. Both data
+// shards are then stragglers and only the parity shard is prompt, so
+// reconstruction alone is one shard short — but nothing is lost, only
+// slow. Every read must succeed byte-identical by falling back to the
+// stragglers' own answers; skipping their slots failed such reads with
+// "page unavailable … 1 of 3 present".
+func TestStripedHedgeSlowIsNotLost(t *testing.T) {
+	cl, c := launch(t, cluster.Config{
+		DataProviders: 3,
+		MetaProviders: 3,
+		Redundancy:    erasure.Redundancy{K: 2, M: 1},
+	})
+	ctx := context.Background()
+
+	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(29, 8*pageSize) // four rs(2,1) stripes
+	v, err := b.Write(ctx, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	defer cl.Heal()
+	for i := 0; i < 200; i++ {
+		// Thirty healthy reads, ten slow ones: the healthy stretch pulls
+		// the latency estimators back down towards the hedge-delay floor,
+		// so every slow stretch opens with reads whose hedge delay the
+		// slow providers outlive.
+		switch i % 40 {
+		case 0:
+			cl.Heal()
+		case 30:
+			cl.SlowProvider(0, 20*time.Millisecond, 5*time.Millisecond)
+			cl.SlowProvider(1, 20*time.Millisecond, 5*time.Millisecond)
+		}
+		clear(got)
+		if _, err := b.Read(ctx, got, 0, v); err != nil {
+			t.Fatalf("read %d with two slow providers: %v", i, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("read %d returned wrong bytes", i)
+		}
+	}
+	t.Logf("%d hedged shard fetches, %d pages served without their straggler", c.HedgedReads.Value(), c.HedgeWins.Value())
+	if c.HedgedReads.Value() == 0 {
+		t.Fatal("no shard fetch outlived its hedge delay: the test exercised nothing")
 	}
 }
 

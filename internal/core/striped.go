@@ -127,29 +127,59 @@ type stripedItem struct {
 	dst  []byte
 }
 
+// shardGroup batches one provider's direct shard fetches.
+type shardGroup struct {
+	refs  []provider.PageRef
+	items []stripedItem
+	dsts  [][]byte
+}
+
+// straggler is a direct shard fetch that outlived its provider's hedge
+// delay. The rs hedge stops waiting for it but keeps its Pending: slow
+// is not lost, so if reconstruction cannot find k other shards the
+// straggler's own answer is still waited for (settleStragglers).
+type straggler struct {
+	pd     *rpc.Pending
+	g      *shardGroup
+	addr   string
+	waited bool // its answer was consumed; otherwise it is drained in the background
+}
+
+// stripeKey identifies one stripe of one write.
+type stripeKey struct {
+	write uint64
+	first uint32
+}
+
+func stripeOf(it stripedItem) stripeKey {
+	return stripeKey{it.leaf.Leaf.Write, it.leaf.Leaf.Stripe.FirstRel}
+}
+
+// stripeWork is what the degraded path owes one stripe.
+type stripeWork struct {
+	failed []stripedItem // direct fetch errored, missed or was corrupt
+	slow   []stripedItem // direct fetch is a straggler, still in flight
+}
+
 // fetchStriped downloads erasure-coded pages: a first wave fetches
 // every page from its single data provider; pages that fail (provider
 // down, definite miss, corrupt bytes) or outlive their provider's
 // adaptive hedge delay (the rs hedge, hedge.go) degrade to stripe
 // reconstruction — pull any k surviving shards, decode, serve, and
 // re-push the reconstructed page to its home provider in the
-// background.
+// background. A stripe that cannot be reconstructed without its
+// stragglers waits for them instead of failing.
 func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error) {
 	ctx, sop := trace.Start(ctx, "read.stripe")
 	if sop != nil {
 		defer func() { sop.EndErr(err) }()
 	}
-	type group struct {
-		refs  []provider.PageRef
-		items []stripedItem
-		dsts  [][]byte
-	}
-	groups := make(map[uint32]*group)
+	groups := make(map[uint32]*shardGroup)
 	for _, it := range items {
 		id := it.leaf.Leaf.Providers[0]
 		g := groups[id]
 		if g == nil {
-			g = &group{}
+			g = &shardGroup{}
 			groups[id] = g
 		}
 		g.refs = append(g.refs, provider.PageRef{
@@ -160,9 +190,8 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 	}
 
 	var failed []stripedItem
-	hedgedPages := 0
 	pend := make([]*rpc.Pending, 0, len(groups))
-	gs := make([]*group, 0, len(groups))
+	gs := make([]*shardGroup, 0, len(groups))
 	addrs := make([]string, 0, len(groups))
 	for id, g := range groups {
 		addr, err := b.c.providerAddr(ctx, id)
@@ -184,15 +213,26 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 		addrs = append(addrs, addr)
 	}
 	dispatched := time.Now()
+	var late []straggler
+	// Whatever path returns, a straggler nobody waited for is drained in
+	// the background, where its outcome still feeds the breaker.
+	defer func() {
+		for _, s := range late {
+			if !s.waited {
+				b.abandonFetch(s.pd, s.addr, dispatched)
+			}
+		}
+	}()
 	for i, p := range pend {
 		resp, err := b.waitShardHedged(ctx, p, addrs[i], dispatched)
 		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
 			if errors.Is(err, errShardHedged) {
 				sop.Notef("hedge: %d pages from %s -> reconstruction", len(gs[i].items), addrs[i])
-				hedgedPages += len(gs[i].items)
+				late = append(late, straggler{pd: p, g: gs[i], addr: addrs[i]})
+				continue
+			}
+			if ctx.Err() != nil {
+				return ctx.Err()
 			}
 			failed = append(failed, gs[i].items...)
 			continue
@@ -210,35 +250,114 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 			if st != provider.PageOK ||
 				wire.Checksum64(it.dst) != it.leaf.Leaf.Checksum {
 				failed = append(failed, it)
-				continue
 			}
 		}
 	}
-	if len(failed) == 0 {
+	if len(failed) == 0 && len(late) == 0 {
 		return nil
 	}
-	sop.Notef("degraded: %d pages", len(failed))
 
-	// Degraded path: group the failures by stripe so each stripe is
-	// decoded once however many of its pages this read needs.
-	type stripeKey struct {
-		write uint64
-		first uint32
+	// Degraded path: group the work by stripe so each stripe is decoded
+	// once however many of its pages this read needs.
+	byStripe := make(map[stripeKey]*stripeWork)
+	work := func(it stripedItem) *stripeWork {
+		w := byStripe[stripeOf(it)]
+		if w == nil {
+			w = &stripeWork{}
+			byStripe[stripeOf(it)] = w
+		}
+		return w
 	}
-	byStripe := make(map[stripeKey][]stripedItem)
 	for _, it := range failed {
-		k := stripeKey{it.leaf.Leaf.Write, it.leaf.Leaf.Stripe.FirstRel}
-		byStripe[k] = append(byStripe[k], it)
+		w := work(it)
+		w.failed = append(w.failed, it)
 	}
-	for _, its := range byStripe {
-		if err := b.reconstructStripe(ctx, its); err != nil {
+	hedgedPages := 0
+	for _, s := range late {
+		for _, it := range s.g.items {
+			w := work(it)
+			w.slow = append(w.slow, it)
+		}
+		hedgedPages += len(s.g.items)
+	}
+	sop.Notef("degraded: %d pages", len(failed)+hedgedPages)
+
+	// Optimistic pass: reconstruct every stripe from the shards that are
+	// neither failed nor slow. A stripe left short of k shards that has
+	// stragglers is not unavailable yet — it waits for them below.
+	short := make(map[stripeKey]bool)
+	for k, w := range byStripe {
+		all := make([]stripedItem, 0, len(w.failed)+len(w.slow))
+		all = append(append(all, w.failed...), w.slow...)
+		err := b.reconstructStripe(ctx, all)
+		switch {
+		case err == nil:
+			// Reconstruction served the stripe's hedged-away pages
+			// without their straggler: those hedges won.
+			b.c.HedgeWins.Add(int64(len(w.slow)))
+		case errors.Is(err, ErrPageUnavailable) && len(w.slow) > 0:
+			short[k] = true
+		default:
 			return err
 		}
 	}
-	// Every hedged-away page was served by reconstruction (an error
-	// above would have returned): those hedges won.
-	if hedgedPages > 0 {
-		b.c.HedgeWins.Add(int64(hedgedPages))
+	if len(short) == 0 {
+		return nil
+	}
+	if err := b.settleStragglers(ctx, late, short, byStripe, dispatched); err != nil {
+		return err
+	}
+	for k := range short {
+		if w := byStripe[k]; len(w.failed) > 0 {
+			if err := b.reconstructStripe(ctx, w.failed); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// settleStragglers waits out the stragglers that hold pages of the short
+// stripes — stripes reconstruction could not serve without them — and
+// takes their answers for exactly those pages (dsts of pages already
+// served stay untouched). A page whose late answer verifies is served; a
+// page whose straggler errored, missed or answered corrupt bytes moves
+// to its stripe's failed list, for one more reconstruction that may now
+// use the stragglers' providers as survivors.
+func (b *Blob) settleStragglers(ctx context.Context, late []straggler, short map[stripeKey]bool, byStripe map[stripeKey]*stripeWork, dispatched time.Time) error {
+	for i := range late {
+		s := &late[i]
+		dsts := make([][]byte, len(s.g.items))
+		needed := false
+		for j, it := range s.g.items {
+			if short[stripeOf(it)] {
+				dsts[j] = it.dst
+				needed = true
+			}
+		}
+		if !needed {
+			continue
+		}
+		s.waited = true
+		status := make([]provider.PageStatus, len(dsts))
+		resp, err := b.waitPrimary(ctx, s.pd, s.addr, dispatched)
+		if err == nil {
+			err = provider.DecodeGetPagesInto(resp, dsts, status)
+			s.pd.Release()
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		for j, it := range s.g.items {
+			if dsts[j] == nil {
+				continue
+			}
+			if err != nil || status[j] != provider.PageOK ||
+				wire.Checksum64(it.dst) != it.leaf.Leaf.Checksum {
+				w := byStripe[stripeOf(it)]
+				w.failed = append(w.failed, it)
+			}
+		}
 	}
 	return nil
 }

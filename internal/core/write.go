@@ -11,6 +11,7 @@ import (
 	"blob/internal/rpc"
 	"blob/internal/trace"
 	"blob/internal/vmanager"
+	"blob/internal/wire"
 )
 
 // WriteResult reports a completed write and its phase timings, which the
@@ -233,12 +234,14 @@ func (b *Blob) allocateProviders(ctx context.Context, npages, r int) (pmanager.A
 // putPages uploads all pages in parallel, one batched request per
 // provider, and returns the per-page checksums. The request bodies are
 // scatter-gather segments aliasing buf (zero copies on the client; buf
-// stays immutable until the Waits below return) and the checksums are
-// computed by parallel workers.
+// stays immutable until the Waits below return).
 func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc pmanager.Allocation) ([]uint64, error) {
 	npages := uint64(len(buf)) / b.pageSize
 	r := len(alloc.IDs) / int(npages)
-	checksums := checksumPages(buf, b.pageSize)
+	checksums := make([]uint64, npages)
+	for p := range checksums {
+		checksums[p] = wire.Checksum64(buf[uint64(p)*b.pageSize : uint64(p+1)*b.pageSize])
+	}
 
 	type batch struct {
 		rels  []uint32

@@ -126,6 +126,7 @@ type Store struct {
 	active  *segment
 	nextID  uint64
 	nextSeq uint64 // next record sequence number (see record.go)
+	batch   []byte // PutPages encode buffer, reused under mu
 	closed  bool
 
 	pageCount int64
@@ -561,23 +562,8 @@ func (s *Store) PutPages(pages []Page) (int, error) {
 		return 0, fmt.Errorf("%w: %d live + %d new > %d",
 			ErrCapacity, s.pageBytes, newBytes, s.opts.Capacity)
 	}
-	for _, p := range fresh {
-		seq := s.takeSeq()
-		buf := appendPutRecord(nil, seq, p.Blob, p.Write, p.Rel, p.Data)
-		l, err := s.appendLocked(buf, recMeta{op: opPut, seq: seq, blob: p.Blob, write: p.Write, rel: p.Rel})
-		if err != nil {
-			return 0, err
-		}
-		k := writeKey{p.Blob, p.Write}
-		wm := s.index[k]
-		if wm == nil {
-			wm = make(map[uint32]loc)
-			s.index[k] = wm
-		}
-		wm[p.Rel] = l
-		l.seg.live += l.size
-		s.pageCount++
-		s.pageBytes += int64(len(p.Data))
+	if err := s.appendPutsLocked(fresh); err != nil {
+		return 0, err
 	}
 	if s.opts.Sync && s.active != nil && len(fresh) > 0 {
 		if err := s.active.f.Sync(); err != nil {
@@ -602,16 +588,74 @@ func (s *Store) takeSeq() uint64 {
 	return seq
 }
 
-// appendLocked writes one encoded record to the active segment, rolling
-// to a fresh segment first if the active one is full, and feeds the
-// record into the segment's sidecar accumulator. Caller holds mu.
-func (s *Store) appendLocked(buf []byte, m recMeta) (loc, error) {
+// maxRetainedBatch caps the encode buffer PutPages keeps between
+// batches; a rare larger batch allocates its buffer and drops it.
+const maxRetainedBatch = 8 << 20
+
+// appendPutsLocked appends one put record per page. The records are
+// encoded back to back into the store's reusable batch buffer and
+// written with one WriteAt per segment the batch touches; a run ends
+// where the per-record rule of appendLocked would have rolled, so the
+// segment layout is the one record-at-a-time appends produce. A run's
+// pages enter the index only after its write succeeded. Caller holds mu.
+func (s *Store) appendPutsLocked(pages []Page) error {
+	for len(pages) > 0 {
+		seg, err := s.activeLocked()
+		if err != nil {
+			return err
+		}
+		buf := s.batch[:0]
+		n := 0 // records in this run; they take sequence numbers nextSeq..nextSeq+n-1
+		for n < len(pages) && seg.size+int64(len(buf)) < s.opts.SegmentSize {
+			p := pages[n]
+			buf = appendPutRecord(buf, s.nextSeq+uint64(n), p.Blob, p.Write, p.Rel, p.Data)
+			n++
+		}
+		if cap(buf) <= maxRetainedBatch {
+			s.batch = buf
+		}
+		if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
+			return fmt.Errorf("diskstore: append to %s: %w", seg.path, err)
+		}
+		for _, p := range pages[:n] {
+			l := loc{seg: seg, off: seg.size, size: int64(recHeaderSize + putBodyPrefix + len(p.Data))}
+			seg.size += l.size
+			seg.noteRecord(recMeta{op: opPut, seq: s.takeSeq(), blob: p.Blob, write: p.Write, rel: p.Rel}, l.off, l.size)
+			k := writeKey{p.Blob, p.Write}
+			wm := s.index[k]
+			if wm == nil {
+				wm = make(map[uint32]loc)
+				s.index[k] = wm
+			}
+			wm[p.Rel] = l
+			seg.live += l.size
+			s.pageCount++
+			s.pageBytes += int64(len(p.Data))
+		}
+		pages = pages[n:]
+	}
+	return nil
+}
+
+// activeLocked returns the segment the next record goes to, rolling to
+// a fresh one first if the active segment is full. Caller holds mu.
+func (s *Store) activeLocked() (*segment, error) {
 	if s.active == nil || s.active.size >= s.opts.SegmentSize {
 		if err := s.rollLocked(); err != nil {
-			return loc{}, err
+			return nil, err
 		}
 	}
-	seg := s.active
+	return s.active, nil
+}
+
+// appendLocked writes one encoded record (a tombstone, or a record the
+// compactor relocates verbatim) to the active segment and feeds it into
+// the segment's sidecar accumulator. Caller holds mu.
+func (s *Store) appendLocked(buf []byte, m recMeta) (loc, error) {
+	seg, err := s.activeLocked()
+	if err != nil {
+		return loc{}, err
+	}
 	off := seg.size
 	if _, err := seg.f.WriteAt(buf, off); err != nil {
 		return loc{}, fmt.Errorf("diskstore: append to %s: %w", seg.path, err)
@@ -644,10 +688,24 @@ func (s *Store) rollLocked() error {
 }
 
 // GetPage returns one page's bytes, or false if absent. The returned
-// slice is freshly read from disk and owned by the caller. A record whose
-// checksum no longer matches (disk corruption) is reported as absent —
-// bad bytes are never served.
+// slice is freshly allocated and owned by the caller: GetPage is ReadPage
+// with the heap as its allocator.
 func (s *Store) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
+	return s.ReadPage(blob, write, rel, heapAlloc)
+}
+
+func heapAlloc(n int) []byte { return make([]byte, n) }
+
+// ReadPage is the store's one page-read implementation: it reads the
+// page's whole record into the buffer alloc returns for the record's
+// encoded size, verifies the record checksum there, and returns the page
+// bytes — a sub-slice of that buffer, so the page lives exactly as long
+// as the caller keeps the buffer (a provider serving a read hands in a
+// pooled buffer and recycles it once the response is flushed). alloc is
+// called at most once and not at all for an absent page; ReadPage never
+// retains the buffer. A record whose checksum no longer matches (disk
+// corruption) is reported as absent — bad bytes are never served.
+func (s *Store) ReadPage(blob, write uint64, rel uint32, alloc func(n int) []byte) ([]byte, bool) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -662,7 +720,7 @@ func (s *Store) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
 	s.mu.RUnlock()
 	defer l.seg.release()
 
-	buf := make([]byte, l.size)
+	buf := alloc(int(l.size))
 	if _, err := l.seg.f.ReadAt(buf, l.off); err != nil {
 		return nil, false
 	}

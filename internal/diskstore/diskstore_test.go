@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-func openTest(t *testing.T, dir string, opts Options) *Store {
+func openTest(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	opts.Dir = dir
 	s, err := Open(opts)

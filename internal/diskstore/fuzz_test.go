@@ -4,8 +4,59 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+// corpusSeeds returns the []byte inputs committed under
+// testdata/fuzz/<target>.
+func corpusSeeds(t *testing.T, target string) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed seeds for %s (%v)", target, err)
+	}
+	var seeds [][]byte
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a []byte seed", f)
+		}
+		str, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		seeds = append(seeds, []byte(str))
+	}
+	return seeds
+}
+
+// TestCommittedSeedsPassChecksumGate keeps the committed corpora honest:
+// their interesting seeds embed record checksums, so a change of
+// checksum function (FNV-1a → CRC-32C) silently turns every one of them
+// into a "checksum mismatch" input that exercises nothing behind the
+// gate. At least one seed per target must still open with a record the
+// decoder accepts.
+func TestCommittedSeedsPassChecksumGate(t *testing.T) {
+	for _, target := range []string{"FuzzDecodeRecord", "FuzzSegmentScan"} {
+		accepted := 0
+		for _, data := range corpusSeeds(t, target) {
+			if _, _, err := decodeRecord(data); err == nil {
+				accepted++
+			}
+		}
+		if accepted == 0 {
+			t.Errorf("%s: no committed seed decodes past the checksum gate; regenerate the corpus", target)
+		}
+	}
+}
 
 // FuzzDecodeRecord asserts the record decoder never panics, never
 // accepts a record that does not round-trip, and never reports a size

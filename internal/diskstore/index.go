@@ -34,8 +34,10 @@ const (
 	idxSuffix = ".idx"
 	idxTmp    = ".idx.tmp"
 
-	idxMagic   = 0x58444953 // "SIDX", little-endian
-	idxVersion = 1
+	idxMagic = 0x58444953 // "SIDX", little-endian
+	// idxVersion 2: the file checksum is CRC-32C. A version-1 (FNV-1a)
+	// sidecar fails validation, so its segment degrades to a replay.
+	idxVersion = 2
 )
 
 // sidecarPath returns the sidecar filename for segment id.
@@ -81,7 +83,7 @@ type sidecar struct {
 }
 
 // encode returns the sidecar's file bytes: fixed-width little-endian
-// fields followed by a whole-file FNV-1a checksum.
+// fields followed by a whole-file CRC-32C checksum (wire.Checksum64).
 func (sc *sidecar) encode() []byte {
 	w := wire.NewWriter(64 + 44*len(sc.puts) + 28*len(sc.delPages) + 24*len(sc.delWrites))
 	w.Uint32(idxMagic)

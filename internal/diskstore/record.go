@@ -3,7 +3,7 @@
 // A segment is a flat sequence of length-prefixed, checksummed records:
 //
 //	u32  bodyLen   (little endian)
-//	u64  checksum  (FNV-1a of body)
+//	u64  checksum  (CRC-32C of body, zero-extended; wire.Checksum64)
 //	body
 //
 // The body starts with a one-byte opcode and the record's store-wide
@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"blob/internal/wire"
 )
@@ -132,12 +133,12 @@ func appendDelWriteRecord(dst []byte, seq, blob, write uint64) []byte {
 	return dst
 }
 
-// appendRecordHeaderSpace grows dst by one record of bodyLen, writing the
-// length prefix and zeroing the checksum slot; the caller fills the body
-// then calls fillChecksum.
+// appendRecordHeaderSpace grows dst by one record of bodyLen and writes
+// the length prefix; the caller fills every body byte, then calls
+// fillChecksum for the checksum slot (the new bytes are not zeroed).
 func appendRecordHeaderSpace(dst []byte, bodyLen int) []byte {
 	off := len(dst)
-	dst = append(dst, make([]byte, recHeaderSize+bodyLen)...)
+	dst = slices.Grow(dst, recHeaderSize+bodyLen)[:off+recHeaderSize+bodyLen]
 	binary.LittleEndian.PutUint32(dst[off:], uint32(bodyLen))
 	return dst
 }

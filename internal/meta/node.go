@@ -11,7 +11,8 @@ import (
 // client-generated write identity (pages are pushed before the version
 // number exists — paper §III.B), and RelPage the page's index relative to
 // the write's first page. Providers lists the replica provider IDs.
-// Checksum is the FNV-1a hash of the page content, verified on read.
+// Checksum is wire.Checksum64 (CRC-32C, zero-extended) of the page
+// content, verified on read.
 //
 // Under rs(k,m) redundancy (docs/erasure.md) Providers holds the single
 // provider of the page's data shard and Stripe describes the rest of

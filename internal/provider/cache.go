@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"blob/internal/rpc"
 	"blob/internal/stats"
 )
 
@@ -117,28 +118,67 @@ func (c *CachedStore) removeLocked(e *list.Element) {
 // GetPage implements PageStore: RAM hit or write-allocate from backend.
 func (c *CachedStore) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
 	k := writeKey{blob, write}
-	var epoch uint64
-	if c.limit > 0 {
-		c.mu.Lock()
-		if e, ok := c.byKey[k][rel]; ok {
-			c.lru.MoveToFront(e)
-			data := e.Value.(*cacheEntry).data
-			c.mu.Unlock()
-			c.hits.Inc()
-			return data, true
-		}
-		epoch = c.epoch
-		c.mu.Unlock()
+	data, epoch, hit := c.lookup(k, rel)
+	if hit {
+		return data, true
 	}
 	data, ok := c.inner.GetPage(blob, write, rel)
-	if ok && c.limit > 0 {
-		c.mu.Lock()
-		if c.epoch == epoch { // no delete raced the backend read
-			c.insertLocked(k, rel, data)
-		}
-		c.mu.Unlock()
+	if ok {
+		c.fill(k, rel, data, epoch)
 	}
 	return data, ok
+}
+
+// GetPagePooled implements PooledGetter: a hit aliases the cache's own
+// long-lived copy (no buffer to release); a miss reads through the
+// backend's pooled form when it has one. fill copies, so the cache never
+// retains a pooled slice.
+func (c *CachedStore) GetPagePooled(blob, write uint64, rel uint32) ([]byte, *rpc.Buf, bool) {
+	k := writeKey{blob, write}
+	data, epoch, hit := c.lookup(k, rel)
+	if hit {
+		return data, nil, true
+	}
+	var buf *rpc.Buf
+	var ok bool
+	if pg, pooled := c.inner.(PooledGetter); pooled {
+		data, buf, ok = pg.GetPagePooled(blob, write, rel)
+	} else {
+		data, ok = c.inner.GetPage(blob, write, rel)
+	}
+	if ok {
+		c.fill(k, rel, data, epoch)
+	}
+	return data, buf, ok
+}
+
+// lookup returns the cached page on a hit; on a miss it returns the
+// epoch the caller passes to fill after reading the backend.
+func (c *CachedStore) lookup(k writeKey, rel uint32) (data []byte, epoch uint64, hit bool) {
+	if c.limit <= 0 {
+		return nil, 0, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[k][rel]; ok {
+		c.lru.MoveToFront(e)
+		c.hits.Inc()
+		return e.Value.(*cacheEntry).data, 0, true
+	}
+	return nil, c.epoch, false
+}
+
+// fill caches a copy of a page just read from the backend, unless a
+// delete raced the read (the epoch moved since lookup).
+func (c *CachedStore) fill(k writeKey, rel uint32, data []byte, epoch uint64) {
+	if c.limit <= 0 {
+		return
+	}
+	c.mu.Lock()
+	if c.epoch == epoch {
+		c.insertLocked(k, rel, data)
+	}
+	c.mu.Unlock()
 }
 
 // bumpEpoch invalidates in-flight insertions (see the epoch field).

@@ -58,7 +58,7 @@ func TestDecodeGetPagesInto(t *testing.T) {
 		{Blob: 1, Write: 2, RelPage: 2}, // absent
 		{Blob: 1, Write: 2, RelPage: 3},
 	}
-	segs, err := sv.handleGetPages(context.Background(), EncodeGetPages(refs))
+	segs, _, err := sv.handleGetPages(context.Background(), EncodeGetPages(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDecodeGetPagesIntoAllocs(t *testing.T) {
 		}
 	}
 	sv := NewService(st)
-	segs, err := sv.handleGetPages(context.Background(), EncodeGetPages(refs))
+	segs, _, err := sv.handleGetPages(context.Background(), EncodeGetPages(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestHandleGetPagesVecAllocs(t *testing.T) {
 	body := EncodeGetPages(refs)
 	ctx := context.Background()
 	avg := testing.AllocsPerRun(100, func() {
-		if _, err := sv.handleGetPages(ctx, body); err != nil {
+		if _, _, err := sv.handleGetPages(ctx, body); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"blob/internal/diskstore"
+	"blob/internal/rpc"
 	"blob/internal/stats"
 )
 
@@ -53,14 +54,34 @@ func (d *DiskStore) PutPages(pages []Page) error {
 	return nil
 }
 
-// GetPage implements PageStore.
+// GetPage implements PageStore; the returned slice is freshly allocated.
 func (d *DiskStore) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
 	data, ok := d.ds.GetPage(blob, write, rel)
+	d.countGet(ok)
+	return data, ok
+}
+
+// GetPagePooled implements PooledGetter: the same diskstore read, with
+// the record landing in a pooled buffer instead of a fresh allocation.
+func (d *DiskStore) GetPagePooled(blob, write uint64, rel uint32) ([]byte, *rpc.Buf, bool) {
+	var buf *rpc.Buf
+	data, ok := d.ds.ReadPage(blob, write, rel, func(n int) []byte {
+		buf = rpc.GetBuf(n)
+		return buf.Bytes()
+	})
+	d.countGet(ok)
+	if !ok && buf != nil { // unreadable or corrupt record
+		buf.Release()
+		buf = nil
+	}
+	return data, buf, ok
+}
+
+func (d *DiskStore) countGet(ok bool) {
 	d.Gets.Inc()
 	if !ok {
 		d.Misses.Inc()
 	}
-	return data, ok
 }
 
 // DeletePages implements PageStore. A failure to append the tombstone

@@ -42,9 +42,9 @@ func FetchLatency(ctx context.Context, c Caller, addr string) (get, put stats.Hi
 }
 
 // DigestBytes summarizes the backend's holdings for the heartbeat
-// piggyback: the encoded bloom digest plus its FNV-1a hash, which the
-// provider compares against the manager's held hash to decide whether
-// the bytes need resending at all. ok is false when the backend cannot
+// piggyback: the encoded bloom digest plus its wire.Checksum64 hash,
+// which the provider compares against the manager's held hash to decide
+// whether the bytes need resending at all. ok is false when the backend cannot
 // summarize (no BloomSummary capability) — send nothing, consumers must
 // probe.
 func (sv *Service) DigestBytes() (hash uint64, enc []byte, ok bool) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 
+	"blob/internal/rpc"
 	"blob/internal/stats"
 	"blob/internal/wire"
 )
@@ -68,6 +69,19 @@ type PageStore interface {
 	ForEachPage(fn func(blob, write uint64, rel uint32, data []byte))
 	// Snapshot returns current usage statistics.
 	Snapshot() Stats
+}
+
+// PooledGetter is the optional PageStore capability behind MGetPages'
+// garbage-free serve: a backend whose GetPage has to fill a fresh buffer
+// (DiskStore reads the record off disk) fills a pooled rpc.Buf instead
+// and returns it next to the page bytes, which alias it. The caller owns
+// buf and must release it exactly once, after its last use of data — the
+// Service hands it to the rpc server, which releases it once the
+// response is flushed. buf is nil when data aliases long-lived store
+// memory (a CachedStore hit) and there is nothing to release; it is
+// always nil when ok is false.
+type PooledGetter interface {
+	GetPagePooled(blob, write uint64, rel uint32) (data []byte, buf *rpc.Buf, ok bool)
 }
 
 // pageShards must be a power of two.

@@ -24,7 +24,7 @@ func (f fakePeer) Call(ctx context.Context, addr string, method uint32, body []b
 	if method != MGetPages {
 		return nil, fmt.Errorf("fakePeer: unexpected method %#x", method)
 	}
-	segs, err := sv.handleGetPages(ctx, body)
+	segs, _, err := sv.handleGetPages(ctx, body)
 	if err != nil {
 		return nil, err
 	}

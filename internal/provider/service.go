@@ -119,11 +119,15 @@ func (sv *Service) handlePutPages(_ context.Context, body []byte) ([]byte, error
 
 // handleGetPages answers MGetPages as scatter-gather segments: flag and
 // length headers accumulate in a small arena, page payloads alias the
-// slices the PageStore hands back (immutable — pages are never updated
-// in place, and a slice outlives even a concurrent GC delete of its map
-// entry), so fetched pages travel from store memory to the socket
-// without intermediate assembly.
-func (sv *Service) handleGetPages(ctx context.Context, body []byte) ([][]byte, error) {
+// slices the PageStore hands back, so fetched pages travel from store
+// memory to the socket without intermediate assembly. Those slices are
+// either immutable long-lived store memory (pages are never updated in
+// place, and a slice outlives even a concurrent GC delete of its map
+// entry) or, from a PooledGetter backend, pooled buffers this handler
+// owns until it returns them as held — the rpc server releases them
+// once the response is flushed, so a disk-backed provider serves reads
+// without allocating page-sized memory.
+func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]byte, held []*rpc.Buf, err error) {
 	sv.ActiveOps.Add(1)
 	start := time.Now()
 	defer func() {
@@ -131,7 +135,7 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) ([][]byte, e
 		sv.ActiveOps.Add(-1)
 	}()
 	if err := sv.chaosEnter(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r := wire.NewReader(body)
 	n := int(r.Uvarint())
@@ -139,7 +143,11 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) ([][]byte, e
 	// beyond len(body)/20 is garbage — reject it before sizing the
 	// response arena, or a small hostile body could demand gigabytes.
 	if n < 0 || n > len(body)/20 {
-		return nil, fmt.Errorf("provider get: request count %d exceeds body", n)
+		return nil, nil, fmt.Errorf("provider get: request count %d exceeds body", n)
+	}
+	pooled, _ := sv.store.(PooledGetter)
+	if pooled != nil {
+		held = make([]*rpc.Buf, 0, n)
 	}
 	vw := wire.NewVec(10+11*n, 1+2*n) // count varint + per page flag + length varint
 	vw.Uvarint(uint64(n))
@@ -148,9 +156,19 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) ([][]byte, e
 		write := r.Uint64()
 		rel := r.Uint32()
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("provider get: request %d: %w", i, err)
+			// held goes back with the error: the server releases it.
+			return nil, held, fmt.Errorf("provider get: request %d: %w", i, err)
 		}
-		data, ok := sv.store.GetPage(blob, write, rel)
+		var data []byte
+		var ok bool
+		if pooled != nil {
+			var buf *rpc.Buf
+			if data, buf, ok = pooled.GetPagePooled(blob, write, rel); buf != nil {
+				held = append(held, buf)
+			}
+		} else {
+			data, ok = sv.store.GetPage(blob, write, rel)
+		}
 		if !ok {
 			vw.Uint8(0)
 			continue
@@ -159,7 +177,7 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) ([][]byte, e
 		vw.Uvarint(uint64(len(data)))
 		vw.Alias(data)
 	}
-	return vw.Segs(), nil
+	return vw.Segs(), held, nil
 }
 
 func (sv *Service) handleDeleteWrite(_ context.Context, body []byte) ([]byte, error) {

@@ -1,10 +1,12 @@
 package rpc
 
-// Pooled message-body buffers for the inbound half of the framework.
-// Every request body a server reads and every response body a client
-// reads lands in a size-classed sync.Pool buffer instead of a fresh
-// allocation, so a busy connection recycles a small working set of
-// buffers instead of churning the garbage collector — the client-CPU
+// Pooled message-body buffers. Every request body a server reads and
+// every response body a client reads lands in a size-classed sync.Pool
+// buffer instead of a fresh allocation, and a handler that has to
+// produce page-sized response bytes (a provider reading records off
+// disk) fills buffers from the same pool (GetBuf) and hands them back
+// with its response, so a busy connection recycles a small working set
+// of buffers instead of churning the garbage collector — the client-CPU
 // half of the paper's §V.C observation that processing power, not the
 // network, bounds fine-grain throughput.
 //
@@ -12,6 +14,10 @@ package rpc
 //
 //   - The reader that filled a Buf owns it until it hands it off (to the
 //     handler goroutine on a server, to the completed call on a client).
+//     A handler that filled a Buf owns it until it returns it as one of
+//     its response's held buffers (SegHandlerFunc); the server then owns
+//     it and releases it once the response has been flushed — the same
+//     point at which it releases the request body.
 //   - Exactly one Release returns the buffer to its pool. Release is
 //     guarded by an atomic swap, so a double release can never insert
 //     the same buffer into the pool twice (no aliased reuse — impossible
@@ -34,7 +40,7 @@ var bufClasses = [...]int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 
 var bufPools [len(bufClasses)]sync.Pool
 
 // Buf is one pooled message body. The zero value is invalid; Bufs come
-// from getBuf only.
+// from GetBuf only.
 type Buf struct {
 	data     []byte
 	ref      *[]byte // full-capacity backing slice, nil when unpooled
@@ -42,9 +48,9 @@ type Buf struct {
 	released atomic.Bool
 }
 
-// getBuf returns a buffer holding n writable bytes, pooled when a size
-// class fits.
-func getBuf(n int) *Buf {
+// GetBuf returns a buffer holding n writable bytes (contents
+// unspecified), pooled when a size class fits.
+func GetBuf(n int) *Buf {
 	for cls, size := range bufClasses {
 		if n <= size {
 			ref, _ := bufPools[cls].Get().(*[]byte)

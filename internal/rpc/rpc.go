@@ -20,7 +20,9 @@
 //     and payload segments with a single vectored write (net.Buffers /
 //     writev), so page payloads are never copied into a contiguous
 //     encode buffer. Inbound bodies land in pooled buffers (see buf.go)
-//     released when the handler returns or the caller is done.
+//     released when the response is flushed or the caller is done;
+//     pooled buffers a handler's response aliases are released at the
+//     same post-flush point.
 //   - Handlers run in their own goroutines, so a slow request does not
 //     head-of-line-block the connection.
 //   - Transport is any net.Conn source: real TCP (Dialer) or the
@@ -89,7 +91,13 @@ type HandlerFunc func(ctx context.Context, body []byte) ([]byte, error)
 // Segments must stay immutable until flushed, which happens before the
 // client's call completes; the request-body lifetime rule is
 // HandlerFunc's.
-type SegHandlerFunc func(ctx context.Context, body []byte) ([][]byte, error)
+//
+// held lists the pooled buffers (GetBuf) the segments alias. Returning
+// them passes their ownership to the server, which releases each exactly
+// once after the response — or the error, when err is non-nil — has been
+// flushed; the handler must neither release nor touch them afterwards,
+// and a second Release panics, as it does for request bodies.
+type SegHandlerFunc func(ctx context.Context, body []byte) (segs [][]byte, held []*Buf, err error)
 
 // ServerError is an application-level error propagated from a remote
 // handler. It is distinguishable from transport failures so callers can

@@ -115,12 +115,12 @@ func NewServer() *Server {
 // Handle registers a handler for a method identifier. Registration after
 // Serve has started is allowed but must not race with itself.
 func (s *Server) Handle(method uint32, h HandlerFunc) {
-	s.HandleSegs(method, func(ctx context.Context, body []byte) ([][]byte, error) {
+	s.HandleSegs(method, func(ctx context.Context, body []byte) ([][]byte, []*Buf, error) {
 		out, err := h(ctx, body)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return [][]byte{out}, nil
+		return [][]byte{out}, nil, nil
 	})
 }
 
@@ -266,14 +266,17 @@ func (s *Server) Close() {
 }
 
 // reply is one completed response awaiting transmission. segs are the
-// body segments, written back to back. req is the pooled request body,
+// body segments, written back to back. req is the pooled request body
+// and held the pooled buffers the handler filled for segs; all are
 // released once the response is flushed — not when the handler returns —
-// so a handler may answer with slices of the request itself.
+// so a handler may answer with slices of the request itself or of
+// buffers it drew from the pool.
 type reply struct {
 	id     uint64
 	status uint8
 	segs   [][]byte
 	req    *Buf
+	held   []*Buf
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -291,13 +294,13 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// Response writer: coalesce everything available into one vectored
 	// frame. Handler output segments go to the connection untouched;
-	// request buffers are released once the frame carrying their
-	// response is on the wire.
+	// request buffers and handler-held response buffers are released
+	// once the frame carrying their response is on the wire.
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		enc := newFrameEncoder()
-		reqs := make([]*Buf, 0, 64)
+		bufs := make([]*Buf, 0, 64)
 		for {
 			var r reply
 			select {
@@ -306,7 +309,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			enc.reset()
-			reqs = reqs[:0]
+			bufs = bufs[:0]
 			n := 0
 			appendResp := func(r reply) {
 				blen := 0
@@ -321,8 +324,9 @@ func (s *Server) serveConn(conn net.Conn) {
 					enc.bodySeg(s)
 				}
 				if r.req != nil {
-					reqs = append(reqs, r.req)
+					bufs = append(bufs, r.req)
 				}
+				bufs = append(bufs, r.held...)
 				n++
 			}
 			appendResp(r)
@@ -340,7 +344,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			M.MessagesCoaled.Add(int64(n))
 			M.BytesSent.Add(int64(enc.total))
 			err := enc.flush(conn)
-			for _, b := range reqs {
+			for _, b := range bufs {
 				b.Release()
 			}
 			if err != nil {
@@ -431,11 +435,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			// with slices of the request; anything retained beyond the
 			// response lifetime must still be copied.
 			var segs [][]byte
+			var held []*Buf
 			var err error
 			if h == nil {
 				err = fmt.Errorf("rpc: unknown method %#x", method)
 			} else {
-				segs, err = h(hctx, body.Bytes())
+				segs, held, err = h(hctx, body.Bytes())
 			}
 			if metrics != nil {
 				// Traced requests leave their trace ID as the bucket's
@@ -444,7 +449,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				metrics.hist(method).ObserveExemplar(time.Since(start), tc.TraceID)
 			}
 			op.EndErr(err)
-			r := reply{id: id, req: body}
+			r := reply{id: id, req: body, held: held}
 			switch {
 			case err == nil:
 				r.status = statusOK
@@ -466,8 +471,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			case <-connDone:
 			case <-s.ctx.Done():
 			}
-			// A reply dropped on shutdown keeps its buffer; the pool
-			// refills on demand and the GC reclaims it.
+			// A reply dropped on shutdown keeps its buffers; the pool
+			// refills on demand and the GC reclaims them.
 		}()
 	}
 }
@@ -556,7 +561,7 @@ func (f *frameReader) readBody() (*Buf, error) {
 	if n > MaxBody {
 		return nil, ErrTooLarge
 	}
-	body := getBuf(int(n))
+	body := GetBuf(int(n))
 	if _, err := io.ReadFull(f.br, body.Bytes()); err != nil {
 		body.Release()
 		return nil, err

@@ -30,19 +30,19 @@ func newVecServer(t testing.TB, cfg netsim.Config) (*netsim.Net, string) {
 	t.Helper()
 	n := netsim.New(cfg)
 	s := NewServer()
-	s.HandleSegs(mVecEcho, func(_ context.Context, body []byte) ([][]byte, error) {
+	s.HandleSegs(mVecEcho, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
 		if len(body) < 2 {
-			return [][]byte{body}, nil
+			return [][]byte{body}, nil, nil
 		}
 		mid := len(body) / 2
-		return [][]byte{body[:mid], body[mid:]}, nil
+		return [][]byte{body[:mid], body[mid:]}, nil, nil
 	})
-	s.HandleSegs(mVecSplit, func(_ context.Context, body []byte) ([][]byte, error) {
+	s.HandleSegs(mVecSplit, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
 		segs := make([][]byte, len(body))
 		for i := range body {
 			segs[i] = body[i : i+1]
 		}
-		return segs, nil
+		return segs, nil, nil
 	})
 	s.Handle(mEcho, func(_ context.Context, body []byte) ([]byte, error) {
 		return body, nil
@@ -100,7 +100,7 @@ func TestPendingRelease(t *testing.T) {
 // same buffer twice must panic, and the buffer can never be inserted
 // into the pool twice.
 func TestBufDoubleReleasePanics(t *testing.T) {
-	b := getBuf(100)
+	b := GetBuf(100)
 	b.Release()
 	defer func() {
 		if recover() == nil {
@@ -113,7 +113,7 @@ func TestBufDoubleReleasePanics(t *testing.T) {
 // TestBufUseAfterReleasePanics pins that Bytes on a released buffer
 // fails fast instead of reading recycled memory.
 func TestBufUseAfterReleasePanics(t *testing.T) {
-	b := getBuf(100)
+	b := GetBuf(100)
 	b.Release()
 	defer func() {
 		if recover() == nil {
@@ -233,8 +233,8 @@ func TestVecErrorPath(t *testing.T) {
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
 	s := NewServer()
-	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, error) {
-		return nil, fmt.Errorf("vec says no to %q", body)
+	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
+		return nil, nil, fmt.Errorf("vec says no to %q", body)
 	})
 	l, err := n.Host("srv").Listen("rpc")
 	if err != nil {
@@ -249,5 +249,57 @@ func TestVecErrorPath(t *testing.T) {
 	}
 	if want := `vec says no to "zz"`; err.Error() != want {
 		t.Fatalf("err = %q, want %q", err, want)
+	}
+}
+
+// TestHeldBuffersReleasedAfterFlush pins the server half of the pooled
+// response protocol: buffers a handler returns as held stay valid until
+// its response (or error) is flushed and are released exactly once right
+// after, by the connection's response writer. The writer flushes and
+// releases one frame before it encodes the next, so once a later call on
+// the same connection has completed, every earlier call's buffers must
+// be back in the pool.
+func TestHeldBuffersReleasedAfterFlush(t *testing.T) {
+	n := netsim.New(netsim.Fast())
+	defer n.Close()
+	s := NewServer()
+	var mu sync.Mutex
+	var handed []*Buf
+	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
+		b := GetBuf(len(body))
+		copy(b.Bytes(), body)
+		mu.Lock()
+		handed = append(handed, b)
+		mu.Unlock()
+		if bytes.HasPrefix(body, []byte("fail")) {
+			return nil, []*Buf{b}, fmt.Errorf("no")
+		}
+		return [][]byte{b.Bytes()}, []*Buf{b}, nil
+	})
+	l, err := n.Host("srv").Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(l)
+	defer s.Close()
+	c := dialTest(t, n, "srv:rpc")
+	ctx := context.Background()
+
+	payload := bytes.Repeat([]byte("held "), 20000) // 100 KB: the 256 KiB class
+	if got, err := c.Call(ctx, 7, payload); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("echo from a held buffer: %d bytes, %v", len(got), err)
+	}
+	if _, err := c.Call(ctx, 7, []byte("fail")); !IsServerError(err) {
+		t.Fatalf("err = %v, want ServerError", err)
+	}
+	if _, err := c.Call(ctx, 7, []byte("barrier")); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, b := range handed[:2] {
+		if !b.released.Load() {
+			t.Errorf("call %d: held buffer not released after its response was flushed", i)
+		}
 	}
 }

@@ -2,6 +2,10 @@ package vmanager
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -127,4 +131,39 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCommittedLogSeedsPassChecksumGate keeps the committed
+// FuzzLogRecordDecode corpus honest: its interesting seeds embed frame
+// checksums, so a change of checksum function silently turns them into
+// "checksum mismatch" inputs that exercise nothing behind the gate. At
+// least one must still open with a record the decoder accepts.
+// (FuzzCheckpointDecode's format carries no checksum.)
+func TestCommittedLogSeedsPassChecksumGate(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzLogRecordDecode", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed seeds (%v)", err)
+	}
+	accepted := 0
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a []byte seed", f)
+		}
+		str, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if _, _, err := DecodeLogRecord([]byte(str)); err == nil {
+			accepted++
+		}
+	}
+	if accepted == 0 {
+		t.Error("no committed seed decodes past the checksum gate; regenerate the corpus")
+	}
 }

@@ -74,8 +74,8 @@ var (
 const maxLogPayload = 1 << 20
 
 // AppendLogRecord appends rec's framed encoding to dst and returns the
-// extended slice. Frame: u32 payload length, u64 FNV-1a checksum of the
-// payload, payload.
+// extended slice. Frame: u32 payload length, u64 checksum of the
+// payload (wire.Checksum64: CRC-32C, zero-extended), payload.
 func AppendLogRecord(dst []byte, rec LogRecord) []byte {
 	w := wire.NewWriter(64)
 	w.Uint64(rec.Seq)

@@ -1,27 +1,32 @@
 package wire
 
 // Hashing helpers shared by the DHT key space, page placement and
-// checksums. We use FNV-1a for streaming checksums (simple, stdlib-free,
-// good enough for integrity of RAM-resident pages) and a splitmix64-style
-// finalizer for key dispersal, whose avalanche behaviour gives the uniform
-// node spread the segment-tree dispersal relies on.
+// checksums. Checksums are CRC-32C (Castagnoli), which hash/crc32
+// computes with the SSE4.2 / ARMv8 CRC instructions — integrity checking
+// at memory speed, stdlib only. Key dispersal uses a splitmix64-style
+// finalizer, whose avalanche behaviour gives the uniform node spread the
+// segment-tree dispersal relies on.
 
-// fnvOffset64 and fnvPrime64 are the FNV-1a 64-bit parameters.
+import "hash/crc32"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum64 returns the CRC-32C of p (reflected polynomial 0x82F63B78,
+// init and xorout 0xFFFFFFFF) zero-extended to 64 bits, so the upper 32
+// bits are always 0. It is the one integrity checksum of the system:
+// leaves record it at write time and readers verify it, and the same
+// function guards stripe members, diskstore records and sidecars, the
+// vmanager publish log and repair pulls.
+func Checksum64(p []byte) uint64 {
+	return uint64(crc32.Checksum(p, castagnoli))
+}
+
+// fnvOffset64 and fnvPrime64 are the FNV-1a 64-bit parameters HashFields
+// folds its mixed fields with.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-// Checksum64 returns the FNV-1a hash of p. Used as a page integrity check:
-// leaves record the checksum at write time and readers verify it.
-func Checksum64(p []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // Mix64 finalizes x with the splitmix64 mixing function. All bits of the
 // input affect all bits of the output, so consecutive keys (version
