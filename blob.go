@@ -71,7 +71,7 @@ type Client = core.Client
 // Blob is a handle on one versioned binary string.
 type Blob = core.Blob
 
-// Options configures a Client (addresses of the version manager,
+// Options configures a Client (addresses of the version-manager group,
 // provider manager and metadata directory, replication factors, cache).
 type Options = core.Options
 
@@ -115,7 +115,8 @@ type ClusterConfig = cluster.Config
 // Cluster is a running in-process deployment.
 type Cluster = cluster.Cluster
 
-// Launch starts an in-process deployment: a version manager, a provider
+// Launch starts an in-process deployment: a version-manager group (one
+// shard of one replica unless configured otherwise), a provider
 // manager with metadata directory, and the configured storage nodes,
 // all over the simulated network fabric.
 func Launch(cfg ClusterConfig) (*Cluster, error) {

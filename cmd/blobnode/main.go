@@ -4,20 +4,24 @@
 // N storage nodes each hosting one data provider and one metadata
 // provider — maps onto:
 //
-//	# managers (provider manager co-hosts the metadata directory)
+//	# managers (provider manager co-hosts the metadata directory). The
+//	# version plane is always a replica group (docs/vmanager-group.md);
+//	# a bare vmanager role is its smallest form, one shard of one
+//	# RAM-only replica that restarts empty.
 //	blobnode -listen :4000 -roles pmanager
-//	blobnode -listen :4001 -roles vmanager -pm host0:4000
+//	blobnode -listen :4001 -advertise host1:4001 -roles vmanager -pm host0:4000
 //
 //	# optional replica repair agent (docs/replication.md)
 //	blobnode -listen :4002 -roles repairer -pm host0:4000 -vm host1:4001
 //
-//	# or a sharded, replicated version plane (docs/vmanager-group.md):
-//	# one process per replica, each shard a -vpeers group. Replica 0 of
-//	# shard 0 looks like this; vary -vshard/-vreplica/-listen for the rest.
+//	# or a sharded, replicated version plane: one process per replica,
+//	# each shard a -vpeers group. Replica 0 of shard 0 looks like this;
+//	# vary -vshard/-vreplica/-listen for the rest.
 //	blobnode -listen :4001 -roles vmanager -pm host0:4000 \
 //	         -vshards 2 -vshard 0 -vreplica 0 \
 //	         -vpeers host1:4001,host2:4001,host3:4001
-//	# a crashed replica restarts with the same flags plus -vrejoin
+//	# a crashed replica of a multi-replica shard restarts with the same
+//	# flags plus -vrejoin
 //
 //	# each storage node (add -data-dir for a persistent, crash-recoverable
 //	# provider; omit it for the paper's RAM-only mode)
@@ -25,12 +29,14 @@
 //	         -pm host0:4000 -advertise hostN:4100 -capacity 4294967296 \
 //	         -data-dir /var/lib/blob/pages -disk-cache 268435456
 //
-// Clients connect with blob.Options{Network: blob.TCP, VManagerAddr:
-// "host1:4001", PManagerAddr: "host0:4000", MetaDirAddr: "host0:4000"}.
+// Clients connect with blob.Options{Network: blob.TCP, VManagerShards:
+// [][]string{{"host1:4001"}}, PManagerAddr: "host0:4000", MetaDirAddr:
+// "host0:4000"}.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,11 +80,11 @@ func main() {
 		syncWrites = flag.Bool("sync-writes", false, "fsync every page append to -data-dir")
 		repair     = flag.Duration("repair", 30*time.Second, "version manager dead-writer repair timeout (0 disables)")
 		vshards    = flag.Int("vshards", 1, "total version-manager shard count of the deployment (vmanager role)")
-		vshard     = flag.Int("vshard", 0, "this node's version-manager shard index (vmanager role with -vpeers)")
-		vreplica   = flag.Int("vreplica", 0, "this node's replica index within its shard (vmanager role with -vpeers)")
-		vpeers     = flag.String("vpeers", "", "comma-separated replica addresses of this shard, including this node; enables replicated vmanager mode (docs/vmanager-group.md)")
-		vrejoin    = flag.Bool("vrejoin", false, "this replica is restarting after a crash: boot as a follower and catch up from the incumbent leader")
-		vbeat      = flag.Duration("vheartbeat", 500*time.Millisecond, "shard leader idle append interval (replicated vmanager mode)")
+		vshard     = flag.Int("vshard", 0, "this node's version-manager shard index (vmanager role)")
+		vreplica   = flag.Int("vreplica", 0, "this node's replica index within its shard (vmanager role)")
+		vpeers     = flag.String("vpeers", "", "comma-separated replica addresses of this shard, including this node (vmanager role; default: this node alone, a single-replica shard; docs/vmanager-group.md)")
+		vrejoin    = flag.Bool("vrejoin", false, "this replica is restarting after a crash into a multi-replica shard: boot as a follower and catch up from the incumbent leader")
+		vbeat      = flag.Duration("vheartbeat", 500*time.Millisecond, "shard leader idle append interval (vmanager role)")
 		velection  = flag.Duration("velection", 0, "follower silence before campaigning (0 = 10x -vheartbeat)")
 		repairBps  = flag.Int64("repair-rate", 0, "replica repair pull throttle in bytes/sec (0 = unthrottled; provider role)")
 		repairEvr  = flag.Duration("repair-interval", time.Minute, "replica repair sweep period (repairer role)")
@@ -86,8 +92,6 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "data provider heartbeat interval")
 		strategy   = flag.String("strategy", "round-robin", "placement strategy: round-robin|least-loaded|power-of-two")
 		redundancy = flag.String("redundancy", "replicate", `advertised redundancy mode: "replicate" or "rs(k,m)" (pmanager role; clients adopt it for new blobs)`)
-		checkpoint = flag.String("checkpoint", "", "version manager checkpoint file (loaded on start, saved periodically and on shutdown)")
-		ckptEvery  = flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint interval")
 		adminAddr  = flag.String("admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty disables)")
 		traceEvery = flag.Int("trace-sample", 0, "record spans for 1-in-N root operations (0 disables tracing, 1 traces everything)")
 		traceRing  = flag.Int("trace-ring", trace.DefaultRing, "span ring buffer capacity (spans kept per process)")
@@ -141,7 +145,6 @@ func main() {
 	srv.SetJournal(journal)
 	pool.SetJournal(journal)
 
-	var vm *vmanager.Manager
 	var vrep *vmanager.Replica
 	var pm *pmanager.Manager
 	var mon *monitor.Monitor
@@ -188,57 +191,40 @@ func main() {
 				cfg.RepairTimeout = *repair
 				cfg.Store = mstore.New(kv, 0)
 			}
+			// One member of the version plane's replica group
+			// (docs/vmanager-group.md). Without -vpeers the shard is this
+			// node alone.
+			peers := []string{adv}
 			if *vpeers != "" {
-				// Replicated shard member (docs/vmanager-group.md): the
-				// replicated publish log is the durable state, so the
-				// file-checkpoint machinery does not apply.
-				if *checkpoint != "" {
-					log.Fatal("vmanager: -checkpoint is incompatible with -vpeers (the shard log is the durable state)")
-				}
-				peers := strings.Split(*vpeers, ",")
+				peers = strings.Split(*vpeers, ",")
 				for i := range peers {
 					peers[i] = strings.TrimSpace(peers[i])
 				}
-				if *vreplica < 0 || *vreplica >= len(peers) {
-					log.Fatalf("vmanager: -vreplica %d out of range for %d peers", *vreplica, len(peers))
-				}
-				if *vshard < 0 || *vshard >= *vshards {
-					log.Fatalf("vmanager: -vshard %d out of range for -vshards %d", *vshard, *vshards)
-				}
-				vrep = vmanager.NewReplica(vmanager.ReplicaConfig{
-					Shard:           *vshard,
-					Shards:          *vshards,
-					Index:           *vreplica,
-					Peers:           peers,
-					Pool:            pool,
-					Heartbeat:       *vbeat,
-					ElectionTimeout: *velection,
-					Rejoin:          *vrejoin,
-					Journal:         journal,
-					Manager:         cfg,
-				})
-				vrep.RegisterHandlers(srv)
-				log.Printf("role vmanager replica (shard %d/%d, replica %d of %d, rejoin %v, repair %v)",
-					*vshard, *vshards, *vreplica, len(peers), *vrejoin, *repair)
-				break
 			}
-			if *checkpoint != "" {
-				if f, err := os.Open(*checkpoint); err == nil {
-					vm, err = vmanager.Restore(f, cfg)
-					f.Close()
-					if err != nil {
-						log.Fatalf("vmanager: restore %s: %v", *checkpoint, err)
-					}
-					log.Printf("role vmanager restored from %s", *checkpoint)
-				} else if !os.IsNotExist(err) {
-					log.Fatalf("vmanager: open checkpoint: %v", err)
-				}
+			if *vshard < 0 || *vshard >= *vshards {
+				log.Fatalf("vmanager: -vshard %d out of range for -vshards %d", *vshard, *vshards)
 			}
-			if vm == nil {
-				vm = vmanager.New(cfg)
+			vrep, err = vmanager.NewReplica(vmanager.ReplicaConfig{
+				Shard:           *vshard,
+				Shards:          *vshards,
+				Index:           *vreplica,
+				Peers:           peers,
+				Pool:            pool,
+				Heartbeat:       *vbeat,
+				ElectionTimeout: *velection,
+				Rejoin:          *vrejoin,
+				Journal:         journal,
+				Manager:         cfg,
+			})
+			if errors.Is(err, vmanager.ErrLoneRejoin) {
+				log.Fatal("vmanager: -vrejoin needs a multi-replica shard (-vpeers): a lone replica has no leader to catch up from and would never lead; restart it without -vrejoin (it boots empty)")
 			}
-			vm.RegisterHandlers(srv)
-			log.Printf("role vmanager (repair %v)", *repair)
+			if err != nil {
+				log.Fatalf("vmanager: %v", err)
+			}
+			vrep.RegisterHandlers(srv)
+			log.Printf("role vmanager replica (shard %d/%d, replica %d of %d, rejoin %v, repair %v)",
+				*vshard, *vshards, *vreplica, len(peers), *vrejoin, *repair)
 
 		case "provider":
 			if *pmAddr == "" {
@@ -509,24 +495,6 @@ func main() {
 		}()
 	}
 
-	// Periodic version manager checkpoints.
-	if vm != nil && *checkpoint != "" {
-		go func() {
-			t := time.NewTicker(*ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if err := saveCheckpoint(vm, *checkpoint); err != nil {
-						log.Printf("checkpoint: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -545,34 +513,7 @@ func main() {
 			log.Printf("close data store: %v", err)
 		}
 	}
-	if vm != nil {
-		if *checkpoint != "" {
-			if err := saveCheckpoint(vm, *checkpoint); err != nil {
-				log.Printf("final checkpoint: %v", err)
-			}
-		}
-		vm.Close()
-	}
 	if vrep != nil {
 		vrep.Close()
 	}
-}
-
-// saveCheckpoint writes the manager state atomically (temp file+rename).
-func saveCheckpoint(vm *vmanager.Manager, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := vm.Checkpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

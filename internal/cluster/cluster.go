@@ -1,9 +1,10 @@
 // Package cluster assembles a full deployment of the system inside one
-// process, over the simulated network fabric: a version manager, a
-// provider manager (co-hosting the metadata directory), N data providers
-// and M metadata providers — the paper's experimental topology, where
-// each storage node hosts one data provider and one metadata provider and
-// the two managers run on dedicated nodes.
+// process, over the simulated network fabric: a version manager group
+// (one shard of one replica by default), a provider manager (co-hosting
+// the metadata directory), N data providers and M metadata providers —
+// the paper's experimental topology, where each storage node hosts one
+// data provider and one metadata provider and the two managers run on
+// dedicated nodes.
 //
 // The same service implementations run over real TCP through
 // cmd/blobnode; this package is the laboratory the tests, examples and
@@ -94,14 +95,6 @@ type Config struct {
 	// with a write-through RAM cache of that many bytes. Ignored without
 	// DataDir.
 	DiskCacheBytes int64
-	// CompactEvery, when positive, runs each disk-backed provider's
-	// segment compactor with that period. Ignored without DataDir.
-	CompactEvery time.Duration
-	// CompactRateBytes, when positive, throttles each disk-backed
-	// provider's compaction I/O to roughly that many bytes per second so
-	// reclamation cannot starve foreground page traffic. Ignored without
-	// DataDir.
-	CompactRateBytes int64
 	// RepairInterval, when positive, runs a background replica-repair
 	// agent (internal/repair, protocol in docs/replication.md) over every
 	// blob with that period, so a replica set degraded by a provider
@@ -109,16 +102,10 @@ type Config struct {
 	// involvement. Provider-to-provider pulls are always served
 	// regardless; the interval only drives the in-process agent.
 	RepairInterval time.Duration
-	// RepairRateBytes, when positive, throttles each provider's repair
-	// page pulls to roughly that many bytes per second (token bucket,
-	// like CompactRateBytes for compaction) so repair traffic cannot
-	// starve foreground reads and writes.
-	RepairRateBytes int64
-	// VShards is the number of version-manager shards (default 1). With
-	// VShards or VReplicas above 1 the deployment runs a sharded,
-	// replicated vmanager group (docs/vmanager-group.md) instead of the
-	// single Manager: blob ids place onto shards by ring hash, and each
-	// shard is a leader + followers replica set.
+	// VShards is the number of version-manager shards (default 1) of the
+	// vmanager group (docs/vmanager-group.md): blob ids place onto
+	// shards by ring hash, and each shard is a leader + followers
+	// replica set.
 	VShards int
 	// VReplicas is the replica count per vmanager shard (default 1).
 	// Mutations are acked by a follower quorum before returning.
@@ -130,11 +117,11 @@ type Config struct {
 	// campaigns (default 8*VMHeartbeat).
 	VMElectionTimeout time.Duration
 	// VMMaxLogRecords caps each vmanager replica's in-memory publish
-	// log (group mode only; 0 = the replica default). Beyond the cap
+	// log (0 = the replica default). Beyond the cap
 	// the leader drops the older half and lagging followers catch up
 	// from a checkpoint snapshot instead of log replay. Tests set it
 	// low to force truncation at small scale and prove historical
-	// versions stay readable afterwards (the blob state checkpoints
+	// versions stay readable afterwards (the blob state snapshots
 	// carry every version's size and history; page metadata lives in
 	// the DHT and is never truncated).
 	VMMaxLogRecords int
@@ -150,12 +137,6 @@ type Config struct {
 	// trace does over MSpans in a real deployment. Zero disables
 	// tracing entirely (the allocation-free path).
 	TraceSampleEvery int
-	// SlowThreshold is forwarded to each client's slow-request log (see
-	// core.Options.SlowThreshold). Only meaningful with tracing armed.
-	SlowThreshold time.Duration
-	// EventRing overrides every node's event-journal ring size
-	// (0 = events.DefaultRing; negative disables journals entirely).
-	EventRing int
 	// Breakers arms per-peer circuit breakers (rpc.BreakerConfig
 	// defaults) on every cluster client's connection pool; breaker
 	// transitions land in the client's event journal and surface
@@ -200,24 +181,17 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// vmGrouped reports whether the deployment runs the sharded/replicated
-// vmanager plane rather than the single in-process Manager.
-func (c *Config) vmGrouped() bool { return c.VShards > 1 || c.VReplicas > 1 }
-
 // Cluster is a running deployment.
 type Cluster struct {
 	cfg Config
 	fab *netsim.Net
 
-	// VM is the single version manager (nil when the deployment runs a
-	// vmanager group — see VMReplicas).
-	VM  *vmanager.Manager
 	PM  *pmanager.Manager
 	Dir *dht.Directory
 
-	// VMReplicas[s][r] is replica r of vmanager shard s (group mode
-	// only); VMShardAddrs mirrors it with the replica RPC addresses and
-	// VMServers with the per-replica RPC servers (for kill injection).
+	// VMReplicas[s][r] is replica r of vmanager shard s; VMShardAddrs
+	// mirrors it with the replica RPC addresses and VMServers with the
+	// per-replica RPC servers (for kill injection).
 	VMReplicas   [][]*vmanager.Replica
 	VMShardAddrs [][]string
 	VMServers    [][]*rpc.Server
@@ -236,11 +210,10 @@ type Cluster struct {
 	DataServers []*rpc.Server
 	MetaServers []*rpc.Server
 
-	VMAddr  string
 	PMAddr  string
 	DirAddr string
 	// RepairAddr serves the repair agent's event journal over MEvents
-	// (set when Config.RepairInterval > 0 and journals are enabled).
+	// (set when Config.RepairInterval > 0).
 	RepairAddr string
 
 	// Mon is the embedded cluster monitor (Config.Monitor).
@@ -308,12 +281,9 @@ func (c *Cluster) TraceSpans(traceID uint64) []trace.Span {
 }
 
 // newJournal creates (and retains, for Events) the event journal of the
-// named simulated node, or nil when Config.EventRing is negative.
+// named simulated node.
 func (c *Cluster) newJournal(node string) *events.Journal {
-	if c.cfg.EventRing < 0 {
-		return nil
-	}
-	j := events.NewJournal(node, c.cfg.EventRing)
+	j := events.NewJournal(node, 0)
 	c.journalMu.Lock()
 	c.journals = append(c.journals, j)
 	c.journalMu.Unlock()
@@ -355,7 +325,7 @@ func (c *Cluster) dataHostName(i int) string {
 
 // newDataService hosts a provider service over st with repair armed:
 // the service gets a connection pool dialing from its own host (the
-// vantage MPullPages pulls peers from) and the configured pull throttle.
+// vantage MPullPages pulls peers from), pulls unthrottled.
 func (c *Cluster) newDataService(i int, st provider.PageStore, j *events.Journal) *provider.Service {
 	svc := provider.NewService(st)
 	pool := rpc.NewPool(hostDialer{c.fab.Host(c.dataHostName(i))})
@@ -363,7 +333,7 @@ func (c *Cluster) newDataService(i int, st provider.PageStore, j *events.Journal
 	c.svcMu.Lock()
 	c.pools = append(c.pools, pool)
 	c.svcMu.Unlock()
-	svc.EnableRepair(pool, c.cfg.RepairRateBytes)
+	svc.EnableRepair(pool, 0)
 	return svc
 }
 
@@ -375,11 +345,9 @@ func (c *Cluster) newDataStore(i int, j *events.Journal) (provider.PageStore, er
 		return provider.NewStore(c.cfg.ProviderCapacity), nil
 	}
 	ds, err := provider.NewDiskStore(diskstore.Options{
-		Dir:              filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i)),
-		SegmentSize:      c.cfg.SegmentSize,
-		CompactEvery:     c.cfg.CompactEvery,
-		CompactRateBytes: c.cfg.CompactRateBytes,
-		Journal:          j,
+		Dir:         filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i)),
+		SegmentSize: c.cfg.SegmentSize,
+		Journal:     j,
 	}, c.cfg.ProviderCapacity)
 	if err != nil {
 		return nil, err
@@ -408,7 +376,7 @@ func (c *Cluster) vmRepairStore(host *netsim.Host) (vmanager.NodeStore, error) {
 	return mstore.New(kv, 0), nil
 }
 
-// launchVMGroup boots the sharded, replicated version plane: VShards x
+// launchVMGroup boots the version plane: VShards x
 // VReplicas Replica processes, each on its own simulated host
 // "vm-s<shard>r<replica>". Peer addresses are deterministic functions of
 // the shard layout, so every replica knows its shard-mates up front and
@@ -432,9 +400,6 @@ func (c *Cluster) launchVMGroup() error {
 			}
 		}
 	}
-	// Legacy single-address fields point at shard 0 replica 0 so
-	// address-only consumers (logs, health checks) have something sane.
-	c.VMAddr = c.VMShardAddrs[0][0]
 	return nil
 }
 
@@ -455,7 +420,7 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 	// restart; MEvents pollers detect the sequence reset and re-tail.
 	jn := c.newJournal(host.Name())
 	pool.SetJournal(jn)
-	rep := vmanager.NewReplica(vmanager.ReplicaConfig{
+	rep, err := vmanager.NewReplica(vmanager.ReplicaConfig{
 		Shard:           s,
 		Shards:          c.cfg.VShards,
 		Index:           j,
@@ -472,6 +437,9 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 			Store:         repairStore,
 		},
 	})
+	if err != nil {
+		return err
+	}
 	srv := rpc.NewServer()
 	if t := c.newTracer(host.Name() + ":rpc"); t != nil {
 		srv.SetTracer(t)
@@ -601,30 +569,11 @@ func Launch(cfg Config) (*Cluster, error) {
 		c.MetaServers = append(c.MetaServers, lastServer)
 	}
 
-	// Version plane. Legacy mode: one Manager on the "vm" node. Group
-	// mode: VShards x VReplicas Replica processes on their own nodes,
-	// each with its own repair-path metadata client.
-	if !cfg.vmGrouped() {
-		vmHost := c.fab.Host("vm")
-		repairStore, err := c.vmRepairStore(vmHost)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		c.VM = vmanager.New(vmanager.Config{
-			RepairTimeout: cfg.RepairTimeout,
-			Store:         repairStore,
-		})
-		c.VMAddr, err = serve(vmHost, "rpc", c.VM.RegisterHandlers)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-	} else {
-		if err := c.launchVMGroup(); err != nil {
-			c.Shutdown()
-			return nil, err
-		}
+	// Version plane: VShards x VReplicas Replica processes on their own
+	// nodes, each with its own repair-path metadata client.
+	if err := c.launchVMGroup(); err != nil {
+		c.Shutdown()
+		return nil, err
 	}
 
 	if cfg.HeartbeatInterval > 0 {
@@ -635,15 +584,12 @@ func Launch(cfg Config) (*Cluster, error) {
 		// of its own; give its journal a dedicated node so the monitor
 		// can tail sweep events like any other node's.
 		c.repairJournal = c.newJournal("repair")
-		if c.repairJournal != nil {
-			addr, err := serve(c.fab.Host("repair"), "rpc", func(s *rpc.Server) {
-				s.SetJournal(c.repairJournal)
-			})
-			if err != nil {
-				c.Shutdown()
-				return nil, err
-			}
-			c.RepairAddr = addr
+		c.RepairAddr, err = serve(c.fab.Host("repair"), "rpc", func(s *rpc.Server) {
+			s.SetJournal(c.repairJournal)
+		})
+		if err != nil {
+			c.Shutdown()
+			return nil, err
 		}
 		go c.repairLoop()
 		if cfg.HeartbeatInterval > 0 {
@@ -713,8 +659,6 @@ func (c *Cluster) repairLoop() {
 			agent.Journal = c.repairJournal
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		// Enumerate blobs through the client's version-plane routing so
-		// the loop works in both single-manager and group mode.
 		if blobs, err := client.VersionManager().Blobs(ctx); err == nil {
 			_, _ = agent.RepairAll(ctx, blobs)
 		}
@@ -822,7 +766,6 @@ func (c *Cluster) providerHeartbeatLoop(i int, stop chan struct{}) {
 func (c *Cluster) ClientOptions(hostName string) core.Options {
 	return core.Options{
 		Network:          hostDialer{c.fab.Host(hostName)},
-		VManagerAddr:     c.VMAddr,
 		VManagerShards:   c.VMShardAddrs,
 		PManagerAddr:     c.PMAddr,
 		MetaDirAddr:      c.DirAddr,
@@ -835,7 +778,6 @@ func (c *Cluster) ClientOptions(hostName string) core.Options {
 		Breakers:         c.cfg.Breakers,
 		Journal:          c.newJournal(hostName),
 		Tracer:           c.newTracer(hostName),
-		SlowThreshold:    c.cfg.SlowThreshold,
 	}
 }
 
@@ -948,9 +890,6 @@ func (c *Cluster) Shutdown() {
 	case <-c.hbStop:
 	default:
 		close(c.hbStop)
-	}
-	if c.VM != nil {
-		c.VM.Close()
 	}
 	c.svcMu.RLock()
 	replicas := append([][]*vmanager.Replica(nil), c.VMReplicas...)

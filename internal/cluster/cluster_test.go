@@ -8,10 +8,10 @@ import (
 	"time"
 
 	"blob/internal/cluster"
+	"blob/internal/monitor"
 	"blob/internal/netsim"
 	"blob/internal/pmanager"
 	"blob/internal/rpc"
-	"blob/internal/vmanager"
 )
 
 const pageSize = 4 << 10
@@ -24,12 +24,58 @@ func TestLaunchDefaultsAndShutdown(t *testing.T) {
 	if len(cl.DataStores) != 4 || len(cl.MetaStores) != 4 {
 		t.Errorf("defaults: %d data, %d meta providers", len(cl.DataStores), len(cl.MetaStores))
 	}
-	if cl.VMAddr == "" || cl.PMAddr == "" {
+	if len(cl.VMShardAddrs) == 0 || cl.PMAddr == "" {
 		t.Error("manager addresses empty")
 	}
 	cl.Shutdown()
 	// Shutdown must be idempotent.
 	cl.Shutdown()
+}
+
+// TestDefaultClusterIsOneByOneGroup: the version plane has one mode. A
+// config that asks for nothing gets the smallest replica group — one
+// shard of one replica, leading from boot — and the monitor watches it
+// like any other group. A lone replica restarts as a cold boot: it leads
+// again at once, with its RAM-only state gone.
+func TestDefaultClusterIsOneByOneGroup(t *testing.T) {
+	cl, err := cluster.Launch(cluster.Config{DataProviders: 2, MetaProviders: 2, Monitor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Shutdown()
+	if len(cl.VMShardAddrs) != 1 || len(cl.VMShardAddrs[0]) != 1 {
+		t.Fatalf("VMShardAddrs = %v, want 1x1", cl.VMShardAddrs)
+	}
+	if l := cl.WaitVMLeader(0, -1, 0); l != 0 {
+		t.Fatalf("shard 0 leader at boot = %d, want 0 without waiting", l)
+	}
+	snap := waitHealth(t, cl, monitor.HealthGreen, nil, 5*time.Second)
+	if len(snap.Shards) != 1 || snap.Shards[0].Leader != 0 || snap.Shards[0].Replicas != 1 || snap.Shards[0].Reachable != 1 {
+		t.Fatalf("monitor shards = %+v, want one shard led by its one replica", snap.Shards)
+	}
+
+	ctx := context.Background()
+	c, err := cl.NewClient(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b, err := c.CreateBlob(ctx, pageSize, 16*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.KillVMReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.RestartVMReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if l := cl.WaitVMLeader(0, -1, 0); l != 0 {
+		t.Fatalf("restarted lone replica does not lead (leader %d)", l)
+	}
+	if _, err := c.OpenBlob(ctx, b.ID()); err == nil {
+		t.Error("blob survived the restart of a RAM-only single-replica shard")
+	}
 }
 
 func TestClientsOnDistinctHosts(t *testing.T) {
@@ -126,8 +172,7 @@ func TestDeadWriterRepairOverRealStack(t *testing.T) {
 	}
 
 	// The doomed writer: assign version 2 over pages [1,3) and die.
-	vmc := vmanager.NewClient(c.Pool(), cl.VMAddr)
-	asg, err := vmc.AssignVersion(ctx, b.ID(), 666, pageSize, 2*pageSize, false)
+	asg, err := c.VersionManager().AssignVersion(ctx, b.ID(), 666, pageSize, 2*pageSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +211,7 @@ func TestDeadWriterRepairOverRealStack(t *testing.T) {
 	}
 
 	// The dead writer's belated commit is rejected.
-	if _, err := vmc.Commit(ctx, b.ID(), 2, false); err == nil || !rpc.IsServerError(err) {
+	if _, err := c.VersionManager().Commit(ctx, b.ID(), 2, false); err == nil || !rpc.IsServerError(err) {
 		t.Errorf("belated commit = %v, want server error", err)
 	}
 }

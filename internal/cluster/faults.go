@@ -1,8 +1,8 @@
 // Fault injection. Two families live here:
 //
-//   - Crash faults for the sharded version plane (group mode only; see
-//     docs/vmanager-group.md): kill, restart and partition individual
-//     vmanager replicas and wait out leader handoff.
+//   - Crash faults for the version plane (docs/vmanager-group.md):
+//     kill, restart and partition individual vmanager replicas and wait
+//     out leader handoff.
 //
 //   - Gray failures over the netsim fabric (docs/robustness.md):
 //     SlowProvider, StallProvider, FlakyProvider and FlakyLink degrade
@@ -79,10 +79,10 @@ func (c *Cluster) KillVMReplica(s, j int) error {
 }
 
 // RestartVMReplica relaunches a killed replica at its original address
-// with empty state. It boots as a follower (or as the deterministic
-// term-0 leader if it is replica 0 — a stale claim the incumbent's
-// higher term immediately deposes) and catches up by snapshot install
-// from the current leader.
+// with empty state. It rejoins as a follower and catches up by snapshot
+// install from the current leader — except in a single-replica shard,
+// which has no incumbent: there the replica cold-boots as leader, and
+// the shard's version state is gone (RAM-only, as in the paper).
 func (c *Cluster) RestartVMReplica(s, j int) error {
 	c.svcMu.RLock()
 	ok := s >= 0 && s < len(c.VMReplicas) && j >= 0 && j < len(c.VMReplicas[s])
@@ -97,7 +97,7 @@ func (c *Cluster) RestartVMReplica(s, j int) error {
 	if running {
 		return fmt.Errorf("cluster: vmanager replica s%dr%d still running", s, j)
 	}
-	return c.startVMReplica(s, j, true)
+	return c.startVMReplica(s, j, c.cfg.VReplicas > 1)
 }
 
 // PartitionVMReplica cuts replica j of shard s off from the network in

@@ -14,7 +14,7 @@ import (
 // time-travel reads: reading at an explicit old version must keep
 // working after the vmanager group's publish log has been truncated
 // (VMMaxLogRecords). Truncation only limits follower catch-up via log
-// replay — the blob-state checkpoints carry every version's size and
+// replay — the blob-state snapshots carry every version's size and
 // history, and page metadata lives in the DHT untouched — so every
 // historical version of a 40-version blob must stay byte-exact and
 // VersionSize-queryable afterwards.

@@ -4,18 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 
 	"blob/internal/cluster"
 	"blob/internal/core"
-	"blob/internal/dht"
 	"blob/internal/meta"
-	"blob/internal/pmanager"
-	"blob/internal/provider"
-	"blob/internal/rpc"
-	"blob/internal/vmanager"
 )
 
 // The snapshot-isolation invariant (docs/workloads.md): once a client
@@ -157,46 +151,10 @@ func TestSnapshotIsolationNetsim(t *testing.T) {
 }
 
 func TestSnapshotIsolationTCP(t *testing.T) {
-	// Real loopback sockets, assembled like cmd/blobnode deploys them
-	// (see TestRealTCPDeployment).
-	start := func(register func(*rpc.Server)) string {
-		srv := rpc.NewServer()
-		register(srv)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Skipf("loopback TCP unavailable: %v", err)
-		}
-		srv.Start(l)
-		t.Cleanup(srv.Close)
-		return l.Addr().String()
-	}
-	pm := pmanager.New(pmanager.Config{})
-	dir := dht.NewDirectory()
-	pmAddr := start(func(s *rpc.Server) {
-		pm.RegisterHandlers(s)
-		dir.RegisterHandlers(s)
-	})
-	vm := vmanager.New(vmanager.Config{})
-	t.Cleanup(vm.Close)
-	vmAddr := start(vm.RegisterHandlers)
-	for i := 0; i < 3; i++ {
-		ds := provider.NewService(provider.NewStore(0))
-		ms := dht.NewStore()
-		addr := start(func(s *rpc.Server) {
-			ds.RegisterHandlers(s)
-			ms.RegisterHandlers(s)
-		})
-		pm.Register(addr, 0)
-		dir.Register(addr)
-	}
+	opts := tcpDeployment(t)
+	opts.CacheNodes = -1
 	snapshotIsolationInvariant(t, func(t *testing.T) *core.Client {
-		c, err := core.NewClient(context.Background(), core.Options{
-			Network:      rpc.TCP{},
-			VManagerAddr: vmAddr,
-			PManagerAddr: pmAddr,
-			MetaDirAddr:  pmAddr,
-			CacheNodes:   -1,
-		})
+		c, err := core.NewClient(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,59 +14,75 @@ import (
 	"blob/internal/vmanager"
 )
 
-// TestRealTCPDeployment wires every service over genuine TCP loopback
-// sockets — the deployment mode of cmd/blobnode — and runs a full
-// write/read/append round trip. This keeps the TCP path covered by
-// `go test ./...`, not just by manual runs of the binaries.
-func TestRealTCPDeployment(t *testing.T) {
-	listen := func() (net.Listener, string) {
+// tcpDeployment wires every service over genuine TCP loopback sockets,
+// assembled like cmd/blobnode deploys them: a provider manager co-hosting
+// the metadata directory, a one-shard one-replica version-manager group
+// (what a bare `blobnode -roles vmanager` boots) and three storage nodes
+// each hosting a data and a metadata provider. It returns the options a
+// client connects with.
+func tcpDeployment(t *testing.T) core.Options {
+	listen := func() net.Listener {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Skipf("loopback TCP unavailable: %v", err)
 		}
-		return l, l.Addr().String()
+		return l
 	}
-	start := func(register func(*rpc.Server)) string {
+	start := func(l net.Listener, register func(*rpc.Server)) string {
 		srv := rpc.NewServer()
 		register(srv)
-		l, addr := listen()
 		srv.Start(l)
 		t.Cleanup(srv.Close)
-		return addr
+		return l.Addr().String()
 	}
 
-	// Managers: provider manager + metadata directory on one "node".
 	pm := pmanager.New(pmanager.Config{})
 	dir := dht.NewDirectory()
-	pmAddr := start(func(s *rpc.Server) {
+	pmAddr := start(listen(), func(s *rpc.Server) {
 		pm.RegisterHandlers(s)
 		dir.RegisterHandlers(s)
 	})
-	vm := vmanager.New(vmanager.Config{})
-	t.Cleanup(vm.Close)
-	vmAddr := start(vm.RegisterHandlers)
-
-	// Three storage nodes, each hosting a data and a metadata provider.
+	// A replica must know its shard's addresses before it boots: bind
+	// first, exactly as -vpeers (or -advertise) requires of the binary.
+	vmListener := listen()
+	vmPool := rpc.NewPool(rpc.TCP{})
+	t.Cleanup(vmPool.Close)
+	rep, err := vmanager.NewReplica(vmanager.ReplicaConfig{
+		Peers: []string{vmListener.Addr().String()},
+		Pool:  vmPool,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Close)
+	vmAddr := start(vmListener, rep.RegisterHandlers)
 	for i := 0; i < 3; i++ {
 		ds := provider.NewService(provider.NewStore(0))
 		ms := dht.NewStore()
-		addr := start(func(s *rpc.Server) {
+		addr := start(listen(), func(s *rpc.Server) {
 			ds.RegisterHandlers(s)
 			ms.RegisterHandlers(s)
 		})
 		pm.Register(addr, 0)
 		dir.Register(addr)
-		_ = i
 	}
+	return core.Options{
+		Network:        rpc.TCP{},
+		VManagerShards: [][]string{{vmAddr}},
+		PManagerAddr:   pmAddr,
+		MetaDirAddr:    pmAddr,
+	}
+}
 
+// TestRealTCPDeployment runs a full write/read/append round trip over
+// genuine TCP loopback sockets. This keeps the TCP path covered by
+// `go test ./...`, not just by manual runs of the binaries.
+func TestRealTCPDeployment(t *testing.T) {
+	opts := tcpDeployment(t)
 	ctx := context.Background()
-	client, err := core.NewClient(ctx, core.Options{
-		Network:      rpc.TCP{},
-		VManagerAddr: vmAddr,
-		PManagerAddr: pmAddr,
-		MetaDirAddr:  pmAddr,
-		CacheNodes:   -1,
-	})
+	cached := opts
+	cached.CacheNodes = -1
+	client, err := core.NewClient(ctx, cached)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +110,7 @@ func TestRealTCPDeployment(t *testing.T) {
 	if _, _, err := b.Append(ctx, data[:page]); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := core.NewClient(ctx, core.Options{
-		Network:      rpc.TCP{},
-		VManagerAddr: vmAddr,
-		PManagerAddr: pmAddr,
-		MetaDirAddr:  pmAddr,
-	})
+	c2, err := core.NewClient(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

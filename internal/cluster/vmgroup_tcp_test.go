@@ -2,7 +2,7 @@ package cluster_test
 
 // Live-TCP variant of the vmanager-group fault tests: a 1-shard,
 // 3-replica group on genuine loopback sockets (the deployment mode of
-// cmd/blobnode -vpeers), with a leader crash, handoff, and a
+// cmd/blobnode), with a leader crash, handoff, and a
 // Rejoin-restart at the original address. The netsim variants in
 // vmgroup_test.go cover the storm and partition matrix; this one proves
 // the protocol holds on a real network stack.
@@ -39,7 +39,7 @@ func TestVMGroupRealTCP(t *testing.T) {
 	start := func(j int, rejoin bool, l net.Listener) {
 		pool := rpc.NewPool(rpc.TCP{})
 		t.Cleanup(pool.Close)
-		rep := vmanager.NewReplica(vmanager.ReplicaConfig{
+		rep, err := vmanager.NewReplica(vmanager.ReplicaConfig{
 			Shard: 0, Shards: 1, Index: j,
 			Peers:           addrs,
 			Pool:            pool,
@@ -47,6 +47,9 @@ func TestVMGroupRealTCP(t *testing.T) {
 			ElectionTimeout: 40 * time.Millisecond,
 			Rejoin:          rejoin,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv := rpc.NewServer()
 		rep.RegisterHandlers(srv)
 		srv.Start(l)

@@ -50,12 +50,11 @@ var (
 type Options struct {
 	// Network provides connectivity (rpc.TCP{} or a netsim host).
 	Network rpc.Network
-	// VManagerAddr is the version manager's RPC address.
-	VManagerAddr string
-	// VManagerShards, when set, addresses a sharded+replicated vmanager
-	// group instead of VManagerAddr: one replica address list per shard
-	// (docs/vmanager-group.md). Blobs route to shards by id hash with
-	// NotLeader redirect handling.
+	// VManagerShards addresses the version plane, a sharded+replicated
+	// vmanager group: one replica address list per shard
+	// (docs/vmanager-group.md); a lone version manager is
+	// [][]string{{addr}}. Blobs route to shards by id hash with NotLeader
+	// redirect handling.
 	VManagerShards [][]string
 	// PManagerAddr is the provider manager's RPC address.
 	PManagerAddr string
@@ -104,10 +103,8 @@ type Options struct {
 	Tracer *trace.Tracer
 	// SlowThreshold, when positive and tracing is enabled, dumps the
 	// locally recorded span tree of any sampled operation slower than it
-	// through Logf — the slow-request log.
+	// through log.Printf — the slow-request log.
 	SlowThreshold time.Duration
-	// Logf receives slow-request reports (default log.Printf).
-	Logf func(format string, args ...any)
 }
 
 // Client talks to one deployment of the service. It is safe for
@@ -198,6 +195,9 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	if opts.Network == nil {
 		return nil, errors.New("core: Options.Network is required")
 	}
+	if len(opts.VManagerShards) == 0 {
+		return nil, errors.New("core: Options.VManagerShards is required")
+	}
 	if opts.DataReplicas < 1 {
 		opts.DataReplicas = 1
 	}
@@ -221,16 +221,10 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	}
 	ms := mstore.New(kv, opts.CacheNodes)
 	ms.ProcessDelay = opts.MetaProcessDelay
-	vmShards := opts.VManagerShards
-	if len(vmShards) == 0 {
-		// A single unsharded, unreplicated manager is the degenerate
-		// 1x1 group.
-		vmShards = [][]string{{opts.VManagerAddr}}
-	}
 	c := &Client{
 		opts:      opts,
 		pool:      pool,
-		vm:        vmanager.NewGroupClient(pool, vmShards),
+		vm:        vmanager.NewGroupClient(pool, opts.VManagerShards),
 		ms:        ms,
 		providers: make(map[uint32]string),
 		digests:   make(map[uint32]digestEntry),
@@ -251,8 +245,7 @@ func (c *Client) Close() { c.pool.Close() }
 // directly; the GC walks trees through it).
 func (c *Client) Meta() *mstore.Client { return c.ms }
 
-// VersionManager exposes the typed version manager client (a
-// GroupClient; an unsharded deployment is its 1x1 degenerate case).
+// VersionManager exposes the typed version manager client.
 func (c *Client) VersionManager() *vmanager.GroupClient { return c.vm }
 
 // Pool exposes the RPC pool (shared by auxiliary agents like the GC).
@@ -361,12 +354,8 @@ func (c *Client) endRoot(op *trace.Op, d time.Duration, err error) {
 	if th <= 0 || d < th {
 		return
 	}
-	logf := c.opts.Logf
-	if logf == nil {
-		logf = log.Printf
-	}
 	tree := trace.BuildTree(c.opts.Tracer.SpansFor(op.TraceID()))
-	logf("core: slow request: %v (threshold %v), trace %016x\n%s",
+	log.Printf("core: slow request: %v (threshold %v), trace %016x\n%s",
 		d, th, op.TraceID(), trace.FormatTree(tree))
 }
 

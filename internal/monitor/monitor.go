@@ -37,8 +37,8 @@ type Config struct {
 	// membership is discovered from it every poll).
 	PMAddr string
 	// VMShards lists the version-manager group's replica addresses,
-	// VMShards[s][r] = replica r of shard s. Empty for single-manager
-	// deployments (the monitor then skips leader checks).
+	// VMShards[s][r] = replica r of shard s. Left empty, the monitor
+	// skips leader checks.
 	VMShards [][]string
 	// EventNodes are additional RPC addresses to tail MEvents from,
 	// beyond the provider manager, vmanager replicas and providers —

@@ -1,7 +1,7 @@
 // Package throttle provides the token-bucket rate limiter that meters
 // background I/O against foreground traffic. Two subsystems share it:
 // the diskstore's segment compactor (Options.CompactRateBytes) and the
-// data providers' repair page pulls (cluster.Config.RepairRateBytes) —
+// data providers' repair page pulls (blobnode -repair-rate) —
 // both are bulk maintenance flows that must never starve client reads
 // and writes, and both meter in bytes.
 //

@@ -1,9 +1,7 @@
 package vmanager
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"time"
 
 	"blob/internal/erasure"
@@ -11,31 +9,26 @@ import (
 	"blob/internal/wire"
 )
 
-// Checkpointing addresses the paper's acknowledged single point of
-// failure: "we plan to also include fault-tolerance mechanisms for the
-// entities that currently represent single points of failure (version
-// manager, provider manager)". The version manager's entire state — blob
-// geometry, version counters, logical sizes, the write history and the
-// pending set — serializes to a stream; Restore rebuilds the manager,
+// The follower snapshot-install format. A replica that fell behind the
+// shard log's truncation horizon, diverged, or is campaigning against a
+// fresher peer catches up by snapshot instead of log replay
+// (docs/vmanager-group.md): the leader serializes its Manager's entire
+// state — blob geometry, version counters, logical sizes, the write
+// history and the pending set — with Checkpoint, ships it over MVmInstall
+// or MVmState, and the receiver rebuilds a Manager with Restore,
 // reconstructing each blob's interval-version map by replaying its write
-// history in version order. Data and metadata live on the providers and
-// the DHT and need no recovery.
+// history in version order. The stream lives only on the wire between
+// replicas of one build, so it carries no compatibility with older
+// layouts; data and metadata live on the providers and the DHT and need
+// no recovery.
 
-// checkpointMagic identifies the stream format. G2 added the per-blob
-// redundancy mode (docs/erasure.md); new checkpoints are written as G2,
-// and G1 streams from pre-erasure builds still restore (every blob in
-// them predates rs modes, so they decode as replicated) — the
-// checkpoint is the version manager's only durable state, and an
-// upgrade must never strand it.
-const (
-	checkpointMagic   = 0x424c4f42564d4732 // "BLOBVMG2"
-	checkpointMagicG1 = 0x424c4f42564d4731 // "BLOBVMG1"
-)
+// checkpointMagic identifies the stream format.
+const checkpointMagic = 0x424c4f42564d4732 // "BLOBVMG2"
 
-// Checkpoint writes the manager's full state to w. It holds the manager
+// Checkpoint serializes the manager's full state. It holds the manager
 // lock for the duration, so writes pause briefly; state sizes are small
 // (history records, not data).
-func (m *Manager) Checkpoint(w io.Writer) error {
+func (m *Manager) Checkpoint() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -70,28 +63,19 @@ func (m *Manager) Checkpoint(w io.Writer) error {
 			enc.Bool(p.aborted)
 		}
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(enc.Bytes()); err != nil {
-		return fmt.Errorf("vmanager: checkpoint: %w", err)
-	}
-	return bw.Flush()
+	return enc.Bytes()
 }
 
 // Restore rebuilds a Manager from a checkpoint stream. The configuration
-// (repair timeout, node store) is supplied fresh — it is deployment
-// state, not blob state. Pending writes resume with fresh repair
-// deadlines; their writers may still commit normally.
-func Restore(r io.Reader, cfg Config) (*Manager, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("vmanager: restore: %w", err)
-	}
+// (repair timeout, node store) is the receiving replica's own — it is
+// deployment state, not blob state. Pending writes resume with fresh
+// repair deadlines; their writers may still commit normally.
+func Restore(raw []byte, cfg Config) (*Manager, error) {
 	dec := wire.NewReader(raw)
 	magic := dec.Uint64()
-	if magic != checkpointMagic && magic != checkpointMagicG1 {
+	if magic != checkpointMagic {
 		return nil, fmt.Errorf("vmanager: restore: bad magic %#x", magic)
 	}
-	hasRed := magic == checkpointMagic
 	m := New(cfg)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -103,13 +87,9 @@ func Restore(r io.Reader, cfg Config) (*Manager, error) {
 			id:         id,
 			pageSize:   dec.Uint64(),
 			totalPages: dec.Uint64(),
+			red:        erasure.Redundancy{K: int(dec.Uint8()), M: int(dec.Uint8())},
 			pending:    make(map[meta.Version]*pendingWrite),
 			changed:    make(chan struct{}),
-		}
-		if hasRed {
-			// A G1 blob predates erasure coding: replicated by
-			// definition, so red stays the zero value.
-			b.red = erasure.Redundancy{K: int(dec.Uint8()), M: int(dec.Uint8())}
 		}
 		b.latestAssigned = dec.Uint64()
 		b.latestPublished = dec.Uint64()
@@ -177,7 +157,7 @@ func Restore(r io.Reader, cfg Config) (*Manager, error) {
 
 // validateBlobState checks a decoded blob's internal consistency so the
 // history replay cannot panic and the counters cannot index out of
-// bounds. Torn or bit-flipped checkpoints land here, not in a crash.
+// bounds. Torn or bit-flipped snapshots land here, not in a crash.
 func validateBlobState(b *blobState) error {
 	if err := b.red.Validate(); err != nil {
 		return err

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"blob/internal/erasure"
 )
 
 // FuzzLogRecordDecode asserts the publish-log record decoder never
@@ -75,17 +77,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte("not a checkpoint"))
 	// A real checkpoint with history, a pending write and an abort.
 	m := New(Config{})
-	blob, _ := m.CreateBlob(pageSize, capBytes)
+	blob, _ := m.CreateBlob(pageSize, capBytes, erasure.Redundancy{}, nil)
 	a1, _ := m.AssignVersion(blob, 11, 0, 2*pageSize, false)
 	m.commitObserve(blob, a1.Version)
 	a2, _ := m.AssignVersion(blob, 22, 0, pageSize, true)
 	m.markAborted(blob, a2.Version)
-	var buf bytes.Buffer
-	if err := m.Checkpoint(&buf); err != nil {
-		f.Fatal(err)
-	}
+	whole := m.Checkpoint()
 	m.Close()
-	whole := buf.Bytes()
 	f.Add(bytes.Clone(whole))
 	f.Add(bytes.Clone(whole[:len(whole)-4])) // torn
 	for _, off := range []int{8, 16, 24, len(whole) / 2, len(whole) - 2} {
@@ -96,18 +94,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Restore(bytes.NewReader(data), Config{})
+		r, err := Restore(data, Config{})
 		if err != nil {
 			return // rejected: fine
 		}
 		defer r.Close()
 		// Accepted state must be internally consistent enough to
 		// checkpoint again and restore to the same blob set.
-		var out bytes.Buffer
-		if err := r.Checkpoint(&out); err != nil {
-			t.Fatalf("restored state cannot re-checkpoint: %v", err)
-		}
-		r2, err := Restore(&out, Config{})
+		r2, err := Restore(r.Checkpoint(), Config{})
 		if err != nil {
 			t.Fatalf("re-checkpointed state rejected: %v", err)
 		}

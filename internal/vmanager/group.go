@@ -54,8 +54,7 @@ func ShardOf(nshards int, blob uint64) int {
 
 // ParseGroupAddrs parses the flag syntax for a vmanager group:
 // semicolon-separated shards, comma-separated replicas within a shard
-// ("a:1,b:1;c:1,d:1"). A single plain address parses as one unreplicated
-// shard, keeping old invocations working.
+// ("a:1,b:1;c:1,d:1"). A single plain address is a 1x1 group.
 func ParseGroupAddrs(s string) ([][]string, error) {
 	var shards [][]string
 	for _, shard := range strings.Split(s, ";") {
@@ -91,8 +90,7 @@ type GroupClient struct {
 }
 
 // NewGroupClient builds a client for the given shard/replica address
-// matrix. A [][]string{{addr}} group degenerates to the single-manager
-// behaviour of Client.
+// matrix; every shard needs at least one replica.
 func NewGroupClient(pool *rpc.Pool, shards [][]string) *GroupClient {
 	g := &GroupClient{pool: pool, shards: shards, leader: make([]atomic.Int32, len(shards))}
 	g.maxAttempts = 4
@@ -257,7 +255,7 @@ func (g *GroupClient) Blobs(ctx context.Context) ([]uint64, error) {
 	return all, nil
 }
 
-// --- request/response codecs shared with Client ---
+// --- request/response codecs ---
 
 func encodeUint64(v uint64) []byte {
 	w := wire.NewWriter(8)

@@ -143,10 +143,7 @@ func TestManagerApplyRecordReplay(t *testing.T) {
 		log = append(log, rec)
 	}
 
-	blob, err := leader.CreateBlob(pageSize, capBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := newBlob(t, leader)
 	app(LogRecord{Op: OpCreate, Blob: blob, PageSize: pageSize, Capacity: capBytes})
 	for i := 0; i < 4; i++ {
 		a, err := leader.AssignVersion(blob, uint64(100+i), uint64(i)*pageSize, pageSize, false)

@@ -148,23 +148,13 @@ func (m *Manager) repairVersion(ctx context.Context, blob uint64, v meta.Version
 	}
 	prevVers := prevVersionsFor(b.history, v, wr)
 	needMark := !p.aborted
-	if needMark && m.cfg.Replicate == nil {
-		// Mark aborted in history (the write did not take effect as
-		// issued).
-		p.aborted = true
-		for i := len(b.history) - 1; i >= 0; i-- {
-			if b.history[i].Version == v {
-				b.history[i].Aborted = true
-				break
-			}
-		}
-	}
 	m.mu.Unlock()
 
-	if needMark && m.cfg.Replicate != nil {
-		// Replicated shard: the abort mark must reach the log before
-		// the fill, so a leader that dies mid-repair leaves followers
-		// an orphan they can finish, not a version they re-admit.
+	if needMark {
+		// The write did not take effect as issued. The abort mark must
+		// reach the shard log before the fill, so a leader that dies
+		// mid-repair leaves followers an orphan they can finish, not a
+		// version they re-admit.
 		if err := m.cfg.Replicate(OpAbort, blob, v); err != nil {
 			return fmt.Errorf("vmanager: repair v%d: replicate abort: %w", v, err)
 		}
@@ -197,21 +187,10 @@ func (m *Manager) repairVersion(ctx context.Context, blob uint64, v meta.Version
 		return fmt.Errorf("vmanager: repair v%d: store: %w", v, err)
 	}
 
-	// Publish the repaired version — through the log on a replicated
-	// shard, directly otherwise.
-	if m.cfg.Replicate != nil {
-		if err := m.cfg.Replicate(OpRepaired, blob, v); err != nil {
-			return fmt.Errorf("vmanager: repair v%d: replicate publish: %w", v, err)
-		}
-		return nil
+	// Publish the repaired version.
+	if err := m.cfg.Replicate(OpRepaired, blob, v); err != nil {
+		return fmt.Errorf("vmanager: repair v%d: replicate publish: %w", v, err)
 	}
-	m.mu.Lock()
-	if p, ok := b.pending[v]; ok {
-		p.committed = true
-		m.advanceLocked(b)
-	}
-	m.Repairs.Inc()
-	m.mu.Unlock()
 	return nil
 }
 

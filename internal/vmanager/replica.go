@@ -1,8 +1,8 @@
 package vmanager
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -109,9 +109,6 @@ type ReplicaConfig struct {
 	// distance is its ring distance from the dead leader, so handoff is
 	// deterministic (default 10*Heartbeat).
 	ElectionTimeout time.Duration
-	// QuorumTimeout bounds how long a mutation waits for follower acks
-	// (default 2*ElectionTimeout).
-	QuorumTimeout time.Duration
 	// MaxLogRecords caps the in-memory publish log; beyond it the
 	// prefix is dropped and lagging followers catch up by checkpoint
 	// snapshot instead (default 4096).
@@ -124,7 +121,9 @@ type ReplicaConfig struct {
 	// it boots as a follower even at Index 0, because the deterministic
 	// term-0 leadership only belongs to a cold-booting group — a
 	// restarted replica 0 claiming it could serve empty state to clients
-	// until the live leader's first message deposed it.
+	// until the live leader's first message deposed it. Invalid with a
+	// single peer: there is no incumbent to follow, so the replica would
+	// never lead (a lone replica restarts empty, as a cold boot).
 	Rejoin bool
 	// Manager configures the wrapped Manager. Replicate is overwritten.
 	Manager Config
@@ -141,9 +140,6 @@ func (c *ReplicaConfig) defaults() {
 	}
 	if c.ElectionTimeout <= 0 {
 		c.ElectionTimeout = 10 * c.Heartbeat
-	}
-	if c.QuorumTimeout <= 0 {
-		c.QuorumTimeout = 2 * c.ElectionTimeout
 	}
 	if c.MaxLogRecords <= 0 {
 		c.MaxLogRecords = 4096
@@ -179,13 +175,20 @@ type Replica struct {
 	wg   sync.WaitGroup
 }
 
+// ErrLoneRejoin rejects ReplicaConfig.Rejoin on a single-replica shard.
+var ErrLoneRejoin = errors.New("vmanager: Rejoin on a single-replica shard: no incumbent to follow, the replica would never lead")
+
 // NewReplica builds and starts a shard member. Replica 0 boots as
 // leader of term 0 (the deterministic initial assignment); everyone
-// else boots follower. A restarted replica also boots this way — a
-// stale claim to term 0 is deposed by the first message from the real
-// leader's higher term.
-func NewReplica(cfg ReplicaConfig) *Replica {
+// else, and any Rejoin replica, boots follower.
+func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	cfg.defaults()
+	if cfg.Index < 0 || cfg.Index >= len(cfg.Peers) {
+		return nil, fmt.Errorf("vmanager: replica index %d out of range for %d peers", cfg.Index, len(cfg.Peers))
+	}
+	if cfg.Rejoin && len(cfg.Peers) == 1 {
+		return nil, ErrLoneRejoin
+	}
 	r := &Replica{
 		cfg:        cfg,
 		role:       roleFollower,
@@ -217,7 +220,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		r.wg.Add(1)
 		go r.electionLoop()
 	}
-	return r
+	return r, nil
 }
 
 // Close stops replication and the wrapped manager.
@@ -249,7 +252,7 @@ func (r *Replica) SetNetFault(fault bool) {
 	}
 }
 
-// Manager exposes the wrapped manager (tests, checkpointing).
+// Manager exposes the wrapped manager (tests).
 func (r *Replica) Manager() *Manager {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -344,10 +347,9 @@ func (r *Replica) appendLocked(rec LogRecord) LogRecord {
 	return rec
 }
 
-// truncateLocked reuses the checkpoint machinery as log truncation:
-// once the in-memory log exceeds MaxLogRecords the older half is
-// dropped, and any follower that still needed it is resynced with a
-// full state snapshot instead.
+// truncateLocked bounds the in-memory log: beyond MaxLogRecords the
+// older half is dropped, and any follower that still needed it is
+// resynced with a full state snapshot (checkpoint.go) instead.
 func (r *Replica) truncateLocked() {
 	if len(r.log) <= r.cfg.MaxLogRecords {
 		return
@@ -390,7 +392,8 @@ func (r *Replica) waitQuorum(ctx context.Context, term, seq uint64) error {
 	if need == 0 {
 		return nil
 	}
-	timer := time.NewTimer(r.cfg.QuorumTimeout)
+	// A mutation waits two election timeouts for its follower acks.
+	timer := time.NewTimer(2 * r.cfg.ElectionTimeout)
 	defer timer.Stop()
 	r.mu.Lock()
 	for {
@@ -437,16 +440,7 @@ func (r *Replica) replicateRepair(op uint8, blob uint64, v meta.Version) error {
 		return err
 	}
 	term := r.term
-	var err error
-	switch op {
-	case OpAbort:
-		_, err = r.mgr.markAborted(blob, v)
-	case OpRepaired:
-		err = r.mgr.applyRepaired(blob, v)
-	default:
-		err = fmt.Errorf("vmanager: replicate: unexpected op %d", op)
-	}
-	if err != nil {
+	if err := r.mgr.applyRepairOp(op, blob, v); err != nil {
 		r.mu.Unlock()
 		return err
 	}
@@ -466,7 +460,7 @@ func (r *Replica) CreateBlob(ctx context.Context, pageSize, capacityBytes uint64
 		return 0, err
 	}
 	term := r.term
-	id, err := r.mgr.CreateBlobOwned(pageSize, capacityBytes, red, r.owns)
+	id, err := r.mgr.CreateBlob(pageSize, capacityBytes, red, r.owns)
 	if err != nil {
 		r.mu.Unlock()
 		return 0, err
@@ -585,14 +579,14 @@ func (r *Replica) Abort(ctx context.Context, blob uint64, v meta.Version) error 
 // the shard replication protocol onto srv.
 func (r *Replica) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MCreate, r.handleCreate)
-	srv.Handle(MInfo, r.readHandler(func(m *Manager, ctx context.Context, b []byte) ([]byte, error) { return m.handleInfo(ctx, b) }))
+	srv.Handle(MInfo, r.readHandler((*Manager).handleInfo))
 	srv.Handle(MAssign, r.handleAssign)
 	srv.Handle(MCommit, r.handleCommit)
 	srv.Handle(MAbort, r.handleAbort)
-	srv.Handle(MLatest, r.readHandler(func(m *Manager, ctx context.Context, b []byte) ([]byte, error) { return m.handleLatest(ctx, b) }))
-	srv.Handle(MVersionInfo, r.readHandler(func(m *Manager, ctx context.Context, b []byte) ([]byte, error) { return m.handleVersionInfo(ctx, b) }))
-	srv.Handle(MHistory, r.readHandler(func(m *Manager, ctx context.Context, b []byte) ([]byte, error) { return m.handleHistory(ctx, b) }))
-	srv.Handle(MBlobs, r.readHandler(func(m *Manager, ctx context.Context, b []byte) ([]byte, error) { return m.handleBlobs(ctx, b) }))
+	srv.Handle(MLatest, r.readHandler((*Manager).handleLatest))
+	srv.Handle(MVersionInfo, r.readHandler((*Manager).handleVersionInfo))
+	srv.Handle(MHistory, r.readHandler((*Manager).handleHistory))
+	srv.Handle(MBlobs, r.readHandler((*Manager).handleBlobs))
 	srv.Handle(MVmAppend, r.handleVmAppend)
 	srv.Handle(MVmStatus, r.handleVmStatus)
 	srv.Handle(MVmState, r.handleVmState)
@@ -849,14 +843,11 @@ func (r *Replica) handleVmState(_ context.Context, _ []byte) ([]byte, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var buf bytes.Buffer
-	if err := r.mgr.Checkpoint(&buf); err != nil {
-		return nil, err
-	}
-	w := wire.NewWriter(24 + buf.Len())
+	ckpt := r.mgr.Checkpoint()
+	w := wire.NewWriter(16 + len(ckpt))
 	w.Uint64(r.term)
 	w.Uint64(r.logLenLocked())
-	w.Raw(buf.Bytes())
+	w.Raw(ckpt)
 	return w.Bytes(), nil
 }
 
@@ -893,7 +884,7 @@ func (r *Replica) handleVmInstall(_ context.Context, body []byte) ([]byte, error
 func (r *Replica) installLocked(seq uint64, ckpt []byte) error {
 	mcfg := r.cfg.Manager
 	mcfg.Replicate = r.replicateRepair
-	mgr, err := Restore(bytes.NewReader(ckpt), mcfg)
+	mgr, err := Restore(ckpt, mcfg)
 	if err != nil {
 		return fmt.Errorf("vmanager install: %w", err)
 	}
@@ -950,17 +941,13 @@ func (r *Replica) syncPeer(peer int) bool {
 	switch {
 	case r.peerResync[peer] || fLen < r.logBase:
 		// Beyond the log window: push the whole state.
-		var buf bytes.Buffer
-		if err := r.mgr.Checkpoint(&buf); err != nil {
-			r.mu.Unlock()
-			return false
-		}
+		ckpt := r.mgr.Checkpoint()
 		method = MVmInstall
-		w := wire.NewWriter(24 + buf.Len())
+		w := wire.NewWriter(24 + len(ckpt))
 		w.Uint64(term)
 		w.Uint8(uint8(r.cfg.Index))
 		w.Uint64(r.logLenLocked())
-		w.Raw(buf.Bytes())
+		w.Raw(ckpt)
 		body = w.Bytes()
 	default:
 		batch := r.log[fLen-r.logBase:]

@@ -2,7 +2,9 @@ package vmanager
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -69,7 +71,10 @@ func (ts *testShard) start(j int, rejoin bool) {
 	ts.t.Helper()
 	cfg := ts.cfg(j)
 	cfg.Rejoin = rejoin
-	rep := NewReplica(cfg)
+	rep, err := NewReplica(cfg)
+	if err != nil {
+		ts.t.Fatal(err)
+	}
 	srv := rpc.NewServer()
 	rep.RegisterHandlers(srv)
 	l, err := ts.fab.Host(fmt.Sprintf("r%d", j)).Listen("rpc")
@@ -163,6 +168,80 @@ func (ts *testShard) client() *GroupClient {
 	pool := rpc.NewPool(hostDialer{ts.fab.Host("cli")})
 	ts.t.Cleanup(pool.Close)
 	return NewGroupClient(pool, [][]string{ts.peers})
+}
+
+type hostDialer struct{ h *netsim.Host }
+
+func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) }
+
+// TestLoneReplicaOverRPC drives every client-facing method through the
+// smallest deployment there is — one shard of one replica, what a bare
+// `blobnode -roles vmanager` boots — over the RPC codecs.
+func TestLoneReplicaOverRPC(t *testing.T) {
+	ts := newTestShard(t, 1, nil)
+	c := ts.client()
+	ctx := context.Background()
+
+	blob, err := c.CreateBlob(ctx, pageSize, capBytes, erasure.Redundancy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Info(ctx, blob)
+	if err != nil || info.TotalPages != 64 || info.PageSize != pageSize {
+		t.Fatalf("info = %+v, %v", info, err)
+	}
+
+	a, err := c.AssignVersion(ctx, blob, 5, 0, 2*pageSize, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Version != 1 || len(a.Borders) == 0 {
+		t.Fatalf("assignment = %+v", a)
+	}
+	pub, err := c.Commit(ctx, blob, a.Version, true)
+	if err != nil || pub != 1 {
+		t.Fatalf("commit = %d, %v", pub, err)
+	}
+	v, size, err := c.Latest(ctx, blob)
+	if err != nil || v != 1 || size != 2*pageSize {
+		t.Fatalf("latest = %d %d %v", v, size, err)
+	}
+	published, _, err := c.VersionInfo(ctx, blob, 1)
+	if err != nil || !published {
+		t.Fatalf("versioninfo = %v %v", published, err)
+	}
+	recs, err := c.History(ctx, blob, 0, 10)
+	if err != nil || len(recs) != 1 || recs[0].WriteID != 5 {
+		t.Fatalf("history = %+v, %v", recs, err)
+	}
+	if err := c.Abort(ctx, blob, 99); err == nil {
+		t.Error("abort of unknown version should fail")
+	}
+	ids, err := c.Blobs(ctx)
+	if err != nil || len(ids) != 1 || ids[0] != blob {
+		t.Fatalf("blobs = %v, %v", ids, err)
+	}
+}
+
+// TestLoneReplicaRejectsRejoin: a single-replica shard has no incumbent
+// for a rejoining replica to follow and runs no election loop to promote
+// it, so Rejoin there used to boot a replica that answered NotLeader
+// forever. It is a config error; the restart that works is a cold boot.
+func TestLoneReplicaRejectsRejoin(t *testing.T) {
+	ts := newTestShard(t, 1, nil)
+	ts.kill(0)
+	cfg := ts.cfg(0)
+	cfg.Rejoin = true
+	if rep, err := NewReplica(cfg); !errors.Is(err, ErrLoneRejoin) {
+		if rep != nil {
+			rep.Close()
+		}
+		t.Fatalf("NewReplica(Rejoin, 1 peer) = %v, want ErrLoneRejoin", err)
+	}
+	ts.start(0, false)
+	if st := ts.rep(0).Status(); !st.IsLeader {
+		t.Fatalf("cold-restarted lone replica does not lead: %+v", st)
+	}
 }
 
 func TestReplicatedBasicOps(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"blob/internal/erasure"
 	"blob/internal/meta"
 	"blob/internal/rpc"
 	"blob/internal/wire"
@@ -35,41 +34,11 @@ func init() {
 	rpc.RegisterMethodName(MBlobs, "vmanager.MBlobs")
 }
 
-// RegisterHandlers wires the manager's RPC methods onto srv.
-func (m *Manager) RegisterHandlers(srv *rpc.Server) {
-	srv.Handle(MCreate, m.handleCreate)
-	srv.Handle(MInfo, m.handleInfo)
-	srv.Handle(MAssign, m.handleAssign)
-	srv.Handle(MCommit, m.handleCommit)
-	srv.Handle(MAbort, m.handleAbort)
-	srv.Handle(MLatest, m.handleLatest)
-	srv.Handle(MVersionInfo, m.handleVersionInfo)
-	srv.Handle(MHistory, m.handleHistory)
-	srv.Handle(MBlobs, m.handleBlobs)
-}
-
 // handleBlobs serves the blob ID list (the repair agent's work list).
 func (m *Manager) handleBlobs(_ context.Context, _ []byte) ([]byte, error) {
 	ids := m.Blobs()
 	w := wire.NewWriter(8 + 8*len(ids))
 	w.Uint64Slice(ids)
-	return w.Bytes(), nil
-}
-
-func (m *Manager) handleCreate(_ context.Context, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	pageSize := r.Uint64()
-	capacity := r.Uint64()
-	red := erasure.Redundancy{K: int(r.Uint8()), M: int(r.Uint8())}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("vmanager create: %w", err)
-	}
-	id, err := m.CreateBlobMode(pageSize, capacity, red)
-	if err != nil {
-		return nil, err
-	}
-	w := wire.NewWriter(8)
-	w.Uint64(id)
 	return w.Bytes(), nil
 }
 
@@ -94,32 +63,6 @@ func (m *Manager) handleInfo(_ context.Context, body []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-func (m *Manager) handleAssign(_ context.Context, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	blob := r.Uint64()
-	writeID := r.Uint64()
-	offset := r.Uint64()
-	length := r.Uint64()
-	isAppend := r.Bool()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("vmanager assign: %w", err)
-	}
-	a, err := m.AssignVersion(blob, writeID, offset, length, isAppend)
-	if err != nil {
-		return nil, err
-	}
-	w := wire.NewWriter(32 + 24*len(a.Borders))
-	w.Uint64(a.Version)
-	w.Uint64(a.Offset)
-	w.Uvarint(uint64(len(a.Borders)))
-	for _, b := range a.Borders {
-		w.Uvarint(b.Child.Start)
-		w.Uvarint(b.Child.Size)
-		w.Uvarint(b.Ver)
-	}
-	return w.Bytes(), nil
-}
-
 // DecodeAssignment parses an MAssign response.
 func DecodeAssignment(body []byte) (Assignment, error) {
 	r := wire.NewReader(body)
@@ -135,36 +78,6 @@ func DecodeAssignment(body []byte) (Assignment, error) {
 		})
 	}
 	return a, r.Err()
-}
-
-func (m *Manager) handleCommit(ctx context.Context, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	blob := r.Uint64()
-	v := r.Uint64()
-	block := r.Bool()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("vmanager commit: %w", err)
-	}
-	pub, err := m.Commit(ctx, blob, v, block)
-	if err != nil {
-		return nil, err
-	}
-	w := wire.NewWriter(8)
-	w.Uint64(pub)
-	return w.Bytes(), nil
-}
-
-func (m *Manager) handleAbort(_ context.Context, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	blob := r.Uint64()
-	v := r.Uint64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("vmanager abort: %w", err)
-	}
-	if err := m.Abort(blob, v); err != nil {
-		return nil, err
-	}
-	return nil, nil
 }
 
 func (m *Manager) handleLatest(_ context.Context, body []byte) ([]byte, error) {
@@ -238,155 +151,4 @@ func DecodeHistory(body []byte) ([]WriteRecord, error) {
 		})
 	}
 	return out, r.Err()
-}
-
-// Client is a typed client for the version manager service.
-type Client struct {
-	pool *rpc.Pool
-	addr string
-}
-
-// NewClient returns a client for the manager at addr.
-func NewClient(pool *rpc.Pool, addr string) *Client {
-	return &Client{pool: pool, addr: addr}
-}
-
-// CreateBlob allocates a blob with the given redundancy mode (zero
-// value = full replication).
-func (c *Client) CreateBlob(ctx context.Context, pageSize, capacityBytes uint64, red erasure.Redundancy) (uint64, error) {
-	w := wire.NewWriter(18)
-	w.Uint64(pageSize)
-	w.Uint64(capacityBytes)
-	w.Uint8(uint8(red.K))
-	w.Uint8(uint8(red.M))
-	resp, err := c.pool.Call(ctx, c.addr, MCreate, w.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
-	id := r.Uint64()
-	return id, r.Err()
-}
-
-// Info fetches blob geometry and published state.
-func (c *Client) Info(ctx context.Context, blob uint64) (BlobInfo, error) {
-	w := wire.NewWriter(8)
-	w.Uint64(blob)
-	resp, err := c.pool.Call(ctx, c.addr, MInfo, w.Bytes())
-	if err != nil {
-		return BlobInfo{}, err
-	}
-	r := wire.NewReader(resp)
-	info := BlobInfo{
-		ID:              r.Uint64(),
-		PageSize:        r.Uint64(),
-		TotalPages:      r.Uint64(),
-		LatestPublished: r.Uint64(),
-		SizeBytes:       r.Uint64(),
-	}
-	info.Redundancy = erasure.Redundancy{K: int(r.Uint8()), M: int(r.Uint8())}
-	return info, r.Err()
-}
-
-// AssignVersion requests a version for a write. On the write hot path:
-// the pooled response is released after decoding (the Assignment owns
-// its memory), with Pool.Call's redial-once resilience kept.
-func (c *Client) AssignVersion(ctx context.Context, blob, writeID, offset, length uint64, isAppend bool) (Assignment, error) {
-	w := wire.NewWriter(40)
-	w.Uint64(blob)
-	w.Uint64(writeID)
-	w.Uint64(offset)
-	w.Uint64(length)
-	w.Bool(isAppend)
-	var asg Assignment
-	err := c.pool.CallWith(ctx, c.addr, MAssign, w.Bytes(), func(resp []byte) error {
-		var err error
-		asg, err = DecodeAssignment(resp)
-		return err
-	})
-	if err != nil {
-		return Assignment{}, err
-	}
-	return asg, nil
-}
-
-// Commit reports completion of a write; with block it waits for
-// publication.
-func (c *Client) Commit(ctx context.Context, blob uint64, v meta.Version, block bool) (meta.Version, error) {
-	w := wire.NewWriter(24)
-	w.Uint64(blob)
-	w.Uint64(v)
-	w.Bool(block)
-	var pub meta.Version
-	err := c.pool.CallWith(ctx, c.addr, MCommit, w.Bytes(), func(resp []byte) error {
-		r := wire.NewReader(resp)
-		pub = r.Uint64()
-		return r.Err()
-	})
-	return pub, err
-}
-
-// Abort withdraws an assigned version.
-func (c *Client) Abort(ctx context.Context, blob uint64, v meta.Version) error {
-	w := wire.NewWriter(16)
-	w.Uint64(blob)
-	w.Uint64(v)
-	_, err := c.pool.Call(ctx, c.addr, MAbort, w.Bytes())
-	return err
-}
-
-// Latest returns the newest published version and its byte size. On
-// the read hot path: the pooled response is released after decoding.
-func (c *Client) Latest(ctx context.Context, blob uint64) (meta.Version, uint64, error) {
-	w := wire.NewWriter(8)
-	w.Uint64(blob)
-	var v meta.Version
-	var size uint64
-	err := c.pool.CallWith(ctx, c.addr, MLatest, w.Bytes(), func(resp []byte) error {
-		r := wire.NewReader(resp)
-		v = r.Uint64()
-		size = r.Uint64()
-		return r.Err()
-	})
-	return v, size, err
-}
-
-// VersionInfo reports publication state and size of a version.
-func (c *Client) VersionInfo(ctx context.Context, blob uint64, v meta.Version) (published bool, size uint64, err error) {
-	w := wire.NewWriter(16)
-	w.Uint64(blob)
-	w.Uint64(v)
-	resp, err := c.pool.Call(ctx, c.addr, MVersionInfo, w.Bytes())
-	if err != nil {
-		return false, 0, err
-	}
-	r := wire.NewReader(resp)
-	published = r.Bool()
-	size = r.Uint64()
-	return published, size, r.Err()
-}
-
-// Blobs lists every blob ID the manager knows — the work list of the
-// replica repair agent (and diagnostics).
-func (c *Client) Blobs(ctx context.Context) ([]uint64, error) {
-	resp, err := c.pool.Call(ctx, c.addr, MBlobs, nil)
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	ids := r.Uint64Slice()
-	return ids, r.Err()
-}
-
-// History fetches write records for versions in (from, to].
-func (c *Client) History(ctx context.Context, blob uint64, from, to meta.Version) ([]WriteRecord, error) {
-	w := wire.NewWriter(24)
-	w.Uint64(blob)
-	w.Uint64(from)
-	w.Uint64(to)
-	resp, err := c.pool.Call(ctx, c.addr, MHistory, w.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return DecodeHistory(resp)
 }

@@ -104,11 +104,11 @@ type Config struct {
 	// Store gives the repair path access to the metadata providers.
 	// Required only when RepairTimeout > 0.
 	Store NodeStore
-	// Replicate, when set, routes the repair path's two mutations (the
-	// abort mark and the final repaired commit) through the replication
-	// layer instead of applying them directly, so followers of a
-	// replicated shard see them in log order (see replica.go). The
-	// callback is invoked with no Manager locks held.
+	// Replicate carries the repair path's two mutations (OpAbort: the
+	// abort mark, OpRepaired: the final repaired commit). A Replica sets
+	// it to apply them and append them to the shard log, so followers
+	// see them in log order (see replica.go); left nil, they apply to
+	// this Manager alone. Invoked with no Manager locks held.
 	Replicate func(op uint8, blob uint64, v meta.Version) error
 }
 
@@ -155,11 +155,14 @@ func New(cfg Config) *Manager {
 		cfg.RepairScan = cfg.RepairTimeout / 4
 	}
 	m := &Manager{
-		cfg:        cfg,
 		blobs:      make(map[uint64]*blobState),
 		nextID:     1,
 		stopRepair: make(chan struct{}),
 	}
+	if cfg.Replicate == nil {
+		cfg.Replicate = m.applyRepairOp
+	}
+	m.cfg = cfg
 	if cfg.RepairTimeout > 0 {
 		if cfg.Store == nil {
 			panic("vmanager: RepairTimeout set without a NodeStore")
@@ -183,26 +186,15 @@ func (m *Manager) Close() {
 	m.repairWG.Wait()
 }
 
-// CreateBlob allocates a new blob (the paper's ALLOC primitive) in the
-// default full-replication mode. See CreateBlobMode.
-func (m *Manager) CreateBlob(pageSize, capacityBytes uint64) (uint64, error) {
-	return m.CreateBlobMode(pageSize, capacityBytes, erasure.Redundancy{})
-}
-
-// CreateBlobMode allocates a new blob: a globally unique id for a
-// string of capacityBytes bytes in pageSize pages, with the given
-// redundancy mode fixed for the blob's lifetime (the mode shapes every
-// write's metadata, so it cannot change once pages exist).
-// capacityBytes/pageSize must be a power of two.
-func (m *Manager) CreateBlobMode(pageSize, capacityBytes uint64, red erasure.Redundancy) (uint64, error) {
-	return m.CreateBlobOwned(pageSize, capacityBytes, red, nil)
-}
-
-// CreateBlobOwned allocates a blob whose id satisfies owns — a shard of
-// a replicated vmanager group only hands out ids that the dht ring
-// places on that shard, so every client routes the blob back here (see
-// group.go). A nil owns accepts any id.
-func (m *Manager) CreateBlobOwned(pageSize, capacityBytes uint64, red erasure.Redundancy, owns func(uint64) bool) (uint64, error) {
+// CreateBlob allocates a new blob (the paper's ALLOC primitive): a
+// globally unique id for a string of capacityBytes bytes in pageSize
+// pages, with the redundancy mode fixed for the blob's lifetime (the mode
+// shapes every write's metadata, so it cannot change once pages exist).
+// capacityBytes/pageSize must be a power of two. The id satisfies owns —
+// a shard of the group only hands out ids that the dht ring places on
+// that shard, so every client routes the blob back here (see group.go).
+// A nil owns accepts any id.
+func (m *Manager) CreateBlob(pageSize, capacityBytes uint64, red erasure.Redundancy, owns func(uint64) bool) (uint64, error) {
 	if err := validateGeometry(pageSize, capacityBytes, red); err != nil {
 		return 0, err
 	}
@@ -504,6 +496,20 @@ func (m *Manager) markAborted(blob uint64, v meta.Version) (changed bool, err er
 	return true, nil
 }
 
+// applyRepairOp applies one of the repair path's two mutations to this
+// manager's state.
+func (m *Manager) applyRepairOp(op uint8, blob uint64, v meta.Version) error {
+	switch op {
+	case OpAbort:
+		_, err := m.markAborted(blob, v)
+		return err
+	case OpRepaired:
+		return m.applyRepaired(blob, v)
+	default:
+		return fmt.Errorf("vmanager: repair: unexpected op %d", op)
+	}
+}
+
 // applyRepaired is the second half of the repair path as a log-replay
 // mutation: the version's metadata exists (the leader stored it), so
 // flag it aborted-and-committed and advance publication. Idempotent.
@@ -561,11 +567,8 @@ func (m *Manager) ApplyRecord(rec LogRecord) error {
 			return nil
 		}
 		return err
-	case OpAbort:
-		_, err := m.markAborted(rec.Blob, rec.Version)
-		return err
-	case OpRepaired:
-		return m.applyRepaired(rec.Blob, rec.Version)
+	case OpAbort, OpRepaired:
+		return m.applyRepairOp(rec.Op, rec.Blob, rec.Version)
 	default:
 		return fmt.Errorf("%w: unknown op %d", ErrLogCorrupt, rec.Op)
 	}

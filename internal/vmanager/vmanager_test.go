@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"blob/internal/erasure"
 	"blob/internal/meta"
-	"blob/internal/netsim"
-	"blob/internal/rpc"
 )
 
 const (
@@ -22,7 +19,7 @@ const (
 
 func newBlob(t *testing.T, m *Manager) uint64 {
 	t.Helper()
-	id, err := m.CreateBlob(pageSize, capBytes)
+	id, err := m.CreateBlob(pageSize, capBytes, erasure.Redundancy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +29,20 @@ func newBlob(t *testing.T, m *Manager) uint64 {
 func TestCreateBlobValidation(t *testing.T) {
 	m := New(Config{})
 	defer m.Close()
-	if _, err := m.CreateBlob(1000, 64000); err == nil {
+	if _, err := m.CreateBlob(1000, 64000, erasure.Redundancy{}, nil); err == nil {
 		t.Error("non-power-of-two page size accepted")
 	}
-	if _, err := m.CreateBlob(1024, 1000); err == nil {
+	if _, err := m.CreateBlob(1024, 1000, erasure.Redundancy{}, nil); err == nil {
 		t.Error("capacity not multiple of page size accepted")
 	}
-	if _, err := m.CreateBlob(1024, 3*1024); err == nil {
+	if _, err := m.CreateBlob(1024, 3*1024, erasure.Redundancy{}, nil); err == nil {
 		t.Error("non-power-of-two page count accepted")
 	}
-	id1, err := m.CreateBlob(1024, 4*1024)
+	id1, err := m.CreateBlob(1024, 4*1024, erasure.Redundancy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, _ := m.CreateBlob(1024, 4*1024)
+	id2, _ := m.CreateBlob(1024, 4*1024, erasure.Redundancy{}, nil)
 	if id1 == id2 {
 		t.Error("blob IDs not unique")
 	}
@@ -479,70 +476,10 @@ func TestExplicitAbortRepairs(t *testing.T) {
 	}
 }
 
-type hostDialer struct{ h *netsim.Host }
-
-func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) }
-
-func TestServiceOverRPC(t *testing.T) {
-	fab := netsim.New(netsim.Fast())
-	defer fab.Close()
-	m := New(Config{})
-	defer m.Close()
-	srv := rpc.NewServer()
-	m.RegisterHandlers(srv)
-	l, err := fab.Host("vm").Listen("rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start(l)
-	defer srv.Close()
-
-	pool := rpc.NewPool(hostDialer{fab.Host("cli")})
-	defer pool.Close()
-	c := NewClient(pool, "vm:rpc")
-	ctx := context.Background()
-
-	blob, err := c.CreateBlob(ctx, pageSize, capBytes, erasure.Redundancy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := c.Info(ctx, blob)
-	if err != nil || info.TotalPages != 64 || info.PageSize != pageSize {
-		t.Fatalf("info = %+v, %v", info, err)
-	}
-
-	a, err := c.AssignVersion(ctx, blob, 5, 0, 2*pageSize, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Version != 1 || len(a.Borders) == 0 {
-		t.Fatalf("assignment = %+v", a)
-	}
-	pub, err := c.Commit(ctx, blob, a.Version, true)
-	if err != nil || pub != 1 {
-		t.Fatalf("commit = %d, %v", pub, err)
-	}
-	v, size, err := c.Latest(ctx, blob)
-	if err != nil || v != 1 || size != 2*pageSize {
-		t.Fatalf("latest = %d %d %v", v, size, err)
-	}
-	published, _, err := c.VersionInfo(ctx, blob, 1)
-	if err != nil || !published {
-		t.Fatalf("versioninfo = %v %v", published, err)
-	}
-	recs, err := c.History(ctx, blob, 0, 10)
-	if err != nil || len(recs) != 1 || recs[0].WriteID != 5 {
-		t.Fatalf("history = %+v, %v", recs, err)
-	}
-	if err := c.Abort(ctx, blob, 99); err == nil {
-		t.Error("abort of unknown version should fail")
-	}
-}
-
 func BenchmarkAssignVersion(b *testing.B) {
 	m := New(Config{})
 	defer m.Close()
-	blob, _ := m.CreateBlob(64<<10, 1<<40) // 1 TB
+	blob, _ := m.CreateBlob(64<<10, 1<<40, erasure.Redundancy{}, nil) // 1 TB
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
