@@ -804,8 +804,9 @@ func (c *Cluster) TotalDataPages() int64 {
 	return n
 }
 
-// TotalMetaNodes sums stored tree nodes across metadata providers.
-func (c *Cluster) TotalMetaNodes() int {
+// TotalMetaBlocks sums the stored metadata values — packed blocks of
+// tree nodes — across metadata providers.
+func (c *Cluster) TotalMetaBlocks() int {
 	n := 0
 	for _, st := range c.MetaStores {
 		n += st.Len()

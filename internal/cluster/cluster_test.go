@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blob/internal/cluster"
+	"blob/internal/meta"
 	"blob/internal/monitor"
 	"blob/internal/netsim"
 	"blob/internal/pmanager"
@@ -131,7 +132,7 @@ func TestCountersTrackStorage(t *testing.T) {
 	}
 	defer c.Close()
 	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
-	if cl.TotalDataPages() != 0 || cl.TotalMetaNodes() != 0 {
+	if cl.TotalDataPages() != 0 || cl.TotalMetaBlocks() != 0 {
 		t.Fatal("fresh cluster not empty")
 	}
 	if _, err := b.Write(ctx, make([]byte, 8*pageSize), 0); err != nil {
@@ -140,8 +141,15 @@ func TestCountersTrackStorage(t *testing.T) {
 	if got := cl.TotalDataPages(); got != 8 {
 		t.Errorf("data pages = %d, want 8", got)
 	}
-	if got := cl.TotalMetaNodes(); got < 15 {
-		t.Errorf("meta nodes = %d, want >= 15 (2*8-1)", got)
+	// Metadata is stored packed: exactly one dht value per block the
+	// write's nodes fall into, as meta's geometry names them.
+	blocks := map[meta.NodeRange]bool{}
+	for _, r := range meta.WriteSet(64, meta.PageRange{First: 0, Count: 8}) {
+		blocks[r.Block()] = true
+	}
+	if got := cl.TotalMetaBlocks(); got != len(blocks) {
+		t.Errorf("stored metadata blocks = %d, want %d for the write's %d nodes",
+			got, len(blocks), meta.CountWriteSet(64, meta.PageRange{First: 0, Count: 8}))
 	}
 }
 

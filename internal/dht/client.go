@@ -176,17 +176,21 @@ func (c *Client) Get(ctx context.Context, key uint64) ([]byte, error) {
 	body := w.Bytes()
 	var lastErr error = ErrNotFound
 	for tier, rep := range reps {
-		resp, err := c.pool.Call(ctx, rep.Addr, MGet, body)
+		var v []byte
+		found := false
+		// CallWith releases the pooled response: no 4 KiB buffer per answer.
+		err := c.pool.CallWith(ctx, rep.Addr, MGet, body, func(resp []byte) error {
+			r := wire.NewReader(resp)
+			if found = r.Bool(); found {
+				v = r.BytesCopy()
+			}
+			return r.Err()
+		})
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		r := wire.NewReader(resp)
-		if r.Bool() {
-			v := r.BytesCopy()
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
+		if found {
 			if tier > 0 {
 				c.readRepair(ctx, key, v, reps[:tier])
 			}
@@ -304,8 +308,18 @@ func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
 
 // MultiGet fetches a batch of keys, one aggregated request per node
 // (primary replicas), with per-key fallback to other replicas for keys
-// the primary missed. The result maps key to value; absent keys are
-// simply missing from the map.
+// the primary missed. The result maps key to value; a key every asked
+// replica answered "not found" for is missing from the map. A key whose
+// last attempt ended in an error fails the whole call instead: "could
+// not ask" must never read as "absent" (mstore's ErrMissingNode, which
+// the repair agent takes to mean "garbage collected").
+//
+// Each tier is one wave dispatched from the calling goroutine and
+// collected in order, as MultiPut does, values copied out of the pooled
+// response before its release. Wave calls bypass the pool's retry and
+// breaker admission: outcomes go back through Observe, and a node whose
+// breaker is open or whose wave call broke in transport is (re-)asked
+// through CallWith before its keys count as missed on that tier.
 func (c *Client) MultiGet(ctx context.Context, keys []uint64) (map[uint64][]byte, error) {
 	out := make(map[uint64][]byte, len(keys))
 	if len(keys) == 0 {
@@ -315,64 +329,91 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64) (map[uint64][]byte
 	if ring.Size() == 0 {
 		return nil, ErrNoNodes
 	}
-
+	type group struct {
+		keys []uint64
+		body []byte
+		pend *rpc.Pending // nil: breaker open at dispatch, CallWith applies its admission
+	}
+	var failed map[uint64]error // keys whose latest attempt ended in an error
 	remaining := keys
 	var reps []NodeInfo
 	// Try replica tiers in order: tier 0 = primary, tier 1 = secondary...
 	for tier := 0; tier < c.replicas && len(remaining) > 0; tier++ {
-		groups := make(map[string][]uint64)
+		groups := make(map[string]*group)
 		for _, k := range remaining {
 			reps = ring.ReplicasForAppend(k, c.replicas, reps)
 			if tier >= len(reps) {
 				continue
 			}
-			addr := reps[tier].Addr
-			groups[addr] = append(groups[addr], k)
+			g := groups[reps[tier].Addr]
+			if g == nil {
+				g = &group{}
+				groups[reps[tier].Addr] = g
+			}
+			g.keys = append(g.keys, k)
 		}
-		if len(groups) == 0 {
-			break
-		}
-		type result struct {
-			keys []uint64
-			resp []byte
-			err  error
-		}
-		results := make(chan result, len(groups))
-		for addr, ks := range groups {
-			go func(addr string, ks []uint64) {
-				w := wire.NewWriter(8 * len(ks))
-				w.Uint64Slice(ks)
-				resp, err := c.pool.Call(ctx, addr, MMultiGet, w.Bytes())
-				results <- result{keys: ks, resp: resp, err: err}
-			}(addr, ks)
+		start := time.Now()
+		for addr, g := range groups {
+			w := wire.NewWriter(8*len(g.keys) + 4)
+			w.Uint64Slice(g.keys)
+			g.body = w.Bytes()
+			if c.pool.Available(addr) {
+				g.pend = c.pool.Go(ctx, addr, MMultiGet, [][]byte{g.body})
+			}
 		}
 		var miss []uint64
-		var lastErr error
-		for i := 0; i < len(groups); i++ {
-			res := <-results
-			if res.err != nil {
-				lastErr = res.err
-				miss = append(miss, res.keys...)
-				continue
+		for addr, g := range groups {
+			answered := false
+			decode := func(resp []byte) error {
+				answered = true
+				r := wire.NewReader(resp)
+				if n := r.Uvarint(); n != uint64(len(g.keys)) {
+					return fmt.Errorf("dht: multiget response count %d != %d", n, len(g.keys))
+				}
+				for _, k := range g.keys {
+					if r.Bool() {
+						out[k] = r.BytesCopy()
+					} else {
+						miss = append(miss, k)
+					}
+					delete(failed, k)
+				}
+				return r.Err()
 			}
-			r := wire.NewReader(res.resp)
-			n := int(r.Uvarint())
-			if n != len(res.keys) {
-				return nil, fmt.Errorf("dht: multiget response count %d != %d", n, len(res.keys))
-			}
-			for _, k := range res.keys {
-				if r.Bool() {
-					out[k] = r.BytesCopy()
+			var err error
+			reask := g.pend == nil
+			if !reask {
+				var resp []byte
+				resp, err = g.pend.Wait(ctx)
+				c.pool.Observe(addr, err, time.Since(start))
+				if err == nil {
+					err = decode(resp)
+					g.pend.Release()
 				} else {
-					miss = append(miss, k)
+					reask = !rpc.IsServerError(err) && ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded)
 				}
 			}
-			if err := r.Err(); err != nil {
-				return nil, err
+			if reask {
+				err = c.pool.CallWith(ctx, addr, MMultiGet, g.body, decode)
 			}
+			if err == nil {
+				continue
+			}
+			if answered {
+				return nil, err // the node answered and the answer does not parse
+			}
+			if failed == nil {
+				failed = make(map[uint64]error)
+			}
+			for _, k := range g.keys {
+				failed[k] = err
+			}
+			miss = append(miss, g.keys...)
 		}
-		_ = lastErr
 		remaining = miss
+	}
+	for _, err := range failed {
+		return nil, fmt.Errorf("dht: multiget: %d of %d keys unresolved: %w", len(failed), len(keys), err)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -372,6 +373,110 @@ func TestMultiGetFallbackTier(t *testing.T) {
 	}
 	if len(got) != len(keys) {
 		t.Errorf("MultiGet after node wipe returned %d/%d", len(got), len(keys))
+	}
+}
+
+// TestMultiGetUnreachableIsNotAbsent pins the difference between "no
+// replica holds the key" and "no replica could be asked": only the
+// first may come back as an absent key. mstore reads absence as
+// ErrMissingNode and dead-writer repair reads that as "collected".
+func TestMultiGetUnreachableIsNotAbsent(t *testing.T) {
+	cli, stores, cleanup := testFabric(t, 2, 2)
+	defer cleanup()
+	ctx := context.Background()
+	const key, gone = 4711, 4712
+	if err := cli.Put(ctx, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every node unreachable: an error, as Get reports — not an empty map.
+	dead := NewClient(cli.pool, NewRing([]NodeInfo{{ID: 1, Addr: "nowhere:rpc"}}), 1)
+	if _, err := dead.Get(ctx, key); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get on a dead ring: err = %v, want a dial error", err)
+	}
+	if got, err := dead.MultiGet(ctx, []uint64{key}); err == nil {
+		t.Fatalf("MultiGet on a dead ring = %d values, nil error; want the dial error", len(got))
+	}
+
+	// One replica of each key unreachable, the other serving.
+	reps := cli.Ring().ReplicasFor(key, 2)
+	withDead := func(tier int) *Client {
+		nodes := []NodeInfo{reps[0], reps[1]}
+		nodes[tier].Addr = "nowhere:rpc"
+		return NewClient(cli.pool, NewRing(nodes), 2)
+	}
+	// Dead primary, live secondary: held keys resolve, and a key the
+	// secondary answers "not found" for is absent — it was asked.
+	got, err := withDead(0).MultiGet(ctx, []uint64{key, gone})
+	if err != nil || string(got[key]) != "v" || len(got) != 1 {
+		t.Fatalf("dead primary: got %v, err %v; want the one held key", got, err)
+	}
+	// Live primary that misses, dead secondary: the key's last attempt
+	// failed, so nobody may conclude it is absent.
+	for _, st := range stores {
+		st.Delete(key)
+	}
+	stores[reps[1].ID-1].Put(key, []byte("v")) // held only where nobody can reach it
+	if got, err := withDead(1).MultiGet(ctx, []uint64{key}); err == nil {
+		t.Fatalf("miss on primary + dead secondary = %v, nil error; want an error", got)
+	}
+}
+
+// breakingDialer hands out connections whose next Write fails once
+// armed: a cached connection that died without the client noticing.
+type breakingDialer struct {
+	hostDialer
+	armed atomic.Bool
+}
+
+type breakingConn struct {
+	net.Conn
+	d *breakingDialer
+}
+
+func (d *breakingDialer) Dial(addr string) (net.Conn, error) {
+	c, err := d.hostDialer.Dial(addr)
+	return breakingConn{c, d}, err
+}
+
+func (c breakingConn) Write(p []byte) (int, error) {
+	if c.d.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, errors.New("broken pipe")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestMultiGetReasksAfterTransportFailure: the wave call bypasses the
+// pool's retry policy, so a group whose call broke in transport must be
+// re-asked under it (redial, retry) before its keys count as missed.
+func TestMultiGetReasksAfterTransportFailure(t *testing.T) {
+	fab := netsim.New(netsim.Fast())
+	defer fab.Close()
+	srv := rpc.NewServer()
+	st := NewStore()
+	st.RegisterHandlers(srv)
+	l, err := fab.Host("meta").Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(l)
+	defer srv.Close()
+	d := &breakingDialer{hostDialer: hostDialer{fab.Host("cli")}}
+	pool := rpc.NewPool(d)
+	defer pool.Close()
+	cli := NewClient(pool, NewRing([]NodeInfo{{ID: 1, Addr: "meta:rpc"}}), 1)
+	ctx := context.Background()
+	if err := cli.Put(ctx, 7, []byte("seven")); err != nil { // warms the connection
+		t.Fatal(err)
+	}
+	d.armed.Store(true)
+	got, err := cli.MultiGet(ctx, []uint64{7, 8})
+	if err != nil || string(got[7]) != "seven" || len(got) != 1 {
+		t.Fatalf("MultiGet over a connection that breaks = %v, %v; want the held key after a re-ask", got, err)
+	}
+	if d.armed.Load() {
+		t.Fatal("test bug: the wave call never hit the broken connection")
 	}
 }
 

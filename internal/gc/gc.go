@@ -13,8 +13,9 @@
 //     node key and every (write, page) reference of a visited leaf is
 //     live.
 //   - SWEEP: for every write in the history below the horizon, delete
-//     unmarked tree nodes (their keys are recomputable from the write's
-//     extent) and unmarked pages. Page deletions are broadcast to all
+//     the stored metadata blocks none of whose nodes is marked (node
+//     and block keys are recomputable from the write's extent) and
+//     unmarked pages. Page deletions are broadcast to all
 //     data providers, which makes the sweep robust to orphaned pages
 //     left behind by torn (repaired) writes whose placement was never
 //     recorded anywhere.
@@ -52,11 +53,12 @@ type Report struct {
 	Horizon meta.Version
 	// VersionsCollected counts history records swept.
 	VersionsCollected int
-	// NodesDeleted counts metadata tree nodes removed.
+	// NodesDeleted counts metadata tree nodes removed (in whole blocks).
 	NodesDeleted int
 	// PagesDeleted counts page replicas removed across providers.
 	PagesDeleted int
-	// NodesKept counts candidate nodes retained because marked.
+	// NodesKept counts candidate nodes retained: those of every block
+	// with a marked node.
 	NodesKept int
 }
 
@@ -117,17 +119,26 @@ func (g *Collector) Collect(ctx context.Context, blobID uint64, keepFrom meta.Ve
 		}
 		rep.VersionsCollected++
 
-		// Sweep tree nodes of this write.
+		// Sweep this write's tree nodes by stored block: one with any
+		// marked node is kept whole (its unmarked nodes are the price
+		// of packing), one with none dies.
+		holds := make(map[meta.BlockKey][]meta.NodeRange)
+		live := make(map[meta.BlockKey]bool)
 		for _, r := range meta.WriteSet(info.TotalPages, rec.Range) {
 			key := meta.NodeKey{Blob: blobID, Version: rec.Version, Range: r}
-			if markedNodes[key] {
-				rep.NodesKept++
+			block := key.Block()
+			holds[block] = append(holds[block], r)
+			live[block] = live[block] || markedNodes[key]
+		}
+		for block, ranges := range holds {
+			if live[block] {
+				rep.NodesKept += len(ranges)
 				continue
 			}
-			if err := ms.DeleteNode(ctx, key); err != nil {
-				return rep, fmt.Errorf("gc: delete node %+v: %w", key, err)
+			if err := ms.DeleteBlock(ctx, block, ranges); err != nil {
+				return rep, fmt.Errorf("gc: delete block %+v: %w", block, err)
 			}
-			rep.NodesDeleted++
+			rep.NodesDeleted += len(ranges)
 		}
 
 		// Sweep this write's pages: every rel not referenced by a marked

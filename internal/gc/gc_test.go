@@ -58,7 +58,7 @@ func TestCollectFullySupersededVersion(t *testing.T) {
 	}
 
 	pagesBefore := cl.TotalDataPages()
-	nodesBefore := cl.TotalMetaNodes()
+	blocksBefore := cl.TotalMetaBlocks()
 
 	rep, err := gc.New(c).Collect(ctx, b.ID(), 3)
 	if err != nil {
@@ -75,8 +75,8 @@ func TestCollectFullySupersededVersion(t *testing.T) {
 	if cl.TotalDataPages() != pagesBefore-8 {
 		t.Errorf("provider pages %d -> %d, want -8", pagesBefore, cl.TotalDataPages())
 	}
-	if cl.TotalMetaNodes() >= nodesBefore {
-		t.Errorf("metadata nodes did not shrink: %d -> %d", nodesBefore, cl.TotalMetaNodes())
+	if cl.TotalMetaBlocks() >= blocksBefore {
+		t.Errorf("stored metadata did not shrink: %d -> %d blocks", blocksBefore, cl.TotalMetaBlocks())
 	}
 
 	// v3 must remain perfectly readable.
@@ -132,6 +132,113 @@ func TestCollectKeepsSharedPages(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("v2 content corrupted by GC")
+	}
+}
+
+// blockNodes returns, for one write of a blob, the node ranges it
+// created grouped by the stored block they share.
+func blockNodes(totalPages uint64, wr meta.PageRange) map[meta.NodeRange][]meta.NodeRange {
+	out := map[meta.NodeRange][]meta.NodeRange{}
+	for _, r := range meta.WriteSet(totalPages, wr) {
+		out[r.Block()] = append(out[r.Block()], r)
+	}
+	return out
+}
+
+// TestCollectKeepsBlockWithAnyMarkedNode: blocks are swept whole. v1
+// writes pages [0,4) and v2 overwrites only page 0, so of v1's nodes v2
+// still references leaves 1..3 and the interior node over [2,4); leaf 0
+// and the path above it were rebuilt by v2 and are unmarked. Every v1
+// block holding a marked node must survive whole — at least one of them
+// also holds unmarked nodes — every other must die, the report must
+// count nodes accordingly, and v2 must read byte-identically.
+func TestCollectKeepsBlockWithAnyMarkedNode(t *testing.T) {
+	cl, c := launch(t, cluster.Config{CacheNodes: 0})
+	ctx := context.Background()
+	const totalPages = 16
+	b, _ := c.CreateBlob(ctx, pageSize, totalPages*pageSize)
+	base := pattern(1, 4*pageSize)
+	patch := pattern(2, pageSize)
+	if _, err := b.Write(ctx, base, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Write(ctx, patch, 0); err != nil {
+		t.Fatal(err)
+	}
+	v1 := blockNodes(totalPages, meta.PageRange{First: 0, Count: 4})
+	live := map[meta.NodeRange]int{} // v1 block → marked nodes in it
+	for _, r := range []meta.NodeRange{{Start: 1, Size: 1}, {Start: 2, Size: 2}, {Start: 2, Size: 1}, {Start: 3, Size: 1}} {
+		live[r.Block()]++
+	}
+	wantKept, wantDeleted, mixed := 0, 0, false
+	for blk, nodes := range v1 {
+		if live[blk] == 0 {
+			wantDeleted += len(nodes)
+			continue
+		}
+		wantKept += len(nodes)
+		mixed = mixed || live[blk] < len(nodes)
+	}
+	if !mixed || wantDeleted == 0 {
+		t.Fatalf("test bug: scenario has no mixed block (%v) or no dead block", mixed)
+	}
+	blocksBefore := cl.TotalMetaBlocks()
+
+	rep, err := gc.New(c).Collect(ctx, b.ID(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NodesKept != wantKept || rep.NodesDeleted != wantDeleted {
+		t.Errorf("nodes kept/deleted = %d/%d, want %d/%d (blocks with a marked node whole / every other v1 block)",
+			rep.NodesKept, rep.NodesDeleted, wantKept, wantDeleted)
+	}
+	if got, want := cl.TotalMetaBlocks(), blocksBefore-(len(v1)-len(live)); got != want {
+		t.Errorf("stored blocks %d -> %d, want %d", blocksBefore, got, want)
+	}
+	if rep.PagesDeleted != 1 {
+		t.Errorf("pages deleted = %d, want 1 (v1's page 0)", rep.PagesDeleted)
+	}
+	want := append([]byte(nil), base...)
+	copy(want, patch)
+	got := make([]byte, len(want))
+	if _, err := b.Read(ctx, got, 0, 2); err != nil {
+		t.Fatalf("read v2 after GC: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("v2 content changed by GC")
+	}
+}
+
+// TestCollectDeletesBlockWithNoMarkedNode: a fully superseded write
+// loses every one of its blocks, and Report counts their nodes.
+func TestCollectDeletesBlockWithNoMarkedNode(t *testing.T) {
+	cl, c := launch(t, cluster.Config{CacheNodes: 0})
+	ctx := context.Background()
+	const totalPages = 16
+	b, _ := c.CreateBlob(ctx, pageSize, totalPages*pageSize)
+	wr := meta.PageRange{First: 4, Count: 4}
+	for seed := byte(1); seed <= 2; seed++ {
+		if _, err := b.Write(ctx, pattern(seed, 4*pageSize), wr.First*pageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perWrite := len(blockNodes(totalPages, wr))
+	if got := cl.TotalMetaBlocks(); got != 2*perWrite {
+		t.Fatalf("setup: %d stored blocks, want %d", got, 2*perWrite)
+	}
+	rep, err := gc.New(c).Collect(ctx, b.ID(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NodesDeleted != meta.CountWriteSet(totalPages, wr) || rep.NodesKept != 0 {
+		t.Errorf("nodes deleted/kept = %d/%d, want %d/0", rep.NodesDeleted, rep.NodesKept, meta.CountWriteSet(totalPages, wr))
+	}
+	if got := cl.TotalMetaBlocks(); got != perWrite {
+		t.Errorf("stored blocks after GC = %d, want v2's %d", got, perWrite)
+	}
+	got := make([]byte, 4*pageSize)
+	if _, err := b.Read(ctx, got, wr.First*pageSize, 2); err != nil || !bytes.Equal(got, pattern(2, 4*pageSize)) {
+		t.Fatalf("read v2 after GC: %v", err)
 	}
 }
 

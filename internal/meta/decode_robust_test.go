@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// DecodeNode consumes bytes fetched from remote, potentially corrupted
+// DecodeBlock consumes bytes fetched from remote, potentially corrupted
 // storage: it must never panic and must reject anything that does not
 // round-trip to the expected key.
 
@@ -18,7 +18,7 @@ func TestDecodeNodeRandomBytesNeverPanics(t *testing.T) {
 		rng.Read(buf)
 		// Any outcome but a panic is acceptable; a success must carry
 		// the exact key (which random bytes essentially never encode).
-		node, err := DecodeNode(buf, key)
+		node, err := decodeOne(buf, key)
 		if err == nil && node.Key != key {
 			t.Fatalf("decode accepted wrong key: %+v", node.Key)
 		}
@@ -35,12 +35,12 @@ func TestDecodeNodeBitFlips(t *testing.T) {
 			Write: 99, RelPage: 2, Providers: []uint32{1, 4}, Checksum: 0xbeef,
 		},
 	}
-	enc := orig.Encode()
+	enc := encodeOne(orig)
 	for byteIdx := 0; byteIdx < len(enc); byteIdx++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), enc...)
 			mut[byteIdx] ^= 1 << bit
-			node, err := DecodeNode(mut, orig.Key)
+			node, err := decodeOne(mut, orig.Key)
 			if err == nil && node.Key != orig.Key {
 				t.Fatalf("flip %d.%d: accepted with wrong key %+v", byteIdx, bit, node.Key)
 			}
@@ -53,13 +53,13 @@ func TestDecodeNodeTruncations(t *testing.T) {
 		Key:     NodeKey{Blob: 2, Version: 5, Range: NodeRange{Start: 0, Size: 8}},
 		LeftVer: 5, RightVer: 1,
 	}
-	enc := orig.Encode()
+	enc := encodeOne(orig)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeNode(enc[:cut], orig.Key); err == nil {
+		if _, err := decodeOne(enc[:cut], orig.Key); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
-	if _, err := DecodeNode(enc, orig.Key); err != nil {
+	if _, err := decodeOne(enc, orig.Key); err != nil {
 		t.Fatalf("full encoding rejected: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"math"
 
 	"blob/internal/wire"
 )
@@ -85,20 +86,10 @@ const (
 	nodeFlagStripe = 1 << 1
 )
 
-// Encode serializes the node. The key is embedded in the value so a
-// decoder can detect hash collisions or routing mistakes.
-func (n *Node) Encode() []byte {
-	w := wire.NewWriter(64 + 4*len(nProviders(n)))
-	n.EncodeTo(w)
-	return w.Bytes()
-}
-
-// EncodeTo appends the node's encoding to w, so batched callers
-// (mstore.StoreNodes) can pack a whole write's nodes into one shared
-// arena instead of allocating an encode buffer per node.
-func (n *Node) EncodeTo(w *wire.Writer) {
-	w.Uint64(n.Key.Blob)
-	w.Uvarint(n.Key.Version)
+// encodeTo appends the node's encoding to w: its range and payload.
+// Blob and version are not repeated per node — a node is only ever
+// stored inside a block (EncodeBlock), whose header carries them once.
+func (n *Node) encodeTo(w *wire.Writer) {
 	w.Uvarint(n.Key.Range.Start)
 	w.Uvarint(n.Key.Range.Size)
 	if n.Leaf != nil {
@@ -126,27 +117,79 @@ func (n *Node) EncodeTo(w *wire.Writer) {
 	}
 }
 
-func nProviders(n *Node) []uint32 {
-	if n.Leaf == nil {
-		return nil
+// EncodeBlock appends the stored form of one block to w: the block key
+// once (so a decoder can detect hash collisions or routing mistakes),
+// a count, then the nodes, each of which must have Key.Block() == key.
+func EncodeBlock(w *wire.Writer, key BlockKey, nodes []Node) {
+	w.Uint64(key.Blob)
+	w.Uvarint(key.Version)
+	w.Uvarint(key.Range.Start)
+	w.Uvarint(key.Range.Size)
+	w.Uvarint(uint64(len(nodes)))
+	for i := range nodes {
+		nodes[i].encodeTo(w)
 	}
-	return n.Leaf.Providers
 }
 
-// DecodeNode parses a node and verifies it matches the expected key.
-func DecodeNode(body []byte, want NodeKey) (*Node, error) {
+// DecodeBlock parses a stored block and validates it before use: the
+// stored key is the expected one, it holds 1..2^BlockLevels-1 nodes,
+// each a well-formed range inside this block's range and band, none
+// twice, leaf payloads exactly on leaf ranges, no byte left over. An
+// accepted body is canonical: its nodes re-encode to it byte for byte.
+func DecodeBlock(body []byte, want BlockKey) ([]Node, error) {
 	r := wire.NewReader(body)
-	var n Node
-	n.Key.Blob = r.Uint64()
-	n.Key.Version = r.Uvarint()
-	n.Key.Range.Start = r.Uvarint()
-	n.Key.Range.Size = r.Uvarint()
-	flags := r.Uint8()
-	if flags&nodeFlagLeaf != 0 {
-		leaf := &LeafData{
-			Write:   r.Uvarint(),
-			RelPage: uint32(r.Uvarint()),
+	got := BlockKey{Blob: r.Uint64(), Version: r.Uvarint()}
+	got.Range = NodeRange{Start: r.Uvarint(), Size: r.Uvarint()}
+	count := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("meta: decode block: %w", err)
+	}
+	if got != want {
+		return nil, fmt.Errorf("meta: block key mismatch: stored %+v, expected %+v (hash collision or routing bug)", got, want)
+	}
+	if count < 1 || count > 1<<BlockLevels-1 {
+		return nil, fmt.Errorf("meta: block %+v holds %d nodes, want 1..%d", want, count, 1<<BlockLevels-1)
+	}
+	nodes := make([]Node, count)
+	for i := range nodes {
+		n := &nodes[i]
+		n.Key = NodeKey{Blob: want.Blob, Version: want.Version}
+		n.Key.Range = NodeRange{Start: r.Uvarint(), Size: r.Uvarint()}
+		if err := decodePayload(r, n); err != nil {
+			return nil, err
 		}
+		rg := n.Key.Range
+		if !IsPowerOfTwo(rg.Size) || rg.Start%rg.Size != 0 || rg.Block() != want.Range {
+			return nil, fmt.Errorf("meta: node range %v is not part of block %v", rg, want.Range)
+		}
+		for j := range nodes[:i] {
+			if nodes[j].Key.Range == rg {
+				return nil, fmt.Errorf("meta: node range %v twice in block %v", rg, want.Range)
+			}
+		}
+		if (n.Leaf != nil) != rg.IsLeaf() {
+			return nil, fmt.Errorf("meta: leaf/interior payload does not match range %v", rg)
+		}
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("meta: %d trailing bytes after block %+v", r.Remaining(), want)
+	}
+	return nodes, nil
+}
+
+// decodePayload parses what encodeTo wrote after a node's range.
+func decodePayload(r *wire.Reader, n *Node) error {
+	flags := r.Uint8()
+	switch {
+	case flags&^(nodeFlagLeaf|nodeFlagStripe) != 0 || flags == nodeFlagStripe:
+		return fmt.Errorf("meta: node flags %#x", flags)
+	case flags&nodeFlagLeaf != 0:
+		leaf := &LeafData{Write: r.Uvarint()}
+		rel := r.Uvarint()
+		if rel > math.MaxUint32 {
+			return fmt.Errorf("meta: leaf rel-page %d overflows", rel)
+		}
+		leaf.RelPage = uint32(rel)
 		leaf.Checksum = r.Uint64()
 		leaf.Providers = r.Uint32Slice()
 		if flags&nodeFlagStripe != 0 {
@@ -158,30 +201,19 @@ func DecodeNode(body []byte, want NodeKey) (*Node, error) {
 			}
 			s.Provs = r.Uint32Slice()
 			s.Sums = r.Uint64Slice()
-			if r.Err() == nil {
-				if want := int(s.K) + int(s.M); len(s.Provs) != want || len(s.Sums) != want {
-					return nil, fmt.Errorf("meta: stripe ref shape %d provs/%d sums for rs(%d,%d)",
-						len(s.Provs), len(s.Sums), s.K, s.M)
-				}
+			if want := int(s.K) + int(s.M); r.Err() == nil && (len(s.Provs) != want || len(s.Sums) != want) {
+				return fmt.Errorf("meta: stripe ref shape %d provs/%d sums for rs(%d,%d)",
+					len(s.Provs), len(s.Sums), s.K, s.M)
 			}
 			leaf.Stripe = s
 		}
 		n.Leaf = leaf
-	} else {
+	default:
 		n.LeftVer = r.Uvarint()
 		n.RightVer = r.Uvarint()
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("meta: decode node: %w", err)
+		return fmt.Errorf("meta: decode node: %w", err)
 	}
-	if n.Key != want {
-		return nil, fmt.Errorf("meta: node key mismatch: stored %+v, expected %+v (hash collision or routing bug)", n.Key, want)
-	}
-	if n.Leaf != nil && !n.Key.Range.IsLeaf() {
-		return nil, fmt.Errorf("meta: leaf payload on interior range %v", n.Key.Range)
-	}
-	if n.Leaf == nil && n.Key.Range.IsLeaf() {
-		return nil, fmt.Errorf("meta: interior payload on leaf range %v", n.Key.Range)
-	}
-	return &n, nil
+	return nil
 }

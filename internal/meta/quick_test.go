@@ -126,7 +126,7 @@ func TestQuickNodeEncodeDecode(t *testing.T) {
 			n.LeftVer = write
 			n.RightVer = sum
 		}
-		got, err := DecodeNode(n.Encode(), n.Key)
+		got, err := decodeOne(encodeOne(n), n.Key)
 		if err != nil {
 			return false
 		}

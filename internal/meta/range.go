@@ -13,10 +13,15 @@
 // of zero denotes the implicit all-zero subtree of the initial blob
 // state. Leaves record where the page bytes live (the owning write and
 // its replica providers).
+//
+// Nodes are stored packed: what a version creates inside one band of
+// BlockLevels levels under one ancestor is a single immutable block
+// (NodeRange.Block), so a descent pays per block crossed, not per level.
 package meta
 
 import (
 	"fmt"
+	"math/bits"
 
 	"blob/internal/wire"
 )
@@ -105,11 +110,44 @@ type NodeKey struct {
 	Range   NodeRange
 }
 
-// Hash maps the key onto the DHT key space; nodes of the same tree
-// disperse uniformly over the metadata providers.
+// Hash mixes the key's fields into one well-dispersed word: the client
+// cache's shard function, and through BlockKey.Hash the DHT key.
 func (k NodeKey) Hash() uint64 {
 	return wire.HashFields(k.Blob, k.Version, k.Range.Start, k.Range.Size)
 }
+
+// BlockLevels is how many tree levels are stored as one dht value: read
+// round trips against how much of a block a small write leaves empty
+// (docs/perf.md has the measurement behind 3). Part of the stored
+// layout, so a constant, not an option.
+const BlockLevels = 3
+
+// BlockKey names one stored block: the nodes Version created inside
+// Range. A type of its own, so that only a block name can become a dht
+// key — single nodes are never stored.
+type BlockKey NodeKey
+
+// Block returns the name of the block that stores a node of range r.
+// Heights (log2 Size) are cut into bands of BlockLevels counted from
+// the leaves, so the leaf bands — where a large tree misses the client
+// cache — are always full. A block holds what its version wrote of one
+// band under one ancestor of the band's top height and is named by that
+// ancestor's range, which in the top band may exceed the real root (and
+// is clamped at 2^63 pages): it is only a name.
+func (r NodeRange) Block() NodeRange {
+	top := min(bits.TrailingZeros64(r.Size)/BlockLevels*BlockLevels+BlockLevels-1, 63)
+	size := uint64(1) << top
+	return NodeRange{Start: r.Start &^ (size - 1), Size: size}
+}
+
+// Block returns the key of the block that stores node k.
+func (k NodeKey) Block() BlockKey {
+	return BlockKey{Blob: k.Blob, Version: k.Version, Range: k.Range.Block()}
+}
+
+// Hash maps the block onto the DHT key space; the blocks of one tree
+// disperse uniformly over the metadata providers.
+func (b BlockKey) Hash() uint64 { return NodeKey(b).Hash() }
 
 // RootKey returns the key of version v's root node.
 func RootKey(blob uint64, v Version, totalPages uint64) NodeKey {

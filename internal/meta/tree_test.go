@@ -227,8 +227,8 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 		Key:     NodeKey{Blob: 3, Version: 9, Range: NodeRange{8, 4}},
 		LeftVer: 9, RightVer: 2,
 	}
-	b := interior.Encode()
-	got, err := DecodeNode(b, interior.Key)
+	b := encodeOne(interior)
+	got, err := decodeOne(b, interior.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,8 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 			Write: 77, RelPage: 3, Providers: []uint32{2, 5}, Checksum: 0xfeed,
 		},
 	}
-	b = leaf.Encode()
-	got, err = DecodeNode(b, leaf.Key)
+	b = encodeOne(leaf)
+	got, err = decodeOne(b, leaf.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeNodeKeyMismatch(t *testing.T) {
 	n := Node{Key: NodeKey{Blob: 1, Version: 1, Range: NodeRange{0, 2}}}
-	b := n.Encode()
+	b := encodeOne(n)
 	wrong := NodeKey{Blob: 2, Version: 1, Range: NodeRange{0, 2}}
-	if _, err := DecodeNode(b, wrong); err == nil {
+	if _, err := decodeOne(b, wrong); err == nil {
 		t.Error("key mismatch not detected")
 	}
 }
@@ -268,15 +268,15 @@ func TestDecodeNodeShapeMismatch(t *testing.T) {
 		Key:  NodeKey{Blob: 1, Version: 1, Range: NodeRange{0, 1}},
 		Leaf: &LeafData{Write: 1},
 	}
-	b := n.Encode()
+	b := encodeOne(n)
 	// Craft a decode expectation with an interior range by re-encoding
 	// with a doctored key.
 	n2 := Node{Key: NodeKey{Blob: 1, Version: 1, Range: NodeRange{0, 2}}, Leaf: &LeafData{Write: 1}}
-	b2 := n2.Encode()
-	if _, err := DecodeNode(b2, n2.Key); err == nil {
+	b2 := encodeOne(n2)
+	if _, err := decodeOne(b2, n2.Key); err == nil {
 		t.Error("leaf payload on interior range not rejected")
 	}
-	if _, err := DecodeNode(b, n.Key); err != nil {
+	if _, err := decodeOne(b, n.Key); err != nil {
 		t.Errorf("valid leaf rejected: %v", err)
 	}
 }
@@ -348,7 +348,7 @@ func TestNodeStripeRefRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	got, err := DecodeNode(leaf.Encode(), leaf.Key)
+	got, err := decodeOne(encodeOne(leaf), leaf.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestNodeStripeRefRoundTrip(t *testing.T) {
 
 	// A ref whose slice lengths disagree with its geometry is rejected.
 	leaf.Leaf.Stripe.Provs = leaf.Leaf.Stripe.Provs[:5]
-	if _, err := DecodeNode(leaf.Encode(), leaf.Key); err == nil {
+	if _, err := decodeOne(encodeOne(leaf), leaf.Key); err == nil {
 		t.Error("short Provs slice not rejected")
 	}
 }

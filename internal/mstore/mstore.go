@@ -2,11 +2,14 @@
 // and retrieval of segment-tree nodes over the DHT, plus the level-batched
 // tree traversal a READ uses to resolve its segment to page locations.
 //
-// The traversal proceeds breadth-first: all node fetches of one tree
-// level are issued as a single batch (grouped per metadata provider by
-// the DHT client, coalesced into single frames by the RPC layer), so a
-// read of a segment of P pages costs O(log2 totalPages) round trips of
-// parallel requests rather than O(P log P) sequential lookups.
+// Nodes are stored packed, meta.BlockLevels tree levels of one version
+// per dht value (meta.EncodeBlock). The traversal proceeds breadth-first:
+// all block fetches of one step are issued as a single batch (grouped
+// per metadata provider by the DHT client, coalesced into single frames
+// by the RPC layer) and a fetched block serves every level it holds, so
+// a read of P pages costs about one round trip of parallel requests per
+// BlockLevels levels of each same-version run of its paths rather than
+// O(P log P) sequential lookups.
 package mstore
 
 import (
@@ -53,109 +56,133 @@ func New(kv *dht.Client, cacheNodes int) *Client {
 	return &Client{kv: kv, cache: newNodeCache(cacheNodes)}
 }
 
-// StoreNodes writes a batch of tree nodes to the metadata providers.
-// Nodes are also inserted into the local cache: a writer frequently
-// re-reads its own recent versions. The whole batch encodes into one
-// arena whose slices ride the scatter-gather MultiPut untouched; a
-// sealed arena slice stays valid even when later encodes grow the arena
-// into fresh memory.
+// StoreNodes writes a batch of tree nodes to the metadata providers,
+// grouped by block (meta.NodeKey.Block), one dht value each — so the
+// first-put-wins unit a dead writer and its repairer can tear is the
+// block. Nodes are also inserted into the local cache: a writer
+// frequently re-reads its own recent versions. The whole batch encodes
+// into one arena whose slices ride the scatter-gather MultiPut
+// untouched; a sealed arena slice stays valid even when later encodes
+// grow the arena into fresh memory.
 func (c *Client) StoreNodes(ctx context.Context, nodes []meta.Node) error {
 	ctx, op := trace.Start(ctx, "mstore.store")
-	op.Notef("%d nodes", len(nodes))
-	kvs := make([]dht.KV, len(nodes))
-	arena := wire.NewWriter(96 * len(nodes))
-	start := 0
+	blocks := make(map[meta.BlockKey][]meta.Node)
 	for i := range nodes {
-		nodes[i].EncodeTo(arena)
+		key := nodes[i].Key.Block()
+		blocks[key] = append(blocks[key], nodes[i])
+	}
+	op.Notef("%d nodes in %d blocks", len(nodes), len(blocks))
+	kvs := make([]dht.KV, 0, len(blocks))
+	arena := wire.NewWriter(96 * len(nodes))
+	for key, held := range blocks {
+		start := arena.Len()
+		meta.EncodeBlock(arena, key, held)
 		end := arena.Len()
-		kvs[i] = dht.KV{Key: nodes[i].Key.Hash(), Value: arena.Bytes()[start:end:end]}
-		start = end
+		kvs = append(kvs, dht.KV{Key: key.Hash(), Value: arena.Bytes()[start:end:end]})
 	}
 	err := c.kv.MultiPut(ctx, kvs)
 	op.EndErr(err)
 	if err != nil {
 		return fmt.Errorf("mstore: store %d nodes: %w", len(nodes), err)
 	}
-	for i := range nodes {
-		n := nodes[i]
-		c.cache.put(n.Key, &n)
+	for _, held := range blocks {
+		for i := range held {
+			c.cache.put(held[i].Key, &held[i])
+		}
 	}
 	return nil
 }
 
-// FetchNode retrieves a single node.
+// FetchNode retrieves a single node: the one-key case of FetchNodes.
 func (c *Client) FetchNode(ctx context.Context, key meta.NodeKey) (*meta.Node, error) {
-	if n, ok := c.cache.get(key); ok {
-		return n, nil
-	}
-	ctx, op := trace.Start(ctx, "mstore.fetch")
-	body, err := c.kv.Get(ctx, key.Hash())
-	op.EndErr(err)
-	if err != nil {
-		if errors.Is(err, dht.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %+v", ErrMissingNode, key)
-		}
-		return nil, err
-	}
-	if c.ProcessDelay > 0 {
-		time.Sleep(c.ProcessDelay)
-	}
-	n, err := meta.DecodeNode(body, key)
+	nodes, err := c.FetchNodes(ctx, []meta.NodeKey{key})
 	if err != nil {
 		return nil, err
 	}
-	c.cache.put(key, n)
-	return n, nil
+	return nodes[key], nil
 }
 
 // FetchNodes retrieves a batch of nodes, serving what it can from the
-// cache and batching the rest per provider. Missing nodes yield
-// ErrMissingNode.
+// cache and fetching the blocks that hold the rest, each once, in one
+// MultiGet. A key whose block is absent, or does not hold it, yields
+// ErrMissingNode. The map also holds the fetched blocks' other nodes.
 func (c *Client) FetchNodes(ctx context.Context, keys []meta.NodeKey) (map[meta.NodeKey]*meta.Node, error) {
 	out := make(map[meta.NodeKey]*meta.Node, len(keys))
-	var missKeys []meta.NodeKey
-	var missHashes []uint64
+	return out, c.fetchInto(ctx, keys, out)
+}
+
+// fetchInto resolves keys into out, which doubles as the caller's memo:
+// a key already in it costs nothing, and every node of every fetched
+// block lands in it (and in the cache, a slot per node), so a traversal
+// keeping one map never fetches a block twice even with the cache off.
+func (c *Client) fetchInto(ctx context.Context, keys []meta.NodeKey, out map[meta.NodeKey]*meta.Node) error {
+	var miss []meta.NodeKey
+	var hashes []uint64
+	var blocks map[meta.BlockKey]uint64 // block to fetch → its dht key; made on the first miss
 	for _, k := range keys {
+		if _, ok := out[k]; ok {
+			continue
+		}
 		if n, ok := c.cache.get(k); ok {
 			out[k] = n
 			continue
 		}
-		missKeys = append(missKeys, k)
-		missHashes = append(missHashes, k.Hash())
+		miss = append(miss, k)
+		b := k.Block()
+		if _, dup := blocks[b]; !dup {
+			if blocks == nil {
+				blocks = make(map[meta.BlockKey]uint64)
+			}
+			blocks[b] = b.Hash()
+			hashes = append(hashes, blocks[b])
+		}
 	}
-	if len(missKeys) == 0 {
-		return out, nil
+	if len(miss) == 0 {
+		return nil
 	}
 	fctx, op := trace.Start(ctx, "mstore.fetch")
-	op.Notef("%d/%d cached", len(keys)-len(missKeys), len(keys))
-	got, err := c.kv.MultiGet(fctx, missHashes)
+	op.Notef("%d/%d cached, %d blocks", len(keys)-len(miss), len(keys), len(blocks))
+	got, err := c.kv.MultiGet(fctx, hashes)
 	op.EndErr(err)
 	if err != nil {
-		return nil, fmt.Errorf("mstore: fetch %d nodes: %w", len(missKeys), err)
+		return fmt.Errorf("mstore: fetch %d blocks: %w", len(blocks), err)
+	}
+	decoded := 0
+	for b, hash := range blocks {
+		body, ok := got[hash]
+		if !ok {
+			continue // its keys are reported missing below
+		}
+		nodes, err := meta.DecodeBlock(body, b)
+		if err != nil {
+			return err
+		}
+		decoded += len(nodes)
+		for j := range nodes {
+			n := &nodes[j]
+			c.cache.put(n.Key, n)
+			out[n.Key] = n
+		}
 	}
 	if c.ProcessDelay > 0 {
 		// One sleep for the whole batch: the per-node costs are
 		// sequential on the client CPU.
-		time.Sleep(time.Duration(len(missKeys)) * c.ProcessDelay)
+		time.Sleep(time.Duration(decoded) * c.ProcessDelay)
 	}
-	for i, k := range missKeys {
-		body, ok := got[missHashes[i]]
-		if !ok {
-			return nil, fmt.Errorf("%w: %+v", ErrMissingNode, k)
+	for _, k := range miss {
+		if out[k] == nil {
+			return fmt.Errorf("%w: %+v", ErrMissingNode, k)
 		}
-		n, err := meta.DecodeNode(body, k)
-		if err != nil {
-			return nil, err
-		}
-		c.cache.put(k, n)
-		out[k] = n
 	}
-	return out, nil
+	return nil
 }
 
-// DeleteNode removes a node from the providers and the local cache (GC).
-func (c *Client) DeleteNode(ctx context.Context, key meta.NodeKey) error {
-	c.cache.remove(key)
+// DeleteBlock removes one stored block from the providers and the
+// nodes it held — holds lists their ranges — from the local cache (GC).
+func (c *Client) DeleteBlock(ctx context.Context, key meta.BlockKey, holds []meta.NodeRange) error {
+	for _, r := range holds {
+		c.cache.remove(meta.NodeKey{Blob: key.Blob, Version: key.Version, Range: r})
+	}
 	return c.kv.Delete(ctx, key.Hash())
 }
 
@@ -207,10 +234,11 @@ func (c *Client) ReadPlan(ctx context.Context, blob uint64, v meta.Version, tota
 		return nil
 	}
 
+	// One memo for the whole descent: a block serves every level it holds.
+	nodes := make(map[meta.NodeKey]*meta.Node)
 	frontier := []meta.NodeKey{meta.RootKey(blob, v, totalPages)}
 	for len(frontier) > 0 {
-		nodes, err := c.FetchNodes(ctx, frontier)
-		if err != nil {
+		if err := c.fetchInto(ctx, frontier, nodes); err != nil {
 			return nil, err
 		}
 		var next []meta.NodeKey

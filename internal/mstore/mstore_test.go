@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 
 	"blob/internal/dht"
@@ -21,12 +22,22 @@ func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) 
 // newFabric starts n metadata providers and returns an mstore client.
 func newFabric(t testing.TB, n, cacheNodes int) *Client {
 	t.Helper()
+	c, _ := newFabricStores(t, n, cacheNodes)
+	return c
+}
+
+// newFabricStores is newFabric that also hands back the providers'
+// stores, for tests that count stored values and lookups.
+func newFabricStores(t testing.TB, n, cacheNodes int) (*Client, []*dht.Store) {
+	t.Helper()
 	fab := netsim.New(netsim.Fast())
 	t.Cleanup(fab.Close)
 	nodes := make([]dht.NodeInfo, n)
+	stores := make([]*dht.Store, n)
 	for i := 0; i < n; i++ {
 		srv := rpc.NewServer()
 		st := dht.NewStore()
+		stores[i] = st
 		st.RegisterHandlers(srv)
 		host := fab.Host(fmt.Sprintf("meta%d", i))
 		l, err := host.Listen("rpc")
@@ -40,13 +51,13 @@ func newFabric(t testing.TB, n, cacheNodes int) *Client {
 	pool := rpc.NewPool(hostDialer{fab.Host("cli")})
 	t.Cleanup(pool.Close)
 	kv := dht.NewClient(pool, dht.NewRing(nodes), 1)
-	return New(kv, cacheNodes)
+	return New(kv, cacheNodes), stores
 }
 
 // writeVersion runs the full write-side metadata pipeline against an
 // interval map, returning the built nodes.
 func writeVersion(t testing.TB, c *Client, ivm *meta.IntervalVersionMap, blob uint64,
-	v meta.Version, total uint64, wr meta.PageRange, writeID uint64) {
+	v meta.Version, total uint64, wr meta.PageRange, writeID uint64) []meta.Node {
 	t.Helper()
 	borders := meta.Borders(total, wr)
 	ivm.ResolveBorders(borders)
@@ -61,6 +72,7 @@ func writeVersion(t testing.TB, c *Client, ivm *meta.IntervalVersionMap, blob ui
 	if err := c.StoreNodes(context.Background(), nodes); err != nil {
 		t.Fatal(err)
 	}
+	return nodes
 }
 
 func TestStoreFetchRoundTrip(t *testing.T) {
@@ -273,19 +285,148 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestDeleteNodeRemovesEverywhere(t *testing.T) {
+func TestDeleteBlockRemovesEverywhere(t *testing.T) {
 	c := newFabric(t, 2, 1<<10)
 	ctx := context.Background()
-	n := meta.Node{
+	leaf := meta.Node{
 		Key:  meta.NodeKey{Blob: 1, Version: 1, Range: meta.NodeRange{Start: 3, Size: 1}},
 		Leaf: &meta.LeafData{Write: 9},
 	}
-	c.StoreNodes(ctx, []meta.Node{n})
-	if err := c.DeleteNode(ctx, n.Key); err != nil {
+	parent := meta.Node{Key: meta.NodeKey{Blob: 1, Version: 1, Range: meta.NodeRange{Start: 2, Size: 2}}, RightVer: 1}
+	if leaf.Key.Block() != parent.Key.Block() {
+		t.Fatal("test bug: the two nodes should share a block")
+	}
+	if err := c.StoreNodes(ctx, []meta.Node{parent, leaf}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FetchNode(ctx, n.Key); !errors.Is(err, ErrMissingNode) {
-		t.Errorf("node survived delete: %v", err)
+	if err := c.DeleteBlock(ctx, leaf.Key.Block(), []meta.NodeRange{parent.Key.Range, leaf.Key.Range}); err != nil {
+		t.Fatal(err)
+	}
+	// Gone from the providers and from this client's cache, both nodes.
+	for _, k := range []meta.NodeKey{leaf.Key, parent.Key} {
+		if _, err := c.FetchNode(ctx, k); !errors.Is(err, ErrMissingNode) {
+			t.Errorf("node %+v survived its block's delete: %v", k, err)
+		}
+	}
+}
+
+// TestFetchKeyNotInBlock: a block that exists but does not hold the
+// requested node is a missing node, not a decode error or a nil entry.
+func TestFetchKeyNotInBlock(t *testing.T) {
+	c := newFabric(t, 2, 0)
+	ctx := context.Background()
+	stored := meta.Node{
+		Key:  meta.NodeKey{Blob: 1, Version: 1, Range: meta.NodeRange{Start: 2, Size: 1}},
+		Leaf: &meta.LeafData{Write: 9, Providers: []uint32{1}},
+	}
+	if err := c.StoreNodes(ctx, []meta.Node{stored}); err != nil {
+		t.Fatal(err)
+	}
+	sibling := meta.NodeKey{Blob: 1, Version: 1, Range: meta.NodeRange{Start: 3, Size: 1}}
+	if sibling.Block() != stored.Key.Block() {
+		t.Fatal("test bug: sibling should share the stored node's block")
+	}
+	if n, err := c.FetchNode(ctx, sibling); !errors.Is(err, ErrMissingNode) {
+		t.Errorf("FetchNode of a node its block does not hold = %v, %v; want ErrMissingNode", n, err)
+	}
+	nodes, err := c.FetchNodes(ctx, []meta.NodeKey{stored.Key})
+	if err != nil || !reflect.DeepEqual(*nodes[stored.Key], stored) {
+		t.Errorf("stored node = %+v, %v", nodes[stored.Key], err)
+	}
+}
+
+// sumStores adds up one counter over the providers' stores.
+func sumStores(stores []*dht.Store, f func(*dht.Store) int64) int64 {
+	var n int64
+	for _, st := range stores {
+		n += f(st)
+	}
+	return n
+}
+
+// TestBlockLayoutProperties checks the one stored layout over random
+// write sets on blobs of 2^4..2^14 pages: what StoreNodes packed,
+// FetchNodes unpacks to identical nodes; the providers hold exactly the
+// number of values block geometry predicts; and, with the cache off, a
+// read plan looks each block its descent crosses up exactly once.
+func TestBlockLayoutProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ctx := context.Background()
+	for trial := 0; trial < 12; trial++ {
+		c, stores := newFabricStores(t, 3, 0)
+		total := uint64(1) << (4 + rng.Intn(11))
+		if trial == 0 {
+			total = 1 << 14
+		}
+		const blob = 6
+		ivm, _ := meta.NewIntervalVersionMap(total)
+		wantBlocks := 0
+		var all []meta.Node
+		writes := 1 + rng.Intn(6)
+		for v := meta.Version(1); v <= meta.Version(writes); v++ {
+			first := uint64(rng.Intn(int(total)))
+			count := uint64(rng.Intn(int(min(total-first, 1+total>>uint(rng.Intn(5)))))) + 1
+			wr := meta.PageRange{First: first, Count: count}
+			all = append(all, writeVersion(t, c, ivm, blob, v, total, wr, 100+uint64(v))...)
+			blocks := map[meta.NodeRange]bool{}
+			for _, r := range meta.WriteSet(total, wr) {
+				blocks[r.Block()] = true
+			}
+			wantBlocks += len(blocks)
+		}
+		if got := sumStores(stores, func(s *dht.Store) int64 { return int64(s.Len()) }); got != int64(wantBlocks) {
+			t.Fatalf("trial %d (%d pages): %d stored values for %d nodes, geometry predicts %d blocks",
+				trial, total, got, len(all), wantBlocks)
+		}
+
+		keys := make([]meta.NodeKey, len(all))
+		for i := range all {
+			keys[i] = all[i].Key
+		}
+		got, err := c.FetchNodes(ctx, keys)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for i := range all {
+			if !reflect.DeepEqual(*got[keys[i]], all[i]) {
+				t.Fatalf("trial %d: node %+v fetched as %+v", trial, all[i], got[keys[i]])
+			}
+		}
+
+		// The descent of a random read, replayed node by node, names the
+		// blocks it must cross; the plan may look up no more than those.
+		v := meta.Version(1 + rng.Intn(writes))
+		first := uint64(rng.Intn(int(total)))
+		pr := meta.PageRange{First: first, Count: uint64(rng.Intn(int(min(total-first, 64)))) + 1}
+		crossed := map[meta.BlockKey]bool{}
+		var descend func(k meta.NodeKey)
+		descend = func(k meta.NodeKey) {
+			crossed[k.Block()] = true
+			n := got[k]
+			if n == nil {
+				t.Fatalf("trial %d: descent reached unwritten node %+v", trial, k)
+			}
+			if n.IsLeaf() {
+				return
+			}
+			l, r := k.Range.Children()
+			if pr.Intersects(l) && n.LeftVer != meta.ZeroVersion {
+				descend(meta.NodeKey{Blob: blob, Version: n.LeftVer, Range: l})
+			}
+			if pr.Intersects(r) && n.RightVer != meta.ZeroVersion {
+				descend(meta.NodeKey{Blob: blob, Version: n.RightVer, Range: r})
+			}
+		}
+		descend(meta.RootKey(blob, v, total))
+		gets := func() int64 { return sumStores(stores, func(s *dht.Store) int64 { return s.Gets.Value() }) }
+		before := gets()
+		if _, err := c.ReadPlan(ctx, blob, v, total, pr); err != nil {
+			t.Fatalf("trial %d: read plan v%d %v: %v", trial, v, pr, err)
+		}
+		if n := gets() - before; n != int64(len(crossed)) {
+			t.Fatalf("trial %d: read plan v%d %v of %d pages made %d dht lookups for %d distinct blocks",
+				trial, v, pr, total, n, len(crossed))
+		}
 	}
 }
 
@@ -298,6 +439,30 @@ func BenchmarkReadPlan128Pages(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.ReadPlan(ctx, 1, 1, total, meta.PageRange{First: 128, Count: 128}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadPlanSinglePageDeepTree is the fine-grain read's metadata
+// step: one page of a 2^14-page tree patched page by page, through a
+// cache far smaller than the tree, so most descents fetch their lower
+// blocks.
+func BenchmarkReadPlanSinglePageDeepTree(b *testing.B) {
+	c := newFabric(b, 3, 256)
+	const total = 1 << 14
+	rng := rand.New(rand.NewSource(3))
+	ivm, _ := meta.NewIntervalVersionMap(total)
+	v := meta.Version(1)
+	writeVersion(b, c, ivm, 1, v, total, meta.PageRange{First: 0, Count: total}, 9)
+	for ; v < 64; v++ {
+		writeVersion(b, c, ivm, 1, v+1, total, meta.PageRange{First: uint64(rng.Intn(total)), Count: 1}, 10+uint64(v))
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ReadPlan(ctx, 1, v, total, meta.PageRange{First: uint64(rng.Intn(total)), Count: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,12 +3,15 @@ package repair_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"blob/internal/cluster"
 	"blob/internal/core"
 	"blob/internal/gc"
+	"blob/internal/mstore"
 	"blob/internal/repair"
 )
 
@@ -236,6 +239,48 @@ func TestRepairToleratesCollectedVersions(t *testing.T) {
 	// Only v2's 4 pages remain live; both replicas must exist again.
 	if got := cl.TotalDataPages(); got != 8 {
 		t.Fatalf("pages after GC+repair = %d, want 8", got)
+	}
+}
+
+// TestRepairFailsOnMetadataOutageMidWalk: the walk back through older
+// versions stops quietly only at a version whose metadata is really
+// gone (collected). Metadata providers that cannot be reached are not
+// that: the pass must fail rather than report on the versions it got
+// through before the outage.
+func TestRepairFailsOnMetadataOutageMidWalk(t *testing.T) {
+	cl, writer1 := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 2, DataReplicas: 2, CacheNodes: 1 << 10})
+	ctx := context.Background()
+	b1, err := writer1.CreateBlob(ctx, pageSize, 64*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b1.Write(ctx, pattern(1, 4*pageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	// A second client writes v2 over the same pages: its node cache now
+	// holds all of v2's tree and nothing of v1's, so the walk resolves
+	// the latest version without the providers and needs them for v1.
+	c, err := cl.NewClient(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b2, err := c.OpenBlob(ctx, b1.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b2.Write(ctx, pattern(2, 4*pageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range cl.MetaServers {
+		srv.Close()
+	}
+	rep, err := repair.New(c).RepairBlob(ctx, b1.ID())
+	if err == nil {
+		t.Fatalf("repair pass over unreachable metadata succeeded (truncated walk): %+v", rep)
+	}
+	if errors.Is(err, mstore.ErrMissingNode) || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("err = %v; want v1's fetch failure, not missing metadata", err)
 	}
 }
 

@@ -161,3 +161,137 @@ func TestStalledClientIsCut(t *testing.T) {
 		t.Fatal("stalled connection was not cut within 2s")
 	}
 }
+
+// TestLazyDeadlineContext drives the handler context a budgeted request
+// gets (deadlineCtx) through real calls. The budget rides on the ctx
+// given to Go and the caller waits without one, so every expiry seen
+// here is the server's.
+func TestLazyDeadlineContext(t *testing.T) {
+	n := netsim.New(netsim.Fast())
+	defer n.Close()
+	s := NewServer()
+	const (
+		mSelect = iota + 1 // blocks on ctx.Done()
+		mChild             // blocks on a context.WithCancel child
+		mPoll              // never asks for Done: sleeps past the budget, reads Err
+		mQuick             // returns at once, handing its ctx to the test
+	)
+	s.Handle(mSelect, func(ctx context.Context, _ []byte) ([]byte, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(5 * time.Second):
+			return []byte("never woke"), nil
+		}
+	})
+	s.Handle(mChild, func(ctx context.Context, _ []byte) ([]byte, error) {
+		child, cancel := context.WithCancel(ctx)
+		defer cancel()
+		select {
+		case <-child.Done():
+			return nil, context.Cause(child)
+		case <-time.After(5 * time.Second):
+			return []byte("child never cancelled"), nil
+		}
+	})
+	s.Handle(mPoll, func(ctx context.Context, _ []byte) ([]byte, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, errors.New("expired on arrival")
+		}
+		dl, _ := ctx.Deadline()
+		time.Sleep(time.Until(dl) + 5*time.Millisecond)
+		return nil, ctx.Err()
+	})
+	leaked := make(chan context.Context, 1)
+	s.Handle(mQuick, func(ctx context.Context, _ []byte) ([]byte, error) {
+		leaked <- ctx
+		return nil, nil
+	})
+	l, err := n.Host("srv").Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(l)
+	defer s.Close()
+	c := dialTest(t, n, "srv:rpc")
+
+	// Each blocking shape wakes at expiry and maps to statusExpired:
+	// the caller sees context.DeadlineExceeded, not a ServerError.
+	for _, m := range []uint32{mSelect, mChild, mPoll} {
+		expired := M.CallsExpired.Value()
+		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+		start := time.Now()
+		resp, err := c.Go(ctx, m, nil).Wait(context.Background())
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || IsServerError(err) {
+			t.Errorf("method %d: resp %q, err %v; want context.DeadlineExceeded from the server", m, resp, err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Errorf("method %d: woke after %v", m, el)
+		}
+		if got := M.CallsExpired.Value() - expired; got != 1 {
+			t.Errorf("method %d: CallsExpired moved by %d, want 1", m, got)
+		}
+	}
+
+	// A handler that returns in time leaves no armed context behind: it
+	// is stopped like a cancelled WithDeadline, well before its budget.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := c.Call(ctx, mQuick, nil); err != nil {
+		t.Fatal(err)
+	}
+	hctx := <-leaked
+	select {
+	case <-hctx.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler context still live after the handler returned")
+	}
+	if err := hctx.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("returned handler's ctx.Err() = %v, want Canceled", err)
+	}
+}
+
+// TestLazyDeadlineContextUnit pins the type's own contract: the
+// deadline is min(parent, budget), nothing is armed until Done is
+// asked for, and parent cancellation still reaches it.
+func TestLazyDeadlineContextUnit(t *testing.T) {
+	parent, cancelParent := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancelParent()
+	far := withLazyDeadline(parent, time.Now().Add(2*time.Hour))
+	if dl, ok := far.Deadline(); !ok || time.Until(dl) > time.Hour {
+		t.Errorf("deadline %v beyond the parent's", dl)
+	}
+	if err := far.Err(); err != nil || far.timer != nil || far.done != nil {
+		t.Errorf("Deadline/Err armed the context: err %v timer %v", err, far.timer)
+	}
+	done := far.Done()
+	if far.timer == nil {
+		t.Error("Done did not arm the timer")
+	}
+	cancelParent()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("parent cancellation did not reach the lazy context")
+	}
+	if err := far.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Err after parent cancel = %v", err)
+	}
+	far.finish(context.Canceled) // idempotent
+
+	// Past its deadline with Done never asked for: Err still says so,
+	// and a late Done is born closed.
+	late := withLazyDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	if err := late.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Err past the deadline = %v", err)
+	}
+	select {
+	case <-late.Done():
+	default:
+		t.Error("Done of an expired context is open")
+	}
+	if late.timer != nil {
+		t.Error("expired context armed a timer")
+	}
+}

@@ -422,9 +422,9 @@ func (s *Server) serveConn(conn net.Conn) {
 					}
 					return
 				}
-				var cancel context.CancelFunc
-				hctx, cancel = context.WithDeadline(hctx, deadline)
-				defer cancel()
+				dctx := withLazyDeadline(hctx, deadline)
+				defer dctx.finish(context.Canceled)
+				hctx = dctx
 			}
 			var start time.Time
 			if metrics != nil {

@@ -27,12 +27,15 @@ import (
 //     each page and copies its location. Pages never written resolve to
 //     the zero page (LeafData.Write == 0 — readers zero-fill).
 //
-// Because the metadata store is write-once (first value wins), any nodes
-// the dead writer did manage to store are kept; the repairer's copies
-// fill only the holes. The published content of an aborted version is
-// therefore the previous snapshot with a possibly-partial application of
-// the failed write — torn-write-on-crash semantics; every successfully
-// committed write remains atomic.
+// Because the metadata store is write-once (first value wins) and its
+// values are packed blocks of nodes (meta.NodeRange.Block), any block
+// the dead writer did manage to store is kept whole; the repairer's
+// blocks fill only the holes. Interior nodes are the same from either
+// (both build from the same border set), leaves are the dead writer's
+// or the previous snapshot's, block by block. The published content of
+// an aborted version is therefore the previous snapshot with a
+// possibly-partial application of the failed write — torn-write-on-crash
+// semantics; every successfully committed write remains atomic.
 
 // repairLoop periodically scans for expired pending writes.
 func (m *Manager) repairLoop() {

@@ -10,6 +10,7 @@ import (
 
 	"blob/internal/erasure"
 	"blob/internal/meta"
+	"blob/internal/wire"
 )
 
 const (
@@ -320,33 +321,48 @@ func TestCommitIdempotentAfterPublish(t *testing.T) {
 	}
 }
 
-// fakeStore is an in-memory NodeStore for repair tests.
+// fakeStore is an in-memory NodeStore for repair tests. Like the real
+// one it stores packed blocks, first put wins: whichever of a dead
+// writer and its repairer stores a block first owns all of it.
 type fakeStore struct {
-	mu    sync.Mutex
-	nodes map[meta.NodeKey][]byte
+	mu     sync.Mutex
+	blocks map[meta.BlockKey][]byte
 }
 
 func newFakeStore() *fakeStore {
-	return &fakeStore{nodes: make(map[meta.NodeKey][]byte)}
+	return &fakeStore{blocks: make(map[meta.BlockKey][]byte)}
 }
 
 func (f *fakeStore) FetchNode(_ context.Context, key meta.NodeKey) (*meta.Node, error) {
 	f.mu.Lock()
-	body, ok := f.nodes[key]
+	body, ok := f.blocks[key.Block()]
 	f.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("fakeStore: missing %+v", key)
+	if ok {
+		nodes, err := meta.DecodeBlock(body, key.Block())
+		if err != nil {
+			return nil, err
+		}
+		for i := range nodes {
+			if nodes[i].Key == key {
+				return &nodes[i], nil
+			}
+		}
 	}
-	return meta.DecodeNode(body, key)
+	return nil, fmt.Errorf("fakeStore: missing %+v", key)
 }
 
 func (f *fakeStore) StoreNodes(_ context.Context, nodes []meta.Node) error {
+	byBlock := make(map[meta.BlockKey][]meta.Node)
+	for _, n := range nodes {
+		byBlock[n.Key.Block()] = append(byBlock[n.Key.Block()], n)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := range nodes {
-		k := nodes[i].Key
-		if _, dup := f.nodes[k]; !dup { // write-once
-			f.nodes[k] = nodes[i].Encode()
+	for k, ns := range byBlock {
+		if _, dup := f.blocks[k]; !dup { // write-once
+			w := wire.NewWriter(64 * len(ns))
+			meta.EncodeBlock(w, k, ns)
+			f.blocks[k] = w.Bytes()
 		}
 	}
 	return nil

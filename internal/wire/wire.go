@@ -26,6 +26,10 @@ var (
 	ErrShort = errors.New("wire: buffer too short")
 	// ErrOverflow reports a varint that does not fit the target width.
 	ErrOverflow = errors.New("wire: varint overflows")
+	// ErrPadded reports a varint with a redundant trailing zero group.
+	// Writers never produce one, so every accepted message has exactly
+	// one encoding and a decoder's output re-encodes byte-identically.
+	ErrPadded = errors.New("wire: varint not minimally encoded")
 	// ErrTooLarge reports a length prefix exceeding the configured limit.
 	ErrTooLarge = errors.New("wire: length prefix exceeds limit")
 )
@@ -229,6 +233,10 @@ func (r *Reader) Uvarint() uint64 {
 		r.fail(ErrOverflow)
 		return 0
 	}
+	if n > 1 && r.buf[r.off+n-1] == 0 {
+		r.fail(ErrPadded)
+		return 0
+	}
 	r.off += n
 	return v
 }
@@ -245,6 +253,10 @@ func (r *Reader) Varint() int64 {
 	}
 	if n < 0 {
 		r.fail(ErrOverflow)
+		return 0
+	}
+	if n > 1 && r.buf[r.off+n-1] == 0 {
+		r.fail(ErrPadded)
 		return 0
 	}
 	r.off += n
@@ -318,7 +330,7 @@ func (r *Reader) Uint64Slice() []uint64 {
 	if r.err != nil {
 		return nil
 	}
-	if n*8 > uint64(r.Remaining()) {
+	if n > uint64(r.Remaining())/8 { // not n*8 > remaining: that wraps
 		r.fail(ErrShort)
 		return nil
 	}
@@ -338,7 +350,7 @@ func (r *Reader) Uint32Slice() []uint32 {
 	if r.err != nil {
 		return nil
 	}
-	if n*4 > uint64(r.Remaining()) {
+	if n > uint64(r.Remaining())/4 {
 		r.fail(ErrShort)
 		return nil
 	}

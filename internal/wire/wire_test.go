@@ -181,6 +181,34 @@ func TestSliceCountBeyondBuffer(t *testing.T) {
 	if r.Err() == nil {
 		t.Fatal("expected error for oversized count")
 	}
+	// Counts whose byte size wraps uint64 must fail the same way, not
+	// reach make() with an absurd length.
+	for _, n := range []uint64{1 << 61, 1 << 62, 1 << 63} {
+		w.Reset()
+		w.Uvarint(n)
+		if r := NewReader(w.Bytes()); r.Uint64Slice() != nil || r.Err() != ErrShort {
+			t.Errorf("Uint64Slice count %#x: err = %v, want ErrShort", n, r.Err())
+		}
+		if r := NewReader(w.Bytes()); r.Uint32Slice() != nil || r.Err() != ErrShort {
+			t.Errorf("Uint32Slice count %#x: err = %v, want ErrShort", n, r.Err())
+		}
+	}
+}
+
+func TestPaddedVarintRejected(t *testing.T) {
+	// 0x80 0x00 is zero with a redundant group: writers never emit it,
+	// and accepting it would give one value two encodings.
+	for _, p := range [][]byte{{0x80, 0x00}, {0xff, 0x80, 0x00}} {
+		if r := NewReader(p); r.Uvarint() != 0 || r.Err() != ErrPadded {
+			t.Errorf("Uvarint(%x): err = %v, want ErrPadded", p, r.Err())
+		}
+		if r := NewReader(p); r.Varint() != 0 || r.Err() != ErrPadded {
+			t.Errorf("Varint(%x): err = %v, want ErrPadded", p, r.Err())
+		}
+	}
+	if r := NewReader([]byte{0x80, 0x01}); r.Uvarint() != 128 || r.Err() != nil {
+		t.Errorf("minimal two-byte varint rejected: %v", r.Err())
+	}
 }
 
 func TestBytesCopyDoesNotAlias(t *testing.T) {
