@@ -295,10 +295,19 @@ func main() {
 				Addr string `json:"addr"`
 				provider.Stats
 			}
+			type metaWithStats struct {
+				Addr string `json:"addr"`
+				dht.StoreStats
+			}
 			doc := struct {
 				Redundancy string          `json:"redundancy"`
 				Providers  []provWithStats `json:"providers"`
+				Metadata   []metaWithStats `json:"metadata"`
 			}{Redundancy: client.ClusterRedundancy().String()}
+			metas, addrs := metaStats(ctx, client)
+			for _, addr := range addrs {
+				doc.Metadata = append(doc.Metadata, metaWithStats{Addr: addr, StoreStats: metas[addr]})
+			}
 			failed := 0
 			for _, p := range provs {
 				resp, err := client.Pool().Call(ctx, p.Addr, provider.MStats, nil)
@@ -372,6 +381,24 @@ func main() {
 		if failed > 0 {
 			log.Fatalf("stats incomplete: %d of %d providers did not answer", failed, len(provs))
 		}
+		// Metadata providers: what they hold, and whether the blocks
+		// they send ahead of being asked (extras) are worth their bytes —
+		// served against used by readers, and responses cut at the cap.
+		// A reader reports what it used to whichever provider it asks
+		// next, so served against used compares on the total row only.
+		metas, addrs := metaStats(ctx, client)
+		const row = "%-22s %10d %12d %10d %12d %10d %10d %10d %7d\n"
+		fmt.Printf("\n%-22s %10s %12s %10s %12s %10s %10s %10s %7s\n",
+			"metadata addr", "blocks", "bytes", "puts", "gets", "misses", "extras", "used", "caphit")
+		var sum dht.StoreStats
+		for _, addr := range addrs {
+			st := metas[addr]
+			fmt.Printf(row, addr, st.Entries, st.Bytes, st.Puts, st.Gets, st.Misses,
+				st.FollowServed, st.FollowUsed, st.FollowCapHits)
+			sum.Add(st)
+		}
+		fmt.Printf(row, "total", sum.Entries, sum.Bytes, sum.Puts, sum.Gets, sum.Misses,
+			sum.FollowServed, sum.FollowUsed, sum.FollowCapHits)
 
 	case "vmstatus":
 		// Per-replica view of the version plane: role, term and log
@@ -501,6 +528,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown command %q\n", cmd)
 		os.Exit(2)
 	}
+}
+
+// metaStats fetches every metadata provider's statistics; a store that
+// cannot be queried fails the command, as a data provider does.
+func metaStats(ctx context.Context, client *blob.Client) (map[string]dht.StoreStats, []string) {
+	metas, err := client.Meta().StoreStats(ctx)
+	if err != nil {
+		log.Fatalf("metadata provider stats: %v", err)
+	}
+	addrs := make([]string, 0, len(metas))
+	for a := range metas {
+		addrs = append(addrs, a)
+	}
+	sort.Strings(addrs)
+	return metas, addrs
 }
 
 // gatherTrace reassembles one trace: it sweeps every node's span ring

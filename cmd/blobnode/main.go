@@ -395,7 +395,9 @@ func main() {
 				log.Fatal("metadata role needs -pm (directory address)")
 			}
 			st := dht.NewStore()
+			st.Follow = mstore.FollowBlock
 			st.RegisterHandlers(srv)
+			st.RegisterMetrics(reg)
 			id, err := dht.RegisterWith(ctx, pool, *pmAddr, adv)
 			if err != nil {
 				log.Fatalf("metadata: register with %s: %v", *pmAddr, err)

@@ -55,8 +55,8 @@ func AblateBatching(providers int, segPages uint64, sc Scale) ([]AblationPoint, 
 	}
 	batched /= time.Duration(sc.Iterations)
 
-	// Unbatched: one Put RPC per tree node through the raw DHT client
-	// (same nodes, same keys — re-put is idempotent, so timing the
+	// Unbatched: one single-entry MultiPut per tree node through the raw
+	// DHT client (same nodes, same keys — re-put is idempotent, so timing the
 	// duplicate-put path still pays one full network+backend round per
 	// node, which is what the ablation isolates).
 	kv, err := dht.NewDirectoryClient(ctx, c.Pool(), cl.DirAddr, 1)
@@ -75,7 +75,7 @@ func AblateBatching(providers int, segPages uint64, sc Scale) ([]AblationPoint, 
 		t0 := time.Now()
 		for j := uint64(0); j < segPages; j++ {
 			key := uint64(i)*segPages + j
-			if err := kv.Put(ctx, key|1<<60, []byte("ablate")); err != nil {
+			if err := kv.MultiPut(ctx, []dht.KV{{Key: key | 1<<60, Value: []byte("ablate")}}); err != nil {
 				return nil, err
 			}
 		}

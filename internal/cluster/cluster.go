@@ -559,6 +559,7 @@ func Launch(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.MetaProviders; i++ {
 		st := dht.NewStore()
 		st.PutDelay = cfg.MetaPutDelay
+		st.Follow = mstore.FollowBlock
 		c.MetaStores = append(c.MetaStores, st)
 		addr, err := serve(c.fab.Host(metaHost(i)), "meta", st.RegisterHandlers)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"blob/internal/cluster"
 	"blob/internal/core"
+	"blob/internal/dht"
 	"blob/internal/meta"
 )
 
@@ -481,6 +482,57 @@ func TestMetadataReplicationSurvivesMetaCrash(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("data mismatch after metadata failover")
+	}
+}
+
+// TestMetadataReadRepairRestoresWipedStore: with metadata replicated
+// twice, a read that finds a block gone from its primary is served by
+// the secondary — and the batched fetch re-puts the block where it was
+// answered "not found", so the block is back on the wiped store.
+func TestMetadataReadRepairRestoresWipedStore(t *testing.T) {
+	cl, c := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 3, MetaReplicas: 2, CacheNodes: 0})
+	ctx := context.Background()
+	b, _ := c.CreateBlob(ctx, pageSize, 16*pageSize)
+	data := pattern(9, 4*pageSize)
+	v, err := b.Write(ctx, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The descent asks for the root's block by key. Find its primary and
+	// wipe every block of the write off it.
+	root := meta.RootKey(b.ID(), v, 16).Block().Hash()
+	_, members := cl.Dir.Members()
+	prim, ok := dht.NewRing(members).Primary(root)
+	if !ok {
+		t.Fatal("no metadata members")
+	}
+	victim := cl.MetaStores[prim.ID-1] // the directory hands out ids 1..n in registration order
+	wiped := 0
+	for _, r := range meta.WriteSet(16, meta.PageRange{First: 0, Count: 4}) {
+		if victim.Delete(meta.NodeKey{Blob: b.ID(), Version: v, Range: r}.Block().Hash()) {
+			wiped++
+		}
+	}
+	if _, held := victim.Get(root); held || wiped == 0 {
+		t.Fatalf("test bug: wiped %d blocks, root block still held: %v", wiped, held)
+	}
+
+	got := make([]byte, 4*pageSize)
+	if _, err := b.Read(ctx, got, 0, v); err != nil {
+		t.Fatalf("read after the primary lost its metadata: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("data mismatch after metadata failover")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for { // the re-put is asynchronous
+		if _, held := victim.Get(root); held {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the root block did not come back to the wiped primary")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -14,9 +14,6 @@ import (
 	"blob/internal/wire"
 )
 
-// ErrNotFound is returned by Get when no replica holds the key.
-var ErrNotFound = errors.New("dht: key not found")
-
 // ErrNoNodes is returned when the ring is empty.
 var ErrNoNodes = errors.New("dht: no storage nodes")
 
@@ -25,10 +22,11 @@ var ErrNoNodes = errors.New("dht: no storage nodes")
 // directory at any time; in-flight operations keep using the view they
 // started with (immutable snapshots).
 //
-// Reads self-heal: when a Get is served by a non-primary replica, the
-// value is asynchronously re-put to the replicas ahead of it. Write-once
-// semantics make this unconditionally safe, and it restores full
-// replication after a node loss or a partially failed MultiPut.
+// Reads self-heal: when a MultiGet finds a key on a later replica after
+// earlier ones answered "not found", the value is asynchronously re-put
+// to those. Write-once semantics make this unconditionally safe, and it
+// restores full replication after a node loss or a partially failed
+// MultiPut.
 type Client struct {
 	pool     *rpc.Pool
 	dirAddr  string
@@ -131,78 +129,6 @@ func (c *Client) Ring() *Ring {
 // Replicas returns the configured replication factor.
 func (c *Client) Replicas() int { return c.replicas }
 
-// Put stores value under key on all replicas. It succeeds if at least one
-// replica acknowledged; replica failures beyond that are tolerated
-// because values are write-once and repairable by re-put.
-func (c *Client) Put(ctx context.Context, key uint64, value []byte) error {
-	reps := c.ringOrRefresh(ctx).ReplicasFor(key, c.replicas)
-	if len(reps) == 0 {
-		return ErrNoNodes
-	}
-	w := wire.NewWriter(len(value) + 16)
-	w.Uint64(key)
-	w.BytesField(value)
-	segs := [][]byte{w.Bytes()}
-
-	pend := make([]*rpc.Pending, len(reps))
-	for i, rep := range reps {
-		pend[i] = c.pool.Go(ctx, rep.Addr, MPut, segs)
-	}
-	var firstErr error
-	acked := 0
-	for _, p := range pend {
-		if _, err := p.Wait(ctx); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		acked++
-	}
-	if acked == 0 {
-		return fmt.Errorf("dht: put failed on all %d replicas: %w", len(reps), firstErr)
-	}
-	return nil
-}
-
-// Get fetches the value for key, trying replicas in preference order.
-func (c *Client) Get(ctx context.Context, key uint64) ([]byte, error) {
-	reps := c.ringOrRefresh(ctx).ReplicasFor(key, c.replicas)
-	if len(reps) == 0 {
-		return nil, ErrNoNodes
-	}
-	w := wire.NewWriter(8)
-	w.Uint64(key)
-	body := w.Bytes()
-	var lastErr error = ErrNotFound
-	for tier, rep := range reps {
-		var v []byte
-		found := false
-		// CallWith releases the pooled response: no 4 KiB buffer per answer.
-		err := c.pool.CallWith(ctx, rep.Addr, MGet, body, func(resp []byte) error {
-			r := wire.NewReader(resp)
-			if found = r.Bool(); found {
-				v = r.BytesCopy()
-			}
-			return r.Err()
-		})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if found {
-			if tier > 0 {
-				c.readRepair(ctx, key, v, reps[:tier])
-			}
-			return v, nil
-		}
-	}
-	if lastErr == ErrNotFound {
-		return nil, ErrNotFound
-	}
-	return nil, fmt.Errorf("dht: get %#x: %w", key, lastErr)
-}
-
 // Delete removes key from all replicas (best effort).
 func (c *Client) Delete(ctx context.Context, key uint64) error {
 	reps := c.ringOrRefresh(ctx).ReplicasFor(key, c.replicas)
@@ -219,20 +145,6 @@ func (c *Client) Delete(ctx context.Context, key uint64) error {
 		}
 	}
 	return firstErr
-}
-
-// readRepair re-puts a value onto the replicas that missed it,
-// asynchronously and best-effort, under the trace and remaining budget
-// of the Get that found the gap.
-func (c *Client) readRepair(ctx context.Context, key uint64, value []byte, missed []NodeInfo) {
-	w := wire.NewWriter(len(value) + 16)
-	w.Uint64(key)
-	w.BytesField(value)
-	segs := [][]byte{w.Bytes()}
-	for _, rep := range missed {
-		c.pool.Go(ctx, rep.Addr, MPut, segs)
-	}
-	c.ReadRepairs.Inc()
 }
 
 // KV is one key/value pair for batched puts.
@@ -314,13 +226,18 @@ func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
 // not ask" must never read as "absent" (mstore's ErrMissingNode, which
 // the repair agent takes to mean "garbage collected").
 //
+// hint rides every request. Stores with a follow hook answer a hint that
+// carries a range with extras — values nobody asked for yet, under their
+// own keys in the result — which the caller must treat as unverified
+// until it has derived their keys itself.
+//
 // Each tier is one wave dispatched from the calling goroutine and
 // collected in order, as MultiPut does, values copied out of the pooled
 // response before its release. Wave calls bypass the pool's retry and
 // breaker admission: outcomes go back through Observe, and a node whose
 // breaker is open or whose wave call broke in transport is (re-)asked
 // through CallWith before its keys count as missed on that tier.
-func (c *Client) MultiGet(ctx context.Context, keys []uint64) (map[uint64][]byte, error) {
+func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[uint64][]byte, error) {
 	out := make(map[uint64][]byte, len(keys))
 	if len(keys) == 0 {
 		return out, nil
@@ -334,7 +251,9 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64) (map[uint64][]byte
 		body []byte
 		pend *rpc.Pending // nil: breaker open at dispatch, CallWith applies its admission
 	}
-	var failed map[uint64]error // keys whose latest attempt ended in an error
+	var failed map[uint64]error    // keys whose latest attempt ended in an error
+	var absent map[uint64][]string // key → nodes that answered "not found" (replicas > 1 only)
+	var heal map[string][]KV       // node → values a later tier held and it did not
 	remaining := keys
 	var reps []NodeInfo
 	// Try replica tiers in order: tier 0 = primary, tier 1 = secondary...
@@ -354,8 +273,9 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64) (map[uint64][]byte
 		}
 		start := time.Now()
 		for addr, g := range groups {
-			w := wire.NewWriter(8*len(g.keys) + 4)
-			w.Uint64Slice(g.keys)
+			w := wire.NewWriter(8*len(g.keys) + 16)
+			appendMultiGetRequest(w, g.keys, hint)
+			hint.Used = 0 // reported once, to whichever node is asked first
 			g.body = w.Bytes()
 			if c.pool.Available(addr) {
 				g.pend = c.pool.Go(ctx, addr, MMultiGet, [][]byte{g.body})
@@ -366,19 +286,34 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64) (map[uint64][]byte
 			answered := false
 			decode := func(resp []byte) error {
 				answered = true
-				r := wire.NewReader(resp)
-				if n := r.Uvarint(); n != uint64(len(g.keys)) {
-					return fmt.Errorf("dht: multiget response count %d != %d", n, len(g.keys))
+				missed, err := decodeMultiGetResponse(resp, g.keys, out)
+				if err != nil {
+					return err
 				}
+				miss = append(miss, missed...)
 				for _, k := range g.keys {
-					if r.Bool() {
-						out[k] = r.BytesCopy()
-					} else {
-						miss = append(miss, k)
-					}
 					delete(failed, k)
+					if c.replicas == 1 {
+						continue
+					}
+					// missed is a subsequence of g.keys: walk the two together.
+					if len(missed) > 0 && missed[0] == k {
+						missed = missed[1:]
+						if absent == nil {
+							absent = make(map[uint64][]string)
+						}
+						absent[k] = append(absent[k], addr)
+						continue
+					}
+					for _, behind := range absent[k] {
+						if heal == nil {
+							heal = make(map[string][]KV)
+						}
+						heal[behind] = append(heal[behind], KV{Key: k, Value: out[k]})
+					}
+					delete(absent, k)
 				}
-				return r.Err()
+				return nil
 			}
 			var err error
 			reask := g.pend == nil
@@ -412,10 +347,28 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64) (map[uint64][]byte
 		}
 		remaining = miss
 	}
+	c.readRepair(ctx, heal)
 	for _, err := range failed {
 		return nil, fmt.Errorf("dht: multiget: %d of %d keys unresolved: %w", len(failed), len(keys), err)
 	}
 	return out, nil
+}
+
+// readRepair re-puts values onto the replicas that answered "not found"
+// for them, one MMultiPut per node, asynchronously and best-effort,
+// under the trace and remaining budget of the MultiGet that found the
+// gap. The values are the caller's result copies, which nothing mutates.
+func (c *Client) readRepair(ctx context.Context, heal map[string][]KV) {
+	for addr, kvs := range heal {
+		w := wire.NewWriter(16 * len(kvs))
+		w.Uvarint(uint64(len(kvs)))
+		for _, kv := range kvs {
+			w.Uint64(kv.Key)
+			w.BytesField(kv.Value)
+		}
+		c.pool.Go(ctx, addr, MMultiPut, [][]byte{w.Bytes()})
+		c.ReadRepairs.Add(int64(len(kvs)))
+	}
 }
 
 // Stats fetches storage statistics from every node in the ring.

@@ -198,6 +198,26 @@ func testFabric(t testing.TB, n int, replicas int) (*Client, []*Store, func()) {
 	return cli, stores, cleanup
 }
 
+// put1 and get1 are the one-key forms of MultiPut and MultiGet.
+func put1(cli *Client, key uint64, value []byte) error {
+	return cli.MultiPut(context.Background(), []KV{{Key: key, Value: value}})
+}
+
+func get1(cli *Client, key uint64) (value []byte, found bool, err error) {
+	got, err := cli.MultiGet(context.Background(), []uint64{key}, Hint{})
+	value, found = got[key]
+	return value, found, err
+}
+
+// wipe empties a store, as a node that restarts does.
+func wipe(s *Store) {
+	for sh := range s.shards {
+		s.shards[sh].mu.Lock()
+		s.shards[sh].m = make(map[uint64][]byte)
+		s.shards[sh].mu.Unlock()
+	}
+}
+
 type hostDialer struct{ h *netsim.Host }
 
 func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) }
@@ -205,18 +225,17 @@ func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) 
 func TestClientPutGetRoundTrip(t *testing.T) {
 	cli, _, cleanup := testFabric(t, 4, 1)
 	defer cleanup()
-	ctx := context.Background()
 	for i := uint64(0); i < 100; i++ {
 		key := wire.HashFields(i)
-		if err := cli.Put(ctx, key, []byte(fmt.Sprintf("value-%d", i))); err != nil {
+		if err := put1(cli, key, []byte(fmt.Sprintf("value-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < 100; i++ {
 		key := wire.HashFields(i)
-		v, err := cli.Get(ctx, key)
-		if err != nil {
-			t.Fatalf("get %d: %v", i, err)
+		v, found, err := get1(cli, key)
+		if err != nil || !found {
+			t.Fatalf("get %d: found %v, err %v", i, found, err)
 		}
 		if want := fmt.Sprintf("value-%d", i); string(v) != want {
 			t.Errorf("get %d = %q, want %q", i, v, want)
@@ -227,8 +246,9 @@ func TestClientPutGetRoundTrip(t *testing.T) {
 func TestClientGetMissing(t *testing.T) {
 	cli, _, cleanup := testFabric(t, 3, 2)
 	defer cleanup()
-	if _, err := cli.Get(context.Background(), 12345); !errors.Is(err, ErrNotFound) {
-		t.Errorf("err = %v, want ErrNotFound", err)
+	// Both replicas were asked and hold nothing: absent, not an error.
+	if v, found, err := get1(cli, 12345); found || err != nil {
+		t.Errorf("missing key = %q, found %v, err %v; want absent without error", v, found, err)
 	}
 }
 
@@ -246,7 +266,7 @@ func TestClientMultiPutMultiGet(t *testing.T) {
 	if err := cli.MultiPut(ctx, kvs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cli.MultiGet(ctx, keys)
+	got, err := cli.MultiGet(ctx, keys, Hint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +291,10 @@ func TestClientMultiGetPartialMiss(t *testing.T) {
 	cli, _, cleanup := testFabric(t, 3, 1)
 	defer cleanup()
 	ctx := context.Background()
-	if err := cli.Put(ctx, 111, []byte("here")); err != nil {
+	if err := put1(cli, 111, []byte("here")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cli.MultiGet(ctx, []uint64{111, 222})
+	got, err := cli.MultiGet(ctx, []uint64{111, 222}, Hint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,24 +309,19 @@ func TestClientMultiGetPartialMiss(t *testing.T) {
 func TestReplicationSurvivesNodeLoss(t *testing.T) {
 	cli, stores, cleanup := testFabric(t, 4, 2)
 	defer cleanup()
-	ctx := context.Background()
 	keys := make([]uint64, 200)
 	for i := range keys {
 		keys[i] = wire.HashFields(uint64(7000 + i))
-		if err := cli.Put(ctx, keys[i], []byte{byte(i)}); err != nil {
+		if err := put1(cli, keys[i], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Simulate loss of node 0 by wiping its store: replicas must cover.
-	for sh := range stores[0].shards {
-		stores[0].shards[sh].mu.Lock()
-		stores[0].shards[sh].m = make(map[uint64][]byte)
-		stores[0].shards[sh].mu.Unlock()
-	}
+	wipe(stores[0])
 	for i, k := range keys {
-		v, err := cli.Get(ctx, k)
-		if err != nil {
-			t.Fatalf("key %d unreadable after replica loss: %v", i, err)
+		v, found, err := get1(cli, k)
+		if err != nil || !found {
+			t.Fatalf("key %d unreadable after replica loss: found %v, err %v", i, found, err)
 		}
 		if v[0] != byte(i) {
 			t.Errorf("key %d value corrupted", i)
@@ -317,9 +332,8 @@ func TestReplicationSurvivesNodeLoss(t *testing.T) {
 func TestReadRepairHealsPrimary(t *testing.T) {
 	cli, stores, cleanup := testFabric(t, 3, 2)
 	defer cleanup()
-	ctx := context.Background()
 	key := wire.HashFields(4242)
-	if err := cli.Put(ctx, key, []byte("precious")); err != nil {
+	if err := put1(cli, key, []byte("precious")); err != nil {
 		t.Fatal(err)
 	}
 	// Find and wipe the primary replica's copy.
@@ -328,8 +342,8 @@ func TestReadRepairHealsPrimary(t *testing.T) {
 	if !primStore.Delete(key) {
 		t.Fatal("test bug: primary did not hold the key")
 	}
-	// Get succeeds from the secondary and triggers repair.
-	v, err := cli.Get(ctx, key)
+	// The fetch succeeds from the secondary and triggers repair.
+	v, _, err := get1(cli, key)
 	if err != nil || string(v) != "precious" {
 		t.Fatalf("get after primary loss: %q, %v", v, err)
 	}
@@ -362,17 +376,35 @@ func TestMultiGetFallbackTier(t *testing.T) {
 	if err := cli.MultiPut(ctx, kvs); err != nil {
 		t.Fatal(err)
 	}
-	for sh := range stores[1].shards {
-		stores[1].shards[sh].mu.Lock()
-		stores[1].shards[sh].m = make(map[uint64][]byte)
-		stores[1].shards[sh].mu.Unlock()
-	}
-	got, err := cli.MultiGet(ctx, keys)
+	wipe(stores[1])
+	got, err := cli.MultiGet(ctx, keys, Hint{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(keys) {
 		t.Errorf("MultiGet after node wipe returned %d/%d", len(got), len(keys))
+	}
+	// The batched fetch heals what it found missing: every key whose
+	// primary is the wiped node was answered "not found" there and served
+	// by the secondary, so it is re-put, one frame for the lot.
+	var lost []uint64
+	for _, k := range keys {
+		if prim, _ := cli.Ring().Primary(k); prim.ID == 2 { // stores[1]: ids are 1..n in registration order
+			lost = append(lost, k)
+		}
+	}
+	if len(lost) == 0 {
+		t.Fatal("test bug: the wiped node is nobody's primary")
+	}
+	if got := cli.ReadRepairs.Value(); got != int64(len(lost)) {
+		t.Errorf("ReadRepairs = %d, want %d", got, len(lost))
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for stores[1].Len() < len(lost) {
+		if time.Now().After(deadline) {
+			t.Fatalf("wiped primary holds %d of its %d keys again", stores[1].Len(), len(lost))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -385,16 +417,13 @@ func TestMultiGetUnreachableIsNotAbsent(t *testing.T) {
 	defer cleanup()
 	ctx := context.Background()
 	const key, gone = 4711, 4712
-	if err := cli.Put(ctx, key, []byte("v")); err != nil {
+	if err := put1(cli, key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 
-	// Every node unreachable: an error, as Get reports — not an empty map.
+	// Every node unreachable: an error — not an empty map.
 	dead := NewClient(cli.pool, NewRing([]NodeInfo{{ID: 1, Addr: "nowhere:rpc"}}), 1)
-	if _, err := dead.Get(ctx, key); err == nil || errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get on a dead ring: err = %v, want a dial error", err)
-	}
-	if got, err := dead.MultiGet(ctx, []uint64{key}); err == nil {
+	if got, err := dead.MultiGet(ctx, []uint64{key}, Hint{}); err == nil {
 		t.Fatalf("MultiGet on a dead ring = %d values, nil error; want the dial error", len(got))
 	}
 
@@ -407,7 +436,7 @@ func TestMultiGetUnreachableIsNotAbsent(t *testing.T) {
 	}
 	// Dead primary, live secondary: held keys resolve, and a key the
 	// secondary answers "not found" for is absent — it was asked.
-	got, err := withDead(0).MultiGet(ctx, []uint64{key, gone})
+	got, err := withDead(0).MultiGet(ctx, []uint64{key, gone}, Hint{})
 	if err != nil || string(got[key]) != "v" || len(got) != 1 {
 		t.Fatalf("dead primary: got %v, err %v; want the one held key", got, err)
 	}
@@ -417,7 +446,7 @@ func TestMultiGetUnreachableIsNotAbsent(t *testing.T) {
 		st.Delete(key)
 	}
 	stores[reps[1].ID-1].Put(key, []byte("v")) // held only where nobody can reach it
-	if got, err := withDead(1).MultiGet(ctx, []uint64{key}); err == nil {
+	if got, err := withDead(1).MultiGet(ctx, []uint64{key}, Hint{}); err == nil {
 		t.Fatalf("miss on primary + dead secondary = %v, nil error; want an error", got)
 	}
 }
@@ -467,11 +496,11 @@ func TestMultiGetReasksAfterTransportFailure(t *testing.T) {
 	defer pool.Close()
 	cli := NewClient(pool, NewRing([]NodeInfo{{ID: 1, Addr: "meta:rpc"}}), 1)
 	ctx := context.Background()
-	if err := cli.Put(ctx, 7, []byte("seven")); err != nil { // warms the connection
+	if err := put1(cli, 7, []byte("seven")); err != nil { // warms the connection
 		t.Fatal(err)
 	}
 	d.armed.Store(true)
-	got, err := cli.MultiGet(ctx, []uint64{7, 8})
+	got, err := cli.MultiGet(ctx, []uint64{7, 8}, Hint{})
 	if err != nil || string(got[7]) != "seven" || len(got) != 1 {
 		t.Fatalf("MultiGet over a connection that breaks = %v, %v; want the held key after a re-ask", got, err)
 	}
@@ -516,7 +545,9 @@ func TestStoreStatsRPC(t *testing.T) {
 	cli, _, cleanup := testFabric(t, 2, 1)
 	defer cleanup()
 	ctx := context.Background()
-	cli.Put(ctx, 5, []byte("abc"))
+	if err := put1(cli, 5, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
 	sts, err := cli.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)

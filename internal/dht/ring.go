@@ -5,8 +5,11 @@
 // directly to its replicas via consistent hashing. For a cluster-scale
 // deployment this matches how the paper's clients behave after lookup
 // caching — the measured costs are per-node storage and network, not
-// multi-hop routing — while keeping the same uniform dispersal of
-// metadata tree nodes across providers.
+// multi-hop routing — while keeping the same uniform dispersal of keys
+// across providers. Which values sit next to each other on the ring is
+// the key's business (meta.BlockKey.Hash places a subtree's blocks
+// together), and what a stored value leads to is a hook's
+// (Store.Follow): the package itself is a generic KV.
 //
 // Values are write-once: the first Put for a key wins and later Puts are
 // acknowledged without overwriting. The segment-tree metadata is

@@ -13,8 +13,6 @@ import (
 
 // RPC method identifiers for the store service (0x01xx block).
 const (
-	MPut      = 0x0101
-	MGet      = 0x0102
 	MDelete   = 0x0103
 	MMultiPut = 0x0104
 	MMultiGet = 0x0105
@@ -22,8 +20,6 @@ const (
 )
 
 func init() {
-	rpc.RegisterMethodName(MPut, "dht.MPut")
-	rpc.RegisterMethodName(MGet, "dht.MGet")
 	rpc.RegisterMethodName(MDelete, "dht.MDelete")
 	rpc.RegisterMethodName(MMultiPut, "dht.MMultiPut")
 	rpc.RegisterMethodName(MMultiGet, "dht.MMultiGet")
@@ -43,13 +39,22 @@ type Store struct {
 	shards [storeShards]storeShard
 
 	// PutDelay models the per-entry cost of the storage backend's put
-	// path, applied while serving MPut/MMultiPut. The paper's metadata
+	// path, applied while serving MMultiPut. The paper's metadata
 	// substrate (BambooDHT) had a put path far more expensive than its
 	// get path (replication and disk-backed storage); this knob lets the
 	// simulated cluster reproduce that asymmetry, which is what makes
 	// metadata writes speed up with more providers (Figure 3b) while
 	// reads stay provider-count-neutral (Figure 3a).
 	PutDelay time.Duration
+
+	// Follow, when set, lets the store answer an MMultiGet that carries a
+	// range with more than was asked: the hook names the keys a reader
+	// of that range will want after a value, and whichever of them this
+	// store holds ride along as extras, and are followed in turn, up to
+	// MaxFollowBlocks values and MaxFollowBytes. Set before serving.
+	// The store stays a generic write-once KV: what a value means is the
+	// hook's business (the metadata providers install mstore.FollowBlock).
+	Follow FollowFunc
 
 	// Puts counts accepted first writes; DupPuts counts idempotent
 	// repeats; Gets/Misses count lookups. The experiment harness reads
@@ -59,7 +64,20 @@ type Store struct {
 	Gets    stats.Counter
 	Misses  stats.Counter
 	Bytes   stats.Gauge
+
+	// FollowServed counts extras served, FollowUsed those of them readers
+	// reported consuming (Hint.Used), FollowCapHits the responses cut
+	// short by MaxFollowBlocks or MaxFollowBytes: together they say
+	// whether following is worth its bytes.
+	FollowServed  stats.Counter
+	FollowUsed    stats.Counter
+	FollowCapHits stats.Counter
 }
+
+// FollowFunc appends to dst the keys a reader resolving [first,
+// first+count) will ask for once it holds value, and returns dst. It
+// must tolerate any bytes: stored values come from the network.
+type FollowFunc func(dst []uint64, value []byte, first, count uint64) []uint64
 
 type storeShard struct {
 	mu sync.RWMutex
@@ -140,7 +158,8 @@ func (s *Store) Len() int {
 	return n
 }
 
-// StoreStats is the snapshot served by the MStats RPC.
+// StoreStats is the snapshot served by the MStats RPC and exported on
+// /metrics; storeStatFields is its one field table.
 type StoreStats struct {
 	Entries uint64
 	Bytes   uint64
@@ -148,47 +167,74 @@ type StoreStats struct {
 	DupPuts uint64
 	Gets    uint64
 	Misses  uint64
+
+	FollowServed  uint64
+	FollowUsed    uint64
+	FollowCapHits uint64
+}
+
+// storeStatFields lists every StoreStats field once, in wire order, with
+// its /metrics series. The MStats codec and RegisterMetrics both walk
+// it, so the two surfaces cannot drift apart (a test checks the table
+// against the struct).
+var storeStatFields = []struct {
+	series string
+	gauge  bool // current level, not a monotone total
+	at     func(*StoreStats) *uint64
+}{
+	{"dht_entries", true, func(s *StoreStats) *uint64 { return &s.Entries }},
+	{"dht_bytes", true, func(s *StoreStats) *uint64 { return &s.Bytes }},
+	{"dht_puts_total", false, func(s *StoreStats) *uint64 { return &s.Puts }},
+	{"dht_dup_puts_total", false, func(s *StoreStats) *uint64 { return &s.DupPuts }},
+	{"dht_gets_total", false, func(s *StoreStats) *uint64 { return &s.Gets }},
+	{"dht_misses_total", false, func(s *StoreStats) *uint64 { return &s.Misses }},
+	{"dht_follow_served_total", false, func(s *StoreStats) *uint64 { return &s.FollowServed }},
+	{"dht_follow_used_total", false, func(s *StoreStats) *uint64 { return &s.FollowUsed }},
+	{"dht_follow_cap_hits_total", false, func(s *StoreStats) *uint64 { return &s.FollowCapHits }},
+}
+
+// Add adds o to s field by field: the totals row of a stats table.
+func (s *StoreStats) Add(o StoreStats) {
+	for _, f := range storeStatFields {
+		*f.at(s) += *f.at(&o)
+	}
+}
+
+// Snapshot reads the store's counters.
+func (s *Store) Snapshot() StoreStats {
+	return StoreStats{
+		Entries:       uint64(s.Len()),
+		Bytes:         uint64(s.Bytes.Value()),
+		Puts:          uint64(s.Puts.Value()),
+		DupPuts:       uint64(s.DupPuts.Value()),
+		Gets:          uint64(s.Gets.Value()),
+		Misses:        uint64(s.Misses.Value()),
+		FollowServed:  uint64(s.FollowServed.Value()),
+		FollowUsed:    uint64(s.FollowUsed.Value()),
+		FollowCapHits: uint64(s.FollowCapHits.Value()),
+	}
+}
+
+// RegisterMetrics exports the store's statistics into reg as
+// function-backed series evaluated at scrape time, one per field.
+func (s *Store) RegisterMetrics(reg *stats.Registry) {
+	for _, f := range storeStatFields {
+		at := f.at
+		read := func() int64 { st := s.Snapshot(); return int64(*at(&st)) }
+		if f.gauge {
+			reg.GaugeFunc(f.series, read)
+		} else {
+			reg.CounterFunc(f.series, read)
+		}
+	}
 }
 
 // RegisterHandlers wires the store's RPC methods onto srv.
 func (s *Store) RegisterHandlers(srv *rpc.Server) {
-	srv.Handle(MPut, s.handlePut)
-	srv.Handle(MGet, s.handleGet)
 	srv.Handle(MDelete, s.handleDelete)
 	srv.Handle(MMultiPut, s.handleMultiPut)
 	srv.Handle(MMultiGet, s.handleMultiGet)
 	srv.Handle(MStats, s.handleStats)
-}
-
-func (s *Store) handlePut(_ context.Context, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	key := r.Uint64()
-	val := r.BytesField()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("dht put: %w", err)
-	}
-	if s.PutDelay > 0 {
-		time.Sleep(s.PutDelay)
-	}
-	fresh := s.Put(key, val)
-	w := wire.NewWriter(1)
-	w.Bool(fresh)
-	return w.Bytes(), nil
-}
-
-func (s *Store) handleGet(_ context.Context, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	key := r.Uint64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("dht get: %w", err)
-	}
-	v, ok := s.Get(key)
-	w := wire.NewWriter(len(v) + 4)
-	w.Bool(ok)
-	if ok {
-		w.BytesField(v)
-	}
-	return w.Bytes(), nil
 }
 
 func (s *Store) handleDelete(_ context.Context, body []byte) ([]byte, error) {
@@ -204,12 +250,19 @@ func (s *Store) handleDelete(_ context.Context, body []byte) ([]byte, error) {
 
 func (s *Store) handleMultiPut(_ context.Context, body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
-	n := int(r.Uvarint())
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dht multiput: %w", err)
+	}
+	// The count sizes a sleep and a loop: bound it by the body first.
+	if n > uint64(r.Remaining())/minEntryBytes {
+		return nil, fmt.Errorf("dht multiput: %d entries claimed in %d bytes", n, r.Remaining())
+	}
 	if s.PutDelay > 0 {
 		// The backend processes the batched entries sequentially.
 		time.Sleep(time.Duration(n) * s.PutDelay)
 	}
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		key := r.Uint64()
 		val := r.BytesField()
 		if err := r.Err(); err != nil {
@@ -221,11 +274,13 @@ func (s *Store) handleMultiPut(_ context.Context, body []byte) ([]byte, error) {
 }
 
 func (s *Store) handleMultiGet(_ context.Context, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	keys := r.Uint64Slice()
-	if err := r.Err(); err != nil {
+	keys, hint, err := decodeMultiGetRequest(body)
+	if err != nil {
 		return nil, fmt.Errorf("dht multiget: %w", err)
 	}
+	s.FollowUsed.Add(int64(hint.Used))
+	follow := s.Follow != nil && hint.Count > 0
+	var next []uint64 // keys the hook named, in the order it named them
 	w := wire.NewWriter(64 * len(keys))
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
@@ -233,40 +288,67 @@ func (s *Store) handleMultiGet(_ context.Context, body []byte) ([]byte, error) {
 		w.Bool(ok)
 		if ok {
 			w.BytesField(v)
+			if follow {
+				next = s.Follow(next, v, hint.First, hint.Count)
+			}
 		}
 	}
+	if len(next) > 0 {
+		s.serveFollowed(w, keys, next, hint)
+	}
+	w.Bool(false)
 	return w.Bytes(), nil
 }
 
-func (s *Store) handleStats(_ context.Context, _ []byte) ([]byte, error) {
-	st := StoreStats{
-		Entries: uint64(s.Len()),
-		Bytes:   uint64(s.Bytes.Value()),
-		Puts:    uint64(s.Puts.Value()),
-		DupPuts: uint64(s.DupPuts.Value()),
-		Gets:    uint64(s.Gets.Value()),
-		Misses:  uint64(s.Misses.Value()),
+// serveFollowed appends to w, as extras, the values among next that this
+// store holds, following each in turn (breadth first: next grows while
+// it is walked) until the walk runs dry or a cap is hit. A key is looked
+// up at most once and never served beside itself.
+func (s *Store) serveFollowed(w *wire.Writer, asked, next []uint64, hint Hint) {
+	seen := make(map[uint64]struct{}, len(asked)+len(next))
+	for _, k := range asked {
+		seen[k] = struct{}{}
 	}
-	w := wire.NewWriter(48)
-	w.Uint64(st.Entries)
-	w.Uint64(st.Bytes)
-	w.Uint64(st.Puts)
-	w.Uint64(st.DupPuts)
-	w.Uint64(st.Gets)
-	w.Uint64(st.Misses)
+	served, size := 0, 0
+	for i := 0; i < len(next); i++ { // len(next) <= (len(asked)+MaxFollowBlocks) hook calls' worth
+		k := next[i]
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		v, ok := s.Get(k)
+		if !ok {
+			continue // lives on another node: the reader asks there
+		}
+		if served == MaxFollowBlocks || size+len(v) > MaxFollowBytes {
+			s.FollowCapHits.Inc()
+			break
+		}
+		w.Bool(true)
+		w.Uint64(k)
+		w.BytesField(v)
+		served++
+		size += len(v)
+		next = s.Follow(next, v, hint.First, hint.Count)
+	}
+	s.FollowServed.Add(int64(served))
+}
+
+func (s *Store) handleStats(_ context.Context, _ []byte) ([]byte, error) {
+	st := s.Snapshot()
+	w := wire.NewWriter(8 * len(storeStatFields))
+	for _, f := range storeStatFields {
+		w.Uint64(*f.at(&st))
+	}
 	return w.Bytes(), nil
 }
 
 // DecodeStoreStats parses an MStats response.
 func DecodeStoreStats(body []byte) (StoreStats, error) {
 	r := wire.NewReader(body)
-	st := StoreStats{
-		Entries: r.Uint64(),
-		Bytes:   r.Uint64(),
-		Puts:    r.Uint64(),
-		DupPuts: r.Uint64(),
-		Gets:    r.Uint64(),
-		Misses:  r.Uint64(),
+	var st StoreStats
+	for _, f := range storeStatFields {
+		*f.at(&st) = r.Uint64()
 	}
 	return st, r.Err()
 }

@@ -138,8 +138,7 @@ func EncodeBlock(w *wire.Writer, key BlockKey, nodes []Node) {
 // accepted body is canonical: its nodes re-encode to it byte for byte.
 func DecodeBlock(body []byte, want BlockKey) ([]Node, error) {
 	r := wire.NewReader(body)
-	got := BlockKey{Blob: r.Uint64(), Version: r.Uvarint()}
-	got.Range = NodeRange{Start: r.Uvarint(), Size: r.Uvarint()}
+	got := readBlockKey(r)
 	count := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("meta: decode block: %w", err)
@@ -175,6 +174,26 @@ func DecodeBlock(body []byte, want BlockKey) ([]Node, error) {
 		return nil, fmt.Errorf("meta: %d trailing bytes after block %+v", r.Remaining(), want)
 	}
 	return nodes, nil
+}
+
+// readBlockKey parses the key EncodeBlock wrote first.
+func readBlockKey(r *wire.Reader) BlockKey {
+	k := BlockKey{Blob: r.Uint64(), Version: r.Uvarint()}
+	k.Range = NodeRange{Start: r.Uvarint(), Size: r.Uvarint()}
+	return k
+}
+
+// StoredBlockKey returns the key a stored block names itself by, for a
+// holder nobody told it to: a metadata provider walking its own store.
+// Nothing else of the body is looked at; DecodeBlock under the returned
+// key validates the rest.
+func StoredBlockKey(body []byte) (BlockKey, error) {
+	r := wire.NewReader(body)
+	k := readBlockKey(r)
+	if err := r.Err(); err != nil {
+		return BlockKey{}, fmt.Errorf("meta: stored block key: %w", err)
+	}
+	return k, nil
 }
 
 // decodePayload parses what encodeTo wrote after a node's range.

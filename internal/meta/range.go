@@ -145,9 +145,59 @@ func (k NodeKey) Block() BlockKey {
 	return BlockKey{Blob: k.Blob, Version: k.Version, Range: k.Range.Block()}
 }
 
-// Hash maps the block onto the DHT key space; the blocks of one tree
-// disperse uniformly over the metadata providers.
-func (b BlockKey) Hash() uint64 { return NodeKey(b).Hash() }
+// RegionBands is how many block bands, counted from the leaves, make
+// one region: the dispersal unit of the metadata DHT. A block whose
+// range fits inside one aligned run of RegionPages pages takes its ring
+// position from (blob, region index), so the blocks that all versions
+// wrote of one subtree share a metadata provider, and that provider can
+// continue a descent through them locally instead of sending the reader
+// to another node per change of version (mstore.FollowBlock). Blocks of
+// the bands above keep dispersing by version. Part of the stored layout
+// — it decides where a block lives — so a constant, not an option;
+// docs/perf.md has the measurement behind 3 (2, 3 and 4 bands compared).
+const RegionBands = 3
+
+// RegionPages is the width of a region in pages (256).
+const RegionPages = 1 << (RegionBands*BlockLevels - 1)
+
+// regionIDBits splits an in-region block's dht key: the low regionIDBits
+// bits are the block's identity (its own hash), the 64-regionIDBits = 20
+// bits above are the region's ring position. The arithmetic behind 44:
+//
+//   - Placement. A region's keys span 2^44 consecutive ring positions. A
+//     ring of N providers has 64·N points (dht.VNodesPerNode), so a span
+//     holds one — and the region then splits over two primaries, costing
+//     such reads a second trip — with probability 64·N/2^20: 0.03 % on 5
+//     providers, 1 % on 160. 2^20 prefixes also spread the regions of
+//     one blob (65 536 in a TB of 64 KiB pages) evenly over any ring.
+//   - Identity. Two blocks collide when prefix and identity both match.
+//     Blocks of different regions get their prefix from an independent
+//     hash, so a pair collides with 2^-64 as before; n live blocks of
+//     one region collide with about n²/2^45: a region rewritten whole by
+//     1 000 live versions (73 blocks each) 1.5·10⁻⁴, one patched page by
+//     page by 10 000 live versions (3 blocks each) 3·10⁻⁵. A collision
+//     stays loud: the first put wins and DecodeBlock refuses the other
+//     block's stored key.
+const regionIDBits = 44
+
+// Hash maps the block onto the DHT key space — the only place a block
+// becomes a dht key. A block above the regions disperses by its whole
+// name; one inside a region sits at the region's ring position, told
+// apart from its neighbours by the low bits of that same hash.
+func (b BlockKey) Hash() uint64 {
+	h := NodeKey(b).Hash()
+	if b.Range.Size > RegionPages {
+		return h
+	}
+	const id = 1<<regionIDBits - 1
+	return wire.HashFields(regionSalt, b.Blob, b.Range.Start/RegionPages)&^id | h&id
+}
+
+// regionSalt keeps region positions out of the hash domain of the ring's
+// own points (dht hashes (node id, vnode index), two small integers like
+// blob and region index): unsalted, region r of blob 1 sat exactly on
+// point r of node 1 and was split by it.
+const regionSalt = 0x6e6f69676572 // "region"
 
 // RootKey returns the key of version v's root node.
 func RootKey(blob uint64, v Version, totalPages uint64) NodeKey {

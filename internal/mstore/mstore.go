@@ -3,19 +3,25 @@
 // tree traversal a READ uses to resolve its segment to page locations.
 //
 // Nodes are stored packed, meta.BlockLevels tree levels of one version
-// per dht value (meta.EncodeBlock). The traversal proceeds breadth-first:
-// all block fetches of one step are issued as a single batch (grouped
-// per metadata provider by the DHT client, coalesced into single frames
-// by the RPC layer) and a fetched block serves every level it holds, so
-// a read of P pages costs about one round trip of parallel requests per
-// BlockLevels levels of each same-version run of its paths rather than
-// O(P log P) sequential lookups.
+// per dht value (meta.EncodeBlock), and placed by region: every block
+// under one aligned run of meta.RegionPages pages lives on the same
+// metadata provider, whatever version wrote it (meta.BlockKey.Hash). The
+// traversal proceeds breadth-first: all block fetches of one step are
+// issued as a single batch (grouped per metadata provider by the DHT
+// client, coalesced into single frames by the RPC layer) that carries
+// the read's page range, and a provider that serves a block also serves
+// the blocks below it that the range leads to and that it holds
+// (FollowBlock, the server half of this package). So a read of P pages
+// costs about one round trip per block above the regions that its paths
+// cross and one per region below them, rather than O(P log P) sequential
+// lookups.
 package mstore
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"blob/internal/dht"
@@ -41,6 +47,13 @@ type Client struct {
 	// it, so it also drives the cached-vs-uncached gap of Figure 3c.
 	// Zero (the default) disables the model.
 	ProcessDelay time.Duration
+
+	// unreported counts blocks the providers sent ahead of being asked
+	// (FollowBlock) that a descent then reached and decoded instead of
+	// fetching, and that no provider has been told of yet: the next
+	// fetch reports them (dht.Hint.Used), so served against used reads
+	// off the stores' counters.
+	unreported atomic.Int64
 }
 
 // DefaultCacheNodes mirrors the paper's experimental setup: the client
@@ -106,25 +119,48 @@ func (c *Client) FetchNode(ctx context.Context, key meta.NodeKey) (*meta.Node, e
 // cache and fetching the blocks that hold the rest, each once, in one
 // MultiGet. A key whose block is absent, or does not hold it, yields
 // ErrMissingNode. The map also holds the fetched blocks' other nodes.
+// This is the fetch of the walkers that visit whole trees (GC, repair):
+// it carries no range, so providers send nothing that was not asked for.
 func (c *Client) FetchNodes(ctx context.Context, keys []meta.NodeKey) (map[meta.NodeKey]*meta.Node, error) {
-	out := make(map[meta.NodeKey]*meta.Node, len(keys))
-	return out, c.fetchInto(ctx, keys, out)
+	d := descent{nodes: make(map[meta.NodeKey]*meta.Node, len(keys))}
+	return d.nodes, c.fetch(ctx, keys, &d)
 }
 
-// fetchInto resolves keys into out, which doubles as the caller's memo:
-// a key already in it costs nothing, and every node of every fetched
-// block lands in it (and in the cache, a slot per node), so a traversal
-// keeping one map never fetches a block twice even with the cache off.
-func (c *Client) fetchInto(ctx context.Context, keys []meta.NodeKey, out map[meta.NodeKey]*meta.Node) error {
+// descent is what one traversal keeps between its fetch waves.
+type descent struct {
+	// nodes holds every node of every block decoded so far: the
+	// traversal's memo, so a block is never fetched twice even with the
+	// cache off.
+	nodes map[meta.NodeKey]*meta.Node
+	// bodies holds, by dht key, block bodies the providers sent ahead
+	// (FollowBlock) and the walk has not reached. They are unverified
+	// bytes under a key a provider chose: one is decoded only when the
+	// walk itself derives that key, by meta.DecodeBlock against the
+	// block the walk expects there — so what a provider sends ahead can
+	// save a fetch or fail the read loudly, never change its result.
+	bodies map[uint64][]byte
+	// pages is the range the traversal resolves; empty asks providers
+	// for the requested blocks only.
+	pages meta.PageRange
+}
+
+// fetch resolves keys into d.nodes. A key already there costs nothing;
+// the others are served from the cache, then from blocks received ahead,
+// and what is still missing is fetched, each block once, in the
+// traversal's one network call: a MultiGet carrying d.pages. Every node
+// of every block decoded lands in d.nodes and in the cache (a slot per
+// node).
+func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, d *descent) error {
 	var miss []meta.NodeKey
-	var hashes []uint64
-	var blocks map[meta.BlockKey]uint64 // block to fetch → its dht key; made on the first miss
+	var ask []uint64                    // dht keys to fetch
+	var blocks map[meta.BlockKey]uint64 // block to decode this wave → its dht key; made on the first miss
+	used := 0                           // blocks of this wave already received ahead
 	for _, k := range keys {
-		if _, ok := out[k]; ok {
+		if _, ok := d.nodes[k]; ok {
 			continue
 		}
 		if n, ok := c.cache.get(k); ok {
-			out[k] = n
+			d.nodes[k] = n
 			continue
 		}
 		miss = append(miss, k)
@@ -133,35 +169,63 @@ func (c *Client) fetchInto(ctx context.Context, keys []meta.NodeKey, out map[met
 			if blocks == nil {
 				blocks = make(map[meta.BlockKey]uint64)
 			}
-			blocks[b] = b.Hash()
-			hashes = append(hashes, blocks[b])
+			hash := b.Hash()
+			blocks[b] = hash
+			if _, ahead := d.bodies[hash]; ahead {
+				used++
+			} else {
+				ask = append(ask, hash)
+			}
 		}
 	}
 	if len(miss) == 0 {
 		return nil
 	}
+	c.unreported.Add(int64(used))
 	fctx, op := trace.Start(ctx, "mstore.fetch")
-	op.Notef("%d/%d cached, %d blocks", len(keys)-len(miss), len(keys), len(blocks))
-	got, err := c.kv.MultiGet(fctx, hashes)
-	op.EndErr(err)
-	if err != nil {
-		return fmt.Errorf("mstore: fetch %d blocks: %w", len(blocks), err)
+	extra := 0
+	if len(ask) > 0 {
+		hint := dht.Hint{First: d.pages.First, Count: d.pages.Count}
+		if hint.Count > 0 {
+			hint.Used = uint64(c.unreported.Swap(0))
+		}
+		got, err := c.kv.MultiGet(fctx, ask, hint)
+		if err != nil {
+			op.EndErr(err)
+			return fmt.Errorf("mstore: fetch %d blocks: %w", len(ask), err)
+		}
+		extra = len(got)
+		for _, hash := range ask {
+			if _, ok := got[hash]; ok {
+				extra--
+			}
+		}
+		if d.bodies == nil {
+			d.bodies = got
+		} else {
+			for hash, body := range got {
+				d.bodies[hash] = body
+			}
+		}
 	}
+	op.Notef("%d/%d cached; asked %d, extra %d, used %d", len(keys)-len(miss), len(keys), len(ask), extra, used)
+	op.End()
 	decoded := 0
 	for b, hash := range blocks {
-		body, ok := got[hash]
+		body, ok := d.bodies[hash]
 		if !ok {
 			continue // its keys are reported missing below
 		}
+		delete(d.bodies, hash)
 		nodes, err := meta.DecodeBlock(body, b)
 		if err != nil {
-			return err
+			return fmt.Errorf("mstore: block %+v: %w", b, err)
 		}
 		decoded += len(nodes)
 		for j := range nodes {
 			n := &nodes[j]
 			c.cache.put(n.Key, n)
-			out[n.Key] = n
+			d.nodes[n.Key] = n
 		}
 	}
 	if c.ProcessDelay > 0 {
@@ -170,7 +234,7 @@ func (c *Client) fetchInto(ctx context.Context, keys []meta.NodeKey, out map[met
 		time.Sleep(time.Duration(decoded) * c.ProcessDelay)
 	}
 	for _, k := range miss {
-		if out[k] == nil {
+		if d.nodes[k] == nil {
 			return fmt.Errorf("%w: %+v", ErrMissingNode, k)
 		}
 	}
@@ -234,16 +298,17 @@ func (c *Client) ReadPlan(ctx context.Context, blob uint64, v meta.Version, tota
 		return nil
 	}
 
-	// One memo for the whole descent: a block serves every level it holds.
-	nodes := make(map[meta.NodeKey]*meta.Node)
+	// One memo for the whole descent: a block serves every level it
+	// holds, and what the providers send ahead waits there to be reached.
+	d := descent{nodes: make(map[meta.NodeKey]*meta.Node), pages: pr}
 	frontier := []meta.NodeKey{meta.RootKey(blob, v, totalPages)}
 	for len(frontier) > 0 {
-		if err := c.fetchInto(ctx, frontier, nodes); err != nil {
+		if err := c.fetch(ctx, frontier, &d); err != nil {
 			return nil, err
 		}
 		var next []meta.NodeKey
 		for _, key := range frontier {
-			n := nodes[key]
+			n := d.nodes[key]
 			if n.IsLeaf() {
 				p := n.Key.Range.Start
 				if p < pr.First || p >= pr.End() {

@@ -27,31 +27,46 @@ func newFabric(t testing.TB, n, cacheNodes int) *Client {
 }
 
 // newFabricStores is newFabric that also hands back the providers'
-// stores, for tests that count stored values and lookups.
+// stores, for tests that count stored values and lookups. The stores
+// serve only what is asked; startFabric(t, n, FollowBlock) gives
+// providers that keep descending, as deployed.
 func newFabricStores(t testing.TB, n, cacheNodes int) (*Client, []*dht.Store) {
 	t.Helper()
-	fab := netsim.New(netsim.Fast())
-	t.Cleanup(fab.Close)
-	nodes := make([]dht.NodeInfo, n)
-	stores := make([]*dht.Store, n)
+	f := startFabric(t, n, nil)
+	return New(f.kv, cacheNodes), f.stores
+}
+
+// fabric is n metadata providers over netsim and a dht client on them.
+type fabric struct {
+	net    *netsim.Net
+	stores []*dht.Store
+	nodes  []dht.NodeInfo
+	pool   *rpc.Pool
+	kv     *dht.Client
+}
+
+func startFabric(t testing.TB, n int, follow dht.FollowFunc) *fabric {
+	t.Helper()
+	f := &fabric{net: netsim.New(netsim.Fast())}
+	t.Cleanup(f.net.Close)
 	for i := 0; i < n; i++ {
 		srv := rpc.NewServer()
 		st := dht.NewStore()
-		stores[i] = st
+		st.Follow = follow
+		f.stores = append(f.stores, st)
 		st.RegisterHandlers(srv)
-		host := fab.Host(fmt.Sprintf("meta%d", i))
-		l, err := host.Listen("rpc")
+		l, err := f.net.Host(fmt.Sprintf("meta%d", i)).Listen("rpc")
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.Start(l)
 		t.Cleanup(srv.Close)
-		nodes[i] = dht.NodeInfo{ID: uint64(i + 1), Addr: fmt.Sprintf("meta%d:rpc", i)}
+		f.nodes = append(f.nodes, dht.NodeInfo{ID: uint64(i + 1), Addr: fmt.Sprintf("meta%d:rpc", i)})
 	}
-	pool := rpc.NewPool(hostDialer{fab.Host("cli")})
-	t.Cleanup(pool.Close)
-	kv := dht.NewClient(pool, dht.NewRing(nodes), 1)
-	return New(kv, cacheNodes), stores
+	f.pool = rpc.NewPool(hostDialer{f.net.Host("cli")})
+	t.Cleanup(f.pool.Close)
+	f.kv = dht.NewClient(f.pool, dht.NewRing(f.nodes), 1)
+	return f
 }
 
 // writeVersion runs the full write-side metadata pipeline against an
@@ -344,6 +359,19 @@ func sumStores(stores []*dht.Store, f func(*dht.Store) int64) int64 {
 	return n
 }
 
+// randomWrites draws a short history of 1..6 writes over a blob of total
+// pages: ranges from single pages to most of the blob, so versions
+// overlap, nest and leave holes.
+func randomWrites(rng *rand.Rand, total uint64) []meta.PageRange {
+	writes := make([]meta.PageRange, 1+rng.Intn(6))
+	for i := range writes {
+		first := uint64(rng.Intn(int(total)))
+		count := uint64(rng.Intn(int(min(total-first, 1+total>>uint(rng.Intn(5)))))) + 1
+		writes[i] = meta.PageRange{First: first, Count: count}
+	}
+	return writes
+}
+
 // TestBlockLayoutProperties checks the one stored layout over random
 // write sets on blobs of 2^4..2^14 pages: what StoreNodes packed,
 // FetchNodes unpacks to identical nodes; the providers hold exactly the
@@ -362,11 +390,10 @@ func TestBlockLayoutProperties(t *testing.T) {
 		ivm, _ := meta.NewIntervalVersionMap(total)
 		wantBlocks := 0
 		var all []meta.Node
-		writes := 1 + rng.Intn(6)
-		for v := meta.Version(1); v <= meta.Version(writes); v++ {
-			first := uint64(rng.Intn(int(total)))
-			count := uint64(rng.Intn(int(min(total-first, 1+total>>uint(rng.Intn(5)))))) + 1
-			wr := meta.PageRange{First: first, Count: count}
+		history := randomWrites(rng, total)
+		writes := len(history)
+		for i, wr := range history {
+			v := meta.Version(i + 1)
 			all = append(all, writeVersion(t, c, ivm, blob, v, total, wr, 100+uint64(v))...)
 			blocks := map[meta.NodeRange]bool{}
 			for _, r := range meta.WriteSet(total, wr) {
@@ -447,9 +474,16 @@ func BenchmarkReadPlan128Pages(b *testing.B) {
 // BenchmarkReadPlanSinglePageDeepTree is the fine-grain read's metadata
 // step: one page of a 2^14-page tree patched page by page, through a
 // cache far smaller than the tree, so most descents fetch their lower
-// blocks.
-func BenchmarkReadPlanSinglePageDeepTree(b *testing.B) {
-	c := newFabric(b, 3, 256)
+// blocks — from a 3-store ring of providers that keep descending, as
+// deployed. trips/op is the rpc calls one plan sends; the NoFollow twin
+// runs the same reads against providers that serve only what is asked,
+// so the trip saving shows without the real-process benchmark.
+func BenchmarkReadPlanSinglePageDeepTree(b *testing.B) { benchSinglePageDeepTree(b, FollowBlock) }
+
+func BenchmarkReadPlanSinglePageDeepTreeNoFollow(b *testing.B) { benchSinglePageDeepTree(b, nil) }
+
+func benchSinglePageDeepTree(b *testing.B, follow dht.FollowFunc) {
+	c := New(startFabric(b, 3, follow).kv, 256)
 	const total = 1 << 14
 	rng := rand.New(rand.NewSource(3))
 	ivm, _ := meta.NewIntervalVersionMap(total)
@@ -461,9 +495,11 @@ func BenchmarkReadPlanSinglePageDeepTree(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
+	sent := rpc.M.CallsSent.Value()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.ReadPlan(ctx, 1, v, total, meta.PageRange{First: uint64(rng.Intn(total)), Count: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(rpc.M.CallsSent.Value()-sent)/float64(b.N), "trips/op")
 }
