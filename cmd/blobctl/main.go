@@ -211,10 +211,13 @@ func main() {
 		} else if err := os.WriteFile(*out, buf, 0o644); err != nil {
 			log.Fatalf("write %s: %v", *out, err)
 		}
-		fmt.Fprintf(os.Stderr, "read %d bytes of version %d (latest published: %d)\n", len(buf), v, latest)
+		fmt.Fprintf(os.Stderr, "read %d bytes of version %d (newest known published: %d)\n", len(buf), v, latest)
 		if *count > 1 {
-			fmt.Fprintf(os.Stderr, "reads: %d in %v (mean %v/read)\n",
-				*count, elapsed.Round(time.Millisecond), (elapsed / time.Duration(*count)).Round(time.Microsecond))
+			// A version the handle already knows published costs no trip:
+			// 0 here unless -version named one newer than the open saw.
+			fmt.Fprintf(os.Stderr, "reads: %d in %v (mean %v/read), %d version-manager trips\n",
+				*count, elapsed.Round(time.Millisecond), (elapsed / time.Duration(*count)).Round(time.Microsecond),
+				client.VersionTrips.Value())
 		}
 		// Surface the gray-failure machinery's verdict on this
 		// invocation: how often a fetch was hedged to a second replica,

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"blob/internal/dht"
@@ -153,6 +154,10 @@ type Client struct {
 	// BloomSkips counts replica probes avoided by digest routing.
 	ReadRepairs stats.Counter
 	BloomSkips  stats.Counter
+	// VersionTrips counts reads that asked the version manager for the
+	// latest published version: every ReadLatest, and a Read(v) only when
+	// v is above its handle's published watermark (Blob).
+	VersionTrips stats.Counter
 	// Erasure-coding counters (docs/erasure.md): DegradedReads counts
 	// stripe decodes the read path performed because a data shard was
 	// unreachable; ReconstructedPages the pages those decodes produced;
@@ -395,9 +400,11 @@ func (c *Client) OpenBlob(ctx context.Context, id uint64) (*Blob, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Blob{
+	b := &Blob{
 		c: c, id: id, pageSize: info.PageSize, totalPages: info.TotalPages, red: info.Redundancy,
-	}, nil
+	}
+	b.notePublished(info.LatestPublished)
+	return b, nil
 }
 
 // Blob is a handle on one versioned binary string.
@@ -407,6 +414,28 @@ type Blob struct {
 	pageSize   uint64
 	totalPages uint64
 	red        erasure.Redundancy
+
+	// published is the handle's published watermark: the newest version
+	// a version-manager reply has told this handle is published (OpenBlob,
+	// Latest, ReadLatest, WaitVersion, NewReader, a Read that had to ask,
+	// the blocking commit of its own Write or Append). Publication is
+	// forever — a published snapshot is immutable — so the watermark only
+	// rises, and Read(v) of a v at or below it skips the version-manager
+	// round trip. It never holds a value the caller merely asserted
+	// (ReadPinned), and an unpublished version is never remembered: a
+	// Read above the watermark always asks.
+	published atomic.Uint64
+}
+
+// notePublished raises the published watermark to v, a version some
+// version-manager reply just reported published.
+func (b *Blob) notePublished(v meta.Version) {
+	for {
+		cur := b.published.Load()
+		if v <= cur || b.published.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // Redundancy returns the blob's fixed redundancy mode.
@@ -421,9 +450,15 @@ func (b *Blob) PageSize() uint64 { return b.pageSize }
 // CapacityBytes returns the blob's maximum size.
 func (b *Blob) CapacityBytes() uint64 { return b.totalPages * b.pageSize }
 
-// Latest returns the newest published version and its size in bytes.
+// Latest asks the version manager for the newest published version and
+// its size in bytes. It always asks: another client's acknowledged write
+// is visible to the very next call.
 func (b *Blob) Latest(ctx context.Context) (meta.Version, uint64, error) {
-	return b.c.vm.Latest(ctx, b.id)
+	latest, size, err := b.c.vm.Latest(ctx, b.id)
+	if err == nil {
+		b.notePublished(latest)
+	}
+	return latest, size, err
 }
 
 // VersionSize returns the logical size of a version in bytes.
@@ -433,21 +468,32 @@ func (b *Blob) VersionSize(ctx context.Context, v meta.Version) (uint64, error) 
 }
 
 // WaitVersion blocks until version v is published (readers pacing
-// writers), polling the version manager.
+// writers), polling the version manager — not at all when the handle
+// already knows v published.
 func (b *Blob) WaitVersion(ctx context.Context, v meta.Version) error {
+	if v <= b.published.Load() {
+		return nil
+	}
 	backoff := time.Millisecond
+	var timer *time.Timer
 	for {
-		latest, _, err := b.c.vm.Latest(ctx, b.id)
+		latest, _, err := b.Latest(ctx)
 		if err != nil {
 			return err
 		}
 		if latest >= v {
 			return nil
 		}
+		if timer == nil {
+			timer = time.NewTimer(backoff)
+			defer timer.Stop()
+		} else {
+			timer.Reset(backoff) // drained: the last wait ended on its tick
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(backoff):
+		case <-timer.C:
 		}
 		if backoff < 50*time.Millisecond {
 			backoff *= 2

@@ -15,8 +15,10 @@ import (
 
 // ReadResult reports a completed read and its phase timings.
 type ReadResult struct {
-	// Latest is the newest published version at read time (the paper's
-	// READ return value; Latest >= the requested version).
+	// Latest is the newest version the handle knows published, at least
+	// the version read: fresh from the version manager when the read had
+	// to ask it, the handle's published watermark otherwise. It is
+	// informational — a newer version may exist; Blob.Latest always asks.
 	Latest meta.Version
 	// MetaTime covers the segment tree traversal.
 	MetaTime time.Duration
@@ -26,54 +28,76 @@ type ReadResult struct {
 
 // Read implements the paper's READ primitive: fill buf with the segment
 // at offset of version v. Version 0 reads the initial all-zero string.
-// It fails with ErrNotPublished if v has not been published, and returns
-// the latest published version otherwise.
+// It fails with ErrNotPublished if v has not been published — asking the
+// version manager only when v is above the handle's published watermark
+// (Blob): publication is forever, so a read of a version the handle has
+// been told is published is served by the metadata and data providers
+// alone. It returns ReadResult.Latest.
 func (b *Blob) Read(ctx context.Context, buf []byte, offset uint64, v meta.Version) (meta.Version, error) {
 	res, err := b.ReadDetailed(ctx, buf, offset, v)
 	return res.Latest, err
 }
 
 // ReadLatest reads the newest published snapshot and returns its
-// version. The version learned from the version manager is passed down
-// as already-validated, so the whole read costs a single centralized
-// interaction (ReadDetailed would otherwise re-fetch it).
+// version. It always asks the version manager — a write another client
+// was just acknowledged is visible to the very next ReadLatest — and the
+// answer is passed down as already validated, so the whole read costs a
+// single centralized interaction.
 func (b *Blob) ReadLatest(ctx context.Context, buf []byte, offset uint64) (meta.Version, error) {
-	latest, _, err := b.c.vm.Latest(ctx, b.id)
-	if err != nil {
-		return 0, err
-	}
-	_, err = b.readDetailed(ctx, buf, offset, latest, true)
-	return latest, err
+	res, err := b.readDetailed(ctx, buf, offset, 0, versionLatest)
+	return res.Latest, err
 }
 
 // ReadDetailed is Read with phase timings.
 func (b *Blob) ReadDetailed(ctx context.Context, buf []byte, offset uint64, v meta.Version) (ReadResult, error) {
-	return b.readDetailed(ctx, buf, offset, v, false)
+	return b.readDetailed(ctx, buf, offset, v, versionKnownOrAsk)
 }
 
 // ReadPinned reads version v with no version-manager interaction at
 // all. The caller asserts v is published — it pinned v earlier, from
 // Latest, WaitVersion, a Write it performed, or another read's Latest
-// return. This is the snapshot read of a pinned version in its purest
-// form: a published version's metadata sub-forest and pages are
-// immutable, so the read touches only the (decentralized) metadata ring
-// and the data providers. A reader holding a pinned version can loop on
-// ReadPinned forever without ever contacting the centralized version
-// manager — concurrent writers publishing v+1, v+2, ... cannot slow it
-// down there, which is the paper's lock-free claim and what
-// bench.AblateIngest measures.
+// return, possibly through another handle or process (a Read on the
+// handle that learned v skips the interaction by itself). This is the
+// snapshot read of a pinned version in its purest form: a published
+// version's metadata sub-forest and pages are immutable, so the read
+// touches only the (decentralized) metadata ring and the data providers.
+// A reader holding a pinned version can loop on ReadPinned forever
+// without ever contacting the centralized version manager — concurrent
+// writers publishing v+1, v+2, ... cannot slow it down there, which is
+// the paper's lock-free claim and what bench.AblateIngest measures.
 //
 // Reading a never-published v through ReadPinned is a caller bug: the
 // metadata traversal will fail (or, for an assigned-but-unpublished v,
-// observe a tree still under construction).
+// observe a tree still under construction). The assertion is not
+// remembered: it does not raise the handle's watermark.
 func (b *Blob) ReadPinned(ctx context.Context, buf []byte, offset uint64, v meta.Version) error {
-	_, err := b.readDetailed(ctx, buf, offset, v, true)
+	_, err := b.readDetailed(ctx, buf, offset, v, versionPinned)
 	return err
 }
 
-// readDetailed implements READ; vKnownPublished skips the freshness
-// round trip when the caller just learned v from the version manager.
-func (b *Blob) readDetailed(ctx context.Context, buf []byte, offset uint64, v meta.Version, vKnownPublished bool) (res ReadResult, err error) {
+// versionStep is how a read establishes that its version is published.
+type versionStep int
+
+const (
+	versionKnownOrAsk versionStep = iota // Read: the handle's watermark, else the version manager
+	versionPinned                        // ReadPinned: the caller's word
+	versionLatest                        // ReadLatest: whichever version the version manager says is newest
+)
+
+// askLatest is the version step of a read that has to take it: one round
+// trip to the version manager under a read.version span, counted in
+// VersionTrips, its answer raising the watermark.
+func (b *Blob) askLatest(ctx context.Context) (meta.Version, error) {
+	ctx, op := trace.Start(ctx, "read.version")
+	b.c.VersionTrips.Inc()
+	latest, _, err := b.Latest(ctx)
+	op.EndErr(err)
+	return latest, err
+}
+
+// readDetailed implements READ of version v, or with versionLatest of
+// the version its version step learns.
+func (b *Blob) readDetailed(ctx context.Context, buf []byte, offset uint64, v meta.Version, step versionStep) (res ReadResult, err error) {
 	start := time.Now()
 	ctx, root := b.c.opts.Tracer.Root(ctx, "core.ReadBlob")
 	if root != nil {
@@ -87,17 +111,23 @@ func (b *Blob) readDetailed(ctx context.Context, buf []byte, offset uint64, v me
 		return res, fmt.Errorf("core: read offset %d not page aligned", offset)
 	}
 
-	// Step 1 (paper §III.B): learn the latest published version — the
-	// only centralized interaction of the whole read.
-	res.Latest = v
-	if !vKnownPublished {
-		vctx, vop := trace.Start(ctx, "read.version")
-		latest, _, err := b.c.vm.Latest(vctx, b.id)
-		vop.EndErr(err)
+	// Step 1 (paper §III.B): establish that v is published — the only
+	// centralized interaction of the whole read, and skipped when a
+	// version-manager reply has already told this handle so.
+	known := b.published.Load()
+	switch {
+	case step == versionPinned:
+		res.Latest = v
+	case step == versionKnownOrAsk && v <= known:
+		res.Latest = known
+	default:
+		latest, err := b.askLatest(ctx)
 		if err != nil {
 			return res, err
 		}
-		if v > latest {
+		if step == versionLatest {
+			v = latest
+		} else if v > latest {
 			return res, fmt.Errorf("%w: requested v%d, latest published v%d", ErrNotPublished, v, latest)
 		}
 		res.Latest = latest

@@ -65,7 +65,8 @@ func (b *Blob) WriteAt(ctx context.Context, p []byte, off uint64, base meta.Vers
 
 // Reader is a sequential io.Reader / io.Seeker / io.ReaderAt over one
 // published version of a blob. It reads through the client's metadata
-// cache and never observes later writes — a consistent snapshot cursor.
+// cache and never observes later writes — a consistent snapshot cursor,
+// which after NewReader never contacts the version manager.
 type Reader struct {
 	ctx  context.Context
 	b    *Blob
@@ -84,6 +85,7 @@ func (b *Blob) NewReader(ctx context.Context, v meta.Version) (*Reader, error) {
 	if !published && v != meta.ZeroVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrNotPublished, v)
 	}
+	b.notePublished(v) // so the cursor's reads never ask again
 	return &Reader{ctx: ctx, b: b, v: v, size: size}, nil
 }
 

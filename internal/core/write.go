@@ -196,11 +196,13 @@ func (b *Blob) writeInternal(ctx context.Context, buf []byte, offset uint64, isA
 	// makes this wait finite).
 	t0 = time.Now()
 	cctx, commitOp := trace.Start(ctx, "write.commit")
-	if _, err := b.c.vm.Commit(cctx, b.id, asg.Version, true); err != nil {
+	published, err := b.c.vm.Commit(cctx, b.id, asg.Version, true)
+	if err != nil {
 		commitOp.EndErr(err)
 		return res, err
 	}
 	commitOp.End()
+	b.notePublished(published) // >= asg.Version: the reply is sent once it is published
 	res.CommitTime = time.Since(t0)
 
 	b.c.Writes.Inc()

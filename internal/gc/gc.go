@@ -122,23 +122,23 @@ func (g *Collector) Collect(ctx context.Context, blobID uint64, keepFrom meta.Ve
 		// Sweep this write's tree nodes by stored block: one with any
 		// marked node is kept whole (its unmarked nodes are the price
 		// of packing), one with none dies.
-		holds := make(map[meta.BlockKey][]meta.NodeRange)
+		holds := make(map[meta.BlockKey]int) // nodes per block
 		live := make(map[meta.BlockKey]bool)
 		for _, r := range meta.WriteSet(info.TotalPages, rec.Range) {
 			key := meta.NodeKey{Blob: blobID, Version: rec.Version, Range: r}
 			block := key.Block()
-			holds[block] = append(holds[block], r)
+			holds[block]++
 			live[block] = live[block] || markedNodes[key]
 		}
-		for block, ranges := range holds {
+		for block, nodes := range holds {
 			if live[block] {
-				rep.NodesKept += len(ranges)
+				rep.NodesKept += nodes
 				continue
 			}
-			if err := ms.DeleteBlock(ctx, block, ranges); err != nil {
+			if err := ms.DeleteBlock(ctx, block); err != nil {
 				return rep, fmt.Errorf("gc: delete block %+v: %w", block, err)
 			}
-			rep.NodesDeleted += len(ranges)
+			rep.NodesDeleted += nodes
 		}
 
 		// Sweep this write's pages: every rel not referenced by a marked

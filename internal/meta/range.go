@@ -110,8 +110,8 @@ type NodeKey struct {
 	Range   NodeRange
 }
 
-// Hash mixes the key's fields into one well-dispersed word: the client
-// cache's shard function, and through BlockKey.Hash the DHT key.
+// Hash mixes the key's fields into one well-dispersed word: through
+// BlockKey.Hash the DHT key, by which the client caches blocks too.
 func (k NodeKey) Hash() uint64 {
 	return wire.HashFields(k.Blob, k.Version, k.Range.Start, k.Range.Size)
 }

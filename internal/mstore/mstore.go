@@ -15,6 +15,14 @@
 // costs about one round trip per block above the regions that its paths
 // cross and one per region below them, rather than O(P log P) sequential
 // lookups.
+//
+// The block is the one unit on the client too. The cache holds decoded
+// blocks by dht key, its budget counted in the nodes they hold, and a
+// traversal memoizes the blocks it has met the same way; a node is found
+// by scanning its block, at most 2^meta.BlockLevels-1 entries. Both
+// compare the whole block key, so a 64-bit dht-key collision is a miss or
+// a loud error, never another block's nodes, and a body becomes a block
+// only through meta.DecodeBlock.
 package mstore
 
 import (
@@ -38,7 +46,7 @@ var ErrMissingNode = errors.New("mstore: metadata node not found")
 // Client provides typed access to the metadata providers.
 type Client struct {
 	kv    *dht.Client
-	cache *nodeCache
+	cache *blockCache
 
 	// ProcessDelay models the client-side cost of receiving and
 	// deserializing one tree node fetched over the network (the paper's
@@ -60,78 +68,90 @@ type Client struct {
 // cache can accommodate 2^20 tree nodes.
 const DefaultCacheNodes = 1 << 20
 
-// New creates a metadata client over kv with a node cache of cacheNodes
-// entries (0 disables caching; negative uses DefaultCacheNodes).
+// New creates a metadata client over kv whose block cache holds up to
+// cacheNodes nodes (0 disables caching; negative uses DefaultCacheNodes).
 func New(kv *dht.Client, cacheNodes int) *Client {
 	if cacheNodes < 0 {
 		cacheNodes = DefaultCacheNodes
 	}
-	return &Client{kv: kv, cache: newNodeCache(cacheNodes)}
+	return &Client{kv: kv, cache: newBlockCache(cacheNodes)}
 }
 
 // StoreNodes writes a batch of tree nodes to the metadata providers,
 // grouped by block (meta.NodeKey.Block), one dht value each — so the
 // first-put-wins unit a dead writer and its repairer can tear is the
-// block. Nodes are also inserted into the local cache: a writer
+// block. The blocks are also inserted into the local cache: a writer
 // frequently re-reads its own recent versions. The whole batch encodes
 // into one arena whose slices ride the scatter-gather MultiPut
 // untouched; a sealed arena slice stays valid even when later encodes
 // grow the arena into fresh memory.
 func (c *Client) StoreNodes(ctx context.Context, nodes []meta.Node) error {
 	ctx, op := trace.Start(ctx, "mstore.store")
-	blocks := make(map[meta.BlockKey][]meta.Node)
+	index := make(map[meta.BlockKey]*block)
+	var blocks []*block
 	for i := range nodes {
 		key := nodes[i].Key.Block()
-		blocks[key] = append(blocks[key], nodes[i])
+		b := index[key]
+		if b == nil {
+			b = &block{key: key, hash: key.Hash()}
+			index[key] = b
+			blocks = append(blocks, b)
+		}
+		b.nodes = append(b.nodes, nodes[i])
 	}
 	op.Notef("%d nodes in %d blocks", len(nodes), len(blocks))
-	kvs := make([]dht.KV, 0, len(blocks))
+	kvs := make([]dht.KV, len(blocks))
 	arena := wire.NewWriter(96 * len(nodes))
-	for key, held := range blocks {
+	for i, b := range blocks {
 		start := arena.Len()
-		meta.EncodeBlock(arena, key, held)
+		meta.EncodeBlock(arena, b.key, b.nodes)
 		end := arena.Len()
-		kvs = append(kvs, dht.KV{Key: key.Hash(), Value: arena.Bytes()[start:end:end]})
+		kvs[i] = dht.KV{Key: b.hash, Value: arena.Bytes()[start:end:end]}
 	}
 	err := c.kv.MultiPut(ctx, kvs)
 	op.EndErr(err)
 	if err != nil {
 		return fmt.Errorf("mstore: store %d nodes: %w", len(nodes), err)
 	}
-	for _, held := range blocks {
-		for i := range held {
-			c.cache.put(held[i].Key, &held[i])
-		}
+	for _, b := range blocks {
+		c.cache.put(b)
 	}
 	return nil
 }
 
 // FetchNode retrieves a single node: the one-key case of FetchNodes.
 func (c *Client) FetchNode(ctx context.Context, key meta.NodeKey) (*meta.Node, error) {
-	nodes, err := c.FetchNodes(ctx, []meta.NodeKey{key})
-	if err != nil {
-		return nil, err
-	}
-	return nodes[key], nil
+	d := descent{blocks: make(map[uint64]*block, 1)}
+	var out [1]*meta.Node
+	err := c.fetch(ctx, []meta.NodeKey{key}, out[:], &d)
+	return out[0], err
 }
 
 // FetchNodes retrieves a batch of nodes, serving what it can from the
 // cache and fetching the blocks that hold the rest, each once, in one
 // MultiGet. A key whose block is absent, or does not hold it, yields
-// ErrMissingNode. The map also holds the fetched blocks' other nodes.
-// This is the fetch of the walkers that visit whole trees (GC, repair):
-// it carries no range, so providers send nothing that was not asked for.
+// ErrMissingNode. The map also holds the other nodes of the blocks the
+// keys live in. This is the fetch of the walkers that visit whole trees
+// (GC, repair): it carries no range, so providers send nothing that was
+// not asked for.
 func (c *Client) FetchNodes(ctx context.Context, keys []meta.NodeKey) (map[meta.NodeKey]*meta.Node, error) {
-	d := descent{nodes: make(map[meta.NodeKey]*meta.Node, len(keys))}
-	return d.nodes, c.fetch(ctx, keys, &d)
+	d := descent{blocks: make(map[uint64]*block, len(keys))}
+	err := c.fetch(ctx, keys, make([]*meta.Node, len(keys)), &d)
+	nodes := make(map[meta.NodeKey]*meta.Node, len(keys))
+	for _, b := range d.blocks {
+		for i := range b.nodes {
+			nodes[b.nodes[i].Key] = &b.nodes[i]
+		}
+	}
+	return nodes, err
 }
 
 // descent is what one traversal keeps between its fetch waves.
 type descent struct {
-	// nodes holds every node of every block decoded so far: the
-	// traversal's memo, so a block is never fetched twice even with the
-	// cache off.
-	nodes map[meta.NodeKey]*meta.Node
+	// blocks holds, by dht key, every block the traversal has met: its
+	// memo, so a block is looked up in the cache and fetched at most once
+	// even with the cache off, and serves every level it holds.
+	blocks map[uint64]*block
 	// bodies holds, by dht key, block bodies the providers sent ahead
 	// (FollowBlock) and the walk has not reached. They are unverified
 	// bytes under a key a provider chose: one is decoded only when the
@@ -144,38 +164,48 @@ type descent struct {
 	pages meta.PageRange
 }
 
-// fetch resolves keys into d.nodes. A key already there costs nothing;
-// the others are served from the cache, then from blocks received ahead,
-// and what is still missing is fetched, each block once, in the
-// traversal's one network call: a MultiGet carrying d.pages. Every node
-// of every block decoded lands in d.nodes and in the cache (a slot per
-// node).
-func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, d *descent) error {
-	var miss []meta.NodeKey
-	var ask []uint64                    // dht keys to fetch
-	var blocks map[meta.BlockKey]uint64 // block to decode this wave → its dht key; made on the first miss
-	used := 0                           // blocks of this wave already received ahead
-	for _, k := range keys {
-		if _, ok := d.nodes[k]; ok {
+// fetch resolves keys[i] into out[i]. A key whose block the memo holds
+// costs a scan of that block; the other blocks are looked up in the
+// cache, then among the bodies received ahead, and what is still missing
+// is fetched, each block once, in the traversal's one network call: a
+// MultiGet carrying d.pages. Every block decoded lands in d.blocks and in
+// the cache, whole.
+func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, out []*meta.Node, d *descent) error {
+	type waiting struct {
+		i int    // keys[i] lives in b,
+		b *block // which this wave decodes
+	}
+	var miss []waiting
+	var want []*block // blocks to decode this wave
+	var ask []uint64  // their dht keys, less those received ahead
+	used := 0         // blocks of this wave already received ahead
+	for i, k := range keys {
+		key := k.Block()
+		hash := key.Hash()
+		b := d.blocks[hash]
+		if b == nil {
+			if b = c.cache.get(hash, key); b == nil {
+				// Memoized before its body arrives, so the wave's other
+				// keys of this block find it and ask no second time.
+				b = &block{key: key, hash: hash}
+				want = append(want, b)
+				if _, ahead := d.bodies[hash]; ahead {
+					used++
+				} else {
+					ask = append(ask, hash)
+				}
+			}
+			d.blocks[hash] = b
+		}
+		if b.key != key {
+			return fmt.Errorf("mstore: blocks %+v and %+v share dht key %#x (hash collision)", b.key, key, hash)
+		}
+		if b.nodes == nil {
+			miss = append(miss, waiting{i, b})
 			continue
 		}
-		if n, ok := c.cache.get(k); ok {
-			d.nodes[k] = n
-			continue
-		}
-		miss = append(miss, k)
-		b := k.Block()
-		if _, dup := blocks[b]; !dup {
-			if blocks == nil {
-				blocks = make(map[meta.BlockKey]uint64)
-			}
-			hash := b.Hash()
-			blocks[b] = hash
-			if _, ahead := d.bodies[hash]; ahead {
-				used++
-			} else {
-				ask = append(ask, hash)
-			}
+		if out[i] = b.node(k.Range); out[i] == nil {
+			return fmt.Errorf("%w: %+v", ErrMissingNode, k)
 		}
 	}
 	if len(miss) == 0 {
@@ -211,43 +241,39 @@ func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, d *descent) err
 	op.Notef("%d/%d cached; asked %d, extra %d, used %d", len(keys)-len(miss), len(keys), len(ask), extra, used)
 	op.End()
 	decoded := 0
-	for b, hash := range blocks {
-		body, ok := d.bodies[hash]
+	for _, b := range want {
+		body, ok := d.bodies[b.hash]
 		if !ok {
 			continue // its keys are reported missing below
 		}
-		delete(d.bodies, hash)
-		nodes, err := meta.DecodeBlock(body, b)
+		delete(d.bodies, b.hash)
+		nodes, err := meta.DecodeBlock(body, b.key)
 		if err != nil {
-			return fmt.Errorf("mstore: block %+v: %w", b, err)
+			return fmt.Errorf("mstore: block %+v: %w", b.key, err)
 		}
+		b.nodes = nodes
 		decoded += len(nodes)
-		for j := range nodes {
-			n := &nodes[j]
-			c.cache.put(n.Key, n)
-			d.nodes[n.Key] = n
-		}
+		c.cache.put(b)
 	}
 	if c.ProcessDelay > 0 {
 		// One sleep for the whole batch: the per-node costs are
 		// sequential on the client CPU.
 		time.Sleep(time.Duration(decoded) * c.ProcessDelay)
 	}
-	for _, k := range miss {
-		if d.nodes[k] == nil {
-			return fmt.Errorf("%w: %+v", ErrMissingNode, k)
+	for _, m := range miss {
+		if out[m.i] = m.b.node(keys[m.i].Range); out[m.i] == nil {
+			return fmt.Errorf("%w: %+v", ErrMissingNode, keys[m.i])
 		}
 	}
 	return nil
 }
 
-// DeleteBlock removes one stored block from the providers and the
-// nodes it held — holds lists their ranges — from the local cache (GC).
-func (c *Client) DeleteBlock(ctx context.Context, key meta.BlockKey, holds []meta.NodeRange) error {
-	for _, r := range holds {
-		c.cache.remove(meta.NodeKey{Blob: key.Blob, Version: key.Version, Range: r})
-	}
-	return c.kv.Delete(ctx, key.Hash())
+// DeleteBlock removes one stored block from the providers and from the
+// local cache (GC).
+func (c *Client) DeleteBlock(ctx context.Context, key meta.BlockKey) error {
+	hash := key.Hash()
+	c.cache.remove(hash, key)
+	return c.kv.Delete(ctx, hash)
 }
 
 // PageLeaf is one resolved page of a read plan.
@@ -300,15 +326,17 @@ func (c *Client) ReadPlan(ctx context.Context, blob uint64, v meta.Version, tota
 
 	// One memo for the whole descent: a block serves every level it
 	// holds, and what the providers send ahead waits there to be reached.
-	d := descent{nodes: make(map[meta.NodeKey]*meta.Node), pages: pr}
+	d := descent{blocks: make(map[uint64]*block), pages: pr}
 	frontier := []meta.NodeKey{meta.RootKey(blob, v, totalPages)}
+	var next []meta.NodeKey // the two frontiers and nodes are reused wave to wave
+	var nodes []*meta.Node
 	for len(frontier) > 0 {
-		if err := c.fetch(ctx, frontier, &d); err != nil {
+		nodes = append(nodes[:0], make([]*meta.Node, len(frontier))...)
+		if err := c.fetch(ctx, frontier, nodes, &d); err != nil {
 			return nil, err
 		}
-		var next []meta.NodeKey
-		for _, key := range frontier {
-			n := d.nodes[key]
+		next = next[:0]
+		for _, n := range nodes {
 			if n.IsLeaf() {
 				p := n.Key.Range.Start
 				if p < pr.First || p >= pr.End() {
@@ -344,7 +372,7 @@ func (c *Client) ReadPlan(ctx context.Context, blob uint64, v meta.Version, tota
 				next = append(next, meta.NodeKey{Blob: blob, Version: side.ver, Range: side.r})
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	if placed != pr.Count {
 		return nil, fmt.Errorf("mstore: read plan resolved %d pages, want %d (corrupt tree?)", placed, pr.Count)

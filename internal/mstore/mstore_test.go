@@ -284,19 +284,140 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// testBlock builds a decoded block of version v covering pages [8i,8i+8)
+// with the given number of nodes: leaves first, then interior nodes.
+func testBlock(v meta.Version, i uint64, nodes int) *block {
+	key := meta.NodeKey{Blob: 1, Version: v, Range: meta.NodeRange{Start: 8 * i, Size: 1}}.Block()
+	b := &block{key: key, hash: key.Hash()}
+	ranges := meta.WriteSet(1<<20, meta.PageRange{First: 8 * i, Count: 4})
+	for _, r := range ranges {
+		if r.Block() != key.Range || len(b.nodes) == nodes {
+			continue
+		}
+		n := meta.Node{Key: meta.NodeKey{Blob: 1, Version: v, Range: r}}
+		if r.IsLeaf() {
+			n.Leaf = &meta.LeafData{Write: uint64(v)}
+		}
+		b.nodes = append(b.nodes, n)
+	}
+	if len(b.nodes) != nodes {
+		panic(fmt.Sprintf("testBlock: built %d nodes, want %d", len(b.nodes), nodes))
+	}
+	return b
+}
+
+// TestCacheEviction: the cache's budget is nodes, not entries — a 7-node
+// block takes the room of seven 1-node blocks, and pushes out exactly
+// that many — and the least recently used blocks go first.
 func TestCacheEviction(t *testing.T) {
-	cache := newNodeCache(32)
-	for i := 0; i < 500; i++ {
-		k := meta.NodeKey{Blob: 1, Version: meta.Version(i), Range: meta.NodeRange{Start: 0, Size: 1}}
-		cache.put(k, &meta.Node{Key: k, Leaf: &meta.LeafData{Write: uint64(i)}})
+	const capacity = 16 * 14 // 14 nodes per shard
+	cache := newBlockCache(capacity)
+	for v := meta.Version(1); v <= 500; v++ {
+		cache.put(testBlock(v, uint64(v), 1+int(v)%7))
+		if n := cache.len(); n > capacity {
+			t.Fatalf("after %d inserts the cache holds %d nodes, cap %d", v, n, capacity)
+		}
 	}
-	if n := cache.len(); n > 32 {
-		t.Errorf("cache grew to %d entries, cap 32", n)
+	if cache.len() < capacity/2 {
+		t.Errorf("cache holds %d nodes of %d after 500 inserts", cache.len(), capacity)
 	}
-	// Most recent key should still be present.
-	last := meta.NodeKey{Blob: 1, Version: 499, Range: meta.NodeRange{Start: 0, Size: 1}}
-	if _, ok := cache.get(last); !ok {
-		t.Error("most recent entry evicted")
+
+	// One shard, watched closely: fourteen 1-node blocks fill it, then a
+	// 7-node block arrives.
+	cache = newBlockCache(capacity)
+	var v meta.Version
+	sameShard := func(nodes int) *block {
+		for {
+			v++
+			if b := testBlock(v, 3, nodes); b.hash&(cacheShards-1) == 0 {
+				return b
+			}
+		}
+	}
+	held := func(b *block) bool { return cache.get(b.hash, b.key) == b }
+	var small []*block
+	for i := 0; i < 14; i++ {
+		small = append(small, sameShard(1))
+		cache.put(small[i])
+	}
+	if !held(small[0]) { // and now the most recently used
+		t.Fatal("a block was evicted from a shard it fits in")
+	}
+	big := sameShard(7)
+	cache.put(big)
+	if n := cache.len(); n != 14 {
+		t.Errorf("shard holds %d nodes after the insert, want its budget of 14", n)
+	}
+	if !held(big) {
+		t.Error("the block just inserted was evicted")
+	}
+	for i, b := range small {
+		if evicted := i >= 1 && i <= 7; held(b) == evicted {
+			t.Errorf("1-node block %d: held = %v; the 7-node insert should evict exactly the seven least recently used (1..7)", i, !evicted)
+		}
+	}
+}
+
+// TestCacheNewestSurvivesOwnInsert: a block heavier than a whole shard's
+// budget still survives its own insert (alone), so a descent that just
+// decoded it can always be served from it next time.
+func TestCacheNewestSurvivesOwnInsert(t *testing.T) {
+	cache := newBlockCache(16) // one node per shard
+	for v := meta.Version(1); v <= 200; v++ {
+		b := testBlock(v, uint64(v), 7)
+		cache.put(b)
+		if got := cache.get(b.hash, b.key); got != b {
+			t.Fatalf("block %d evicted by its own insert", v)
+		}
+	}
+	if n := cache.len(); n > 16*7 {
+		t.Errorf("cache holds %d nodes: more than one block per shard", n)
+	}
+}
+
+// TestCacheCollisionIsAMiss: two blocks under one dht key. The cache
+// holds the first; the second is a miss on lookup, does not displace the
+// first on insert, and removing the second leaves the first alone.
+func TestCacheCollisionIsAMiss(t *testing.T) {
+	cache := newBlockCache(1 << 10)
+	first := testBlock(1, 0, 3)
+	second := testBlock(2, 5, 7)
+	second.hash = first.hash // a forged 64-bit collision
+	cache.put(first)
+	if got := cache.get(second.hash, second.key); got != nil {
+		t.Fatalf("lookup of %+v returned %+v: another block's nodes", second.key, got.key)
+	}
+	cache.put(second)
+	if got := cache.get(first.hash, first.key); got != first {
+		t.Fatal("a colliding insert displaced the cached block")
+	}
+	if got := cache.get(second.hash, second.key); got != nil {
+		t.Fatal("a colliding insert overwrote the cached block")
+	}
+	if n := cache.len(); n != 3 {
+		t.Errorf("cache holds %d nodes, want the first block's 3", n)
+	}
+	cache.remove(second.hash, second.key)
+	if got := cache.get(first.hash, first.key); got != first {
+		t.Fatal("removing the colliding key removed the cached block")
+	}
+	cache.remove(first.hash, first.key)
+	if cache.len() != 0 || cache.get(first.hash, first.key) != nil {
+		t.Fatal("remove left the block behind")
+	}
+}
+
+// TestFetchCollisionIsLoud: a descent that derives two block names with
+// one dht key fails; it never resolves a key from the other block.
+func TestFetchCollisionIsLoud(t *testing.T) {
+	c := newFabric(t, 2, 1<<10)
+	held := testBlock(1, 0, 3)
+	want := meta.NodeKey{Blob: 1, Version: 2, Range: meta.NodeRange{Start: 40, Size: 1}}
+	d := descent{blocks: map[uint64]*block{want.Block().Hash(): held}}
+	var out [1]*meta.Node
+	err := c.fetch(context.Background(), []meta.NodeKey{want}, out[:], &d)
+	if err == nil || out[0] != nil {
+		t.Fatalf("fetch = %+v, %v; want a collision error", out[0], err)
 	}
 }
 
@@ -314,10 +435,16 @@ func TestDeleteBlockRemovesEverywhere(t *testing.T) {
 	if err := c.StoreNodes(ctx, []meta.Node{parent, leaf}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteBlock(ctx, leaf.Key.Block(), []meta.NodeRange{parent.Key.Range, leaf.Key.Range}); err != nil {
+	if st := c.CacheStats(); st.Len != 2 {
+		t.Fatalf("StoreNodes cached %d nodes, want the block's 2", st.Len)
+	}
+	if err := c.DeleteBlock(ctx, leaf.Key.Block()); err != nil {
 		t.Fatal(err)
 	}
 	// Gone from the providers and from this client's cache, both nodes.
+	if st := c.CacheStats(); st.Len != 0 {
+		t.Errorf("cache still holds %d nodes after its only block was deleted", st.Len)
+	}
 	for _, k := range []meta.NodeKey{leaf.Key, parent.Key} {
 		if _, err := c.FetchNode(ctx, k); !errors.Is(err, ErrMissingNode) {
 			t.Errorf("node %+v survived its block's delete: %v", k, err)
@@ -482,24 +609,61 @@ func BenchmarkReadPlanSinglePageDeepTree(b *testing.B) { benchSinglePageDeepTree
 
 func BenchmarkReadPlanSinglePageDeepTreeNoFollow(b *testing.B) { benchSinglePageDeepTree(b, nil) }
 
-func benchSinglePageDeepTree(b *testing.B, follow dht.FollowFunc) {
-	c := New(startFabric(b, 3, follow).kv, 256)
-	const total = 1 << 14
+// deepTree builds that tree through a client with a 256-node cache and
+// returns the client, the newest version and the source of random pages.
+func deepTree(tb testing.TB, follow dht.FollowFunc) (*Client, meta.Version, *rand.Rand) {
+	c := New(startFabric(tb, 3, follow).kv, 256)
 	rng := rand.New(rand.NewSource(3))
-	ivm, _ := meta.NewIntervalVersionMap(total)
+	ivm, _ := meta.NewIntervalVersionMap(deepTreePages)
 	v := meta.Version(1)
-	writeVersion(b, c, ivm, 1, v, total, meta.PageRange{First: 0, Count: total}, 9)
+	writeVersion(tb, c, ivm, 1, v, deepTreePages, meta.PageRange{First: 0, Count: deepTreePages}, 9)
 	for ; v < 64; v++ {
-		writeVersion(b, c, ivm, 1, v+1, total, meta.PageRange{First: uint64(rng.Intn(total)), Count: 1}, 10+uint64(v))
+		writeVersion(tb, c, ivm, 1, v+1, deepTreePages, meta.PageRange{First: uint64(rng.Intn(deepTreePages)), Count: 1}, 10+uint64(v))
 	}
+	return c, v, rng
+}
+
+const deepTreePages = 1 << 14
+
+func benchSinglePageDeepTree(b *testing.B, follow dht.FollowFunc) {
+	c, v, rng := deepTree(b, follow)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	sent := rpc.M.CallsSent.Value()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ReadPlan(ctx, 1, v, total, meta.PageRange{First: uint64(rng.Intn(total)), Count: 1}); err != nil {
+		if _, err := c.ReadPlan(ctx, 1, v, deepTreePages, meta.PageRange{First: uint64(rng.Intn(deepTreePages)), Count: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(rpc.M.CallsSent.Value()-sent)/float64(b.N), "trips/op")
+}
+
+// TestReadPlanSinglePageAllocBudget is the allocation gate on the
+// fine-grain read's metadata step, BenchmarkReadPlanSinglePageDeepTree's
+// workload once its cache has settled: 93 allocs/op when the block became
+// the unit of the cache and of the descent's memo (133 with a map slot,
+// an LRU entry and an eviction per node), its ~1.7 round trips and their
+// server side included — everything runs in this process. The slack is
+// for sync.Pool refills after a GC cycle; a slot per node costs forty.
+func TestReadPlanSinglePageAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers at random under the race detector")
+	}
+	c, v, rng := deepTree(t, FollowBlock)
+	ctx := context.Background()
+	plan := func() {
+		if _, err := c.ReadPlan(ctx, 1, v, deepTreePages, meta.PageRange{First: uint64(rng.Intn(deepTreePages)), Count: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 500; i++ { // settle the cache
+		plan()
+	}
+	const budget = 100
+	if avg := testing.AllocsPerRun(2000, plan); avg > budget {
+		t.Fatalf("single-page plan of a deep tree: %.0f allocs/op, want <= %d", avg, budget)
+	} else {
+		t.Logf("%.0f allocs/op (budget %d)", avg, budget)
+	}
 }
