@@ -43,8 +43,8 @@
 // (internal/core), the in-process cluster laboratory (internal/cluster),
 // the supernova-survey application (internal/sky) and the garbage
 // collector (internal/gc). Example programs live under examples/; the
-// paper's evaluation is regenerated by the benchmarks in bench_test.go
-// and by cmd/blobbench.
+// system is measured on real processes by the benchmark/ module
+// (sh benchmark/run.sh, docs/perf.md).
 package blob
 
 import (
@@ -108,8 +108,8 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 // started with cmd/blobnode are reached through it.
 var TCP rpc.Network = rpc.TCP{}
 
-// ClusterConfig configures an in-process deployment (test/benchmark
-// laboratory over the simulated network).
+// ClusterConfig configures an in-process deployment (test laboratory
+// over the simulated network).
 type ClusterConfig = cluster.Config
 
 // Cluster is a running in-process deployment.

@@ -266,8 +266,8 @@ func main() {
 			log.Printf("role provider (id %d, capacity %d, persistence %q, repair rate %d B/s)",
 				id, *capacity, *dataDir, *repairBps)
 			if *chaosDelay > 0 || *chaosStall {
-				// Boot gray: the acceptance harness and the chaos bench
-				// start sick providers this way (docs/robustness.md).
+				// Boot gray: a drill can start a provider sick instead of
+				// turning it sick with blobctl chaos (docs/robustness.md).
 				dataSvc.SetChaos(*chaosDelay, *chaosStall)
 				log.Printf("provider: CHAOS armed (delay %v, stall %v)", *chaosDelay, *chaosStall)
 			}

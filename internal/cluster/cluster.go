@@ -7,8 +7,8 @@
 // dedicated nodes.
 //
 // The same service implementations run over real TCP through
-// cmd/blobnode; this package is the laboratory the tests, examples and
-// benchmark harness use.
+// cmd/blobnode; this package is the laboratory the tests and examples
+// use. Numbers are measured on real processes, by benchmark/.
 package cluster
 
 import (
@@ -77,12 +77,6 @@ type Config struct {
 	// loops and makes the provider manager filter silent providers after
 	// 4 intervals.
 	HeartbeatInterval time.Duration
-	// MetaPutDelay models the metadata backend's per-entry put cost (the
-	// BambooDHT asymmetry; see dht.Store.PutDelay). Zero for unit tests.
-	MetaPutDelay time.Duration
-	// MetaProcessDelay models the client-side per-node deserialization
-	// cost (see mstore.Client.ProcessDelay). Zero for unit tests.
-	MetaProcessDelay time.Duration
 	// DataDir, when non-empty, makes data providers persistent: provider
 	// i keeps its pages in a diskstore segment log under
 	// DataDir/provider-<i> and serves them again after a restart
@@ -91,10 +85,6 @@ type Config struct {
 	// SegmentSize is the disk-backed providers' segment file size
 	// (0 = diskstore default, 4 MiB). Ignored without DataDir.
 	SegmentSize int64
-	// DiskCacheBytes, when positive, fronts each disk-backed provider
-	// with a write-through RAM cache of that many bytes. Ignored without
-	// DataDir.
-	DiskCacheBytes int64
 	// RepairInterval, when positive, runs a background replica-repair
 	// agent (internal/repair, protocol in docs/replication.md) over every
 	// blob with that period, so a replica set degraded by a provider
@@ -125,11 +115,6 @@ type Config struct {
 	// carry every version's size and history; page metadata lives in
 	// the DHT and is never truncated).
 	VMMaxLogRecords int
-	// VMAppendDelay simulates per-record log append durability cost at
-	// each shard leader, slept under the shard's serializing lock — the
-	// knob that makes publish throughput scale measurably with shard
-	// count (bench.AblateVmanagerShards).
-	VMAppendDelay time.Duration
 	// TraceSampleEvery, when positive, arms every node role and every
 	// cluster client with a span tracer sampling 1-in-N root operations
 	// (1 = trace everything). Spans land in per-process ring buffers;
@@ -143,7 +128,7 @@ type Config struct {
 	// through Events and the monitor.
 	Breakers bool
 	// DisableHedging turns off clients' hedged reads (on by default;
-	// the knob exists for the chaos bench ablation).
+	// see core.Options.DisableHedging).
 	DisableHedging bool
 	// Monitor, when true, embeds a cluster monitor (internal/monitor)
 	// polling the deployment from its own "monitor" host; Cluster.Mon
@@ -339,7 +324,7 @@ func (c *Cluster) newDataService(i int, st provider.PageStore, j *events.Journal
 
 // newDataStore builds data provider i's storage backend from the
 // deployment config: RAM-only by default, or a disk-backed segment log
-// (with an optional write-through RAM cache) under Config.DataDir.
+// under Config.DataDir.
 func (c *Cluster) newDataStore(i int, j *events.Journal) (provider.PageStore, error) {
 	if c.cfg.DataDir == "" {
 		return provider.NewStore(c.cfg.ProviderCapacity), nil
@@ -351,9 +336,6 @@ func (c *Cluster) newDataStore(i int, j *events.Journal) (provider.PageStore, er
 	}, c.cfg.ProviderCapacity)
 	if err != nil {
 		return nil, err
-	}
-	if c.cfg.DiskCacheBytes > 0 {
-		return provider.NewCachedStore(ds, c.cfg.DiskCacheBytes), nil
 	}
 	return ds, nil
 }
@@ -428,7 +410,6 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 		Pool:            pool,
 		Heartbeat:       c.cfg.VMHeartbeat,
 		ElectionTimeout: c.cfg.VMElectionTimeout,
-		AppendDelay:     c.cfg.VMAppendDelay,
 		MaxLogRecords:   c.cfg.VMMaxLogRecords,
 		Rejoin:          rejoin,
 		Journal:         jn,
@@ -558,7 +539,6 @@ func Launch(cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.MetaProviders; i++ {
 		st := dht.NewStore()
-		st.PutDelay = cfg.MetaPutDelay
 		st.Follow = mstore.FollowBlock
 		c.MetaStores = append(c.MetaStores, st)
 		addr, err := serve(c.fab.Host(metaHost(i)), "meta", st.RegisterHandlers)
@@ -766,19 +746,18 @@ func (c *Cluster) providerHeartbeatLoop(i int, stop chan struct{}) {
 // host (each client host has its own NIC, like the paper's client nodes).
 func (c *Cluster) ClientOptions(hostName string) core.Options {
 	return core.Options{
-		Network:          hostDialer{c.fab.Host(hostName)},
-		VManagerShards:   c.VMShardAddrs,
-		PManagerAddr:     c.PMAddr,
-		MetaDirAddr:      c.DirAddr,
-		DataReplicas:     c.cfg.DataReplicas,
-		Redundancy:       c.cfg.Redundancy,
-		MetaReplicas:     c.cfg.MetaReplicas,
-		CacheNodes:       c.cfg.CacheNodes,
-		MetaProcessDelay: c.cfg.MetaProcessDelay,
-		DisableHedging:   c.cfg.DisableHedging,
-		Breakers:         c.cfg.Breakers,
-		Journal:          c.newJournal(hostName),
-		Tracer:           c.newTracer(hostName),
+		Network:        hostDialer{c.fab.Host(hostName)},
+		VManagerShards: c.VMShardAddrs,
+		PManagerAddr:   c.PMAddr,
+		MetaDirAddr:    c.DirAddr,
+		DataReplicas:   c.cfg.DataReplicas,
+		Redundancy:     c.cfg.Redundancy,
+		MetaReplicas:   c.cfg.MetaReplicas,
+		CacheNodes:     c.cfg.CacheNodes,
+		DisableHedging: c.cfg.DisableHedging,
+		Breakers:       c.cfg.Breakers,
+		Journal:        c.newJournal(hostName),
+		Tracer:         c.newTracer(hostName),
 	}
 }
 

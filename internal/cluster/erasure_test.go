@@ -182,3 +182,72 @@ func TestErasureReconstructionRepair(t *testing.T) {
 		t.Fatalf("read after repair with providers 2,5 stopped: %v", err)
 	}
 }
+
+// TestErasureRepairIngestsLessThanReplication pins the storage and
+// repair-ingest claims of docs/erasure.md §7 with exact counts. The
+// same 72 logical pages on 6 providers are stored as 2x pages under 2x
+// replication and 1.5x under rs(4,2), both spread evenly; after one
+// provider loses everything, repair pushes a third of the logical
+// pages back into it under replication and a quarter under rs(4,2).
+func TestErasureRepairIngestsLessThanReplication(t *testing.T) {
+	const (
+		pageSize = 1 << 10
+		writes   = 6
+		segPages = 12 // three full rs(4,2) stripes
+		logical  = writes * segPages
+	)
+	run := func(cfg cluster.Config) (stored int64, rep repair.Report) {
+		cfg.DataProviders, cfg.MetaProviders, cfg.CoLocate = 6, 6, true
+		cl, err := cluster.Launch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Shutdown()
+		ctx := context.Background()
+		c, err := cl.NewClient(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		b, err := c.CreateBlob(ctx, pageSize, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, logical*pageSize)
+		rand.New(rand.NewSource(11)).Read(want)
+		for i := 0; i < writes; i++ {
+			off := i * segPages * pageSize
+			if _, err := b.Write(ctx, want[off:off+segPages*pageSize], uint64(off)); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+		stored = cl.TotalDataPages()
+
+		if err := cl.WipeDataProvider(0); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err = repair.New(c).RepairBlob(ctx, b.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if got := cl.TotalDataPages(); !rep.FullyRedundant() || got != stored {
+			t.Fatalf("%v: repair left %d of %d pages: %+v", b.Redundancy(), got, stored, rep)
+		}
+		if err := readAll(t, cl, b.ID(), want); err != nil {
+			t.Fatalf("%v: read after repair: %v", b.Redundancy(), err)
+		}
+		return stored, rep
+	}
+	replStored, repl := run(cluster.Config{DataReplicas: 2})
+	rsStored, rs := run(cluster.Config{Redundancy: erasure.Redundancy{K: 4, M: 2}})
+
+	if replStored != 2*logical || rsStored != logical*3/2 {
+		t.Errorf("stored pages for %d logical: %d replicated, %d rs(4,2); want %d and %d",
+			logical, replStored, rsStored, 2*logical, logical*3/2)
+	}
+	if repl.PagesRepaired != logical/3 || repl.BytesPulled != logical/3*pageSize || repl.PagesReconstructed != 0 {
+		t.Errorf("replication repair = %+v, want %d pages pulled into the wiped provider", repl, logical/3)
+	}
+	if rs.PagesReconstructed != logical/4 || rs.ReconstructedBytes != logical/4*pageSize || rs.PagesRepaired != 0 {
+		t.Errorf("rs(4,2) repair = %+v, want %d shards reconstructed into the wiped provider", rs, logical/4)
+	}
+}

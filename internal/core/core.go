@@ -76,16 +76,14 @@ type Options struct {
 	// CacheNodes bounds the client metadata cache; 0 disables it,
 	// negative selects the paper's 2^20.
 	CacheNodes int
-	// MetaProcessDelay models the client-side cost of deserializing one
-	// fetched metadata node (simulation knob for the experiment
-	// harness; zero disables it). See mstore.Client.ProcessDelay.
-	MetaProcessDelay time.Duration
 	// DisableHedging turns off hedged reads (docs/robustness.md):
 	// without it, a page fetch that outlives its provider's adaptive
 	// hedge delay (~p95 of that provider's recent latency) is raced
 	// against the next replica — or, for rs(k,m) blobs, served by early
-	// stripe reconstruction — and the first usable response wins. The
-	// knob exists for the gray-failure ablation (bench.AblateChaos).
+	// stripe reconstruction — and the first usable response wins. Set by
+	// the benchmark's write-verification pass (benchmark/workload.go
+	// verifyWrites) and by the tests that price the hedge against its
+	// absence (hedge_test.go).
 	DisableHedging bool
 	// Breakers enables per-peer circuit breakers on the client's RPC
 	// pool (docs/robustness.md): a provider whose calls persistently
@@ -224,13 +222,11 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 		pool.Close()
 		return nil, fmt.Errorf("core: connect metadata directory: %w", err)
 	}
-	ms := mstore.New(kv, opts.CacheNodes)
-	ms.ProcessDelay = opts.MetaProcessDelay
 	c := &Client{
 		opts:      opts,
 		pool:      pool,
 		vm:        vmanager.NewGroupClient(pool, opts.VManagerShards),
-		ms:        ms,
+		ms:        mstore.New(kv, opts.CacheNodes),
 		providers: make(map[uint32]string),
 		digests:   make(map[uint32]digestEntry),
 		repairSem: make(chan struct{}, 4),

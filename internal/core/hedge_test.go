@@ -18,6 +18,7 @@ import (
 	"blob/internal/erasure"
 	"blob/internal/events"
 	"blob/internal/meta"
+	"blob/internal/netsim"
 )
 
 // tierProvider returns the replica-tier provider IDs of the page at
@@ -121,6 +122,70 @@ func TestDisableHedgingStalledReplicaBlocksRead(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("read after heal returned wrong bytes")
+	}
+}
+
+// TestHealthyHedgeIssuesNoExtraGets is the no-fault half of the hedge
+// contract (docs/robustness.md): with every provider healthy, the same
+// reads with hedging on cost the providers at most 10 % more page gets
+// than with hedging off — slack for a hedge or two fired by scheduler
+// noise; a hedge that fired on every fetch would double them — and a
+// client with hedging off never hedges.
+func TestHealthyHedgeIssuesNoExtraGets(t *testing.T) {
+	const reads = 30
+	cell := func(disableHedging bool) (gets, hedged int64) {
+		cl, c := launch(t, cluster.Config{
+			DataReplicas: 2,
+			// A fabric with latency: a 16-page fetch takes most of the
+			// hedge delay's 10 ms floor, so a mispriced delay shows.
+			Net:            netsim.Grid5000(),
+			CacheNodes:     -1, // warm metadata cache: the counted path is page fetches
+			DisableHedging: disableHedging,
+		})
+		ctx := context.Background()
+		b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := pattern(31, 16*pageSize)
+		v, err := b.Write(ctx, data, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		providerGets := func() (n int64) {
+			for _, svc := range cl.DataServices {
+				n += svc.Snapshot().Gets
+			}
+			return n
+		}
+		got := make([]byte, len(data))
+		// The first reads seed every provider's latency estimator, so
+		// the counted ones run on the adaptive hedge delay.
+		for i := -4; i < reads; i++ {
+			if i == 0 {
+				gets, hedged = providerGets(), c.HedgedReads.Value()
+			}
+			clear(got)
+			if _, err := b.Read(ctx, got, 0, v); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("read %d returned wrong bytes", i)
+			}
+		}
+		return providerGets() - gets, c.HedgedReads.Value() - hedged
+	}
+	off, offHedged := cell(true)
+	on, onHedged := cell(false)
+	t.Logf("page gets for %d reads: %d hedging off, %d hedging on (%d hedged)", reads, off, on, onHedged)
+	if off != reads*16 {
+		t.Fatalf("hedging off: %d page gets for %d reads of 16 pages, want one per page", off, reads)
+	}
+	if offHedged != 0 {
+		t.Errorf("hedging off: %d hedged reads", offHedged)
+	}
+	if on > off*110/100 {
+		t.Errorf("no-fault hedge overhead: %d page gets hedged against %d unhedged", on, off)
 	}
 }
 

@@ -64,7 +64,8 @@ func (b *Blob) ReadDetailed(ctx context.Context, buf []byte, offset uint64, v me
 // A reader holding a pinned version can loop on ReadPinned forever
 // without ever contacting the centralized version manager — concurrent
 // writers publishing v+1, v+2, ... cannot slow it down there, which is
-// the paper's lock-free claim and what bench.AblateIngest measures.
+// the paper's lock-free claim and what the benchmark's survey-mixed
+// workload measures.
 //
 // Reading a never-published v through ReadPinned is a caller bug: the
 // metadata traversal will fail (or, for an assigned-but-unpublished v,

@@ -15,8 +15,8 @@ import (
 )
 
 // WriteResult reports a completed write and its phase timings, which the
-// experiment harness uses to separate metadata overhead (Figure 3a/3b)
-// from data transfer.
+// benchmark's layer table uses to separate metadata overhead from data
+// transfer.
 type WriteResult struct {
 	// Version is the write's assigned (and published) version number.
 	Version meta.Version

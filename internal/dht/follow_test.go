@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"blob/internal/stats"
 	"blob/internal/wire"
@@ -126,11 +125,10 @@ func TestFollowCaps(t *testing.T) {
 }
 
 // TestHandlersBoundWireCounts: every count and range a handler reads off
-// the wire is checked against the body before it sizes a loop, an
-// allocation or a sleep.
+// the wire is checked against the body before it sizes a loop or an
+// allocation.
 func TestHandlersBoundWireCounts(t *testing.T) {
 	s := NewStore()
-	s.PutDelay = time.Hour // a count that reached the sleep would hang the test
 	s.Follow = chainFollow
 	ctx := context.Background()
 	uv := func(vs ...uint64) []byte {

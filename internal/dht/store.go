@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"blob/internal/rpc"
 	"blob/internal/stats"
@@ -37,15 +36,6 @@ const storeShards = 64
 // keyed segment-tree nodes need, and it makes retries idempotent.
 type Store struct {
 	shards [storeShards]storeShard
-
-	// PutDelay models the per-entry cost of the storage backend's put
-	// path, applied while serving MMultiPut. The paper's metadata
-	// substrate (BambooDHT) had a put path far more expensive than its
-	// get path (replication and disk-backed storage); this knob lets the
-	// simulated cluster reproduce that asymmetry, which is what makes
-	// metadata writes speed up with more providers (Figure 3b) while
-	// reads stay provider-count-neutral (Figure 3a).
-	PutDelay time.Duration
 
 	// Follow, when set, lets the store answer an MMultiGet that carries a
 	// range with more than was asked: the hook names the keys a reader
@@ -254,13 +244,10 @@ func (s *Store) handleMultiPut(_ context.Context, body []byte) ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("dht multiput: %w", err)
 	}
-	// The count sizes a sleep and a loop: bound it by the body first.
+	// A count the body cannot hold is malformed: reject it before any
+	// entry is applied.
 	if n > uint64(r.Remaining())/minEntryBytes {
 		return nil, fmt.Errorf("dht multiput: %d entries claimed in %d bytes", n, r.Remaining())
-	}
-	if s.PutDelay > 0 {
-		// The backend processes the batched entries sequentially.
-		time.Sleep(time.Duration(n) * s.PutDelay)
 	}
 	for i := uint64(0); i < n; i++ {
 		key := r.Uint64()

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"blob/internal/dht"
 	"blob/internal/meta"
@@ -47,14 +46,6 @@ var ErrMissingNode = errors.New("mstore: metadata node not found")
 type Client struct {
 	kv    *dht.Client
 	cache *blockCache
-
-	// ProcessDelay models the client-side cost of receiving and
-	// deserializing one tree node fetched over the network (the paper's
-	// §V.C observation that "the main limiting factor is actually the
-	// performance of the client's processing power"). Cache hits skip
-	// it, so it also drives the cached-vs-uncached gap of Figure 3c.
-	// Zero (the default) disables the model.
-	ProcessDelay time.Duration
 
 	// unreported counts blocks the providers sent ahead of being asked
 	// (FollowBlock) that a descent then reached and decoded instead of
@@ -240,7 +231,6 @@ func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, out []*meta.Nod
 	}
 	op.Notef("%d/%d cached; asked %d, extra %d, used %d", len(keys)-len(miss), len(keys), len(ask), extra, used)
 	op.End()
-	decoded := 0
 	for _, b := range want {
 		body, ok := d.bodies[b.hash]
 		if !ok {
@@ -252,13 +242,7 @@ func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, out []*meta.Nod
 			return fmt.Errorf("mstore: block %+v: %w", b.key, err)
 		}
 		b.nodes = nodes
-		decoded += len(nodes)
 		c.cache.put(b)
-	}
-	if c.ProcessDelay > 0 {
-		// One sleep for the whole batch: the per-node costs are
-		// sequential on the client CPU.
-		time.Sleep(time.Duration(decoded) * c.ProcessDelay)
 	}
 	for _, m := range miss {
 		if out[m.i] = m.b.node(keys[m.i].Range); out[m.i] == nil {

@@ -7,9 +7,10 @@ package repair
 // missing slots to their providers. Traffic to the degraded provider is
 // exactly its lost shards — under rs(k,m) a provider holds a (k+m)/k / n
 // share of the logical bytes, measurably less than a replica's r/n
-// share, which is what AblateErasure demonstrates against 2x
-// replication. First-wins idempotent puts keep re-pushes safe to
-// over-approximate and to race with degraded reads doing the same.
+// share (pinned against 2x replication by internal/cluster's
+// TestErasureRepairIngestsLessThanReplication). First-wins idempotent
+// puts keep re-pushes safe to over-approximate and to race with
+// degraded reads doing the same.
 
 import (
 	"context"

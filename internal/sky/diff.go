@@ -20,8 +20,6 @@ import (
 
 // EpochDiff is the result of differencing two epochs of the whole sky.
 type EpochDiff struct {
-	// EpochA is the reference (earlier) epoch, EpochB the target.
-	EpochA, EpochB int
 	// VersionA, VersionB are the blob versions the tiles were read at.
 	VersionA, VersionB meta.Version
 	// Candidates are all significant-change components found, brightest
@@ -40,7 +38,7 @@ type EpochDiff struct {
 // pinned versions via ReadPinned, so the query never interacts with the
 // version manager.
 func (s *Survey) DiffEpochs(ctx context.Context, epochA, epochB int, threshold float64, workers int) (EpochDiff, error) {
-	d := EpochDiff{EpochA: epochA, EpochB: epochB}
+	var d EpochDiff
 	if epochA == epochB {
 		return d, fmt.Errorf("sky: diff of epoch %d against itself", epochA)
 	}

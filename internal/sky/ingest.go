@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blob/internal/core"
 	"blob/internal/meta"
 	"blob/internal/wire"
 )
@@ -113,7 +112,6 @@ func (ing *Ingestor) Stop() (int, error) {
 // byte-stable no matter how much ingestion happens after the pin.
 type PinnedReader struct {
 	sv      *Survey
-	blob    *core.Blob
 	epoch   int
 	version meta.Version
 	buf     []byte
@@ -130,25 +128,13 @@ type PinnedReader struct {
 // cluster, which is the point: the snapshot needs no server-side lease
 // or lock to stay stable.
 func (s *Survey) PinReader(epoch int) (*PinnedReader, error) {
-	return s.PinReaderOn(s.blob, epoch)
-}
-
-// PinReaderOn is PinReader reading through an independent blob handle —
-// typically the survey's blob opened by a separate client, so an
-// analysis process has its own connections and shares nothing with the
-// ingest path but the storage nodes themselves.
-func (s *Survey) PinReaderOn(b *core.Blob, epoch int) (*PinnedReader, error) {
 	v, err := s.VersionForEpoch(epoch)
 	if err != nil {
 		return nil, err
 	}
-	if b == nil {
-		b = s.blob
-	}
 	tiles := s.geo.TilesX * s.geo.TilesY
 	return &PinnedReader{
 		sv:      s,
-		blob:    b,
 		epoch:   epoch,
 		version: v,
 		buf:     make([]byte, s.geo.TileBytes()),
@@ -168,7 +154,7 @@ func (r *PinnedReader) Reads() int { return r.reads }
 // first time this reader observed the tile.
 func (r *PinnedReader) ReadTile(ctx context.Context, tx, ty int) error {
 	geo := r.sv.geo
-	if err := r.blob.ReadPinned(ctx, r.buf, geo.TileOffset(tx, ty), r.version); err != nil {
+	if err := r.sv.blob.ReadPinned(ctx, r.buf, geo.TileOffset(tx, ty), r.version); err != nil {
 		return err
 	}
 	r.reads++

@@ -56,9 +56,6 @@ func NewSurvey(blob *core.Blob, cat *Catalog, telescopes int) (*Survey, error) {
 	return &Survey{blob: blob, cat: cat, geo: geo, telescopes: telescopes}, nil
 }
 
-// Blob returns the underlying blob handle.
-func (s *Survey) Blob() *core.Blob { return s.blob }
-
 // Geometry returns the survey tiling.
 func (s *Survey) Geometry() Geometry { return s.geo }
 

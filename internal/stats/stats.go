@@ -1,8 +1,8 @@
 // Package stats provides the lightweight metrics primitives used across
 // the system: monotone counters, fixed-bucket latency histograms and
-// windowed rates. Services expose these through their Stats RPCs and the
-// benchmark harness aggregates them to regenerate the paper's figures
-// (bandwidth per client, RPC counts saved by batching or caching).
+// windowed rates. Services expose these through their Stats RPCs and
+// /metrics, where the monitor and the benchmark's per-layer rows
+// (benchmark/layers.go) read them.
 //
 // All primitives are safe for concurrent use and allocation-free on the
 // hot path.

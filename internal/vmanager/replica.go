@@ -113,10 +113,6 @@ type ReplicaConfig struct {
 	// prefix is dropped and lagging followers catch up by checkpoint
 	// snapshot instead (default 4096).
 	MaxLogRecords int
-	// AppendDelay simulates per-record append durability cost, slept
-	// while holding the shard's serializing lock — the bench knob that
-	// makes per-shard throughput measurable (default 0).
-	AppendDelay time.Duration
 	// Rejoin marks a replica that is restarting into an existing shard:
 	// it boots as a follower even at Index 0, because the deterministic
 	// term-0 leadership only belongs to a cold-booting group — a
@@ -325,15 +321,11 @@ func (r *Replica) broadcastLocked() {
 }
 
 // appendLocked assigns the next sequence number, appends the record,
-// simulates append durability cost, truncates the log if oversized and
-// kicks the senders. Caller holds r.mu and has already executed the
-// mutation on the manager.
+// truncates the log if oversized and kicks the senders. Caller holds
+// r.mu and has already executed the mutation on the manager.
 func (r *Replica) appendLocked(rec LogRecord) LogRecord {
 	rec.Seq = r.logLenLocked() + 1
 	r.log = append(r.log, rec)
-	if r.cfg.AppendDelay > 0 {
-		time.Sleep(r.cfg.AppendDelay)
-	}
 	r.truncateLocked()
 	for j, ch := range r.kick {
 		if j == r.cfg.Index || ch == nil {
