@@ -355,8 +355,8 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("%-4s %-22s %10s %12s %12s %12s %8s %6s %10s %9s %10s %5s %8s %10s %7s\n",
-			"id", "addr", "pages", "bytes", "capacity", "disk", "segs", "live%", "cache", "hits", "replayB", "idx",
+		fmt.Printf("%-4s %-22s %10s %12s %12s %12s %8s %6s %10s %5s %8s %10s %7s\n",
+			"id", "addr", "pages", "bytes", "capacity", "disk", "segs", "live%", "replayB", "idx",
 			"repairP", "pullB", "bskip")
 		// A provider that cannot be queried fails the command: printing
 		// a zero-value row would read as "provider is empty", which an
@@ -375,9 +375,9 @@ func main() {
 				failed++
 				continue
 			}
-			fmt.Printf("%-4d %-22s %10d %12d %12d %12d %8d %5.1f%% %10d %9d %10d %5d %8d %10d %7d\n",
+			fmt.Printf("%-4d %-22s %10d %12d %12d %12d %8d %5.1f%% %10d %5d %8d %10d %7d\n",
 				p.ID, p.Addr, st.PageCount, st.BytesUsed, st.Capacity,
-				st.DiskBytes, st.Segments, 100*st.LiveRatio(), st.CacheBytes, st.CacheHits,
+				st.DiskBytes, st.Segments, 100*st.LiveRatio(),
 				st.ReplayedBytes, st.SidecarsLoaded,
 				st.RepairedPages, st.RepairBytes, st.BloomSkips)
 		}

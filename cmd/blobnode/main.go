@@ -27,7 +27,7 @@
 //	# provider; omit it for the paper's RAM-only mode)
 //	blobnode -listen :4100 -roles provider,metadata \
 //	         -pm host0:4000 -advertise hostN:4100 -capacity 4294967296 \
-//	         -data-dir /var/lib/blob/pages -disk-cache 268435456
+//	         -data-dir /var/lib/blob/pages
 //
 // Clients connect with blob.Options{Network: blob.TCP, VManagerShards:
 // [][]string{{"host1:4001"}}, PManagerAddr: "host0:4000", MetaDirAddr:
@@ -74,7 +74,6 @@ func main() {
 		capacity   = flag.Int64("capacity", 0, "data provider page capacity in bytes (0 = unlimited)")
 		dataDir    = flag.String("data-dir", "", "data provider persistence directory (empty = RAM-only, the paper's mode)")
 		segSize    = flag.Int64("segment-size", 0, "segment file size for -data-dir in bytes (0 = 4 MiB default)")
-		diskCache  = flag.Int64("disk-cache", 0, "write-through RAM cache in front of -data-dir, in bytes (0 disables)")
 		compactEvr = flag.Duration("compact-interval", time.Minute, "segment compaction period for -data-dir (0 disables)")
 		compactBps = flag.Int64("compact-rate", 0, "compaction I/O throttle for -data-dir in bytes/sec (0 = unthrottled)")
 		syncWrites = flag.Bool("sync-writes", false, "fsync every page append to -data-dir")
@@ -246,9 +245,6 @@ func main() {
 				log.Printf("provider: recovered %d pages (%d live bytes, %d segments; %d sidecars loaded, %d bytes replayed) from %s",
 					snap.PageCount, snap.BytesUsed, snap.Segments, snap.SidecarsLoaded, snap.ReplayedBytes, *dataDir)
 				dataStore = ds
-				if *diskCache > 0 {
-					dataStore = provider.NewCachedStore(ds, *diskCache)
-				}
 			} else {
 				dataStore = provider.NewStore(*capacity)
 			}
@@ -477,7 +473,7 @@ func main() {
 				case <-t.C:
 					snap := dataSvc.Snapshot()
 					if snap.Puts != lastPuts || snap.PageCount != lastPages {
-						digHash, digest, _ = dataSvc.DigestBytes()
+						digHash, digest = dataSvc.DigestBytes()
 						lastPuts, lastPages = snap.Puts, snap.PageCount
 					}
 					var payload []byte

@@ -725,7 +725,7 @@ func (c *Cluster) providerHeartbeatLoop(i int, stop chan struct{}) {
 			sv := c.dataService(i)
 			snap := sv.Snapshot()
 			if snap.Puts != lastPuts || snap.PageCount != lastPages {
-				digHash, digest, _ = sv.DigestBytes()
+				digHash, digest = sv.DigestBytes()
 				lastPuts, lastPages = snap.Puts, snap.PageCount
 			}
 			var payload []byte

@@ -138,15 +138,11 @@ type Client struct {
 	// provider's adaptive hedge delay from it (latency.go).
 	lat *latencies
 
-	// Metrics for the experiment harness.
-	Writes        stats.Counter
-	Reads         stats.Counter
-	BytesWritten  stats.Counter
-	BytesRead     stats.Counter
-	WriteLatency  stats.Histogram
-	ReadLatency   stats.Histogram
-	MetaReadTime  stats.Histogram
-	MetaWriteTime stats.Histogram
+	// Completed operations and the bytes they moved.
+	Writes       stats.Counter
+	Reads        stats.Counter
+	BytesWritten stats.Counter
+	BytesRead    stats.Counter
 	// ReadRepairs counts page replicas this client re-pushed to degraded
 	// providers after a read served them from a healthy replica;
 	// BloomSkips counts replica probes avoided by digest routing.

@@ -144,7 +144,6 @@ func (b *Blob) readDetailed(ctx context.Context, buf []byte, offset uint64, v me
 		return res, err
 	}
 	res.MetaTime = time.Since(t0)
-	b.c.MetaReadTime.Observe(res.MetaTime)
 
 	// Step 3: fetch all pages in parallel, batched per provider.
 	t0 = time.Now()
@@ -155,7 +154,6 @@ func (b *Blob) readDetailed(ctx context.Context, buf []byte, offset uint64, v me
 
 	b.c.Reads.Inc()
 	b.c.BytesRead.Add(int64(len(buf)))
-	b.c.ReadLatency.ObserveExemplar(time.Since(start), root.TraceID())
 	return res, nil
 }
 

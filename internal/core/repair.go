@@ -69,7 +69,7 @@ func (c *Client) refreshDigests(ctx context.Context, blob uint64, writes map[uin
 			resp, err := c.pool.Call(dctx, addr, provider.MListWrites, provider.EncodeListWrites(refs))
 			cancel()
 			if err == nil {
-				if h, err := provider.DecodeListWrites(resp); err == nil && h.HasDigest {
+				if h, err := provider.DecodeListWrites(resp); err == nil {
 					entry.d, entry.ok = h.Digest, true
 				}
 			}

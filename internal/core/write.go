@@ -189,7 +189,6 @@ func (b *Blob) writeInternal(ctx context.Context, buf []byte, offset uint64, isA
 	}
 	metaOp.End()
 	res.MetaTime = time.Since(t0)
-	b.c.MetaWriteTime.Observe(res.MetaTime)
 
 	// Phase 4: report success; block until published so the returned
 	// version is immediately readable (the paper's liveness guarantee
@@ -207,7 +206,6 @@ func (b *Blob) writeInternal(ctx context.Context, buf []byte, offset uint64, isA
 
 	b.c.Writes.Inc()
 	b.c.BytesWritten.Add(int64(len(buf)))
-	b.c.WriteLatency.ObserveExemplar(time.Since(start), root.TraceID())
 	return res, nil
 }
 

@@ -61,8 +61,8 @@ func (d *DiskStore) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
 	return data, ok
 }
 
-// GetPagePooled implements PooledGetter: the same diskstore read, with
-// the record landing in a pooled buffer instead of a fresh allocation.
+// GetPagePooled implements PageStore: the same diskstore read, with the
+// record landing in a pooled buffer instead of a fresh allocation.
 func (d *DiskStore) GetPagePooled(blob, write uint64, rel uint32) ([]byte, *rpc.Buf, bool) {
 	var buf *rpc.Buf
 	data, ok := d.ds.ReadPage(blob, write, rel, func(n int) []byte {
@@ -129,15 +129,15 @@ func (d *DiskStore) Snapshot() Stats {
 	}
 }
 
-// BloomDigest implements the optional BloomSummary capability with the
-// per-segment filters the diskstore's index sidecars already maintain —
-// no page data is read and no filter is rebuilt.
-func (d *DiskStore) BloomDigest() (Digest, bool) {
-	return Digest{Filters: d.ds.BloomDigest()}, true
+// BloomDigest implements PageStore with the per-segment filters the
+// diskstore's index sidecars already maintain — no page data is read and
+// no filter is rebuilt.
+func (d *DiskStore) BloomDigest() Digest {
+	return Digest{Filters: d.ds.BloomDigest()}
 }
 
-// ForEachWrite implements the optional WriteLister capability from the
-// diskstore's in-memory index; no segment data is read.
+// ForEachWrite implements PageStore from the diskstore's in-memory
+// index; no segment data is read.
 func (d *DiskStore) ForEachWrite(fn func(blob, write uint64, pages int)) {
 	d.ds.ForEachWrite(fn)
 }

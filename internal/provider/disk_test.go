@@ -22,19 +22,27 @@ func newDisk(t *testing.T, dir string, capacity int64) *DiskStore {
 }
 
 // backends returns one of each PageStore implementation, so shared
-// contract tests run against all of them.
+// contract tests run against both.
 func backends(t *testing.T) map[string]PageStore {
 	return map[string]PageStore{
-		"ram":         NewStore(0),
-		"disk":        newDisk(t, t.TempDir(), 0),
-		"disk+cache":  NewCachedStore(newDisk(t, t.TempDir(), 0), 1<<20),
-		"cache(tiny)": NewCachedStore(newDisk(t, t.TempDir(), 0), 8), // constant thrash
+		"ram":  NewStore(0),
+		"disk": newDisk(t, t.TempDir(), 0),
 	}
+}
+
+// writeCounts collects ForEachWrite into a map.
+func writeCounts(s PageStore) map[WriteRef]int {
+	m := make(map[WriteRef]int)
+	s.ForEachWrite(func(blob, write uint64, pages int) { m[WriteRef{blob, write}] += pages })
+	return m
 }
 
 func TestPageStoreContract(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
+			if s.BloomDigest().MightContain(1, 10, 0) {
+				t.Error("empty store digest claims a page")
+			}
 			if err := s.PutPages([]Page{
 				{Blob: 1, Write: 10, RelPage: 0, Data: []byte("page zero")},
 				{Blob: 1, Write: 10, RelPage: 1, Data: []byte("page one")},
@@ -51,6 +59,30 @@ func TestPageStoreContract(t *testing.T) {
 			}
 			if _, ok := s.GetPage(1, 10, 9); ok {
 				t.Error("absent page reported found")
+			}
+			// The pooled read serves the same bytes; only the disk owes a
+			// buffer back.
+			d, buf, ok := s.GetPagePooled(1, 10, 1)
+			if !ok || string(d) != "page one" {
+				t.Errorf("GetPagePooled = %q, %v", d, ok)
+			}
+			if _, ram := s.(*Store); ram != (buf == nil) {
+				t.Errorf("GetPagePooled buf = %v on %s", buf, name)
+			}
+			if buf != nil {
+				buf.Release()
+			}
+			if _, buf, ok := s.GetPagePooled(1, 10, 9); ok || buf != nil {
+				t.Errorf("absent pooled page: ok %v, buf %v", ok, buf)
+			}
+			if got := writeCounts(s); len(got) != 2 || got[WriteRef{1, 10}] != 2 || got[WriteRef{1, 11}] != 1 {
+				t.Errorf("ForEachWrite = %v", got)
+			}
+			dig := s.BloomDigest()
+			for _, p := range []PageRef{{1, 10, 0}, {1, 10, 1}, {1, 11, 0}} {
+				if !dig.MightContain(p.Blob, p.Write, p.RelPage) {
+					t.Errorf("digest false negative for held page %v", p)
+				}
 			}
 			if n := s.DeletePages(1, 10, []uint32{1, 9}); n != 1 {
 				t.Errorf("DeletePages = %d, want 1", n)
@@ -69,6 +101,9 @@ func TestPageStoreContract(t *testing.T) {
 			s.ForEachPage(func(blob, write uint64, rel uint32, data []byte) { seen++ })
 			if seen != 1 {
 				t.Errorf("ForEachPage visited %d pages, want 1", seen)
+			}
+			if got := writeCounts(s); len(got) != 1 || got[WriteRef{1, 10}] != 1 {
+				t.Errorf("ForEachWrite after deletes = %v", got)
 			}
 		})
 	}
@@ -104,54 +139,6 @@ func TestDiskStoreStatsFields(t *testing.T) {
 	d.DeleteWrite(1, 1)
 	if r := d.Snapshot().LiveRatio(); r >= 1 {
 		t.Errorf("live ratio after delete = %v, want < 1", r)
-	}
-}
-
-func TestCachedStoreServesFromRAM(t *testing.T) {
-	disk := newDisk(t, t.TempDir(), 0)
-	c := NewCachedStore(disk, 1<<20)
-	data := bytes.Repeat([]byte("x"), 512)
-	if err := c.PutPages([]Page{{Blob: 1, Write: 1, RelPage: 0, Data: data}}); err != nil {
-		t.Fatal(err)
-	}
-	// Write-through population: the read after a put must hit the cache,
-	// not the disk.
-	before := disk.Gets.Value()
-	d, ok := c.GetPage(1, 1, 0)
-	if !ok || !bytes.Equal(d, data) {
-		t.Fatalf("GetPage = %v, %v", ok, d)
-	}
-	if disk.Gets.Value() != before {
-		t.Error("cached read went to disk")
-	}
-	st := c.Snapshot()
-	if st.CacheHits != 1 || st.CacheBytes == 0 {
-		t.Errorf("cache stats = %+v", st)
-	}
-	// Deletion evicts: the page must be gone from both tiers.
-	c.DeleteWrite(1, 1)
-	if _, ok := c.GetPage(1, 1, 0); ok {
-		t.Error("deleted page still served")
-	}
-}
-
-func TestCachedStoreEviction(t *testing.T) {
-	disk := newDisk(t, t.TempDir(), 0)
-	c := NewCachedStore(disk, 256)
-	for i := uint32(0); i < 8; i++ {
-		if err := c.PutPages([]Page{{Blob: 1, Write: 1, RelPage: i, Data: bytes.Repeat([]byte{byte(i)}, 64)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := c.Snapshot(); st.CacheBytes > 256 {
-		t.Errorf("cache over budget: %d bytes", st.CacheBytes)
-	}
-	// Every page is still readable — evicted ones come from disk.
-	for i := uint32(0); i < 8; i++ {
-		d, ok := c.GetPage(1, 1, i)
-		if !ok || !bytes.Equal(d, bytes.Repeat([]byte{byte(i)}, 64)) {
-			t.Fatalf("page %d lost after eviction", i)
-		}
 	}
 }
 

@@ -44,20 +44,10 @@ func FetchLatency(ctx context.Context, c Caller, addr string) (get, put stats.Hi
 // DigestBytes summarizes the backend's holdings for the heartbeat
 // piggyback: the encoded bloom digest plus its wire.Checksum64 hash,
 // which the provider compares against the manager's held hash to decide
-// whether the bytes need resending at all. ok is false when the backend cannot
-// summarize (no BloomSummary capability) — send nothing, consumers must
-// probe.
-func (sv *Service) DigestBytes() (hash uint64, enc []byte, ok bool) {
-	bs, can := sv.store.(BloomSummary)
-	if !can {
-		return 0, nil, false
-	}
-	d, has := bs.BloomDigest()
-	if !has {
-		return 0, nil, false
-	}
+// whether the bytes need resending at all.
+func (sv *Service) DigestBytes() (hash uint64, enc []byte) {
 	w := wire.NewWriter(256)
-	d.Encode(w)
+	sv.store.BloomDigest().Encode(w)
 	enc = w.Bytes()
-	return wire.Checksum64(enc), enc, true
+	return wire.Checksum64(enc), enc
 }

@@ -1,50 +1,70 @@
 package provider
 
-import "blob/internal/stats"
+import (
+	"context"
 
-// statsMetric binds one Stats field to its exported metric series. The
-// table drives RegisterMetrics and the coverage gate in metrics_test.go:
-// every field carried on the MStats wire must appear here exactly once,
-// so the RPC stats surface and the /metrics exposition cannot drift.
-type statsMetric struct {
-	field string // Stats struct field name, checked by reflection
-	name  string // Prometheus series name
-	gauge bool   // gauge (current level) vs counter (monotone total)
-	get   func(Stats) int64
+	"blob/internal/stats"
+	"blob/internal/wire"
+)
+
+// statFields lists every Stats field once, in MStats wire order, with its
+// /metrics series. The MStats codec and RegisterMetrics both walk it, so
+// the two surfaces cannot drift apart (a test checks the table against
+// the struct).
+var statFields = []struct {
+	series string
+	gauge  bool // current level, not a monotone total
+	at     func(*Stats) *int64
+}{
+	{"provider_bytes_used", true, func(s *Stats) *int64 { return &s.BytesUsed }},
+	{"provider_pages", true, func(s *Stats) *int64 { return &s.PageCount }},
+	{"provider_capacity_bytes", true, func(s *Stats) *int64 { return &s.Capacity }},
+	{"provider_puts_total", false, func(s *Stats) *int64 { return &s.Puts }},
+	{"provider_gets_total", false, func(s *Stats) *int64 { return &s.Gets }},
+	{"provider_misses_total", false, func(s *Stats) *int64 { return &s.Misses }},
+	{"provider_active_ops", true, func(s *Stats) *int64 { return &s.ActiveOps }},
+	{"provider_disk_bytes", true, func(s *Stats) *int64 { return &s.DiskBytes }},
+	{"provider_disk_live_bytes", true, func(s *Stats) *int64 { return &s.DiskLive }},
+	{"provider_disk_segments", true, func(s *Stats) *int64 { return &s.Segments }},
+	{"provider_restart_replayed_bytes_total", false, func(s *Stats) *int64 { return &s.ReplayedBytes }},
+	{"provider_restart_sidecar_bytes_total", false, func(s *Stats) *int64 { return &s.SidecarBytes }},
+	{"provider_restart_segments_replayed_total", false, func(s *Stats) *int64 { return &s.SegmentsReplayed }},
+	{"provider_restart_sidecars_loaded_total", false, func(s *Stats) *int64 { return &s.SidecarsLoaded }},
+	{"provider_repaired_pages_total", false, func(s *Stats) *int64 { return &s.RepairedPages }},
+	{"provider_repair_bytes_total", false, func(s *Stats) *int64 { return &s.RepairBytes }},
+	{"provider_bloom_skips_total", false, func(s *Stats) *int64 { return &s.BloomSkips }},
 }
 
-var statsMetrics = []statsMetric{
-	{"BytesUsed", "provider_bytes_used", true, func(s Stats) int64 { return s.BytesUsed }},
-	{"PageCount", "provider_pages", true, func(s Stats) int64 { return s.PageCount }},
-	{"Capacity", "provider_capacity_bytes", true, func(s Stats) int64 { return s.Capacity }},
-	{"Puts", "provider_puts_total", false, func(s Stats) int64 { return s.Puts }},
-	{"Gets", "provider_gets_total", false, func(s Stats) int64 { return s.Gets }},
-	{"Misses", "provider_misses_total", false, func(s Stats) int64 { return s.Misses }},
-	{"ActiveOps", "provider_active_ops", true, func(s Stats) int64 { return s.ActiveOps }},
-	{"DiskBytes", "provider_disk_bytes", true, func(s Stats) int64 { return s.DiskBytes }},
-	{"DiskLive", "provider_disk_live_bytes", true, func(s Stats) int64 { return s.DiskLive }},
-	{"Segments", "provider_disk_segments", true, func(s Stats) int64 { return s.Segments }},
-	{"ReplayedBytes", "provider_restart_replayed_bytes_total", false, func(s Stats) int64 { return s.ReplayedBytes }},
-	{"SidecarBytes", "provider_restart_sidecar_bytes_total", false, func(s Stats) int64 { return s.SidecarBytes }},
-	{"SegmentsReplayed", "provider_restart_segments_replayed_total", false, func(s Stats) int64 { return s.SegmentsReplayed }},
-	{"SidecarsLoaded", "provider_restart_sidecars_loaded_total", false, func(s Stats) int64 { return s.SidecarsLoaded }},
-	{"CacheBytes", "provider_cache_bytes", true, func(s Stats) int64 { return s.CacheBytes }},
-	{"CacheHits", "provider_cache_hits_total", false, func(s Stats) int64 { return s.CacheHits }},
-	{"RepairedPages", "provider_repaired_pages_total", false, func(s Stats) int64 { return s.RepairedPages }},
-	{"RepairBytes", "provider_repair_bytes_total", false, func(s Stats) int64 { return s.RepairBytes }},
-	{"BloomSkips", "provider_bloom_skips_total", false, func(s Stats) int64 { return s.BloomSkips }},
+// MStats response: one varint per statFields entry, in table order.
+func (sv *Service) handleStats(_ context.Context, _ []byte) ([]byte, error) {
+	st := sv.Snapshot()
+	w := wire.NewWriter(4 * len(statFields))
+	for _, f := range statFields {
+		w.Varint(*f.at(&st))
+	}
+	return w.Bytes(), nil
+}
+
+// DecodeStats parses an MStats response.
+func DecodeStats(body []byte) (Stats, error) {
+	r := wire.NewReader(body)
+	var st Stats
+	for _, f := range statFields {
+		*f.at(&st) = r.Varint()
+	}
+	return st, r.Err()
 }
 
 // RegisterMetrics exports the service's statistics into reg as
 // function-backed series evaluated at scrape time, one per Stats field.
 func (sv *Service) RegisterMetrics(reg *stats.Registry) {
-	for _, m := range statsMetrics {
-		m := m
-		f := func() int64 { return m.get(sv.Snapshot()) }
-		if m.gauge {
-			reg.GaugeFunc(m.name, f)
+	for _, f := range statFields {
+		at := f.at
+		read := func() int64 { st := sv.Snapshot(); return *at(&st) }
+		if f.gauge {
+			reg.GaugeFunc(f.series, read)
 		} else {
-			reg.CounterFunc(m.name, f)
+			reg.CounterFunc(f.series, read)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,106 +9,55 @@ import (
 	"blob/internal/stats"
 )
 
-// sentinelStats builds a Stats whose i-th field holds 1000+i, so every
-// field carries a distinguishable value.
-func sentinelStats(t *testing.T) Stats {
-	t.Helper()
-	var st Stats
-	v := reflect.ValueOf(&st).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).Kind() != reflect.Int64 {
-			t.Fatalf("Stats field %s is %s, want int64", v.Type().Field(i).Name, v.Field(i).Kind())
-		}
-		v.Field(i).SetInt(int64(1000 + i))
-	}
-	return st
-}
-
-// TestStatsWireCoversAllFields proves the MStats wire encoding carries
-// every Stats field: a fully-sentineled struct must round-trip intact.
-// A field added to Stats but forgotten in encodeStats/DecodeStats fails
-// here.
-func TestStatsWireCoversAllFields(t *testing.T) {
-	want := sentinelStats(t)
-	got, err := DecodeStats(encodeStats(want))
-	if err != nil {
-		t.Fatalf("DecodeStats: %v", err)
-	}
-	if got != want {
-		t.Fatalf("stats wire round trip dropped fields:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestMetricsCoverStatsWire is the drift gate between the two stats
-// surfaces: every field threaded through the MStats wire must map to
-// exactly one /metrics series, and each table getter must read exactly
-// its declared field.
-func TestMetricsCoverStatsWire(t *testing.T) {
+// TestStatsTableCoversStruct is the drift gate of the provider's one
+// field table: every Stats field appears in it exactly once, so the
+// MStats wire and /metrics carry all of them.
+func TestStatsTableCoversStruct(t *testing.T) {
 	rt := reflect.TypeOf(Stats{})
-
-	byField := make(map[string]statsMetric, len(statsMetrics))
-	names := make(map[string]string, len(statsMetrics))
-	for _, m := range statsMetrics {
-		if _, dup := byField[m.field]; dup {
-			t.Errorf("field %s mapped twice in statsMetrics", m.field)
+	if len(statFields) != rt.NumField() {
+		t.Fatalf("statFields has %d entries, Stats has %d fields", len(statFields), rt.NumField())
+	}
+	var st Stats
+	seen := map[*int64]bool{}
+	series := map[string]bool{}
+	for i, f := range statFields {
+		p := f.at(&st)
+		if seen[p] || series[f.series] {
+			t.Errorf("entry %d (%s) repeats a field or a series name", i, f.series)
 		}
-		byField[m.field] = m
-		if prev, dup := names[m.name]; dup {
-			t.Errorf("metric name %s used by both %s and %s", m.name, prev, m.field)
-		}
-		names[m.name] = m.field
-		if _, ok := rt.FieldByName(m.field); !ok {
-			t.Errorf("statsMetrics entry %s names no Stats field", m.field)
+		seen[p], series[f.series] = true, true
+		*p = int64(1000 + i)
+	}
+	v := reflect.ValueOf(st)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Int() == 0 {
+			t.Errorf("Stats field %s is in no table entry", rt.Field(i).Name)
 		}
 	}
-	if len(statsMetrics) != rt.NumField() {
-		t.Errorf("statsMetrics has %d entries, Stats has %d fields", len(statsMetrics), rt.NumField())
-	}
 
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		m, ok := byField[f.Name]
-		if !ok {
-			t.Errorf("Stats field %s reaches the wire but has no /metrics series", f.Name)
-			continue
-		}
-		// The getter must read exactly its declared field: with only
-		// that field set it returns the sentinel, with everything but
-		// that field set it returns zero.
-		var only Stats
-		reflect.ValueOf(&only).Elem().Field(i).SetInt(7777)
-		if got := m.get(only); got != 7777 {
-			t.Errorf("metric %s getter does not read field %s (got %d)", m.name, f.Name, got)
-		}
-		others := sentinelStats(t)
-		reflect.ValueOf(&others).Elem().Field(i).SetInt(0)
-		if got := m.get(others); got != 0 {
-			t.Errorf("metric %s getter reads a field other than %s (got %d)", m.name, f.Name, got)
-		}
-	}
-}
-
-// TestRegisterMetricsExposition checks every table series actually
-// renders in the Prometheus exposition of a registered service.
-func TestRegisterMetricsExposition(t *testing.T) {
+	// Wire round trip and exposition of a live service.
 	sv := NewService(NewStore(1 << 20))
 	if err := sv.Store().PutPages([]Page{{Blob: 1, Write: 1, RelPage: 0, Data: []byte("abcd")}}); err != nil {
 		t.Fatal(err)
 	}
+	sv.bloomSkips.Add(2)
+	body, _ := sv.handleStats(context.Background(), nil)
+	got, err := DecodeStats(body)
+	if err != nil || got != sv.Snapshot() || got.BytesUsed != 4 || got.BloomSkips != 2 {
+		t.Errorf("stats over the wire = %+v, %v; snapshot %+v", got, err, sv.Snapshot())
+	}
 	reg := stats.NewRegistry()
 	sv.RegisterMetrics(reg)
-
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
+		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, m := range statsMetrics {
-		if !strings.Contains(out, "\n"+m.name+" ") && !strings.HasPrefix(out, m.name+" ") {
-			t.Errorf("series %s missing from exposition:\n%s", m.name, out)
+	for _, f := range statFields {
+		if !strings.Contains(sb.String(), "\n"+f.series+" ") && !strings.HasPrefix(sb.String(), f.series+" ") {
+			t.Errorf("series %s missing from exposition:\n%s", f.series, sb.String())
 		}
 	}
-	if !strings.Contains(out, "provider_bytes_used 4\n") {
-		t.Errorf("provider_bytes_used should report 4 live bytes:\n%s", out)
+	if !strings.Contains(sb.String(), "provider_bytes_used 4\n") {
+		t.Errorf("provider_bytes_used should report 4 live bytes:\n%s", sb.String())
 	}
 }

@@ -5,9 +5,8 @@
 // explicitly removes the pages of collected versions.
 //
 // Storage is pluggable behind the PageStore interface: the in-RAM Store
-// (the paper's design), the persistent DiskStore over
-// internal/diskstore, and the write-through CachedStore RAM tier all
-// implement it, and the RPC Service hosts any of them.
+// (the paper's design) and the persistent DiskStore over
+// internal/diskstore implement it, and the RPC Service hosts either.
 //
 // Pages are keyed (blobID, writeID, relPage). The write identity rather
 // than the version number keys the data because, per the paper's
@@ -45,12 +44,11 @@ const (
 // ErrFull is returned when a put would exceed the provider's capacity.
 var ErrFull = errors.New("provider: capacity exceeded")
 
-// PageStore is the storage backend of one data provider. Store (RAM),
-// DiskStore (persistent segment log) and CachedStore (write-through RAM
-// cache over another backend) implement it; the RPC Service serves any
-// of them. Implementations must be safe for concurrent use — the paper's
-// access model guarantees a page is never updated in place, so backends
-// only ever add, serve and (on GC order) remove immutable pages.
+// PageStore is the storage backend of one data provider. Store (RAM)
+// and DiskStore (persistent segment log) implement it; the RPC Service
+// serves either. Implementations must be safe for concurrent use — the
+// paper's access model guarantees a page is never updated in place, so
+// backends only ever add, serve and (on GC order) remove immutable pages.
 type PageStore interface {
 	// PutPages stores a batch of pages. Re-putting an existing page must
 	// be idempotent (first wins) so client retries are safe. Returns
@@ -58,6 +56,16 @@ type PageStore interface {
 	PutPages(pages []Page) error
 	// GetPage returns one page's bytes, or false if absent.
 	GetPage(blob, write uint64, rel uint32) ([]byte, bool)
+	// GetPagePooled is GetPage for MGetPages' garbage-free serve: a
+	// backend whose read has to fill a fresh buffer (DiskStore reads the
+	// record off disk) fills a pooled rpc.Buf instead and returns it next
+	// to the page bytes, which alias it. The caller owns buf and must
+	// release it exactly once, after its last use of data — the Service
+	// hands it to the rpc server, which releases it once the response is
+	// flushed. buf is nil when data aliases long-lived store memory (the
+	// RAM Store) and there is nothing to release; it is always nil when
+	// ok is false.
+	GetPagePooled(blob, write uint64, rel uint32) (data []byte, buf *rpc.Buf, ok bool)
 	// DeletePages removes specific pages of a write, returning how many
 	// were present. Used by the GC when part of a write is superseded.
 	DeletePages(blob, write uint64, rels []uint32) int
@@ -67,21 +75,17 @@ type PageStore interface {
 	// ForEachPage visits every stored page; iteration order is
 	// unspecified.
 	ForEachPage(fn func(blob, write uint64, rel uint32, data []byte))
+	// ForEachWrite visits every (blob, write) with at least one live
+	// page and its live page count, without reading page data — the
+	// holdings MListWrites enumerates. Iteration order is unspecified.
+	ForEachWrite(fn func(blob, write uint64, pages int))
+	// BloomDigest summarizes the page keys held as bloom filters without
+	// touching page data — the digest MListWrites and the heartbeat
+	// piggyback ship (docs/replication.md §3). Zero filters means the
+	// store holds nothing.
+	BloomDigest() Digest
 	// Snapshot returns current usage statistics.
 	Snapshot() Stats
-}
-
-// PooledGetter is the optional PageStore capability behind MGetPages'
-// garbage-free serve: a backend whose GetPage has to fill a fresh buffer
-// (DiskStore reads the record off disk) fills a pooled rpc.Buf instead
-// and returns it next to the page bytes, which alias it. The caller owns
-// buf and must release it exactly once, after its last use of data — the
-// Service hands it to the rpc server, which releases it once the
-// response is flushed. buf is nil when data aliases long-lived store
-// memory (a CachedStore hit) and there is nothing to release; it is
-// always nil when ok is false.
-type PooledGetter interface {
-	GetPagePooled(blob, write uint64, rel uint32) (data []byte, buf *rpc.Buf, ok bool)
 }
 
 // pageShards must be a power of two.
@@ -195,6 +199,13 @@ func (s *Store) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
 	return data, ok
 }
 
+// GetPagePooled implements PageStore: a RAM page is long-lived store
+// memory, so there is never a buffer to release.
+func (s *Store) GetPagePooled(blob, write uint64, rel uint32) ([]byte, *rpc.Buf, bool) {
+	data, ok := s.GetPage(blob, write, rel)
+	return data, nil, ok
+}
+
 // DeletePages removes specific pages of a write, returning how many were
 // present. The garbage collector uses this when only part of a write has
 // been superseded.
@@ -260,13 +271,13 @@ func (s *Store) ForEachPage(fn func(blob, write uint64, rel uint32, data []byte)
 	}
 }
 
-// BloomDigest implements the optional BloomSummary capability: one
-// filter built over the live index. Unlike the diskstore's per-segment
-// filters this is computed per call; the shard walk touches keys only,
-// never page data. Pages put concurrently with the walk may be missing
-// from the digest — consumers must treat a digest as a point-in-time
-// snapshot (docs/replication.md §3).
-func (s *Store) BloomDigest() (Digest, bool) {
+// BloomDigest implements PageStore with one filter built over the live
+// index. Unlike the diskstore's per-segment filters this is computed per
+// call; the shard walk touches keys only, never page data. Pages put
+// concurrently with the walk may be missing from the digest — consumers
+// must treat a digest as a point-in-time snapshot (docs/replication.md
+// §3).
+func (s *Store) BloomDigest() Digest {
 	b := wire.NewBloom(int(s.PageCount.Value()))
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -279,13 +290,12 @@ func (s *Store) BloomDigest() (Digest, bool) {
 		sh.mu.RUnlock()
 	}
 	if s.PageCount.Value() == 0 {
-		return Digest{}, true // empty store: zero filters, holds nothing
+		return Digest{} // empty store: zero filters, holds nothing
 	}
-	return Digest{Filters: []*wire.Bloom{b}}, true
+	return Digest{Filters: []*wire.Bloom{b}}
 }
 
-// ForEachWrite implements the optional WriteLister capability without
-// touching page data. Iteration order is unspecified.
+// ForEachWrite implements PageStore without touching page data.
 func (s *Store) ForEachWrite(fn func(blob, write uint64, pages int)) {
 	type entry struct {
 		k     writeKey
@@ -306,8 +316,8 @@ func (s *Store) ForEachWrite(fn func(blob, write uint64, pages int)) {
 }
 
 // Stats is the load/usage snapshot served over MStats and piggybacked on
-// heartbeats to the provider manager. The disk and cache fields are zero
-// for backends without the corresponding tier.
+// heartbeats to the provider manager; statFields is its one field table.
+// The disk fields are zero for the RAM Store.
 type Stats struct {
 	BytesUsed int64
 	PageCount int64
@@ -332,11 +342,6 @@ type Stats struct {
 	SidecarBytes     int64
 	SegmentsReplayed int64
 	SidecarsLoaded   int64
-
-	// Cache tier (CachedStore): bytes resident in the RAM cache and
-	// reads served from it.
-	CacheBytes int64
-	CacheHits  int64
 
 	// Repair tier (docs/replication.md): pages this provider pulled from
 	// peers over MPullPages since its service started, the page payload

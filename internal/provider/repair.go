@@ -33,8 +33,8 @@ var ErrRepairDisabled = errors.New("provider: repair not enabled (no peer pool)"
 type Digest struct {
 	// Filters are checked as a union: a key might be held if any filter
 	// says so. The diskstore backend exports one filter per segment (the
-	// same filters its index sidecars persist); RAM backends export one
-	// filter over their whole index. Zero filters = holds nothing.
+	// same filters its index sidecars persist); the RAM Store exports one
+	// filter over its whole index. Zero filters = holds nothing.
 	Filters []*wire.Bloom
 }
 
@@ -75,27 +75,6 @@ func DecodeDigest(r *wire.Reader) Digest {
 	return Digest{Filters: fs}
 }
 
-// BloomSummary is the optional PageStore capability behind MListWrites'
-// digest: a backend that can summarize its holdings as bloom filters
-// without touching page data. The in-RAM Store, the DiskStore (which
-// reuses the per-segment filters its index sidecars already maintain)
-// and CachedStore (delegating to its backend) all implement it. The
-// boolean reports whether a summary exists at all — false means the
-// backend cannot rule anything out and consumers must probe; true with
-// zero filters means the store definitely holds nothing.
-type BloomSummary interface {
-	BloomDigest() (Digest, bool)
-}
-
-// WriteLister is the optional PageStore capability behind MListWrites'
-// holdings enumeration: visit every (blob, write) with at least one
-// live page and its live page count, without reading page data. Backends
-// lacking it are enumerated through ForEachPage, which is correct but
-// pays a full data scan.
-type WriteLister interface {
-	ForEachWrite(fn func(blob, write uint64, pages int))
-}
-
 // WriteRef identifies one write on one blob.
 type WriteRef struct {
 	Blob  uint64
@@ -112,10 +91,7 @@ type WriteHolding struct {
 // Holdings is a decoded MListWrites response.
 type Holdings struct {
 	Writes []WriteHolding
-	// HasDigest distinguishes "backend cannot summarize" (false: nothing
-	// can be ruled out) from "summarized as empty" (true, empty Digest).
-	HasDigest bool
-	Digest    Digest
+	Digest Digest
 }
 
 // Holds returns the live page count for (blob, write), or 0.
@@ -155,10 +131,7 @@ func DecodeListWrites(body []byte) (Holdings, error) {
 			Pages: int64(r.Uvarint()),
 		})
 	}
-	h.HasDigest = r.Bool()
-	if h.HasDigest {
-		h.Digest = DecodeDigest(r)
-	}
+	h.Digest = DecodeDigest(r)
 	return h, r.Err()
 }
 
@@ -229,7 +202,7 @@ type Caller interface {
 //
 //	MListWrites request:  uvarint n | n × (u64 blob, u64 write)   (n = 0: all)
 //	MListWrites response: uvarint m | m × (u64 blob, u64 write, uvarint pages)
-//	                      | bool hasDigest | [digest]
+//	                      | digest
 //	MPullPages request:   string peer | u64 blob | u64 write
 //	                      | uvarint n | n × (u32 rel, u64 checksum)
 //	MPullPages response:  uvarint pulled | uvarint bytes | uvarint skipped
@@ -245,11 +218,16 @@ func (sv *Service) handleListWrites(ctx context.Context, body []byte) ([]byte, e
 		return nil, err
 	}
 	r := wire.NewReader(body)
-	n := int(r.Uvarint())
+	n := r.Uvarint()
+	// Each ref occupies exactly 16 request bytes: reject a count the body
+	// cannot hold before sizing the set.
+	if n > uint64(r.Remaining())/16 {
+		return nil, fmt.Errorf("provider list writes: request count %d exceeds body", n)
+	}
 	var want map[WriteRef]bool
 	if n > 0 {
 		want = make(map[WriteRef]bool, n)
-		for i := 0; i < n; i++ {
+		for i := uint64(0); i < n; i++ {
 			want[WriteRef{Blob: r.Uint64(), Write: r.Uint64()}] = true
 		}
 	}
@@ -258,25 +236,12 @@ func (sv *Service) handleListWrites(ctx context.Context, body []byte) ([]byte, e
 	}
 
 	var holdings []WriteHolding
-	visit := func(blob, write uint64, pages int) {
+	sv.store.ForEachWrite(func(blob, write uint64, pages int) {
 		if want != nil && !want[WriteRef{Blob: blob, Write: write}] {
 			return
 		}
 		holdings = append(holdings, WriteHolding{Blob: blob, Write: write, Pages: int64(pages)})
-	}
-	if wl, ok := sv.store.(WriteLister); ok {
-		wl.ForEachWrite(visit)
-	} else {
-		// Fallback for backends without the capability: derive the write
-		// list from a full page walk (reads data; correct but slow).
-		counts := make(map[WriteRef]int)
-		sv.store.ForEachPage(func(blob, write uint64, _ uint32, _ []byte) {
-			counts[WriteRef{Blob: blob, Write: write}]++
-		})
-		for ref, c := range counts {
-			visit(ref.Blob, ref.Write, c)
-		}
-	}
+	})
 
 	w := wire.NewWriter(64 + 24*len(holdings))
 	w.Uvarint(uint64(len(holdings)))
@@ -285,14 +250,7 @@ func (sv *Service) handleListWrites(ctx context.Context, body []byte) ([]byte, e
 		w.Uint64(h.Write)
 		w.Uvarint(uint64(h.Pages))
 	}
-	if bs, ok := sv.store.(BloomSummary); ok {
-		if d, ok := bs.BloomDigest(); ok {
-			w.Bool(true)
-			d.Encode(w)
-			return w.Bytes(), nil
-		}
-	}
-	w.Bool(false)
+	sv.store.BloomDigest().Encode(w)
 	return w.Bytes(), nil
 }
 
@@ -303,9 +261,14 @@ func (sv *Service) handlePullPages(ctx context.Context, body []byte) ([]byte, er
 	peer := r.String()
 	blob := r.Uint64()
 	write := r.Uint64()
-	n := int(r.Uvarint())
+	n := r.Uvarint()
+	// Each ref occupies exactly 12 request bytes: reject a count the body
+	// cannot hold before sizing the list.
+	if n > uint64(r.Remaining())/12 {
+		return nil, fmt.Errorf("provider pull: request count %d exceeds body", n)
+	}
 	refs := make([]PullRef, 0, n)
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		refs = append(refs, PullRef{Rel: r.Uint32(), Checksum: r.Uint64()})
 	}
 	if err := r.Err(); err != nil {

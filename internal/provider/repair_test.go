@@ -42,8 +42,8 @@ func put(t *testing.T, ps PageStore, blob, write uint64, rel uint32, data []byte
 	}
 }
 
-// TestBloomDigestAcrossBackends pins the BloomSummary contract on every
-// store: no false negatives for held pages, empty-store digests rule
+// TestBloomDigestAcrossBackends pins the BloomDigest contract on both
+// stores: no false negatives for held pages, empty-store digests rule
 // everything out, and the digest survives its wire round trip.
 func TestBloomDigestAcrossBackends(t *testing.T) {
 	newDisk := func(t *testing.T) PageStore {
@@ -60,30 +60,19 @@ func TestBloomDigestAcrossBackends(t *testing.T) {
 	}{
 		{"ram", func(t *testing.T) PageStore { return NewStore(0) }},
 		{"disk", newDisk},
-		{"cached", func(t *testing.T) PageStore { return NewCachedStore(newDisk(t), 1<<20) }},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
 			ps := be.mk(t)
-			bs, ok := ps.(BloomSummary)
-			if !ok {
-				t.Fatalf("%T does not implement BloomSummary", ps)
-			}
-			if d, ok := bs.BloomDigest(); !ok {
-				t.Fatal("empty store: no digest")
-			} else if d.MightContain(1, 2, 3) {
+			if ps.BloomDigest().MightContain(1, 2, 3) {
 				t.Error("empty store digest claims a page")
 			}
 			for rel := uint32(0); rel < 20; rel++ {
 				put(t, ps, 1, 7, rel, []byte{byte(rel), 1, 2})
 			}
-			d, ok := bs.BloomDigest()
-			if !ok {
-				t.Fatal("no digest after puts")
-			}
 			// Wire round trip, as MListWrites ships it.
 			w := wire.NewWriter(256)
-			d.Encode(w)
+			ps.BloomDigest().Encode(w)
 			got := DecodeDigest(wire.NewReader(w.Bytes()))
 			for rel := uint32(0); rel < 20; rel++ {
 				if !got.MightContain(1, 7, rel) {
@@ -104,7 +93,7 @@ func TestBloomDigestAcrossBackends(t *testing.T) {
 }
 
 // TestListWritesEnumeratesHoldings exercises the MListWrites handler:
-// full enumeration, targeted enumeration, and the digest flag.
+// full enumeration, targeted enumeration, and the digest.
 func TestListWritesEnumeratesHoldings(t *testing.T) {
 	st := NewStore(0)
 	for rel := uint32(0); rel < 3; rel++ {
@@ -125,8 +114,8 @@ func TestListWritesEnumeratesHoldings(t *testing.T) {
 	if len(h.Writes) != 3 || h.Holds(1, 100) != 3 || h.Holds(1, 200) != 1 || h.Holds(2, 300) != 1 {
 		t.Fatalf("holdings = %+v", h.Writes)
 	}
-	if !h.HasDigest || !h.Digest.MightContain(1, 100, 2) {
-		t.Error("digest missing or lost a held page")
+	if !h.Digest.MightContain(1, 100, 2) {
+		t.Error("digest lost a held page")
 	}
 
 	// Targeted: only the requested writes come back.
@@ -223,6 +212,30 @@ func TestPullPagesRejectsBadChecksum(t *testing.T) {
 	}
 	if _, ok := degraded.GetPage(9, 42, 0); ok {
 		t.Fatal("bad page stored")
+	}
+}
+
+// TestHandlersRejectOversizedCounts: a request claiming 2^40 entries in
+// a body of a few dozen bytes is refused before anything is sized from
+// the count, instead of taking the provider down out of memory.
+func TestHandlersRejectOversizedCounts(t *testing.T) {
+	sv := NewService(NewStore(0))
+	for _, tc := range []struct {
+		name   string
+		handle func(context.Context, []byte) ([]byte, error)
+		prefix func(w *wire.Writer)
+	}{
+		{"put", sv.handlePutPages, func(w *wire.Writer) { w.Uint64(1); w.Uint64(2) }},
+		{"pull", sv.handlePullPages, func(w *wire.Writer) { w.String("peer"); w.Uint64(1); w.Uint64(2) }},
+		{"list", sv.handleListWrites, func(w *wire.Writer) {}},
+	} {
+		w := wire.NewWriter(64)
+		tc.prefix(w)
+		w.Uvarint(1 << 40)
+		w.Uint32(0) // room for less than one entry of any kind
+		if _, err := tc.handle(context.Background(), w.Bytes()); err == nil {
+			t.Errorf("%s: a count of 2^40 in %d bytes was accepted", tc.name, len(w.Bytes()))
+		}
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 	"blob/internal/wire"
 )
 
-// Service hosts one data provider's RPC methods over any PageStore
-// backend — the in-RAM Store, the persistent DiskStore, or a CachedStore
-// stack. It owns the in-flight operation gauge the load balancer reads,
-// so backends stay pure storage.
+// Service hosts one data provider's RPC methods over a PageStore backend
+// — the in-RAM Store or the persistent DiskStore. It owns the in-flight
+// operation gauge the load balancer reads, so backends stay pure storage.
 type Service struct {
 	store PageStore
 
@@ -101,9 +100,14 @@ func (sv *Service) handlePutPages(_ context.Context, body []byte) ([]byte, error
 	r := wire.NewReader(body)
 	blob := r.Uint64()
 	write := r.Uint64()
-	n := int(r.Uvarint())
+	n := r.Uvarint()
+	// Each page occupies at least 5 request bytes (rel + length varint):
+	// reject a count the body cannot hold before sizing the batch.
+	if n > uint64(r.Remaining())/5 {
+		return nil, fmt.Errorf("provider put: page count %d exceeds body", n)
+	}
 	pages := make([]Page, 0, n)
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		rel := r.Uint32()
 		data := r.BytesField()
 		if err := r.Err(); err != nil {
@@ -119,14 +123,14 @@ func (sv *Service) handlePutPages(_ context.Context, body []byte) ([]byte, error
 
 // handleGetPages answers MGetPages as scatter-gather segments: flag and
 // length headers accumulate in a small arena, page payloads alias the
-// slices the PageStore hands back, so fetched pages travel from store
+// slices GetPagePooled hands back, so fetched pages travel from store
 // memory to the socket without intermediate assembly. Those slices are
-// either immutable long-lived store memory (pages are never updated in
-// place, and a slice outlives even a concurrent GC delete of its map
-// entry) or, from a PooledGetter backend, pooled buffers this handler
-// owns until it returns them as held — the rpc server releases them
-// once the response is flushed, so a disk-backed provider serves reads
-// without allocating page-sized memory.
+// either immutable long-lived RAM store memory (pages are never updated
+// in place, and a slice outlives even a concurrent GC delete of its map
+// entry) or, from the DiskStore, pooled buffers this handler owns until
+// it returns them as held — the rpc server releases them once the
+// response is flushed, so a disk-backed provider serves reads without
+// allocating page-sized memory.
 func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]byte, held []*rpc.Buf, err error) {
 	sv.ActiveOps.Add(1)
 	start := time.Now()
@@ -145,10 +149,6 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]by
 	if n < 0 || n > len(body)/20 {
 		return nil, nil, fmt.Errorf("provider get: request count %d exceeds body", n)
 	}
-	pooled, _ := sv.store.(PooledGetter)
-	if pooled != nil {
-		held = make([]*rpc.Buf, 0, n)
-	}
 	vw := wire.NewVec(10+11*n, 1+2*n) // count varint + per page flag + length varint
 	vw.Uvarint(uint64(n))
 	for i := 0; i < n; i++ {
@@ -159,15 +159,14 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]by
 			// held goes back with the error: the server releases it.
 			return nil, held, fmt.Errorf("provider get: request %d: %w", i, err)
 		}
-		var data []byte
-		var ok bool
-		if pooled != nil {
-			var buf *rpc.Buf
-			if data, buf, ok = pooled.GetPagePooled(blob, write, rel); buf != nil {
-				held = append(held, buf)
+		data, buf, ok := sv.store.GetPagePooled(blob, write, rel)
+		if buf != nil {
+			// Sized on the first pooled page, so a RAM serve, which
+			// never holds one, allocates no list.
+			if held == nil {
+				held = make([]*rpc.Buf, 0, n)
 			}
-		} else {
-			data, ok = sv.store.GetPage(blob, write, rel)
+			held = append(held, buf)
 		}
 		if !ok {
 			vw.Uint8(0)
@@ -205,62 +204,4 @@ func (sv *Service) handleDeletePages(_ context.Context, body []byte) ([]byte, er
 	w := wire.NewWriter(8)
 	w.Uvarint(uint64(n))
 	return w.Bytes(), nil
-}
-
-func (sv *Service) handleStats(_ context.Context, _ []byte) ([]byte, error) {
-	return encodeStats(sv.Snapshot()), nil
-}
-
-// encodeStats is the MStats wire encoding; DecodeStats is its inverse.
-func encodeStats(st Stats) []byte {
-	w := wire.NewWriter(96)
-	w.Varint(st.BytesUsed)
-	w.Varint(st.PageCount)
-	w.Varint(st.Capacity)
-	w.Varint(st.Puts)
-	w.Varint(st.Gets)
-	w.Varint(st.Misses)
-	w.Varint(st.ActiveOps)
-	w.Varint(st.DiskBytes)
-	w.Varint(st.DiskLive)
-	w.Varint(st.Segments)
-	w.Varint(st.CacheBytes)
-	w.Varint(st.CacheHits)
-	w.Varint(st.ReplayedBytes)
-	w.Varint(st.SidecarBytes)
-	w.Varint(st.SegmentsReplayed)
-	w.Varint(st.SidecarsLoaded)
-	w.Varint(st.RepairedPages)
-	w.Varint(st.RepairBytes)
-	w.Varint(st.BloomSkips)
-	return w.Bytes()
-}
-
-// DecodeStats parses an MStats response.
-func DecodeStats(body []byte) (Stats, error) {
-	r := wire.NewReader(body)
-	st := Stats{
-		BytesUsed:  r.Varint(),
-		PageCount:  r.Varint(),
-		Capacity:   r.Varint(),
-		Puts:       r.Varint(),
-		Gets:       r.Varint(),
-		Misses:     r.Varint(),
-		ActiveOps:  r.Varint(),
-		DiskBytes:  r.Varint(),
-		DiskLive:   r.Varint(),
-		Segments:   r.Varint(),
-		CacheBytes: r.Varint(),
-		CacheHits:  r.Varint(),
-
-		ReplayedBytes:    r.Varint(),
-		SidecarBytes:     r.Varint(),
-		SegmentsReplayed: r.Varint(),
-		SidecarsLoaded:   r.Varint(),
-
-		RepairedPages: r.Varint(),
-		RepairBytes:   r.Varint(),
-		BloomSkips:    r.Varint(),
-	}
-	return st, r.Err()
 }

@@ -77,9 +77,6 @@ func slotSuspect(h provider.Holdings, held int64, blob, write uint64, rel uint32
 	if held == 0 {
 		return true // write not listed at all
 	}
-	if !h.HasDigest {
-		return true // cannot affirm: verify by fetching
-	}
 	return !h.Digest.MightContain(blob, write, rel)
 }
 

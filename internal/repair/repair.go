@@ -399,22 +399,15 @@ func mergeExtents(hist []vmanager.WriteRecord) []meta.PageRange {
 // missing. The write list is exact, the digest conservative, and counts
 // reconcile the two: a write the provider doesn't list is entirely
 // missing; a listed write's definite misses come from the digest; and
-// whenever presence can't be affirmed — no digest at all, or a count
-// proving more pages gone than the digest names — every page is pulled,
-// because the pulling provider skips the ones it has, so
-// over-approximation costs one RPC, never correctness. A slot is
+// whenever a count proves more pages gone than the digest names, every
+// page is pulled, because the pulling provider skips the ones it has,
+// so over-approximation costs one RPC, never correctness. A slot is
 // trusted healthy only when the count covers the expectation AND the
 // digest clears every page; the residual unsoundness (dead pages
 // inflating the count while a bloom false positive hides the real miss)
 // is the documented ~1%-of-rare window read-repair closes on access.
 func diagnose(h provider.Holdings, held int64, blob, write uint64, ns []pageNeed) []pageNeed {
 	if held == 0 {
-		return ns
-	}
-	if !h.HasDigest {
-		// Counts alone can't affirm presence (dead pages a missed GC
-		// sweep left behind inflate them): pull everything; the
-		// provider-side skip check turns this into a membership probe.
 		return ns
 	}
 	var missing []pageNeed
@@ -461,9 +454,7 @@ func eligibleSources(holdings map[uint32]provider.Holdings, heldBy map[uint32]ma
 		if id == target || !reachable[id] {
 			continue
 		}
-		h := holdings[id]
-		if heldBy[id][n.write] > 0 &&
-			(!h.HasDigest || h.Digest.MightContain(blob, n.write, n.rel)) {
+		if heldBy[id][n.write] > 0 && holdings[id].Digest.MightContain(blob, n.write, n.rel) {
 			likely = append(likely, id)
 		} else {
 			longshot = append(longshot, id)

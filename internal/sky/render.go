@@ -72,9 +72,6 @@ func (c *Catalog) AddTransient(tr Transient) { c.transients = append(c.transient
 // AddVariable injects a periodic variable star.
 func (c *Catalog) AddVariable(v VariableStar) { c.variables = append(c.variables, v) }
 
-// Transients returns the injected supernovae (ground truth for tests).
-func (c *Catalog) Transients() []Transient { return c.transients }
-
 // rng is a splitmix64 sequence generator for deterministic noise.
 type rng struct{ state uint64 }
 

@@ -243,30 +243,6 @@ func (h *Histogram) String() string {
 		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max())
 }
 
-// Rate measures throughput: bytes (or events) per elapsed wall time.
-type Rate struct {
-	start time.Time
-	n     atomic.Int64
-}
-
-// NewRate starts a rate measurement now.
-func NewRate() *Rate { return &Rate{start: time.Now()} }
-
-// Add records n units.
-func (r *Rate) Add(n int64) { r.n.Add(n) }
-
-// Total returns the accumulated units.
-func (r *Rate) Total() int64 { return r.n.Load() }
-
-// PerSecond returns units per second since the rate was created.
-func (r *Rate) PerSecond() float64 {
-	el := time.Since(r.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(r.n.Load()) / el
-}
-
 // Registry is a named collection of metrics: counters, gauges,
 // histograms and function-backed series. Names may carry Prometheus
 // style labels ("rpc_calls_total{method=\"MPutPages\"}"); the part

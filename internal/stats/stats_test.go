@@ -82,19 +82,6 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
-func TestRate(t *testing.T) {
-	r := NewRate()
-	r.Add(1000)
-	time.Sleep(10 * time.Millisecond)
-	ps := r.PerSecond()
-	if ps <= 0 {
-		t.Errorf("PerSecond = %v, want > 0", ps)
-	}
-	if r.Total() != 1000 {
-		t.Errorf("Total = %d", r.Total())
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reads").Add(3)
