@@ -101,6 +101,75 @@ func TestErasureRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWritePushesOncePerProvider counts the MPutPages requests the
+// providers serve for one traced 16-page write on a 3-provider cluster.
+// Under rs(2,1) the 24 shard pages of 8 stripes go out grouped by
+// provider across stripes: exactly 3 pushes. Under 2-replication the 32
+// page copies likewise make one push per provider that holds any.
+func TestWritePushesOncePerProvider(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		cfg    cluster.Config
+		pushes int // 0: one per provider the write reached
+	}{
+		{"rs(2,1)", cluster.Config{Redundancy: erasure.Redundancy{K: 2, M: 1}}, 3},
+		{"replicate r=2", cluster.Config{DataReplicas: 2}, 0},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := tt.cfg
+			cfg.DataProviders, cfg.MetaProviders, cfg.TraceSampleEvery = 3, 3, 1
+			cl, err := cluster.Launch(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Shutdown()
+			ctx := context.Background()
+			c, err := cl.NewClient(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			const pageSize = 4096
+			b, err := c.CreateBlob(ctx, pageSize, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, 16*pageSize)
+			rand.New(rand.NewSource(3)).Read(want)
+			if _, err := b.Write(ctx, want, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			var traceID uint64
+			for _, sp := range c.Tracer().Spans() {
+				if sp.Name == "core.WriteBlob" {
+					traceID = sp.TraceID
+				}
+			}
+			pushes, nodes := 0, make(map[string]int)
+			for _, sp := range cl.TraceSpans(traceID) {
+				if sp.Name == "provider.MPutPages" {
+					pushes++
+					nodes[sp.Node]++
+				}
+			}
+			if traceID == 0 || pushes == 0 {
+				t.Fatalf("no traced write or no MPutPages spans (trace %#x)", traceID)
+			}
+			wantPushes := tt.pushes
+			if wantPushes == 0 {
+				wantPushes = len(nodes)
+			}
+			if pushes != wantPushes || len(nodes) != pushes {
+				t.Fatalf("%d MPutPages served across providers %v, want %d, one per provider", pushes, nodes, wantPushes)
+			}
+			if err := readAll(t, cl, b.ID(), want); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestErasureDegradedReads is the fault-tolerance half of the
 // acceptance bar: with any 2 of the 6 providers stopped, every page
 // must remain readable via inline stripe reconstruction. Providers are

@@ -25,14 +25,10 @@ import (
 )
 
 // putStriped implements the rs(k,m) write fan-out: one allocation of
-// k+m distinct providers per stripe, parity encoding, and per-stripe
-// MPutPages dispatch. The dispatch is pipelined: stripe s's shard
-// messages are handed to the rpc layer (whose writer loops flush them
-// in the background, coalescing messages to the same provider into
-// shared frames) before stripe s+1 starts encoding, so the CPU-bound
-// parity encode of one stripe overlaps the network push of the
-// previous one. It returns one StripeRef per stripe for the metadata
-// build.
+// k+m distinct providers per stripe, then every stripe's parity is
+// encoded, then the shard pages go out grouped by provider across
+// stripes — one MPutPages per provider per write, as under replication.
+// It returns one StripeRef per stripe for the metadata build.
 func (b *Blob) putStriped(ctx context.Context, writeID uint64, buf []byte) ([]*meta.StripeRef, error) {
 	k, m := b.red.K, b.red.M
 	npages := uint64(len(buf)) / b.pageSize
@@ -53,37 +49,34 @@ func (b *Blob) putStriped(ctx context.Context, writeID uint64, buf []byte) ([]*m
 
 	refs := make([]*meta.StripeRef, nStripes)
 	var parityBytes int64
-	pend := make([]*rpc.Pending, 0, int(nStripes)*(k+m))
-	// Every early error return must drain the already-dispatched calls:
-	// their segments alias buf (data shards) and must stay untouched
-	// until flushed.
-	push := func(id uint32, rel uint32, data []byte) error {
-		addr, err := b.c.providerAddr(ctx, id)
-		if err != nil {
-			return err
-		}
-		segs := provider.EncodePutPagesVec(b.id, writeID, []uint32{rel}, [][]byte{data})
-		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MPutPages, segs))
-		return nil
-	}
+	// One entry per shard page: its provider, its rel and its bytes.
+	nShards := int(npages) + int(nStripes)*m
+	ids := make([]uint32, 0, nShards)
+	rels := make([]uint32, 0, nShards)
+	datas := make([][]byte, 0, nShards)
 	for s := uint64(0); s < nStripes; s++ {
 		width := erasure.StripeWidth(s, npages, k)
 		code, err := erasure.Cached(width, m)
 		if err != nil {
-			drainPending(pend)
 			return nil, err
 		}
-		data := make([][]byte, width)
-		for i := range data {
+		first := len(datas)
+		for i := 0; i < width; i++ {
 			p := s*uint64(k) + uint64(i)
-			data[i] = buf[p*b.pageSize : (p+1)*b.pageSize]
+			datas = append(datas, buf[p*b.pageSize:(p+1)*b.pageSize])
+			rels = append(rels, uint32(p))
 		}
-		parity, err := code.Encode(data)
+		parity, err := code.Encode(datas[first:])
 		if err != nil {
-			drainPending(pend)
 			return nil, err
+		}
+		for j, p := range parity {
+			datas = append(datas, p)
+			rels = append(rels, erasure.ParityRel(uint32(s), j, m))
+			parityBytes += int64(len(p))
 		}
 		provs := alloc.IDs[int(s)*group : int(s)*group+width+m]
+		ids = append(ids, provs...)
 		ref := &meta.StripeRef{
 			K:          uint8(width),
 			M:          uint8(m),
@@ -92,30 +85,14 @@ func (b *Blob) putStriped(ctx context.Context, writeID uint64, buf []byte) ([]*m
 			Provs:      provs,
 			Sums:       make([]uint64, width+m),
 		}
-		for i, d := range data {
+		for i, d := range datas[first:] {
 			ref.Sums[i] = wire.Checksum64(d)
-			if err := push(provs[i], ref.FirstRel+uint32(i), d); err != nil {
-				drainPending(pend)
-				return nil, err
-			}
-		}
-		for j, p := range parity {
-			ref.Sums[width+j] = wire.Checksum64(p)
-			if err := push(provs[width+j], erasure.ParityRel(uint32(s), j, m), p); err != nil {
-				drainPending(pend)
-				return nil, err
-			}
-			parityBytes += int64(len(p))
 		}
 		refs[s] = ref
 	}
 
-	for i, p := range pend {
-		if _, err := p.Wait(ctx); err != nil {
-			drainPending(pend[i:])
-			return nil, fmt.Errorf("core: store stripe shards: %w", err)
-		}
-		p.Release()
+	if err := b.pushPages(ctx, writeID, ids, rels, datas); err != nil {
+		return nil, err
 	}
 	b.c.ParityBytes.Add(parityBytes)
 	return refs, nil

@@ -231,18 +231,35 @@ func (b *Blob) allocateProviders(ctx context.Context, npages, r int) (pmanager.A
 	return alloc, nil
 }
 
-// putPages uploads all pages in parallel, one batched request per
-// provider, and returns the per-page checksums. The request bodies are
-// scatter-gather segments aliasing buf (zero copies on the client; buf
-// stays immutable until the Waits below return).
+// putPages uploads every page to each of its r providers and returns
+// the per-page checksums.
 func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc pmanager.Allocation) ([]uint64, error) {
 	npages := uint64(len(buf)) / b.pageSize
 	r := len(alloc.IDs) / int(npages)
 	checksums := make([]uint64, npages)
-	for p := range checksums {
-		checksums[p] = wire.Checksum64(buf[uint64(p)*b.pageSize : uint64(p+1)*b.pageSize])
+	ids := alloc.IDs[:int(npages)*r]
+	rels := make([]uint32, len(ids))
+	datas := make([][]byte, len(ids))
+	for p := uint64(0); p < npages; p++ {
+		data := buf[p*b.pageSize : (p+1)*b.pageSize]
+		checksums[p] = wire.Checksum64(data)
+		for j := int(p) * r; j < int(p+1)*r; j++ {
+			rels[j], datas[j] = uint32(p), data
+		}
 	}
+	if err := b.pushPages(ctx, writeID, ids, rels, datas); err != nil {
+		return nil, err
+	}
+	return checksums, nil
+}
 
+// pushPages stores datas[i] as page rels[i] of the write on provider
+// ids[i], in one batched MPutPages per distinct provider, all in flight
+// at once, and waits for every one. Both redundancy modes end here. The
+// request bodies are scatter-gather segments aliasing the page bytes
+// (zero copies on the client), which stay immutable until every call
+// has been waited for — on an error too (drainPending).
+func (b *Blob) pushPages(ctx context.Context, writeID uint64, ids, rels []uint32, datas [][]byte) error {
 	type batch struct {
 		rels  []uint32
 		datas [][]byte
@@ -250,30 +267,27 @@ func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc p
 	// Pre-count each provider's share so the batch slices allocate
 	// exactly once instead of growing append by append.
 	counts := make(map[uint32]int, 8)
-	for _, id := range alloc.IDs[:int(npages)*r] {
+	for _, id := range ids {
 		counts[id]++
 	}
 	batches := make(map[uint32]*batch, len(counts))
-	for p := uint64(0); p < npages; p++ {
-		data := buf[p*b.pageSize : (p+1)*b.pageSize]
-		for j := 0; j < r; j++ {
-			id := alloc.IDs[int(p)*r+j]
-			bt := batches[id]
-			if bt == nil {
-				n := counts[id]
-				bt = &batch{rels: make([]uint32, 0, n), datas: make([][]byte, 0, n)}
-				batches[id] = bt
-			}
-			bt.rels = append(bt.rels, uint32(p))
-			bt.datas = append(bt.datas, data)
+	for i, id := range ids {
+		bt := batches[id]
+		if bt == nil {
+			n := counts[id]
+			bt = &batch{rels: make([]uint32, 0, n), datas: make([][]byte, 0, n)}
+			batches[id] = bt
 		}
+		bt.rels = append(bt.rels, rels[i])
+		bt.datas = append(bt.datas, datas[i])
 	}
 
 	pend := make([]*rpc.Pending, 0, len(batches))
 	for id, bt := range batches {
 		addr, err := b.c.providerAddr(ctx, id)
 		if err != nil {
-			return nil, err
+			drainPending(pend)
+			return err
 		}
 		segs := provider.EncodePutPagesVec(b.id, writeID, bt.rels, bt.datas)
 		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MPutPages, segs))
@@ -281,13 +295,13 @@ func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc p
 	for i, p := range pend {
 		if _, err := p.Wait(ctx); err != nil {
 			// Drain from i, not i+1: a ctx-derived error means this very
-			// call may still be queued with segments aliasing buf.
+			// call may still be queued with segments aliasing the pages.
 			drainPending(pend[i:])
-			return nil, fmt.Errorf("core: store pages: %w", err)
+			return fmt.Errorf("core: store pages: %w", err)
 		}
 		p.Release()
 	}
-	return checksums, nil
+	return nil
 }
 
 // drainPending waits out vectored calls whose body segments alias the

@@ -7,14 +7,17 @@
 // tolerates m provider losses at a storage overhead of (k+m)/k — e.g.
 // rs(4,2) matches 2-replication's fault tolerance at 1.5x instead of 2x.
 //
-// The codec is a systematic Vandermonde-style construction over GF(2^8)
-// built from a Cauchy matrix: the first k rows of the encode matrix are
-// the identity (data shards are stored verbatim — reads in the healthy
-// path never touch the codec), and the m parity rows are
-// inv(x_i XOR y_j) with distinct field points x_i = k+i, y_j = j. Every
-// square submatrix of a Cauchy matrix is invertible, which combined
-// with the identity rows makes the construction MDS: any k of the k+m
-// shards recover the stripe.
+// The codec is a systematic construction over GF(2^8): the first k rows
+// of the encode matrix are the identity (data shards are stored
+// verbatim — reads in the healthy path never touch the codec), and the
+// m parity rows are a Cauchy matrix C[i][j] = inv(x_i XOR y_j), with
+// distinct field points x_i = k+i, y_j = j, whose column j is scaled by
+// inv(C[0][j]) so that parity row 0 is all ones. Every square submatrix
+// of a Cauchy matrix is invertible, and scaling a column by a non-zero
+// constant keeps it so; with the identity rows the construction is MDS:
+// any k of the k+m shards recover the stripe. The first parity shard is
+// the XOR of the data, and under m = 1 so is the decode of one lost
+// shard.
 //
 // Parity pages are ordinary pages to the provider layer: they are keyed
 // (blob, write, rel) like data pages, with parity slots carved out of
@@ -24,6 +27,7 @@
 package erasure
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"regexp"
@@ -87,13 +91,16 @@ type Code struct {
 	k, m int
 	// matrix is the (k+m)xk systematic encode matrix: shard i is the
 	// dot product of row i with the k data shards. Rows [0,k) are the
-	// identity, rows [k,k+m) the Cauchy parity rows.
+	// identity, rows [k,k+m) the column-scaled Cauchy parity rows (row k
+	// all ones).
 	matrix [][]byte
 }
 
 // New builds an RS(k,m) codec. 1 <= k, 1 <= m, k+m <= 256.
 func New(k, m int) (*Code, error) {
-	if k < 1 || m < 1 || k+m > maxShards {
+	// k and m are bounded one by one before they are added: a huge k
+	// would otherwise wrap k+m negative and past the check.
+	if k < 1 || m < 1 || k > maxShards || m > maxShards || k+m > maxShards {
 		return nil, fmt.Errorf("erasure: invalid geometry rs(%d,%d): need k>=1, m>=1, k+m<=%d", k, m, maxShards)
 	}
 	mat := make([][]byte, k+m)
@@ -103,9 +110,12 @@ func New(k, m int) (*Code, error) {
 	for i := 0; i < k; i++ {
 		mat[i][i] = 1
 	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			mat[k+i][j] = gfInv(byte(k+i) ^ byte(j))
+	for j := 0; j < k; j++ {
+		// Column j of the Cauchy block is inv((k+i) ^ j); scaling it by
+		// the inverse of its row-0 entry, (k ^ j), makes that entry 1.
+		scale := byte(k) ^ byte(j)
+		for i := 0; i < m; i++ {
+			mat[k+i][j] = gfMul(gfInv(byte(k+i)^byte(j)), scale)
 		}
 	}
 	return &Code{k: k, m: m, matrix: mat}, nil
@@ -145,11 +155,17 @@ func (c *Code) MatrixRow(i int) []byte {
 	return append([]byte(nil), c.matrix[i]...)
 }
 
-// mulAdd accumulates dst ^= coef*src bytewise.
+// mulAdd accumulates dst ^= coef*src. A coefficient of 1 — every entry
+// of the first parity row, and of an m = 1 decode — is a plain XOR,
+// done eight bytes at a time.
 func mulAdd(dst, src []byte, coef byte) {
 	switch coef {
 	case 0:
 	case 1:
+		for len(src) >= 8 {
+			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^binary.LittleEndian.Uint64(src))
+			dst, src = dst[8:], src[8:]
+		}
 		for i, s := range src {
 			dst[i] ^= s
 		}
@@ -372,8 +388,11 @@ func ParseRedundancy(s string) (Redundancy, error) {
 	if m == nil {
 		return Redundancy{}, fmt.Errorf("erasure: bad redundancy mode %q (want \"replicate\" or \"rs(k,m)\")", s)
 	}
-	k, _ := strconv.Atoi(m[1])
-	p, _ := strconv.Atoi(m[2])
+	k, errK := strconv.Atoi(m[1])
+	p, errM := strconv.Atoi(m[2])
+	if err := errors.Join(errK, errM); err != nil {
+		return Redundancy{}, fmt.Errorf("erasure: bad redundancy mode %q: %w", s, err)
+	}
 	r := Redundancy{K: k, M: p, Pinned: true}
 	if err := r.Validate(); err != nil {
 		return Redundancy{}, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -79,6 +81,112 @@ func TestRoundTripAllLossPatterns(t *testing.T) {
 	}
 }
 
+// TestMatrixEveryGeometry checks codec v2's construction on every
+// geometry with k+m <= 12: parity row 0 (matrix row k) is all ones, every
+// k-row subset of the (k+m)xk encode matrix inverts — exhaustively, which
+// is the MDS property itself — and the first parity shard is the
+// bytewise XOR of the data. Under m = 1 the decode of any one lost data
+// shard is then an XOR of the survivors too: its row of the inverted
+// survivor matrix is all ones.
+func TestMatrixEveryGeometry(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 2; n <= 12; n++ {
+		for k := 1; k < n; k++ {
+			m := n - k
+			c, err := New(k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row := c.MatrixRow(k); !bytes.Equal(row, bytes.Repeat([]byte{1}, k)) {
+				t.Fatalf("rs(%d,%d): parity row 0 = %v, want all ones", k, m, row)
+			}
+			for mask := 0; mask < 1<<n; mask++ {
+				if bits.OnesCount(uint(mask)) != k {
+					continue
+				}
+				sub := make([][]byte, 0, k)
+				for r := 0; r < n; r++ {
+					if mask&(1<<r) != 0 {
+						sub = append(sub, c.MatrixRow(r))
+					}
+				}
+				if _, err := invert(sub); err != nil {
+					t.Fatalf("rs(%d,%d): rows %b do not invert: %v", k, m, mask, err)
+				}
+			}
+
+			// 29 bytes: three 8-byte words and a tail for the XOR kernel.
+			data := make([][]byte, k)
+			xor := make([]byte, 29)
+			for i := range data {
+				data[i] = make([]byte, 29)
+				rng.Read(data[i])
+				for j, b := range data[i] {
+					xor[j] ^= b
+				}
+			}
+			parity, err := c.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(parity[0], xor) {
+				t.Fatalf("rs(%d,%d): parity 0 is not the XOR of the data", k, m)
+			}
+			if m != 1 {
+				continue
+			}
+			for lost := 0; lost < k; lost++ {
+				sub := make([][]byte, 0, k)
+				for r := 0; r <= k; r++ {
+					if r != lost {
+						sub = append(sub, c.MatrixRow(r))
+					}
+				}
+				inv, err := invert(sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(inv[lost], bytes.Repeat([]byte{1}, k)) {
+					t.Fatalf("rs(%d,1): decode row of lost shard %d = %v, want all ones (an XOR)", k, lost, inv[lost])
+				}
+			}
+		}
+	}
+}
+
+// TestNewRejectsHugeGeometry feeds New and ParseRedundancy shard counts
+// whose sum overflows int or that are out of range one by one: each must
+// be an error, never a panic (a wrapped k+m once slipped past the bound
+// and reached make with a negative length).
+func TestNewRejectsHugeGeometry(t *testing.T) {
+	for _, g := range [][2]int{
+		{math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt, math.MaxInt},
+		{math.MaxInt - 255, 256}, {math.MinInt, 1}, {1, math.MinInt},
+		{257, 1}, {1, 256}, {256, 1}, {0, 1}, {1, 0},
+	} {
+		if c, err := New(g[0], g[1]); err == nil {
+			t.Errorf("New(%d,%d) = rs(%d,%d), want an error", g[0], g[1], c.K(), c.M())
+		}
+	}
+	for _, s := range []string{
+		"rs(9223372036854775807,1)",
+		"rs(1,9223372036854775807)",
+		"rs(9223372036854775807,9223372036854775807)",
+		"rs(99999999999999999999,1)",
+		"rs(1,99999999999999999999)",
+		"rs(257,1)",
+		"rs(1,256)",
+		"rs(256,1)",
+	} {
+		if r, err := ParseRedundancy(s); err == nil {
+			t.Errorf("ParseRedundancy(%q) = %v, want an error", s, r)
+		}
+	}
+	if r, err := ParseRedundancy("rs(255,1)"); err != nil || r.Shards() != 256 {
+		t.Errorf("ParseRedundancy(rs(255,1)) = %v, %v; want the 256-shard geometry", r, err)
+	}
+}
+
 // TestTooFewShards pins the failure mode past the MDS limit.
 func TestTooFewShards(t *testing.T) {
 	c, _ := New(4, 2)
@@ -99,19 +207,16 @@ func TestGoldenMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Codec v2 parity rows: inv((k+i) ^ j) * (k ^ j) for i in [0,2),
+	// j in [0,4) — the Cauchy block with each column scaled by the
+	// inverse of its row-0 entry, so row 0 is all ones.
 	want := [][]byte{
 		{1, 0, 0, 0},
 		{0, 1, 0, 0},
 		{0, 0, 1, 0},
 		{0, 0, 0, 1},
-	}
-	// Parity rows: inv((k+i) ^ j) for i in [0,2), j in [0,4).
-	for i := 0; i < 2; i++ {
-		row := make([]byte, 4)
-		for j := 0; j < 4; j++ {
-			row[j] = gfInv(byte(4+i) ^ byte(j))
-		}
-		want = append(want, row)
+		{1, 1, 1, 1},
+		{166, 70, 187, 123},
 	}
 	for i := range want {
 		if got := c.MatrixRow(i); !bytes.Equal(got, want[i]) {
@@ -123,7 +228,9 @@ func TestGoldenMatrix(t *testing.T) {
 // TestGoldenEncoding pins an end-to-end parity vector: a fixed rs(4,2)
 // stripe must always encode to these exact parity bytes. If the field
 // polynomial, the table construction, or the matrix ever changes, this
-// fails before any on-disk stripe becomes undecodable.
+// fails before any on-disk stripe becomes undecodable. Under codec v2
+// the first parity is the bytewise XOR of the four data shards
+// (0x00^0x10^0xf0^0xde = 0x3e, ...).
 func TestGoldenEncoding(t *testing.T) {
 	c, err := New(4, 2)
 	if err != nil {
@@ -140,7 +247,7 @@ func TestGoldenEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := hex.EncodeToString(parity[0]) + "|" + hex.EncodeToString(parity[1])
-	const want = "19b3b4a933ad47d9|6e3614439f0e62f3"
+	const want = "3e5c7c3ca44ad33d|506a687f3b44b1ce"
 	if got != want {
 		t.Fatalf("golden rs(4,2) parity drifted:\n got %s\nwant %s", got, want)
 	}
@@ -228,41 +335,67 @@ func TestParseRedundancy(t *testing.T) {
 	}
 }
 
-// BenchmarkEncode measures parity throughput at the default page size.
-func BenchmarkEncode(b *testing.B) {
-	c, _ := New(4, 2)
-	data := make([][]byte, 4)
-	for i := range data {
-		data[i] = make([]byte, 64<<10)
-	}
-	b.SetBytes(4 * 64 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// benchGeometries are the microbenchmarked codecs: rs(2,1), the
+// benchmark's ingest-write geometry (its parity is a plain XOR), and
+// rs(4,2), whose second parity row takes the GF(2^8) table loop.
+var benchGeometries = []struct{ k, m int }{{2, 1}, {4, 2}}
 
-// BenchmarkReconstruct measures the degraded-read decode cost: two data
-// shards lost from an rs(4,2) stripe of 64 KB pages.
-func BenchmarkReconstruct(b *testing.B) {
-	c, _ := New(4, 2)
-	data := make([][]byte, 4)
+// benchStripe returns k data shards of 64 KiB pages with their parity.
+func benchStripe(b *testing.B, k, m int) (*Code, [][]byte, [][]byte) {
+	c, err := New(k, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([][]byte, k)
 	for i := range data {
 		data[i] = make([]byte, 64<<10)
 		for j := range data[i] {
 			data[i][j] = byte(i * j)
 		}
 	}
-	parity, _ := c.Encode(data)
-	b.SetBytes(4 * 64 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shards := [][]byte{nil, data[1], nil, data[3], parity[0], parity[1]}
-		if err := c.Reconstruct(shards); err != nil {
-			b.Fatal(err)
-		}
+	parity, err := c.Encode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(k) * 64 << 10)
+	b.ReportAllocs()
+	return c, data, parity
+}
+
+// BenchmarkEncode measures parity throughput at the default page size.
+func BenchmarkEncode(b *testing.B) {
+	for _, g := range benchGeometries {
+		b.Run(fmt.Sprintf("rs(%d,%d)", g.k, g.m), func(b *testing.B) {
+			c, data, _ := benchStripe(b, g.k, g.m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Encode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReconstruct measures the degraded-read decode cost: the first
+// m data shards lost from a stripe of 64 KiB pages.
+func BenchmarkReconstruct(b *testing.B) {
+	for _, g := range benchGeometries {
+		b.Run(fmt.Sprintf("rs(%d,%d)", g.k, g.m), func(b *testing.B) {
+			c, data, parity := benchStripe(b, g.k, g.m)
+			shards := make([][]byte, g.k+g.m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(shards, data)
+				copy(shards[g.k:], parity)
+				for j := 0; j < g.m; j++ {
+					shards[j] = nil
+				}
+				if err := c.Reconstruct(shards); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
