@@ -2,6 +2,8 @@ package vmanager
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"blob/internal/erasure"
@@ -25,9 +27,14 @@ import (
 // checkpointMagic identifies the stream format.
 const checkpointMagic = 0x424c4f42564d4732 // "BLOBVMG2"
 
-// Checkpoint serializes the manager's full state. It holds the manager
-// lock for the duration, so writes pause briefly; state sizes are small
-// (history records, not data).
+// historyRecordBytes is the least a WriteRecord encodes in, here and in
+// MHistory replies: three uvarints, a u64 write id and an aborted flag.
+const historyRecordBytes = 3 + 8 + 1
+
+// Checkpoint serializes the manager's full state, blobs and pending
+// writes in ascending order, so equal states give equal bytes. It holds
+// the manager lock for the duration, so writes pause briefly; state
+// sizes are small (history records, not data).
 func (m *Manager) Checkpoint() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -36,7 +43,8 @@ func (m *Manager) Checkpoint() []byte {
 	enc.Uint64(checkpointMagic)
 	enc.Uint64(m.nextID)
 	enc.Uvarint(uint64(len(m.blobs)))
-	for id, b := range m.blobs {
+	for _, id := range slices.Sorted(maps.Keys(m.blobs)) {
+		b := m.blobs[id]
 		enc.Uint64(id)
 		enc.Uint64(b.pageSize)
 		enc.Uint64(b.totalPages)
@@ -54,7 +62,8 @@ func (m *Manager) Checkpoint() []byte {
 			enc.Bool(rec.Aborted)
 		}
 		enc.Uvarint(uint64(len(b.pending)))
-		for v, p := range b.pending {
+		for _, v := range slices.Sorted(maps.Keys(b.pending)) {
+			p := b.pending[v]
 			enc.Uvarint(v)
 			enc.Uvarint(p.wr.First)
 			enc.Uvarint(p.wr.Count)
@@ -94,15 +103,11 @@ func Restore(raw []byte, cfg Config) (*Manager, error) {
 		b.latestAssigned = dec.Uint64()
 		b.latestPublished = dec.Uint64()
 		b.sizes = dec.Uint64Slice()
-		nhist := dec.Uvarint()
-		// A history record is at least 12 encoded bytes; a forged count
-		// beyond what the stream can hold must fail here, not spin a
-		// 2^40-iteration loop of zero records (reader errors are sticky
-		// but do not break the loop).
-		if nhist > uint64(dec.Remaining())/12 {
-			return nil, fmt.Errorf("vmanager: restore blob %d: history count %d exceeds stream", id, nhist)
-		}
-		for j := uint64(0); j < nhist; j++ {
+		// A forged count beyond what the stream can hold fails the
+		// reader here rather than spin a 2^40-iteration loop of zero
+		// records.
+		nhist := dec.Count(historyRecordBytes)
+		for j := 0; j < nhist; j++ {
 			b.history = append(b.history, WriteRecord{
 				Version: dec.Uvarint(),
 				Range:   meta.PageRange{First: dec.Uvarint(), Count: dec.Uvarint()},
@@ -110,11 +115,8 @@ func Restore(raw []byte, cfg Config) (*Manager, error) {
 				Aborted: dec.Bool(),
 			})
 		}
-		npend := dec.Uvarint()
-		if npend > uint64(dec.Remaining())/13 {
-			return nil, fmt.Errorf("vmanager: restore blob %d: pending count %d exceeds stream", id, npend)
-		}
-		for j := uint64(0); j < npend; j++ {
+		npend := dec.Count(historyRecordBytes + 1) // a second flag
+		for j := 0; j < npend; j++ {
 			v := dec.Uvarint()
 			p := &pendingWrite{
 				wr:        meta.PageRange{First: dec.Uvarint(), Count: dec.Uvarint()},

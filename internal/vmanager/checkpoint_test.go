@@ -1,9 +1,11 @@
 package vmanager
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,40 +13,50 @@ import (
 	"blob/internal/meta"
 )
 
+// restoreLone boots a lone replica whose state is the checkpoint ckpt,
+// installed the way a lagging follower installs a leader's snapshot.
+func restoreLone(t *testing.T, ckpt []byte, cfg Config) *Replica {
+	t.Helper()
+	r := newLone(t, cfg)
+	r.mu.Lock()
+	err := r.installLocked(0, ckpt)
+	r.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
+	m := newLone(t, Config{})
 	ctx := context.Background()
 	blob := newBlob(t, m)
 
 	// Build interesting state: two published versions, one pending,
 	// one committed-but-unpublished (blocked behind the pending one).
-	a1, _ := m.AssignVersion(blob, 11, 0, 4*pageSize, false)
+	a1, _ := m.AssignVersion(ctx, blob, 11, 0, 4*pageSize, false)
 	m.Commit(ctx, blob, a1.Version, true)
-	a2, _ := m.AssignVersion(blob, 22, 2*pageSize, 2*pageSize, false)
+	a2, _ := m.AssignVersion(ctx, blob, 22, 2*pageSize, 2*pageSize, false)
 	m.Commit(ctx, blob, a2.Version, true)
-	a3, _ := m.AssignVersion(blob, 33, 4*pageSize, 2*pageSize, false) // pending, uncommitted
-	a4, _ := m.AssignVersion(blob, 44, 0, pageSize, false)
+	a3, _ := m.AssignVersion(ctx, blob, 33, 4*pageSize, 2*pageSize, false) // pending, uncommitted
+	a4, _ := m.AssignVersion(ctx, blob, 44, 0, pageSize, false)
 	m.Commit(ctx, blob, a4.Version, false) // committed, blocked behind v3
 
-	r, err := Restore(m.Checkpoint(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := restoreLone(t, m.Manager().Checkpoint(), Config{})
+	rm := r.Manager()
 
 	// Published state survives.
-	v, size, err := r.Latest(blob)
+	v, size, err := rm.Latest(blob)
 	if err != nil || v != 2 || size != 4*pageSize {
 		t.Fatalf("restored latest = v%d size %d err %v", v, size, err)
 	}
-	info, err := r.Info(blob)
+	info, err := rm.Info(blob)
 	if err != nil || info.PageSize != pageSize || info.TotalPages != 64 {
 		t.Fatalf("restored info = %+v err %v", info, err)
 	}
 
 	// History survives, including all four records.
-	recs, err := r.History(blob, 0, 10)
+	recs, err := rm.History(blob, 0, 10)
 	if err != nil || len(recs) != 4 {
 		t.Fatalf("restored history = %d records, err %v", len(recs), err)
 	}
@@ -53,14 +65,14 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if _, err := r.Commit(ctx, blob, a3.Version, true); err != nil {
 		t.Fatalf("commit pending after restore: %v", err)
 	}
-	v, _, _ = r.Latest(blob)
+	v, _, _ = rm.Latest(blob)
 	if v != 4 {
 		t.Fatalf("latest after draining pending = %d, want 4", v)
 	}
 
 	// Border resolution continues correctly: a new write over pages
 	// [0,8) must see v4 on [0,1), v3 on [4,6), etc. Check one border.
-	a5, err := r.AssignVersion(blob, 55, 8*pageSize, 8*pageSize, false)
+	a5, err := r.AssignVersion(ctx, blob, 55, 8*pageSize, 8*pageSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +98,9 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 	// The snapshot never outlives the build that wrote it, so the
 	// pre-erasure "BLOBVMG1" layout is as foreign as any other magic.
-	m := New(Config{})
-	defer m.Close()
+	m := newLone(t, Config{})
 	newBlob(t, m)
-	g1 := m.Checkpoint()
+	g1 := m.Manager().Checkpoint()
 	g1[0] = '1'
 	if _, err := Restore(g1, Config{}); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("retired G1 magic: err = %v, want bad magic", err)
@@ -97,19 +108,10 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 }
 
 func TestRestorePreservesBlobIDSequence(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	id1, _ := m.CreateBlob(pageSize, capBytes, erasure.Redundancy{}, nil)
-	r, err := Restore(m.Checkpoint(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	id2, err := r.CreateBlob(pageSize, capBytes, erasure.Redundancy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 == id1 {
+	m := newLone(t, Config{})
+	id1 := newBlob(t, m)
+	r := restoreLone(t, m.Manager().Checkpoint(), Config{})
+	if id2 := newBlob(t, r); id2 == id1 {
 		t.Fatalf("restored manager reissued blob id %d", id1)
 	}
 }
@@ -118,31 +120,26 @@ func TestRestoreWithRepairCompletesDeadWriters(t *testing.T) {
 	// A writer dies, the manager crashes and restarts from checkpoint:
 	// the restored manager must repair the orphan and make progress.
 	store := newFakeStore()
-	m := New(Config{RepairTimeout: time.Hour, RepairScan: time.Hour, Store: store})
+	m := newLone(t, Config{RepairTimeout: time.Hour, RepairScan: time.Hour, Store: store})
 	blob := newBlob(t, m)
 	ctx := context.Background()
 
-	a1, _ := m.AssignVersion(blob, 11, 0, 2*pageSize, false) // writer dies
-	_ = a1
-	ckpt := m.Checkpoint()
+	a1, _ := m.AssignVersion(ctx, blob, 11, 0, 2*pageSize, false) // writer dies
+	ckpt := m.Manager().Checkpoint()
 	m.Close()
 
-	r, err := Restore(ckpt, Config{
+	r := restoreLone(t, ckpt, Config{
 		RepairTimeout: 30 * time.Millisecond,
 		RepairScan:    10 * time.Millisecond,
 		Store:         store,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 
 	// A new write after the dead one must eventually publish.
-	a2, err := r.AssignVersion(blob, 22, 4*pageSize, 2*pageSize, false)
+	a2, err := r.AssignVersion(ctx, blob, 22, 4*pageSize, 2*pageSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.storeBuilt(t, r, blob, a2, meta.PageRange{First: 4, Count: 2}, 22)
+	store.storeBuilt(t, blob, a2, meta.PageRange{First: 4, Count: 2}, 22)
 	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if _, err := r.Commit(cctx, blob, a2.Version, true); err != nil {
@@ -154,16 +151,15 @@ func TestRestoreWithRepairCompletesDeadWriters(t *testing.T) {
 }
 
 func TestCheckpointMultipleBlobs(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
+	m := newLone(t, Config{})
 	ctx := context.Background()
 	ids := make([]uint64, 3)
 	for i := range ids {
-		ids[i], _ = m.CreateBlob(pageSize, capBytes, erasure.Redundancy{}, nil)
-		a, _ := m.AssignVersion(ids[i], uint64(i+1), 0, pageSize*uint64(i+1), false)
+		ids[i] = newBlob(t, m)
+		a, _ := m.AssignVersion(ctx, ids[i], uint64(i+1), 0, pageSize*uint64(i+1), false)
 		m.Commit(ctx, ids[i], a.Version, true)
 	}
-	r, err := Restore(m.Checkpoint(), Config{})
+	r, err := Restore(m.Manager().Checkpoint(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +168,81 @@ func TestCheckpointMultipleBlobs(t *testing.T) {
 		_, size, err := r.Latest(id)
 		if err != nil || size != pageSize*uint64(i+1) {
 			t.Errorf("blob %d: size %d err %v", id, size, err)
+		}
+	}
+}
+
+// TestCheckpointDeterministic: a checkpoint is a function of state alone.
+// Two managers fed the same log write identical bytes, equal to the
+// leader's that wrote the log, and after a storm of creates, assigns,
+// commits and aborts every caught-up follower's checkpoint is the
+// leader's.
+func TestCheckpointDeterministic(t *testing.T) {
+	ts := newTestShard(t, 3, nil)
+	g := ts.client()
+	ctx := context.Background()
+
+	blobs := make([]uint64, 4)
+	for i := range blobs {
+		id, err := g.CreateBlob(ctx, pageSize, capBytes, erasure.Redundancy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[i] = id
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				blob := blobs[(w+i)%len(blobs)]
+				a, err := g.AssignVersion(ctx, blob, uint64(100*w+i), uint64(i%4)*pageSize, pageSize, i%3 == 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if (w+i)%4 == 0 {
+					err = g.Abort(ctx, blob, a.Version)
+				} else {
+					_, err = g.Commit(ctx, blob, a.Version, false)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	lead := ts.rep(0)
+	want := lead.Manager().Checkpoint()
+	log := recordedLog(lead)
+	for i := 0; i < 2; i++ {
+		m := New(Config{})
+		for _, rec := range log {
+			if err := m.ApplyRecord(rec); err != nil {
+				t.Fatalf("replay seq %d: %v", rec.Seq, err)
+			}
+		}
+		if got := m.Checkpoint(); !bytes.Equal(got, want) {
+			t.Errorf("replay %d: checkpoint differs from the leader's (%d vs %d bytes)", i, len(got), len(want))
+		}
+		m.Close()
+	}
+
+	logLen := lead.Status().LogLen
+	for j := 1; j < 3; j++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for ts.rep(j).Status().LogLen != logLen {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower %d stuck at %+v (leader log %d)", j, ts.rep(j).Status(), logLen)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := ts.rep(j).Manager().Checkpoint(); !bytes.Equal(got, want) {
+			t.Errorf("follower %d: checkpoint differs from the leader's", j)
 		}
 	}
 }

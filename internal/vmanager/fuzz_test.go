@@ -2,20 +2,23 @@ package vmanager
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
-	"blob/internal/erasure"
+	"blob/internal/meta"
+	"blob/internal/wire"
 )
 
 // FuzzLogRecordDecode asserts the publish-log record decoder never
 // panics, never accepts a frame that does not round-trip byte-for-byte,
 // and that RecoverLog's truncate-and-recover semantics hold on arbitrary
 // damage: the recovered prefix re-decodes cleanly and its length never
-// exceeds the input.
+// exceeds the input. The same bytes then drive ApplyRecord (see
+// applyFuzzRecords).
 func FuzzLogRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -64,7 +67,51 @@ func FuzzLogRecordDecode(f *testing.F) {
 				t.Fatalf("batch decoded %d records where recovery got %d of %d bytes", len(brecs), len(recs), rn)
 			}
 		}
+
+		applyFuzzRecords(t, data)
 	})
+}
+
+// applyFuzzRecords reads records straight from fuzz bytes — through the
+// checksummed framing almost none would get past the decoder — and
+// applies them in order to a fresh Manager. Whatever they say, applying
+// must not panic, every blob's history must stay gap-free from v1, and
+// the state must checkpoint into a stream Restore accepts.
+func applyFuzzRecords(t *testing.T, data []byte) {
+	m := New(Config{})
+	defer m.Close()
+	rd := wire.NewReader(data)
+	for rd.Remaining() >= 6 {
+		op, blob, arg, x, y, z := rd.Uint8(), rd.Uint8(), rd.Uint8(), rd.Uint8(), rd.Uint8(), rd.Uint8()
+		rec := LogRecord{Op: op % 6, Blob: uint64(blob % 4), Version: uint64(arg % 16)}
+		switch rec.Op {
+		case OpCreate: // page sizes 512..4096, up to 1024 pages, rs(K,M) or replication
+			rec.PageSize = 512 << (x % 4)
+			rec.Capacity = rec.PageSize << (y % 11)
+			rec.K, rec.M = z%4, z/4%3
+		case OpAssign: // offsets and lengths in 4 KiB units
+			rec.WriteID = uint64(x)
+			rec.Offset = uint64(y) * 4096
+			rec.Length = uint64(z) * 4096
+		}
+		m.ApplyRecord(rec)
+	}
+	for _, id := range m.Blobs() {
+		h, err := m.History(id, 0, ^uint64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range h {
+			if rec.Version != meta.Version(i+1) {
+				t.Fatalf("blob %d: history[%d] is v%d", id, i, rec.Version)
+			}
+		}
+	}
+	r, err := Restore(m.Checkpoint(), Config{})
+	if err != nil {
+		t.Fatalf("applied state does not restore: %v", err)
+	}
+	r.Close()
 }
 
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint restorer:
@@ -76,14 +123,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))
 	// A real checkpoint with history, a pending write and an abort.
-	m := New(Config{})
-	blob, _ := m.CreateBlob(pageSize, capBytes, erasure.Redundancy{}, nil)
-	a1, _ := m.AssignVersion(blob, 11, 0, 2*pageSize, false)
-	m.commitObserve(blob, a1.Version)
-	a2, _ := m.AssignVersion(blob, 22, 0, pageSize, true)
-	m.markAborted(blob, a2.Version)
-	whole := m.Checkpoint()
-	m.Close()
+	m := newLone(f, Config{})
+	ctx := context.Background()
+	blob := newBlob(f, m)
+	a1, _ := m.AssignVersion(ctx, blob, 11, 0, 2*pageSize, false)
+	m.Commit(ctx, blob, a1.Version, false)
+	a2, _ := m.AssignVersion(ctx, blob, 22, 0, pageSize, true)
+	m.Abort(ctx, blob, a2.Version)
+	whole := m.Manager().Checkpoint()
 	f.Add(bytes.Clone(whole))
 	f.Add(bytes.Clone(whole[:len(whole)-4])) // torn
 	for _, off := range []int{8, 16, 24, len(whole) / 2, len(whole) - 2} {

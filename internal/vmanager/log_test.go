@@ -1,7 +1,9 @@
 package vmanager
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -133,30 +135,23 @@ func TestManagerApplyRecordReplay(t *testing.T) {
 	// A follower's state is a deterministic function of the record
 	// stream: replaying a leader's log into a fresh Manager must
 	// reproduce its published state.
-	leader := New(Config{})
-	defer leader.Close()
-	var log []LogRecord
-	seq := uint64(0)
-	app := func(rec LogRecord) {
-		seq++
-		rec.Seq = seq
-		log = append(log, rec)
-	}
-
-	blob := newBlob(t, leader)
-	app(LogRecord{Op: OpCreate, Blob: blob, PageSize: pageSize, Capacity: capBytes})
+	r := newLone(t, Config{})
+	ctx := context.Background()
+	blob := newBlob(t, r)
 	for i := 0; i < 4; i++ {
-		a, err := leader.AssignVersion(blob, uint64(100+i), uint64(i)*pageSize, pageSize, false)
+		a, err := r.AssignVersion(ctx, blob, uint64(100+i), uint64(i)*pageSize, pageSize, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		app(LogRecord{Op: OpAssign, Blob: blob, Version: a.Version, WriteID: uint64(100 + i), Offset: a.Offset, Length: pageSize})
 		if i != 2 { // leave v3 pending
-			if _, _, err := leader.commitObserve(blob, a.Version); err != nil {
+			if _, err := r.Commit(ctx, blob, a.Version, false); err != nil {
 				t.Fatal(err)
 			}
-			app(LogRecord{Op: OpCommit, Blob: blob, Version: a.Version})
 		}
+	}
+	leader, log := r.Manager(), recordedLog(r)
+	if len(log) != 1+4+3 {
+		t.Fatalf("leader logged %d records, want create + 4 assigns + 3 commits", len(log))
 	}
 
 	follower := New(Config{})
@@ -191,6 +186,13 @@ func TestManagerApplyRecordReplay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordedLog copies a replica's retained publish log.
+func recordedLog(r *Replica) []LogRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.log)
 }
 
 func TestApplyRecordDivergenceDetected(t *testing.T) {

@@ -52,28 +52,35 @@ func (m *Manager) repairLoop() {
 	}
 }
 
-// scanExpired finds expired writes and repairs them. Passive replicas
-// skip the scan entirely: their leader repairs, and the resulting
-// OpAbort/OpRepaired records arrive through the log.
+// scanExpired finds expired writes and repairs them: uncommitted past
+// deadline — a dead writer — or aborted but never committed, an orphan
+// whose repairing leader died between the abort mark and the fill (the
+// new leader picks it up here). Passive replicas skip the scan entirely:
+// their leader repairs, and the resulting OpAbort/OpRepaired records
+// arrive through the log.
 func (m *Manager) scanExpired() {
 	if m.passive.Load() {
 		return
 	}
+	now := time.Now()
+	m.repairWhere(context.Background(), func(p *pendingWrite) bool {
+		return !p.deadline.IsZero() && p.deadline.Before(now)
+	})
+}
+
+// repairWhere repairs every uncommitted pending version that pick
+// selects and no repair is already working on, each within RepairTimeout
+// of ctx. A failed repair gets a fresh deadline, so a later scan retries.
+func (m *Manager) repairWhere(ctx context.Context, pick func(*pendingWrite) bool) {
 	type target struct {
 		blob uint64
 		v    meta.Version
 	}
 	var targets []target
-	now := time.Now()
 	m.mu.Lock()
 	for id, b := range m.blobs {
 		for v, p := range b.pending {
-			// Uncommitted past deadline — dead writer. Also aborted but
-			// never committed: an orphan whose repairing leader died
-			// between the abort mark and the fill (the new leader picks
-			// it up here).
-			expired := !p.deadline.IsZero() && p.deadline.Before(now)
-			if !p.committed && !p.repairing && expired {
+			if !p.committed && !p.repairing && pick(p) {
 				p.repairing = true
 				targets = append(targets, target{blob: id, v: v})
 			}
@@ -81,19 +88,20 @@ func (m *Manager) scanExpired() {
 	}
 	m.mu.Unlock()
 	for _, t := range targets {
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RepairTimeout)
-		if err := m.repairVersion(ctx, t.blob, t.v); err != nil {
-			// Retry on a later scan.
-			m.mu.Lock()
-			if b, ok := m.blobs[t.blob]; ok {
-				if p, ok := b.pending[t.v]; ok {
-					p.repairing = false
-					p.deadline = time.Now().Add(m.cfg.RepairTimeout)
-				}
-			}
-			m.mu.Unlock()
-		}
+		rctx, cancel := context.WithTimeout(ctx, m.cfg.RepairTimeout)
+		err := m.repairVersion(rctx, t.blob, t.v)
 		cancel()
+		if err == nil {
+			continue
+		}
+		m.mu.Lock()
+		if b, ok := m.blobs[t.blob]; ok {
+			if p, ok := b.pending[t.v]; ok {
+				p.repairing = false
+				p.deadline = time.Now().Add(m.cfg.RepairTimeout)
+			}
+		}
+		m.mu.Unlock()
 	}
 }
 
@@ -158,7 +166,7 @@ func (m *Manager) repairVersion(ctx context.Context, blob uint64, v meta.Version
 		// reach the shard log before the fill, so a leader that dies
 		// mid-repair leaves followers an orphan they can finish, not a
 		// version they re-admit.
-		if err := m.cfg.Replicate(OpAbort, blob, v); err != nil {
+		if err := m.cfg.Replicate(LogRecord{Op: OpAbort, Blob: blob, Version: v}); err != nil {
 			return fmt.Errorf("vmanager: repair v%d: replicate abort: %w", v, err)
 		}
 	}
@@ -191,7 +199,7 @@ func (m *Manager) repairVersion(ctx context.Context, blob uint64, v meta.Version
 	}
 
 	// Publish the repaired version.
-	if err := m.cfg.Replicate(OpRepaired, blob, v); err != nil {
+	if err := m.cfg.Replicate(LogRecord{Op: OpRepaired, Blob: blob, Version: v}); err != nil {
 		return fmt.Errorf("vmanager: repair v%d: replicate publish: %w", v, err)
 	}
 	return nil
@@ -205,33 +213,7 @@ func (m *Manager) RepairOrphans(ctx context.Context) {
 	if m.cfg.RepairTimeout <= 0 {
 		return
 	}
-	type target struct {
-		blob uint64
-		v    meta.Version
-	}
-	var targets []target
-	m.mu.Lock()
-	for id, b := range m.blobs {
-		for v, p := range b.pending {
-			if p.aborted && !p.committed && !p.repairing {
-				p.repairing = true
-				targets = append(targets, target{blob: id, v: v})
-			}
-		}
-	}
-	m.mu.Unlock()
-	for _, t := range targets {
-		if err := m.repairVersion(ctx, t.blob, t.v); err != nil {
-			m.mu.Lock()
-			if b, ok := m.blobs[t.blob]; ok {
-				if p, ok := b.pending[t.v]; ok {
-					p.repairing = false
-					p.deadline = time.Now().Add(m.cfg.RepairTimeout)
-				}
-			}
-			m.mu.Unlock()
-		}
-	}
+	m.repairWhere(ctx, func(p *pendingWrite) bool { return p.aborted })
 }
 
 // maxHistoryIntersecting returns the highest version below v whose write

@@ -18,11 +18,12 @@ import (
 
 // Replica wraps a Manager as one member of a replicated vmanager shard
 // (docs/vmanager-group.md). Exactly one replica per shard acts as
-// leader: it executes client mutations against its Manager, appends a
-// LogRecord per mutation to the shard's publish log, and acks the
-// client only after a follower quorum has applied the record. Followers
-// replay the log; on leader death the deterministic handoff below
-// promotes the live replica with the freshest state.
+// leader: it turns every mutation into a LogRecord, applies it to its
+// Manager exactly as a follower would and appends it to the shard's
+// publish log (propose), and replies to clients — reads included — only
+// once a follower quorum holds the log position the reply reflects.
+// Followers replay the log; on leader death the deterministic handoff
+// below promotes the live replica with the freshest state.
 //
 // Lock order: Replica.mu before Manager.mu, never the reverse.
 
@@ -196,7 +197,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		stop:       make(chan struct{}),
 	}
 	mcfg := cfg.Manager
-	mcfg.Replicate = r.replicateRepair
+	mcfg.Replicate = r.replicate
 	r.mgr = New(mcfg)
 	if cfg.Index == 0 && !cfg.Rejoin {
 		r.role = roleLeader
@@ -248,7 +249,7 @@ func (r *Replica) SetNetFault(fault bool) {
 	}
 }
 
-// Manager exposes the wrapped manager (tests).
+// Manager returns the wrapped manager (a snapshot install replaces it).
 func (r *Replica) Manager() *Manager {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -322,8 +323,8 @@ func (r *Replica) broadcastLocked() {
 
 // appendLocked assigns the next sequence number, appends the record,
 // truncates the log if oversized and kicks the senders. Caller holds
-// r.mu and has already executed the mutation on the manager.
-func (r *Replica) appendLocked(rec LogRecord) LogRecord {
+// r.mu and has already applied the record to the manager.
+func (r *Replica) appendLocked(rec LogRecord) {
 	rec.Seq = r.logLenLocked() + 1
 	r.log = append(r.log, rec)
 	r.truncateLocked()
@@ -336,7 +337,6 @@ func (r *Replica) appendLocked(rec LogRecord) LogRecord {
 		default:
 		}
 	}
-	return rec
 }
 
 // truncateLocked bounds the in-memory log: beyond MaxLogRecords the
@@ -422,50 +422,70 @@ func (r *Replica) waitQuorum(ctx context.Context, term, seq uint64) error {
 	}
 }
 
-// replicateRepair is the Manager's Config.Replicate hook: the repair
-// path's abort mark and repaired-publish flow through here so they
-// enter the log in execution order.
-func (r *Replica) replicateRepair(op uint8, blob uint64, v meta.Version) error {
+// propose is the one way a leader changes the version plane. Under r.mu
+// it fills in the record's leader-chosen fields from the applied state,
+// applies the record through the entry point followers replay it with,
+// and appends it only if it changed state (a duplicate commit or abort
+// is a no-op); then it waits until a follower quorum holds the log up to
+// there. Every mutation is applied and appended in one r.mu section, so
+// that log position covers everything the reply reflects.
+func (r *Replica) propose(ctx context.Context, rec LogRecord, isAppend bool) (applied, error) {
 	r.mu.Lock()
 	if err := r.leaderLocked(); err != nil {
 		r.mu.Unlock()
-		return err
+		return applied{}, err
 	}
-	term := r.term
-	if err := r.mgr.applyRepairOp(op, blob, v); err != nil {
+	r.mgr.resolve(&rec, isAppend, r.owns)
+	res, err := r.mgr.apply(rec)
+	if err != nil {
 		r.mu.Unlock()
-		return err
+		return applied{}, err
 	}
-	rec := r.appendLocked(LogRecord{Op: op, Blob: blob, Version: v})
+	if res.changed {
+		r.appendLocked(rec)
+	}
+	term, seq := r.term, r.logLenLocked()
 	r.mu.Unlock()
-	return r.waitQuorum(context.Background(), term, rec.Seq)
+	return res, r.waitQuorum(ctx, term, seq)
+}
+
+// replicate is the Manager's Config.Replicate hook: the repair path's
+// abort mark and repaired publish are proposals like any other.
+func (r *Replica) replicate(rec LogRecord) error {
+	_, err := r.propose(context.Background(), rec, false)
+	return err
+}
+
+// leading returns the manager and term of a live leader, or the error a
+// client call to anything else gets.
+func (r *Replica) leading() (*Manager, uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.leaderLocked(); err != nil {
+		return nil, 0, err
+	}
+	return r.mgr, r.term, nil
+}
+
+// ackBarrier returns once a follower quorum holds every record applied
+// so far, provided the replica still leads at term: an answer computed
+// before the call reflects no state a leader crash could take back.
+func (r *Replica) ackBarrier(ctx context.Context, term uint64) error {
+	r.mu.Lock()
+	seq := r.logLenLocked()
+	r.mu.Unlock()
+	return r.waitQuorum(ctx, term, seq)
 }
 
 // --- Client-facing mutations (leader only) ---
 
-// CreateBlob allocates a blob whose id this shard owns, replicated to
-// quorum before returning.
+// CreateBlob allocates a blob whose id this shard owns.
 func (r *Replica) CreateBlob(ctx context.Context, pageSize, capacityBytes uint64, red erasure.Redundancy) (uint64, error) {
-	r.mu.Lock()
-	if err := r.leaderLocked(); err != nil {
-		r.mu.Unlock()
-		return 0, err
-	}
-	term := r.term
-	id, err := r.mgr.CreateBlob(pageSize, capacityBytes, red, r.owns)
-	if err != nil {
-		r.mu.Unlock()
-		return 0, err
-	}
-	rec := r.appendLocked(LogRecord{
-		Op: OpCreate, Blob: id, PageSize: pageSize, Capacity: capacityBytes,
+	res, err := r.propose(ctx, LogRecord{
+		Op: OpCreate, PageSize: pageSize, Capacity: capacityBytes,
 		K: uint8(red.K), M: uint8(red.M),
-	})
-	r.mu.Unlock()
-	if err := r.waitQuorum(ctx, term, rec.Seq); err != nil {
-		return 0, err
-	}
-	return id, nil
+	}, false)
+	return res.blob, err
 }
 
 // owns reports whether the group's ring places blob id on this shard.
@@ -473,90 +493,48 @@ func (r *Replica) owns(id uint64) bool {
 	return ShardOf(r.cfg.Shards, id) == r.cfg.Shard
 }
 
-// AssignVersion serializes a write, quorum-replicating the (already
-// append-resolved) assignment.
+// AssignVersion serializes a write; for an append the offset resolves to
+// the blob's current logical end.
 func (r *Replica) AssignVersion(ctx context.Context, blob, writeID, offset, length uint64, isAppend bool) (Assignment, error) {
-	r.mu.Lock()
-	if err := r.leaderLocked(); err != nil {
-		r.mu.Unlock()
-		return Assignment{}, err
-	}
-	term := r.term
-	a, err := r.mgr.AssignVersion(blob, writeID, offset, length, isAppend)
-	if err != nil {
-		r.mu.Unlock()
-		return Assignment{}, err
-	}
-	rec := r.appendLocked(LogRecord{
-		Op: OpAssign, Blob: blob, Version: a.Version,
-		WriteID: writeID, Offset: a.Offset, Length: length,
-	})
-	r.mu.Unlock()
-	if err := r.waitQuorum(ctx, term, rec.Seq); err != nil {
-		return Assignment{}, err
-	}
-	return a, nil
+	res, err := r.propose(ctx, LogRecord{
+		Op: OpAssign, Blob: blob, WriteID: writeID, Offset: offset, Length: length,
+	}, isAppend)
+	return res.a, err
 }
 
-// Commit marks a version committed; the commit record is quorum-acked
-// before the call returns (and before the blocking wait, so an acked
-// commit survives leader death).
+// Commit marks a version committed, returning the latest published
+// version. The commit is quorum-acked before the call returns (and
+// before the blocking wait, so an acked commit survives leader death).
+// With block it then waits until v is published — all earlier versions
+// committed too — and for the quorum to hold what that answer saw, so a
+// returned WRITE is immediately readable.
 func (r *Replica) Commit(ctx context.Context, blob uint64, v meta.Version, block bool) (meta.Version, error) {
-	r.mu.Lock()
-	if err := r.leaderLocked(); err != nil {
-		r.mu.Unlock()
-		return 0, err
+	res, err := r.propose(ctx, LogRecord{Op: OpCommit, Blob: blob, Version: v}, false)
+	if err != nil || !block {
+		return res.pub, err
 	}
-	term := r.term
-	pub, transitioned, err := r.mgr.commitObserve(blob, v)
+	mgr, term, err := r.leading()
 	if err != nil {
-		r.mu.Unlock()
 		return 0, err
 	}
-	var seq uint64
-	if transitioned {
-		seq = r.appendLocked(LogRecord{Op: OpCommit, Blob: blob, Version: v}).Seq
+	pub, err := mgr.WaitPublished(ctx, blob, v)
+	if err != nil {
+		return 0, err
 	}
-	mgr := r.mgr
-	r.mu.Unlock()
-	if transitioned {
-		if err := r.waitQuorum(ctx, term, seq); err != nil {
-			return 0, err
-		}
-	}
-	if !block {
-		return pub, nil
-	}
-	return mgr.WaitPublished(ctx, blob, v)
+	return pub, r.ackBarrier(ctx, term)
 }
 
 // Abort withdraws a version. The abort mark is quorum-acked first; the
 // repair fill then runs on a background context so a slow metadata
 // store cannot wedge the client (and a leader crash mid-fill leaves an
-// orphan the next leader repairs — see RepairOrphans).
+// orphan the next leader repairs — see RepairOrphans). With repair off
+// the caller must itself have stored valid metadata for the version (or
+// accept that readers of later versions may fail).
 func (r *Replica) Abort(ctx context.Context, blob uint64, v meta.Version) error {
-	r.mu.Lock()
-	if err := r.leaderLocked(); err != nil {
-		r.mu.Unlock()
+	if _, err := r.propose(ctx, LogRecord{Op: OpAbort, Blob: blob, Version: v}, false); err != nil {
 		return err
 	}
-	term := r.term
-	changed, err := r.mgr.markAborted(blob, v)
-	if err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	var seq uint64
-	if changed {
-		seq = r.appendLocked(LogRecord{Op: OpAbort, Blob: blob, Version: v}).Seq
-	}
-	mgr := r.mgr
-	r.mu.Unlock()
-	if changed {
-		if err := r.waitQuorum(ctx, term, seq); err != nil {
-			return err
-		}
-	}
+	mgr := r.Manager()
 	if mgr.cfg.RepairTimeout > 0 {
 		rctx, cancel := context.WithTimeout(context.Background(), 4*mgr.cfg.RepairTimeout)
 		defer cancel()
@@ -585,18 +563,21 @@ func (r *Replica) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MVmInstall, r.handleVmInstall)
 }
 
-// readHandler serves a read from the local manager, leader-gated so
-// clients never observe a stale follower's state.
+// readHandler serves a read from the leader's manager — never a stale
+// follower's — and replies only once the quorum holds the log position
+// the answer reflects, so no reader hears of state a leader crash could
+// take back.
 func (r *Replica) readHandler(h func(*Manager, context.Context, []byte) ([]byte, error)) rpc.HandlerFunc {
 	return func(ctx context.Context, body []byte) ([]byte, error) {
-		r.mu.Lock()
-		err := r.leaderLocked()
-		mgr := r.mgr
-		r.mu.Unlock()
+		mgr, term, err := r.leading()
 		if err != nil {
 			return nil, err
 		}
-		return h(mgr, ctx, body)
+		resp, err := h(mgr, ctx, body)
+		if berr := r.ackBarrier(ctx, term); berr != nil {
+			return nil, berr
+		}
+		return resp, err
 	}
 }
 
@@ -875,7 +856,7 @@ func (r *Replica) handleVmInstall(_ context.Context, body []byte) ([]byte, error
 // joins its repair loop, which may be lock-ordered behind us).
 func (r *Replica) installLocked(seq uint64, ckpt []byte) error {
 	mcfg := r.cfg.Manager
-	mcfg.Replicate = r.replicateRepair
+	mcfg.Replicate = r.replicate
 	mgr, err := Restore(ckpt, mcfg)
 	if err != nil {
 		return fmt.Errorf("vmanager install: %w", err)

@@ -658,3 +658,82 @@ func TestParseGroupAddrs(t *testing.T) {
 		t.Error("empty replica entry accepted")
 	}
 }
+
+// TestRepliesNeverReflectUnackedState: a leader that has applied a
+// commit no follower has acked must not tell readers the version is
+// published — its writer has not been told the commit succeeded, and a
+// leader crash now would lose it. Once the quorum acks, they must.
+func TestRepliesNeverReflectUnackedState(t *testing.T) {
+	ts := newTestShard(t, 3, func(_ int, cfg *ReplicaConfig) {
+		cfg.ElectionTimeout = 2 * time.Second // the commit outwaits the partition
+	})
+	ctx := context.Background()
+	lead := ts.rep(0)
+	blob, err := lead.CreateBlob(ctx, pageSize, capBytes, erasure.Redundancy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := lead.AssignVersion(ctx, blob, 1, 0, pageSize, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.rep(1).SetNetFault(true)
+	ts.rep(2).SetNetFault(true)
+
+	committed := make(chan error, 1)
+	go func() {
+		_, err := lead.Commit(ctx, blob, a.Version, false)
+		committed <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for lead.Status().LogLen < 3 { // create, assign, commit
+		if time.Now().After(deadline) {
+			t.Fatal("leader never logged the commit")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// published asks the leader's three publication reads; each reports
+	// whether it answered that v1 is published (an error reports nothing).
+	published := func(wait time.Duration) (latest, info, version bool) {
+		read := func(h func(*Manager, context.Context, []byte) ([]byte, error), body []byte) []byte {
+			rctx, cancel := context.WithTimeout(ctx, wait)
+			defer cancel()
+			resp, err := lead.readHandler(h)(rctx, body)
+			if err != nil {
+				return nil
+			}
+			return resp
+		}
+		if resp := read((*Manager).handleLatest, encodeUint64(blob)); resp != nil {
+			v, _, err := decodeUint64Pair(resp)
+			latest = err == nil && v >= a.Version
+		}
+		if resp := read((*Manager).handleInfo, encodeUint64(blob)); resp != nil {
+			bi, err := decodeBlobInfo(resp)
+			info = err == nil && bi.LatestPublished >= a.Version
+		}
+		if resp := read((*Manager).handleVersionInfo, newAbortReq(blob, a.Version)); resp != nil {
+			pub, _, err := decodeBoolUint64(resp)
+			version = err == nil && pub
+		}
+		return latest, info, version
+	}
+	if l, i, v := published(50 * time.Millisecond); l || i || v {
+		t.Errorf("unacked commit reported published: MLatest %v, MInfo %v, MVersionInfo %v", l, i, v)
+	}
+	select {
+	case err := <-committed:
+		t.Fatalf("commit returned without a quorum: %v", err)
+	default:
+	}
+
+	ts.rep(1).SetNetFault(false)
+	ts.rep(2).SetNetFault(false)
+	if err := <-committed; err != nil {
+		t.Fatalf("commit after heal: %v", err)
+	}
+	if l, i, v := published(5 * time.Second); !l || !i || !v {
+		t.Errorf("acked commit not reported published: MLatest %v, MInfo %v, MVersionInfo %v", l, i, v)
+	}
+}

@@ -69,7 +69,7 @@ func DecodeAssignment(body []byte) (Assignment, error) {
 	var a Assignment
 	a.Version = r.Uint64()
 	a.Offset = r.Uint64()
-	n := int(r.Uvarint())
+	n := r.Count(3) // three uvarints per border
 	a.Borders = make([]meta.Border, 0, n)
 	for i := 0; i < n; i++ {
 		a.Borders = append(a.Borders, meta.Border{
@@ -140,7 +140,7 @@ func (m *Manager) handleHistory(_ context.Context, body []byte) ([]byte, error) 
 // DecodeHistory parses an MHistory response.
 func DecodeHistory(body []byte) ([]WriteRecord, error) {
 	r := wire.NewReader(body)
-	n := int(r.Uvarint())
+	n := r.Count(historyRecordBytes)
 	out := make([]WriteRecord, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, WriteRecord{

@@ -106,10 +106,10 @@ type Config struct {
 	Store NodeStore
 	// Replicate carries the repair path's two mutations (OpAbort: the
 	// abort mark, OpRepaired: the final repaired commit). A Replica sets
-	// it to apply them and append them to the shard log, so followers
-	// see them in log order (see replica.go); left nil, they apply to
-	// this Manager alone. Invoked with no Manager locks held.
-	Replicate func(op uint8, blob uint64, v meta.Version) error
+	// it to propose them like any client mutation, so followers see
+	// them in log order (see replica.go). Required only when
+	// RepairTimeout > 0; invoked with no Manager locks held.
+	Replicate func(rec LogRecord) error
 }
 
 // NodeStore is the slice of the metadata-provider interface the repair
@@ -155,17 +155,14 @@ func New(cfg Config) *Manager {
 		cfg.RepairScan = cfg.RepairTimeout / 4
 	}
 	m := &Manager{
+		cfg:        cfg,
 		blobs:      make(map[uint64]*blobState),
 		nextID:     1,
 		stopRepair: make(chan struct{}),
 	}
-	if cfg.Replicate == nil {
-		cfg.Replicate = m.applyRepairOp
-	}
-	m.cfg = cfg
 	if cfg.RepairTimeout > 0 {
-		if cfg.Store == nil {
-			panic("vmanager: RepairTimeout set without a NodeStore")
+		if cfg.Store == nil || cfg.Replicate == nil {
+			panic("vmanager: RepairTimeout set without a NodeStore and a Replicate hook")
 		}
 		m.repairWG.Add(1)
 		go m.repairLoop()
@@ -186,30 +183,6 @@ func (m *Manager) Close() {
 	m.repairWG.Wait()
 }
 
-// CreateBlob allocates a new blob (the paper's ALLOC primitive): a
-// globally unique id for a string of capacityBytes bytes in pageSize
-// pages, with the redundancy mode fixed for the blob's lifetime (the mode
-// shapes every write's metadata, so it cannot change once pages exist).
-// capacityBytes/pageSize must be a power of two. The id satisfies owns —
-// a shard of the group only hands out ids that the dht ring places on
-// that shard, so every client routes the blob back here (see group.go).
-// A nil owns accepts any id.
-func (m *Manager) CreateBlob(pageSize, capacityBytes uint64, red erasure.Redundancy, owns func(uint64) bool) (uint64, error) {
-	if err := validateGeometry(pageSize, capacityBytes, red); err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id := m.nextID
-	for owns != nil && !owns(id) {
-		id++
-	}
-	if err := m.createBlobAtLocked(id, pageSize, capacityBytes, red); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
 func validateGeometry(pageSize, capacityBytes uint64, red erasure.Redundancy) error {
 	if err := red.Validate(); err != nil {
 		return err
@@ -223,23 +196,30 @@ func validateGeometry(pageSize, capacityBytes uint64, red erasure.Redundancy) er
 	return nil
 }
 
-// createBlobAtLocked creates a blob with a caller-chosen id (log replay
-// uses the leader's id). Idempotent for an identical existing blob.
-func (m *Manager) createBlobAtLocked(id, pageSize, capacityBytes uint64, red erasure.Redundancy) error {
-	totalPages := capacityBytes / pageSize
-	if prev, ok := m.blobs[id]; ok {
-		if prev.pageSize == pageSize && prev.totalPages == totalPages && prev.red == red {
-			return nil
+// createLocked applies OpCreate: the paper's ALLOC, a blob of Capacity
+// bytes in PageSize pages with its redundancy mode fixed for life (the
+// mode shapes every write's metadata, so it cannot change once pages
+// exist). Capacity/PageSize must be a power of two. Idempotent for an
+// identical existing blob.
+func (m *Manager) createLocked(rec LogRecord) (applied, error) {
+	red := erasure.Redundancy{K: int(rec.K), M: int(rec.M)}
+	if err := validateGeometry(rec.PageSize, rec.Capacity, red); err != nil {
+		return applied{}, err
+	}
+	totalPages := rec.Capacity / rec.PageSize
+	if prev, ok := m.blobs[rec.Blob]; ok {
+		if prev.pageSize == rec.PageSize && prev.totalPages == totalPages && prev.red == red {
+			return applied{blob: rec.Blob}, nil
 		}
-		return fmt.Errorf("vmanager: blob %d already exists with different geometry", id)
+		return applied{}, fmt.Errorf("vmanager: blob %d already exists with different geometry", rec.Blob)
 	}
 	ivm, err := meta.NewIntervalVersionMap(totalPages)
 	if err != nil {
-		return fmt.Errorf("vmanager: %w", err)
+		return applied{}, fmt.Errorf("vmanager: %w", err)
 	}
-	m.blobs[id] = &blobState{
-		id:         id,
-		pageSize:   pageSize,
+	m.blobs[rec.Blob] = &blobState{
+		id:         rec.Blob,
+		pageSize:   rec.PageSize,
 		totalPages: totalPages,
 		red:        red,
 		sizes:      []uint64{0},
@@ -247,10 +227,10 @@ func (m *Manager) createBlobAtLocked(id, pageSize, capacityBytes uint64, red era
 		pending:    make(map[meta.Version]*pendingWrite),
 		changed:    make(chan struct{}),
 	}
-	if id >= m.nextID {
-		m.nextID = id + 1
+	if rec.Blob >= m.nextID {
+		m.nextID = rec.Blob + 1
 	}
-	return nil
+	return applied{changed: true, blob: rec.Blob}, nil
 }
 
 // BlobInfo describes a blob's static geometry and current published state.
@@ -282,101 +262,147 @@ func (m *Manager) Info(blob uint64) (BlobInfo, error) {
 	}, nil
 }
 
-// AssignVersion serializes a write into the version order. For appends
-// the offset is resolved to the current logical end of the blob. The
-// returned border set reflects exactly the writes numbered below the new
-// version, whether or not they have published — the mechanism that lets
-// concurrent writers proceed without synchronizing with each other.
-func (m *Manager) AssignVersion(blob, writeID uint64, offset, length uint64, isAppend bool) (Assignment, error) {
+// applied is what applying one record reports back to a proposing
+// leader.
+type applied struct {
+	// changed reports that the record moved state, so the leader logs
+	// it; a duplicate commit or abort changes nothing and is not logged.
+	changed bool
+	blob    uint64       // OpCreate: the new blob's id
+	a       Assignment   // OpAssign
+	pub     meta.Version // OpCommit: the latest published version after it
+}
+
+// resolve fills in the fields of rec that only a leader chooses, reading
+// the applied state without changing it: a fresh blob id that owns
+// accepts (a shard hands out only ids the dht ring places on it, so every
+// client routes the blob back there — see group.go), and for an assign
+// the next version and, for an append, the offset at the logical end of
+// the blob.
+func (m *Manager) resolve(rec *LogRecord, isAppend bool, owns func(uint64) bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.blobs[blob]
-	if !ok {
-		return Assignment{}, ErrNoBlob
+	switch rec.Op {
+	case OpCreate:
+		rec.Blob = m.nextID
+		for !owns(rec.Blob) {
+			rec.Blob++
+		}
+	case OpAssign:
+		if b, ok := m.blobs[rec.Blob]; ok {
+			rec.Version = b.latestAssigned + 1
+			if isAppend {
+				rec.Offset = b.sizes[b.latestAssigned]
+			}
+		}
 	}
-	if isAppend {
-		offset = b.sizes[b.latestAssigned]
-	}
-	if offset%b.pageSize != 0 || length == 0 || length%b.pageSize != 0 {
-		return Assignment{}, fmt.Errorf("%w: offset %d length %d not aligned to page size %d",
-			ErrBadRange, offset, length, b.pageSize)
-	}
-	wr := meta.PageRange{First: offset / b.pageSize, Count: length / b.pageSize}
-	if wr.End() > b.totalPages {
-		return Assignment{}, fmt.Errorf("%w: write [%d,%d) exceeds capacity of %d pages",
-			ErrBadRange, wr.First, wr.End(), b.totalPages)
-	}
+}
 
+// ApplyRecord applies one replicated log record to the manager's state —
+// the follower half of the shard replication protocol. Records must be
+// applied in log order; any divergence from the leader's expectations
+// (version mismatch, unknown blob) is returned as an error, signalling
+// the replica layer to resynchronize from a snapshot rather than limp
+// on with drifted state.
+func (m *Manager) ApplyRecord(rec LogRecord) error {
+	_, err := m.apply(rec)
+	if rec.Op == OpCommit && errors.Is(err, ErrAborted) {
+		// The leader logs a commit only while the version is live, so
+		// in order this cannot happen — but a duplicate delivery after
+		// a later abort record can.
+		return nil
+	}
+	return err
+}
+
+// apply is the one mutator of the manager's versioned state: a leader's
+// proposals (replica.go) and a follower's log replay both land here, so
+// a follower's state is a deterministic function of the record stream.
+func (m *Manager) apply(rec LogRecord) (applied, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if rec.Op == OpCreate {
+		return m.createLocked(rec)
+	}
+	b, ok := m.blobs[rec.Blob]
+	if !ok {
+		return applied{}, ErrNoBlob
+	}
+	switch rec.Op {
+	case OpAssign:
+		a, err := m.assignLocked(b, rec)
+		return applied{changed: err == nil, a: a}, err
+	case OpCommit:
+		return m.commitLocked(b, rec.Version)
+	case OpAbort:
+		changed, err := m.abortLocked(b, rec.Version)
+		return applied{changed: changed}, err
+	case OpRepaired:
+		return applied{changed: m.repairedLocked(b, rec.Version)}, nil
+	default:
+		return applied{}, fmt.Errorf("%w: unknown op %d", ErrLogCorrupt, rec.Op)
+	}
+}
+
+// assignLocked serializes a write into the version order. The returned
+// border set reflects exactly the writes numbered below the new version,
+// whether or not they have published — the mechanism that lets
+// concurrent writers proceed without synchronizing with each other. The
+// record's version must be the next one: anything else is a replica
+// that diverged from its leader.
+func (m *Manager) assignLocked(b *blobState, rec LogRecord) (Assignment, error) {
+	if rec.Offset%b.pageSize != 0 || rec.Length == 0 || rec.Length%b.pageSize != 0 {
+		return Assignment{}, fmt.Errorf("%w: offset %d length %d not aligned to page size %d",
+			ErrBadRange, rec.Offset, rec.Length, b.pageSize)
+	}
+	wr := meta.PageRange{First: rec.Offset / b.pageSize, Count: rec.Length / b.pageSize}
+	if err := meta.ValidateGeometry(b.totalPages, wr); err != nil {
+		return Assignment{}, fmt.Errorf("%w: %v", ErrBadRange, err)
+	}
 	v := b.latestAssigned + 1
+	if rec.Version != v {
+		return Assignment{}, fmt.Errorf("vmanager: replay diverged: assigned v%d, log says v%d (blob %d)",
+			v, rec.Version, b.id)
+	}
 	borders := meta.Borders(b.totalPages, wr)
 	b.ivm.ResolveBorders(borders) // before Assign: sees versions 1..v-1
 	b.ivm.Assign(wr, v)
 	b.latestAssigned = v
-
-	// Track the logical size of this version.
-	newSize := b.sizes[v-1]
-	if end := offset + length; end > newSize {
-		newSize = end
-	}
-	b.sizes = append(b.sizes, newSize)
+	b.sizes = append(b.sizes, max(b.sizes[v-1], rec.Offset+rec.Length))
 
 	var deadline time.Time
 	if m.cfg.RepairTimeout > 0 {
 		deadline = time.Now().Add(m.cfg.RepairTimeout)
 	}
-	b.pending[v] = &pendingWrite{
-		wr: wr, writeID: writeID, deadline: deadline,
-	}
-	b.history = append(b.history, WriteRecord{Version: v, Range: wr, WriteID: writeID})
+	b.pending[v] = &pendingWrite{wr: wr, writeID: rec.WriteID, deadline: deadline}
+	b.history = append(b.history, WriteRecord{Version: v, Range: wr, WriteID: rec.WriteID})
 	m.Assigns.Inc()
-	return Assignment{Version: v, Offset: offset, Borders: borders}, nil
+	return Assignment{Version: v, Offset: rec.Offset, Borders: borders}, nil
 }
 
-// Commit reports that the writer of (blob, v) finished storing data and
-// metadata. If block is true, Commit waits until v is actually published
-// (all earlier versions committed too) or ctx expires, so a returned
-// WRITE is immediately readable.
-func (m *Manager) Commit(ctx context.Context, blob uint64, v meta.Version, block bool) (meta.Version, error) {
-	pub, _, err := m.commitObserve(blob, v)
-	if err != nil || !block {
-		return pub, err
-	}
-	return m.WaitPublished(ctx, blob, v)
-}
-
-// commitObserve is the non-blocking half of Commit. transitioned
-// reports whether this call actually flipped the version to committed —
-// a replicated shard leader appends a log record exactly when it did
-// (duplicate commits and the already-published path mutate nothing).
-func (m *Manager) commitObserve(blob uint64, v meta.Version) (pub meta.Version, transitioned bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blobs[blob]
-	if !ok {
-		return 0, false, ErrNoBlob
-	}
+// commitLocked records that the writer of v finished storing data and
+// metadata, and publishes the longest committed prefix. A version
+// already published (the repair path may have completed it on the
+// writer's behalf) answers with the latest published version unless it
+// was aborted.
+func (m *Manager) commitLocked(b *blobState, v meta.Version) (applied, error) {
 	p, ok := b.pending[v]
 	switch {
 	case ok && p.aborted:
-		return 0, false, fmt.Errorf("%w: version %d", ErrAborted, v)
-	case !ok:
-		if v <= b.latestPublished {
-			// Already published: the repair path may have completed the
-			// version on the writer's behalf. Check the abort flag.
-			if historyAborted(b.history, v) {
-				return 0, false, fmt.Errorf("%w: version %d", ErrAborted, v)
-			}
-			return b.latestPublished, false, nil
-		}
-		return 0, false, fmt.Errorf("%w: version %d", ErrNotPending, v)
+		return applied{}, fmt.Errorf("%w: version %d", ErrAborted, v)
+	case !ok && v <= b.latestPublished && historyAborted(b.history, v):
+		return applied{}, fmt.Errorf("%w: version %d", ErrAborted, v)
+	case !ok && v > b.latestPublished:
+		return applied{}, fmt.Errorf("%w: version %d", ErrNotPending, v)
 	}
-	if !p.committed {
+	res := applied{changed: ok && !p.committed}
+	if res.changed {
 		p.committed = true
-		transitioned = true
 		m.Commits.Inc()
 		m.advanceLocked(b)
 	}
-	return b.latestPublished, transitioned, nil
+	res.pub = b.latestPublished
+	return res, nil
 }
 
 // WaitPublished blocks until version v of blob is published (or ctx
@@ -445,33 +471,11 @@ func (m *Manager) advanceLocked(b *blobState) {
 	}
 }
 
-// Abort withdraws an assigned version (the writer knows it failed). The
-// version is immediately repaired as a no-op patch if repair is enabled;
-// otherwise it is marked committed-as-aborted so publication can proceed
-// once its metadata exists. Abort with repair disabled requires that the
-// caller has itself stored valid metadata for the version (or accepts
-// that readers of later versions may fail).
-func (m *Manager) Abort(blob uint64, v meta.Version) error {
-	if _, err := m.markAborted(blob, v); err != nil {
-		return err
-	}
-	if m.cfg.RepairTimeout > 0 {
-		return m.repairVersion(context.Background(), blob, v)
-	}
-	return nil
-}
-
-// markAborted flags a pending version aborted and wakes blocked
-// commits, without triggering repair. Idempotent (changed reports
-// whether this call made the transition); a version that is no longer
-// pending but already flagged in history (replayed abort) is accepted.
-func (m *Manager) markAborted(blob uint64, v meta.Version) (changed bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blobs[blob]
-	if !ok {
-		return false, ErrNoBlob
-	}
+// abortLocked withdraws an assigned version (the writer knows it failed,
+// or the repair path takes over) and wakes blocked commits; the repair
+// fill follows separately. A version no longer pending but already
+// flagged in history (a replayed abort) is accepted unchanged.
+func (m *Manager) abortLocked(b *blobState, v meta.Version) (changed bool, err error) {
 	p, ok := b.pending[v]
 	if !ok {
 		if historyAborted(b.history, v) {
@@ -483,52 +487,21 @@ func (m *Manager) markAborted(blob uint64, v meta.Version) (changed bool, err er
 		return false, nil
 	}
 	p.aborted = true
-	for i := len(b.history) - 1; i >= 0; i-- {
-		if b.history[i].Version == v {
-			b.history[i].Aborted = true
-			break
-		}
-	}
+	markHistoryAborted(b.history, v)
 	m.Aborts.Inc()
-	// Wake any blocked Commit for this version.
 	close(b.changed)
 	b.changed = make(chan struct{})
 	return true, nil
 }
 
-// applyRepairOp applies one of the repair path's two mutations to this
-// manager's state.
-func (m *Manager) applyRepairOp(op uint8, blob uint64, v meta.Version) error {
-	switch op {
-	case OpAbort:
-		_, err := m.markAborted(blob, v)
-		return err
-	case OpRepaired:
-		return m.applyRepaired(blob, v)
-	default:
-		return fmt.Errorf("vmanager: repair: unexpected op %d", op)
-	}
-}
-
-// applyRepaired is the second half of the repair path as a log-replay
-// mutation: the version's metadata exists (the leader stored it), so
-// flag it aborted-and-committed and advance publication. Idempotent.
-func (m *Manager) applyRepaired(blob uint64, v meta.Version) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blobs[blob]
-	if !ok {
-		return ErrNoBlob
-	}
-	for i := len(b.history) - 1; i >= 0; i-- {
-		if b.history[i].Version == v {
-			b.history[i].Aborted = true
-			break
-		}
-	}
+// repairedLocked is the second half of the repair path: the version's
+// metadata exists (the leader stored it), so flag it aborted-and-
+// committed and advance publication. Idempotent.
+func (m *Manager) repairedLocked(b *blobState, v meta.Version) (changed bool) {
+	changed = markHistoryAborted(b.history, v)
 	p, ok := b.pending[v]
-	if !ok {
-		return nil // already published
+	if !ok || (p.aborted && p.committed) {
+		return changed
 	}
 	p.aborted = true
 	if !p.committed {
@@ -536,57 +509,20 @@ func (m *Manager) applyRepaired(blob uint64, v meta.Version) error {
 		m.Repairs.Inc()
 		m.advanceLocked(b)
 	}
-	return nil
+	return true
 }
 
-// ApplyRecord applies one replicated log record to the manager's state —
-// the follower half of the shard replication protocol. Records must be
-// applied in log order; any divergence from the leader's expectations
-// (version mismatch, unknown blob) is returned as an error, signalling
-// the replica layer to resynchronize from a snapshot rather than limp
-// on with drifted state.
-func (m *Manager) ApplyRecord(rec LogRecord) error {
-	switch rec.Op {
-	case OpCreate:
-		red := erasure.Redundancy{K: int(rec.K), M: int(rec.M)}
-		if err := validateGeometry(rec.PageSize, rec.Capacity, red); err != nil {
-			return err
+// markHistoryAborted flags v aborted in the write history, reporting
+// whether the flag was not already set.
+func markHistoryAborted(history []WriteRecord, v meta.Version) bool {
+	for i := len(history) - 1; i >= 0; i-- {
+		if history[i].Version == v {
+			was := history[i].Aborted
+			history[i].Aborted = true
+			return !was
 		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.createBlobAtLocked(rec.Blob, rec.PageSize, rec.Capacity, red)
-	case OpAssign:
-		return m.applyAssign(rec)
-	case OpCommit:
-		_, _, err := m.commitObserve(rec.Blob, rec.Version)
-		if errors.Is(err, ErrAborted) {
-			// The leader committed this version before aborting it in a
-			// later record we have not applied yet; our abort state can
-			// only come from the same log, so this cannot happen in
-			// order — but a duplicate delivery after the abort can.
-			return nil
-		}
-		return err
-	case OpAbort, OpRepaired:
-		return m.applyRepairOp(rec.Op, rec.Blob, rec.Version)
-	default:
-		return fmt.Errorf("%w: unknown op %d", ErrLogCorrupt, rec.Op)
 	}
-}
-
-// applyAssign re-executes an assignment deterministically: the offset
-// was append-resolved by the leader, so the assigned version must come
-// out identical; if it does not, the replica has diverged.
-func (m *Manager) applyAssign(rec LogRecord) error {
-	a, err := m.AssignVersion(rec.Blob, rec.WriteID, rec.Offset, rec.Length, false)
-	if err != nil {
-		return err
-	}
-	if a.Version != rec.Version {
-		return fmt.Errorf("vmanager: replay diverged: assigned v%d, log says v%d (blob %d)",
-			a.Version, rec.Version, rec.Blob)
-	}
-	return nil
+	return false
 }
 
 // Latest returns the newest published version and its size.

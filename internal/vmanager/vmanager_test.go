@@ -18,9 +18,22 @@ const (
 	capBytes = 64 * pageSize // 64 pages
 )
 
-func newBlob(t *testing.T, m *Manager) uint64 {
+// newLone boots a one-peer replica, the shape a bare `blobnode -roles
+// vmanager` runs: it needs no follower acks, so every mutation takes the
+// production propose path without a network.
+func newLone(t testing.TB, cfg Config) *Replica {
 	t.Helper()
-	id, err := m.CreateBlob(pageSize, capBytes, erasure.Redundancy{}, nil)
+	r, err := NewReplica(ReplicaConfig{Peers: []string{"lone"}, Manager: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r
+}
+
+func newBlob(t testing.TB, r *Replica) uint64 {
+	t.Helper()
+	id, err := r.CreateBlob(context.Background(), pageSize, capBytes, erasure.Redundancy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,34 +41,34 @@ func newBlob(t *testing.T, m *Manager) uint64 {
 }
 
 func TestCreateBlobValidation(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	if _, err := m.CreateBlob(1000, 64000, erasure.Redundancy{}, nil); err == nil {
+	r := newLone(t, Config{})
+	ctx := context.Background()
+	if _, err := r.CreateBlob(ctx, 1000, 64000, erasure.Redundancy{}); err == nil {
 		t.Error("non-power-of-two page size accepted")
 	}
-	if _, err := m.CreateBlob(1024, 1000, erasure.Redundancy{}, nil); err == nil {
+	if _, err := r.CreateBlob(ctx, 1024, 1000, erasure.Redundancy{}); err == nil {
 		t.Error("capacity not multiple of page size accepted")
 	}
-	if _, err := m.CreateBlob(1024, 3*1024, erasure.Redundancy{}, nil); err == nil {
+	if _, err := r.CreateBlob(ctx, 1024, 3*1024, erasure.Redundancy{}); err == nil {
 		t.Error("non-power-of-two page count accepted")
 	}
-	id1, err := m.CreateBlob(1024, 4*1024, erasure.Redundancy{}, nil)
+	id1, err := r.CreateBlob(ctx, 1024, 4*1024, erasure.Redundancy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, _ := m.CreateBlob(1024, 4*1024, erasure.Redundancy{}, nil)
+	id2, _ := r.CreateBlob(ctx, 1024, 4*1024, erasure.Redundancy{})
 	if id1 == id2 {
 		t.Error("blob IDs not unique")
 	}
 }
 
 func TestAssignCommitPublish(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	m := r.Manager()
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
-	a, err := m.AssignVersion(blob, 100, 0, 4*pageSize, false)
+	a, err := r.AssignVersion(ctx, blob, 100, 0, 4*pageSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +79,7 @@ func TestAssignCommitPublish(t *testing.T) {
 	if v, _, _ := m.Latest(blob); v != 0 {
 		t.Errorf("latest before commit = %d", v)
 	}
-	pub, err := m.Commit(ctx, blob, 1, true)
+	pub, err := r.Commit(ctx, blob, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,32 +93,32 @@ func TestAssignCommitPublish(t *testing.T) {
 }
 
 func TestPublicationOrder(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	m := r.Manager()
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
-	a1, _ := m.AssignVersion(blob, 1, 0, pageSize, false)
-	a2, _ := m.AssignVersion(blob, 2, pageSize, pageSize, false)
-	a3, _ := m.AssignVersion(blob, 3, 2*pageSize, pageSize, false)
+	a1, _ := r.AssignVersion(ctx, blob, 1, 0, pageSize, false)
+	a2, _ := r.AssignVersion(ctx, blob, 2, pageSize, pageSize, false)
+	a3, _ := r.AssignVersion(ctx, blob, 3, 2*pageSize, pageSize, false)
 	if a1.Version != 1 || a2.Version != 2 || a3.Version != 3 {
 		t.Fatal("versions not sequential")
 	}
 
 	// Commit out of order: 3, then 2, then 1.
-	if _, err := m.Commit(ctx, blob, 3, false); err != nil {
+	if _, err := r.Commit(ctx, blob, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := m.Latest(blob); v != 0 {
 		t.Errorf("latest after commit(3) = %d, want 0", v)
 	}
-	if _, err := m.Commit(ctx, blob, 2, false); err != nil {
+	if _, err := r.Commit(ctx, blob, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := m.Latest(blob); v != 0 {
 		t.Errorf("latest after commit(3,2) = %d, want 0", v)
 	}
-	if _, err := m.Commit(ctx, blob, 1, false); err != nil {
+	if _, err := r.Commit(ctx, blob, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := m.Latest(blob); v != 3 {
@@ -114,17 +127,16 @@ func TestPublicationOrder(t *testing.T) {
 }
 
 func TestBlockingCommitWaitsForPredecessors(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
-	m.AssignVersion(blob, 1, 0, pageSize, false)
-	m.AssignVersion(blob, 2, 0, pageSize, false)
+	r.AssignVersion(ctx, blob, 1, 0, pageSize, false)
+	r.AssignVersion(ctx, blob, 2, 0, pageSize, false)
 
 	done := make(chan meta.Version, 1)
 	go func() {
-		pub, err := m.Commit(ctx, blob, 2, true)
+		pub, err := r.Commit(ctx, blob, 2, true)
 		if err != nil {
 			t.Error(err)
 		}
@@ -135,7 +147,7 @@ func TestBlockingCommitWaitsForPredecessors(t *testing.T) {
 		t.Fatal("commit(2) returned before commit(1)")
 	case <-time.After(30 * time.Millisecond):
 	}
-	if _, err := m.Commit(ctx, blob, 1, true); err != nil {
+	if _, err := r.Commit(ctx, blob, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -151,12 +163,12 @@ func TestBlockingCommitWaitsForPredecessors(t *testing.T) {
 func TestBordersReflectUnpublishedWrites(t *testing.T) {
 	// The defining lock-free property: writer 2's borders must reference
 	// version 1 even though version 1 has not committed yet.
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
+	ctx := context.Background()
 
-	m.AssignVersion(blob, 1, 0, 8*pageSize, false) // v1 uncommitted
-	a2, err := m.AssignVersion(blob, 2, 4*pageSize, 4*pageSize, false)
+	r.AssignVersion(ctx, blob, 1, 0, 8*pageSize, false) // v1 uncommitted
+	a2, err := r.AssignVersion(ctx, blob, 2, 4*pageSize, 4*pageSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +187,11 @@ func TestBordersReflectUnpublishedWrites(t *testing.T) {
 }
 
 func TestAppendResolvesOffset(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
-	a1, err := m.AssignVersion(blob, 1, 0, 2*pageSize, true)
+	a1, err := r.AssignVersion(ctx, blob, 1, 0, 2*pageSize, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,47 +199,47 @@ func TestAppendResolvesOffset(t *testing.T) {
 		t.Errorf("first append offset = %d", a1.Offset)
 	}
 	// Second append must land after the first even before it commits.
-	a2, err := m.AssignVersion(blob, 2, 0, 3*pageSize, true)
+	a2, err := r.AssignVersion(ctx, blob, 2, 0, 3*pageSize, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a2.Offset != 2*pageSize {
 		t.Errorf("second append offset = %d, want %d", a2.Offset, 2*pageSize)
 	}
-	m.Commit(ctx, blob, 1, false)
-	m.Commit(ctx, blob, 2, false)
-	_, size, _ := m.Latest(blob)
+	r.Commit(ctx, blob, 1, false)
+	r.Commit(ctx, blob, 2, false)
+	_, size, _ := r.Manager().Latest(blob)
 	if size != 5*pageSize {
 		t.Errorf("size = %d, want %d", size, 5*pageSize)
 	}
 }
 
 func TestAssignValidation(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
-	if _, err := m.AssignVersion(blob, 1, 13, pageSize, false); !errors.Is(err, ErrBadRange) {
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
+	ctx := context.Background()
+	if _, err := r.AssignVersion(ctx, blob, 1, 13, pageSize, false); !errors.Is(err, ErrBadRange) {
 		t.Errorf("unaligned offset: %v", err)
 	}
-	if _, err := m.AssignVersion(blob, 1, 0, 0, false); !errors.Is(err, ErrBadRange) {
+	if _, err := r.AssignVersion(ctx, blob, 1, 0, 0, false); !errors.Is(err, ErrBadRange) {
 		t.Errorf("zero length: %v", err)
 	}
-	if _, err := m.AssignVersion(blob, 1, 0, capBytes+pageSize, false); !errors.Is(err, ErrBadRange) {
+	if _, err := r.AssignVersion(ctx, blob, 1, 0, capBytes+pageSize, false); !errors.Is(err, ErrBadRange) {
 		t.Errorf("overflow: %v", err)
 	}
-	if _, err := m.AssignVersion(999, 1, 0, pageSize, false); !errors.Is(err, ErrNoBlob) {
+	if _, err := r.AssignVersion(ctx, 999, 1, 0, pageSize, false); !errors.Is(err, ErrNoBlob) {
 		t.Errorf("unknown blob: %v", err)
 	}
 }
 
 func TestVersionInfoAndSizes(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	m := r.Manager()
+	blob := newBlob(t, r)
 	ctx := context.Background()
-	m.AssignVersion(blob, 1, 0, 2*pageSize, false)
-	m.AssignVersion(blob, 2, 8*pageSize, 2*pageSize, false)
-	m.Commit(ctx, blob, 1, false)
+	r.AssignVersion(ctx, blob, 1, 0, 2*pageSize, false)
+	r.AssignVersion(ctx, blob, 2, 8*pageSize, 2*pageSize, false)
+	r.Commit(ctx, blob, 1, false)
 
 	pub, size, err := m.VersionInfo(blob, 1)
 	if err != nil || !pub || size != 2*pageSize {
@@ -244,13 +255,12 @@ func TestVersionInfoAndSizes(t *testing.T) {
 }
 
 func TestHistoryFilter(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
 	for i := 0; i < 5; i++ {
-		m.AssignVersion(blob, uint64(i+1), uint64(i)*pageSize, pageSize, false)
+		r.AssignVersion(context.Background(), blob, uint64(i+1), uint64(i)*pageSize, pageSize, false)
 	}
-	recs, err := m.History(blob, 1, 3)
+	recs, err := r.Manager().History(blob, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +270,8 @@ func TestHistoryFilter(t *testing.T) {
 }
 
 func TestConcurrentWritersSerialize(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
 	const writers = 16
@@ -272,13 +281,13 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, err := m.AssignVersion(blob, uint64(i+1), uint64(i%8)*pageSize, pageSize, false)
+			a, err := r.AssignVersion(ctx, blob, uint64(i+1), uint64(i%8)*pageSize, pageSize, false)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			versions[i] = a.Version
-			if _, err := m.Commit(ctx, blob, a.Version, true); err != nil {
+			if _, err := r.Commit(ctx, blob, a.Version, true); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -291,33 +300,36 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if v, _, _ := m.Latest(blob); v != writers {
+	if v, _, _ := r.Manager().Latest(blob); v != writers {
 		t.Errorf("latest = %d, want %d", v, writers)
 	}
 }
 
 func TestCommitUnknownVersion(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
-	if _, err := m.Commit(context.Background(), blob, 7, false); !errors.Is(err, ErrNotPending) {
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
+	if _, err := r.Commit(context.Background(), blob, 7, false); !errors.Is(err, ErrNotPending) {
 		t.Errorf("err = %v, want ErrNotPending", err)
 	}
 }
 
 func TestCommitIdempotentAfterPublish(t *testing.T) {
-	m := New(Config{})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{})
+	blob := newBlob(t, r)
 	ctx := context.Background()
-	a, _ := m.AssignVersion(blob, 1, 0, pageSize, false)
-	if _, err := m.Commit(ctx, blob, a.Version, true); err != nil {
+	a, _ := r.AssignVersion(ctx, blob, 1, 0, pageSize, false)
+	if _, err := r.Commit(ctx, blob, a.Version, true); err != nil {
 		t.Fatal(err)
 	}
-	// A duplicate commit (client retry after lost response) succeeds.
-	pub, err := m.Commit(ctx, blob, a.Version, true)
+	logLen := r.Status().LogLen
+	// A duplicate commit (client retry after lost response) succeeds,
+	// and logs nothing.
+	pub, err := r.Commit(ctx, blob, a.Version, true)
 	if err != nil || pub < 1 {
 		t.Errorf("duplicate commit = %d, %v", pub, err)
+	}
+	if got := r.Status().LogLen; got != logLen {
+		t.Errorf("duplicate commit grew the log from %d to %d records", logLen, got)
 	}
 }
 
@@ -368,7 +380,7 @@ func (f *fakeStore) StoreNodes(_ context.Context, nodes []meta.Node) error {
 	return nil
 }
 
-func (f *fakeStore) storeBuilt(t *testing.T, m *Manager, blob uint64, a Assignment, wr meta.PageRange, writeID uint64) {
+func (f *fakeStore) storeBuilt(t *testing.T, blob uint64, a Assignment, wr meta.PageRange, writeID uint64) {
 	t.Helper()
 	nodes, err := meta.Build(blob, a.Version, capBytes/pageSize, wr,
 		meta.BorderResolver(a.Borders),
@@ -385,29 +397,28 @@ func (f *fakeStore) storeBuilt(t *testing.T, m *Manager, blob uint64, a Assignme
 
 func TestRepairUnblocksSuccessors(t *testing.T) {
 	store := newFakeStore()
-	m := New(Config{RepairTimeout: 50 * time.Millisecond, RepairScan: 10 * time.Millisecond, Store: store})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{RepairTimeout: 50 * time.Millisecond, RepairScan: 10 * time.Millisecond, Store: store})
+	m := r.Manager()
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
 	// v1 writes pages [0,4) and commits properly.
-	a1, _ := m.AssignVersion(blob, 11, 0, 4*pageSize, false)
-	store.storeBuilt(t, m, blob, a1, meta.PageRange{First: 0, Count: 4}, 11)
-	if _, err := m.Commit(ctx, blob, a1.Version, true); err != nil {
+	a1, _ := r.AssignVersion(ctx, blob, 11, 0, 4*pageSize, false)
+	store.storeBuilt(t, blob, a1, meta.PageRange{First: 0, Count: 4}, 11)
+	if _, err := r.Commit(ctx, blob, a1.Version, true); err != nil {
 		t.Fatal(err)
 	}
 
 	// v2 is assigned pages [2,4)... and the writer dies silently.
-	a2, _ := m.AssignVersion(blob, 22, 2*pageSize, 2*pageSize, false)
-	_ = a2
+	a2, _ := r.AssignVersion(ctx, blob, 22, 2*pageSize, 2*pageSize, false)
 
 	// v3 writes pages [0,2) and commits; publication must eventually
 	// advance past the dead v2 thanks to repair.
-	a3, _ := m.AssignVersion(blob, 33, 0, 2*pageSize, false)
-	store.storeBuilt(t, m, blob, a3, meta.PageRange{First: 0, Count: 2}, 33)
+	a3, _ := r.AssignVersion(ctx, blob, 33, 0, 2*pageSize, false)
+	store.storeBuilt(t, blob, a3, meta.PageRange{First: 0, Count: 2}, 33)
 	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	pub, err := m.Commit(cctx, blob, a3.Version, true)
+	pub, err := r.Commit(cctx, blob, a3.Version, true)
 	if err != nil {
 		t.Fatalf("commit(v3) failed: %v", err)
 	}
@@ -432,7 +443,7 @@ func TestRepairUnblocksSuccessors(t *testing.T) {
 	}
 
 	// The dead writer's late commit must be rejected.
-	if _, err := m.Commit(ctx, blob, a2.Version, false); !errors.Is(err, ErrAborted) {
+	if _, err := r.Commit(ctx, blob, a2.Version, false); !errors.Is(err, ErrAborted) {
 		t.Errorf("late commit of repaired version = %v, want ErrAborted", err)
 	}
 
@@ -448,19 +459,17 @@ func TestRepairUnblocksSuccessors(t *testing.T) {
 func TestRepairZeroPages(t *testing.T) {
 	// Dead writer on a fresh blob: repair must produce zero-page leaves.
 	store := newFakeStore()
-	m := New(Config{RepairTimeout: 30 * time.Millisecond, RepairScan: 10 * time.Millisecond, Store: store})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{RepairTimeout: 30 * time.Millisecond, RepairScan: 10 * time.Millisecond, Store: store})
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
-	a1, _ := m.AssignVersion(blob, 11, 0, 2*pageSize, false)
-	_ = a1 // writer dies
+	r.AssignVersion(ctx, blob, 11, 0, 2*pageSize, false) // writer dies
 
-	a2, _ := m.AssignVersion(blob, 22, 4*pageSize, 2*pageSize, false)
-	store.storeBuilt(t, m, blob, a2, meta.PageRange{First: 4, Count: 2}, 22)
+	a2, _ := r.AssignVersion(ctx, blob, 22, 4*pageSize, 2*pageSize, false)
+	store.storeBuilt(t, blob, a2, meta.PageRange{First: 4, Count: 2}, 22)
 	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	if _, err := m.Commit(cctx, blob, a2.Version, true); err != nil {
+	if _, err := r.Commit(cctx, blob, a2.Version, true); err != nil {
 		t.Fatal(err)
 	}
 	n, err := store.FetchNode(ctx, meta.NodeKey{Blob: blob, Version: 1, Range: meta.NodeRange{Start: 0, Size: 1}})
@@ -474,37 +483,36 @@ func TestRepairZeroPages(t *testing.T) {
 
 func TestExplicitAbortRepairs(t *testing.T) {
 	store := newFakeStore()
-	m := New(Config{RepairTimeout: time.Hour, RepairScan: time.Hour, Store: store})
-	defer m.Close()
-	blob := newBlob(t, m)
+	r := newLone(t, Config{RepairTimeout: time.Hour, RepairScan: time.Hour, Store: store})
+	blob := newBlob(t, r)
 	ctx := context.Background()
 
-	a1, _ := m.AssignVersion(blob, 11, 0, 2*pageSize, false)
-	if err := m.Abort(blob, a1.Version); err != nil {
+	a1, _ := r.AssignVersion(ctx, blob, 11, 0, 2*pageSize, false)
+	if err := r.Abort(ctx, blob, a1.Version); err != nil {
 		t.Fatal(err)
 	}
 	// Abort repaired synchronously: v1 should be published as a no-op.
-	if v, _, _ := m.Latest(blob); v != 1 {
+	if v, _, _ := r.Manager().Latest(blob); v != 1 {
 		t.Errorf("latest after abort = %d, want 1", v)
 	}
-	if _, err := m.Commit(ctx, blob, a1.Version, false); !errors.Is(err, ErrAborted) {
+	if _, err := r.Commit(ctx, blob, a1.Version, false); !errors.Is(err, ErrAborted) {
 		t.Errorf("commit after abort = %v, want ErrAborted", err)
 	}
 }
 
 func BenchmarkAssignVersion(b *testing.B) {
-	m := New(Config{})
-	defer m.Close()
-	blob, _ := m.CreateBlob(64<<10, 1<<40, erasure.Redundancy{}, nil) // 1 TB
+	r := newLone(b, Config{})
+	ctx := context.Background()
+	blob, _ := r.CreateBlob(ctx, 64<<10, 1<<40, erasure.Redundancy{}) // 1 TB
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := uint64(i%1000) * 128 * (64 << 10)
-		a, err := m.AssignVersion(blob, uint64(i), off, 128*(64<<10), false)
+		a, err := r.AssignVersion(ctx, blob, uint64(i), off, 128*(64<<10), false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Commit(context.Background(), blob, a.Version, false); err != nil {
+		if _, err := r.Commit(ctx, blob, a.Version, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -324,14 +324,26 @@ func (r *Reader) Raw(n int) []byte {
 	return r.take(n)
 }
 
-// Uint64Slice reads a counted slice of fixed-width uint64 values.
-func (r *Reader) Uint64Slice() []uint64 {
+// Count reads a uvarint element count for a list whose every entry
+// encodes in at least minEntryBytes bytes. A count the unread bytes
+// cannot hold fails the reader with ErrShort and returns 0, so a forged
+// count can size neither an allocation nor a decode loop.
+func (r *Reader) Count(minEntryBytes int) int {
 	n := r.Uvarint()
 	if r.err != nil {
-		return nil
+		return 0
 	}
-	if n > uint64(r.Remaining())/8 { // not n*8 > remaining: that wraps
+	if n > uint64(r.Remaining()/minEntryBytes) { // not n*min > remaining: that wraps
 		r.fail(ErrShort)
+		return 0
+	}
+	return int(n)
+}
+
+// Uint64Slice reads a counted slice of fixed-width uint64 values.
+func (r *Reader) Uint64Slice() []uint64 {
+	n := r.Count(8)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint64, n)
@@ -346,12 +358,8 @@ func (r *Reader) Uint64Slice() []uint64 {
 
 // Uint32Slice reads a counted slice of fixed-width uint32 values.
 func (r *Reader) Uint32Slice() []uint32 {
-	n := r.Uvarint()
+	n := r.Count(4)
 	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining())/4 {
-		r.fail(ErrShort)
 		return nil
 	}
 	out := make([]uint32, n)
@@ -366,12 +374,8 @@ func (r *Reader) Uint32Slice() []uint32 {
 
 // StringSlice reads a counted slice of length-prefixed strings.
 func (r *Reader) StringSlice() []string {
-	n := r.Uvarint()
+	n := r.Count(1) // each string costs at least its length byte
 	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()) { // each string costs at least 1 byte
-		r.fail(ErrShort)
 		return nil
 	}
 	out := make([]string, n)

@@ -195,6 +195,22 @@ func TestSliceCountBeyondBuffer(t *testing.T) {
 	}
 }
 
+func TestCountBoundsByRemaining(t *testing.T) {
+	w := NewWriter(16)
+	w.Uvarint(3)
+	w.Raw(make([]byte, 12))
+	if r := NewReader(w.Bytes()); r.Count(4) != 3 || r.Err() != nil {
+		t.Fatalf("3 entries of 4 bytes in 12: err = %v", r.Err())
+	}
+	r := NewReader(w.Bytes())
+	if n := r.Count(5); n != 0 || r.Err() != ErrShort {
+		t.Fatalf("3 entries of 5 bytes in 12: Count = %d, err = %v, want 0, ErrShort", n, r.Err())
+	}
+	if n := r.Count(1); n != 0 {
+		t.Fatalf("Count after a failure = %d, want 0 (sticky)", n)
+	}
+}
+
 func TestPaddedVarintRejected(t *testing.T) {
 	// 0x80 0x00 is zero with a redundant group: writers never emit it,
 	// and accepting it would give one value two encodings.
