@@ -101,7 +101,7 @@ func (d *Directory) handleMembers(_ context.Context, _ []byte) ([]byte, error) {
 func DecodeMembers(body []byte) (epoch uint64, members []NodeInfo, err error) {
 	r := wire.NewReader(body)
 	epoch = r.Uint64()
-	n := int(r.Uvarint())
+	n := r.Count(9) // id + address length
 	members = make([]NodeInfo, 0, n)
 	for i := 0; i < n; i++ {
 		members = append(members, NodeInfo{ID: r.Uint64(), Addr: r.String()})

@@ -123,12 +123,15 @@ func (s *Store) CompactOnce() (bool, error) {
 	// The rewritten records must be durable before the only other copy
 	// is unlinked: power loss between the unlink and a page-cache flush
 	// would otherwise lose pages that had already survived restarts.
+	// Some may sit in a segment a roll handed to the sealer meanwhile.
 	s.mu.Lock()
-	if s.active != nil {
-		if err := s.active.f.Sync(); err != nil {
-			s.mu.Unlock()
-			return false, fmt.Errorf("diskstore: compact sync: %w", err)
-		}
+	err := s.waitSealLocked()
+	if err == nil && s.active != nil {
+		err = syncFile(s.active.f)
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return false, fmt.Errorf("diskstore: compact sync: %w", err)
 	}
 	delete(s.segs, cand.id)
 	s.compactions++

@@ -22,16 +22,21 @@
 // docs/diskstore-format.md) holding the segment's index entries,
 // tombstones and a bloom filter over its page keys. Open absorbs sealed
 // segments by reading only their sidecars; the active tail segment is
-// always replayed (it is the only file a crash can tear), and a segment
-// whose sidecar is missing, stale or corrupt degrades to a full replay
-// of just that segment, after which its sidecar is rewritten.
+// always replayed, and a segment whose sidecar is missing, stale or
+// corrupt degrades to a full replay of just that segment, after which its
+// sidecar is rewritten. A crash can tear only the newest two segments:
+// the active one, and the one below it if its seal was still running.
 //
 // Concurrency: appends and index mutations serialize on one writer lock;
 // reads take a read lock only to resolve the index, then read the record
 // bytes with ReadAt and verify its checksum — segments are immutable, so
-// reads proceed in parallel with appends and with compaction. A segment
-// being compacted away is unmapped from the index first and its file is
-// closed only when the last in-flight reader releases it.
+// reads proceed in parallel with appends and with compaction. Sealing a
+// full segment (its fsync, then its sidecar write) runs in the
+// background, one seal at a time, so no put or read waits on that
+// fsync; only the next roll, a Sync put, compaction and Close wait for
+// it. A segment being compacted away is unmapped from the index first
+// and its file is closed only when the last in-flight reader releases
+// it.
 package diskstore
 
 import (
@@ -128,6 +133,7 @@ type Store struct {
 	nextSeq uint64 // next record sequence number (see record.go)
 	batch   []byte // PutPages encode buffer, reused under mu
 	closed  bool
+	sealing *sealJob // the one background seal in flight, if any
 
 	pageCount int64
 	pageBytes int64 // live page payload bytes
@@ -188,11 +194,13 @@ func (s Stats) LiveRatio() float64 {
 
 // Open opens (or creates) the store in opts.Dir, rebuilding the page
 // index. Sealed segments with a valid index sidecar are absorbed by
-// reading only the sidecar; the newest segment — the active tail, the
-// only file a crash can tear — is always replayed, and a torn final
-// record is truncated away, keeping every record before it. A sealed
-// segment whose sidecar is missing, stale or corrupt is fully replayed
-// instead, and its sidecar rewritten for the next restart.
+// reading only the sidecar; the newest segment — the active tail — is
+// always replayed, and a torn final record is truncated away, keeping
+// every record before it. The segment below the tail gets the same
+// treatment when it has no usable sidecar: its seal may have been cut
+// short before its fsync. Any other sealed segment whose sidecar is
+// missing, stale or corrupt is fully replayed instead, and its sidecar
+// rewritten for the next restart.
 func Open(opts Options) (*Store, error) {
 	opts.fillDefaults()
 	if opts.Dir == "" {
@@ -226,6 +234,10 @@ func Open(opts Options) (*Store, error) {
 			return nil, err
 		}
 		last := i == len(ids)-1
+		// The segment below the tail may still have been sealing when the
+		// process died: its sidecar exists only once its fsync finished,
+		// so without one it can be torn like the tail.
+		mayBeTorn := i >= len(ids)-2
 		if !last {
 			if fi, err := seg.f.Stat(); err == nil && fi.Size() == 0 {
 				// A roll that crashed before its first append (or an
@@ -248,7 +260,7 @@ func Open(opts Options) (*Store, error) {
 			opts.Journal.Emit(events.SevError, events.SidecarDegrade, seg.size,
 				"segment %s: sidecar missing or corrupt; fully replaying %d bytes", seg.path, seg.size)
 		}
-		if err := s.scanSegment(seg, replay, last); err != nil {
+		if err := s.scanSegment(seg, replay, mayBeTorn); err != nil {
 			seg.f.Close()
 			s.closeAll()
 			return nil, err
@@ -272,7 +284,11 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 	for _, seg := range replayed {
-		s.writeSidecarFor(seg)
+		if err := s.waitSealLocked(); err != nil {
+			s.closeAll()
+			return nil, err
+		}
+		s.sealLocked(seg)
 	}
 	if opts.CompactEvery > 0 {
 		s.wg.Add(1)
@@ -329,15 +345,30 @@ func (s *Store) loadSidecar(seg *segment, rp *replayState) bool {
 	return true
 }
 
-// writeSidecarFor builds seg's index sidecar from the entries its
-// accumulator collected as records were appended or replayed — no
-// segment bytes are re-read — retains the bloom filter in memory, and
-// hands the encoded bytes to a tracked goroutine for the actual file
-// write, so sealing never stalls the writer lock on filesystem I/O.
-// Sidecars are an acceleration, not a correctness requirement, so a
-// failed write only logs: the segment will be replayed on the next
-// open.
-func (s *Store) writeSidecarFor(seg *segment) {
+// syncFile is the fsync behind every durability point of the store.
+// Tests swap it to hold or fail a sync; it is a seam, not an option.
+var syncFile = (*os.File).Sync
+
+// sealJob is one background seal. err is set before done is closed.
+type sealJob struct {
+	done chan struct{}
+	err  error
+}
+
+// sealLocked seals seg — it takes no further records — and starts its
+// background seal. Under the lock it only builds the index sidecar from
+// the segment's accumulated entries (no segment bytes are re-read) and
+// keeps the bloom filter in memory. A tracked goroutine then fsyncs the
+// segment and only then writes the sidecar, so a sidecar never describes
+// records the file could still lose. The goroutine pins the segment, so
+// a release that unlinks it (and its sidecar) comes after the sidecar
+// write. A failed fsync writes no sidecar, so the segment replays on the
+// next open, and waitSealLocked reports it; a failed sidecar write only
+// logs, since sidecars are an acceleration.
+//
+// The caller has waited out the previous seal with waitSealLocked and
+// holds mu (or owns the store exclusively during Open).
+func (s *Store) sealLocked(seg *segment) {
 	sc := seg.idx
 	if sc == nil {
 		if seg.size > 0 {
@@ -357,24 +388,40 @@ func (s *Store) writeSidecarFor(seg *segment) {
 	for _, p := range sc.puts {
 		sc.bloom.Add(p.blob, p.write, p.rel)
 	}
-	seg.bloom = sc.bloom // valid regardless of the file write's fate
+	seg.bloom = sc.bloom // valid regardless of the seal's fate
 	data := sc.encode()
 	dir := s.opts.Dir
+	job := &sealJob{done: make(chan struct{})}
+	s.sealing = job
+	seg.acquire()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		defer close(job.done)
+		defer seg.release()
+		if err := syncFile(seg.f); err != nil {
+			job.err = fmt.Errorf("diskstore: seal %s: %w", seg.path, err)
+			return
+		}
 		if err := writeSidecarBytes(dir, seg.id, data); err != nil {
 			log.Printf("diskstore: sidecar for %s: %v (segment will be replayed on restart)", seg.path, err)
 		}
-		// The write can race a compaction that unlinked the segment (and
-		// its sidecar) while we were renaming: the rename happens before
-		// this doomed check, and retire sets doomed before removing, so
-		// whichever side runs last sees the other's work and the .idx
-		// never outlives its segment.
-		if seg.doomed.Load() {
-			os.Remove(sidecarPath(dir, seg.id))
-		}
 	}()
+}
+
+// waitSealLocked waits for the seal in flight, if any, and returns its
+// error once: the next caller to wait sees nil. It is how a roll keeps
+// the seal depth at one, and how a caller that must have a sealing
+// segment's records durable (a Sync put, compaction) gets them so.
+// Caller holds mu; the seal goroutine never takes it.
+func (s *Store) waitSealLocked() error {
+	job := s.sealing
+	if job == nil {
+		return nil
+	}
+	<-job.done
+	s.sealing = nil
+	return job.err
 }
 
 // listSegmentIDs returns the ids of all segment files in dir, ascending.
@@ -427,14 +474,15 @@ func newReplayState() *replayState {
 }
 
 // scanSegment feeds one segment into the replay state. A corrupt record
-// in the newest segment is a torn tail — the footprint of a crash
-// mid-append — and is truncated away, keeping every record before it.
-// Sealed segments are fsynced before the log moves past them, so
+// in a segment that mayBeTorn — the newest, or the one below it, whose
+// seal a crash can interrupt — is a torn tail, the footprint of a crash
+// mid-append, and is truncated away, keeping every record before it.
+// Every older segment was fsynced before the next roll completed, so
 // corruption there is bit rot, not a crash: silently dropping the
 // records after it would lose healthy pages and resurrect tombstoned
 // ones, so Open fails loudly instead and leaves the file for the
 // operator. Called only from Open, before the store is shared.
-func (s *Store) scanSegment(seg *segment, rp *replayState, last bool) error {
+func (s *Store) scanSegment(seg *segment, rp *replayState, mayBeTorn bool) error {
 	buf, err := os.ReadFile(seg.path)
 	if err != nil {
 		return err
@@ -444,7 +492,7 @@ func (s *Store) scanSegment(seg *segment, rp *replayState, last bool) error {
 	for off < int64(len(buf)) {
 		rec, n, err := decodeRecord(buf[off:])
 		if err != nil {
-			if !last {
+			if !mayBeTorn {
 				return fmt.Errorf("diskstore: sealed segment %s corrupt at offset %d: %w", seg.path, off, err)
 			}
 			// Torn or corrupt tail: keep the valid prefix, drop the rest.
@@ -566,7 +614,11 @@ func (s *Store) PutPages(pages []Page) (int, error) {
 		return 0, err
 	}
 	if s.opts.Sync && s.active != nil && len(fresh) > 0 {
-		if err := s.active.f.Sync(); err != nil {
+		// The batch may have spilled out of a segment still sealing.
+		if err := s.waitSealLocked(); err != nil {
+			return len(fresh), err
+		}
+		if err := syncFile(s.active.f); err != nil {
 			return len(fresh), err
 		}
 	}
@@ -665,21 +717,20 @@ func (s *Store) appendLocked(buf []byte, m recMeta) (loc, error) {
 	return loc{seg: seg, off: off, size: int64(len(buf))}, nil
 }
 
-// rollLocked seals the active segment (fsync, then index sidecar) and
-// opens a fresh one. The sidecar is written only after the sync, so its
-// entries never describe records the segment file could still lose; if
-// the process dies between the two, the missing sidecar just means one
-// full segment replay on the next open.
+// rollLocked opens a fresh active segment and hands the old one to the
+// background sealer. It first waits out the previous seal, so at most
+// the newest two segments are ever unsynced — the sealing one and the
+// active one — and it fails with that seal's error if its fsync failed.
 func (s *Store) rollLocked() error {
-	if s.active != nil {
-		if err := s.active.f.Sync(); err != nil {
-			return err
-		}
-		s.writeSidecarFor(s.active)
+	if err := s.waitSealLocked(); err != nil {
+		return err
 	}
 	seg, err := openSegment(s.opts.Dir, s.nextID)
 	if err != nil {
 		return err
+	}
+	if s.active != nil {
+		s.sealLocked(s.active)
 	}
 	s.nextID++
 	s.segs[seg.id] = seg
@@ -936,8 +987,9 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close stops the compactor, fsyncs the active segment and closes every
-// segment file. The store is unusable afterwards.
+// Close stops the compactor, fsyncs the active segment, waits for the
+// seal in flight and closes every segment file. It reports a failed
+// fsync, the seal's included. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -948,11 +1000,14 @@ func (s *Store) Close() error {
 	close(s.stop)
 	var err error
 	if s.active != nil {
-		err = s.active.f.Sync()
+		err = syncFile(s.active.f)
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.mu.Lock()
+	if serr := s.waitSealLocked(); err == nil {
+		err = serr
+	}
 	s.closeAll()
 	s.mu.Unlock()
 	return err

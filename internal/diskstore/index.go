@@ -1,16 +1,18 @@
 // Index sidecar files.
 //
-// When a segment is sealed the store writes a companion file
-// (seg-NNNNNNNN.idx) holding everything recovery would otherwise learn
-// by replaying the segment's data: every put record's page key with its
-// sequence number, offset and encoded size, every tombstone with its
-// sequence number, and a bloom filter over the segment's put keys. On
-// the next Open, sealed segments whose sidecar is present and matches
-// the segment file byte count are absorbed by reading only the sidecar —
-// restart cost becomes O(live index), not O(disk) — while the active
-// tail segment is always replayed (it is the only file a crash can tear)
-// and any segment whose sidecar is missing, torn or checksum-corrupt
-// degrades to the pre-sidecar full replay of just that segment.
+// When a segment is sealed, and only once its fsync has returned, the
+// store writes a companion file (seg-NNNNNNNN.idx) holding everything
+// recovery would otherwise learn by replaying the segment's data: every
+// put record's page key with its sequence number, offset and encoded
+// size, every tombstone with its sequence number, and a bloom filter
+// over the segment's put keys. On the next Open, sealed segments whose
+// sidecar is present and matches the segment file byte count are
+// absorbed by reading only the sidecar — restart cost becomes O(live
+// index), not O(disk) — while the active tail segment is always replayed
+// (a crash can tear only it and the segment below it, whose seal may not
+// have finished) and any segment whose sidecar is missing, torn or
+// checksum-corrupt degrades to the pre-sidecar full replay of just that
+// segment.
 //
 // Sidecars are pure acceleration: they are written tmp+rename (never
 // partially visible under their final name), carry a whole-file

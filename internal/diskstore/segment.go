@@ -25,20 +25,20 @@ type segment struct {
 	live int64 // bytes occupied by live put records
 
 	// bloom is the filter over the segment's put page keys, set when the
-	// segment is sealed (sidecar written) or its sidecar is loaded; nil
-	// for the active segment and for sealed segments whose sidecar write
-	// failed. Immutable once set — sealed segments never gain records.
+	// segment is sealed or its sidecar is loaded; nil for the active
+	// segment. Immutable once set — sealed segments never gain records.
 	bloom *wire.Bloom
 
 	// idx accumulates the segment's sidecar entries as records are
 	// appended (or replayed at open), so sealing writes the sidecar from
 	// memory instead of re-reading and re-decoding the segment under the
-	// store's writer lock. Guarded by the writer lock; cleared once the
-	// sidecar is written.
+	// store's writer lock. Guarded by the writer lock; cleared when the
+	// segment is sealed.
 	idx *sidecar
 
-	// refs counts in-flight readers plus one for store membership; the
-	// count reaching zero closes and removes the file. Compaction drops
+	// refs counts in-flight readers, plus one for store membership and
+	// one while the segment's background seal runs; the count reaching
+	// zero closes and removes the file. Compaction drops
 	// the membership ref after unmapping the segment from the index, so
 	// the file disappears only after the last concurrent reader is done.
 	refs    atomic.Int64

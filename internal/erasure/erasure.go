@@ -27,7 +27,7 @@
 package erasure
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"regexp"
@@ -157,18 +157,12 @@ func (c *Code) MatrixRow(i int) []byte {
 
 // mulAdd accumulates dst ^= coef*src. A coefficient of 1 — every entry
 // of the first parity row, and of an m = 1 decode — is a plain XOR,
-// done eight bytes at a time.
+// done by the standard library's vectorised XORBytes.
 func mulAdd(dst, src []byte, coef byte) {
 	switch coef {
 	case 0:
 	case 1:
-		for len(src) >= 8 {
-			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^binary.LittleEndian.Uint64(src))
-			dst, src = dst[8:], src[8:]
-		}
-		for i, s := range src {
-			dst[i] ^= s
-		}
+		subtle.XORBytes(dst, dst, src)
 	default:
 		tbl := &gfMulTable[coef]
 		for i, s := range src {

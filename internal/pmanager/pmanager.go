@@ -536,14 +536,21 @@ func (m *Manager) handleDigests(_ context.Context, _ []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// maxAllocIDs bounds one MAllocate: its reply must fit in one frame.
+const maxAllocIDs = rpc.MaxBody / 4
+
 func (m *Manager) handleAllocate(_ context.Context, body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
-	n := int(r.Uvarint())
-	rep := int(r.Uvarint())
+	n := r.Uvarint()
+	rep := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("pmanager allocate: %w", err)
 	}
-	ids, addrs, err := m.Allocate(n, rep)
+	// Each factor is bounded before the product, so n*rep cannot wrap.
+	if n > maxAllocIDs || rep > maxAllocIDs || n*rep > maxAllocIDs {
+		return nil, fmt.Errorf("pmanager allocate: %d pages x %d replicas exceeds one reply frame", n, rep)
+	}
+	ids, addrs, err := m.Allocate(int(n), int(rep))
 	if err != nil {
 		return nil, err
 	}
@@ -594,7 +601,7 @@ func DecodeAllocation(body []byte) (Allocation, error) {
 	r := wire.NewReader(body)
 	var a Allocation
 	a.IDs = r.Uint32Slice()
-	n := int(r.Uvarint())
+	n := r.Count(5) // id + address length
 	a.Addrs = make(map[uint32]string, n)
 	for i := 0; i < n; i++ {
 		id := r.Uint32()
@@ -670,13 +677,15 @@ func FetchMembers(ctx context.Context, pool *rpc.Pool, pmAddr string) (Membershi
 	if err != nil {
 		return Membership{}, fmt.Errorf("pmanager: members: %w", err)
 	}
-	r := wire.NewReader(resp)
+	return decodeMembership(resp)
+}
+
+// decodeMembership parses an MMembers response.
+func decodeMembership(body []byte) (Membership, error) {
+	r := wire.NewReader(body)
 	ms := Membership{Epoch: r.Uint64()}
 	ms.Redundancy = erasure.Redundancy{K: int(r.Uint8()), M: int(r.Uint8())}
-	n := int(r.Uvarint())
-	if n > r.Remaining()/12+1 {
-		return Membership{}, fmt.Errorf("pmanager: member count %d exceeds body", n)
-	}
+	n := r.Count(18) // id, address length, alive, four varints, digest hash
 	ms.Members = make([]Member, 0, n)
 	for i := 0; i < n; i++ {
 		ms.Members = append(ms.Members, Member{
@@ -701,11 +710,13 @@ func FetchDigests(ctx context.Context, pool *rpc.Pool, pmAddr string) ([]Provide
 	if err != nil {
 		return nil, fmt.Errorf("pmanager: digests: %w", err)
 	}
-	r := wire.NewReader(resp)
-	n := int(r.Uvarint())
-	if n > r.Remaining()/13+1 {
-		return nil, fmt.Errorf("pmanager: digest count %d exceeds body", n)
-	}
+	return decodeDigests(resp)
+}
+
+// decodeDigests parses an MDigests response, copying the digest bytes.
+func decodeDigests(body []byte) ([]ProviderDigest, error) {
+	r := wire.NewReader(body)
+	n := r.Count(13) // id, digest hash, digest length
 	out := make([]ProviderDigest, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, ProviderDigest{
@@ -723,10 +734,15 @@ func FetchProviders(ctx context.Context, pool *rpc.Pool, pmAddr string) (Directo
 	if err != nil {
 		return Directory{}, fmt.Errorf("pmanager: list: %w", err)
 	}
-	r := wire.NewReader(resp)
+	return decodeDirectory(resp)
+}
+
+// decodeDirectory parses an MList response.
+func decodeDirectory(body []byte) (Directory, error) {
+	r := wire.NewReader(body)
 	d := Directory{Epoch: r.Uint64()}
 	d.Redundancy = erasure.Redundancy{K: int(r.Uint8()), M: int(r.Uint8())}
-	n := int(r.Uvarint())
+	n := r.Count(5) // id + address length
 	d.Providers = make([]ProviderInfo, 0, n)
 	for i := 0; i < n; i++ {
 		d.Providers = append(d.Providers, ProviderInfo{ID: r.Uint32(), Addr: r.String()})

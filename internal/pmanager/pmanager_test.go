@@ -2,12 +2,14 @@ package pmanager
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"blob/internal/dht"
 	"blob/internal/netsim"
 	"blob/internal/rpc"
 )
@@ -253,6 +255,57 @@ func TestAllocateInvalidCount(t *testing.T) {
 	m := newManagerWith(t, Config{}, 1)
 	if _, _, err := m.Allocate(0, 1); err == nil {
 		t.Error("Allocate(0) should fail")
+	}
+}
+
+// TestHugeCountsRejected sends each count-prefixed decoder of the
+// placement plane a count of 2^40 and one of 2^63. Sized before it is
+// checked, the first exhausts memory (or spins through 2^40 entries) and
+// the second wraps negative and panics in make; each must be a plain
+// decode error instead.
+func TestHugeCountsRejected(t *testing.T) {
+	m := newManagerWith(t, Config{}, 2)
+	listHeader := make([]byte, 10) // epoch, k, m
+	for _, tc := range []struct {
+		name   string
+		decode func(n uint64) error
+	}{
+		{"handleAllocate pages", func(n uint64) error {
+			_, err := m.handleAllocate(context.Background(), binary.AppendUvarint(binary.AppendUvarint(nil, n), 1))
+			return err
+		}},
+		{"handleAllocate replicas", func(n uint64) error {
+			_, err := m.handleAllocate(context.Background(), binary.AppendUvarint(binary.AppendUvarint(nil, 1), n))
+			return err
+		}},
+		{"DecodeAllocation", func(n uint64) error {
+			_, err := DecodeAllocation(binary.AppendUvarint([]byte{0}, n)) // no ids, then the address map
+			return err
+		}},
+		{"decodeDirectory", func(n uint64) error {
+			_, err := decodeDirectory(binary.AppendUvarint(listHeader, n))
+			return err
+		}},
+		{"decodeMembership", func(n uint64) error {
+			_, err := decodeMembership(binary.AppendUvarint(listHeader, n))
+			return err
+		}},
+		{"decodeDigests", func(n uint64) error {
+			_, err := decodeDigests(binary.AppendUvarint(nil, n))
+			return err
+		}},
+		{"dht.DecodeMembers", func(n uint64) error {
+			_, _, err := dht.DecodeMembers(binary.AppendUvarint(make([]byte, 8), n))
+			return err
+		}},
+	} {
+		for _, n := range []uint64{1 << 40, 1 << 63} {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, n), func(t *testing.T) {
+				if err := tc.decode(n); err == nil {
+					t.Errorf("count %d accepted", n)
+				}
+			})
+		}
 	}
 }
 
