@@ -90,7 +90,7 @@ func main() {
 
 	var tracer *trace.Tracer
 	if *traceOps {
-		tracer = trace.New("blobctl", trace.DefaultRing, 1)
+		tracer = trace.New("blobctl", 0, 1)
 	}
 	ctx := context.Background()
 	client, err := blob.NewClient(ctx, blob.Options{
@@ -551,8 +551,9 @@ func metaStats(ctx context.Context, client *blob.Client) (map[string]dht.StoreSt
 // gatherTrace reassembles one trace: it sweeps every node's span ring
 // over the MSpans RPC — the managers, every data provider and every
 // metadata provider — and merges in the local tracer's spans when the
-// invocation itself was traced. Nodes running without a tracer (or
-// older builds) are noted and skipped; a partial tree is still useful.
+// invocation itself was traced. Nodes that do not answer (unreachable,
+// or older builds) are noted and skipped; a partial tree is still
+// useful.
 func gatherTrace(ctx context.Context, client *blob.Client, vmShards [][]string, pmAddr string, id uint64, local *trace.Tracer) []trace.Span {
 	var spans []trace.Span
 	if local != nil {

@@ -9,9 +9,9 @@ import (
 	"os"
 	"time"
 
-	"blob/internal/events"
 	"blob/internal/monitor"
 	"blob/internal/rpc"
+	"blob/internal/trace"
 )
 
 // runTop implements `blobctl -monitor host:port top`: a live refreshing
@@ -59,7 +59,7 @@ func runEvents(monAddr string, args []string) {
 	if monAddr == "" {
 		log.Fatal("events needs -monitor (the monitor node's RPC address)")
 	}
-	sev, err := events.ParseSeverity(*minSev)
+	sev, err := trace.ParseSeverity(*minSev)
 	if err != nil {
 		log.Fatalf("events: %v", err)
 	}

@@ -53,7 +53,6 @@ import (
 	"blob/internal/dht"
 	"blob/internal/diskstore"
 	"blob/internal/erasure"
-	"blob/internal/events"
 	"blob/internal/monitor"
 	"blob/internal/mstore"
 	"blob/internal/pmanager"
@@ -92,10 +91,8 @@ func main() {
 		strategy   = flag.String("strategy", "round-robin", "placement strategy: round-robin|least-loaded|power-of-two")
 		redundancy = flag.String("redundancy", "replicate", `advertised redundancy mode: "replicate" or "rs(k,m)" (pmanager role; clients adopt it for new blobs)`)
 		adminAddr  = flag.String("admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty disables)")
-		traceEvery = flag.Int("trace-sample", 0, "record spans for 1-in-N root operations (0 disables tracing, 1 traces everything)")
-		traceRing  = flag.Int("trace-ring", trace.DefaultRing, "span ring buffer capacity (spans kept per process)")
+		traceEvery = flag.Int("trace-sample", 0, "start a trace for 1-in-N of this process's own root operations (0 starts none, 1 traces everything); spans of traces that reach the node are recorded regardless")
 		slowThresh = flag.Duration("slow-threshold", 0, "log the span tree of client operations slower than this (repairer role; 0 disables)")
-		eventRing  = flag.Int("event-ring", 0, "cluster event journal ring capacity (0 = default, negative disables)")
 		chaosDelay = flag.Duration("chaos-delay", 0, "gray-failure injection: hold every page serve this long (provider role; change live with blobctl chaos)")
 		chaosStall = flag.Bool("chaos-stall", false, "gray-failure injection: stall page serves outright until healed via blobctl chaos (provider role)")
 		pollEvery  = flag.Duration("poll", time.Second, "cluster poll interval (monitor role)")
@@ -124,25 +121,21 @@ func main() {
 	defer pool.Close()
 	ctx := context.Background()
 
-	// Observability plane (docs/observability.md): a per-process span
-	// tracer served over MSpans, and a metrics registry exposed on the
-	// -admin HTTP listener.
-	var tracer *trace.Tracer
+	// Observability plane (docs/observability.md): one per-process
+	// recorder of spans and cluster events, served over MSpans and
+	// MEvents (role setup below hooks its emit sites in), and a metrics
+	// registry exposed on the -admin HTTP listener.
+	tracer := trace.New(adv, 0, *traceEvery)
+	srv.SetTracer(tracer)
+	pool.SetTracer(tracer)
 	if *traceEvery > 0 {
-		tracer = trace.New(adv, *traceRing, *traceEvery)
-		srv.SetTracer(tracer)
-		log.Printf("tracing 1-in-%d operations (ring %d spans)", *traceEvery, *traceRing)
+		log.Printf("tracing 1-in-%d operations", *traceEvery)
 	}
 	reg := stats.NewRegistry()
 	if *adminAddr != "" {
 		srv.EnableMetrics(reg)
 		registerRPCMetrics(reg)
 	}
-	// Every process keeps a cluster event journal (docs/observability.md)
-	// served over MEvents; role setup below hooks its emit sites in.
-	journal := events.NewJournal(adv, *eventRing)
-	srv.SetJournal(journal)
-	pool.SetJournal(journal)
 
 	var vrep *vmanager.Replica
 	var pm *pmanager.Manager
@@ -169,7 +162,7 @@ func main() {
 				Strategy:         strat,
 				HeartbeatTimeout: 4 * *heartbeat,
 				Redundancy:       red,
-				Journal:          journal,
+				Tracer:           tracer,
 			})
 			pm.RegisterHandlers(srv)
 			// The metadata directory co-habits the provider manager node.
@@ -212,7 +205,7 @@ func main() {
 				Heartbeat:       *vbeat,
 				ElectionTimeout: *velection,
 				Rejoin:          *vrejoin,
-				Journal:         journal,
+				Tracer:          tracer,
 				Manager:         cfg,
 			})
 			if errors.Is(err, vmanager.ErrLoneRejoin) {
@@ -236,7 +229,7 @@ func main() {
 					Sync:             *syncWrites,
 					CompactEvery:     *compactEvr,
 					CompactRateBytes: *compactBps,
-					Journal:          journal,
+					Tracer:           tracer,
 				}, *capacity)
 				if err != nil {
 					log.Fatalf("provider: open data dir %s: %v", *dataDir, err)
@@ -288,7 +281,7 @@ func main() {
 				log.Fatalf("repairer: -vm: %v", err)
 			}
 			// The repairer is the deployment's long-lived client, and its
-			// journal is what the monitor tails (-watch-events) — so its
+			// recorder is what the monitor tails (-watch-events) — so its
 			// breakers are the cluster's gray-failure detector: a provider
 			// answering its sweeps slowly or not at all trips a per-peer
 			// breaker here, and the open/close transitions surface in
@@ -301,14 +294,13 @@ func main() {
 				Tracer:         tracer,
 				SlowThreshold:  *slowThresh,
 				Breakers:       true,
-				Journal:        journal,
 			})
 			if err != nil {
 				log.Fatalf("repairer: connect: %v", err)
 			}
 			agent := repairpkg.New(client)
 			agent.Log = log.Printf
-			agent.Journal = journal
+			agent.Tracer = tracer
 			interval := *repairEvr
 			go func() {
 				t := time.NewTicker(interval)
@@ -441,7 +433,7 @@ func main() {
 	stop := make(chan struct{})
 
 	// The pmanager always watches for heartbeat deaths: the watch loop
-	// is what journals heartbeat-death events for the monitor's tail.
+	// is what records heartbeat-death events for the monitor's tail.
 	// When a repairer role co-habits this process, a death additionally
 	// triggers an immediate repair pass.
 	if pm != nil {

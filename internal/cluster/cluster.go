@@ -27,7 +27,6 @@ import (
 	"blob/internal/dht"
 	"blob/internal/diskstore"
 	"blob/internal/erasure"
-	"blob/internal/events"
 	"blob/internal/monitor"
 	"blob/internal/mstore"
 	"blob/internal/netsim"
@@ -115,16 +114,16 @@ type Config struct {
 	// carry every version's size and history; page metadata lives in
 	// the DHT and is never truncated).
 	VMMaxLogRecords int
-	// TraceSampleEvery, when positive, arms every node role and every
-	// cluster client with a span tracer sampling 1-in-N root operations
-	// (1 = trace everything). Spans land in per-process ring buffers;
-	// TraceSpans gathers one trace across all of them, like blobctl
-	// trace does over MSpans in a real deployment. Zero disables
-	// tracing entirely (the allocation-free path).
+	// TraceSampleEvery, when positive, makes every cluster client start
+	// a trace for 1-in-N of its root operations (1 = trace everything).
+	// Every simulated process records the spans of the traces that reach
+	// it in its recorder's ring; TraceSpans gathers one trace across all
+	// of them, like blobctl trace does over MSpans in a real deployment.
+	// Zero starts no traces (the allocation-free path).
 	TraceSampleEvery int
 	// Breakers arms per-peer circuit breakers (rpc.BreakerConfig
 	// defaults) on every cluster client's connection pool; breaker
-	// transitions land in the client's event journal and surface
+	// transitions land in the client's recorder and surface
 	// through Events and the monitor.
 	Breakers bool
 	// DisableHedging turns off clients' hedged reads (on by default;
@@ -197,7 +196,7 @@ type Cluster struct {
 
 	PMAddr  string
 	DirAddr string
-	// RepairAddr serves the repair agent's event journal over MEvents
+	// RepairAddr serves the repair agent's recorder over MEvents
 	// (set when Config.RepairInterval > 0).
 	RepairAddr string
 
@@ -223,70 +222,53 @@ type Cluster struct {
 	// with RestartDataProvider.
 	svcMu sync.RWMutex
 
-	// traceMu guards tracers: one per node role and per client, created
-	// lazily when Config.TraceSampleEvery is set.
-	traceMu sync.Mutex
-	tracers []*trace.Tracer
-
-	// journalMu guards journals: one event journal per simulated node
-	// (restart creates a fresh one, like a real process restart).
-	journalMu     sync.Mutex
-	journals      []*events.Journal
-	repairJournal *events.Journal
+	// recMu guards recorders: one per simulated process, server or
+	// client (a restart creates a fresh one, like a real process
+	// restart).
+	recMu     sync.Mutex
+	recorders []*trace.Tracer
+	repairRec *trace.Tracer
 	// hbPool is the heartbeat loops' shared client pool, retained so
 	// ResumeProviderHeartbeat can relaunch a stopped loop.
 	hbPool *rpc.Pool
 }
 
-// newTracer creates (and retains, for TraceSpans) a span tracer for the
-// named node, or returns nil when tracing is disabled.
-func (c *Cluster) newTracer(node string) *trace.Tracer {
-	if c.cfg.TraceSampleEvery <= 0 {
-		return nil
-	}
-	t := trace.New(node, trace.DefaultRing, c.cfg.TraceSampleEvery)
-	c.traceMu.Lock()
-	c.tracers = append(c.tracers, t)
-	c.traceMu.Unlock()
+// newRecorder creates (and retains, for TraceSpans and Events) the
+// recorder of the named simulated process.
+func (c *Cluster) newRecorder(node string) *trace.Tracer {
+	t := trace.New(node, 0, c.cfg.TraceSampleEvery)
+	c.recMu.Lock()
+	c.recorders = append(c.recorders, t)
+	c.recMu.Unlock()
 	return t
 }
 
-// TraceSpans gathers every recorded span of one trace across all node
-// and client ring buffers — the in-process equivalent of blobctl trace
-// querying MSpans on each node.
+// allRecorders snapshots the recorder list, dead incarnations included.
+func (c *Cluster) allRecorders() []*trace.Tracer {
+	c.recMu.Lock()
+	defer c.recMu.Unlock()
+	return append([]*trace.Tracer(nil), c.recorders...)
+}
+
+// TraceSpans gathers every recorded span of one trace across all
+// recorders — the in-process equivalent of blobctl trace querying
+// MSpans on each node.
 func (c *Cluster) TraceSpans(traceID uint64) []trace.Span {
-	c.traceMu.Lock()
-	tracers := append([]*trace.Tracer(nil), c.tracers...)
-	c.traceMu.Unlock()
 	var spans []trace.Span
-	for _, t := range tracers {
+	for _, t := range c.allRecorders() {
 		spans = append(spans, t.SpansFor(traceID)...)
 	}
 	return spans
 }
 
-// newJournal creates (and retains, for Events) the event journal of the
-// named simulated node.
-func (c *Cluster) newJournal(node string) *events.Journal {
-	j := events.NewJournal(node, 0)
-	c.journalMu.Lock()
-	c.journals = append(c.journals, j)
-	c.journalMu.Unlock()
-	return j
-}
-
-// Events merges every live node journal, oldest first by timestamp —
+// Events merges every recorder's events, oldest first by timestamp —
 // the in-process equivalent of the monitor tailing MEvents cluster-wide.
-// Journals of restarted nodes' dead incarnations are included (their
-// events happened), which is exactly what a drill asserting event order
-// wants.
-func (c *Cluster) Events() []events.Event {
-	c.journalMu.Lock()
-	journals := append([]*events.Journal(nil), c.journals...)
-	c.journalMu.Unlock()
-	var evs []events.Event
-	for _, j := range journals {
-		evs = append(evs, j.Events()...)
+// Restarted processes' dead incarnations are included (their events
+// happened), which is exactly what a drill asserting event order wants.
+func (c *Cluster) Events() []trace.Event {
+	var evs []trace.Event
+	for _, t := range c.allRecorders() {
+		evs = append(evs, t.Events()...)
 	}
 	sort.SliceStable(evs, func(i, k int) bool { return evs[i].Time < evs[k].Time })
 	return evs
@@ -311,10 +293,10 @@ func (c *Cluster) dataHostName(i int) string {
 // newDataService hosts a provider service over st with repair armed:
 // the service gets a connection pool dialing from its own host (the
 // vantage MPullPages pulls peers from), pulls unthrottled.
-func (c *Cluster) newDataService(i int, st provider.PageStore, j *events.Journal) *provider.Service {
+func (c *Cluster) newDataService(i int, st provider.PageStore, rec *trace.Tracer) *provider.Service {
 	svc := provider.NewService(st)
 	pool := rpc.NewPool(hostDialer{c.fab.Host(c.dataHostName(i))})
-	pool.SetJournal(j)
+	pool.SetTracer(rec)
 	c.svcMu.Lock()
 	c.pools = append(c.pools, pool)
 	c.svcMu.Unlock()
@@ -325,14 +307,14 @@ func (c *Cluster) newDataService(i int, st provider.PageStore, j *events.Journal
 // newDataStore builds data provider i's storage backend from the
 // deployment config: RAM-only by default, or a disk-backed segment log
 // under Config.DataDir.
-func (c *Cluster) newDataStore(i int, j *events.Journal) (provider.PageStore, error) {
+func (c *Cluster) newDataStore(i int, rec *trace.Tracer) (provider.PageStore, error) {
 	if c.cfg.DataDir == "" {
 		return provider.NewStore(c.cfg.ProviderCapacity), nil
 	}
 	ds, err := provider.NewDiskStore(diskstore.Options{
 		Dir:         filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i)),
 		SegmentSize: c.cfg.SegmentSize,
-		Journal:     j,
+		Tracer:      rec,
 	}, c.cfg.ProviderCapacity)
 	if err != nil {
 		return nil, err
@@ -398,10 +380,10 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 	c.svcMu.Lock()
 	c.pools = append(c.pools, pool)
 	c.svcMu.Unlock()
-	// A restarted replica gets a fresh journal, like a real process
-	// restart; MEvents pollers detect the sequence reset and re-tail.
-	jn := c.newJournal(host.Name())
-	pool.SetJournal(jn)
+	// A restarted replica gets a fresh recorder, like a real process
+	// restart; MEvents pollers see its new incarnation and re-tail.
+	rec := c.newRecorder(host.Name() + ":rpc")
+	pool.SetTracer(rec)
 	rep, err := vmanager.NewReplica(vmanager.ReplicaConfig{
 		Shard:           s,
 		Shards:          c.cfg.VShards,
@@ -412,7 +394,7 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 		ElectionTimeout: c.cfg.VMElectionTimeout,
 		MaxLogRecords:   c.cfg.VMMaxLogRecords,
 		Rejoin:          rejoin,
-		Journal:         jn,
+		Tracer:          rec,
 		Manager: vmanager.Config{
 			RepairTimeout: c.cfg.RepairTimeout,
 			Store:         repairStore,
@@ -422,10 +404,7 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 		return err
 	}
 	srv := rpc.NewServer()
-	if t := c.newTracer(host.Name() + ":rpc"); t != nil {
-		srv.SetTracer(t)
-	}
-	srv.SetJournal(jn)
+	srv.SetTracer(rec)
 	rep.RegisterHandlers(srv)
 	l, err := host.Listen("rpc")
 	if err != nil {
@@ -465,11 +444,11 @@ func Launch(cfg Config) (*Cluster, error) {
 	}
 
 	var lastServer *rpc.Server
-	serve := func(host *netsim.Host, port string, register func(*rpc.Server)) (string, error) {
+	// serve starts the RPC server of one simulated process, with its
+	// recorder attached.
+	serve := func(host *netsim.Host, port string, rec *trace.Tracer, register func(*rpc.Server)) (string, error) {
 		srv := rpc.NewServer()
-		if t := c.newTracer(host.Name() + ":" + port); t != nil {
-			srv.SetTracer(t)
-		}
+		srv.SetTracer(rec)
 		register(srv)
 		l, err := host.Listen(port)
 		if err != nil {
@@ -486,20 +465,19 @@ func Launch(cfg Config) (*Cluster, error) {
 	if cfg.HeartbeatInterval > 0 {
 		hbTimeout = 4 * cfg.HeartbeatInterval
 	}
-	jPM := c.newJournal("pm")
+	recPM := c.newRecorder("pm:rpc")
 	c.PM = pmanager.New(pmanager.Config{
 		Strategy:         cfg.Strategy,
 		HeartbeatTimeout: hbTimeout,
 		Replicas:         cfg.DataReplicas,
 		Redundancy:       cfg.Redundancy,
-		Journal:          jPM,
+		Tracer:           recPM,
 	})
 	c.Dir = dht.NewDirectory()
 	pmHost := c.fab.Host("pm")
-	addr, err := serve(pmHost, "rpc", func(s *rpc.Server) {
+	addr, err := serve(pmHost, "rpc", recPM, func(s *rpc.Server) {
 		c.PM.RegisterHandlers(s)
 		c.Dir.RegisterHandlers(s)
-		s.SetJournal(jPM)
 	})
 	if err != nil {
 		c.Shutdown()
@@ -516,20 +494,17 @@ func Launch(cfg Config) (*Cluster, error) {
 		return fmt.Sprintf("meta%d", i)
 	}
 	for i := 0; i < cfg.DataProviders; i++ {
-		j := c.newJournal(dataHost(i))
-		st, err := c.newDataStore(i, j)
+		rec := c.newRecorder(dataHost(i) + ":data")
+		st, err := c.newDataStore(i, rec)
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
-		svc := c.newDataService(i, st, j)
+		svc := c.newDataService(i, st, rec)
 		c.DataStores = append(c.DataStores, st)
 		c.DataServices = append(c.DataServices, svc)
 		c.dataHosts = append(c.dataHosts, dataHost(i))
-		addr, err := serve(c.fab.Host(dataHost(i)), "data", func(s *rpc.Server) {
-			svc.RegisterHandlers(s)
-			s.SetJournal(j)
-		})
+		addr, err := serve(c.fab.Host(dataHost(i)), "data", rec, svc.RegisterHandlers)
 		if err != nil {
 			c.Shutdown()
 			return nil, err
@@ -541,7 +516,7 @@ func Launch(cfg Config) (*Cluster, error) {
 		st := dht.NewStore()
 		st.Follow = mstore.FollowBlock
 		c.MetaStores = append(c.MetaStores, st)
-		addr, err := serve(c.fab.Host(metaHost(i)), "meta", st.RegisterHandlers)
+		addr, err := serve(c.fab.Host(metaHost(i)), "meta", c.newRecorder(metaHost(i)+":meta"), st.RegisterHandlers)
 		if err != nil {
 			c.Shutdown()
 			return nil, err
@@ -562,12 +537,10 @@ func Launch(cfg Config) (*Cluster, error) {
 	}
 	if cfg.RepairInterval > 0 {
 		// The repair agent is a client-side process with no RPC service
-		// of its own; give its journal a dedicated node so the monitor
+		// of its own; give its recorder a dedicated node so the monitor
 		// can tail sweep events like any other node's.
-		c.repairJournal = c.newJournal("repair")
-		c.RepairAddr, err = serve(c.fab.Host("repair"), "rpc", func(s *rpc.Server) {
-			s.SetJournal(c.repairJournal)
-		})
+		c.repairRec = c.newRecorder("repair:rpc")
+		c.RepairAddr, err = serve(c.fab.Host("repair"), "rpc", c.repairRec, func(*rpc.Server) {})
 		if err != nil {
 			c.Shutdown()
 			return nil, err
@@ -637,7 +610,7 @@ func (c *Cluster) repairLoop() {
 				continue // managers not reachable yet; retry next tick
 			}
 			client, agent = cl, repair.New(cl)
-			agent.Journal = c.repairJournal
+			agent.Tracer = c.repairRec
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		if blobs, err := client.VersionManager().Blobs(ctx); err == nil {
@@ -756,8 +729,7 @@ func (c *Cluster) ClientOptions(hostName string) core.Options {
 		CacheNodes:     c.cfg.CacheNodes,
 		DisableHedging: c.cfg.DisableHedging,
 		Breakers:       c.cfg.Breakers,
-		Journal:        c.newJournal(hostName),
-		Tracer:         c.newTracer(hostName),
+		Tracer:         c.newRecorder(hostName),
 	}
 }
 
@@ -833,19 +805,16 @@ func (c *Cluster) restartDataProvider(i int, wipe bool) error {
 			return fmt.Errorf("cluster: wipe provider %d data dir: %w", i, err)
 		}
 	}
-	// The new incarnation gets a fresh journal, like a real process
-	// restart; MEvents pollers detect the sequence reset and re-tail.
-	jn := c.newJournal(c.dataHosts[i])
-	st, err := c.newDataStore(i, jn)
+	// The new incarnation gets a fresh recorder, like a real process
+	// restart; MEvents pollers see its new incarnation and re-tail.
+	rec := c.newRecorder(c.dataHosts[i] + ":data")
+	st, err := c.newDataStore(i, rec)
 	if err != nil {
 		return fmt.Errorf("cluster: reopen provider %d store: %w", i, err)
 	}
-	svc := c.newDataService(i, st, jn)
+	svc := c.newDataService(i, st, rec)
 	srv := rpc.NewServer()
-	if t := c.newTracer(c.dataHosts[i] + ":data"); t != nil {
-		srv.SetTracer(t)
-	}
-	srv.SetJournal(jn)
+	srv.SetTracer(rec)
 	svc.RegisterHandlers(srv)
 	l, err := c.fab.Host(c.dataHosts[i]).Listen("data")
 	if err != nil {

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"blob/internal/cluster"
-	"blob/internal/events"
 	"blob/internal/monitor"
+	"blob/internal/trace"
 )
 
 // waitHealth polls the embedded monitor until the verdict matches (and
@@ -104,19 +104,19 @@ func TestMonitorKillProviderDrill(t *testing.T) {
 
 	// The monitor's merged event tail must tell the story in order:
 	// the death was detected, then a sweep started, then it finished.
-	tail := cl.Mon.EventsSince(0, events.SevInfo)
+	tail := cl.Mon.EventsSince(0, trace.SevInfo)
 	var death, start, finish int64
 	for _, e := range tail {
 		switch e.Type {
-		case events.HeartbeatDeath:
+		case trace.HeartbeatDeath:
 			if death == 0 {
 				death = e.Time
 			}
-		case events.RepairStart:
+		case trace.RepairStart:
 			if start == 0 {
 				start = e.Time
 			}
-		case events.RepairFinish:
+		case trace.RepairFinish:
 			if finish == 0 && e.Time >= start && start > 0 {
 				finish = e.Time
 			}
@@ -172,8 +172,8 @@ func TestMonitorSnapshotRPC(t *testing.T) {
 	// monitor's merged tail (a clean boot elects nobody — replica 0
 	// starts out leading — so membership is the guaranteed traffic).
 	refreshes := 0
-	for _, e := range cl.Mon.EventsSince(0, events.SevInfo) {
-		if e.Type == events.MembershipRefresh {
+	for _, e := range cl.Mon.EventsSince(0, trace.SevInfo) {
+		if e.Type == trace.MembershipRefresh {
 			refreshes++
 		}
 	}

@@ -23,7 +23,6 @@ import (
 
 	"blob/internal/dht"
 	"blob/internal/erasure"
-	"blob/internal/events"
 	"blob/internal/meta"
 	"blob/internal/mstore"
 	"blob/internal/pmanager"
@@ -92,13 +91,12 @@ type Options struct {
 	// replica holding a page — until a background probe finds the peer
 	// healthy again.
 	Breakers bool
-	// Journal, when non-nil, receives this client's connectivity
-	// events: dial-failure bursts and circuit-breaker transitions.
-	Journal *events.Journal
 	// Tracer records spans for this client's operations and propagates
-	// them to every service the operation touches (docs/observability.md).
-	// Nil disables tracing; the operation hot path then stays
-	// allocation-free. Sampling policy is the tracer's.
+	// them to every service the operation touches (docs/observability.md),
+	// and receives the client's connectivity events: dial-failure bursts
+	// and circuit-breaker transitions. Nil disables both; the operation
+	// hot path then stays allocation-free. Sampling policy is the
+	// tracer's.
 	Tracer *trace.Tracer
 	// SlowThreshold, when positive and tracing is enabled, dumps the
 	// locally recorded span tree of any sampled operation slower than it
@@ -204,7 +202,7 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 		opts.MetaReplicas = 1
 	}
 	pool := rpc.NewPool(opts.Network)
-	pool.SetJournal(opts.Journal)
+	pool.SetTracer(opts.Tracer)
 	if opts.Breakers {
 		// Latency tripping is on for clients: the gray failure worth
 		// detecting is the provider that answers everything, slowly —

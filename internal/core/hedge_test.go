@@ -16,9 +16,9 @@ import (
 	"blob/internal/cluster"
 	"blob/internal/core"
 	"blob/internal/erasure"
-	"blob/internal/events"
 	"blob/internal/meta"
 	"blob/internal/netsim"
+	"blob/internal/trace"
 )
 
 // tierProvider returns the replica-tier provider IDs of the page at
@@ -335,9 +335,9 @@ func TestBreakerOpensOnFlakyProviderAndRecovers(t *testing.T) {
 	breakerEvents := func() (opened, closed bool) {
 		for _, ev := range cl.Events() {
 			switch ev.Type {
-			case events.BreakerOpen:
+			case trace.BreakerOpen:
 				opened = true
-			case events.BreakerClose:
+			case trace.BreakerClose:
 				closed = true
 			}
 		}

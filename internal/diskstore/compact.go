@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"blob/internal/events"
+	"blob/internal/trace"
 )
 
 // Compaction rewrites mostly-dead sealed segments: every still-live put
@@ -137,7 +137,7 @@ func (s *Store) CompactOnce() (bool, error) {
 	s.compactions++
 	s.mu.Unlock()
 	cand.retire(true)
-	s.opts.Journal.Emit(events.SevInfo, events.CompactionDone, size-cand.live,
+	s.opts.Tracer.Emit(trace.SevInfo, trace.CompactionDone, size-cand.live,
 		"rewrote segment %d: %d of %d bytes dead reclaimed", cand.id, size-cand.live, size)
 	return true, nil
 }

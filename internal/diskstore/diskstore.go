@@ -51,8 +51,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blob/internal/events"
 	"blob/internal/throttle"
+	"blob/internal/trace"
 	"blob/internal/wire"
 )
 
@@ -85,9 +85,9 @@ type Options struct {
 	// through a token bucket, so background reclamation cannot starve
 	// foreground page traffic. Zero leaves compaction unthrottled.
 	CompactRateBytes int64
-	// Journal, if set, records compactions and sidecar-degrade
+	// Tracer, if set, records compactions and sidecar-degrade
 	// recoveries as cluster events for the monitor plane.
-	Journal *events.Journal
+	Tracer *trace.Tracer
 }
 
 func (o *Options) fillDefaults() {
@@ -257,7 +257,7 @@ func Open(opts Options) (*Store, error) {
 			// A sealed segment should always absorb from its sidecar;
 			// reaching the replay path means the sidecar was missing,
 			// stale or corrupt.
-			opts.Journal.Emit(events.SevError, events.SidecarDegrade, seg.size,
+			opts.Tracer.Emit(trace.SevError, trace.SidecarDegrade, seg.size,
 				"segment %s: sidecar missing or corrupt; fully replaying %d bytes", seg.path, seg.size)
 		}
 		if err := s.scanSegment(seg, replay, mayBeTorn); err != nil {

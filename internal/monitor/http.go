@@ -6,7 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
-	"blob/internal/events"
+	"blob/internal/trace"
 )
 
 // RegisterHTTP mounts the monitor's admin endpoints on mux:
@@ -105,9 +105,9 @@ func (m *Monitor) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (m *Monitor) serveEvents(w http.ResponseWriter, r *http.Request) {
-	minSev := events.SevInfo
+	minSev := trace.SevInfo
 	if v := r.URL.Query().Get("min"); v != "" {
-		sev, err := events.ParseSeverity(v)
+		sev, err := trace.ParseSeverity(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

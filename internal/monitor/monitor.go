@@ -1,5 +1,5 @@
 // Package monitor implements the cluster health plane's aggregator: a
-// process that polls every node's stats, status and event-journal RPCs,
+// process that polls every node's stats, status and event-tail RPCs,
 // rolls them up into one ClusterSnapshot (capacity, per-shard leaders,
 // redundancy debt, merged latency quantiles, a green/yellow/red
 // verdict with reasons) and serves the result three ways — the
@@ -20,11 +20,11 @@ import (
 	"sync"
 	"time"
 
-	"blob/internal/events"
 	"blob/internal/pmanager"
 	"blob/internal/provider"
 	"blob/internal/rpc"
 	"blob/internal/stats"
+	"blob/internal/trace"
 	"blob/internal/vmanager"
 )
 
@@ -42,7 +42,7 @@ type Config struct {
 	VMShards [][]string
 	// EventNodes are additional RPC addresses to tail MEvents from,
 	// beyond the provider manager, vmanager replicas and providers —
-	// e.g. the node hosting the repair agent's journal.
+	// e.g. the node hosting the repair agent.
 	EventNodes []string
 	// Interval is the poll period (default 1s).
 	Interval time.Duration
@@ -61,8 +61,8 @@ type Monitor struct {
 
 	mu      sync.Mutex
 	snap    ClusterSnapshot
-	lastSeq map[string]uint64 // per-node MEvents cursor
-	tail    []events.Event    // merged recent events, oldest first
+	cursors map[string]cursor // per-node MEvents cursor
+	tail    []trace.Event     // merged recent events, oldest first
 	agg     eventAgg
 	rates   rateTracker
 	polls   int64
@@ -71,6 +71,11 @@ type Monitor struct {
 	done chan struct{}
 	once sync.Once
 }
+
+// cursor is how far the monitor has read one node's event ring: the
+// latest sequence number seen, and the recorder incarnation it belongs
+// to.
+type cursor struct{ inc, seq uint64 }
 
 // New creates a monitor; Start begins polling.
 func New(cfg Config) *Monitor {
@@ -88,7 +93,7 @@ func New(cfg Config) *Monitor {
 	}
 	return &Monitor{
 		cfg:     cfg,
-		lastSeq: make(map[string]uint64),
+		cursors: make(map[string]cursor),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -132,10 +137,10 @@ func (m *Monitor) Snapshot() ClusterSnapshot {
 
 // EventsSince returns the merged event tail with Time > since and
 // severity >= minSev, oldest first.
-func (m *Monitor) EventsSince(since int64, minSev events.Severity) []events.Event {
+func (m *Monitor) EventsSince(since int64, minSev trace.Severity) []trace.Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []events.Event
+	var out []trace.Event
 	for _, e := range m.tail {
 		if e.Time > since && e.Sev >= minSev {
 			out = append(out, e)
@@ -274,43 +279,38 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 
 	// Event tails, incremental per node.
 	var freshMu sync.Mutex
-	var fresh []events.Event
+	var fresh []trace.Event
 	for addr := range eventTargets {
 		addr := addr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			m.mu.Lock()
-			since := m.lastSeq[addr]
+			cur := m.cursors[addr]
 			m.mu.Unlock()
-			var latest uint64
-			var evs []events.Event
+			var tail trace.EventTail
 			err := m.call(ctx, func(c context.Context) error {
-				resp, err := m.cfg.Pool.Call(c, addr, events.MEvents, events.EncodeEventsQuery(since, events.SevInfo))
+				resp, err := m.cfg.Pool.Call(c, addr, trace.MEvents, trace.EncodeEventsQuery(cur.seq, trace.SevInfo))
 				if err != nil {
 					return err
 				}
-				latest, evs, err = events.DecodeEvents(resp)
+				tail, err = trace.DecodeEvents(resp)
 				return err
 			})
 			if err != nil {
 				return
 			}
+			if tail.Incarnation != cur.inc && cur.seq > 0 {
+				// The node restarted, and its new recorder numbers events
+				// from 1 again: this reply skipped 1..cur.seq. Drop it and
+				// collect the new incarnation from the top next poll.
+				tail = trace.EventTail{Incarnation: tail.Incarnation}
+			}
 			m.mu.Lock()
-			if latest < since {
-				// The node restarted: its journal's sequence numbers
-				// began again at 1. Reset the cursor so the next poll
-				// collects the reborn journal from the top.
-				m.lastSeq[addr] = 0
-			} else if len(evs) > 0 {
-				m.lastSeq[addr] = evs[len(evs)-1].Seq
-			}
+			m.cursors[addr] = cursor{inc: tail.Incarnation, seq: tail.Latest}
 			m.mu.Unlock()
-			if len(evs) == 0 {
-				return
-			}
 			freshMu.Lock()
-			fresh = append(fresh, evs...)
+			fresh = append(fresh, tail.Events...)
 			freshMu.Unlock()
 		}()
 	}
@@ -324,10 +324,10 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 	m.agg.ingest(fresh)
 	m.tail = append(m.tail, fresh...)
 	if len(m.tail) > m.cfg.EventTail {
-		m.tail = append([]events.Event(nil), m.tail[len(m.tail)-m.cfg.EventTail:]...)
+		m.tail = append([]trace.Event(nil), m.tail[len(m.tail)-m.cfg.EventTail:]...)
 	}
 	in.agg = &m.agg
-	in.tail = append([]events.Event(nil), m.tail...)
+	in.tail = append([]trace.Event(nil), m.tail...)
 	rates := make(map[uint32][2]float64, len(in.provStats))
 	for id, st := range in.provStats {
 		g, p := m.rates.rates(id, st, now)

@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"blob/internal/events"
+	"blob/internal/netsim"
 	"blob/internal/pmanager"
 	"blob/internal/provider"
+	"blob/internal/rpc"
 	"blob/internal/stats"
+	"blob/internal/trace"
 )
 
 func TestCounterRateResetSafe(t *testing.T) {
@@ -47,15 +49,62 @@ func TestRateTrackerNeverNegative(t *testing.T) {
 	}
 }
 
+// TestMonitorRetailsRestartedNode pins restart detection: a node
+// replaced by a new process whose recorder has already emitted more
+// events than the monitor's cursor still has every one of its events
+// collected — they are the election, install and recovery events a
+// restart emits.
+func TestMonitorRetailsRestartedNode(t *testing.T) {
+	n := netsim.New(netsim.Fast())
+	defer n.Close()
+	serve := func(rec *trace.Tracer) *rpc.Server {
+		srv := rpc.NewServer()
+		srv.SetTracer(rec)
+		l, err := n.Host("node").Listen("rpc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start(l)
+		return srv
+	}
+	old := trace.New("node:rpc", 0, 0)
+	for i := 0; i < 3; i++ {
+		old.Emit(trace.SevInfo, trace.CompactionDone, int64(i), "old %d", i)
+	}
+	srv := serve(old)
+	pool := rpc.NewPool(n.Host("monitor"))
+	defer pool.Close()
+	m := New(Config{Pool: pool, PMAddr: "node:rpc"})
+	ctx := context.Background()
+	m.Poll(ctx)
+	if got := len(m.EventsSince(0, trace.SevInfo)); got != 3 {
+		t.Fatalf("first poll collected %d events, want 3", got)
+	}
+
+	srv.Close()
+	reborn := trace.New("node:rpc", 0, 0)
+	for i := 0; i < 5; i++ {
+		reborn.Emit(trace.SevWarn, trace.ElectionWon, int64(i), "reborn %d", i)
+	}
+	srv = serve(reborn)
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		m.Poll(ctx)
+	}
+	if got := m.EventsSince(0, trace.SevWarn); len(got) != 5 {
+		t.Fatalf("monitor collected %d of the restarted node's 5 events: %v", len(got), got)
+	}
+}
+
 func TestEventAggDebtLifecycle(t *testing.T) {
 	var a eventAgg
 	ts := func(s int64) int64 { return s * int64(time.Second) }
 	// A death, then a sweep that finds 6 degraded slots and fixes 4.
-	a.ingest([]events.Event{
-		{Time: ts(1), Type: events.HeartbeatDeath, Val: 2},
-		{Time: ts(2), Type: events.RepairStart, Val: 10},
-		{Time: ts(3), Type: events.RedundancyDegraded, Val: 6},
-		{Time: ts(4), Type: events.RepairFinish, Val: 2},
+	a.ingest([]trace.Event{
+		{Time: ts(1), Type: trace.HeartbeatDeath, Val: 2},
+		{Time: ts(2), Type: trace.RepairStart, Val: 10},
+		{Time: ts(3), Type: trace.RedundancyDegraded, Val: 6},
+		{Time: ts(4), Type: trace.RepairFinish, Val: 2},
 	})
 	if a.debt != 2 || a.debtPeak != 6 {
 		t.Fatalf("debt = %d peak = %d, want 2/6", a.debt, a.debtPeak)
@@ -64,7 +113,7 @@ func TestEventAggDebtLifecycle(t *testing.T) {
 		t.Error("sweep finished after the death; repair should not read as pending")
 	}
 	// A later clean sweep zeroes the books.
-	a.ingest([]events.Event{{Time: ts(9), Type: events.RepairFinish, Val: 0}})
+	a.ingest([]trace.Event{{Time: ts(9), Type: trace.RepairFinish, Val: 0}})
 	if a.debt != 0 || a.debtPeak != 0 {
 		t.Errorf("after clean sweep debt = %d peak = %d, want 0/0", a.debt, a.debtPeak)
 	}
@@ -73,17 +122,17 @@ func TestEventAggDebtLifecycle(t *testing.T) {
 func TestEventAggBreakers(t *testing.T) {
 	var a eventAgg
 	ts := func(s int64) int64 { return s * int64(time.Second) }
-	open := func(at int64, node, peer string) events.Event {
-		return events.Event{Time: ts(at), Type: events.BreakerOpen, Node: node,
+	open := func(at int64, node, peer string) trace.Event {
+		return trace.Event{Time: ts(at), Type: trace.BreakerOpen, Node: node,
 			Msg: "peer " + peer + ": circuit breaker open (trip 1, err-rate 0.62, lat-ewma 310ms)"}
 	}
-	closed := func(at int64, node, peer string) events.Event {
-		return events.Event{Time: ts(at), Type: events.BreakerClose, Node: node,
+	closed := func(at int64, node, peer string) trace.Event {
+		return trace.Event{Time: ts(at), Type: trace.BreakerClose, Node: node,
 			Msg: "peer " + peer + ": circuit breaker closed after probe"}
 	}
 
 	// Two clients trip against the same sick peer; one recovers.
-	a.ingest([]events.Event{
+	a.ingest([]trace.Event{
 		open(1, "client0", "node2:data"),
 		open(2, "client1", "node2:data"),
 		closed(3, "client0", "node2:data"),
@@ -94,13 +143,13 @@ func TestEventAggBreakers(t *testing.T) {
 	}
 
 	// Re-open after a close: newest event wins per (node, peer) slot.
-	a.ingest([]events.Event{open(4, "client0", "node2:data")})
+	a.ingest([]trace.Event{open(4, "client0", "node2:data")})
 	if got := a.openBreakers(); len(got) != 2 {
 		t.Fatalf("after re-open, open breakers = %v, want 2 entries", got)
 	}
 
 	// Portless peer addresses must still parse.
-	a.ingest([]events.Event{open(5, "client2", "node9")})
+	a.ingest([]trace.Event{open(5, "client2", "node9")})
 	found := false
 	for _, b := range a.openBreakers() {
 		if b == "client2 -> node9" {
@@ -133,7 +182,7 @@ func TestEventAggBreakers(t *testing.T) {
 	}
 
 	// All healed: green again, gauge zeroed.
-	a.ingest([]events.Event{
+	a.ingest([]trace.Event{
 		closed(6, "client0", "node2:data"),
 		closed(6, "client1", "node2:data"),
 		closed(6, "client2", "node9"),
@@ -250,9 +299,9 @@ func TestHTTPEndpoints(t *testing.T) {
 		Shards:        []ShardRoll{{Shard: 0, Leader: 1, Term: 4, Reachable: 3, Replicas: 3}},
 		ReadP50:       int64(time.Millisecond), ReadP99: int64(5 * time.Millisecond), ReadMax: int64(6 * time.Millisecond),
 	}
-	m.tail = []events.Event{
-		{Seq: 1, Time: now - 100, Sev: events.SevInfo, Type: events.RepairStart, Node: "repair", Msg: "sweep over 5 blobs"},
-		{Seq: 2, Time: now - 50, Sev: events.SevWarn, Type: events.HeartbeatDeath, Node: "pm", Msg: "provider 2 silent", Val: 2},
+	m.tail = []trace.Event{
+		{Seq: 1, Time: now - 100, Sev: trace.SevInfo, Type: trace.RepairStart, Node: "repair", Msg: "sweep over 5 blobs"},
+		{Seq: 2, Time: now - 50, Sev: trace.SevWarn, Type: trace.HeartbeatDeath, Node: "pm", Msg: "provider 2 silent", Val: 2},
 	}
 	m.mu.Unlock()
 

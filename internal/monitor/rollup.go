@@ -6,10 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"blob/internal/events"
 	"blob/internal/pmanager"
 	"blob/internal/provider"
 	"blob/internal/stats"
+	"blob/internal/trace"
 )
 
 // Health verdicts, ordered by severity.
@@ -66,7 +66,7 @@ type ClusterSnapshot struct {
 	OpenBreakers []string `json:"open_breakers,omitempty"`
 
 	// Recent merged events, oldest first (bounded tail).
-	Events []events.Event `json:"events,omitempty"`
+	Events []trace.Event `json:"events,omitempty"`
 }
 
 // ProviderRoll is one data provider's row in the snapshot.
@@ -115,10 +115,10 @@ type eventAgg struct {
 
 // ingest folds newly collected events in. Events may arrive slightly
 // out of time order across nodes; aggregates use per-type newest-wins.
-func (a *eventAgg) ingest(evs []events.Event) {
+func (a *eventAgg) ingest(evs []trace.Event) {
 	for _, e := range evs {
 		switch e.Type {
-		case events.RepairFinish:
+		case trace.RepairFinish:
 			if e.Time >= a.lastFinishT {
 				a.lastFinishT, a.debt = e.Time, e.Val
 			}
@@ -126,36 +126,36 @@ func (a *eventAgg) ingest(evs []events.Event) {
 				a.lastCleanT = e.Time
 				a.debtPeak = 0
 			}
-		case events.RedundancyDegraded:
+		case trace.RedundancyDegraded:
 			if e.Time >= a.degradedT {
 				a.degradedT = e.Time
 			}
 			if e.Time >= a.lastCleanT && e.Val > a.debtPeak {
 				a.debtPeak = e.Val
 			}
-		case events.HeartbeatDeath:
+		case trace.HeartbeatDeath:
 			if e.Time >= a.lastDeathT {
 				a.lastDeathT = e.Time
 			}
-		case events.Unrepairable:
+		case trace.Unrepairable:
 			if e.Time >= a.lastUnrepT {
 				a.lastUnrepT = e.Time
 			}
-		case events.ElectionWon:
+		case trace.ElectionWon:
 			a.elections = append(a.elections, e.Time)
 			if len(a.elections) > 256 {
 				a.elections = a.elections[len(a.elections)-256:]
 			}
-		case events.BreakerOpen, events.BreakerClose:
+		case trace.BreakerOpen, trace.BreakerClose:
 			if a.breakers == nil {
 				a.breakers = make(map[string][2]int64)
 			}
 			key := e.Node + " -> " + breakerPeer(e.Msg)
 			t := a.breakers[key]
-			if e.Type == events.BreakerOpen && e.Time >= t[0] {
+			if e.Type == trace.BreakerOpen && e.Time >= t[0] {
 				t[0] = e.Time
 			}
-			if e.Type == events.BreakerClose && e.Time >= t[1] {
+			if e.Type == trace.BreakerClose && e.Time >= t[1] {
 				t[1] = e.Time
 			}
 			a.breakers[key] = t
@@ -262,7 +262,7 @@ type rollupInput struct {
 	latency    map[uint32][2]stats.HistogramSnapshot // get, put
 	shards     []ShardRoll                           // pre-assembled from status polls
 	agg        *eventAgg
-	tail       []events.Event
+	tail       []trace.Event
 }
 
 // electionChurnWindow is how far back "recent elections" reaches when

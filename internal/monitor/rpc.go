@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"blob/internal/events"
 	"blob/internal/rpc"
+	"blob/internal/trace"
 	"blob/internal/wire"
 )
 
@@ -34,7 +34,7 @@ func (m *Monitor) handleCluster(_ context.Context, body []byte) ([]byte, error) 
 	if len(body) > 0 {
 		r := wire.NewReader(body)
 		since := r.Varint()
-		minSev := events.Severity(r.Uint8())
+		minSev := trace.Severity(r.Uint8())
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("monitor: cluster query: %w", err)
 		}
@@ -45,7 +45,7 @@ func (m *Monitor) handleCluster(_ context.Context, body []byte) ([]byte, error) 
 
 // EncodeClusterQuery builds an MCluster request asking only for events
 // after since (unix nanoseconds) at or above minSev.
-func EncodeClusterQuery(since int64, minSev events.Severity) []byte {
+func EncodeClusterQuery(since int64, minSev trace.Severity) []byte {
 	w := wire.NewWriter(10)
 	w.Varint(since)
 	w.Uint8(uint8(minSev))

@@ -21,8 +21,8 @@ import (
 	"time"
 
 	"blob/internal/erasure"
-	"blob/internal/events"
 	"blob/internal/rpc"
+	"blob/internal/trace"
 	"blob/internal/wire"
 )
 
@@ -107,7 +107,7 @@ type Manager struct {
 	red        erasure.Redundancy
 	rrCounter  uint64
 	rng        *rand.Rand
-	journal    *events.Journal
+	tracer     *trace.Tracer
 	mu         sync.Mutex
 	byID       map[uint32]*provider
 	nextID     uint32
@@ -135,9 +135,9 @@ type Config struct {
 	// Seed seeds the randomized strategies (0 uses a fixed seed, keeping
 	// placement reproducible in experiments).
 	Seed int64
-	// Journal, if set, records membership transitions (heartbeat
+	// Tracer, if set, records membership transitions (heartbeat
 	// deaths, registrations, digest refreshes) for the monitor plane.
-	Journal *events.Journal
+	Tracer *trace.Tracer
 }
 
 // New creates a Manager.
@@ -155,7 +155,7 @@ func New(cfg Config) *Manager {
 		replicas:  cfg.Replicas,
 		red:       cfg.Redundancy,
 		rng:       rand.New(rand.NewSource(seed)),
-		journal:   cfg.Journal,
+		tracer:    cfg.Tracer,
 		byID:      make(map[uint32]*provider),
 		nextID:    1,
 	}
@@ -179,7 +179,7 @@ func (m *Manager) Register(addr string, capacity int64) uint32 {
 			id, epoch := p.info.ID, m.epoch
 			m.mu.Unlock()
 			if wasDead {
-				m.journal.Emit(events.SevInfo, events.MembershipRefresh, int64(epoch),
+				m.tracer.Emit(trace.SevInfo, trace.MembershipRefresh, int64(epoch),
 					"provider %d (%s) re-registered after death", id, addr)
 			}
 			return id
@@ -195,7 +195,7 @@ func (m *Manager) Register(addr string, capacity int64) uint32 {
 	m.epoch++
 	epoch := m.epoch
 	m.mu.Unlock()
-	m.journal.Emit(events.SevInfo, events.MembershipRefresh, int64(epoch),
+	m.tracer.Emit(trace.SevInfo, trace.MembershipRefresh, int64(epoch),
 		"provider %d (%s) registered; epoch %d", id, addr, epoch)
 	return id
 }
@@ -226,7 +226,7 @@ func (m *Manager) Heartbeat(id uint32, bytesUsed, activeOps int64, digHash uint6
 	held := p.digHash
 	m.mu.Unlock()
 	if refreshed {
-		m.journal.Emit(events.SevInfo, events.DigestRefresh, int64(id),
+		m.tracer.Emit(trace.SevInfo, trace.DigestRefresh, int64(id),
 			"provider %d pushed holdings digest (%d bytes)", id, len(digest))
 	}
 	return true, held
@@ -268,9 +268,9 @@ func (m *Manager) DeathWatch(stop <-chan struct{}, onDeath func(id uint32)) {
 		}
 		m.mu.Unlock()
 		for _, id := range dead {
-			m.journal.Emit(events.SevWarn, events.HeartbeatDeath, int64(id),
+			m.tracer.Emit(trace.SevWarn, trace.HeartbeatDeath, int64(id),
 				"provider %d silent past %s; excluded from placement", id, m.hbTimeout)
-			m.journal.Emit(events.SevInfo, events.DeathWatchTrigger, int64(id),
+			m.tracer.Emit(trace.SevInfo, trace.DeathWatchTrigger, int64(id),
 				"triggering repair for dead provider %d", id)
 			onDeath(id)
 		}

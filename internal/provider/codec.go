@@ -60,7 +60,7 @@ const (
 // len(dsts).
 func DecodeGetPagesInto(body []byte, dsts [][]byte, status []PageStatus) error {
 	r := wire.NewReader(body)
-	n := int(r.Uvarint())
+	n := r.Count(1) // a presence flag per page
 	if n != len(dsts) {
 		return fmt.Errorf("provider: response count %d != %d", n, len(dsts))
 	}

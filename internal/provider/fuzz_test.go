@@ -39,7 +39,7 @@ func FuzzProviderRequests(f *testing.F) {
 			if err != nil {
 				return
 			}
-			n := int(wire.NewReader(body).Uvarint())
+			n := wire.NewReader(body).Count(20)
 			if _, err := DecodeGetPages(joinSegs(segs), n); err != nil {
 				t.Fatalf("client cannot parse the answer to %d refs: %v", n, err)
 			}

@@ -402,7 +402,7 @@ func EncodeGetPages(refs []PageRef) []byte {
 // a nil slice means the page was absent on this provider.
 func DecodeGetPages(body []byte, want int) ([][]byte, error) {
 	r := wire.NewReader(body)
-	n := int(r.Uvarint())
+	n := r.Count(1) // a presence flag per page
 	if n != want {
 		return nil, fmt.Errorf("provider: response count %d != %d", n, want)
 	}

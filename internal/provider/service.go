@@ -142,12 +142,12 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]by
 		return nil, nil, err
 	}
 	r := wire.NewReader(body)
-	n := int(r.Uvarint())
-	// Each ref occupies exactly 20 request bytes, so any claimed count
-	// beyond len(body)/20 is garbage — reject it before sizing the
-	// response arena, or a small hostile body could demand gigabytes.
-	if n < 0 || n > len(body)/20 {
-		return nil, nil, fmt.Errorf("provider get: request count %d exceeds body", n)
+	// Each ref occupies exactly 20 request bytes: a count the body cannot
+	// hold is rejected before it sizes the response arena, or a small
+	// hostile body could demand gigabytes.
+	n := r.Count(20)
+	if err := r.Err(); err != nil {
+		return nil, nil, fmt.Errorf("provider get: %w", err)
 	}
 	vw := wire.NewVec(10+11*n, 1+2*n) // count varint + per page flag + length varint
 	vw.Uvarint(uint64(n))

@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"blob/internal/core"
-	"blob/internal/events"
 	"blob/internal/meta"
 	"blob/internal/mstore"
 	"blob/internal/provider"
@@ -37,9 +36,9 @@ type Repairer struct {
 	c *core.Client
 	// Log, when set, receives progress lines (blobnode wires its logger).
 	Log func(format string, args ...any)
-	// Journal, when set, records sweep-level cluster events
+	// Tracer, when set, records sweep-level cluster events
 	// (repair-start/finish, redundancy degradation) for the monitor.
-	Journal *events.Journal
+	Tracer *trace.Tracer
 }
 
 // New creates a repair agent over an established client.
@@ -467,7 +466,7 @@ func eligibleSources(holdings map[uint32]provider.Holdings, heldBy map[uint32]ma
 // first hard error aborts (per-provider failures are soft and counted
 // in the report).
 func (r *Repairer) RepairAll(ctx context.Context, blobs []uint64) (Report, error) {
-	r.Journal.Emit(events.SevInfo, events.RepairStart, int64(len(blobs)),
+	r.Tracer.Emit(trace.SevInfo, trace.RepairStart, int64(len(blobs)),
 		"sweep over %d blobs", len(blobs))
 	var total Report
 	for _, id := range blobs {
@@ -492,32 +491,32 @@ func (r *Repairer) RepairAll(ctx context.Context, blobs []uint64) (Report, error
 	return total, nil
 }
 
-// emitSweep records the sweep's outcome in the journal: what was found
+// emitSweep records the sweep's outcome as events: what was found
 // degraded, what reconstruction rebuilt, what stayed broken, and the
 // redundancy debt left outstanding (RepairFinish.Val — the monitor's
 // debt source).
 func (r *Repairer) emitSweep(total Report, err error) {
-	if r.Journal == nil {
+	if r.Tracer == nil {
 		return
 	}
 	if total.PagesMissing > 0 {
-		r.Journal.Emit(events.SevWarn, events.RedundancyDegraded, total.PagesMissing,
+		r.Tracer.Emit(trace.SevWarn, trace.RedundancyDegraded, total.PagesMissing,
 			"sweep found %d degraded slots (%d checked)", total.PagesMissing, total.PagesChecked)
 	}
 	if total.PagesReconstructed > 0 {
-		r.Journal.Emit(events.SevInfo, events.PagesReconstructed, total.PagesReconstructed,
+		r.Tracer.Emit(trace.SevInfo, trace.PagesReconstructed, total.PagesReconstructed,
 			"reconstructed %d pages (%d bytes pushed, %d survivor bytes read)",
 			total.PagesReconstructed, total.ReconstructedBytes, total.SurvivorBytes)
 	}
 	if total.Unrepairable > 0 {
-		r.Journal.Emit(events.SevError, events.Unrepairable, total.Unrepairable,
+		r.Tracer.Emit(trace.SevError, trace.Unrepairable, total.Unrepairable,
 			"%d slots unrepairable (%d provider errors)", total.Unrepairable, total.ProviderErrors)
 	}
 	outstanding := total.Unrepairable
-	sev := events.SevInfo
+	sev := trace.SevInfo
 	detail := ""
 	if err != nil {
-		sev = events.SevError
+		sev = trace.SevError
 		detail = "; aborted: " + err.Error()
 		// An aborted sweep proves nothing about unexamined slots: keep
 		// whatever degradation it saw on the books.
@@ -525,9 +524,9 @@ func (r *Repairer) emitSweep(total Report, err error) {
 			outstanding = m
 		}
 	} else if outstanding > 0 {
-		sev = events.SevWarn
+		sev = trace.SevWarn
 	}
-	r.Journal.Emit(sev, events.RepairFinish, outstanding,
+	r.Tracer.Emit(sev, trace.RepairFinish, outstanding,
 		"sweep done: %d repaired, %d reconstructed, %d outstanding%s",
 		total.PagesRepaired, total.PagesReconstructed, outstanding, detail)
 }

@@ -165,7 +165,7 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 		}
 		if failure {
 			b.trip()
-			return false, false // still open: no new transition to journal
+			return false, false // still open: no new transition to record
 		}
 		return b.probeSucceeded()
 	case breakerClosed:

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"blob/internal/events"
 	"blob/internal/netsim"
+	"blob/internal/trace"
 )
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
@@ -101,10 +101,10 @@ func TestPoolBreakerFailsFastAndRecovers(t *testing.T) {
 	}
 	s := newServer()
 
-	j := events.NewJournal("cli", 0)
+	j := trace.New("cli", 0, 0)
 	p := NewPool(netDialer{n.Host("cli")})
 	defer p.Close()
-	p.SetJournal(j)
+	p.SetTracer(j)
 	p.EnableBreakers(BreakerConfig{
 		ConsecFails: 3,
 		OpenFor:     30 * time.Millisecond,
@@ -155,9 +155,9 @@ func TestPoolBreakerFailsFastAndRecovers(t *testing.T) {
 	var sawOpen, sawClose bool
 	for _, e := range j.Events() {
 		switch e.Type {
-		case events.BreakerOpen:
+		case trace.BreakerOpen:
 			sawOpen = true
-		case events.BreakerClose:
+		case trace.BreakerClose:
 			sawClose = true
 		}
 	}

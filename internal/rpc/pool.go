@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"blob/internal/backoff"
-	"blob/internal/events"
+	"blob/internal/trace"
 )
 
 // Pool maintains one multiplexed client connection per remote address,
@@ -39,7 +39,7 @@ type Pool struct {
 	breakOn  bool
 	breakers map[string]*breaker
 
-	journal *events.Journal
+	tracer  *trace.Tracer // receives dial-failure and breaker events
 	dialsMu sync.Mutex
 	dials   map[string]*dialState
 }
@@ -49,7 +49,7 @@ type Pool struct {
 const maxCallRetries = 2
 
 // dialState tracks consecutive dial failures to one address so the
-// journal records failure bursts, not every failed attempt.
+// tracer records failure bursts, not every failed attempt.
 type dialState struct {
 	fails    int64
 	lastEmit time.Time
@@ -68,16 +68,13 @@ func NewPool(n Network) *Pool {
 	}
 }
 
-// SetJournal attaches a cluster event journal: bursts of dial failures
-// to one address emit a rate-limited events.DialFailure, and breaker
-// transitions emit events.BreakerOpen / events.BreakerClose. Call
-// before the pool is shared.
-func (p *Pool) SetJournal(j *events.Journal) {
-	if !j.Enabled() {
-		return
-	}
+// SetTracer attaches the process's recorder as the pool's event sink:
+// bursts of dial failures to one address emit a rate-limited
+// trace.DialFailure, and breaker transitions emit trace.BreakerOpen /
+// trace.BreakerClose. Call before the pool is shared.
+func (p *Pool) SetTracer(t *trace.Tracer) {
 	p.dialsMu.Lock()
-	p.journal = j
+	p.tracer = t
 	p.dials = make(map[string]*dialState)
 	p.dialsMu.Unlock()
 }
@@ -155,22 +152,22 @@ func (p *Pool) Observe(addr string, err error, latency time.Duration) {
 	}
 	opened, closed := br.record(callFailure(err), latency)
 	if opened || closed {
-		p.journalBreaker(addr, br, opened)
+		p.emitBreaker(addr, br, opened)
 	}
 }
 
-// journalBreaker emits breaker transition events.
-func (p *Pool) journalBreaker(addr string, br *breaker, opened bool) {
-	if p.journal == nil {
+// emitBreaker emits breaker transition events.
+func (p *Pool) emitBreaker(addr string, br *breaker, opened bool) {
+	if p.tracer == nil {
 		return
 	}
 	_, trips, errRate, lat := br.snapshot()
 	if opened {
-		p.journal.Emit(events.SevWarn, events.BreakerOpen, trips,
+		p.tracer.Emit(trace.SevWarn, trace.BreakerOpen, trips,
 			"peer %s: circuit breaker open (trip %d, err-rate %.2f, lat-ewma %s)",
 			addr, trips, errRate, lat.Round(time.Millisecond))
 	} else {
-		p.journal.Emit(events.SevInfo, events.BreakerClose, trips,
+		p.tracer.Emit(trace.SevInfo, trace.BreakerClose, trips,
 			"peer %s: circuit breaker closed after probe", addr)
 	}
 }
@@ -178,7 +175,7 @@ func (p *Pool) journalBreaker(addr string, br *breaker, opened bool) {
 // noteDial records a dial outcome for addr, emitting a DialFailure
 // event when failures persist past the per-address cooldown.
 func (p *Pool) noteDial(addr string, err error) {
-	if p.journal == nil {
+	if p.tracer == nil {
 		return
 	}
 	p.dialsMu.Lock()
@@ -200,7 +197,7 @@ func (p *Pool) noteDial(addr string, err error) {
 	}
 	p.dialsMu.Unlock()
 	if emit {
-		p.journal.Emit(events.SevWarn, events.DialFailure, fails,
+		p.tracer.Emit(trace.SevWarn, trace.DialFailure, fails,
 			"dial %s failing (%d consecutive): %v", addr, fails, err)
 	}
 }
@@ -276,7 +273,7 @@ func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error,
 		}
 		if br != nil && !errors.Is(err, context.Canceled) {
 			if opened, closed := br.record(callFailure(err), time.Since(start)); opened || closed {
-				p.journalBreaker(addr, br, opened)
+				p.emitBreaker(addr, br, opened)
 			}
 		}
 		if err == nil {

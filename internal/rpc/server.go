@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"blob/internal/events"
 	"blob/internal/stats"
 	"blob/internal/trace"
 )
@@ -29,10 +28,10 @@ func RegisterMethodName(method uint32, name string) {
 }
 
 func init() {
-	// trace and events cannot import rpc (rpc imports both), so their
-	// method ids are named here.
+	// trace cannot import rpc (rpc imports trace), so its method ids are
+	// named here.
 	RegisterMethodName(trace.MSpans, "trace.MSpans")
-	RegisterMethodName(events.MEvents, "events.MEvents")
+	RegisterMethodName(trace.MEvents, "trace.MEvents")
 }
 
 // MethodName returns the registered name for a method id, or a hex
@@ -145,10 +144,12 @@ func (s *Server) lookup(method uint32) (SegHandlerFunc, *trace.Tracer, *serverMe
 	return s.handlers[method], s.tracer, s.metrics
 }
 
-// SetTracer attaches a tracer: every incoming traced request gets a
-// server-side span named after its method, handlers run under a
-// context carrying the trace, and the trace.MSpans method is served
-// from the tracer's ring. Call at most once, before Serve.
+// SetTracer attaches the process's recorder: every incoming traced
+// request gets a server-side span named after its method, handlers run
+// under a context carrying the trace, and trace.MSpans and
+// trace.MEvents are served from the recorder's rings, so blobctl can
+// gather traces and the monitor can tail this node's state transitions.
+// Call at most once, before Serve.
 func (s *Server) SetTracer(t *trace.Tracer) {
 	if t == nil {
 		return
@@ -163,22 +164,12 @@ func (s *Server) SetTracer(t *trace.Tracer) {
 		}
 		return trace.EncodeSpans(t.SpansFor(id)), nil
 	})
-}
-
-// SetJournal attaches a cluster event journal: the events.MEvents
-// method is served from the journal's ring, so the monitor and blobctl
-// can tail this node's state transitions. Call at most once, before
-// Serve.
-func (s *Server) SetJournal(j *events.Journal) {
-	if !j.Enabled() {
-		return
-	}
-	s.Handle(events.MEvents, func(_ context.Context, body []byte) ([]byte, error) {
-		since, minSev, err := events.DecodeEventsQuery(body)
+	s.Handle(trace.MEvents, func(_ context.Context, body []byte) ([]byte, error) {
+		since, minSev, err := trace.DecodeEventsQuery(body)
 		if err != nil {
 			return nil, err
 		}
-		return events.EncodeEvents(j.LatestSeq(), j.EventsSince(since, minSev)), nil
+		return trace.EncodeEvents(t.Tail(since, minSev)), nil
 	})
 }
 

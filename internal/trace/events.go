@@ -1,30 +1,7 @@
-// Package events implements the cluster event journal: a structured,
-// severity-tagged record of cluster *state transitions* — elections,
-// heartbeat deaths, repair sweeps, compactions — as opposed to the
-// per-request spans kept by package trace. Every instrumented process
-// keeps a fixed-size ring of events (old entries are overwritten, so
-// memory is bounded at construction) and serves it over the MEvents
-// RPC; the monitor merges rings cluster-wide and blobctl tails them.
-//
-// The design mirrors trace.Tracer deliberately:
-//
-//   - A nil *Journal is a valid journal whose every method is a no-op,
-//     so emit sites need no nil branches and cost nothing when the
-//     journal is disabled.
-//   - Emitting is one short critical section copying a value into a
-//     preallocated ring slot.
-//   - Events are plain values: emitting copies them in, collection
-//     copies them out, and rings from different nodes merge by
-//     timestamp without coordination (each journal's Seq is only
-//     node-local, used for incremental tailing).
-//
-// The event schema, the full type table and the wire format are
-// specified in docs/observability.md.
-package events
+package trace
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -68,7 +45,7 @@ func ParseSeverity(s string) (Severity, error) {
 	case "error", "ERROR":
 		return SevError, nil
 	}
-	return 0, fmt.Errorf("events: unknown severity %q", s)
+	return 0, fmt.Errorf("trace: unknown severity %q", s)
 }
 
 // Type identifies what kind of transition an event records. The
@@ -182,11 +159,11 @@ func (t Type) String() string {
 
 // Event is one recorded transition. Events are plain values.
 type Event struct {
-	Seq  uint64   // journal-local, monotonically increasing from 1
+	Seq  uint64   // recorder-local, monotonically increasing from 1
 	Time int64    // unix nanoseconds
 	Sev  Severity //
 	Type Type     //
-	Node string   // the emitting journal's node name
+	Node string   // the emitting recorder's node name
 	Msg  string   // human-readable detail
 	Val  int64    // the type's numeric payload (see the constants)
 }
@@ -199,106 +176,47 @@ func (e Event) Format() string {
 	return fmt.Sprintf("%s %-5s %-16s %-20s %s", ts, e.Sev, e.Node, e.Type, e.Msg)
 }
 
-// Journal records events for one node (one logical process; in a netsim
-// cluster every simulated node has its own). The nil journal and the
-// zero ring are both valid and record nothing.
-type Journal struct {
-	node string
-
-	mu   sync.Mutex
-	ring []Event
-	next uint64 // total events ever emitted; ring slot = next % len(ring)
-}
-
-// DefaultRing is the per-process ring size used when a caller passes 0.
-// Events are far rarer than spans, so the ring is smaller than trace's.
-const DefaultRing = 1024
-
-// NewJournal creates a journal for the named node with a ring of
-// ringSize events (0 selects DefaultRing, negative disables recording).
-func NewJournal(node string, ringSize int) *Journal {
-	if ringSize == 0 {
-		ringSize = DefaultRing
-	}
-	if ringSize < 0 {
-		ringSize = 0
-	}
-	return &Journal{node: node, ring: make([]Event, ringSize)}
-}
-
-// Node returns the journal's node name ("" for a nil journal).
-func (j *Journal) Node() string {
-	if j == nil {
-		return ""
-	}
-	return j.node
-}
-
-// Enabled reports whether the journal records at all.
-func (j *Journal) Enabled() bool { return j != nil && len(j.ring) > 0 }
-
 // Emit records an event. The format and args build Msg; val carries the
-// type's numeric payload. Safe on a nil journal.
-func (j *Journal) Emit(sev Severity, typ Type, val int64, format string, args ...any) {
-	if j == nil || len(j.ring) == 0 {
+// type's numeric payload. Safe on a nil tracer.
+func (t *Tracer) Emit(sev Severity, typ Type, val int64, format string, args ...any) {
+	if t == nil {
 		return
 	}
-	e := Event{
+	t.events.push(Event{
 		Time: time.Now().UnixNano(),
 		Sev:  sev,
 		Type: typ,
-		Node: j.node,
+		Node: t.node,
 		Msg:  fmt.Sprintf(format, args...),
 		Val:  val,
-	}
-	j.mu.Lock()
-	e.Seq = j.next + 1
-	j.ring[j.next%uint64(len(j.ring))] = e
-	j.next++
-	j.mu.Unlock()
+	})
 }
 
-// LatestSeq returns the newest sequence number ever emitted (0 when
-// nothing was, or on a nil journal).
-func (j *Journal) LatestSeq() uint64 {
-	if j == nil {
-		return 0
+// EventTail is one answer to the incremental-tail query: the events
+// newer than the asker's cursor, the newest sequence number the
+// recorder ever emitted (whatever the filter dropped), and the
+// recorder's incarnation. A process restart draws a new incarnation and
+// numbers its events from 1 again, so a poller whose cursor came from
+// another incarnation must start over from 0.
+type EventTail struct {
+	Incarnation uint64
+	Latest      uint64
+	Events      []Event
+}
+
+// Tail returns the events with Seq > since and severity >= minSev,
+// oldest first. A follower remembers the Latest and Incarnation it saw
+// per node and asks for what is new. A nil tracer has an empty tail.
+func (t *Tracer) Tail(since uint64, minSev Severity) EventTail {
+	if t == nil {
+		return EventTail{}
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next
+	evs, latest := t.events.since(since, func(seq uint64, e *Event) bool {
+		e.Seq = seq
+		return e.Sev >= minSev
+	})
+	return EventTail{Incarnation: t.seed, Latest: latest, Events: evs}
 }
 
 // Events returns a copy of every live event, oldest first.
-func (j *Journal) Events() []Event {
-	return j.EventsSince(0, SevInfo)
-}
-
-// EventsSince returns events with Seq > sinceSeq and severity >= minSev,
-// oldest first. This is the incremental-tail query: a follower remembers
-// the last Seq it saw per node and asks for what's new.
-func (j *Journal) EventsSince(sinceSeq uint64, minSev Severity) []Event {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := uint64(len(j.ring))
-	if n == 0 {
-		return nil
-	}
-	count := j.next
-	if count > n {
-		count = n
-	}
-	out := make([]Event, 0, count)
-	start := j.next - count
-	for i := uint64(0); i < count; i++ {
-		e := j.ring[(start+i)%n]
-		if e.Seq == 0 || e.Seq <= sinceSeq || e.Sev < minSev {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
+func (t *Tracer) Events() []Event { return t.Tail(0, SevInfo).Events }

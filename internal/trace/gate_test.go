@@ -1,4 +1,4 @@
-package events
+package trace
 
 import (
 	"go/ast"
@@ -20,7 +20,7 @@ func eventTypeConstants(t *testing.T) []string {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
-		t.Fatalf("parse events package: %v", err)
+		t.Fatalf("parse trace package: %v", err)
 	}
 	var names []string
 	for _, pkg := range pkgs {
@@ -81,7 +81,7 @@ func TestEventTypesCovered(t *testing.T) {
 	}
 
 	// (b) Emit-site coverage: scan every non-test .go file in the repo
-	// outside this package for "events.<Name>".
+	// outside this package for "trace.<Name>".
 	root := filepath.Join("..", "..")
 	used := make(map[string]bool, len(names))
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -89,7 +89,7 @@ func TestEventTypesCovered(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == ".git" || d.Name() == "events" {
+			if d.Name() == ".git" || d.Name() == "trace" {
 				return filepath.SkipDir
 			}
 			return nil
@@ -102,7 +102,7 @@ func TestEventTypesCovered(t *testing.T) {
 			return err
 		}
 		for _, n := range names {
-			if !used[n] && strings.Contains(string(src), "events."+n) {
+			if !used[n] && strings.Contains(string(src), "trace."+n) {
 				used[n] = true
 			}
 		}
@@ -113,7 +113,7 @@ func TestEventTypesCovered(t *testing.T) {
 	}
 	for _, n := range names {
 		if !used[n] {
-			t.Errorf("event type %s has no emit site outside internal/events", n)
+			t.Errorf("event type %s has no emit site outside internal/trace", n)
 		}
 	}
 }

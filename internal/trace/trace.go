@@ -1,9 +1,13 @@
-// Package trace implements end-to-end request tracing for the system:
-// allocation-free span recording into a fixed-size per-process ring
-// buffer, trace-context propagation through context.Context and (via the
-// rpc layer's optional frame-header extension) across processes, and the
-// reconstruction of a single operation's span tree from the buffers of
-// every node it touched.
+// Package trace is every process's one recorder. A Tracer keeps two
+// record types in fixed-size rings: the spans of end-to-end request
+// traces, and the cluster events — structured, severity-tagged state
+// transitions such as elections, heartbeat deaths, repair sweeps and
+// compactions. It also propagates trace context through
+// context.Context and (via the rpc layer's optional frame-header
+// extension) across processes, and rebuilds one operation's span tree
+// from the rings of every node it touched. Each process serves both
+// rings over MSpans and MEvents; the monitor merges event tails
+// cluster-wide and blobctl gathers traces.
 //
 // The design goals, in order:
 //
@@ -11,18 +15,20 @@
 //     every method is a no-op, and an unsampled operation allocates
 //     nothing: Root returns the caller's context unchanged and a nil
 //     *Op whose methods are nil-receiver no-ops.
-//   - Cheap when sampled. Recording a span is one short critical
-//     section copying a value into a preallocated ring slot; the ring
-//     never grows and old spans are overwritten, so a tracer's memory
-//     is fixed at construction.
+//   - Cheap when recording. Recording a span or an event is one short
+//     critical section copying a value into a ring slot; a ring never
+//     grows and overwrites its oldest records, so a tracer's memory is
+//     bounded at construction.
 //   - Reconstructible. Span and trace identities are 64-bit values
 //     drawn from a per-tracer splitmix64 sequence seeded randomly, so
 //     ids minted by different processes never need coordination; a
 //     trace id plus the parent-span links are enough to rebuild the
-//     tree from any mix of buffers (BuildTree).
+//     tree from any mix of buffers (BuildTree). Events from different
+//     nodes merge by timestamp; each tracer's event Seq is node-local,
+//     used for incremental tailing.
 //
-// Wire format and propagation rules are specified in
-// docs/observability.md.
+// The event schema, the wire formats and the propagation rules are
+// specified in docs/observability.md.
 package trace
 
 import (
@@ -32,7 +38,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -62,59 +67,57 @@ type Span struct {
 	Note    string // annotations: error text, retry/degraded markers
 }
 
-// Tracer records spans for one node (one logical process: in a netsim
-// cluster every simulated node has its own). The zero ring size and the
-// nil tracer are both valid and record nothing.
+// Tracer is a process's one recorder (in a netsim cluster every
+// simulated process has its own): the spans of the traces that reach the
+// process, and the cluster events it emits (events.go), each in a
+// fixed-size ring. The nil tracer is valid and records nothing.
 type Tracer struct {
 	node string
 
-	mu   sync.Mutex
-	ring []Span
-	next uint64 // total spans ever recorded; ring slot = next % len(ring)
+	spans  ring[Span]
+	events ring[Event]
 
+	// seed starts the id sequence and, drawn afresh by every New, names
+	// the recorder's incarnation in event tails.
 	seed uint64
 	ctr  atomic.Uint64
 
 	// sampleEvery selects which Root calls start a trace: 0 never, 1
-	// always, N every Nth. Child spans follow their parent regardless.
+	// always, N every Nth. Spans of traces that reach the process from
+	// elsewhere are recorded regardless.
 	sampleEvery uint32
 	rootCtr     atomic.Uint32
 }
 
-// DefaultRing is the per-process ring size used when a caller passes 0.
-const DefaultRing = 4096
+// The per-process ring sizes. Events are far rarer than spans, so their
+// ring is the smaller one.
+const (
+	SpanRing  = 4096
+	EventRing = 1024
+)
 
-// New creates a tracer for the named node with a ring of ringSize spans
-// (0 selects DefaultRing) sampling one in sampleEvery root operations
-// (0 disables root sampling entirely, 1 traces everything).
+// New creates a tracer for the named node sampling one in sampleEvery
+// root operations (0 starts no traces of its own, 1 traces everything).
+// ringSize caps both rings; 0 selects SpanRing and EventRing (tests use
+// small rings).
 func New(node string, ringSize, sampleEvery int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRing
-	}
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
 		// Monotonic fallback: ids stay unique within the process.
 		binary.LittleEndian.PutUint64(b[:], uint64(time.Now().UnixNano()))
 	}
-	return &Tracer{
+	t := &Tracer{
 		node:        node,
-		ring:        make([]Span, ringSize),
+		spans:       ring[Span]{size: SpanRing},
+		events:      ring[Event]{size: EventRing},
 		seed:        binary.LittleEndian.Uint64(b[:]),
 		sampleEvery: uint32(sampleEvery),
 	}
-}
-
-// Node returns the tracer's node name ("" for a nil tracer).
-func (t *Tracer) Node() string {
-	if t == nil {
-		return ""
+	if ringSize > 0 {
+		t.spans.size, t.events.size = ringSize, ringSize
 	}
-	return t.node
+	return t
 }
-
-// Enabled reports whether the tracer can record at all (it may still
-// sample no roots of its own while recording propagated child spans).
-func (t *Tracer) Enabled() bool { return t != nil && len(t.ring) > 0 }
 
 // mix is the splitmix64 finalizer: a bijective scramble of the counter
 // so ids from a random seed are uniformly spread.
@@ -148,16 +151,6 @@ func (t *Tracer) sampleRoot() bool {
 	}
 }
 
-// record copies sp into the ring.
-func (t *Tracer) record(sp Span) {
-	t.mu.Lock()
-	if n := len(t.ring); n > 0 {
-		t.ring[t.next%uint64(n)] = sp
-		t.next++
-	}
-	t.mu.Unlock()
-}
-
 // Spans returns a copy of every live span in the ring, oldest first.
 func (t *Tracer) Spans() []Span {
 	return t.SpansFor(0)
@@ -169,29 +162,10 @@ func (t *Tracer) SpansFor(traceID uint64) []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := uint64(len(t.ring))
-	if n == 0 {
-		return nil
-	}
-	count := t.next
-	if count > n {
-		count = n
-	}
-	out := make([]Span, 0, count)
-	start := t.next - count
-	for i := uint64(0); i < count; i++ {
-		sp := t.ring[(start+i)%n]
-		if sp.ID == 0 {
-			continue
-		}
-		if traceID != 0 && sp.TraceID != traceID {
-			continue
-		}
-		out = append(out, sp)
-	}
-	return out
+	spans, _ := t.spans.since(0, func(_ uint64, sp *Span) bool {
+		return traceID == 0 || sp.TraceID == traceID
+	})
+	return spans
 }
 
 // Op is one in-progress span. A nil *Op (untraced operation) is valid:
@@ -234,33 +208,19 @@ func FromContext(ctx context.Context) Ctx {
 // and the root Op; for a nil tracer or an unsampled call both are
 // passed through untouched with a nil Op and zero allocations.
 func (t *Tracer) Root(ctx context.Context, name string) (context.Context, *Op) {
-	if t == nil || len(t.ring) == 0 || !t.sampleRoot() {
+	if t == nil || !t.sampleRoot() {
 		return ctx, nil
 	}
-	op := &Op{t: t, span: Span{
-		TraceID: t.newID(),
-		ID:      t.newID(),
-		Name:    name,
-		Node:    t.node,
-		Start:   time.Now().UnixNano(),
-	}}
-	return ContextWith(ctx, t, Ctx{TraceID: op.span.TraceID, SpanID: op.span.ID}), op
+	return t.ForceRoot(ctx, name)
 }
 
 // ForceRoot begins a trace unconditionally (blobctl trace and tests),
 // bypassing sampling. Nil tracers still return a nil Op.
 func (t *Tracer) ForceRoot(ctx context.Context, name string) (context.Context, *Op) {
-	if t == nil || len(t.ring) == 0 {
+	if t == nil {
 		return ctx, nil
 	}
-	op := &Op{t: t, span: Span{
-		TraceID: t.newID(),
-		ID:      t.newID(),
-		Name:    name,
-		Node:    t.node,
-		Start:   time.Now().UnixNano(),
-	}}
-	return ContextWith(ctx, t, Ctx{TraceID: op.span.TraceID, SpanID: op.span.ID}), op
+	return t.begin(ctx, Ctx{TraceID: t.newID()}, name)
 }
 
 // Start begins a child span of whatever trace ctx carries. Untraced
@@ -268,18 +228,10 @@ func (t *Tracer) ForceRoot(ctx context.Context, name string) (context.Context, *
 // return ctx unchanged and a nil Op, allocation-free.
 func Start(ctx context.Context, name string) (context.Context, *Op) {
 	v, ok := ctx.Value(ctxKey{}).(ctxVal)
-	if !ok || v.t == nil || v.c.Zero() {
+	if !ok {
 		return ctx, nil
 	}
-	op := &Op{t: v.t, span: Span{
-		TraceID: v.c.TraceID,
-		ID:      v.t.newID(),
-		Parent:  v.c.SpanID,
-		Name:    name,
-		Node:    v.t.node,
-		Start:   time.Now().UnixNano(),
-	}}
-	return ContextWith(ctx, v.t, Ctx{TraceID: v.c.TraceID, SpanID: op.span.ID}), op
+	return v.t.Resume(ctx, v.c, name)
 }
 
 // Resume begins a span under an explicitly propagated parent — the rpc
@@ -287,9 +239,15 @@ func Start(ctx context.Context, name string) (context.Context, *Op) {
 // context carries the tracer and the new span as parent for everything
 // the handler does.
 func (t *Tracer) Resume(ctx context.Context, parent Ctx, name string) (context.Context, *Op) {
-	if t == nil || len(t.ring) == 0 || parent.Zero() {
+	if t == nil || parent.Zero() {
 		return ctx, nil
 	}
+	return t.begin(ctx, parent, name)
+}
+
+// begin opens a span of parent's trace under parent's span (none for a
+// fresh root) and returns a context carrying it.
+func (t *Tracer) begin(ctx context.Context, parent Ctx, name string) (context.Context, *Op) {
 	op := &Op{t: t, span: Span{
 		TraceID: parent.TraceID,
 		ID:      t.newID(),
@@ -298,7 +256,7 @@ func (t *Tracer) Resume(ctx context.Context, parent Ctx, name string) (context.C
 		Node:    t.node,
 		Start:   time.Now().UnixNano(),
 	}}
-	return ContextWith(ctx, t, Ctx{TraceID: parent.TraceID, SpanID: op.span.ID}), op
+	return ContextWith(ctx, t, op.Ctx()), op
 }
 
 // Ctx returns the op's trace context (zero for a nil Op).
@@ -350,7 +308,7 @@ func (o *Op) End() {
 		return
 	}
 	o.span.Dur = time.Now().UnixNano() - o.span.Start
-	o.t.record(o.span)
+	o.t.spans.push(o.span)
 }
 
 // EndErr completes the span, annotating it with err when non-nil.

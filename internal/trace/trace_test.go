@@ -122,24 +122,6 @@ func TestSpanTreeAcrossTracers(t *testing.T) {
 	}
 }
 
-// TestRingOverwrite pins the fixed-size semantics: the ring keeps the
-// newest spans and SpansFor never returns more than its capacity.
-func TestRingOverwrite(t *testing.T) {
-	tr := New("n", 4, 1)
-	for i := 0; i < 10; i++ {
-		_, op := tr.Root(context.Background(), "op")
-		op.AddBytes(int64(i))
-		op.End()
-	}
-	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("ring returned %d spans, want 4", len(spans))
-	}
-	if spans[0].Bytes != 6 || spans[3].Bytes != 9 {
-		t.Fatalf("ring kept wrong window: first=%d last=%d", spans[0].Bytes, spans[3].Bytes)
-	}
-}
-
 // TestConcurrentRecording is the -race stress gate on the ring buffer:
 // many goroutines record while others snapshot.
 func TestConcurrentRecording(t *testing.T) {

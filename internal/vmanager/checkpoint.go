@@ -89,7 +89,7 @@ func Restore(raw []byte, cfg Config) (*Manager, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID = dec.Uint64()
-	nblobs := int(dec.Uvarint())
+	nblobs := dec.Count(5*8 + 2 + 3) // five u64s, the k/m bytes, three counts
 	for i := 0; i < nblobs; i++ {
 		id := dec.Uint64()
 		b := &blobState{

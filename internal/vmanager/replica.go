@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"blob/internal/erasure"
-	"blob/internal/events"
 	"blob/internal/meta"
 	"blob/internal/rpc"
+	"blob/internal/trace"
 	"blob/internal/wire"
 )
 
@@ -126,9 +126,9 @@ type ReplicaConfig struct {
 	Manager Config
 	// Logf, if set, receives handoff/resync events.
 	Logf func(format string, args ...any)
-	// Journal, if set, records cluster events (elections, term
+	// Tracer, if set, records cluster events (elections, term
 	// changes, truncation, snapshot installs) for the monitor plane.
-	Journal *events.Journal
+	Tracer *trace.Tracer
 }
 
 func (c *ReplicaConfig) defaults() {
@@ -292,9 +292,9 @@ func (r *Replica) logf(format string, args ...any) {
 }
 
 // emit records a cluster event prefixed with this replica's identity.
-// Safe when no journal is configured.
-func (r *Replica) emit(sev events.Severity, typ events.Type, val int64, format string, args ...any) {
-	r.cfg.Journal.Emit(sev, typ, val, "s%dr%d: "+format, append([]any{r.cfg.Shard, r.cfg.Index}, args...)...)
+// Safe when no tracer is configured.
+func (r *Replica) emit(sev trace.Severity, typ trace.Type, val int64, format string, args ...any) {
+	r.cfg.Tracer.Emit(sev, typ, val, "s%dr%d: "+format, append([]any{r.cfg.Shard, r.cfg.Index}, args...)...)
 }
 
 // leaderLocked gates a client call on this replica being the live
@@ -349,7 +349,7 @@ func (r *Replica) truncateLocked() {
 	drop := len(r.log) - r.cfg.MaxLogRecords/2
 	r.logBase += uint64(drop)
 	r.log = append([]LogRecord(nil), r.log[drop:]...)
-	r.emit(events.SevInfo, events.LogTruncate, int64(drop),
+	r.emit(trace.SevInfo, trace.LogTruncate, int64(drop),
 		"dropped %d publish-log records (base now %d)", drop, r.logBase)
 }
 
@@ -367,10 +367,10 @@ func (r *Replica) stepDownLocked(term uint64, leaderIdx int) {
 		r.needResync = true
 		r.mgr.SetPassive(true)
 		r.logf("stepping down to follower of r%d at term %d (resync pending)", leaderIdx, term)
-		r.emit(events.SevWarn, events.ElectionLost, int64(term),
+		r.emit(trace.SevWarn, trace.ElectionLost, int64(term),
 			"deposed; following r%d at term %d", leaderIdx, term)
 	} else if termChanged {
-		r.emit(events.SevInfo, events.TermChange, int64(term),
+		r.emit(trace.SevInfo, trace.TermChange, int64(term),
 			"adopted term %d under leader r%d", term, leaderIdx)
 	}
 	r.broadcastLocked()
@@ -870,7 +870,7 @@ func (r *Replica) installLocked(seq uint64, ckpt []byte) error {
 	r.logBase = seq
 	r.needResync = false
 	r.logf("installed snapshot at seq %d", seq)
-	r.emit(events.SevInfo, events.SnapshotInstall, int64(seq),
+	r.emit(trace.SevInfo, trace.SnapshotInstall, int64(seq),
 		"installed leader snapshot at seq %d", seq)
 	go old.Close()
 	return nil
@@ -1138,7 +1138,7 @@ func (r *Replica) campaign(startTerm uint64) {
 	term := r.term
 	r.mu.Unlock()
 	r.logf("promoted to leader at term %d", term)
-	r.emit(events.SevInfo, events.ElectionWon, int64(term), "leads at term %d", term)
+	r.emit(trace.SevInfo, trace.ElectionWon, int64(term), "leads at term %d", term)
 
 	// Finish what the dead leader started: fill any version that was
 	// abort-marked but never repaired.
