@@ -6,15 +6,18 @@ package core
 // one group outlives its provider's adaptive hedge delay (~p95 of that
 // provider's recent latency, latency.go), the same pages are requested
 // from each page's next replica into scratch buffers and whichever
-// usable response lands first serves the page. The straggler is never
-// decoded after a hedge wins — its eventual completion is drained in
-// the background, where it still feeds the provider's breaker — so one
-// stalled replica costs a read roughly one hedge delay instead of a
-// full RPC timeout. Erasure-coded blobs hedge differently: a stripe
-// decodes from any k of its shards, so a read stops waiting for a
-// straggling shard fetch and serves its pages by stripe reconstruction
-// from the other survivors — falling back to the straggler's own answer
-// only when fewer than k others turn up (striped.go).
+// usable response lands first serves the page. A group's own fetch
+// reads its answer straight into the read's buffer, so once the hedges
+// have won the straggler is detached — its answer discarded unread, or
+// its connection cut if the answer is already arriving — and its
+// eventual completion is drained in the background, where it still
+// feeds the provider's breaker: one stalled replica costs a read roughly
+// one hedge delay instead of a full RPC timeout. Erasure-coded blobs
+// hedge differently: a stripe decodes from any k of its shards, so a
+// read stops waiting for a straggling shard fetch and serves its pages
+// by stripe reconstruction from the other survivors — falling back to
+// the straggler's own answer only when fewer than k others turn up
+// (striped.go).
 
 import (
 	"context"
@@ -37,17 +40,19 @@ type fetchItem struct {
 	missed []uint32
 }
 
-// fetchGroup batches one provider's page fetches for a tier wave.
+// fetchGroup batches one provider's page fetches for a tier wave. pages
+// is the fetch's sink: it reads the answer's payloads straight into the
+// items' dsts and records their outcomes.
 type fetchGroup struct {
 	refs  []provider.PageRef
 	items []fetchItem
-	dsts  [][]byte
+	pages provider.PagesInto
 }
 
 // hedgeSub is one hedge sub-request: the slice of a straggling group's
-// pages whose next replica is the same provider. Hedge responses land
-// in scratch buffers, never the caller's dst — the straggler may still
-// be decoded there if it responds first.
+// pages whose next replica is the same provider. Hedge answers land in
+// scratch buffers, never the caller's dst — the straggler's sink may
+// still write there until it completes or is detached.
 type hedgeSub struct {
 	addr string
 	refs []provider.PageRef
@@ -56,11 +61,27 @@ type hedgeSub struct {
 }
 
 // waitPrimary waits a group's fetch out, feeding its latency and
-// outcome to the latency tracker and the provider's breaker.
-func (b *Blob) waitPrimary(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) ([]byte, error) {
-	resp, err := pd.Wait(ctx)
+// outcome to the latency tracker and the provider's breaker. The
+// outcome includes the sink's: an answer that does not parse counts as
+// the provider failing.
+func (b *Blob) waitPrimary(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) error {
+	_, err := pd.Wait(ctx)
 	b.c.observeFetch(addr, err, time.Since(dispatched))
-	return resp, err
+	return err
+}
+
+// waitPagesInto waits out a page fetch whose answer lands in a pooled
+// buffer (hedges, striped reads) and decodes it into dsts. As with
+// waitPrimary, an answer that does not parse counts as the provider
+// failing, for the breaker too.
+func (b *Blob) waitPagesInto(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time, dsts [][]byte, status []provider.PageStatus) error {
+	resp, err := pd.Wait(ctx)
+	if err == nil {
+		err = provider.DecodeGetPagesInto(resp, dsts, status)
+		pd.Release()
+	}
+	b.c.observeFetch(addr, err, time.Since(dispatched))
+	return err
 }
 
 // drainTimeout bounds how long an abandoned straggler is waited on for
@@ -70,12 +91,14 @@ func (b *Blob) waitPrimary(ctx context.Context, pd *rpc.Pending, addr string, di
 // still accumulates evidence.
 const drainTimeout = time.Second
 
-// abandonFetch stops waiting for a straggler and drains it in the
-// background: its eventual outcome — success, error, or the drain
-// timing out — still reaches the breaker, so a provider that stalls
-// every call accumulates evidence even though no read ever waits it
-// out.
+// abandonFetch stops waiting for a straggler. It detaches the call
+// first, so the call's sink never writes after abandonFetch returns,
+// then drains it in the background: its eventual outcome — success,
+// error, or the drain timing out — still reaches the breaker, so a
+// provider that stalls every call accumulates evidence even though no
+// read ever waits it out.
 func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) {
+	pd.Detach()
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
@@ -85,41 +108,38 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 	}()
 }
 
-// waitFetchHedged waits for one replicated group's page fetch. When
-// the response outlives the provider's adaptive hedge delay, the same
-// pages are requested from each page's next replica tier; hedge
-// responses that arrive first populate hedged (scratch page bytes,
-// checksum-verified), and once every page is hedge-served the
-// straggler is abandoned.
+// waitFetchHedged waits for one replicated group's page fetch, whose
+// sink reads the answer straight into the items' dsts. When the answer
+// outlives the provider's adaptive hedge delay, the same pages are
+// requested from each page's next replica tier; hedge answers that
+// arrive first populate hedged (scratch page bytes, checksum-verified),
+// and once every page is hedge-served the straggler is abandoned.
 //
-// Returns the primary response exactly as Pending.Wait would
-// (resp, err), plus hedged[j] — non-nil page bytes for items the hedge
-// served, which the caller prefers when the primary failed those items
-// — and abandoned, true when the hedge served everything and the
-// primary was never decoded (resp and err are then both nil).
-func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, tier int, dispatched time.Time, fop *trace.Op) (resp []byte, err error, hedged [][]byte, abandoned bool) {
+// It returns hedged[j] — non-nil page bytes for items the hedge served,
+// which the caller prefers when the primary failed those items —,
+// abandoned, true when the hedge served everything and the primary was
+// detached, and the primary's error as Pending.Wait returned it. Unless
+// abandoned is set or err is ctx's, the primary has completed.
+func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, tier int, dispatched time.Time, fop *trace.Op) (hedged [][]byte, abandoned bool, err error) {
 	c := b.c
 	if c.opts.DisableHedging {
-		resp, err = b.waitPrimary(ctx, pd, addr, dispatched)
-		return resp, err, nil, false
+		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 	}
 	if delay := c.lat.hedgeDelay(addr) - time.Since(dispatched); delay > 0 {
 		t := time.NewTimer(delay)
 		select {
 		case <-pd.Done():
 			t.Stop()
-			resp, err = b.waitPrimary(ctx, pd, addr, dispatched)
-			return resp, err, nil, false
+			return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 		case <-ctx.Done():
 			t.Stop()
-			return nil, ctx.Err(), nil, false
+			return nil, false, ctx.Err()
 		case <-t.C:
 		}
 	} else {
 		select {
 		case <-pd.Done():
-			resp, err = b.waitPrimary(ctx, pd, addr, dispatched)
-			return resp, err, nil, false
+			return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 		default:
 		}
 	}
@@ -151,8 +171,7 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 	if len(subs) == 0 {
 		// Nowhere to hedge: the straggler is these pages' only hope at
 		// this tier; wait it out.
-		resp, err = b.waitPrimary(ctx, pd, addr, dispatched)
-		return resp, err, nil, false
+		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 	}
 
 	hpend := make([]*rpc.Pending, 0, len(subs))
@@ -161,7 +180,7 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		fop.Notef("hedge: %d pages -> %s", len(s.refs), s.addr)
 		c.HedgedReads.Inc()
 		hpend = append(hpend, c.pool.Go(ctx, s.addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(s.refs)}))
+			[][]byte{provider.EncodeGetPages(s.refs)}, nil))
 		hsubs = append(hsubs, s)
 	}
 	hstart := time.Now()
@@ -192,25 +211,18 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		case <-pd.Done():
 			// The straggler beat the remaining hedges after all: it wins
 			// whatever the hedges have not already served.
-			resp, err = b.waitPrimary(ctx, pd, addr, dispatched)
+			err = b.waitPrimary(ctx, pd, addr, dispatched)
 			drainRest()
-			return resp, err, hedged, false
+			return hedged, false, err
 		case <-ctx.Done():
 			drainRest()
-			return nil, ctx.Err(), hedged, false
+			return hedged, false, ctx.Err()
 		case i := <-hdone:
 			processed[i] = true
 			outstanding--
 			s := hsubs[i]
-			hresp, herr := hpend[i].Wait(ctx)
-			c.observeFetch(s.addr, herr, time.Since(hstart))
-			if herr != nil {
-				continue
-			}
 			status := make([]provider.PageStatus, len(s.refs))
-			derr := provider.DecodeGetPagesInto(hresp, s.dsts, status)
-			hpend[i].Release()
-			if derr != nil {
+			if b.waitPagesInto(ctx, hpend[i], s.addr, hstart, s.dsts, status) != nil {
 				continue
 			}
 			for k, st := range status {
@@ -224,15 +236,14 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			if served == len(g.items) {
 				fop.Notef("hedge win: %d pages, straggler %s abandoned", served, addr)
 				b.abandonFetch(pd, addr, dispatched)
-				return nil, nil, hedged, true
+				return hedged, true, nil
 			}
 		}
 	}
 	// Every hedge landed without covering everything (misses, or pages
 	// with no next replica): the straggler is still those pages' tier —
 	// wait it out.
-	resp, err = b.waitPrimary(ctx, pd, addr, dispatched)
-	return resp, err, hedged, false
+	return hedged, false, b.waitPrimary(ctx, pd, addr, dispatched)
 }
 
 // errShardHedged marks a striped shard fetch that outlived its hedge
@@ -240,34 +251,35 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 // reconstruction and keeps the fetch's Pending as a straggler.
 var errShardHedged = errors.New("core: shard fetch hedged to stripe reconstruction")
 
-// waitShardHedged waits for a striped group's direct shard fetch, but
-// only up to the provider's adaptive hedge delay: an erasure-coded
-// read rarely needs any one provider, so the caller stops waiting for a
-// straggler and serves its pages by decoding the stripe's other shards
-// — the rs(k,m) form of a hedged read. Returns errShardHedged for a
-// straggler, whose Pending stays live and the caller's to settle.
-func (b *Blob) waitShardHedged(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) ([]byte, error) {
+// waitShardHedged waits for a striped group's direct shard fetch to
+// complete, but only up to the provider's adaptive hedge delay: an
+// erasure-coded read rarely needs any one provider, so the caller stops
+// waiting for a straggler and serves its pages by decoding the stripe's
+// other shards — the rs(k,m) form of a hedged read. It returns nil once
+// the answer is in (the caller decodes it), errShardHedged for a
+// straggler, whose Pending stays live and the caller's to settle, or
+// ctx's error.
+func (b *Blob) waitShardHedged(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) error {
 	if b.c.opts.DisableHedging {
-		return b.waitPrimary(ctx, pd, addr, dispatched)
+		return nil
 	}
 	if delay := b.c.lat.hedgeDelay(addr) - time.Since(dispatched); delay > 0 {
 		t := time.NewTimer(delay)
+		defer t.Stop()
 		select {
 		case <-pd.Done():
-			t.Stop()
-			return b.waitPrimary(ctx, pd, addr, dispatched)
+			return nil
 		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-t.C:
 		}
 	} else {
 		select {
 		case <-pd.Done():
-			return b.waitPrimary(ctx, pd, addr, dispatched)
+			return nil
 		default:
 		}
 	}
 	b.c.HedgedReads.Inc()
-	return nil, errShardHedged
+	return errShardHedged
 }

@@ -207,6 +207,19 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 	}
 
 	var repairs []readRepair
+	// pend holds the current tier's fetches, whose sinks read their
+	// answers straight into buf until they complete. A failing read —
+	// a cancelled ctx, any error return — detaches them before it
+	// returns, so nothing lands in buf once the read has returned (a
+	// hedge win detaches its straggler itself, in abandonFetch).
+	var pend []*rpc.Pending
+	defer func() {
+		if err != nil {
+			for _, p := range pend {
+				p.Detach()
+			}
+		}
+	}()
 
 	// Replica tiers: try everyone's first replica in one parallel wave,
 	// then the second replica for whatever failed, and so on. A page
@@ -264,7 +277,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				g = &fetchGroup{
 					refs:  make([]provider.PageRef, 0, n),
 					items: make([]fetchItem, 0, n),
-					dsts:  make([][]byte, 0, n),
+					pages: provider.PagesInto{Dsts: make([][]byte, 0, n)},
 				}
 				groups[id] = g
 			}
@@ -272,10 +285,14 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.leaf.Leaf.RelPage,
 			})
 			g.items = append(g.items, it)
-			g.dsts = append(g.dsts, it.dst)
+			g.pages.Dsts = append(g.pages.Dsts, it.dst)
 		}
 
-		pend := make([]*rpc.Pending, 0, len(groups))
+		// Each group's sink records its pages' outcomes in its share of
+		// one status slab; the sinks run concurrently, on the groups'
+		// connections.
+		status := make([]provider.PageStatus, len(remaining)-len(next))
+		pend = make([]*rpc.Pending, 0, len(groups))
 		gs := make([]*fetchGroup, 0, len(groups))
 		ids := make([]uint32, 0, len(groups))
 		addrs := make([]string, 0, len(groups))
@@ -286,8 +303,9 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				next = append(next, g.items...)
 				continue
 			}
+			g.pages.Status, status = status[:len(g.refs)], status[len(g.refs):]
 			pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages,
-				[][]byte{provider.EncodeGetPages(g.refs)}))
+				[][]byte{provider.EncodeGetPages(g.refs)}, &g.pages))
 			gs = append(gs, g)
 			ids = append(ids, id)
 			addrs = append(addrs, addr)
@@ -319,15 +337,8 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				})
 			}
 		}
-		// One status scratch serves every group: the wait loop decodes
-		// sequentially.
-		maxGroup := 0
-		for _, g := range gs {
-			maxGroup = max(maxGroup, len(g.refs))
-		}
-		status := make([]provider.PageStatus, maxGroup)
 		for i, p := range pend {
-			resp, err, hedged, abandoned := b.waitFetchHedged(ctx, p, gs[i], addrs[i], tier, dispatched, fop)
+			hedged, abandoned, err := b.waitFetchHedged(ctx, p, gs[i], addrs[i], tier, dispatched, fop)
 			// serveHedged serves item j from verified hedge bytes when
 			// the hedge produced them — the first-usable-response-wins
 			// half of the race the primary lost (or failed).
@@ -342,7 +353,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 			}
 			if abandoned {
 				// Every page of the group was hedge-served; the
-				// straggling primary was never decoded.
+				// straggling primary was detached unread.
 				for j, it := range gs[i].items {
 					serveHedged(j, it)
 				}
@@ -352,6 +363,8 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
+				// A transport failure, an error answer or an answer that
+				// does not parse: the group failed on this replica.
 				for j, it := range gs[i].items {
 					if !serveHedged(j, it) {
 						next = append(next, it)
@@ -359,14 +372,8 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				}
 				continue
 			}
-			// Pages land straight in their destination slices; the pooled
-			// response frame goes back immediately.
-			err = provider.DecodeGetPagesInto(resp, gs[i].dsts, status[:len(gs[i].refs)])
-			p.Release()
-			if err != nil {
-				return err
-			}
-			for j, st := range status[:len(gs[i].refs)] {
+			// The sink read each page straight into its destination.
+			for j, st := range gs[i].pages.Status {
 				it := gs[i].items[j]
 				switch {
 				case st == provider.PageMissing:

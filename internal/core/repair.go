@@ -184,7 +184,7 @@ func (c *Client) scheduleReadRepair(blob uint64, repairs []readRepair) {
 				continue // provider gone: the repair agent will handle it
 			}
 			segs := provider.EncodePutPagesVec(blob, k.write, bt.rels, bt.datas)
-			if _, err := c.pool.Go(ctx, addr, provider.MPutPages, segs).Wait(ctx); err == nil {
+			if _, err := c.pool.Go(ctx, addr, provider.MPutPages, segs, nil).Wait(ctx); err == nil {
 				c.ReadRepairs.Add(int64(len(bt.rels)))
 			}
 		}

@@ -184,8 +184,7 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 			failed = append(failed, g.items...)
 			continue
 		}
-		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(g.refs)}))
+		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages, [][]byte{provider.EncodeGetPages(g.refs)}, nil))
 		gs = append(gs, g)
 		addrs = append(addrs, addr)
 	}
@@ -201,34 +200,33 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 		}
 	}()
 	for i, p := range pend {
-		resp, err := b.waitShardHedged(ctx, p, addrs[i], dispatched)
-		if err != nil {
-			if errors.Is(err, errShardHedged) {
-				sop.Notef("hedge: %d pages from %s -> reconstruction", len(gs[i].items), addrs[i])
-				late = append(late, straggler{pd: p, g: gs[i], addr: addrs[i]})
+		err := b.waitShardHedged(ctx, p, addrs[i], dispatched)
+		if err == nil {
+			// Shards land straight in their destination slices; failures
+			// degrade to reconstruction, which overwrites dst.
+			status := make([]provider.PageStatus, len(gs[i].refs))
+			if err = b.waitPagesInto(ctx, p, addrs[i], dispatched, gs[i].dsts, status); err == nil {
+				for j, st := range status {
+					it := gs[i].items[j]
+					if st != provider.PageOK ||
+						wire.Checksum64(it.dst) != it.leaf.Leaf.Checksum {
+						failed = append(failed, it)
+					}
+				}
 				continue
 			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			failed = append(failed, gs[i].items...)
+		}
+		if errors.Is(err, errShardHedged) {
+			sop.Notef("hedge: %d pages from %s -> reconstruction", len(gs[i].items), addrs[i])
+			late = append(late, straggler{pd: p, g: gs[i], addr: addrs[i]})
 			continue
 		}
-		// Shards land straight in their destination slices; failures
-		// degrade to reconstruction, which overwrites dst.
-		status := make([]provider.PageStatus, len(gs[i].refs))
-		err = provider.DecodeGetPagesInto(resp, gs[i].dsts, status)
-		p.Release()
-		if err != nil {
-			return err
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
-		for j, st := range status {
-			it := gs[i].items[j]
-			if st != provider.PageOK ||
-				wire.Checksum64(it.dst) != it.leaf.Leaf.Checksum {
-				failed = append(failed, it)
-			}
-		}
+		// A transport failure, an error answer or an answer that does
+		// not parse: the group's pages degrade to reconstruction.
+		failed = append(failed, gs[i].items...)
 	}
 	if len(failed) == 0 && len(late) == 0 {
 		return nil
@@ -317,11 +315,7 @@ func (b *Blob) settleStragglers(ctx context.Context, late []straggler, short map
 		}
 		s.waited = true
 		status := make([]provider.PageStatus, len(dsts))
-		resp, err := b.waitPrimary(ctx, s.pd, s.addr, dispatched)
-		if err == nil {
-			err = provider.DecodeGetPagesInto(resp, dsts, status)
-			s.pd.Release()
-		}
+		err := b.waitPagesInto(ctx, s.pd, s.addr, dispatched, dsts, status)
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -382,8 +376,7 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 		if err != nil {
 			continue // unreachable survivor: maybe enough others remain
 		}
-		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(g.refs)}))
+		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages, [][]byte{provider.EncodeGetPages(g.refs)}, nil))
 		gs = append(gs, g)
 	}
 	for i, p := range pend {
@@ -396,7 +389,7 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 		}
 		datas, err := provider.DecodeGetPages(resp, len(gs[i].refs))
 		if err != nil {
-			return err
+			continue // an answer that does not parse holds no survivor
 		}
 		for j, data := range datas {
 			slot := gs[i].slots[j]

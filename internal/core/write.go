@@ -290,7 +290,7 @@ func (b *Blob) pushPages(ctx context.Context, writeID uint64, ids, rels []uint32
 			return err
 		}
 		segs := provider.EncodePutPagesVec(b.id, writeID, bt.rels, bt.datas)
-		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MPutPages, segs))
+		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MPutPages, segs, nil))
 	}
 	for i, p := range pend {
 		if _, err := p.Wait(ctx); err != nil {

@@ -193,7 +193,7 @@ func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
 	pend := make([]*rpc.Pending, 0, len(groups))
 	for addr, g := range groups {
 		g.vw.SetSeg(g.countSeg, binary.AppendUvarint(make([]byte, 0, 10), uint64(g.n)))
-		pend = append(pend, c.pool.Go(ctx, addr, MMultiPut, g.vw.Segs()))
+		pend = append(pend, c.pool.Go(ctx, addr, MMultiPut, g.vw.Segs(), nil))
 	}
 	var firstErr error
 	acked := 0
@@ -278,7 +278,7 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[ui
 			hint.Used = 0 // reported once, to whichever node is asked first
 			g.body = w.Bytes()
 			if c.pool.Available(addr) {
-				g.pend = c.pool.Go(ctx, addr, MMultiGet, [][]byte{g.body})
+				g.pend = c.pool.Go(ctx, addr, MMultiGet, [][]byte{g.body}, nil)
 			}
 		}
 		var miss []uint64
@@ -366,7 +366,7 @@ func (c *Client) readRepair(ctx context.Context, heal map[string][]KV) {
 			w.Uint64(kv.Key)
 			w.BytesField(kv.Value)
 		}
-		c.pool.Go(ctx, addr, MMultiPut, [][]byte{w.Bytes()})
+		c.pool.Go(ctx, addr, MMultiPut, [][]byte{w.Bytes()}, nil)
 		c.ReadRepairs.Add(int64(len(kvs)))
 	}
 }

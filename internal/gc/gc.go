@@ -178,7 +178,7 @@ func (g *Collector) Collect(ctx context.Context, blobID uint64, keepFrom meta.Ve
 		segs := [][]byte{provider.EncodeDeletePages(blobID, rec.WriteID, deadRels)}
 		pend := make([]*rpc.Pending, 0, len(providers))
 		for _, p := range providers {
-			pend = append(pend, g.c.Pool().Go(ctx, p.Addr, provider.MDeletePages, segs))
+			pend = append(pend, g.c.Pool().Go(ctx, p.Addr, provider.MDeletePages, segs, nil))
 		}
 		for _, p := range pend {
 			resp, err := p.Wait(ctx)

@@ -7,7 +7,12 @@ package provider
 import (
 	"bytes"
 	"context"
+	"net"
+	"runtime"
 	"testing"
+
+	"blob/internal/netsim"
+	"blob/internal/rpc"
 )
 
 // joinSegs flattens scatter-gather segments into the body a peer reads.
@@ -169,5 +174,102 @@ func TestHandleGetPagesVecAllocs(t *testing.T) {
 	})
 	if avg > 4 {
 		t.Fatalf("handleGetPages: %.1f allocs/op, want <= 4", avg)
+	}
+}
+
+// newPagesInto returns a sink for n pages of size bytes each.
+func newPagesInto(n, size int) *PagesInto {
+	p := &PagesInto{Dsts: make([][]byte, n), Status: make([]PageStatus, n)}
+	for i := range p.Dsts {
+		p.Dsts[i] = make([]byte, size)
+	}
+	return p
+}
+
+// TestGetPagesIntoDrawsNoResponseBuf is the client half of the garbage
+// gate: PagesInto reads a 16 × 64 KiB MGetPages answer off the
+// connection straight into the caller's dsts. With the buffer pools
+// emptied before every fetch — so that a response rpc.Buf would be a
+// fresh allocation — a fetch allocates less than one page beyond the
+// netsim fabric's own copy of the frames in transit.
+func TestGetPagesIntoDrawsNoResponseBuf(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not representative under the race detector")
+	}
+	fab := netsim.New(netsim.Fast())
+	defer fab.Close()
+	st := NewStore(0)
+	refs := fillWrite(t, st, 2, 16, servePage)
+	srv := rpc.NewServer()
+	NewService(st).RegisterHandlers(srv)
+	l, err := fab.Host("prov").Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(l)
+	defer srv.Close()
+	pool := rpc.NewPool(fab.Host("reader"))
+	defer pool.Close()
+
+	req := [][]byte{EncodeGetPages(refs)}
+	sink := newPagesInto(len(refs), servePage)
+	ctx := context.Background()
+	fetch := func() {
+		if _, err := pool.Go(ctx, "prov:rpc", MGetPages, req, sink).Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch() // dials
+	for i, st := range sink.Status {
+		if st != PageOK || !bytes.Equal(sink.Dsts[i], servedPage(2, uint32(i), servePage)) {
+			t.Fatalf("page %d: status %d or wrong bytes", i, st)
+		}
+	}
+	// netsim coalesces each frame into one owned buffer in transit: the
+	// answer's 16 pages with their headers, and the request.
+	const inTransit = 16*servePage + 16<<10
+	least := uint64(1 << 62)
+	for run := 0; run < 5; run++ {
+		runtime.GC()
+		runtime.GC() // a sync.Pool keeps its buffers through one GC
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fetch()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a 16-page fetch allocates %d bytes, up to %d of them in transit", least, inTransit)
+	if least >= inTransit+servePage {
+		t.Errorf("a 16-page fetch allocates %d bytes, %d beyond the frames in transit: a response buffer is back",
+			least, least-inTransit)
+	}
+}
+
+// BenchmarkGetPages1MiB is one provider's share of a cutout-read in one
+// process: 16 × 64 KiB pages served from a RAM store over loopback TCP
+// and read by PagesInto straight into the caller's dsts.
+func BenchmarkGetPages1MiB(b *testing.B) {
+	st := NewStore(0)
+	refs := fillWrite(b, st, 2, 16, servePage)
+	srv := rpc.NewServer()
+	NewService(st).RegisterHandlers(srv)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Start(l)
+	defer srv.Close()
+	pool := rpc.NewPool(rpc.TCP{})
+	defer pool.Close()
+	req := [][]byte{EncodeGetPages(refs)}
+	sink := newPagesInto(len(refs), servePage)
+	ctx := context.Background()
+	b.SetBytes(16 * servePage)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pool.Go(ctx, l.Addr().String(), MGetPages, req, sink).Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -171,7 +171,7 @@ func TestServiceOverDiskBackend(t *testing.T) {
 	srv, addr, d := start("prov0")
 	rels := []uint32{0, 1}
 	datas := [][]byte{[]byte("persist me"), []byte("and me")}
-	if _, err := pool.Go(ctx, addr, MPutPages, EncodePutPagesVec(4, 44, rels, datas)).Wait(ctx); err != nil {
+	if _, err := pool.Go(ctx, addr, MPutPages, EncodePutPagesVec(4, 44, rels, datas), nil).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	sresp, err := pool.Call(ctx, addr, MStats, nil)

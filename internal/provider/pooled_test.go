@@ -76,7 +76,7 @@ func TestServeFromDiskAllocatesNoPageBuffers(t *testing.T) {
 	ctx := context.Background()
 	serve := func() {
 		segs, held, err := sv.handleGetPages(ctx, body)
-		if err != nil || len(held) != len(refs) || len(segs) != 2*len(refs) {
+		if err != nil || len(held) != len(refs) || len(segs) != 1+len(refs) {
 			t.Fatalf("serve: %d segs, %d held, %v", len(segs), len(held), err)
 		}
 		releaseAll(held)
@@ -120,7 +120,7 @@ func TestServedPagesAliasHeldBuffers(t *testing.T) {
 		t.Fatalf("disk serve: %d held, %v", len(held), err)
 	}
 	for i := range refs {
-		page, buf := segs[1+2*i], held[i].Bytes()
+		page, buf := segs[1+i], held[i].Bytes()
 		if !bytes.Equal(page, servedPage(3, uint32(i), 4096)) {
 			t.Fatalf("page %d: wrong bytes", i)
 		}
@@ -221,7 +221,7 @@ func TestPooledServeStress(t *testing.T) {
 				t.Errorf("killer dial: %v", err)
 				return
 			}
-			c.Go(ctx, MGetPages, [][]byte{reqs[i%writes]})
+			c.Go(ctx, MGetPages, [][]byte{reqs[i%writes]}, nil)
 			if i%2 == 0 {
 				time.Sleep(50 * time.Microsecond) // let the response get under way
 			}

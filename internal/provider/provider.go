@@ -16,7 +16,6 @@ package provider
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"blob/internal/rpc"
@@ -396,23 +395,6 @@ func EncodeGetPages(refs []PageRef) []byte {
 		w.Uint32(p.RelPage)
 	}
 	return w.Bytes()
-}
-
-// DecodeGetPages parses an MGetPages response into per-request results;
-// a nil slice means the page was absent on this provider.
-func DecodeGetPages(body []byte, want int) ([][]byte, error) {
-	r := wire.NewReader(body)
-	n := r.Count(1) // a presence flag per page
-	if n != want {
-		return nil, fmt.Errorf("provider: response count %d != %d", n, want)
-	}
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		if r.Bool() {
-			out[i] = r.BytesCopy()
-		}
-	}
-	return out, r.Err()
 }
 
 // EncodeDeleteWrite builds an MDeleteWrite request body.

@@ -152,7 +152,7 @@ func TestRPCEndToEnd(t *testing.T) {
 
 	rels := []uint32{0, 1, 2}
 	datas := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc")}
-	if _, err := pool.Go(ctx, addr, MPutPages, EncodePutPagesVec(9, 77, rels, datas)).Wait(ctx); err != nil {
+	if _, err := pool.Go(ctx, addr, MPutPages, EncodePutPagesVec(9, 77, rels, datas), nil).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -216,8 +216,8 @@ func TestRPCCapacityError(t *testing.T) {
 	pool := rpc.NewPool(hostDialer{fab.Host("cli")})
 	defer pool.Close()
 	ctx := context.Background()
-	_, err := pool.Go(ctx, addr, MPutPages,
-		EncodePutPagesVec(1, 1, []uint32{0}, [][]byte{make([]byte, 100)})).Wait(ctx)
+	_, err := pool.Go(ctx, addr, MPutPages, EncodePutPagesVec(1, 1, []uint32{0}, [][]byte{make([]byte, 100)}), nil).
+		Wait(ctx)
 	if err == nil || !rpc.IsServerError(err) {
 		t.Fatalf("err = %v, want ServerError(capacity)", err)
 	}
@@ -251,7 +251,7 @@ func BenchmarkGetPagesRPC(b *testing.B) {
 		rels[i] = uint32(i)
 		datas[i] = page
 	}
-	if _, err := pool.Go(ctx, addr, MPutPages, EncodePutPagesVec(1, 1, rels, datas)).Wait(ctx); err != nil {
+	if _, err := pool.Go(ctx, addr, MPutPages, EncodePutPagesVec(1, 1, rels, datas), nil).Wait(ctx); err != nil {
 		b.Fatal(err)
 	}
 	refs := make([]PageRef, 16)

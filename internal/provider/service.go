@@ -2,6 +2,7 @@ package provider
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -88,7 +89,11 @@ func (sv *Service) RegisterHandlers(srv *rpc.Server) {
 //
 //	MPutPages request:  u64 blob | u64 write | uvarint n | n × (u32 rel, bytes)
 //	MGetPages request:  uvarint n | n × (u64 blob, u64 write, u32 rel)
-//	MGetPages response: uvarint n | n × (bool found, bytes if found)
+//	MGetPages response: uvarint n | n × (u8 found | uvarint len if found) | the found payloads, in order
+//
+// The MGetPages response carries every header ahead of the payloads, so
+// a client reads each payload straight into its destination
+// (PagesInto).
 
 func (sv *Service) handlePutPages(_ context.Context, body []byte) ([]byte, error) {
 	sv.ActiveOps.Add(1)
@@ -149,8 +154,9 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]by
 	if err := r.Err(); err != nil {
 		return nil, nil, fmt.Errorf("provider get: %w", err)
 	}
-	vw := wire.NewVec(10+11*n, 1+2*n) // count varint + per page flag + length varint
-	vw.Uvarint(uint64(n))
+	hdr := make([]byte, 0, 10+11*n) // count varint + per page flag + length varint
+	segs = make([][]byte, 1, 1+n)   // the headers, then one payload per page found
+	hdr = binary.AppendUvarint(hdr, uint64(n))
 	for i := 0; i < n; i++ {
 		blob := r.Uint64()
 		write := r.Uint64()
@@ -169,14 +175,15 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]by
 			held = append(held, buf)
 		}
 		if !ok {
-			vw.Uint8(0)
+			hdr = append(hdr, 0)
 			continue
 		}
-		vw.Uint8(1)
-		vw.Uvarint(uint64(len(data)))
-		vw.Alias(data)
+		hdr = append(hdr, 1)
+		hdr = binary.AppendUvarint(hdr, uint64(len(data)))
+		segs = append(segs, data)
 	}
-	return vw.Segs(), held, nil
+	segs[0] = hdr
+	return segs, held, nil
 }
 
 func (sv *Service) handleDeleteWrite(_ context.Context, body []byte) ([]byte, error) {

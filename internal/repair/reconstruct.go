@@ -210,7 +210,7 @@ func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
 	}
 	for id, p := range pushes {
 		segs := provider.EncodePutPagesVec(blobID, st.write, p.rels, p.datas)
-		if _, err := r.c.Pool().Go(ctx, addrs[id], provider.MPutPages, segs).Wait(ctx); err != nil {
+		if _, err := r.c.Pool().Go(ctx, addrs[id], provider.MPutPages, segs, nil).Wait(ctx); err != nil {
 			r.logf("repair: push %d reconstructed shards to provider %d: %v", len(p.rels), id, err)
 			rep.Unrepairable += int64(len(p.rels))
 			continue

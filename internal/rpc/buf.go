@@ -1,8 +1,9 @@
 package rpc
 
-// Pooled message-body buffers. Every request body a server reads and
-// every response body a client reads lands in a size-classed sync.Pool
-// buffer instead of a fresh allocation, and a handler that has to
+// Pooled message-body buffers. Every request body a server reads, and
+// every response body a client reads through the default sink
+// (body.go), lands in a size-classed sync.Pool buffer instead of a
+// fresh allocation, and a handler that has to
 // produce page-sized response bytes (a provider reading records off
 // disk) fills buffers from the same pool (GetBuf) and hands them back
 // with its response, so a busy connection recycles a small working set
@@ -26,6 +27,9 @@ package rpc
 //     instead of silently reading recycled memory.
 //   - Never calling Release is always safe: the buffer is simply
 //     garbage-collected and the pool refills on demand.
+//   - A response read by a caller's own sink never touches a Buf: the
+//     sink reads the body straight into the caller's memory, which the
+//     caller owns throughout and takes back early with Pending.Detach.
 
 import (
 	"sync"

@@ -221,7 +221,7 @@ func TestLazyDeadlineContext(t *testing.T) {
 		expired := M.CallsExpired.Value()
 		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 		start := time.Now()
-		resp, err := c.Go(ctx, m, nil).Wait(context.Background())
+		resp, err := c.Go(ctx, m, nil, nil).Wait(context.Background())
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || IsServerError(err) {
 			t.Errorf("method %d: resp %q, err %v; want context.DeadlineExceeded from the server", m, resp, err)

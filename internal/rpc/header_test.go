@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -14,7 +13,7 @@ import (
 )
 
 func readerOver(data []byte) *frameReader {
-	return &frameReader{br: bufio.NewReader(bytes.NewReader(data))}
+	return newFrameReader(bytes.NewReader(data))
 }
 
 // reqHeader builds a request header by hand, independently of the
@@ -69,7 +68,7 @@ func TestRequestHeaderLayout(t *testing.T) {
 				defer cancel()
 			}
 			// Segments go out back to back; empty ones leave no trace.
-			c.Go(ctx, 7, [][]byte{nil, []byte("h"), {}, []byte("i")})
+			c.Go(ctx, 7, [][]byte{nil, []byte("h"), {}, []byte("i")}, nil)
 
 			// The fixed part, then (separately, its value being timing
 			// dependent) the budget byte, then length and body.
@@ -180,7 +179,7 @@ func TestRequestHeaderLayout(t *testing.T) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
 		sent := M.CallsSent.Value()
-		if _, err := c.Go(ctx, mEcho, [][]byte{[]byte("x")}).Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := c.Go(ctx, mEcho, [][]byte{[]byte("x")}, nil).Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want DeadlineExceeded", err)
 		}
 		if got := M.CallsSent.Value(); got != sent {

@@ -315,7 +315,7 @@ func (p *Pool) Call(ctx context.Context, addr string, method uint32, body []byte
 // retries.
 func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []byte, decode func([]byte) error) error {
 	return p.do(ctx, addr, func(c *Client) (error, bool) {
-		pd := c.Go(ctx, method, [][]byte{body})
+		pd := c.Go(ctx, method, [][]byte{body}, nil)
 		resp, err := pd.Wait(ctx)
 		if err != nil {
 			return err, false
@@ -328,15 +328,16 @@ func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []
 }
 
 // Go starts an asynchronous scatter-gather call to addr (see Client.Go
-// for the segment aliasing rules and what is taken from ctx). A warm
-// address enqueues on the cached connection immediately; a cold one
-// dials in the background, so a fan-out wave that touches a new
+// for the segment aliasing rules, the sink and what is taken from ctx).
+// A warm address enqueues on the cached connection immediately; a cold
+// one dials in the background, so a fan-out wave that touches a new
 // provider is never serialized behind that one dial on the calling
 // goroutine, and dial errors surface through the returned Pending's
-// Wait. Async calls bypass breaker admission — fan-outs consult
-// Available for routing instead — but callers should feed outcomes back
-// via Observe.
-func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte) *Pending {
+// Wait. The dial goroutine issues the same call, sink included, on the
+// new connection, so a Detach made while the dial is in flight holds.
+// Async calls bypass breaker admission — fan-outs consult Available for
+// routing instead — but callers should feed outcomes back via Observe.
+func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte, sink Sink) *Pending {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -345,23 +346,17 @@ func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte
 	c, warm := p.clients[addr]
 	p.mu.Unlock()
 	if warm && !c.Closed() {
-		return c.Go(ctx, method, segs)
+		return c.Go(ctx, method, segs, sink)
 	}
 
-	// Cold address: complete the Pending from a dialing goroutine. The
-	// inner call's pooled response buffer transfers to the outer call,
-	// so Release keeps working through the indirection.
-	cl := &call{done: make(chan struct{})}
+	cl := newCall(method, segs, sink)
 	go func() {
-		defer close(cl.done)
 		c, err := p.Get(addr)
 		if err != nil {
-			cl.err = err
+			cl.complete(err)
 			return
 		}
-		inner := c.Go(ctx, method, segs)
-		<-inner.c.done
-		cl.resp, cl.err = inner.c.resp, inner.c.err
+		c.issue(ctx, cl)
 	}()
 	return &Pending{c: cl}
 }

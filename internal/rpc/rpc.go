@@ -19,10 +19,16 @@
 //     list of segments (Go) and the writer loop flushes header bytes
 //     and payload segments with a single vectored write (net.Buffers /
 //     writev), so page payloads are never copied into a contiguous
-//     encode buffer. Inbound bodies land in pooled buffers (see buf.go)
-//     released when the response is flushed or the caller is done;
-//     pooled buffers a handler's response aliases are released at the
-//     same post-flush point.
+//     encode buffer.
+//   - Inbound bodies bypass the connection's small read-ahead: only
+//     what it already holds is copied out of it, and the rest is read
+//     from the connection straight into place. A request body lands in
+//     a pooled buffer (see buf.go), released when the response is
+//     flushed; pooled buffers a handler's response aliases are released
+//     at the same post-flush point. A response body goes to its call's
+//     sink (see body.go): by default a pooled buffer the caller releases
+//     when done, or the caller's own decoder, which reads it straight
+//     into its destination.
 //   - Handlers run in their own goroutines, so a slow request does not
 //     head-of-line-block the connection.
 //   - Transport is any net.Conn source: real TCP (Dialer) or the
@@ -117,6 +123,11 @@ func IsServerError(err error) bool {
 // ErrClosed is returned for calls on a closed client or server.
 var ErrClosed = errors.New("rpc: connection closed")
 
+// errCut fails the calls of a connection that Detach closed under a
+// sink mid-body. The caller gave up, not the peer, so it matches
+// context.Canceled and breakers do not count it.
+var errCut = fmt.Errorf("rpc: connection cut to detach a call mid-body: %w", context.Canceled)
+
 // ErrRemoteExpired is returned when the server reports that the call's
 // propagated deadline lapsed before or during handling. It matches
 // context.DeadlineExceeded under errors.Is, so callers need no special
@@ -186,18 +197,70 @@ type call struct {
 	tc     trace.Ctx // zero for untraced calls (the common case)
 	dlMS   uint64    // remaining deadline budget in ms; 0 = no deadline
 	segs   [][]byte
+	// sink consumes the OK body: the caller's, or the call itself, which
+	// lands it in resp. state orders the sink against Detach.
+	sink   Sink
+	state  atomic.Int32
+	client *Client // the connection the call went out on, once issued
 	done   chan struct{}
 	resp   *Buf
 	err    error
+}
+
+// A call's sink states: its body reaches the sink only if the caller
+// has not detached the call first.
+const (
+	sinkIdle     int32 = iota // no body yet
+	sinkRunning               // the sink is reading the body off the connection
+	sinkDone                  // the sink has returned
+	sinkDetached              // detached first: the body is discarded unread
+)
+
+func newCall(method uint32, segs [][]byte, sink Sink) *call {
+	cl := &call{method: method, segs: segs, sink: sink, done: make(chan struct{})}
+	if sink == nil {
+		cl.sink = cl
+	}
+	return cl
+}
+
+// ReadBody is the default sink: the body lands in a pooled Buf that
+// Wait returns.
+func (cl *call) ReadBody(b *Body) error {
+	buf := GetBuf(b.Len())
+	if err := b.ReadFull(buf.data); err != nil {
+		buf.Release()
+		return err
+	}
+	cl.resp = buf
+	return nil
+}
+
+// deliver runs the call's sink over its OK body, unless the caller
+// detached the call first.
+func (cl *call) deliver(b *Body) error {
+	if !cl.state.CompareAndSwap(sinkIdle, sinkRunning) {
+		return nil // detached: the body is discarded unread
+	}
+	err := cl.sink.ReadBody(b)
+	cl.state.Store(sinkDone)
+	return err
+}
+
+// complete finishes the call with err.
+func (cl *call) complete(err error) {
+	cl.err = err
+	close(cl.done)
 }
 
 // Client is one multiplexed RPC connection to a remote server.
 type Client struct {
 	conn net.Conn
 
-	mu      sync.Mutex
-	pending map[uint64]*call
-	closed  bool
+	mu       sync.Mutex
+	pending  map[uint64]*call
+	closed   bool
+	closeErr error // what closed the client
 
 	nextID atomic.Uint64
 	sendq  chan *call
@@ -252,38 +315,45 @@ func deadlineBudget(ctx context.Context) (ms uint64, expired bool) {
 // Go starts an asynchronous call whose body is the concatenation of
 // segs. The segments are not copied: they must stay immutable until the
 // call completes (Wait returns), at which point the frame has been
-// flushed to the connection. The request header carries whatever trace
+// flushed to the connection. sink consumes the OK response body off the
+// connection; nil lands it in a pooled buffer that Wait returns (see
+// Sink and Pending.Detach). The request header carries whatever trace
 // ctx holds and, when ctx has a deadline, the remaining budget, so the
 // server can stop working on a request its caller has already
 // abandoned; an already-expired ctx fails without touching the
 // connection. ctx is read once, here: cancelling it later does not
 // recall the request — pass it to Wait for that.
-func (c *Client) Go(ctx context.Context, method uint32, segs [][]byte) *Pending {
+func (c *Client) Go(ctx context.Context, method uint32, segs [][]byte, sink Sink) *Pending {
+	cl := newCall(method, segs, sink)
+	c.issue(ctx, cl)
+	return &Pending{c: cl}
+}
+
+// issue sends cl on this connection, or completes it with the reason it
+// cannot be sent.
+func (c *Client) issue(ctx context.Context, cl *call) {
 	dlMS, expired := deadlineBudget(ctx)
 	if expired {
-		return &Pending{c: &call{err: context.DeadlineExceeded, done: closedChan}}
+		cl.complete(context.DeadlineExceeded)
+		return
 	}
 	total := 0
-	for _, s := range segs {
+	for _, s := range cl.segs {
 		total += len(s)
 	}
 	if total > MaxBody {
-		return &Pending{c: &call{err: ErrTooLarge, done: closedChan}}
+		cl.complete(ErrTooLarge)
+		return
 	}
-	cl := &call{
-		id:     c.nextID.Add(1),
-		method: method,
-		tc:     trace.FromContext(ctx),
-		dlMS:   dlMS,
-		segs:   segs,
-		done:   make(chan struct{}),
-	}
+	cl.id = c.nextID.Add(1)
+	cl.tc = trace.FromContext(ctx)
+	cl.dlMS = dlMS
+	cl.client = c
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		cl.err = ErrClosed
-		close(cl.done)
-		return &Pending{c: cl}
+		cl.complete(ErrClosed)
+		return
 	}
 	c.pending[cl.id] = cl
 	c.mu.Unlock()
@@ -295,12 +365,11 @@ func (c *Client) Go(ctx context.Context, method uint32, segs [][]byte) *Pending 
 		c.sendq <- cl
 	}
 	M.CallsSent.Inc()
-	return &Pending{c: cl}
 }
 
 // Call performs a synchronous RPC: Go, then Wait, under the same ctx.
 func (c *Client) Call(ctx context.Context, method uint32, body []byte) ([]byte, error) {
-	return c.Go(ctx, method, [][]byte{body}).Wait(ctx)
+	return c.Go(ctx, method, [][]byte{body}, nil).Wait(ctx)
 }
 
 // Pending represents an in-flight asynchronous call.
@@ -348,6 +417,28 @@ func (p *Pending) Release() {
 	if b := p.c.resp; b != nil {
 		p.c.resp = nil
 		b.Release()
+	}
+}
+
+// Detach stops the call's sink from writing the caller's memory: once
+// Detach returns, the sink has finished or will never run. A caller
+// that stops waiting before the call completes — its ctx is done, a
+// hedge won — detaches it before it reuses that memory. A body that has
+// not arrived is then discarded unread. A sink already reading its body
+// is not waited for: Detach closes the connection under it (the pool
+// redials) and returns once the sink has stopped, so it never blocks on
+// the network; the calls that shared the connection fail with an error
+// matching context.Canceled, which breakers do not count. The call
+// still completes, so Done and Wait keep working. Detaching a call
+// without a sink of its own does nothing.
+func (p *Pending) Detach() {
+	cl := p.c
+	if _, own := cl.sink.(*call); own || cl.state.CompareAndSwap(sinkIdle, sinkDetached) {
+		return
+	}
+	if cl.state.Load() == sinkRunning {
+		cl.client.failAll(errCut)
+		<-cl.done
 	}
 }
 
@@ -497,67 +588,73 @@ func (c *Client) writeLoop() {
 	}
 }
 
-// readLoop parses responses from the connection and completes calls.
+// readLoop parses responses off the connection and completes calls.
+// There is one delivery path: an OK body goes to its call's sink, and
+// whatever the sink leaves unread — all of it for a call that was
+// dropped or detached — is discarded.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
-	br := newFrameReader(c.conn)
+	fr := newFrameReader(c.conn)
+	body := &Body{fr: fr}
 	for {
-		kind, err := br.readByte()
-		if err != nil {
-			c.failAll(fmt.Errorf("rpc: read: %w", err))
-			return
-		}
-		if kind != kindResponse {
-			c.failAll(fmt.Errorf("rpc: protocol error: kind %#x", kind))
-			return
-		}
-		id, err := br.readUint64()
+		id, status, n, err := fr.readResponseHeader()
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		status, err := br.readByte()
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		body, err := br.readBody()
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		M.BytesReceived.Add(int64(body.Len()))
+		M.BytesReceived.Add(int64(n))
 
 		c.mu.Lock()
 		cl := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if cl == nil {
-			body.Release()
-			continue // cancelled or duplicate; drop
-		}
-		switch status {
-		case statusOK:
-			cl.resp = body
-		case statusExpired:
-			cl.err = ErrRemoteExpired
-			body.Release()
+		body.left, body.err = n, nil
+		var cerr error
+		switch {
+		case cl == nil:
+			// Cancelled or duplicate: dropped with the rest below.
+		case status == statusOK:
+			cerr = cl.deliver(body)
+		case status == statusExpired:
+			cerr = ErrRemoteExpired
 		default:
-			cl.err = ServerError(body.Bytes())
-			body.Release()
+			cerr = readServerError(body)
 		}
-		close(cl.done)
+		// Discard fails only if the connection did, here or in the sink.
+		if err := body.Discard(body.Len()); err != nil {
+			err = c.failAll(fmt.Errorf("rpc: read: %w", err))
+			if cl != nil {
+				cl.complete(err)
+			}
+			return
+		}
+		if cl != nil {
+			cl.complete(cerr)
+		}
 	}
 }
 
+// readServerError reads an error answer's message.
+func readServerError(b *Body) error {
+	msg := GetBuf(b.Len())
+	defer msg.Release()
+	if err := b.ReadFull(msg.data); err != nil {
+		return err
+	}
+	return ServerError(msg.data)
+}
+
 // failAll completes every pending call with err and closes the client.
-func (c *Client) failAll(err error) {
+// It returns the error the client closed with: err, or the earlier one
+// if it was closed already.
+func (c *Client) failAll(err error) error {
 	c.mu.Lock()
 	if c.closed {
+		err = c.closeErr
 		c.mu.Unlock()
-		return
+		return err
 	}
-	c.closed = true
+	c.closed, c.closeErr = true, err
 	pend := c.pending
 	c.pending = make(map[uint64]*call)
 	c.mu.Unlock()
@@ -565,9 +662,9 @@ func (c *Client) failAll(err error) {
 	close(c.done)
 	c.conn.Close()
 	for _, cl := range pend {
-		cl.err = err
-		close(cl.done)
+		cl.complete(err)
 	}
+	return err
 }
 
 // Close shuts the connection down; pending calls fail with ErrClosed.

@@ -158,7 +158,7 @@ func TestAsyncCallsComplete(t *testing.T) {
 	c := dialTest(t, n, addr)
 	pend := make([]*Pending, 32)
 	for i := range pend {
-		pend[i] = c.Go(context.Background(), mEcho, [][]byte{[]byte{byte(i)}})
+		pend[i] = c.Go(context.Background(), mEcho, [][]byte{[]byte{byte(i)}}, nil)
 	}
 	for i, p := range pend {
 		got, err := p.Wait(context.Background())
@@ -193,7 +193,7 @@ func TestContextCancellation(t *testing.T) {
 func TestServerCloseFailsPendingCalls(t *testing.T) {
 	n, addr := newTestServer(t, netsim.Fast())
 	c := dialTest(t, n, addr)
-	p := c.Go(context.Background(), mSlow, [][]byte{[]byte("x")})
+	p := c.Go(context.Background(), mSlow, [][]byte{[]byte("x")}, nil)
 	time.Sleep(5 * time.Millisecond)
 	// Closing the client should fail the pending call promptly.
 	c.Close()
@@ -248,7 +248,7 @@ func TestBatchingCoalescesMessages(t *testing.T) {
 	const calls = 100
 	pend := make([]*Pending, calls)
 	for i := range pend {
-		pend[i] = c.Go(context.Background(), mEcho, [][]byte{[]byte{byte(i)}})
+		pend[i] = c.Go(context.Background(), mEcho, [][]byte{[]byte{byte(i)}}, nil)
 	}
 	for _, p := range pend {
 		if _, err := p.Wait(context.Background()); err != nil {
@@ -316,7 +316,7 @@ func TestPoolGoAsync(t *testing.T) {
 	n, addr := newTestServer(t, netsim.Fast())
 	p := NewPool(netDialer{n.Host("cli")})
 	defer p.Close()
-	pd := p.Go(context.Background(), addr, mEcho, [][]byte{[]byte("async")})
+	pd := p.Go(context.Background(), addr, mEcho, [][]byte{[]byte("async")}, nil)
 	got, err := pd.Wait(context.Background())
 	if err != nil || string(got) != "async" {
 		t.Fatalf("async: %q, %v", got, err)
@@ -377,7 +377,7 @@ func BenchmarkBatchedFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pend := make([]*Pending, 64)
 		for j := range pend {
-			pend[j] = c.Go(context.Background(), mEcho, [][]byte{body})
+			pend[j] = c.Go(context.Background(), mEcho, [][]byte{body}, nil)
 		}
 		for _, p := range pend {
 			if _, err := p.Wait(context.Background()); err != nil {

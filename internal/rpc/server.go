@@ -468,19 +468,34 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// frameReader incrementally parses the message stream from a connection.
-// Bodies are copied out of the buffered reader into pooled buffers so
-// handlers and callers may retain them until release.
+// readAhead sizes a connection's read-ahead: room for frame headers and
+// small messages. A longer body is read past it, straight into place
+// (frameReader.readFull), so bulk bytes are not copied through it.
+const readAhead = 16 << 10
+
+// frameReader incrementally parses the message stream from a
+// connection, through a small read-ahead.
 type frameReader struct {
-	br *bufio.Reader
+	conn io.Reader
+	br   *bufio.Reader // the read-ahead over conn
 }
 
-func newFrameReader(conn net.Conn) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(conn, 256<<10)}
+func newFrameReader(conn io.Reader) *frameReader {
+	return &frameReader{conn: conn, br: bufio.NewReaderSize(conn, readAhead)}
 }
 
-func (f *frameReader) readByte() (byte, error) {
-	return f.br.ReadByte()
+// readFull fills p: it copies only what the read-ahead already holds
+// and reads the rest straight from the connection into p.
+func (f *frameReader) readFull(p []byte) error {
+	n := 0
+	if f.br.Buffered() > 0 {
+		n, _ = f.br.Read(p) // buffered bytes only: it cannot fail
+	}
+	if n < len(p) {
+		_, err := io.ReadFull(f.conn, p[n:])
+		return err
+	}
+	return nil
 }
 
 // requestHeader is one request frame's header, up to but excluding the
@@ -535,25 +550,45 @@ func (f *frameReader) readRequestHeader() (requestHeader, error) {
 	return h, nil
 }
 
-func (f *frameReader) readUint64() (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(f.br, b[:]); err != nil {
+// readResponseHeader parses a response frame's header (see the package
+// doc for the layout) up to and including the body length.
+func (f *frameReader) readResponseHeader() (id uint64, status byte, n int, err error) {
+	fixed, err := f.br.Peek(10) // kind | id | status
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("rpc: read: %w", err)
+	}
+	kind := fixed[0]
+	id, status = binary.LittleEndian.Uint64(fixed[1:]), fixed[9]
+	f.br.Discard(10)
+	if kind != kindResponse {
+		return 0, 0, 0, fmt.Errorf("rpc: protocol error: kind %#x", kind)
+	}
+	if n, err = f.bodyLen(); err != nil {
+		return 0, 0, 0, fmt.Errorf("rpc: read: %w", err)
+	}
+	return id, status, n, nil
+}
+
+// bodyLen reads a body's length prefix, bounded by MaxBody.
+func (f *frameReader) bodyLen() (int, error) {
+	n, err := binary.ReadUvarint(f.br)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	if n > MaxBody {
+		return 0, ErrTooLarge
+	}
+	return int(n), nil
 }
 
 // readBody reads one length-prefixed body into a pooled buffer.
 func (f *frameReader) readBody() (*Buf, error) {
-	n, err := binary.ReadUvarint(f.br)
+	n, err := f.bodyLen()
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxBody {
-		return nil, ErrTooLarge
-	}
-	body := GetBuf(int(n))
-	if _, err := io.ReadFull(f.br, body.Bytes()); err != nil {
+	body := GetBuf(n)
+	if err := f.readFull(body.data); err != nil {
 		body.Release()
 		return nil, err
 	}

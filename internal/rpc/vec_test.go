@@ -83,7 +83,7 @@ func TestVecHandlerManySegments(t *testing.T) {
 func TestPendingRelease(t *testing.T) {
 	n, addr := newVecServer(t, netsim.Fast())
 	c := dialTest(t, n, addr)
-	p := c.Go(context.Background(), mEcho, [][]byte{[]byte("release me")})
+	p := c.Go(context.Background(), mEcho, [][]byte{[]byte("release me")}, nil)
 	p.Release() // before completion: no-op
 	got, err := p.Wait(context.Background())
 	if err != nil {
@@ -144,7 +144,7 @@ func TestPooledBufferStress(t *testing.T) {
 				for j := 8; j < len(payload); j += 512 {
 					payload[j] = byte(w ^ i)
 				}
-				p := c.Go(context.Background(), mVecEcho, [][]byte{payload[:1024], payload[1024:]})
+				p := c.Go(context.Background(), mVecEcho, [][]byte{payload[:1024], payload[1024:]}, nil)
 				got, err := p.Wait(context.Background())
 				if err != nil {
 					t.Errorf("worker %d call %d: %v", w, i, err)
@@ -175,8 +175,8 @@ func TestPoolGoColdDialAsync(t *testing.T) {
 	// Cold fan-out: every Go returns without a round trip to the dialer.
 	start := time.Now()
 	pending := []*Pending{
-		pool.Go(context.Background(), "dead:rpc", mEcho, [][]byte{[]byte("a")}), // refused: no listener
-		pool.Go(context.Background(), addr, mEcho, [][]byte{[]byte("b")}),
+		pool.Go(context.Background(), "dead:rpc", mEcho, [][]byte{[]byte("a")}, nil),
+		pool.Go(context.Background(), addr, mEcho, [][]byte{[]byte("b")}, nil),
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("cold Go blocked the caller for %v", elapsed)
@@ -204,7 +204,7 @@ func TestFramePathAllocs(t *testing.T) {
 	ctx := context.Background()
 	// Warm the connection and the buffer pools.
 	for i := 0; i < 8; i++ {
-		p := c.Go(ctx, mVecEcho, segs)
+		p := c.Go(ctx, mVecEcho, segs, nil)
 		if _, err := p.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestFramePathAllocs(t *testing.T) {
 	}
 	const runs = 50
 	avg := testing.AllocsPerRun(runs, func() {
-		p := c.Go(ctx, mVecEcho, segs)
+		p := c.Go(ctx, mVecEcho, segs, nil)
 		if _, err := p.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}

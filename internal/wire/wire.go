@@ -274,15 +274,35 @@ func (r *Reader) length() int {
 	if r.err != nil {
 		return 0
 	}
+	l, err := CheckLength(n, r.Remaining())
+	if err != nil {
+		r.fail(err)
+	}
+	return l
+}
+
+// CheckLength bounds a decoded length prefix n by MaxElemLen and by the
+// remaining bytes that must hold it: the rule Reader applies to every
+// length-prefixed field, for decoders that read a body off a connection
+// instead of from memory.
+func CheckLength(n uint64, remaining int) (int, error) {
 	if n > MaxElemLen {
-		r.fail(fmt.Errorf("%w: %d", ErrTooLarge, n))
-		return 0
+		return 0, fmt.Errorf("%w: %d", ErrTooLarge, n)
 	}
-	if n > uint64(r.Remaining()) {
-		r.fail(ErrShort)
-		return 0
+	if n > uint64(max(remaining, 0)) {
+		return 0, ErrShort
 	}
-	return int(n)
+	return int(n), nil
+}
+
+// CheckCount bounds a decoded element count n for a list whose every
+// entry encodes in at least minEntryBytes of the remaining bytes: the
+// rule behind Reader.Count, exported like CheckLength.
+func CheckCount(n uint64, remaining, minEntryBytes int) (int, error) {
+	if n > uint64(max(remaining, 0)/minEntryBytes) { // not n*min > remaining: that wraps
+		return 0, ErrShort
+	}
+	return int(n), nil
 }
 
 // BytesField reads a length-prefixed byte slice. The result aliases the
@@ -333,11 +353,11 @@ func (r *Reader) Count(minEntryBytes int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(r.Remaining()/minEntryBytes) { // not n*min > remaining: that wraps
-		r.fail(ErrShort)
-		return 0
+	c, err := CheckCount(n, r.Remaining(), minEntryBytes)
+	if err != nil {
+		r.fail(err)
 	}
-	return int(n)
+	return c
 }
 
 // Uint64Slice reads a counted slice of fixed-width uint64 values.
