@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -49,9 +50,9 @@ func requirePoisoned(t *testing.T, buf []byte, window time.Duration) {
 }
 
 // TestCancelledReadLeavesBufferAlone: a read whose ctx is cancelled while
-// a page answer is mid-body detaches the fetch — cutting the connection
-// under its sink — before it returns, so the rest of the answer, sent
-// afterwards, never lands in the buffer.
+// a page answer is mid-body detaches the fetch — interrupting its sink —
+// before it returns, so the rest of the answer, sent afterwards, never
+// lands in the buffer.
 func TestCancelledReadLeavesBufferAlone(t *testing.T) {
 	cl, c := launch(t, cluster.Config{})
 	ctx := context.Background()
@@ -108,6 +109,125 @@ func TestCancelledReadLeavesBufferAlone(t *testing.T) {
 	poisonAll(got)
 	close(rest)
 	requirePoisoned(t, got, 200*time.Millisecond)
+}
+
+// TestCancelledReadSparesOtherCalls: a read cancelled mid-answer detaches
+// its fetch without failing the other calls on the same connection — a
+// write and a read to the same provider, their answers queued behind
+// the stalled one, both succeed once it moves again.
+func TestCancelledReadSparesOtherCalls(t *testing.T) {
+	cl, c := launch(t, cluster.Config{DataProviders: 1})
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(5, 4*pageSize)
+	v, err := b.Write(ctx, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := b.Read(ctx, got, 0, v); err != nil {
+		t.Fatal(err)
+	}
+
+	p := stallMidAnswer(t, cl, c, 0)
+	p.left.Store(1)
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Read(rctx, got, 0, v)
+		done <- err
+	}()
+	select {
+	case <-p.half:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read never reached the provider")
+	}
+	time.Sleep(20 * time.Millisecond) // let the first half reach the sink
+
+	// A write and a read to the same provider, in flight behind the
+	// stalled answer when the read is cancelled.
+	sv := cl.DataServices[0]
+	puts, gets := sv.PutLatency.Count(), sv.GetLatency.Count()
+	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+	defer wcancel()
+	wdone := make(chan error, 1)
+	go func() {
+		_, err := b.Write(wctx, pattern(9, 2*pageSize), 8*pageSize)
+		wdone <- err
+	}()
+	other := make([]byte, 2*pageSize)
+	odone := make(chan error, 1)
+	go func() {
+		_, err := b.Read(wctx, other, 0, v)
+		odone <- err
+	}()
+	for sv.PutLatency.Count() == puts || sv.GetLatency.Count() == gets {
+		if wctx.Err() != nil {
+			t.Fatal("the write and the read never reached the provider")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled read: %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancelled read did not return")
+	}
+	poisonAll(got)
+	close(p.rest)
+	if err := <-wdone; err != nil {
+		t.Fatalf("write beside the cancelled read: %v", err)
+	}
+	if err := <-odone; err != nil {
+		t.Fatalf("read beside the cancelled read: %v", err)
+	}
+	if !bytes.Equal(other, data[:len(other)]) {
+		t.Fatal("the read beside the cancelled one returned wrong bytes")
+	}
+	requirePoisoned(t, got, 200*time.Millisecond)
+}
+
+// TestStallMidAnswerOpensBreaker: a provider that stalls partway through
+// every page answer still trips its breaker. Hedges serve each read and
+// the straggler is detached mid-answer, but the drain still waits for
+// its answer to end and counts the stall as the provider failing.
+func TestStallMidAnswerOpensBreaker(t *testing.T) {
+	cl, c := launch(t, cluster.Config{DataReplicas: 2, Breakers: true})
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(17, 8*pageSize)
+	v, err := b.Write(ctx, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := stallMidAnswer(t, cl, c, int(tierProviders(t, b, v)[0])-1)
+	p.left.Store(math.MaxInt64)
+	got := make([]byte, len(data))
+	for deadline := time.Now().Add(10 * time.Second); len(c.Pool().OpenBreakers()) == 0; time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("breaker never opened on the provider stalling mid-answer")
+		}
+		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		_, err := b.Read(rctx, got, 0, v)
+		cancel()
+		if err != nil {
+			t.Fatalf("read beside the stalling provider: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("read beside the stalling provider returned wrong bytes")
+		}
+	}
 }
 
 // TestHedgeWinLeavesBufferAlone: once hedges have served every page of a
@@ -241,6 +361,109 @@ func miscountAnswers(t *testing.T, cl *cluster.Cluster, c *core.Client, i int) *
 	return &mangled
 }
 
+// midAnswerStaller is a proxy in front of a data provider (see
+// stallMidAnswer).
+type midAnswerStaller struct {
+	left atomic.Int64  // answers still to stall
+	half chan struct{} // a signal per stalled answer, if one is waited for
+	rest chan struct{} // closed: the stalled answers go on
+}
+
+// stallMidAnswer puts a proxy on data provider i's endpoint that relays
+// every connection to the provider, now listening elsewhere on its
+// host, byte for byte — except that while left is positive, an answer
+// longer than a page goes out as its header and half its body, a
+// signal on half, and the rest once rest is closed. The answers behind
+// it on the connection wait with it, as behind any provider stalled
+// mid-answer.
+func stallMidAnswer(t *testing.T, cl *cluster.Cluster, c *core.Client, i int) *midAnswerStaller {
+	t.Helper()
+	host := cl.Fabric().Host(cl.DataHostName(i))
+	cl.DataServers[i].Close()
+	backend := rpc.NewServer()
+	cl.DataServices[i].RegisterHandlers(backend)
+	lb, err := host.Listen("backend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend.Start(lb)
+	lp, err := host.Listen("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &midAnswerStaller{half: make(chan struct{}, 1), rest: make(chan struct{})}
+	go func() {
+		for {
+			cc, err := lp.Accept()
+			if err != nil {
+				return
+			}
+			bc, err := cl.Fabric().Host("proxy").Dial(host.Name() + ":backend")
+			if err != nil {
+				cc.Close()
+				continue
+			}
+			go func() {
+				io.Copy(bc, cc)
+				bc.Close()
+			}()
+			go func() {
+				p.relayAnswers(cc, bc)
+				cc.Close()
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-p.rest:
+		default:
+			close(p.rest)
+		}
+		lp.Close()
+		backend.Close()
+	})
+	c.Pool().Invalidate(host.Name() + ":data")
+	return p
+}
+
+// relayAnswers copies response frames (layout in internal/rpc's package
+// doc) from src to dst, stalling them as stallMidAnswer describes.
+func (p *midAnswerStaller) relayAnswers(dst io.Writer, src io.Reader) {
+	br := bufio.NewReader(src)
+	for {
+		frame := make([]byte, 10) // kind | id | status
+		if _, err := io.ReadFull(br, frame); err != nil {
+			return
+		}
+		n, err := binary.ReadUvarint(br)
+		if err != nil {
+			return
+		}
+		frame = binary.AppendUvarint(frame, n)
+		frame = append(frame, make([]byte, n)...)
+		if _, err := io.ReadFull(br, frame[len(frame)-int(n):]); err != nil {
+			return
+		}
+		cut := len(frame)
+		if n > pageSize && p.left.Add(-1) >= 0 {
+			cut -= int(n) / 2
+		}
+		if _, err := dst.Write(frame[:cut]); err != nil {
+			return
+		}
+		if cut < len(frame) {
+			select {
+			case p.half <- struct{}{}:
+			default:
+			}
+			<-p.rest
+			if _, err := dst.Write(frame[cut:]); err != nil {
+				return
+			}
+		}
+	}
+}
+
 // halfAnswerer serves page fetches on l the way a provider stalling
 // mid-answer would: every page is pageSize bytes of 0x5A, and each
 // answer goes out as its header and half its body, a signal on half,
@@ -267,7 +490,7 @@ func halfAnswerer(l net.Listener, half chan<- struct{}, rest <-chan struct{}) {
 			default:
 			}
 			<-rest
-			conn.Write(frame[cut:]) // fails once the client has cut the connection
+			conn.Write(frame[cut:])
 		}()
 	}
 }

@@ -9,7 +9,7 @@ package core
 // usable response lands first serves the page. A group's own fetch
 // reads its answer straight into the read's buffer, so once the hedges
 // have won the straggler is detached — its answer discarded unread, or
-// its connection cut if the answer is already arriving — and its
+// its sink stopped if the answer is already arriving — and its
 // eventual completion is drained in the background, where it still
 // feeds the provider's breaker: one stalled replica costs a read roughly
 // one hedge delay instead of a full RPC timeout. Erasure-coded blobs
@@ -93,8 +93,9 @@ const drainTimeout = time.Second
 
 // abandonFetch stops waiting for a straggler. It detaches the call
 // first, so the call's sink never writes after abandonFetch returns,
-// then drains it in the background: its eventual outcome — success,
-// error, or the drain timing out — still reaches the breaker, so a
+// then drains it in the background: the call completes only once its
+// whole answer is in, so its eventual outcome — success, error, or the
+// drain timing out, mid-answer too — still reaches the breaker, and a
 // provider that stalls every call accumulates evidence even though no
 // read ever waits it out.
 func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) {

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -266,6 +268,55 @@ func TestReadDeadline(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Error("deadline ignored")
+	}
+}
+
+// TestReadDeadlineMovedUnderPendingRead: as net.Conn has it, a deadline
+// set while a read waits applies to that read, and once it is lifted
+// the connection reads on with no byte lost.
+func TestReadDeadlineMovedUnderPendingRead(t *testing.T) {
+	n := New(Config{Latency: 50 * time.Millisecond})
+	defer n.Close()
+	l, _ := n.Host("srv").Listen("7")
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		s, _ := l.Accept()
+		accepted <- s
+	}()
+	c, err := n.Host("cli").Dial("srv:7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := <-accepted
+	defer s.Close()
+
+	buf := make([]byte, 8)
+	for _, inFlight := range []bool{false, true} {
+		if inFlight {
+			// The wait for a segment still crossing the link ends too.
+			s.Write([]byte("12345678"))
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Read(buf)
+			done <- err
+		}()
+		time.Sleep(10 * time.Millisecond)
+		c.SetReadDeadline(time.Unix(1, 0))
+		select {
+		case err := <-done:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("in flight %v: read got %v, want a deadline error", inFlight, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("in flight %v: the moved deadline did not end the pending read", inFlight)
+		}
+		c.SetReadDeadline(time.Time{})
+	}
+	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "12345678" {
+		t.Fatalf("read after the deadline was lifted: %q, %v", buf, err)
 	}
 }
 

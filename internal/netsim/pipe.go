@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"io"
 	"net"
 	"os"
@@ -25,7 +26,8 @@ type pipeBuf struct {
 	once   sync.Once
 
 	mu      sync.Mutex
-	pending []byte // partially consumed head segment
+	pending []byte    // partially consumed head segment
+	at      time.Time // when pending becomes visible
 }
 
 func newPipeBuf() *pipeBuf {
@@ -57,24 +59,29 @@ func (b *pipeBuf) writeOwned(data []byte, at time.Time) error {
 	}
 }
 
-// read delivers available bytes, honouring segment timestamps and an
-// optional deadline (zero means none).
-func (b *pipeBuf) read(p []byte, deadline time.Time) (int, error) {
+// errDeadlineMoved ends a read whose deadline was changed while it
+// waited; conn.Read retries it under the new one.
+var errDeadlineMoved = errors.New("netsim: read deadline moved")
+
+// read delivers available bytes, honouring segment timestamps and the
+// deadline (zero means none). A read still waiting when moved is closed
+// returns errDeadlineMoved.
+func (b *pipeBuf) read(p []byte, deadline time.Time, moved <-chan struct{}) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
+	var timeout <-chan time.Time
+	if !deadline.IsZero() {
+		d := time.Until(deadline)
+		if d <= 0 {
+			return 0, os.ErrDeadlineExceeded
+		}
+		t := time.NewTimer(d)
+		defer t.Stop()
+		timeout = t.C
+	}
 	if len(b.pending) == 0 {
 		var seg segment
-		var timeout <-chan time.Time
-		if !deadline.IsZero() {
-			d := time.Until(deadline)
-			if d <= 0 {
-				return 0, os.ErrDeadlineExceeded
-			}
-			t := time.NewTimer(d)
-			defer t.Stop()
-			timeout = t.C
-		}
 		select {
 		case seg = <-b.ch:
 		case <-b.closed:
@@ -86,19 +93,28 @@ func (b *pipeBuf) read(p []byte, deadline time.Time) (int, error) {
 			}
 		case <-timeout:
 			return 0, os.ErrDeadlineExceeded
+		case <-moved:
+			return 0, errDeadlineMoved
 		}
-		if wait := time.Until(seg.at); wait > 0 {
-			if !deadline.IsZero() && seg.at.After(deadline) {
-				// Deliverable only after the deadline; requeue is not
-				// possible on a channel, so hold it as pending and fail.
-				b.pending = seg.data
-				return 0, os.ErrDeadlineExceeded
-			}
-			b.mu.Unlock()
-			time.Sleep(wait)
-			b.mu.Lock()
+		b.pending, b.at = seg.data, seg.at
+	}
+	if wait := time.Until(b.at); wait > 0 {
+		// The head segment is still in flight.
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		b.mu.Unlock()
+		var err error
+		select {
+		case <-t.C:
+		case <-timeout:
+			err = os.ErrDeadlineExceeded
+		case <-moved:
+			err = errDeadlineMoved
 		}
-		b.pending = seg.data
+		b.mu.Lock()
+		if err != nil {
+			return 0, err
+		}
 	}
 
 	n := copy(p, b.pending)
@@ -116,7 +132,7 @@ type conn struct {
 	latency      time.Duration
 	srcNIC       *nic
 	dstNIC       *nic
-	readDeadline atomicTime
+	readDeadline deadline
 	closeOnce    sync.Once
 }
 
@@ -152,11 +168,19 @@ func (c *conn) injectFault() (time.Duration, error) {
 	return c.net.faultDelay(c)
 }
 
+// Read honours the read deadline as net.Conn has it: a deadline set
+// while the read waits applies to it too.
 func (c *conn) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	return c.rd.read(p, c.readDeadline.load())
+	for {
+		t, moved := c.readDeadline.load()
+		n, err := c.rd.read(p, t, moved)
+		if err != errDeadlineMoved {
+			return n, err
+		}
+	}
 }
 
 // minMaterializedSleep is the smallest NIC wait actually slept. Shorter
@@ -256,22 +280,30 @@ func (c *conn) SetReadDeadline(t time.Time) error {
 // only for the metered serialization time, which is always finite.
 func (c *conn) SetWriteDeadline(time.Time) error { return nil }
 
-// atomicTime is a mutex-guarded time value (time.Time is not atomically
-// storable without sync/atomic.Pointer indirection; contention here is
-// negligible).
-type atomicTime struct {
-	mu sync.Mutex
-	t  time.Time
+// deadline is a connection's read deadline. Every store closes the
+// channel load handed out with the old value, so a read waiting under
+// it wakes and picks up the new one.
+type deadline struct {
+	mu    sync.Mutex
+	t     time.Time
+	moved chan struct{} // closed by the next store; nil until a load
 }
 
-func (a *atomicTime) store(t time.Time) {
-	a.mu.Lock()
-	a.t = t
-	a.mu.Unlock()
+func (d *deadline) store(t time.Time) {
+	d.mu.Lock()
+	d.t = t
+	if d.moved != nil {
+		close(d.moved)
+		d.moved = nil
+	}
+	d.mu.Unlock()
 }
 
-func (a *atomicTime) load() time.Time {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.t
+func (d *deadline) load() (time.Time, <-chan struct{}) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.moved == nil {
+		d.moved = make(chan struct{})
+	}
+	return d.t, d.moved
 }

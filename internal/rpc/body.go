@@ -15,10 +15,15 @@ package rpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
+	"os"
 
 	"blob/internal/wire"
 )
+
+// errDetached ends a sink's reads once its call has been detached.
+var errDetached = errors.New("rpc: call detached")
 
 // Sink consumes one OK response body. ReadBody runs on the connection's
 // read loop, so it only reads the body and must not retain b past its
@@ -34,6 +39,7 @@ type Sink interface {
 // caller already holds (BodyOf), so one parser serves both.
 type Body struct {
 	fr   *frameReader // the connection; nil for a body in memory
+	cl   *call        // the call whose sink reads the body off fr
 	mem  []byte       // the unread bytes of a body in memory
 	left int          // unread body bytes
 	err  error        // the connection failed mid-body
@@ -46,8 +52,25 @@ func BodyOf(p []byte) Body { return Body{mem: p, left: len(p)} }
 // Len returns the number of unread body bytes.
 func (b *Body) Len() int { return b.left }
 
-// fail records a connection read error; every later read returns it.
+// check lets a read go ahead unless the connection has failed or the
+// call has been detached.
+func (b *Body) check() error {
+	if b.err != nil {
+		return b.err
+	}
+	if b.cl != nil && b.cl.state.Load() == sinkDetaching {
+		return errDetached
+	}
+	return nil
+}
+
+// fail turns a connection read error into the sink's error. A read that
+// Detach interrupted leaves the connection sound, so only another error
+// is recorded, and every later read returns it.
 func (b *Body) fail(err error) error {
+	if b.cl != nil && b.cl.state.Load() == sinkDetaching && errors.Is(err, os.ErrDeadlineExceeded) {
+		return errDetached
+	}
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF // the connection ended mid-body
 	}
@@ -57,8 +80,8 @@ func (b *Body) fail(err error) error {
 
 // ReadByte reads one body byte.
 func (b *Body) ReadByte() (byte, error) {
-	if b.err != nil {
-		return 0, b.err
+	if err := b.check(); err != nil {
+		return 0, err
 	}
 	if b.left == 0 {
 		return 0, io.ErrUnexpectedEOF
@@ -80,35 +103,43 @@ func (b *Body) ReadByte() (byte, error) {
 // copies only what the read-ahead already holds and reads the rest
 // straight into p.
 func (b *Body) ReadFull(p []byte) error {
-	if b.err != nil {
-		return b.err
+	if err := b.check(); err != nil {
+		return err
 	}
 	if len(p) > b.left {
 		return io.ErrUnexpectedEOF
 	}
 	if b.fr == nil {
 		b.mem = b.mem[copy(p, b.mem):]
-	} else if err := b.fr.readFull(p); err != nil {
+		b.left -= len(p)
+		return nil
+	}
+	n, err := b.fr.readFull(p)
+	b.left -= n
+	if err != nil {
 		return b.fail(err)
 	}
-	b.left -= len(p)
 	return nil
 }
 
 // Discard skips the next n body bytes.
 func (b *Body) Discard(n int) error {
-	if b.err != nil {
-		return b.err
+	if err := b.check(); err != nil {
+		return err
 	}
 	if n > b.left {
 		return io.ErrUnexpectedEOF
 	}
 	if b.fr == nil {
 		b.mem = b.mem[n:]
-	} else if _, err := b.fr.br.Discard(n); err != nil {
+		b.left -= n
+		return nil
+	}
+	k, err := b.fr.br.Discard(n)
+	b.left -= k
+	if err != nil {
 		return b.fail(err)
 	}
-	b.left -= n
 	return nil
 }
 
@@ -117,8 +148,8 @@ func (b *Body) Discard(n int) error {
 // length with wire.CheckCount or wire.CheckLength before it sizes
 // anything.
 func (b *Body) Uvarint() (uint64, error) {
-	if b.err != nil {
-		return 0, b.err
+	if err := b.check(); err != nil {
+		return 0, err
 	}
 	k := min(b.left, binary.MaxVarintLen64)
 	p := b.mem

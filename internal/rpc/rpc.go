@@ -28,7 +28,9 @@
 //     at the same post-flush point. A response body goes to its call's
 //     sink (see body.go): by default a pooled buffer the caller releases
 //     when done, or the caller's own decoder, which reads it straight
-//     into its destination.
+//     into its destination. A caller that stops waiting detaches its
+//     sink (Pending.Detach); the connection and its other calls carry
+//     on.
 //   - Handlers run in their own goroutines, so a slow request does not
 //     head-of-line-block the connection.
 //   - Transport is any net.Conn source: real TCP (Dialer) or the
@@ -123,11 +125,6 @@ func IsServerError(err error) bool {
 // ErrClosed is returned for calls on a closed client or server.
 var ErrClosed = errors.New("rpc: connection closed")
 
-// errCut fails the calls of a connection that Detach closed under a
-// sink mid-body. The caller gave up, not the peer, so it matches
-// context.Canceled and breakers do not count it.
-var errCut = fmt.Errorf("rpc: connection cut to detach a call mid-body: %w", context.Canceled)
-
 // ErrRemoteExpired is returned when the server reports that the call's
 // propagated deadline lapsed before or during handling. It matches
 // context.DeadlineExceeded under errors.Is, so callers need no special
@@ -210,10 +207,11 @@ type call struct {
 // A call's sink states: its body reaches the sink only if the caller
 // has not detached the call first.
 const (
-	sinkIdle     int32 = iota // no body yet
-	sinkRunning               // the sink is reading the body off the connection
-	sinkDone                  // the sink has returned
-	sinkDetached              // detached first: the body is discarded unread
+	sinkIdle      int32 = iota // no body yet
+	sinkRunning                // the sink is reading the body off the connection
+	sinkDone                   // the sink has returned
+	sinkDetached               // detached first: the body is discarded unread
+	sinkDetaching              // detached mid-body: Detach waits for the sink to return
 )
 
 func newCall(method uint32, segs [][]byte, sink Sink) *call {
@@ -236,17 +234,6 @@ func (cl *call) ReadBody(b *Body) error {
 	return nil
 }
 
-// deliver runs the call's sink over its OK body, unless the caller
-// detached the call first.
-func (cl *call) deliver(b *Body) error {
-	if !cl.state.CompareAndSwap(sinkIdle, sinkRunning) {
-		return nil // detached: the body is discarded unread
-	}
-	err := cl.sink.ReadBody(b)
-	cl.state.Store(sinkDone)
-	return err
-}
-
 // complete finishes the call with err.
 func (cl *call) complete(err error) {
 	cl.err = err
@@ -257,10 +244,14 @@ func (cl *call) complete(err error) {
 type Client struct {
 	conn net.Conn
 
-	mu       sync.Mutex
-	pending  map[uint64]*call
-	closed   bool
-	closeErr error // what closed the client
+	mu      sync.Mutex
+	pending map[uint64]*call
+	closed  bool
+
+	// smu orders a sink that Detach interrupts (see Pending.Detach);
+	// sinkStopped, over smu, wakes the Detach once the sink has returned.
+	smu         sync.Mutex
+	sinkStopped sync.Cond
 
 	nextID atomic.Uint64
 	sendq  chan *call
@@ -281,6 +272,7 @@ func NewClient(conn net.Conn) *Client {
 		writerDone: make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
+	c.sinkStopped.L = &c.smu
 	go c.writeLoop()
 	go c.readLoop()
 	return c
@@ -425,21 +417,57 @@ func (p *Pending) Release() {
 // that stops waiting before the call completes — its ctx is done, a
 // hedge won — detaches it before it reuses that memory. A body that has
 // not arrived is then discarded unread. A sink already reading its body
-// is not waited for: Detach closes the connection under it (the pool
-// redials) and returns once the sink has stopped, so it never blocks on
-// the network; the calls that shared the connection fail with an error
-// matching context.Canceled, which breakers do not count. The call
-// still completes, so Done and Wait keep working. Detaching a call
-// without a sink of its own does nothing.
+// is interrupted, not waited for: Detach moves the connection's read
+// deadline into the past, so the sink's read returns at once, and
+// returns when the sink has; it never blocks on the network. The read
+// loop then lifts the deadline and discards the rest of the body off
+// the connection, which stays up for its other calls. The call still
+// completes once its answer is in, successfully if the whole answer
+// arrived, so Done and Wait keep working and a drain that waits the
+// call out still measures the peer. Detaching a call without a sink of
+// its own does nothing.
 func (p *Pending) Detach() {
 	cl := p.c
-	if _, own := cl.sink.(*call); own || cl.state.CompareAndSwap(sinkIdle, sinkDetached) {
+	if _, own := cl.sink.(*call); own || cl.state.CompareAndSwap(sinkIdle, sinkDetached) ||
+		cl.state.Load() != sinkRunning {
 		return
 	}
-	if cl.state.Load() == sinkRunning {
-		cl.client.failAll(errCut)
-		<-cl.done
+	c := cl.client
+	c.smu.Lock()
+	if cl.state.CompareAndSwap(sinkRunning, sinkDetaching) {
+		c.conn.SetReadDeadline(aLongTimeAgo)
+		for cl.state.Load() == sinkDetaching {
+			c.sinkStopped.Wait()
+		}
 	}
+	c.smu.Unlock()
+}
+
+// aLongTimeAgo is a read deadline already past: setting it ends a
+// pending read at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// deliver runs cl's sink over its OK body, unless cl was detached
+// first.
+func (c *Client) deliver(cl *call, b *Body) error {
+	if !cl.state.CompareAndSwap(sinkIdle, sinkRunning) {
+		return nil // detached: the body is discarded unread
+	}
+	b.cl = cl
+	err := cl.sink.ReadBody(b)
+	b.cl = nil
+	if cl.state.CompareAndSwap(sinkRunning, sinkDone) {
+		return err
+	}
+	// Detach interrupted the sink: lift the deadline it set before the
+	// loop reads on, and wake it. Detach holds smu from its state change
+	// to its wait, so the deadline is set by the time smu is ours.
+	c.smu.Lock()
+	c.conn.SetReadDeadline(time.Time{})
+	cl.state.Store(sinkDone)
+	c.smu.Unlock()
+	c.sinkStopped.Broadcast()
+	return nil // nobody reads this answer; it counts as arrived
 }
 
 // frameEncoder assembles one outbound frame as scatter-gather segments:
@@ -614,7 +642,7 @@ func (c *Client) readLoop() {
 		case cl == nil:
 			// Cancelled or duplicate: dropped with the rest below.
 		case status == statusOK:
-			cerr = cl.deliver(body)
+			cerr = c.deliver(cl, body)
 		case status == statusExpired:
 			cerr = ErrRemoteExpired
 		default:
@@ -622,7 +650,8 @@ func (c *Client) readLoop() {
 		}
 		// Discard fails only if the connection did, here or in the sink.
 		if err := body.Discard(body.Len()); err != nil {
-			err = c.failAll(fmt.Errorf("rpc: read: %w", err))
+			err = fmt.Errorf("rpc: read: %w", err)
+			c.failAll(err)
 			if cl != nil {
 				cl.complete(err)
 			}
@@ -645,16 +674,13 @@ func readServerError(b *Body) error {
 }
 
 // failAll completes every pending call with err and closes the client.
-// It returns the error the client closed with: err, or the earlier one
-// if it was closed already.
-func (c *Client) failAll(err error) error {
+func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	if c.closed {
-		err = c.closeErr
 		c.mu.Unlock()
-		return err
+		return
 	}
-	c.closed, c.closeErr = true, err
+	c.closed = true
 	pend := c.pending
 	c.pending = make(map[uint64]*call)
 	c.mu.Unlock()
@@ -664,7 +690,6 @@ func (c *Client) failAll(err error) error {
 	for _, cl := range pend {
 		cl.complete(err)
 	}
-	return err
 }
 
 // Close shuts the connection down; pending calls fail with ErrClosed.

@@ -485,17 +485,18 @@ func newFrameReader(conn io.Reader) *frameReader {
 }
 
 // readFull fills p: it copies only what the read-ahead already holds
-// and reads the rest straight from the connection into p.
-func (f *frameReader) readFull(p []byte) error {
+// and reads the rest straight from the connection into p. It returns
+// how many bytes of p it filled.
+func (f *frameReader) readFull(p []byte) (int, error) {
 	n := 0
 	if f.br.Buffered() > 0 {
 		n, _ = f.br.Read(p) // buffered bytes only: it cannot fail
 	}
 	if n < len(p) {
-		_, err := io.ReadFull(f.conn, p[n:])
-		return err
+		m, err := io.ReadFull(f.conn, p[n:])
+		return n + m, err
 	}
-	return nil
+	return n, nil
 }
 
 // requestHeader is one request frame's header, up to but excluding the
@@ -588,7 +589,7 @@ func (f *frameReader) readBody() (*Buf, error) {
 		return nil, err
 	}
 	body := GetBuf(n)
-	if err := f.readFull(body.data); err != nil {
+	if _, err := f.readFull(body.data); err != nil {
 		body.Release()
 		return nil, err
 	}
