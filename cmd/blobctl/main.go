@@ -90,7 +90,7 @@ func main() {
 
 	var tracer *trace.Tracer
 	if *traceOps {
-		tracer = trace.New("blobctl", 0, 1)
+		tracer = trace.New("blobctl", 1)
 	}
 	ctx := context.Background()
 	client, err := blob.NewClient(ctx, blob.Options{

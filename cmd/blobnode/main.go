@@ -73,8 +73,6 @@ func main() {
 		capacity   = flag.Int64("capacity", 0, "data provider page capacity in bytes (0 = unlimited)")
 		dataDir    = flag.String("data-dir", "", "data provider persistence directory (empty = RAM-only, the paper's mode)")
 		segSize    = flag.Int64("segment-size", 0, "segment file size for -data-dir in bytes (0 = 4 MiB default)")
-		compactEvr = flag.Duration("compact-interval", time.Minute, "segment compaction period for -data-dir (0 disables)")
-		compactBps = flag.Int64("compact-rate", 0, "compaction I/O throttle for -data-dir in bytes/sec (0 = unthrottled)")
 		syncWrites = flag.Bool("sync-writes", false, "fsync every page append to -data-dir")
 		repair     = flag.Duration("repair", 30*time.Second, "version manager dead-writer repair timeout (0 disables)")
 		vshards    = flag.Int("vshards", 1, "total version-manager shard count of the deployment (vmanager role)")
@@ -83,18 +81,13 @@ func main() {
 		vpeers     = flag.String("vpeers", "", "comma-separated replica addresses of this shard, including this node (vmanager role; default: this node alone, a single-replica shard; docs/vmanager-group.md)")
 		vrejoin    = flag.Bool("vrejoin", false, "this replica is restarting after a crash into a multi-replica shard: boot as a follower and catch up from the incumbent leader")
 		vbeat      = flag.Duration("vheartbeat", 500*time.Millisecond, "shard leader idle append interval (vmanager role)")
-		velection  = flag.Duration("velection", 0, "follower silence before campaigning (0 = 10x -vheartbeat)")
-		repairBps  = flag.Int64("repair-rate", 0, "replica repair pull throttle in bytes/sec (0 = unthrottled; provider role)")
 		repairEvr  = flag.Duration("repair-interval", time.Minute, "replica repair sweep period (repairer role)")
 		vmAddr     = flag.String("vm", "", `version manager address, or a shard group "a,b;c,d" (repairer role)`)
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "data provider heartbeat interval")
-		strategy   = flag.String("strategy", "round-robin", "placement strategy: round-robin|least-loaded|power-of-two")
 		redundancy = flag.String("redundancy", "replicate", `advertised redundancy mode: "replicate" or "rs(k,m)" (pmanager role; clients adopt it for new blobs)`)
 		adminAddr  = flag.String("admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty disables)")
 		traceEvery = flag.Int("trace-sample", 0, "start a trace for 1-in-N of this process's own root operations (0 starts none, 1 traces everything); spans of traces that reach the node are recorded regardless")
 		slowThresh = flag.Duration("slow-threshold", 0, "log the span tree of client operations slower than this (repairer role; 0 disables)")
-		chaosDelay = flag.Duration("chaos-delay", 0, "gray-failure injection: hold every page serve this long (provider role; change live with blobctl chaos)")
-		chaosStall = flag.Bool("chaos-stall", false, "gray-failure injection: stall page serves outright until healed via blobctl chaos (provider role)")
 		pollEvery  = flag.Duration("poll", time.Second, "cluster poll interval (monitor role)")
 		watchVM    = flag.String("watch-vm", "", `version-manager shards the monitor polls: replica addresses comma-separated within a shard, shards separated by ";" (monitor role)`)
 		watchEvs   = flag.String("watch-events", "", "comma-separated extra addresses the monitor tails MEvents from, e.g. the repairer node (monitor role)")
@@ -125,7 +118,7 @@ func main() {
 	// recorder of spans and cluster events, served over MSpans and
 	// MEvents (role setup below hooks its emit sites in), and a metrics
 	// registry exposed on the -admin HTTP listener.
-	tracer := trace.New(adv, 0, *traceEvery)
+	tracer := trace.New(adv, *traceEvery)
 	srv.SetTracer(tracer)
 	pool.SetTracer(tracer)
 	if *traceEvery > 0 {
@@ -151,15 +144,7 @@ func main() {
 	for _, role := range strings.Split(*roles, ",") {
 		switch strings.TrimSpace(role) {
 		case "pmanager":
-			strat := pmanager.RoundRobin
-			switch *strategy {
-			case "least-loaded":
-				strat = pmanager.LeastLoaded
-			case "power-of-two":
-				strat = pmanager.PowerOfTwo
-			}
 			pm = pmanager.New(pmanager.Config{
-				Strategy:         strat,
 				HeartbeatTimeout: 4 * *heartbeat,
 				Redundancy:       red,
 				Tracer:           tracer,
@@ -168,7 +153,7 @@ func main() {
 			// The metadata directory co-habits the provider manager node.
 			dir := dht.NewDirectory()
 			dir.RegisterHandlers(srv)
-			log.Printf("role pmanager+directory (strategy %s, redundancy %s)", strat, red)
+			log.Printf("role pmanager+directory (redundancy %s)", red)
 
 		case "vmanager":
 			cfg := vmanager.Config{}
@@ -197,16 +182,15 @@ func main() {
 				log.Fatalf("vmanager: -vshard %d out of range for -vshards %d", *vshard, *vshards)
 			}
 			vrep, err = vmanager.NewReplica(vmanager.ReplicaConfig{
-				Shard:           *vshard,
-				Shards:          *vshards,
-				Index:           *vreplica,
-				Peers:           peers,
-				Pool:            pool,
-				Heartbeat:       *vbeat,
-				ElectionTimeout: *velection,
-				Rejoin:          *vrejoin,
-				Tracer:          tracer,
-				Manager:         cfg,
+				Shard:     *vshard,
+				Shards:    *vshards,
+				Index:     *vreplica,
+				Peers:     peers,
+				Pool:      pool,
+				Heartbeat: *vbeat,
+				Rejoin:    *vrejoin,
+				Tracer:    tracer,
+				Manager:   cfg,
 			})
 			if errors.Is(err, vmanager.ErrLoneRejoin) {
 				log.Fatal("vmanager: -vrejoin needs a multi-replica shard (-vpeers): a lone replica has no leader to catch up from and would never lead; restart it without -vrejoin (it boots empty)")
@@ -224,12 +208,10 @@ func main() {
 			}
 			if *dataDir != "" {
 				ds, err := provider.NewDiskStore(diskstore.Options{
-					Dir:              *dataDir,
-					SegmentSize:      *segSize,
-					Sync:             *syncWrites,
-					CompactEvery:     *compactEvr,
-					CompactRateBytes: *compactBps,
-					Tracer:           tracer,
+					Dir:         *dataDir,
+					SegmentSize: *segSize,
+					Sync:        *syncWrites,
+					Tracer:      tracer,
 				}, *capacity)
 				if err != nil {
 					log.Fatalf("provider: open data dir %s: %v", *dataDir, err)
@@ -243,8 +225,8 @@ func main() {
 			}
 			dataSvc = provider.NewService(dataStore)
 			// Peer pulls (MPullPages) dial other providers through the
-			// node's shared TCP pool, throttled by -repair-rate.
-			dataSvc.EnableRepair(pool, *repairBps)
+			// node's shared TCP pool.
+			dataSvc.EnableRepair(pool)
 			dataSvc.RegisterHandlers(srv)
 			dataSvc.RegisterMetrics(reg)
 			id, err := pmanager.RegisterProvider(ctx, pool, *pmAddr, adv, *capacity)
@@ -252,14 +234,8 @@ func main() {
 				log.Fatalf("provider: register with %s: %v", *pmAddr, err)
 			}
 			providerID = id
-			log.Printf("role provider (id %d, capacity %d, persistence %q, repair rate %d B/s)",
-				id, *capacity, *dataDir, *repairBps)
-			if *chaosDelay > 0 || *chaosStall {
-				// Boot gray: a drill can start a provider sick instead of
-				// turning it sick with blobctl chaos (docs/robustness.md).
-				dataSvc.SetChaos(*chaosDelay, *chaosStall)
-				log.Printf("provider: CHAOS armed (delay %v, stall %v)", *chaosDelay, *chaosStall)
-			}
+			log.Printf("role provider (id %d, capacity %d, persistence %q)",
+				id, *capacity, *dataDir)
 
 		case "repairer":
 			// The replica repair agent: periodically walks every blob's

@@ -33,43 +33,31 @@ import (
 
 // Package defaults, used for any zero Policy field.
 const (
-	DefaultBase   = 2 * time.Millisecond
-	DefaultMax    = 250 * time.Millisecond
-	DefaultFactor = 2.0
+	DefaultBase = 2 * time.Millisecond
+	DefaultMax  = 250 * time.Millisecond
 )
 
-// Policy describes a jittered exponential backoff curve. The zero
-// value uses the package defaults. Policies are immutable values —
-// copy them freely.
+// Policy describes a jittered exponential backoff curve whose ceiling
+// doubles each attempt. The zero value uses the package defaults.
+// Policies are immutable values — copy them freely.
 type Policy struct {
-	Base   time.Duration // first-retry ceiling (default 2ms)
-	Max    time.Duration // delay ceiling (default 250ms)
-	Factor float64       // ceiling growth per attempt (default 2)
+	Base time.Duration // first-retry ceiling (default 2ms)
+	Max  time.Duration // delay ceiling (default 250ms)
 }
 
 // ceiling returns the un-jittered delay ceiling for attempt n (0-based).
 func (p Policy) ceiling(attempt int) time.Duration {
-	base, max, factor := p.Base, p.Max, p.Factor
-	if base <= 0 {
-		base = DefaultBase
+	d, limit := p.Base, p.Max
+	if d <= 0 {
+		d = DefaultBase
 	}
-	if max <= 0 {
-		max = DefaultMax
+	if limit <= 0 {
+		limit = DefaultMax
 	}
-	if factor <= 1 {
-		factor = DefaultFactor
+	for i := 0; i < attempt && d < limit; i++ {
+		d *= 2
 	}
-	d := float64(base)
-	for i := 0; i < attempt; i++ {
-		d *= factor
-		if d >= float64(max) {
-			return max
-		}
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
-	return time.Duration(d)
+	return min(d, limit)
 }
 
 // Delay returns the randomized wait before retry attempt n (0-based):

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDelayGrowsAndCaps(t *testing.T) {
-	p := Policy{Base: 2 * time.Millisecond, Max: 100 * time.Millisecond, Factor: 2}
+	p := Policy{Base: 2 * time.Millisecond, Max: 100 * time.Millisecond}
 	for attempt, wantCeil := range []time.Duration{
 		2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,
 	} {

@@ -65,8 +65,6 @@ type Config struct {
 	Net netsim.Config
 	// ProviderCapacity bounds each data provider's RAM (0 = unlimited).
 	ProviderCapacity int64
-	// Strategy is the page placement policy.
-	Strategy pmanager.Strategy
 	// RepairTimeout enables dead-writer repair at the version manager.
 	RepairTimeout time.Duration
 	// CacheNodes is the default client metadata cache size (0 disables,
@@ -121,8 +119,8 @@ type Config struct {
 	// of them, like blobctl trace does over MSpans in a real deployment.
 	// Zero starts no traces (the allocation-free path).
 	TraceSampleEvery int
-	// Breakers arms per-peer circuit breakers (rpc.BreakerConfig
-	// defaults) on every cluster client's connection pool; breaker
+	// Breakers arms per-peer circuit breakers (rpc.Pool.EnableBreakers)
+	// on every cluster client's connection pool; breaker
 	// transitions land in the client's recorder and surface
 	// through Events and the monitor.
 	Breakers bool
@@ -236,7 +234,7 @@ type Cluster struct {
 // newRecorder creates (and retains, for TraceSpans and Events) the
 // recorder of the named simulated process.
 func (c *Cluster) newRecorder(node string) *trace.Tracer {
-	t := trace.New(node, 0, c.cfg.TraceSampleEvery)
+	t := trace.New(node, c.cfg.TraceSampleEvery)
 	c.recMu.Lock()
 	c.recorders = append(c.recorders, t)
 	c.recMu.Unlock()
@@ -292,7 +290,7 @@ func (c *Cluster) dataHostName(i int) string {
 
 // newDataService hosts a provider service over st with repair armed:
 // the service gets a connection pool dialing from its own host (the
-// vantage MPullPages pulls peers from), pulls unthrottled.
+// vantage MPullPages pulls peers from).
 func (c *Cluster) newDataService(i int, st provider.PageStore, rec *trace.Tracer) *provider.Service {
 	svc := provider.NewService(st)
 	pool := rpc.NewPool(hostDialer{c.fab.Host(c.dataHostName(i))})
@@ -300,7 +298,7 @@ func (c *Cluster) newDataService(i int, st provider.PageStore, rec *trace.Tracer
 	c.svcMu.Lock()
 	c.pools = append(c.pools, pool)
 	c.svcMu.Unlock()
-	svc.EnableRepair(pool, 0)
+	svc.EnableRepair(pool)
 	return svc
 }
 
@@ -467,7 +465,6 @@ func Launch(cfg Config) (*Cluster, error) {
 	}
 	recPM := c.newRecorder("pm:rpc")
 	c.PM = pmanager.New(pmanager.Config{
-		Strategy:         cfg.Strategy,
 		HeartbeatTimeout: hbTimeout,
 		Replicas:         cfg.DataReplicas,
 		Redundancy:       cfg.Redundancy,

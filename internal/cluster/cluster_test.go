@@ -11,7 +11,6 @@ import (
 	"blob/internal/meta"
 	"blob/internal/monitor"
 	"blob/internal/netsim"
-	"blob/internal/pmanager"
 	"blob/internal/rpc"
 )
 
@@ -248,7 +247,7 @@ func TestHeartbeatsKeepProvidersAllocatable(t *testing.T) {
 		t.Fatalf("write after heartbeat interval: %v", err)
 	}
 
-	// Heartbeats carry load: the manager's least-loaded view should see
+	// Heartbeats carry load: the manager's membership view should see
 	// nonzero bytes after a flush interval.
 	time.Sleep(100 * time.Millisecond)
 	_, infos := cl.PM.List()
@@ -282,10 +281,9 @@ func TestSeparateDataAndMetaHosts(t *testing.T) {
 	}
 }
 
-func TestPlacementStrategyPropagates(t *testing.T) {
+func TestPlacementUsesEveryProvider(t *testing.T) {
 	cl, err := cluster.Launch(cluster.Config{
 		DataProviders: 4, MetaProviders: 4,
-		Strategy: pmanager.LeastLoaded,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,11 +301,10 @@ func TestPlacementStrategyPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Least-loaded over equal providers behaves near-uniformly; just
-	// assert all providers were used.
+	// Round-robin spreads the pages over every provider.
 	for i, st := range cl.DataStores {
 		if st.Snapshot().PageCount == 0 {
-			t.Errorf("provider %d unused under least-loaded", i)
+			t.Errorf("provider %d unused under round-robin", i)
 		}
 	}
 }

@@ -204,12 +204,7 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	pool := rpc.NewPool(opts.Network)
 	pool.SetTracer(opts.Tracer)
 	if opts.Breakers {
-		// Latency tripping is on for clients: the gray failure worth
-		// detecting is the provider that answers everything, slowly —
-		// error-rate alone never sees it. 250ms of sustained success
-		// latency is far beyond any healthy page fetch and comfortably
-		// below the multi-second stalls the chaos harness injects.
-		pool.EnableBreakers(rpc.BreakerConfig{LatencyTrip: 250 * time.Millisecond})
+		pool.EnableBreakers()
 	}
 	kv, err := dht.NewDirectoryClient(ctx, pool, opts.MetaDirAddr, opts.MetaReplicas)
 	if err != nil {

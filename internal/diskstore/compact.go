@@ -15,9 +15,7 @@ import (
 // live on in whatever segment received them, which gets its own sidecar
 // when it seals. Reads never block: a reader that resolved the old
 // location before the repoint finishes against the unlinked file's
-// still-open handle. When Options.CompactRateBytes is set, candidate
-// reads and record rewrites are metered through a token bucket (see
-// throttle.go), so reclamation yields the disk to foreground traffic.
+// still-open handle.
 //
 // Tombstones need care: a tombstone guards every dead put record with a
 // lower sequence number that is still physically on disk — dropping it
@@ -31,11 +29,15 @@ import (
 // candidate is the oldest segment — where anything they guard is being
 // dropped in the same pass.
 
-// compactLoop drives CompactOnce every Options.CompactEvery until the
-// store closes.
+// compactEvery is the background compaction period. Compaction can also
+// be driven explicitly through CompactOnce.
+const compactEvery = time.Minute
+
+// compactLoop drives CompactOnce every compactEvery until the store
+// closes.
 func (s *Store) compactLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.CompactEvery)
+	t := time.NewTicker(compactEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -90,12 +92,6 @@ func (s *Store) CompactOnce() (bool, error) {
 	defer cand.release()
 	dropTombstones := cand.id == minID
 
-	// Pre-pay the candidate read against the I/O budget; rewrites below
-	// are post-paid after each append so the throttle sleep never holds
-	// the writer lock foreground puts need.
-	if err := s.compactThrottle(size); err != nil {
-		return false, err
-	}
 	buf := make([]byte, size)
 	if _, err := cand.f.ReadAt(buf, 0); err != nil {
 		return false, fmt.Errorf("diskstore: compact read %s: %w", cand.path, err)
@@ -108,14 +104,8 @@ func (s *Store) CompactOnce() (bool, error) {
 			return false, fmt.Errorf("diskstore: compact %s at %d: %w", cand.path, off, err)
 		}
 		raw := buf[off : off+int64(n)]
-		rewrote, err := s.rewriteRecord(cand, rec, off, raw, dropTombstones)
-		if err != nil {
+		if err := s.rewriteRecord(cand, rec, off, raw, dropTombstones); err != nil {
 			return false, err
-		}
-		if rewrote {
-			if err := s.compactThrottle(int64(n)); err != nil {
-				return false, err
-			}
 		}
 		off += int64(n)
 	}
@@ -142,35 +132,34 @@ func (s *Store) CompactOnce() (bool, error) {
 	return true, nil
 }
 
-// rewriteRecord migrates one record out of a segment being compacted,
-// reporting whether bytes were actually re-appended (for the caller's
-// I/O accounting).
-func (s *Store) rewriteRecord(cand *segment, rec record, off int64, raw []byte, dropTombstones bool) (bool, error) {
+// rewriteRecord migrates one record out of a segment being compacted:
+// a live put or a tombstone is re-appended, anything else dropped.
+func (s *Store) rewriteRecord(cand *segment, rec record, off int64, raw []byte, dropTombstones bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false, ErrClosed
+		return ErrClosed
 	}
 	switch rec.op {
 	case opPut:
 		k := writeKey{rec.blob, rec.write}
 		old, ok := s.index[k][rec.rel]
 		if !ok || old.seg != cand || old.off != off {
-			return false, nil // dead (deleted or duplicate): drop
+			return nil // dead (deleted or duplicate): drop
 		}
 		l, err := s.appendLocked(raw, rec.meta())
 		if err != nil {
-			return false, err
+			return err
 		}
 		s.index[k][rec.rel] = l
 		l.seg.live += l.size
 	case opDelPages, opDelWrite:
 		if dropTombstones {
-			return false, nil
+			return nil
 		}
 		if _, err := s.appendLocked(raw, rec.meta()); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }

@@ -13,9 +13,7 @@
 // away, keeping every record before it. Per-segment live-byte accounting
 // feeds a compactor that rewrites mostly-dead segments' surviving
 // records to the active segment and deletes the file, reclaiming disk
-// after garbage collection. The compactor's I/O can be throttled
-// (Options.CompactRateBytes) so reclamation never starves foreground
-// page traffic.
+// after garbage collection. The compactor runs once a minute.
 //
 // Restart cost is O(live index), not O(disk): sealing a segment writes a
 // checksummed index sidecar (seg-NNNNNNNN.idx, see index.go and
@@ -48,10 +46,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"blob/internal/throttle"
 	"blob/internal/trace"
 	"blob/internal/wire"
 )
@@ -76,15 +71,6 @@ type Options struct {
 	// CompactMinDead is the fraction of a sealed segment's bytes that
 	// must be dead before the compactor rewrites it (default 0.5).
 	CompactMinDead float64
-	// CompactEvery, when positive, starts a background compaction loop
-	// with that period. Compaction can also be driven explicitly through
-	// CompactOnce.
-	CompactEvery time.Duration
-	// CompactRateBytes, when positive, caps compaction I/O (candidate
-	// reads plus record rewrites) at roughly this many bytes per second
-	// through a token bucket, so background reclamation cannot starve
-	// foreground page traffic. Zero leaves compaction unthrottled.
-	CompactRateBytes int64
 	// Tracer, if set, records compactions and sidecar-degrade
 	// recoveries as cluster events for the monitor plane.
 	Tracer *trace.Tracer
@@ -147,9 +133,6 @@ type Store struct {
 	segsReplayed   int64 // segments that took the replay path
 	sidecarsLoaded int64 // segments absorbed from their sidecar
 
-	compactTB    *throttle.TokenBucket // nil when CompactRateBytes == 0
-	throttleWait atomic.Int64          // nanoseconds the compactor slept throttled
-
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -179,9 +162,6 @@ type Stats struct {
 	SidecarBytes     int64
 	SegmentsReplayed int64
 	SidecarsLoaded   int64
-	// ThrottleWait is the total time compaction has slept in the
-	// CompactRateBytes token bucket since open.
-	ThrottleWait time.Duration
 }
 
 // LiveRatio is LiveBytes/DiskBytes, 1 for an empty store.
@@ -216,9 +196,6 @@ func Open(opts Options) (*Store, error) {
 		nextID:  1,
 		nextSeq: 1,
 		stop:    make(chan struct{}),
-	}
-	if opts.CompactRateBytes > 0 {
-		s.compactTB = throttle.New(opts.CompactRateBytes)
 	}
 	ids, err := listSegmentIDs(opts.Dir)
 	if err != nil {
@@ -290,10 +267,8 @@ func Open(opts Options) (*Store, error) {
 		}
 		s.sealLocked(seg)
 	}
-	if opts.CompactEvery > 0 {
-		s.wg.Add(1)
-		go s.compactLoop()
-	}
+	s.wg.Add(1)
+	go s.compactLoop()
 	return s, nil
 }
 
@@ -978,7 +953,6 @@ func (s *Store) Stats() Stats {
 		SidecarBytes:     s.sidecarBytes,
 		SegmentsReplayed: s.segsReplayed,
 		SidecarsLoaded:   s.sidecarsLoaded,
-		ThrottleWait:     time.Duration(s.throttleWait.Load()),
 	}
 	for _, seg := range s.segs {
 		st.DiskBytes += seg.size

@@ -382,28 +382,3 @@ func TestMightContain(t *testing.T) {
 		t.Errorf("only %d/200 absent pages ruled out", absent)
 	}
 }
-
-// TestCompactThrottleCharges asserts a throttled compaction still
-// completes correctly and accounts its sleeps. The bucket is reconfigured
-// to a tiny burst with a fast refill so waits are recorded without
-// slowing the test down. (The bucket itself is unit-tested in
-// internal/throttle.)
-func TestCompactThrottleCharges(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, Options{SegmentSize: 512, CompactRateBytes: 64 << 20})
-	s.compactTB.SetBurst(1)
-	want := fillSealed(t, s)
-	for {
-		again, err := s.CompactOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !again {
-			break
-		}
-	}
-	if s.Stats().ThrottleWait <= 0 {
-		t.Error("throttled compaction recorded no wait")
-	}
-	samePages(t, pageMap(s), want)
-}

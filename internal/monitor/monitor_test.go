@@ -67,7 +67,7 @@ func TestMonitorRetailsRestartedNode(t *testing.T) {
 		srv.Start(l)
 		return srv
 	}
-	old := trace.New("node:rpc", 0, 0)
+	old := trace.New("node:rpc", 0)
 	for i := 0; i < 3; i++ {
 		old.Emit(trace.SevInfo, trace.CompactionDone, int64(i), "old %d", i)
 	}
@@ -82,7 +82,7 @@ func TestMonitorRetailsRestartedNode(t *testing.T) {
 	}
 
 	srv.Close()
-	reborn := trace.New("node:rpc", 0, 0)
+	reborn := trace.New("node:rpc", 0)
 	for i := 0; i < 5; i++ {
 		reborn.Emit(trace.SevWarn, trace.ElectionWon, int64(i), "reborn %d", i)
 	}

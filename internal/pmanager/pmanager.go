@@ -4,18 +4,17 @@
 // factor); the manager picks providers "based on some strategy that
 // favors global load balancing" (paper §III.A).
 //
-// Three strategies are provided: round-robin (the default; matches the
-// paper's global balancing), least-loaded (by reported bytes used), and
-// power-of-two-choices (random pair, pick the lighter). Providers report
-// load through periodic heartbeats; providers that miss heartbeats are
-// excluded from placement until they reappear.
+// Placement is round-robin over the live providers, which spreads every
+// burst of pages evenly across the deployment. Providers report load
+// through periodic heartbeats (the monitor reads it back through
+// Members); providers that miss heartbeats are excluded from placement
+// until they reappear.
 package pmanager
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -43,33 +42,6 @@ func init() {
 	rpc.RegisterMethodName(MList, "pmanager.MList")
 	rpc.RegisterMethodName(MMembers, "pmanager.MMembers")
 	rpc.RegisterMethodName(MDigests, "pmanager.MDigests")
-}
-
-// Strategy selects providers for new pages.
-type Strategy int
-
-// Placement strategies.
-const (
-	// RoundRobin rotates uniformly over live providers.
-	RoundRobin Strategy = iota
-	// LeastLoaded picks the providers with the fewest stored bytes.
-	LeastLoaded
-	// PowerOfTwo samples two random providers and picks the lighter.
-	PowerOfTwo
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case PowerOfTwo:
-		return "power-of-two"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
 }
 
 // ErrNoProviders is returned when placement cannot be satisfied.
@@ -101,12 +73,10 @@ type provider struct {
 
 // Manager is the provider manager service.
 type Manager struct {
-	strategy   Strategy
 	hbTimeout  time.Duration // 0 disables liveness filtering
 	replicas   int
 	red        erasure.Redundancy
 	rrCounter  uint64
-	rng        *rand.Rand
 	tracer     *trace.Tracer
 	mu         sync.Mutex
 	byID       map[uint32]*provider
@@ -117,8 +87,6 @@ type Manager struct {
 
 // Config parameterizes a Manager.
 type Config struct {
-	// Strategy is the placement policy (default RoundRobin).
-	Strategy Strategy
 	// HeartbeatTimeout excludes providers silent for longer than this
 	// from placement. Zero disables the filter (useful in tests and
 	// single-process clusters where processes cannot silently die).
@@ -132,9 +100,6 @@ type Config struct {
 	// placement always yields distinct providers per group, which is
 	// exactly what a stripe needs.
 	Redundancy erasure.Redundancy
-	// Seed seeds the randomized strategies (0 uses a fixed seed, keeping
-	// placement reproducible in experiments).
-	Seed int64
 	// Tracer, if set, records membership transitions (heartbeat
 	// deaths, registrations, digest refreshes) for the monitor plane.
 	Tracer *trace.Tracer
@@ -145,16 +110,10 @@ func New(cfg Config) *Manager {
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	return &Manager{
-		strategy:  cfg.Strategy,
 		hbTimeout: cfg.HeartbeatTimeout,
 		replicas:  cfg.Replicas,
 		red:       cfg.Redundancy,
-		rng:       rand.New(rand.NewSource(seed)),
 		tracer:    cfg.Tracer,
 		byID:      make(map[uint32]*provider),
 		nextID:    1,
@@ -319,53 +278,14 @@ func (m *Manager) Allocate(n, r int) ([]uint32, map[uint32]string, error) {
 	ids := make([]uint32, 0, n*r)
 	addrs := make(map[uint32]string)
 	pick := func(exclude map[uint32]bool) *provider {
-		switch m.strategy {
-		case LeastLoaded:
-			var best *provider
-			for _, p := range live {
-				if exclude[p.info.ID] {
-					continue
-				}
-				if best == nil || p.bytesUsed < best.bytesUsed {
-					best = p
-				}
+		for range live {
+			p := live[m.rrCounter%uint64(len(live))]
+			m.rrCounter++
+			if !exclude[p.info.ID] {
+				return p
 			}
-			return best
-		case PowerOfTwo:
-			var a, b *provider
-			for tries := 0; tries < 8 && (a == nil || b == nil); tries++ {
-				c := live[m.rng.Intn(len(live))]
-				if exclude[c.info.ID] {
-					continue
-				}
-				if a == nil {
-					a = c
-				} else if c != a {
-					b = c
-				}
-			}
-			if a == nil {
-				for _, p := range live {
-					if !exclude[p.info.ID] {
-						a = p
-						break
-					}
-				}
-			}
-			if b == nil || (a != nil && a.bytesUsed <= b.bytesUsed) {
-				return a
-			}
-			return b
-		default: // RoundRobin
-			for range live {
-				p := live[m.rrCounter%uint64(len(live))]
-				m.rrCounter++
-				if !exclude[p.info.ID] {
-					return p
-				}
-			}
-			return nil
 		}
+		return nil
 	}
 	for i := 0; i < n; i++ {
 		used := make(map[uint32]bool, r)
@@ -377,9 +297,6 @@ func (m *Manager) Allocate(n, r int) ([]uint32, map[uint32]string, error) {
 			used[p.info.ID] = true
 			ids = append(ids, p.info.ID)
 			addrs[p.info.ID] = p.info.Addr
-			// Account the expected load immediately so a burst of
-			// Allocate calls spreads even before heartbeats catch up.
-			p.bytesUsed += 1
 		}
 	}
 	return ids, addrs, nil

@@ -65,7 +65,7 @@ func TestAllocateShape(t *testing.T) {
 }
 
 func TestRoundRobinBalances(t *testing.T) {
-	m := newManagerWith(t, Config{Strategy: RoundRobin}, 4)
+	m := newManagerWith(t, Config{}, 4)
 	counts := map[uint32]int{}
 	for i := 0; i < 25; i++ {
 		ids, _, err := m.Allocate(4, 1)
@@ -83,39 +83,19 @@ func TestRoundRobinBalances(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedPrefersEmpty(t *testing.T) {
-	m := newManagerWith(t, Config{Strategy: LeastLoaded}, 3)
-	// Report heavy load on providers 1 and 2.
-	m.Heartbeat(1, 1<<30, 0, 0, nil)
-	m.Heartbeat(2, 1<<30, 0, 0, nil)
-	m.Heartbeat(3, 0, 0, 0, nil)
-	ids, _, err := m.Allocate(4, 1)
-	if err != nil {
+// Placing pages must not touch the heartbeat-reported byte count: the
+// monitor's per-provider bytes_used falls back to Members.
+func TestAllocateLeavesBytesUsed(t *testing.T) {
+	m := newManagerWith(t, Config{}, 2)
+	m.Heartbeat(1, 4096, 0, 0, nil)
+	m.Heartbeat(2, 4096, 0, 0, nil)
+	if _, _, err := m.Allocate(8, 2); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		if id != 3 {
-			t.Errorf("least-loaded placed a page on loaded provider %d", id)
-		}
-	}
-}
-
-func TestPowerOfTwoSpreads(t *testing.T) {
-	m := newManagerWith(t, Config{Strategy: PowerOfTwo, Seed: 42}, 6)
-	counts := map[uint32]int{}
-	for i := 0; i < 120; i++ {
-		ids, _, err := m.Allocate(1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[ids[0]]++
-	}
-	if len(counts) < 4 {
-		t.Errorf("power-of-two used only %d of 6 providers", len(counts))
-	}
-	for id, c := range counts {
-		if c > 60 {
-			t.Errorf("provider %d hot-spotted with %d placements", id, c)
+	_, members := m.Members()
+	for _, mb := range members {
+		if mb.BytesUsed != 4096 {
+			t.Errorf("provider %d: BytesUsed = %d after Allocate, want the heartbeat's 4096", mb.ID, mb.BytesUsed)
 		}
 	}
 }
@@ -306,16 +286,6 @@ func TestHugeCountsRejected(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if RoundRobin.String() != "round-robin" || LeastLoaded.String() != "least-loaded" ||
-		PowerOfTwo.String() != "power-of-two" {
-		t.Error("strategy names wrong")
-	}
-	if Strategy(9).String() == "" {
-		t.Error("unknown strategy should still render")
 	}
 }
 

@@ -1,10 +1,9 @@
 package provider
 
 // Chaos injection for real-TCP deployments (docs/robustness.md): a
-// provider can be told — at boot via blobnode's -chaos-delay flag, or
-// live via the MChaos RPC (blobctl chaos) — to hold every read-side
-// serve (page gets and holdings listings) for a fixed delay, or to
-// stall them outright. Writes stay healthy, so no acked data is ever
+// provider can be told, live via the MChaos RPC (blobctl chaos), to hold
+// every read-side serve (page gets and holdings listings) for a fixed
+// delay, or to stall them outright. Writes stay healthy, so no acked data is ever
 // endangered, and the process stays alive, registered and
 // heartbeating: nothing upstream sees a crash. It is the gray failure
 // the deadline/hedge/breaker machinery exists to absorb, injected on

@@ -143,8 +143,7 @@ func (d *DiskStore) ForEachWrite(fn func(blob, write uint64, pages int)) {
 }
 
 // CompactOnce exposes the underlying compactor for operational tooling
-// and tests; background compaction is configured through
-// diskstore.Options.CompactEvery.
+// and tests; the store also compacts in the background once a minute.
 func (d *DiskStore) CompactOnce() (bool, error) { return d.ds.CompactOnce() }
 
 // Close fsyncs and closes the underlying segment files.

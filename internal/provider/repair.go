@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"blob/internal/throttle"
 	"blob/internal/wire"
 )
 
@@ -181,16 +179,8 @@ func DecodePullPages(body []byte) (PullResult, error) {
 }
 
 // EnableRepair arms the service's MPullPages handler: pool dials peer
-// providers (it must dial from this provider's network vantage), and
-// rateBytes > 0 throttles pulled page bytes through a token bucket so
-// repair traffic cannot starve foreground reads and writes (the same
-// policy compaction applies to its disk I/O).
-func (sv *Service) EnableRepair(pool Caller, rateBytes int64) {
-	sv.peers = pool
-	if rateBytes > 0 {
-		sv.pullTB = throttle.New(rateBytes)
-	}
-}
+// providers (it must dial from this provider's network vantage).
+func (sv *Service) EnableRepair(pool Caller) { sv.peers = pool }
 
 // Caller is the slice of rpc.Pool the pull handler needs; an interface
 // so tests can fake a peer.
@@ -315,19 +305,6 @@ func (sv *Service) handlePullPages(ctx context.Context, body []byte) ([]byte, er
 			bytes += int64(len(data))
 		}
 		if len(pages) > 0 {
-			// Post-pay the throttle on the bytes actually transferred so
-			// sustained repair cannot starve foreground traffic.
-			if sv.pullTB != nil {
-				if d := sv.pullTB.Reserve(bytes); d > 0 {
-					t := time.NewTimer(d)
-					select {
-					case <-ctx.Done():
-						t.Stop()
-						return nil, ctx.Err()
-					case <-t.C:
-					}
-				}
-			}
 			if err := sv.store.PutPages(pages); err != nil {
 				return nil, fmt.Errorf("provider pull store: %w", err)
 			}

@@ -159,7 +159,7 @@ func TestPullPagesRepairsFromPeer(t *testing.T) {
 		t.Fatalf("pull without pool: %v", err)
 	}
 
-	sv.EnableRepair(fakePeer{services: map[string]*Service{"peer": healthySvc}}, 0)
+	sv.EnableRepair(fakePeer{services: map[string]*Service{"peer": healthySvc}})
 	resp, err := sv.handlePullPages(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestPullPagesRejectsBadChecksum(t *testing.T) {
 	put(t, healthy, 9, 42, 0, []byte("genuine"))
 	degraded := NewStore(0)
 	sv := NewService(degraded)
-	sv.EnableRepair(fakePeer{services: map[string]*Service{"peer": NewService(healthy)}}, 0)
+	sv.EnableRepair(fakePeer{services: map[string]*Service{"peer": NewService(healthy)}})
 
 	req := EncodePullPages("peer", 9, 42, []PullRef{{Rel: 0, Checksum: 0xBAD}})
 	resp, err := sv.handlePullPages(context.Background(), req)

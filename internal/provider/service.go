@@ -8,26 +8,24 @@ import (
 
 	"blob/internal/rpc"
 	"blob/internal/stats"
-	"blob/internal/throttle"
 	"blob/internal/wire"
 )
 
 // Service hosts one data provider's RPC methods over a PageStore backend
 // — the in-RAM Store or the persistent DiskStore. It owns the in-flight
-// operation gauge the load balancer reads, so backends stay pure storage.
+// operation gauge, so backends stay pure storage.
 type Service struct {
 	store PageStore
 
-	// ActiveOps counts RPCs in flight, merged into Snapshot for the
-	// provider manager's load-based placement.
+	// ActiveOps counts RPCs in flight, merged into Snapshot and reported
+	// in heartbeats.
 	ActiveOps stats.Gauge
 
 	// Repair plumbing (EnableRepair): peers dials other providers for
-	// MPullPages, pullTB throttles pulled page bytes. Repair counters
-	// are owned here, not by the store, so a restarted provider reports
-	// only its own repair work (a fresh Service starts from zero).
-	peers  Caller
-	pullTB *throttle.TokenBucket
+	// MPullPages. Repair counters are owned here, not by the store, so a
+	// restarted provider reports only its own repair work (a fresh
+	// Service starts from zero).
+	peers Caller
 
 	repairedPages stats.Counter
 	repairBytes   stats.Counter

@@ -19,47 +19,41 @@ const (
 	breakerHalfOpen        // probing: limited traffic decides open vs closed
 )
 
-// BreakerConfig tunes the per-peer circuit breakers a Pool maintains
-// (see docs/robustness.md for the state machine). The zero value turns
-// every knob into its listed default.
-type BreakerConfig struct {
-	// ErrRate trips the breaker when the error-rate EWMA exceeds it
-	// with at least MinSamples observations folded in. Default 0.5.
-	ErrRate float64
-	// MinSamples gates both EWMA trips. Default 8.
-	MinSamples int
-	// ConsecFails trips the breaker outright after this many
-	// consecutive failures, regardless of the EWMA. Default 5.
-	ConsecFails int
-	// LatencyTrip, when > 0, trips the breaker once the success
-	// latency EWMA exceeds it — the gray-failure case where a peer
-	// answers everything, slowly. Default 0 (disabled).
-	LatencyTrip time.Duration
-	// OpenFor is how long the breaker stays open before the first
-	// half-open probe. Default 500ms.
-	OpenFor time.Duration
-	// ProbeEvery spaces half-open probes, so an unhealed peer sees a
-	// trickle of traffic rather than a thundering herd. Default 250ms.
-	ProbeEvery time.Duration
+// breakerConfig tunes a per-peer circuit breaker (see
+// docs/robustness.md for the state machine).
+type breakerConfig struct {
+	// errRate trips the breaker when the error-rate EWMA exceeds it
+	// with at least minSamples observations folded in.
+	errRate float64
+	// minSamples gates both EWMA trips.
+	minSamples int
+	// consecFails trips the breaker outright after this many
+	// consecutive failures, regardless of the EWMA.
+	consecFails int
+	// latencyTrip trips the breaker once the success latency EWMA
+	// exceeds it: the gray-failure case where a peer answers
+	// everything, slowly.
+	latencyTrip time.Duration
+	// openFor is how long the breaker stays open before the first
+	// half-open probe.
+	openFor time.Duration
+	// probeEvery spaces half-open probes, so an unhealed peer sees a
+	// trickle of traffic rather than a thundering herd.
+	probeEvery time.Duration
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.ErrRate <= 0 {
-		c.ErrRate = 0.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.ConsecFails <= 0 {
-		c.ConsecFails = 5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 500 * time.Millisecond
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 250 * time.Millisecond
-	}
-	return c
+// defaultBreaker is the tuning of every pool's breakers.
+var defaultBreaker = breakerConfig{
+	errRate:     0.5,
+	minSamples:  8,
+	consecFails: 5,
+	// Error rate alone never sees the provider that answers everything,
+	// slowly. 250ms of sustained success latency is far beyond any
+	// healthy page fetch and comfortably below the multi-second stalls
+	// the chaos harness injects.
+	latencyTrip: 250 * time.Millisecond,
+	openFor:     500 * time.Millisecond,
+	probeEvery:  250 * time.Millisecond,
 }
 
 // ewmaAlpha weights each new observation in the error-rate and latency
@@ -70,7 +64,7 @@ const ewmaAlpha = 0.2
 // breaker is one peer's circuit breaker. All methods are safe for
 // concurrent use.
 type breaker struct {
-	cfg BreakerConfig
+	cfg breakerConfig
 
 	mu        sync.Mutex
 	state     int
@@ -83,13 +77,13 @@ type breaker struct {
 	trips     int64
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
+func newBreaker(cfg breakerConfig) *breaker {
 	return &breaker{cfg: cfg}
 }
 
 // allow reports whether a call to this peer may proceed right now.
-// Open breakers deny until OpenFor has elapsed, then admit one probe
-// per ProbeEvery via the half-open state.
+// Open breakers deny until openFor has elapsed, then admit one probe
+// per probeEvery via the half-open state.
 func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -98,14 +92,14 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if now.Sub(b.openedAt) < b.cfg.OpenFor {
+		if now.Sub(b.openedAt) < b.cfg.openFor {
 			return false
 		}
 		b.state = breakerHalfOpen
 		b.lastProbe = now
 		return true
 	default: // breakerHalfOpen
-		if now.Sub(b.lastProbe) < b.cfg.ProbeEvery {
+		if now.Sub(b.lastProbe) < b.cfg.probeEvery {
 			return false
 		}
 		b.lastProbe = now
@@ -121,7 +115,7 @@ func (b *breaker) available() bool {
 	if b.state != breakerOpen {
 		return true
 	}
-	return time.Since(b.openedAt) >= b.cfg.OpenFor
+	return time.Since(b.openedAt) >= b.cfg.openFor
 }
 
 // record folds one call outcome in and returns the state transition it
@@ -156,11 +150,11 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 		return b.probeSucceeded()
 	case breakerOpen:
 		// Async callers (Pool.Go) never pass through allow, so their
-		// outcomes reach an open breaker directly. Once OpenFor has
+		// outcomes reach an open breaker directly. Once openFor has
 		// elapsed, routing re-admits the peer (available) and these
 		// observations are its probes: a success closes the breaker, a
 		// failure re-arms the open window.
-		if time.Since(b.openedAt) < b.cfg.OpenFor {
+		if time.Since(b.openedAt) < b.cfg.openFor {
 			return false, false
 		}
 		if failure {
@@ -169,9 +163,9 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 		}
 		return b.probeSucceeded()
 	case breakerClosed:
-		tripNow := b.consec >= b.cfg.ConsecFails ||
-			(b.samples >= b.cfg.MinSamples && b.errEWMA > b.cfg.ErrRate) ||
-			(b.cfg.LatencyTrip > 0 && b.samples >= b.cfg.MinSamples && b.latEWMA > b.cfg.LatencyTrip)
+		tripNow := b.consec >= b.cfg.consecFails ||
+			(b.samples >= b.cfg.minSamples && b.errEWMA > b.cfg.errRate) ||
+			(b.samples >= b.cfg.minSamples && b.latEWMA > b.cfg.latencyTrip)
 		if tripNow {
 			b.trip()
 			return true, false
@@ -186,7 +180,7 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 func (b *breaker) probeSucceeded() (opened, closed bool) {
 	b.state = breakerClosed
 	b.errEWMA, b.samples, b.consec = 0, 0, 0
-	if b.cfg.LatencyTrip > 0 && b.latEWMA > b.cfg.LatencyTrip {
+	if b.latEWMA > b.cfg.latencyTrip {
 		b.trip()
 		return true, true // closed and immediately re-opened
 	}

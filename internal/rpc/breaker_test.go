@@ -10,8 +10,19 @@ import (
 	"blob/internal/trace"
 )
 
+// enableBreakersWith turns on the pool's breakers with cfg in place of
+// defaultBreaker, so tests can shrink the windows.
+func (p *Pool) enableBreakersWith(cfg breakerConfig) {
+	p.EnableBreakers()
+	p.breakMu.Lock()
+	p.breakCfg = cfg
+	p.breakMu.Unlock()
+}
+
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
-	b := newBreaker(BreakerConfig{ConsecFails: 3}.withDefaults())
+	cfg := defaultBreaker
+	cfg.consecFails = 3
+	b := newBreaker(cfg)
 	for i := 0; i < 2; i++ {
 		if opened, _ := b.record(true, 0); opened {
 			t.Fatalf("opened after %d failures, want 3", i+1)
@@ -27,7 +38,8 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeAndClose(t *testing.T) {
-	cfg := BreakerConfig{ConsecFails: 1, OpenFor: 20 * time.Millisecond, ProbeEvery: 10 * time.Millisecond}.withDefaults()
+	cfg := defaultBreaker
+	cfg.consecFails, cfg.openFor, cfg.probeEvery = 1, 20*time.Millisecond, 10*time.Millisecond
 	b := newBreaker(cfg)
 	b.record(true, 0) // trip
 	if b.allow() {
@@ -51,7 +63,8 @@ func TestBreakerHalfOpenProbeAndClose(t *testing.T) {
 }
 
 func TestBreakerFailedProbeReopens(t *testing.T) {
-	cfg := BreakerConfig{ConsecFails: 1, OpenFor: 10 * time.Millisecond}.withDefaults()
+	cfg := defaultBreaker
+	cfg.consecFails, cfg.openFor = 1, 10*time.Millisecond
 	b := newBreaker(cfg)
 	b.record(true, 0)
 	time.Sleep(15 * time.Millisecond)
@@ -67,7 +80,8 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 }
 
 func TestBreakerLatencyEWMATrips(t *testing.T) {
-	cfg := BreakerConfig{LatencyTrip: 10 * time.Millisecond, MinSamples: 4, ConsecFails: 1000, ErrRate: 2}.withDefaults()
+	cfg := defaultBreaker
+	cfg.latencyTrip, cfg.minSamples, cfg.consecFails, cfg.errRate = 10*time.Millisecond, 4, 1000, 2
 	b := newBreaker(cfg)
 	// Successful but consistently slow calls must trip the breaker —
 	// the alive-yet-crawling gray failure replication cannot mask.
@@ -101,15 +115,13 @@ func TestPoolBreakerFailsFastAndRecovers(t *testing.T) {
 	}
 	s := newServer()
 
-	j := trace.New("cli", 0, 0)
+	j := trace.New("cli", 0)
 	p := NewPool(netDialer{n.Host("cli")})
 	defer p.Close()
 	p.SetTracer(j)
-	p.EnableBreakers(BreakerConfig{
-		ConsecFails: 3,
-		OpenFor:     30 * time.Millisecond,
-		ProbeEvery:  10 * time.Millisecond,
-	})
+	cfg := defaultBreaker
+	cfg.consecFails, cfg.openFor, cfg.probeEvery = 3, 30*time.Millisecond, 10*time.Millisecond
+	p.enableBreakersWith(cfg)
 
 	ctx := context.Background()
 	if _, err := p.Call(ctx, "srv:rpc", mEcho, []byte("warm")); err != nil {
@@ -172,7 +184,9 @@ func TestPoolBreakerOpenError(t *testing.T) {
 	defer n.Close()
 	p := NewPool(netDialer{n.Host("cli")})
 	defer p.Close()
-	p.EnableBreakers(BreakerConfig{ConsecFails: 1, OpenFor: time.Minute})
+	cfg := defaultBreaker
+	cfg.consecFails, cfg.openFor = 1, time.Minute
+	p.enableBreakersWith(cfg)
 
 	ctx := context.Background()
 	p.Call(ctx, "ghost:rpc", mEcho, nil) // dial failure trips instantly

@@ -35,7 +35,7 @@ type Pool struct {
 	retryBudget *backoff.Budget
 
 	breakMu  sync.Mutex
-	breakCfg BreakerConfig
+	breakCfg breakerConfig
 	breakOn  bool
 	breakers map[string]*breaker
 
@@ -79,12 +79,11 @@ func (p *Pool) SetTracer(t *trace.Tracer) {
 	p.dialsMu.Unlock()
 }
 
-// EnableBreakers turns on per-peer circuit breakers with the given
-// config (zero fields take defaults; see BreakerConfig). Call before
-// the pool is shared.
-func (p *Pool) EnableBreakers(cfg BreakerConfig) {
+// EnableBreakers turns on per-peer circuit breakers (tuned by
+// defaultBreaker). Call before the pool is shared.
+func (p *Pool) EnableBreakers() {
 	p.breakMu.Lock()
-	p.breakCfg = cfg.withDefaults()
+	p.breakCfg = defaultBreaker
 	p.breakOn = true
 	p.breakers = make(map[string]*breaker)
 	p.breakMu.Unlock()

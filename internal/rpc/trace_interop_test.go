@@ -91,7 +91,7 @@ func TestTracedUntracedInterop(t *testing.T) {
 	}
 
 	plainSeen := startServer("plain", nil)
-	tr := trace.New("srv", 64, 1)
+	tr := trace.New("srv", 1)
 	tracedSeen := startServer("traced", tr)
 
 	pool := NewPool(netDialer{n.Host("cli")})
@@ -116,7 +116,7 @@ func TestTracedUntracedInterop(t *testing.T) {
 	// Traced client → untracered server: the server forwards the ids
 	// (so a downstream hop could still join the trace) without
 	// recording anything.
-	ctr := trace.New("cli", 64, 1)
+	ctr := trace.New("cli", 1)
 	ctx, op := ctr.ForceRoot(context.Background(), "test.op")
 	if _, err := pool.Call(ctx, "plain:rpc", mSeen, []byte("x")); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestNilTracerEmitsNothing(t *testing.T) {
 }
 
 func TestEmitAndFilter(t *testing.T) {
-	tr := New("n1", 16, 0)
+	tr := newSized("n1", 16, 0)
 	tr.Emit(SevInfo, RepairStart, 2, "sweep of %d blobs", 2)
 	tr.Emit(SevWarn, HeartbeatDeath, 7, "provider 7 silent")
 	tr.Emit(SevError, Unrepairable, 1, "1 page lost")
@@ -59,7 +59,7 @@ func TestEmitAndFilter(t *testing.T) {
 // TestEventRingOverwrite: a full event ring keeps the newest events,
 // with the sequence numbers they were emitted under.
 func TestEventRingOverwrite(t *testing.T) {
-	tr := New("n", 4, 0)
+	tr := newSized("n", 4, 0)
 	for i := 0; i < 10; i++ {
 		tr.Emit(SevInfo, CompactionDone, int64(i), "c%d", i)
 	}
@@ -75,7 +75,7 @@ func TestEventRingOverwrite(t *testing.T) {
 }
 
 func TestEventsWireRoundTrip(t *testing.T) {
-	tr := New("node-2", 8, 0)
+	tr := newSized("node-2", 8, 0)
 	tr.Emit(SevWarn, DialFailure, 5, "dial 10.0.0.1:99: %v", "refused")
 	tr.Emit(SevInfo, MembershipRefresh, 3, "epoch 3")
 	want := tr.Tail(0, SevInfo)

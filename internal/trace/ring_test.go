@@ -43,7 +43,7 @@ func TestRingOverwrite(t *testing.T) {
 
 	// The filters the two record types put on it: severity (on a
 	// wrapped event ring, with Seq stamped) and trace id.
-	tr := New("n", 4, 1)
+	tr := newSized("n", 4, 1)
 	for i, sev := range []Severity{SevError, SevInfo, SevWarn, SevInfo, SevError, SevWarn} {
 		tr.Emit(sev, CompactionDone, int64(i), "c%d", i)
 	}

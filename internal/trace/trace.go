@@ -98,9 +98,8 @@ const (
 
 // New creates a tracer for the named node sampling one in sampleEvery
 // root operations (0 starts no traces of its own, 1 traces everything).
-// ringSize caps both rings; 0 selects SpanRing and EventRing (tests use
-// small rings).
-func New(node string, ringSize, sampleEvery int) *Tracer {
+// Its rings hold SpanRing spans and EventRing events.
+func New(node string, sampleEvery int) *Tracer {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
 		// Monotonic fallback: ids stay unique within the process.
@@ -112,9 +111,6 @@ func New(node string, ringSize, sampleEvery int) *Tracer {
 		events:      ring[Event]{size: EventRing},
 		seed:        binary.LittleEndian.Uint64(b[:]),
 		sampleEvery: uint32(sampleEvery),
-	}
-	if ringSize > 0 {
-		t.spans.size, t.events.size = ringSize, ringSize
 	}
 	return t
 }

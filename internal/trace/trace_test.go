@@ -11,6 +11,14 @@ import (
 // unsampled root and a child started from an untraced context must all
 // pass the context through and hand back nil Ops whose methods are
 // safe.
+// newSized is New with both rings capped at ringSize, so tests can
+// overflow them cheaply.
+func newSized(node string, ringSize, sampleEvery int) *Tracer {
+	t := New(node, sampleEvery)
+	t.spans.size, t.events.size = ringSize, ringSize
+	return t
+}
+
 func TestNilAndDisabledTracers(t *testing.T) {
 	ctx := context.Background()
 	var tr *Tracer
@@ -22,7 +30,7 @@ func TestNilAndDisabledTracers(t *testing.T) {
 	op.Note("ignored")
 	op.EndErr(nil)
 
-	never := New("n", 8, 0) // sampleEvery 0: no roots
+	never := newSized("n", 8, 0) // sampleEvery 0: no roots
 	c2, op = never.Root(ctx, "x")
 	if c2 != ctx || op != nil {
 		t.Fatal("unsampled root must pass through")
@@ -40,7 +48,7 @@ func TestNilAndDisabledTracers(t *testing.T) {
 func TestRootAllocFree(t *testing.T) {
 	ctx := context.Background()
 	var nilTr *Tracer
-	never := New("n", 8, 0)
+	never := newSized("n", 8, 0)
 	if avg := testing.AllocsPerRun(200, func() {
 		c, op := nilTr.Root(ctx, "w")
 		op.End()
@@ -56,7 +64,7 @@ func TestRootAllocFree(t *testing.T) {
 
 // TestSampling pins 1-in-N root sampling.
 func TestSampling(t *testing.T) {
-	tr := New("n", 1024, 4)
+	tr := newSized("n", 1024, 4)
 	sampled := 0
 	for i := 0; i < 400; i++ {
 		if _, op := tr.Root(context.Background(), "op"); op != nil {
@@ -72,9 +80,9 @@ func TestSampling(t *testing.T) {
 // TestSpanTreeAcrossTracers builds a trace that hops "processes" (three
 // tracers) and checks the reconstructed tree shape and annotations.
 func TestSpanTreeAcrossTracers(t *testing.T) {
-	client := New("client", 64, 1)
-	vm := New("vm", 64, 1)
-	prov := New("prov", 64, 1)
+	client := newSized("client", 64, 1)
+	vm := newSized("vm", 64, 1)
+	prov := newSized("prov", 64, 1)
 
 	ctx, root := client.ForceRoot(context.Background(), "core.WriteBlob")
 	root.AddBytes(4096)
@@ -125,7 +133,7 @@ func TestSpanTreeAcrossTracers(t *testing.T) {
 // TestConcurrentRecording is the -race stress gate on the ring buffer:
 // many goroutines record while others snapshot.
 func TestConcurrentRecording(t *testing.T) {
-	tr := New("n", 256, 1)
+	tr := newSized("n", 256, 1)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
