@@ -261,22 +261,18 @@ func main() {
 		fs := flag.NewFlagSet("repair", flag.ExitOnError)
 		blobID := fs.Uint64("blob", 0, "blob id (0 = every blob)")
 		fs.Parse(args)
-		blobs := []uint64{*blobID}
-		if *blobID == 0 {
-			var err error
-			blobs, err = client.VersionManager().Blobs(ctx)
-			if err != nil {
-				log.Fatalf("list blobs: %v", err)
-			}
+		var blobs []uint64
+		if *blobID != 0 {
+			blobs = append(blobs, *blobID)
 		}
 		agent := blob.NewRepairer(client)
 		agent.Log = log.Printf
-		rep, err := agent.RepairAll(ctx, blobs)
+		rep, err := agent.Sweep(ctx, blobs...)
 		if err != nil {
 			log.Fatalf("repair: %v", err)
 		}
 		fmt.Printf("checked %d replica slots over %d blob(s): %d degraded, %d repaired (%d bytes pulled, %d already held), %d reconstructed (%d bytes pushed, %d survivor bytes read), %d settled by digests, %d unrepairable\n",
-			rep.PagesChecked, len(blobs), rep.PagesMissing, rep.PagesRepaired,
+			rep.PagesChecked, rep.Blobs, rep.PagesMissing, rep.PagesRepaired,
 			rep.BytesPulled, rep.PagesSkipped,
 			rep.PagesReconstructed, rep.ReconstructedBytes, rep.SurvivorBytes,
 			rep.BloomSkips, rep.Unrepairable)

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -134,12 +133,8 @@ func main() {
 	var pm *pmanager.Manager
 	var mon *monitor.Monitor
 	var dataSvc *provider.Service
-	var dataStore provider.PageStore
 	var providerID uint32
-	// repairNow wakes a co-hosted repairer role ahead of its sweep timer
-	// when the co-hosted pmanager detects a heartbeat death.
-	repairNow := make(chan struct{}, 1)
-	hasRepairer := false
+	var agent *repairpkg.Repairer
 
 	for _, role := range strings.Split(*roles, ",") {
 		switch strings.TrimSpace(role) {
@@ -206,27 +201,22 @@ func main() {
 			if *pmAddr == "" {
 				log.Fatal("provider role needs -pm")
 			}
-			if *dataDir != "" {
-				ds, err := provider.NewDiskStore(diskstore.Options{
-					Dir:         *dataDir,
-					SegmentSize: *segSize,
-					Sync:        *syncWrites,
-					Tracer:      tracer,
-				}, *capacity)
-				if err != nil {
-					log.Fatalf("provider: open data dir %s: %v", *dataDir, err)
-				}
-				snap := ds.Snapshot()
-				log.Printf("provider: recovered %d pages (%d live bytes, %d segments; %d sidecars loaded, %d bytes replayed) from %s",
-					snap.PageCount, snap.BytesUsed, snap.Segments, snap.SidecarsLoaded, snap.ReplayedBytes, *dataDir)
-				dataStore = ds
-			} else {
-				dataStore = provider.NewStore(*capacity)
-			}
-			dataSvc = provider.NewService(dataStore)
 			// Peer pulls (MPullPages) dial other providers through the
 			// node's shared TCP pool.
-			dataSvc.EnableRepair(pool)
+			dataSvc, err = provider.Open(diskstore.Options{
+				Dir:         *dataDir,
+				SegmentSize: *segSize,
+				Sync:        *syncWrites,
+				Tracer:      tracer,
+			}, *capacity, pool)
+			if err != nil {
+				log.Fatalf("provider: open data dir %s: %v", *dataDir, err)
+			}
+			if *dataDir != "" {
+				snap := dataSvc.Snapshot()
+				log.Printf("provider: recovered %d pages (%d live bytes, %d segments; %d sidecars loaded, %d bytes replayed) from %s",
+					snap.PageCount, snap.BytesUsed, snap.Segments, snap.SidecarsLoaded, snap.ReplayedBytes, *dataDir)
+			}
 			dataSvc.RegisterHandlers(srv)
 			dataSvc.RegisterMetrics(reg)
 			id, err := pmanager.RegisterProvider(ctx, pool, *pmAddr, adv, *capacity)
@@ -248,7 +238,6 @@ func main() {
 			if *pmAddr == "" || *vmAddr == "" {
 				log.Fatal("repairer role needs -pm and -vm")
 			}
-			hasRepairer = true
 			if *repairEvr <= 0 {
 				log.Fatal("repairer role needs -repair-interval > 0")
 			}
@@ -274,49 +263,10 @@ func main() {
 			if err != nil {
 				log.Fatalf("repairer: connect: %v", err)
 			}
-			agent := repairpkg.New(client)
+			agent = repairpkg.New(client)
 			agent.Log = log.Printf
 			agent.Tracer = tracer
-			interval := *repairEvr
-			go func() {
-				t := time.NewTicker(interval)
-				defer t.Stop()
-				for {
-					select {
-					case <-t.C:
-					case <-repairNow:
-						// A co-hosted pmanager detected a heartbeat
-						// death: repair immediately instead of waiting
-						// out the sweep timer.
-						log.Printf("repairer: provider death detected, sweeping now")
-					}
-					sctx, cancel := context.WithTimeout(ctx, interval*4)
-					// Re-learn the metadata membership each sweep: the
-					// boot-time ring may predate some nodes' registration,
-					// and a stale ring hashes tree nodes to the wrong
-					// provider.
-					if err := client.Meta().Refresh(sctx); err != nil {
-						log.Printf("repairer: refresh metadata ring: %v", err)
-					}
-					blobs, err := client.VersionManager().Blobs(sctx)
-					if err != nil {
-						log.Printf("repairer: list blobs: %v", err)
-						cancel()
-						continue
-					}
-					rep, err := agent.RepairAll(sctx, blobs)
-					cancel()
-					if err != nil {
-						log.Printf("repairer: %v", err)
-					}
-					if rep.PagesMissing > 0 {
-						log.Printf("repairer: %d slots degraded, %d repaired (%d bytes pulled), %d reconstructed (%d bytes), %d unrepairable",
-							rep.PagesMissing, rep.PagesRepaired, rep.BytesPulled,
-							rep.PagesReconstructed, rep.ReconstructedBytes, rep.Unrepairable)
-					}
-				}
-			}()
-			log.Printf("role repairer (interval %v)", interval)
+			log.Printf("role repairer (interval %v)", *repairEvr)
 
 		case "monitor":
 			// The cluster health plane's aggregator: polls every node,
@@ -358,8 +308,7 @@ func main() {
 			if *pmAddr == "" {
 				log.Fatal("metadata role needs -pm (directory address)")
 			}
-			st := dht.NewStore()
-			st.Follow = mstore.FollowBlock
+			st := mstore.NewProvider()
 			st.RegisterHandlers(srv)
 			st.RegisterMetrics(reg)
 			id, err := dht.RegisterWith(ctx, pool, *pmAddr, adv)
@@ -405,60 +354,28 @@ func main() {
 		startAdmin(*adminAddr, reg, mon, ready)
 	}
 
-	// Heartbeat loop for the data provider role.
+	// Background loops of the data provider and repairer roles.
 	stop := make(chan struct{})
-
+	if dataSvc != nil {
+		go pmanager.HeartbeatLoop(stop, pool, *pmAddr, providerID, *heartbeat,
+			func() *provider.Service { return dataSvc }, log.Printf)
+	}
+	// wake lets a co-hosted pmanager start a repair sweep ahead of the
+	// timer (capacity 1: a burst of deaths coalesces into one sweep).
+	wake := make(chan struct{}, 1)
+	if agent != nil {
+		go agent.Run(stop, wake, *repairEvr)
+	}
 	// The pmanager always watches for heartbeat deaths: the watch loop
 	// is what records heartbeat-death events for the monitor's tail.
-	// When a repairer role co-habits this process, a death additionally
-	// triggers an immediate repair pass.
 	if pm != nil {
 		go pm.DeathWatch(stop, func(id uint32) {
 			log.Printf("pmanager: provider %d stopped heartbeating", id)
-			if !hasRepairer {
-				return
-			}
 			select {
-			case repairNow <- struct{}{}:
+			case wake <- struct{}{}:
 			default:
 			}
 		})
-	}
-	if dataSvc != nil {
-		go func() {
-			t := time.NewTicker(*heartbeat)
-			defer t.Stop()
-			// Bloom-digest piggyback: recompute when the store's
-			// counters move, resend bytes only while the manager's held
-			// hash disagrees (see docs/observability.md).
-			var digHash, held uint64
-			var digest []byte
-			lastPuts, lastPages := int64(-1), int64(-1)
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					snap := dataSvc.Snapshot()
-					if snap.Puts != lastPuts || snap.PageCount != lastPages {
-						digHash, digest = dataSvc.DigestBytes()
-						lastPuts, lastPages = snap.Puts, snap.PageCount
-					}
-					var payload []byte
-					if digHash != 0 && digHash != held {
-						payload = digest
-					}
-					hctx, cancel := context.WithTimeout(ctx, *heartbeat)
-					h, err := pmanager.SendHeartbeatDigest(hctx, pool, *pmAddr, providerID, snap.BytesUsed, snap.ActiveOps, digHash, payload)
-					if err != nil {
-						log.Printf("heartbeat: %v", err)
-					} else {
-						held = h
-					}
-					cancel()
-				}
-			}
-		}()
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -474,8 +391,8 @@ func main() {
 	// closed store would report pages absent rather than failing the
 	// connection, and clients cannot tell that apart from data loss.
 	srv.Close()
-	if cl, ok := dataStore.(io.Closer); ok {
-		if err := cl.Close(); err != nil {
+	if dataSvc != nil {
+		if err := dataSvc.Close(); err != nil {
 			log.Printf("close data store: %v", err)
 		}
 	}

@@ -29,7 +29,6 @@ func main() {
 	cl, err := blob.Launch(blob.ClusterConfig{
 		DataProviders: 8,
 		MetaProviders: 8,
-		CoLocate:      true,
 		Net:           netsim.Grid5000(),
 		CacheNodes:    -1,
 	})

@@ -6,15 +6,14 @@
 // data provider and one metadata provider and the two managers run on
 // dedicated nodes.
 //
-// The same service implementations run over real TCP through
-// cmd/blobnode; this package is the laboratory the tests and examples
-// use. Numbers are measured on real processes, by benchmark/.
+// The same role constructors run over real TCP through cmd/blobnode;
+// this package is the laboratory the tests and examples use. Numbers
+// are measured on real processes, by benchmark/.
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -43,11 +42,10 @@ type Config struct {
 	// DataProviders is the number of data provider processes (default 4).
 	DataProviders int
 	// MetaProviders is the number of metadata providers (default 4).
+	// When it equals DataProviders, data provider i and metadata
+	// provider i share simulated host "node<i>" and its NIC — the
+	// paper's topology; otherwise each has a host of its own.
 	MetaProviders int
-	// CoLocate places data provider i and metadata provider i on the same
-	// simulated host, sharing its NIC — the paper's topology (default
-	// true when DataProviders == MetaProviders).
-	CoLocate bool
 	// DataReplicas is the page replication factor (default 1). Ignored
 	// when Redundancy selects erasure coding.
 	DataReplicas int
@@ -63,8 +61,6 @@ type Config struct {
 	// Net is the simulated fabric configuration (latency/bandwidth);
 	// zero value = instant network.
 	Net netsim.Config
-	// ProviderCapacity bounds each data provider's RAM (0 = unlimited).
-	ProviderCapacity int64
 	// RepairTimeout enables dead-writer repair at the version manager.
 	RepairTimeout time.Duration
 	// CacheNodes is the default client metadata cache size (0 disables,
@@ -124,9 +120,6 @@ type Config struct {
 	// transitions land in the client's recorder and surface
 	// through Events and the monitor.
 	Breakers bool
-	// DisableHedging turns off clients' hedged reads (on by default;
-	// see core.Options.DisableHedging).
-	DisableHedging bool
 	// Monitor, when true, embeds a cluster monitor (internal/monitor)
 	// polling the deployment from its own "monitor" host; Cluster.Mon
 	// exposes it.
@@ -201,7 +194,6 @@ type Cluster struct {
 	// Mon is the embedded cluster monitor (Config.Monitor).
 	Mon *monitor.Monitor
 
-	dataHosts []string
 	servers   []*rpc.Server
 	pools     []*rpc.Pool
 	hbStop    chan struct{}
@@ -280,44 +272,47 @@ func (c *Cluster) dataService(i int) *provider.Service {
 	return c.DataServices[i]
 }
 
-// dataHostName names the simulated host of data provider i.
-func (c *Cluster) dataHostName(i int) string {
-	if c.cfg.CoLocate || (c.cfg.DataProviders == c.cfg.MetaProviders) {
-		return fmt.Sprintf("node%d", i)
+// hostName names the simulated host of storage role kind ("data" or
+// "meta") number i: "node<i>" hosts both when the counts match.
+func (c *Cluster) hostName(kind string, i int) string {
+	if c.cfg.DataProviders == c.cfg.MetaProviders {
+		kind = "node"
 	}
-	return fmt.Sprintf("data%d", i)
+	return fmt.Sprintf("%s%d", kind, i)
 }
 
-// newDataService hosts a provider service over st with repair armed:
-// the service gets a connection pool dialing from its own host (the
-// vantage MPullPages pulls peers from).
-func (c *Cluster) newDataService(i int, st provider.PageStore, rec *trace.Tracer) *provider.Service {
-	svc := provider.NewService(st)
-	pool := rpc.NewPool(hostDialer{c.fab.Host(c.dataHostName(i))})
-	pool.SetTracer(rec)
-	c.svcMu.Lock()
-	c.pools = append(c.pools, pool)
-	c.svcMu.Unlock()
-	svc.EnableRepair(pool)
-	return svc
-}
-
-// newDataStore builds data provider i's storage backend from the
-// deployment config: RAM-only by default, or a disk-backed segment log
-// under Config.DataDir.
-func (c *Cluster) newDataStore(i int, rec *trace.Tracer) (provider.PageStore, error) {
+// dataDir is data provider i's directory under Config.DataDir, or ""
+// for a RAM-only provider.
+func (c *Cluster) dataDir(i int) string {
 	if c.cfg.DataDir == "" {
-		return provider.NewStore(c.cfg.ProviderCapacity), nil
+		return ""
 	}
-	ds, err := provider.NewDiskStore(diskstore.Options{
-		Dir:         filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i)),
+	return filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i))
+}
+
+// startDataProvider opens data provider i (provider.Open) and serves it
+// at "<host>:data" with a fresh recorder — at launch, and again at each
+// restart, like a real process. Its peer pulls dial from its own host,
+// the vantage MPullPages pulls peers from.
+func (c *Cluster) startDataProvider(i int) (*provider.Service, *rpc.Server, error) {
+	host := c.fab.Host(c.hostName("data", i))
+	rec := c.newRecorder(host.Name() + ":data")
+	pool := c.newPool(host)
+	pool.SetTracer(rec)
+	svc, err := provider.Open(diskstore.Options{
+		Dir:         c.dataDir(i),
 		SegmentSize: c.cfg.SegmentSize,
 		Tracer:      rec,
-	}, c.cfg.ProviderCapacity)
+	}, 0, pool)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ds, nil
+	srv, err := c.serve(host, "data", rec, svc.RegisterHandlers)
+	if err != nil {
+		svc.Close()
+		return nil, nil, err
+	}
+	return svc, srv, nil
 }
 
 // vmRepairStore builds the metadata client a version manager's repair
@@ -327,11 +322,7 @@ func (c *Cluster) vmRepairStore(host *netsim.Host) (vmanager.NodeStore, error) {
 	if c.cfg.RepairTimeout <= 0 {
 		return nil, nil
 	}
-	pool := rpc.NewPool(hostDialer{host})
-	c.svcMu.Lock()
-	c.pools = append(c.pools, pool)
-	c.svcMu.Unlock()
-	kv, err := dht.NewDirectoryClient(context.Background(), pool, c.DirAddr, c.cfg.MetaReplicas)
+	kv, err := dht.NewDirectoryClient(context.Background(), c.newPool(host), c.DirAddr, c.cfg.MetaReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -374,10 +365,7 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 	if err != nil {
 		return err
 	}
-	pool := rpc.NewPool(hostDialer{host})
-	c.svcMu.Lock()
-	c.pools = append(c.pools, pool)
-	c.svcMu.Unlock()
+	pool := c.newPool(host)
 	// A restarted replica gets a fresh recorder, like a real process
 	// restart; MEvents pollers see its new incarnation and re-tail.
 	rec := c.newRecorder(host.Name() + ":rpc")
@@ -401,17 +389,12 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 	if err != nil {
 		return err
 	}
-	srv := rpc.NewServer()
-	srv.SetTracer(rec)
-	rep.RegisterHandlers(srv)
-	l, err := host.Listen("rpc")
+	srv, err := c.serve(host, "rpc", rec, rep.RegisterHandlers)
 	if err != nil {
 		rep.Close()
 		return err
 	}
-	srv.Start(l)
 	c.svcMu.Lock()
-	c.servers = append(c.servers, srv)
 	c.VMReplicas[s][j] = rep
 	c.VMServers[s][j] = srv
 	c.svcMu.Unlock()
@@ -423,6 +406,32 @@ type hostDialer struct{ h *netsim.Host }
 
 // Dial implements rpc.Network.
 func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) }
+
+// newPool opens a connection pool dialing from host; Shutdown closes it.
+func (c *Cluster) newPool(host *netsim.Host) *rpc.Pool {
+	pool := rpc.NewPool(hostDialer{host})
+	c.svcMu.Lock()
+	c.pools = append(c.pools, pool)
+	c.svcMu.Unlock()
+	return pool
+}
+
+// serve starts the RPC server of one simulated process at host:port,
+// with its recorder attached; Shutdown closes it.
+func (c *Cluster) serve(host *netsim.Host, port string, rec *trace.Tracer, register func(*rpc.Server)) (*rpc.Server, error) {
+	srv := rpc.NewServer()
+	srv.SetTracer(rec)
+	register(srv)
+	l, err := host.Listen(port)
+	if err != nil {
+		return nil, err
+	}
+	srv.Start(l)
+	c.svcMu.Lock()
+	c.servers = append(c.servers, srv)
+	c.svcMu.Unlock()
+	return srv, nil
+}
 
 // Launch starts a deployment.
 func Launch(cfg Config) (*Cluster, error) {
@@ -441,23 +450,6 @@ func Launch(cfg Config) (*Cluster, error) {
 		repairNow: make(chan struct{}, 1),
 	}
 
-	var lastServer *rpc.Server
-	// serve starts the RPC server of one simulated process, with its
-	// recorder attached.
-	serve := func(host *netsim.Host, port string, rec *trace.Tracer, register func(*rpc.Server)) (string, error) {
-		srv := rpc.NewServer()
-		srv.SetTracer(rec)
-		register(srv)
-		l, err := host.Listen(port)
-		if err != nil {
-			return "", err
-		}
-		srv.Start(l)
-		c.servers = append(c.servers, srv)
-		lastServer = srv
-		return host.Name() + ":" + port, nil
-	}
-
 	// Provider manager + metadata directory share the "pm" node.
 	var hbTimeout time.Duration
 	if cfg.HeartbeatInterval > 0 {
@@ -471,55 +463,39 @@ func Launch(cfg Config) (*Cluster, error) {
 		Tracer:           recPM,
 	})
 	c.Dir = dht.NewDirectory()
-	pmHost := c.fab.Host("pm")
-	addr, err := serve(pmHost, "rpc", recPM, func(s *rpc.Server) {
+	if _, err := c.serve(c.fab.Host("pm"), "rpc", recPM, func(s *rpc.Server) {
 		c.PM.RegisterHandlers(s)
 		c.Dir.RegisterHandlers(s)
-	})
-	if err != nil {
+	}); err != nil {
 		c.Shutdown()
 		return nil, err
 	}
-	c.PMAddr, c.DirAddr = addr, addr
+	c.PMAddr, c.DirAddr = "pm:rpc", "pm:rpc"
 
 	// Storage nodes.
-	dataHost := c.dataHostName
-	metaHost := func(i int) string {
-		if cfg.CoLocate || (cfg.DataProviders == cfg.MetaProviders) {
-			return fmt.Sprintf("node%d", i)
-		}
-		return fmt.Sprintf("meta%d", i)
-	}
 	for i := 0; i < cfg.DataProviders; i++ {
-		rec := c.newRecorder(dataHost(i) + ":data")
-		st, err := c.newDataStore(i, rec)
+		svc, srv, err := c.startDataProvider(i)
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
-		svc := c.newDataService(i, st, rec)
-		c.DataStores = append(c.DataStores, st)
+		c.DataStores = append(c.DataStores, svc.Store())
 		c.DataServices = append(c.DataServices, svc)
-		c.dataHosts = append(c.dataHosts, dataHost(i))
-		addr, err := serve(c.fab.Host(dataHost(i)), "data", rec, svc.RegisterHandlers)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		c.PM.Register(addr, cfg.ProviderCapacity)
-		c.DataServers = append(c.DataServers, lastServer)
+		c.DataServers = append(c.DataServers, srv)
+		c.PM.Register(c.dataAddr(i), 0)
 	}
 	for i := 0; i < cfg.MetaProviders; i++ {
-		st := dht.NewStore()
-		st.Follow = mstore.FollowBlock
+		st := mstore.NewProvider()
 		c.MetaStores = append(c.MetaStores, st)
-		addr, err := serve(c.fab.Host(metaHost(i)), "meta", c.newRecorder(metaHost(i)+":meta"), st.RegisterHandlers)
+		host := c.fab.Host(c.hostName("meta", i))
+		addr := host.Name() + ":meta"
+		srv, err := c.serve(host, "meta", c.newRecorder(addr), st.RegisterHandlers)
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
 		c.Dir.Register(addr)
-		c.MetaServers = append(c.MetaServers, lastServer)
+		c.MetaServers = append(c.MetaServers, srv)
 	}
 
 	// Version plane: VShards x VReplicas Replica processes on their own
@@ -536,13 +512,23 @@ func Launch(cfg Config) (*Cluster, error) {
 		// The repair agent is a client-side process with no RPC service
 		// of its own; give its recorder a dedicated node so the monitor
 		// can tail sweep events like any other node's.
-		c.repairRec = c.newRecorder("repair:rpc")
-		c.RepairAddr, err = serve(c.fab.Host("repair"), "rpc", c.repairRec, func(*rpc.Server) {})
+		c.RepairAddr = "repair:rpc"
+		c.repairRec = c.newRecorder(c.RepairAddr)
+		if _, err := c.serve(c.fab.Host("repair"), "rpc", c.repairRec, func(*rpc.Server) {}); err != nil {
+			c.Shutdown()
+			return nil, err
+		}
+		client, err := core.NewClient(context.Background(), c.ClientOptions("repair-agent"))
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
-		go c.repairLoop()
+		agent := repair.New(client)
+		agent.Tracer = c.repairRec
+		go func() {
+			agent.Run(c.hbStop, c.repairNow, cfg.RepairInterval)
+			client.Close()
+		}()
 		if cfg.HeartbeatInterval > 0 {
 			// Heartbeat-death detection triggers an immediate repair
 			// pass instead of waiting out the RepairInterval timer.
@@ -555,14 +541,12 @@ func Launch(cfg Config) (*Cluster, error) {
 		}
 	}
 	if cfg.Monitor {
-		mpool := rpc.NewPool(hostDialer{c.fab.Host("monitor")})
-		c.pools = append(c.pools, mpool)
 		var eventNodes []string
 		if c.RepairAddr != "" {
 			eventNodes = append(eventNodes, c.RepairAddr)
 		}
 		c.Mon = monitor.New(monitor.Config{
-			Pool:       mpool,
+			Pool:       c.newPool(c.fab.Host("monitor")),
 			PMAddr:     c.PMAddr,
 			VMShards:   c.VMShardAddrs,
 			EventNodes: eventNodes,
@@ -573,50 +557,6 @@ func Launch(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// repairLoop periodically runs the replica repair agent over every blob
-// the version manager knows, so redundancy degraded by provider crashes
-// or disk loss converges back to full without client involvement.
-func (c *Cluster) repairLoop() {
-	t := time.NewTicker(c.cfg.RepairInterval)
-	defer t.Stop()
-	var client *core.Client
-	var agent *repair.Repairer
-	defer func() {
-		if client != nil {
-			client.Close()
-		}
-	}()
-	timeout := 4 * c.cfg.RepairInterval
-	if timeout < 30*time.Second {
-		timeout = 30 * time.Second
-	}
-	for {
-		select {
-		case <-c.hbStop:
-			return
-		case <-t.C:
-		case <-c.repairNow:
-			// Provider-manager death detection: repair immediately
-			// rather than letting the degradation window run out the
-			// ticker (a second loss inside that window is the data-loss
-			// scenario repair exists to shrink).
-		}
-		if agent == nil {
-			cl, err := core.NewClient(context.Background(), c.ClientOptions("repair-agent"))
-			if err != nil {
-				continue // managers not reachable yet; retry next tick
-			}
-			client, agent = cl, repair.New(cl)
-			agent.Tracer = c.repairRec
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		if blobs, err := client.VersionManager().Blobs(ctx); err == nil {
-			_, _ = agent.RepairAll(ctx, blobs)
-		}
-		cancel()
-	}
-}
-
 // StopProviderHeartbeat kills data provider i's heartbeat loop — the
 // fault-injection hook for "the node silently died": the provider
 // manager stops hearing from it, excludes it from placement, and (when
@@ -624,91 +564,59 @@ func (c *Cluster) repairLoop() {
 // A no-op without Config.HeartbeatInterval; ResumeProviderHeartbeat
 // brings the loop back.
 func (c *Cluster) StopProviderHeartbeat(i int) {
-	c.svcMu.RLock()
-	defer c.svcMu.RUnlock()
+	c.svcMu.Lock()
+	defer c.svcMu.Unlock()
 	if i >= 0 && i < len(c.hbProvStop) {
-		select {
-		case <-c.hbProvStop[i]:
-		default:
-			close(c.hbProvStop[i])
-		}
+		closeOnce(c.hbProvStop[i])
 	}
 }
 
 // ResumeProviderHeartbeat relaunches data provider i's heartbeat loop
 // after StopProviderHeartbeat — the "node came back" half of a silent
 // death drill. The manager re-admits the provider on its next beat
-// (same id, bumped epoch). A no-op if the loop is still running.
+// (same id, bumped epoch). A no-op if the loop is still running or the
+// cluster is shut down.
 func (c *Cluster) ResumeProviderHeartbeat(i int) {
 	c.svcMu.Lock()
 	defer c.svcMu.Unlock()
-	if i < 0 || i >= len(c.hbProvStop) {
+	if i < 0 || i >= len(c.hbProvStop) || isClosed(c.hbStop) || !isClosed(c.hbProvStop[i]) {
 		return
 	}
-	select {
-	case <-c.hbProvStop[i]:
-		// Closed: the loop exited. Swap in a fresh stop channel and
-		// restart the loop against it.
-		stop := make(chan struct{})
-		c.hbProvStop[i] = stop
-		go c.providerHeartbeatLoop(i, stop)
-	default:
-		// Still running; nothing to resume.
-	}
+	c.hbProvStop[i] = c.heartbeat(i)
 }
 
-// startHeartbeats runs one reporting loop per data provider.
+// startHeartbeats runs one heartbeat loop per data provider, all sending
+// from the "hb" host: a provider whose own links are injured keeps
+// heartbeating (faults.go), as a gray failure does.
 func (c *Cluster) startHeartbeats() {
-	c.hbPool = rpc.NewPool(hostDialer{c.fab.Host("hb")})
-	c.pools = append(c.pools, c.hbPool)
+	c.hbPool = c.newPool(c.fab.Host("hb"))
 	for i := range c.DataServices {
-		stop := make(chan struct{})
-		c.hbProvStop = append(c.hbProvStop, stop)
-		go c.providerHeartbeatLoop(i, stop)
+		c.hbProvStop = append(c.hbProvStop, c.heartbeat(i))
 	}
 }
 
-// providerHeartbeatLoop reports data provider i's load to the provider
-// manager every HeartbeatInterval until stop (or cluster shutdown).
-func (c *Cluster) providerHeartbeatLoop(i int, stop chan struct{}) {
-	id := uint32(i + 1) // registration order matches IDs
-	t := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer t.Stop()
-	// Digest piggyback state: the bloom digest is recomputed
-	// only when the store's write/delete counters move, and its
-	// bytes ride a heartbeat only while the manager's held hash
-	// disagrees — steady state costs 8 extra bytes per beat.
-	var digHash uint64
-	var digest []byte
-	var held uint64
-	lastPuts, lastPages := int64(-1), int64(-1)
-	for {
-		select {
-		case <-c.hbStop:
-			return
-		case <-stop:
-			return
-		case <-t.C:
-			// Re-resolve each tick: RestartDataProvider swaps
-			// the service, and heartbeats must report the live
-			// store's load, not the dead one's.
-			sv := c.dataService(i)
-			snap := sv.Snapshot()
-			if snap.Puts != lastPuts || snap.PageCount != lastPages {
-				digHash, digest = sv.DigestBytes()
-				lastPuts, lastPages = snap.Puts, snap.PageCount
-			}
-			var payload []byte
-			if digHash != 0 && digHash != held {
-				payload = digest
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			if h, err := pmanager.SendHeartbeatDigest(ctx, c.hbPool, c.PMAddr, id,
-				snap.BytesUsed, snap.ActiveOps, digHash, payload); err == nil {
-				held = h
-			}
-			cancel()
-		}
+// heartbeat starts data provider i's pmanager.HeartbeatLoop and returns
+// its stop channel. Each beat reports the live service, which
+// RestartDataProvider may have swapped; ids follow registration order.
+func (c *Cluster) heartbeat(i int) chan struct{} {
+	stop := make(chan struct{})
+	go pmanager.HeartbeatLoop(stop, c.hbPool, c.PMAddr, uint32(i+1), c.cfg.HeartbeatInterval,
+		func() *provider.Service { return c.dataService(i) }, nil)
+	return stop
+}
+
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+func closeOnce(ch chan struct{}) {
+	if !isClosed(ch) {
+		close(ch)
 	}
 }
 
@@ -724,7 +632,6 @@ func (c *Cluster) ClientOptions(hostName string) core.Options {
 		Redundancy:     c.cfg.Redundancy,
 		MetaReplicas:   c.cfg.MetaReplicas,
 		CacheNodes:     c.cfg.CacheNodes,
-		DisableHedging: c.cfg.DisableHedging,
 		Breakers:       c.cfg.Breakers,
 		Tracer:         c.newRecorder(hostName),
 	}
@@ -784,45 +691,29 @@ func (c *Cluster) WipeDataProvider(i int) error {
 }
 
 func (c *Cluster) restartDataProvider(i int, wipe bool) error {
-	if i < 0 || i >= len(c.DataStores) {
+	if i < 0 || i >= len(c.DataServices) {
 		return fmt.Errorf("cluster: no data provider %d", i)
 	}
 	c.svcMu.RLock()
-	oldSrv, oldStore := c.DataServers[i], c.DataStores[i]
+	oldSrv, oldSvc := c.DataServers[i], c.DataServices[i]
 	c.svcMu.RUnlock()
 	oldSrv.Close()
-	if cl, ok := oldStore.(io.Closer); ok {
-		if err := cl.Close(); err != nil {
-			return fmt.Errorf("cluster: close provider %d store: %w", i, err)
-		}
+	if err := oldSvc.Close(); err != nil {
+		return fmt.Errorf("cluster: close provider %d store: %w", i, err)
 	}
-	if wipe && c.cfg.DataDir != "" {
-		dir := filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i))
+	if dir := c.dataDir(i); wipe && dir != "" {
 		if err := os.RemoveAll(dir); err != nil {
 			return fmt.Errorf("cluster: wipe provider %d data dir: %w", i, err)
 		}
 	}
-	// The new incarnation gets a fresh recorder, like a real process
-	// restart; MEvents pollers see its new incarnation and re-tail.
-	rec := c.newRecorder(c.dataHosts[i] + ":data")
-	st, err := c.newDataStore(i, rec)
+	svc, srv, err := c.startDataProvider(i)
 	if err != nil {
-		return fmt.Errorf("cluster: reopen provider %d store: %w", i, err)
+		return fmt.Errorf("cluster: restart provider %d: %w", i, err)
 	}
-	svc := c.newDataService(i, st, rec)
-	srv := rpc.NewServer()
-	srv.SetTracer(rec)
-	svc.RegisterHandlers(srv)
-	l, err := c.fab.Host(c.dataHosts[i]).Listen("data")
-	if err != nil {
-		return fmt.Errorf("cluster: relisten provider %d: %w", i, err)
-	}
-	srv.Start(l)
 	c.svcMu.Lock()
-	c.DataStores[i] = st
+	c.DataStores[i] = svc.Store()
 	c.DataServices[i] = svc
 	c.DataServers[i] = srv
-	c.servers = append(c.servers, srv)
 	c.svcMu.Unlock()
 	return nil
 }
@@ -833,14 +724,13 @@ func (c *Cluster) Shutdown() {
 	if c.Mon != nil {
 		c.Mon.Close()
 	}
-	select {
-	case <-c.hbStop:
-	default:
-		close(c.hbStop)
+	c.svcMu.Lock()
+	closeOnce(c.hbStop)
+	for _, stop := range c.hbProvStop {
+		closeOnce(stop)
 	}
-	c.svcMu.RLock()
 	replicas := append([][]*vmanager.Replica(nil), c.VMReplicas...)
-	c.svcMu.RUnlock()
+	c.svcMu.Unlock()
 	for _, shard := range replicas {
 		for _, rep := range shard {
 			if rep != nil {
@@ -851,7 +741,7 @@ func (c *Cluster) Shutdown() {
 	c.svcMu.RLock()
 	pools := append([]*rpc.Pool(nil), c.pools...)
 	servers := append([]*rpc.Server(nil), c.servers...)
-	stores := append([]provider.PageStore(nil), c.DataStores...)
+	services := append([]*provider.Service(nil), c.DataServices...)
 	c.svcMu.RUnlock()
 	for _, p := range pools {
 		p.Close()
@@ -859,10 +749,8 @@ func (c *Cluster) Shutdown() {
 	for _, s := range servers {
 		s.Close()
 	}
-	for _, st := range stores {
-		if cl, ok := st.(io.Closer); ok {
-			cl.Close()
-		}
+	for _, svc := range services {
+		svc.Close()
 	}
 	c.fab.Close()
 }

@@ -258,7 +258,7 @@ func TestHeartbeatsKeepProvidersAllocatable(t *testing.T) {
 
 func TestSeparateDataAndMetaHosts(t *testing.T) {
 	cl, err := cluster.Launch(cluster.Config{
-		DataProviders: 2, MetaProviders: 3, CoLocate: false,
+		DataProviders: 2, MetaProviders: 3,
 		Net: netsim.Fast(),
 	})
 	if err != nil {

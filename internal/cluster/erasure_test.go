@@ -20,7 +20,6 @@ func launchRS(t *testing.T, dir string) (*cluster.Cluster, []byte, uint64) {
 	cl, err := cluster.Launch(cluster.Config{
 		DataProviders: 6,
 		MetaProviders: 6,
-		CoLocate:      true,
 		Redundancy:    erasure.Redundancy{K: 4, M: 2},
 		DataDir:       dir,
 	})
@@ -266,7 +265,7 @@ func TestErasureRepairIngestsLessThanReplication(t *testing.T) {
 		logical  = writes * segPages
 	)
 	run := func(cfg cluster.Config) (stored int64, rep repair.Report) {
-		cfg.DataProviders, cfg.MetaProviders, cfg.CoLocate = 6, 6, true
+		cfg.DataProviders, cfg.MetaProviders = 6, 6
 		cl, err := cluster.Launch(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -124,13 +124,13 @@ func (c *Cluster) Fabric() *netsim.Net { return c.fab }
 // DataHostName returns the simulated host name of data provider i —
 // the value FlakyLink and Fabric-level fault injection address hosts
 // by.
-func (c *Cluster) DataHostName(i int) string { return c.dataHostName(i) }
+func (c *Cluster) DataHostName(i int) string { return c.hostName("data", i) }
 
 // dataAddr is data provider i's RPC endpoint on the fabric. Faults are
 // installed on the endpoint, not the host, so a co-located metadata
 // provider on the same simulated machine stays healthy — the sharpest
 // form of gray failure.
-func (c *Cluster) dataAddr(i int) string { return c.dataHostName(i) + ":data" }
+func (c *Cluster) dataAddr(i int) string { return c.hostName("data", i) + ":data" }
 
 // SlowProvider makes data provider i slow without killing it: every
 // frame to or from its RPC endpoint is delayed by extra, plus a

@@ -8,6 +8,8 @@ import (
 
 	"blob/internal/core"
 	"blob/internal/dht"
+	"blob/internal/diskstore"
+	"blob/internal/mstore"
 	"blob/internal/pmanager"
 	"blob/internal/provider"
 	"blob/internal/rpc"
@@ -15,11 +17,12 @@ import (
 )
 
 // tcpDeployment wires every service over genuine TCP loopback sockets,
-// assembled like cmd/blobnode deploys them: a provider manager co-hosting
-// the metadata directory, a one-shard one-replica version-manager group
-// (what a bare `blobnode -roles vmanager` boots) and three storage nodes
-// each hosting a data and a metadata provider. It returns the options a
-// client connects with.
+// built by the role constructors cmd/blobnode uses (provider.Open,
+// mstore.NewProvider, vmanager.NewReplica): a provider manager
+// co-hosting the metadata directory, a one-shard one-replica
+// version-manager group (what a bare `blobnode -roles vmanager` boots)
+// and three storage nodes each hosting a RAM-only data provider and a
+// metadata provider. It returns the options a client connects with.
 func tcpDeployment(t *testing.T) core.Options {
 	listen := func() net.Listener {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -45,11 +48,11 @@ func tcpDeployment(t *testing.T) core.Options {
 	// A replica must know its shard's addresses before it boots: bind
 	// first, exactly as -vpeers (or -advertise) requires of the binary.
 	vmListener := listen()
-	vmPool := rpc.NewPool(rpc.TCP{})
-	t.Cleanup(vmPool.Close)
+	pool := rpc.NewPool(rpc.TCP{})
+	t.Cleanup(pool.Close)
 	rep, err := vmanager.NewReplica(vmanager.ReplicaConfig{
 		Peers: []string{vmListener.Addr().String()},
-		Pool:  vmPool,
+		Pool:  pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +60,11 @@ func tcpDeployment(t *testing.T) core.Options {
 	t.Cleanup(rep.Close)
 	vmAddr := start(vmListener, rep.RegisterHandlers)
 	for i := 0; i < 3; i++ {
-		ds := provider.NewService(provider.NewStore(0))
-		ms := dht.NewStore()
+		ds, err := provider.Open(diskstore.Options{}, 0, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := mstore.NewProvider()
 		addr := start(listen(), func(s *rpc.Server) {
 			ds.RegisterHandlers(s)
 			ms.RegisterHandlers(s)
@@ -129,5 +135,40 @@ func TestRealTCPDeployment(t *testing.T) {
 	}
 	if !bytes.Equal(small, data[:page]) {
 		t.Fatal("cross-client TCP read mismatch")
+	}
+
+	// The follow descent (mstore.FollowBlock): a 64-page blob's tree has
+	// 7 levels, three blocks on every path, so a cold read of it (c2
+	// caches no metadata) is served blocks below the ones it asked for.
+	full := bytes.Repeat([]byte{0x5A}, 64*page)
+	fb, err := client.CreateBlob(ctx, page, 64*page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv, err := fb.Write(ctx, full, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := c2.OpenBlob(ctx, fb.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = make([]byte, len(full))
+	if _, err := cold.Read(ctx, got, 0, fv); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, full) {
+		t.Fatal("cold TCP read of the full blob mismatch")
+	}
+	metas, err := c2.Meta().StoreStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served uint64
+	for _, st := range metas {
+		served += st.FollowServed
+	}
+	if served == 0 {
+		t.Fatalf("metadata providers served no follow extras to a cold read: %+v", metas)
 	}
 }

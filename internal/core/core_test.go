@@ -17,20 +17,29 @@ import (
 
 const pageSize = 4 << 10 // small pages keep tests fast
 
-func launch(t testing.TB, cfg cluster.Config) (*cluster.Cluster, *core.Client) {
+// launch starts a deployment and connects one client to it, its options
+// passed through each adjust first.
+func launch(t testing.TB, cfg cluster.Config, adjust ...func(*core.Options)) (*cluster.Cluster, *core.Client) {
 	t.Helper()
 	cl, err := cluster.Launch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Shutdown)
-	c, err := cl.NewClient(context.Background())
+	opts := cl.ClientOptions("client")
+	for _, f := range adjust {
+		f(&opts)
+	}
+	c, err := core.NewClient(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return cl, c
 }
+
+// unhedged turns a client's hedged reads off.
+func unhedged(o *core.Options) { o.DisableHedging = true }
 
 func pattern(seed byte, n int) []byte {
 	buf := make([]byte, n)

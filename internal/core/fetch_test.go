@@ -289,12 +289,12 @@ func TestMalformedAnswerFailsOver(t *testing.T) {
 		name string
 		cfg  cluster.Config
 	}{
-		{"replicated", cluster.Config{DataReplicas: 2, DisableHedging: true}},
+		{"replicated", cluster.Config{DataReplicas: 2}},
 		{"rs(2,1)", cluster.Config{DataProviders: 3, MetaProviders: 3,
-			Redundancy: erasure.Redundancy{K: 2, M: 1}, DisableHedging: true}},
+			Redundancy: erasure.Redundancy{K: 2, M: 1}}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			cl, c := launch(t, tt.cfg)
+			cl, c := launch(t, tt.cfg, unhedged)
 			ctx := context.Background()
 			b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 			if err != nil {

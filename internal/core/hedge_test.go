@@ -87,7 +87,7 @@ func TestHedgedReadMasksStalledReplica(t *testing.T) {
 }
 
 func TestDisableHedgingStalledReplicaBlocksRead(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2, DisableHedging: true})
+	cl, c := launch(t, cluster.Config{DataReplicas: 2}, unhedged)
 	ctx := context.Background()
 
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
@@ -138,10 +138,9 @@ func TestHealthyHedgeIssuesNoExtraGets(t *testing.T) {
 			DataReplicas: 2,
 			// A fabric with latency: a 16-page fetch takes most of the
 			// hedge delay's 10 ms floor, so a mispriced delay shows.
-			Net:            netsim.Grid5000(),
-			CacheNodes:     -1, // warm metadata cache: the counted path is page fetches
-			DisableHedging: disableHedging,
-		})
+			Net:        netsim.Grid5000(),
+			CacheNodes: -1, // warm metadata cache: the counted path is page fetches
+		}, func(o *core.Options) { o.DisableHedging = disableHedging })
 		ctx := context.Background()
 		b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 		if err != nil {

@@ -72,22 +72,24 @@ func TestVectoredConcurrentRoundTrips(t *testing.T) {
 // pipelined protocol) immediately materializes the no-op patch, and
 // later writes publish promptly instead of waiting out the deadline.
 func TestPipelinedWriteAbortsOnPushFailure(t *testing.T) {
-	_, c := launch(t, cluster.Config{
-		DataProviders:    2,
-		ProviderCapacity: 2 * pageSize,
-		RepairTimeout:    30 * time.Second, // far above the test runtime: only the abort can trigger repair
+	cl, c := launch(t, cluster.Config{
+		DataProviders: 2,
+		RepairTimeout: 30 * time.Second, // far above the test runtime: only the abort can trigger repair
 	})
 	ctx := context.Background()
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Oversized write: providers reject it (capacity), push fails after
+	// Every connection to either provider resets: the push fails after
 	// AssignVersion already ran concurrently.
+	cl.FlakyProvider(0, 1)
+	cl.FlakyProvider(1, 1)
 	big := pattern(1, 16*pageSize)
 	if _, err := b.Write(ctx, big, 0); err == nil {
-		t.Fatal("oversized write succeeded, want capacity failure")
+		t.Fatal("write to unreachable providers succeeded, want push failure")
 	}
+	cl.Heal()
 	// A following small write must assign and publish without waiting on
 	// the 30-second dead-writer deadline; the whole test deadline proves
 	// the abort path repaired the hole immediately.

@@ -43,7 +43,7 @@ type Store struct {
 	// store holds ride along as extras, and are followed in turn, up to
 	// MaxFollowBlocks values and MaxFollowBytes. Set before serving.
 	// The store stays a generic write-once KV: what a value means is the
-	// hook's business (the metadata providers install mstore.FollowBlock).
+	// hook's business (mstore.NewProvider installs mstore.FollowBlock).
 	Follow FollowFunc
 
 	// Puts counts accepted first writes; DupPuts counts idempotent

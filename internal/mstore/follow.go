@@ -1,12 +1,24 @@
 package mstore
 
-import "blob/internal/meta"
+import (
+	"blob/internal/dht"
+	"blob/internal/meta"
+)
+
+// NewProvider creates the store a metadata provider serves: a dht.Store
+// with FollowBlock installed, so every block it serves carries the
+// blocks below it that the reader's range leads to.
+func NewProvider() *dht.Store {
+	st := dht.NewStore()
+	st.Follow = FollowBlock
+	return st
+}
 
 // FollowBlock is the server half of the descent: the dht.Store follow
-// hook every metadata provider installs. Given a stored block and the
-// page range a reader is resolving, it names the dht keys of the blocks
-// that reader will need next — the children, in another block, of the
-// block's nodes that the range crosses. The store serves those it holds
+// hook NewProvider installs. Given a stored block and the page range a
+// reader is resolving, it names the dht keys of the blocks that reader
+// will need next — the children, in another block, of the block's
+// nodes that the range crosses. The store serves those it holds
 // and follows them in turn, and since the blocks of one region share a
 // provider (meta.BlockKey.Hash), the whole remainder of a path below the
 // region's top usually leaves in the response that served its first

@@ -11,7 +11,8 @@
 // client, coalesced into single frames by the RPC layer) that carries
 // the read's page range, and a provider that serves a block also serves
 // the blocks below it that the range leads to and that it holds
-// (FollowBlock, the server half of this package). So a read of P pages
+// (FollowBlock, the server half of this package, installed on every
+// metadata provider's store by NewProvider). So a read of P pages
 // costs about one round trip per block above the regions that its paths
 // cross and one per region below them, rather than O(P log P) sequential
 // lookups.

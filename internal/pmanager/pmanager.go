@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"blob/internal/erasure"
+	dataprovider "blob/internal/provider"
 	"blob/internal/rpc"
 	"blob/internal/trace"
 	"blob/internal/wire"
@@ -541,12 +542,6 @@ func RegisterProvider(ctx context.Context, pool *rpc.Pool, pmAddr, addr string, 
 	return id, r.Err()
 }
 
-// SendHeartbeat reports load for a provider.
-func SendHeartbeat(ctx context.Context, pool *rpc.Pool, pmAddr string, id uint32, bytesUsed, activeOps int64) error {
-	_, err := SendHeartbeatDigest(ctx, pool, pmAddr, id, bytesUsed, activeOps, 0, nil)
-	return err
-}
-
 // SendHeartbeatDigest reports load plus the provider's holdings digest:
 // digHash identifies the digest the provider currently has, digest (its
 // wire encoding) rides along only when the sender believes the manager
@@ -570,6 +565,50 @@ func SendHeartbeatDigest(ctx context.Context, pool *rpc.Pool, pmAddr string, id 
 		heldHash = r.Uint64()
 	}
 	return heldHash, r.Err()
+}
+
+// HeartbeatLoop reports data provider id's load to the manager at pmAddr
+// every interval until stop closes, sending through pool — which need
+// not dial from the provider's own host. Each beat reads the service
+// svc returns afresh, so a provider restarted under the same id reports
+// its new incarnation. The holdings digest rides the beats: it is
+// recomputed only when the store's put or page counters move, and its bytes are attached only while the
+// manager's held hash disagrees, so a steady state costs 8 bytes a beat.
+// A beat has max(interval, 1s) to land; a failed one goes to logf (when
+// set) and the next beat retries.
+func HeartbeatLoop(stop <-chan struct{}, pool *rpc.Pool, pmAddr string, id uint32, interval time.Duration,
+	svc func() *dataprovider.Service, logf func(format string, args ...any)) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	timeout := max(interval, time.Second)
+	var digHash, held uint64
+	var digest []byte
+	lastPuts, lastPages := int64(-1), int64(-1)
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		sv := svc()
+		snap := sv.Snapshot()
+		if snap.Puts != lastPuts || snap.PageCount != lastPages {
+			digHash, digest = sv.DigestBytes()
+			lastPuts, lastPages = snap.Puts, snap.PageCount
+		}
+		var payload []byte
+		if digHash != 0 && digHash != held {
+			payload = digest
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		h, err := SendHeartbeatDigest(ctx, pool, pmAddr, id, snap.BytesUsed, snap.ActiveOps, digHash, payload)
+		cancel()
+		if err == nil {
+			held = h
+		} else if logf != nil {
+			logf("heartbeat: %v", err)
+		}
+	}
 }
 
 // Directory is a decoded MList response: the registration epoch, the

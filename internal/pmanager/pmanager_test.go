@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"blob/internal/dht"
 	"blob/internal/netsim"
+	dataprovider "blob/internal/provider"
 	"blob/internal/rpc"
+	"blob/internal/wire"
 )
 
 func newManagerWith(t *testing.T, cfg Config, n int) *Manager {
@@ -163,7 +166,7 @@ func TestRPCEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SendHeartbeat(ctx, pool, "pm:rpc", id, 123, 4); err != nil {
+	if _, err := SendHeartbeatDigest(ctx, pool, "pm:rpc", id, 123, 4, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -357,5 +360,108 @@ func TestDeathWatchDisabled(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("DeathWatch did not return immediately")
+	}
+}
+
+// TestHeartbeatLoopSendsDigestOnlyWhenStale pins HeartbeatLoop's digest
+// piggyback: the bytes ride the first beat, stay home while the
+// manager's held hash matches, ride once more after a put changes the
+// holdings, and closing stop returns the loop.
+func TestHeartbeatLoopSendsDigestOnlyWhenStale(t *testing.T) {
+	fab := netsim.New(netsim.Config{})
+	defer fab.Close()
+	m := New(Config{})
+	id := m.Register("prov0:data", 0)
+
+	// The manager's handler behind a recorder of which beats carried
+	// digest bytes.
+	var mu sync.Mutex
+	var carried []bool
+	srv := rpc.NewServer()
+	srv.Handle(MHeartbeat, func(ctx context.Context, body []byte) ([]byte, error) {
+		r := wire.NewReader(body)
+		r.Uint32()
+		r.Varint()
+		r.Varint()
+		r.Uint64()
+		n := len(r.BytesField())
+		mu.Lock()
+		carried = append(carried, n > 0)
+		mu.Unlock()
+		return m.handleHeartbeat(ctx, body)
+	})
+	l, err := fab.Host("pm").Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(l)
+	defer srv.Close()
+	pool := rpc.NewPool(hostDialer{fab.Host("hb")})
+	defer pool.Close()
+
+	svc := dataprovider.NewService(dataprovider.NewStore(0))
+	put := func(rel uint32) {
+		t.Helper()
+		if err := svc.Store().PutPages([]dataprovider.Page{{Blob: 1, Write: 1, RelPage: rel, Data: []byte("page")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// beats waits for at least n more beats than have arrived so far and
+	// returns how many carried the digest bytes in all.
+	beats := func(n int) (total, withBytes int) {
+		t.Helper()
+		mu.Lock()
+		want := len(carried) + n
+		mu.Unlock()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			mu.Lock()
+			total = len(carried)
+			withBytes = 0
+			for _, c := range carried {
+				if c {
+					withBytes++
+				}
+			}
+			first := total > 0 && carried[0]
+			mu.Unlock()
+			if total >= want {
+				if !first {
+					t.Fatal("the first beat carried no digest bytes")
+				}
+				return total, withBytes
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d beats arrived, want %d", total, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	put(0)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		HeartbeatLoop(stop, pool, "pm:rpc", id, 2*time.Millisecond,
+			func() *dataprovider.Service { return svc }, t.Logf)
+		close(done)
+	}()
+	if total, withBytes := beats(5); withBytes != 1 {
+		t.Fatalf("%d of %d beats carried the digest, want only the first", withBytes, total)
+	}
+	put(1)
+	if total, withBytes := beats(5); withBytes != 2 {
+		t.Fatalf("%d of %d beats carried the digest, want the first and one after the put", withBytes, total)
+	}
+	hash, _ := svc.DigestBytes()
+	if _, members := m.Members(); members[0].DigHash != hash {
+		t.Errorf("manager holds digest %#x, want the provider's current %#x", members[0].DigHash, hash)
+	}
+
+	close(stop)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HeartbeatLoop did not return after stop closed")
 	}
 }

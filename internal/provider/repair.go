@@ -19,7 +19,8 @@ import (
 // every repair action safe to over-approximate and to retry.
 
 // ErrRepairDisabled is returned by MPullPages on a provider whose
-// service was not given a peer connection pool (Service.EnableRepair).
+// service was not given a peer connection pool (one built by NewService
+// rather than Open).
 var ErrRepairDisabled = errors.New("provider: repair not enabled (no peer pool)")
 
 // Digest is a conservative bloom summary of the page keys a provider
@@ -177,10 +178,6 @@ func DecodePullPages(body []byte) (PullResult, error) {
 	}
 	return res, r.Err()
 }
-
-// EnableRepair arms the service's MPullPages handler: pool dials peer
-// providers (it must dial from this provider's network vantage).
-func (sv *Service) EnableRepair(pool Caller) { sv.peers = pool }
 
 // Caller is the slice of rpc.Pool the pull handler needs; an interface
 // so tests can fake a peer.

@@ -153,13 +153,13 @@ func TestPullPagesRepairsFromPeer(t *testing.T) {
 	put(t, degraded, 9, 42, 0, pages[0]) // one page survived
 	sv := NewService(degraded)
 
-	// Without EnableRepair the method must refuse.
+	// Without a peer pool the method must refuse.
 	req := EncodePullPages("peer", 9, 42, refs)
 	if _, err := sv.handlePullPages(context.Background(), req); !errors.Is(err, ErrRepairDisabled) {
 		t.Fatalf("pull without pool: %v", err)
 	}
 
-	sv.EnableRepair(fakePeer{services: map[string]*Service{"peer": healthySvc}})
+	sv.peers = fakePeer{services: map[string]*Service{"peer": healthySvc}}
 	resp, err := sv.handlePullPages(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestPullPagesRejectsBadChecksum(t *testing.T) {
 	put(t, healthy, 9, 42, 0, []byte("genuine"))
 	degraded := NewStore(0)
 	sv := NewService(degraded)
-	sv.EnableRepair(fakePeer{services: map[string]*Service{"peer": NewService(healthy)}})
+	sv.peers = fakePeer{services: map[string]*Service{"peer": NewService(healthy)}}
 
 	req := EncodePullPages("peer", 9, 42, []PullRef{{Rel: 0, Checksum: 0xBAD}})
 	resp, err := sv.handlePullPages(context.Background(), req)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"time"
 
+	"blob/internal/diskstore"
 	"blob/internal/rpc"
 	"blob/internal/stats"
 	"blob/internal/wire"
@@ -21,7 +23,7 @@ type Service struct {
 	// in heartbeats.
 	ActiveOps stats.Gauge
 
-	// Repair plumbing (EnableRepair): peers dials other providers for
+	// Repair plumbing (Open): peers dials other providers for
 	// MPullPages. Repair counters are owned here, not by the store, so a
 	// restarted provider reports only its own repair work (a fresh
 	// Service starts from zero).
@@ -42,8 +44,38 @@ type Service struct {
 	chaos chaos
 }
 
-// NewService creates a Service serving ps.
+// NewService creates a Service serving ps, with peer pulls disarmed.
 func NewService(ps PageStore) *Service { return &Service{store: ps} }
+
+// Open assembles one data provider: a Service over a fresh page store
+// bounded by capacity live bytes (0 = unlimited) — a diskstore segment
+// log in opts.Dir, recovering whatever the directory holds, or the
+// RAM-only Store, the paper's mode, when opts.Dir is empty — with peer
+// pulls (MPullPages) dialing through peers, which must dial from this
+// provider's network vantage.
+func Open(opts diskstore.Options, capacity int64, peers Caller) (*Service, error) {
+	var ps PageStore
+	if opts.Dir == "" {
+		ps = NewStore(capacity)
+	} else {
+		ds, err := NewDiskStore(opts, capacity)
+		if err != nil {
+			return nil, err
+		}
+		ps = ds
+	}
+	return &Service{store: ps, peers: peers}, nil
+}
+
+// Close closes the backend when it holds files (a DiskStore). Stop
+// serving first: a closed store reports pages absent, and a reader
+// cannot tell that apart from data loss.
+func (sv *Service) Close() error {
+	if c, ok := sv.store.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
 
 // Store returns the backend the service serves.
 func (sv *Service) Store() PageStore { return sv.store }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"blob/internal/core"
 	"blob/internal/meta"
@@ -52,6 +53,8 @@ func (r *Repairer) logf(format string, args ...any) {
 
 // Report summarizes one repair pass.
 type Report struct {
+	// Blobs is the number of blobs the pass covered.
+	Blobs int
 	// PagesChecked counts (page, replica) slots examined; PagesMissing
 	// how many were found degraded. PagesRepaired/BytesPulled are the
 	// slots restored and the page bytes that moved between providers for
@@ -462,13 +465,61 @@ func eligibleSources(holdings map[uint32]provider.Holdings, heldBy map[uint32]ma
 	return append(likely, longshot...)
 }
 
+// Sweep runs one repair pass over the listed blobs, or over every blob
+// the version manager knows when none are listed. It first re-learns
+// the metadata ring: the one the client booted with may predate some
+// metadata providers' registration, and a stale ring hashes tree nodes
+// to the wrong provider.
+func (r *Repairer) Sweep(ctx context.Context, blobs ...uint64) (Report, error) {
+	if err := r.c.Meta().Refresh(ctx); err != nil {
+		r.logf("repair: refresh metadata ring: %v", err)
+	}
+	if len(blobs) == 0 {
+		var err error
+		if blobs, err = r.c.VersionManager().Blobs(ctx); err != nil {
+			return Report{}, fmt.Errorf("list blobs: %w", err)
+		}
+	}
+	return r.RepairAll(ctx, blobs)
+}
+
+// Run sweeps every interval, and at once whenever wake fires (the
+// provider manager's DeathWatch saw a provider die: a second loss inside
+// the ticker's window is the data loss repair exists to prevent), until
+// stop closes. A sweep has max(4 × interval, 30s) to finish.
+func (r *Repairer) Run(stop, wake <-chan struct{}, interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	timeout := max(4*interval, 30*time.Second)
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		case <-wake:
+			r.logf("repair: provider death detected, sweeping now")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		rep, err := r.Sweep(ctx)
+		cancel()
+		if err != nil {
+			r.logf("repair: sweep: %v", err)
+		}
+		if rep.PagesMissing > 0 {
+			r.logf("repair: %d slots degraded, %d repaired (%d bytes pulled), %d reconstructed (%d bytes), %d unrepairable",
+				rep.PagesMissing, rep.PagesRepaired, rep.BytesPulled,
+				rep.PagesReconstructed, rep.ReconstructedBytes, rep.Unrepairable)
+		}
+	}
+}
+
 // RepairAll runs RepairBlob over a set of blobs, merging reports. The
 // first hard error aborts (per-provider failures are soft and counted
 // in the report).
 func (r *Repairer) RepairAll(ctx context.Context, blobs []uint64) (Report, error) {
 	r.Tracer.Emit(trace.SevInfo, trace.RepairStart, int64(len(blobs)),
 		"sweep over %d blobs", len(blobs))
-	var total Report
+	total := Report{Blobs: len(blobs)}
 	for _, id := range blobs {
 		rep, err := r.RepairBlob(ctx, id)
 		total.PagesChecked += rep.PagesChecked

@@ -13,6 +13,7 @@ import (
 	"blob/internal/gc"
 	"blob/internal/mstore"
 	"blob/internal/repair"
+	"blob/internal/trace"
 )
 
 const pageSize = 4 << 10
@@ -329,5 +330,55 @@ func TestRepairFailsOverToSecondSource(t *testing.T) {
 	// replica that really had it.
 	if got := cl.DataStores[0].Snapshot().PageCount; got != 2 {
 		t.Fatalf("target holds %d pages after repair, want 2", got)
+	}
+}
+
+// TestRunSweepsOnWake pins Repairer.Run's loop: a wake starts a sweep
+// over every blob long before an hour-long interval would, and closing
+// stop returns the loop.
+func TestRunSweepsOnWake(t *testing.T) {
+	_, c := launch(t, cluster.Config{})
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, pageSize, 16*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Write(ctx, pattern(3, 2*pageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	agent := repair.New(c)
+	agent.Tracer = trace.New("repair-test", 0)
+	stop := make(chan struct{})
+	wake := make(chan struct{}, 1)
+	done := make(chan struct{})
+	go func() {
+		agent.Run(stop, wake, time.Hour)
+		close(done)
+	}()
+
+	wake <- struct{}{}
+	deadline := time.Now().Add(10 * time.Second)
+	for finished := false; !finished; {
+		for _, ev := range agent.Tracer.Events() {
+			switch ev.Type {
+			case trace.RepairStart:
+				if ev.Val != 1 {
+					t.Fatalf("sweep over %d blobs, want the 1 written", ev.Val)
+				}
+			case trace.RepairFinish:
+				finished = true
+			}
+		}
+		if !finished && time.Now().After(deadline) {
+			t.Fatal("no sweep finished after a wake")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	close(stop)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after stop closed")
 	}
 }

@@ -118,7 +118,6 @@ func TestDiffEpochsErasureDegraded(t *testing.T) {
 	cl, err := cluster.Launch(cluster.Config{
 		DataProviders: 6,
 		MetaProviders: 6,
-		CoLocate:      true,
 		Redundancy:    erasure.Redundancy{K: 3, M: 2},
 	})
 	if err != nil {
