@@ -59,7 +59,7 @@ type Config struct {
 	// MetaReplicas is the tree node replication factor (default 1).
 	MetaReplicas int
 	// Net is the simulated fabric configuration (latency/bandwidth);
-	// zero value = instant network.
+	// zero value = instant network (0.1 ms links in a synctest build).
 	Net netsim.Config
 	// RepairTimeout enables dead-writer repair at the version manager.
 	RepairTimeout time.Duration
@@ -154,7 +154,15 @@ func (c *Config) fillDefaults() {
 	if c.VMElectionTimeout <= 0 {
 		c.VMElectionTimeout = 8 * c.VMHeartbeat
 	}
+	if c.Net == (netsim.Config{}) {
+		c.Net.Latency = bubbleLatency
+	}
 }
+
+// bubbleLatency is the link latency of a fabric left at the zero
+// netsim.Config: zero, except in a GOEXPERIMENT=synctest build
+// (bubble.go).
+var bubbleLatency time.Duration
 
 // Cluster is a running deployment.
 type Cluster struct {

@@ -40,8 +40,9 @@ type Config struct {
 
 // TimeScale is the simulation time dilation: 1 simulated time unit =
 // TimeScale real time units. The paper's cluster has 0.1 ms latency, but
-// the host kernel's sleep granularity is on the order of a millisecond,
-// so sub-millisecond delays cannot be slept accurately. Dilating all
+// the Go runtime's netpoller rounds every sub-millisecond timer wait up
+// to a whole millisecond (runtime/netpoll_epoll.go as of go1.24), so
+// sub-millisecond delays cannot be slept accurately. Dilating all
 // simulated delays by 10x keeps every materialized sleep comfortably
 // above the granularity floor while preserving the ratios the
 // experiments measure (the latency x bandwidth product is invariant).

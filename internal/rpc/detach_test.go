@@ -81,82 +81,79 @@ func halfServer(l net.Listener, size int, rest <-chan struct{}) {
 // connection stays up — the call queued behind it on the same
 // connection gets its answer, and the detached call still completes.
 func TestDetachMidBodySparesConnection(t *testing.T) {
-	for _, tt := range []struct {
-		name   string
-		listen func(t *testing.T) (net.Listener, Network)
-	}{
-		{"tcp", func(t *testing.T) (net.Listener, Network) {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l, TCP{}
-		}},
-		{"netsim", func(t *testing.T) (net.Listener, Network) {
-			n := netsim.New(netsim.Fast())
-			t.Cleanup(n.Close)
-			l, err := n.Host("srv").Listen("rpc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l, netDialer{n.Host("cli")}
-		}},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			l, network := tt.listen(t)
-			defer l.Close()
-			const size = 256 << 10
-			rest := make(chan struct{})
-			go halfServer(l, size, rest)
-			c, err := Dial(network, l.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("netsim", func(t *testing.T) {
+		n := netsim.New(netsim.Fast())
+		defer n.Close()
+		l, err := n.Host("srv").Listen("rpc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		testDetachMidBody(t, l, netDialer{n.Host("cli")})
+	})
+}
 
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			sink := &startedSink{dst: make([]byte, size)}
-			detached := c.Go(ctx, mEcho, [][]byte{[]byte("first")}, sink)
-			behind := c.Go(ctx, mEcho, [][]byte{[]byte("second")}, nil)
-			for !sink.started.Load() {
-				if ctx.Err() != nil {
-					t.Fatal("the sink never started reading its body")
-				}
-				time.Sleep(time.Millisecond)
-			}
+// TestDetachMidBodySparesConnectionTCP is the same over real TCP
+// loopback.
+func TestDetachMidBodySparesConnectionTCP(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	testDetachMidBody(t, l, TCP{})
+}
 
-			returned := make(chan struct{})
-			go func() {
-				detached.Detach()
-				close(returned)
-			}()
-			select {
-			case <-returned:
-			case <-time.After(5 * time.Second):
-				close(rest)
-				t.Fatal("Detach waited for the rest of the body")
-			}
-			for i := range sink.dst {
-				sink.dst[i] = 0xEE
-			}
-			close(rest)
+func testDetachMidBody(t *testing.T, l net.Listener, network Network) {
+	defer l.Close()
+	const size = 256 << 10
+	rest := make(chan struct{})
+	go halfServer(l, size, rest)
+	c, err := Dial(network, l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-			resp, err := behind.Wait(ctx)
-			if err != nil || string(resp) != "second" {
-				t.Fatalf("the call behind the detached one: %q, %v", resp, err)
-			}
-			if _, err := detached.Wait(ctx); err != nil {
-				t.Fatalf("detached call, its answer in: %v", err)
-			}
-			for i, b := range sink.dst {
-				if b != 0xEE {
-					t.Fatalf("the sink wrote byte %d after Detach returned", i)
-				}
-			}
-			if c.Closed() {
-				t.Fatal("Detach closed the connection")
-			}
-		})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sink := &startedSink{dst: make([]byte, size)}
+	detached := c.Go(ctx, mEcho, [][]byte{[]byte("first")}, sink)
+	behind := c.Go(ctx, mEcho, [][]byte{[]byte("second")}, nil)
+	for !sink.started.Load() {
+		if ctx.Err() != nil {
+			t.Fatal("the sink never started reading its body")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	returned := make(chan struct{})
+	go func() {
+		detached.Detach()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		close(rest)
+		t.Fatal("Detach waited for the rest of the body")
+	}
+	for i := range sink.dst {
+		sink.dst[i] = 0xEE
+	}
+	close(rest)
+
+	resp, err := behind.Wait(ctx)
+	if err != nil || string(resp) != "second" {
+		t.Fatalf("the call behind the detached one: %q, %v", resp, err)
+	}
+	if _, err := detached.Wait(ctx); err != nil {
+		t.Fatalf("detached call, its answer in: %v", err)
+	}
+	for i, b := range sink.dst {
+		if b != 0xEE {
+			t.Fatalf("the sink wrote byte %d after Detach returned", i)
+		}
+	}
+	if c.Closed() {
+		t.Fatal("Detach closed the connection")
 	}
 }
