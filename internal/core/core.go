@@ -117,15 +117,13 @@ type Client struct {
 	providers map[uint32]string
 
 	// Bloom-hinted replica routing (docs/replication.md §6): per-provider
-	// holdings digests refreshed after a definite page miss — bulk-seeded
-	// from the provider manager's heartbeat-piggybacked copies, with a
-	// direct MListWrites probe as the fallback. A fresh digest lets later
-	// fetches skip replicas that definitely lack a page before paying the
-	// RPC round trip; entries expire after digestTTL so a repaired
-	// provider is probed again.
-	digestMu     sync.RWMutex
-	digests      map[uint32]digestEntry
-	digestSeedAt time.Time // last MDigests bulk seed (throttled to digestTTL)
+	// holdings digests refreshed after a definite page miss by a direct
+	// MListWrites probe of the provider that missed. A fresh digest lets
+	// later fetches skip replicas that definitely lack a page before
+	// paying the RPC round trip; entries expire after digestTTL so a
+	// repaired provider is probed again.
+	digestMu sync.RWMutex
+	digests  map[uint32]digestEntry
 
 	// repairSem bounds concurrent background read-repair pushes; when it
 	// is saturated further repairs are dropped (the repair agent or a

@@ -35,9 +35,27 @@ import (
 type fetchItem struct {
 	leaf mstore.PageLeaf
 	dst  []byte
+	// provs is the page's replica walk, begun in wave base: wave tier
+	// asks provs[tier-base]. It starts as the leaf's replica list; when
+	// that runs out, the replicas a digest skipped are walked once more
+	// (retry), digests ignored.
+	provs []uint32
+	base  int
+	retry bool
 	// missed collects providers that definitively lacked the page
-	// (absent response or digest-ruled-out) — the read-repair targets.
-	missed []uint32
+	// (absent response), skipped those a digest ruled out — both the
+	// read-repair targets.
+	missed  []uint32
+	skipped []uint32
+}
+
+// replica returns the provider the item asks in wave tier; ok is false
+// once its walk is exhausted.
+func (it *fetchItem) replica(tier int) (id uint32, ok bool) {
+	if i := tier - it.base; i < len(it.provs) {
+		return it.provs[i], true
+	}
+	return 0, false
 }
 
 // fetchGroup batches one provider's page fetches for a tier wave. pages
@@ -150,18 +168,18 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 	// next replica, an unresolvable one, or one whose breaker is open.
 	subs := make(map[uint32]*hedgeSub)
 	for j, it := range g.items {
-		provs := it.leaf.Leaf.Providers
-		if tier+1 >= len(provs) {
+		hid, ok := it.replica(tier + 1)
+		if !ok {
 			continue
 		}
-		haddr, ok := c.cachedProviderAddr(provs[tier+1])
+		haddr, ok := c.cachedProviderAddr(hid)
 		if !ok || !c.pool.Available(haddr) {
 			continue
 		}
-		s := subs[provs[tier+1]]
+		s := subs[hid]
 		if s == nil {
 			s = &hedgeSub{addr: haddr}
-			subs[provs[tier+1]] = s
+			subs[hid] = s
 		}
 		s.refs = append(s.refs, provider.PageRef{
 			Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.leaf.Leaf.RelPage,

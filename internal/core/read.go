@@ -170,10 +170,11 @@ func (b *Blob) ReadMeta(ctx context.Context, offset, length uint64, v meta.Versi
 // fetchPages downloads every non-zero leaf's page into buf, zero-filling
 // zero pages, with replica failover, checksum verification, bloom-hinted
 // and breaker-aware replica routing, hedged fetches and read-repair
-// (docs/replication.md §6, docs/robustness.md): a replica whose cached
-// digest definitely lacks a page — or whose circuit breaker is open —
-// is skipped without an RPC, a definite miss refreshes that replica's
-// digest, a group that outlives its provider's adaptive hedge delay is
+// (docs/replication.md §6, docs/robustness.md): a replica whose circuit
+// breaker is open is skipped without an RPC, and so is one whose cached
+// digest definitely lacks a page — until the page's other replicas have
+// failed, when it is asked after all. A definite miss refreshes that
+// replica's digest, a group that outlives its provider's adaptive hedge delay is
 // raced against the next replica tier (hedge.go), and a page a later
 // replica serves is re-pushed in the background to every replica that
 // definitively missed it, restoring redundancy as a side effect of
@@ -198,7 +199,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 			striped = append(striped, stripedItem{leaf: l, dst: dst})
 			continue
 		}
-		remaining = append(remaining, fetchItem{leaf: l, dst: dst})
+		remaining = append(remaining, fetchItem{leaf: l, dst: dst, provs: l.Leaf.Providers})
 	}
 	if len(striped) > 0 {
 		if err := b.fetchStriped(ctx, striped); err != nil {
@@ -223,7 +224,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 
 	// Replica tiers: try everyone's first replica in one parallel wave,
 	// then the second replica for whatever failed, and so on. A page
-	// whose replica list is exhausted is unrecoverable.
+	// whose replica walk is exhausted is unrecoverable.
 	for tier := 0; len(remaining) > 0; tier++ {
 		if tier > 0 {
 			fop.Notef("retry: tier %d, %d pages", tier, len(remaining))
@@ -233,21 +234,29 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		// read path, docs/perf.md). The count ignores bloom and breaker
 		// skips, so a skip merely leaves a little slack capacity.
 		counts := make(map[uint32]int, 8)
-		for _, it := range remaining {
-			if provs := it.leaf.Leaf.Providers; tier < len(provs) {
-				counts[provs[tier]]++
+		for i := range remaining {
+			it := &remaining[i]
+			id, ok := it.replica(tier)
+			if !ok {
+				if len(it.skipped) == 0 {
+					return fmt.Errorf("%w: page %d (write %d) failed on all %d replicas",
+						ErrPageUnavailable, it.leaf.Page, it.leaf.Leaf.Write, len(it.leaf.Leaf.Providers))
+				}
+				// Every replica was asked or skipped on a digest's word,
+				// and a digest can be stale: the skipped ones get one
+				// more pass, digests ignored, before the page is
+				// declared unavailable.
+				fop.Notef("digest retry: page %d, %d replicas", it.leaf.Page, len(it.skipped))
+				it.provs, it.base, it.retry, it.skipped = it.skipped, tier, true, nil
+				id, _ = it.replica(tier)
 			}
+			counts[id]++
 		}
 		groups := make(map[uint32]*fetchGroup, len(counts))
 		var next []fetchItem
 		for _, it := range remaining {
-			provs := it.leaf.Leaf.Providers
-			if tier >= len(provs) {
-				return fmt.Errorf("%w: page %d (write %d) failed on all %d replicas",
-					ErrPageUnavailable, it.leaf.Page, it.leaf.Leaf.Write, len(provs))
-			}
-			id := provs[tier]
-			if tier < len(provs)-1 {
+			id, _ := it.replica(tier)
+			if _, more := it.replica(tier + 1); more {
 				// Breaker routing: a replica whose circuit breaker is
 				// open is skipped like a bloom miss, without an RPC — but
 				// never the last one, which is always worth a probe. An
@@ -259,14 +268,14 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 					continue
 				}
 				// Bloom routing: skip a replica whose fresh digest rules
-				// the page out — but never the last one, so a stale
-				// digest can cost extra hops yet never fail a read by
-				// itself.
-				if d, ok := b.c.cachedDigest(id); ok &&
+				// the page out — but never the last one, and never on
+				// the retry pass, so a stale digest can cost extra hops
+				// yet never fail a read by itself.
+				if d, ok := b.c.cachedDigest(id); ok && !it.retry &&
 					!d.MightContain(b.id, it.leaf.Leaf.Write, it.leaf.Leaf.RelPage) {
 					b.c.BloomSkips.Inc()
 					fop.Notef("bloom-skip: provider %d", id)
-					it.missed = append(it.missed, id)
+					it.skipped = append(it.skipped, id)
 					next = append(next, it)
 					continue
 				}
@@ -324,16 +333,17 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 			return it
 		}
 		// served records a verified page, queueing a read-repair when
-		// earlier replicas definitively missed it. The repair references
-		// the page bytes in place (it.dst); scheduleReadRepair
-		// materializes its own copy only for repairs it actually schedules.
+		// earlier replicas definitively missed it or a digest ruled them
+		// out. The repair references the page bytes in place (it.dst);
+		// scheduleReadRepair materializes its own copy only for repairs
+		// it actually schedules.
 		served := func(it fetchItem) {
-			if len(it.missed) > 0 {
+			if targets := append(it.missed, it.skipped...); len(targets) > 0 {
 				repairs = append(repairs, readRepair{
 					write:     it.leaf.Leaf.Write,
 					rel:       it.leaf.Leaf.RelPage,
 					data:      it.dst,
-					providers: it.missed,
+					providers: targets,
 				})
 			}
 		}

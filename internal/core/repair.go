@@ -9,9 +9,7 @@ import (
 	"context"
 	"time"
 
-	"blob/internal/pmanager"
 	"blob/internal/provider"
-	"blob/internal/wire"
 )
 
 // readRepair is one page to re-push to the replicas that missed it.
@@ -38,16 +36,13 @@ func (c *Client) cachedDigest(id uint32) (provider.Digest, bool) {
 	return e.d, true
 }
 
-// refreshDigests refreshes holdings digests for the given providers
-// (scoped to the writes that just missed there), caching the results
-// for digestTTL. The cheap path seeds the whole cache from the
-// provider manager — providers piggyback their digests on heartbeats,
-// so one MDigests round trip usually covers every replica. Only
-// providers the manager has no digest for fall back to a direct
-// MListWrites probe; ones whose fetch fails get a negative entry so a
-// dead node is not digest-probed on every page of a large read.
+// refreshDigests refreshes holdings digests for the given providers,
+// caching the results for digestTTL: each provider is asked directly,
+// with an MListWrites probe scoped to the writes that just missed there
+// — the only way a client learns what a replica holds. A provider whose
+// probe fails gets a negative entry, so a dead node is not
+// digest-probed on every page of a large read.
 func (c *Client) refreshDigests(ctx context.Context, blob uint64, writes map[uint32][]uint64) {
-	c.seedDigestsFromManager(ctx)
 	for id, ws := range writes {
 		c.digestMu.RLock()
 		e, ok := c.digests[id]
@@ -80,57 +75,12 @@ func (c *Client) refreshDigests(ctx context.Context, blob uint64, writes map[uin
 	}
 }
 
-// seedDigestsFromManager bulk-loads the digest cache from the provider
-// manager's heartbeat-piggybacked copies (MDigests), at most once per
-// digestTTL — including after a failure, so a down manager costs one
-// timed-out RPC per TTL, not one per miss. Entries decode-checked; a
-// provider the manager holds no digest for is simply left for the
-// per-provider fallback.
-func (c *Client) seedDigestsFromManager(ctx context.Context) {
-	c.digestMu.RLock()
-	last := c.digestSeedAt
-	c.digestMu.RUnlock()
-	if time.Since(last) <= digestTTL {
-		return
-	}
-	dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	ds, err := pmanager.FetchDigests(dctx, c.pool, c.opts.PManagerAddr)
-	cancel()
-	now := time.Now()
-	c.digestMu.Lock()
-	defer c.digestMu.Unlock()
-	c.digestSeedAt = now
-	if err != nil {
-		return
-	}
-	for _, pd := range ds {
-		if len(pd.Digest) == 0 {
-			continue // provider never piggybacked one: probe directly
-		}
-		r := wire.NewReader(pd.Digest)
-		d := provider.DecodeDigest(r)
-		if r.Err() != nil {
-			continue
-		}
-		c.digests[pd.ID] = digestEntry{d: d, ok: true, at: now}
-	}
-}
-
 // SeedDigest injects a provider digest into the routing cache as if
 // MListWrites had just returned it. Tests use it to pin the routing
 // behavior around bloom false positives and stale digests.
 func (c *Client) SeedDigest(id uint32, d provider.Digest) {
 	c.digestMu.Lock()
 	c.digests[id] = digestEntry{d: d, ok: true, at: time.Now()}
-	c.digestMu.Unlock()
-}
-
-// InvalidateDigests drops every cached provider digest, forcing the next
-// reads to probe replicas directly. Tests and tooling use it after
-// healing a provider faster than digestTTL would notice.
-func (c *Client) InvalidateDigests() {
-	c.digestMu.Lock()
-	c.digests = make(map[uint32]digestEntry)
 	c.digestMu.Unlock()
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blob/internal/cluster"
+	"blob/internal/netsim"
 	"blob/internal/provider"
 	"blob/internal/wire"
 )
@@ -170,6 +171,82 @@ func TestDigestNeverSkipsLastReplica(t *testing.T) {
 	got := make([]byte, 2*pageSize)
 	if _, err := b.Read(ctx, got, 0, v); err != nil {
 		t.Fatalf("read failed under all-ruling-out digests: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("wrong bytes")
+	}
+}
+
+// TestStaleDigestRetriesSkippedReplica pins the last pass of
+// docs/replication.md §6 rule 4: a stale digest that rules a page out on
+// a replica which really holds it, while the page's other replica is
+// down, must not fail the read. Before the page is declared unavailable
+// the replicas its digests skipped are asked once more, digests ignored.
+func TestStaleDigestRetriesSkippedReplica(t *testing.T) {
+	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
+	ctx := context.Background()
+	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
+	data := pattern(13, 4*pageSize)
+	v, err := b.Write(ctx, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Provider id 1 holds every page, but its cached digest says it
+	// holds none; provider id 2 goes down.
+	c.SeedDigest(1, provider.Digest{})
+	cl.DataServers[1].Close()
+
+	got := make([]byte, 4*pageSize)
+	if _, err := b.Read(ctx, got, 0, v); err != nil {
+		t.Fatalf("read with a stale digest and a down replica: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("retry pass returned wrong bytes")
+	}
+}
+
+// TestKnownVersionReadIgnoresProviderManager pins that a read of a
+// known version touches no central role (docs/architecture.md, failure
+// matrix): with the provider manager stalled, a fresh client whose
+// metadata ring and provider directory are warm reads the version back
+// well inside its deadline.
+func TestKnownVersionReadIgnoresProviderManager(t *testing.T) {
+	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
+	ctx := context.Background()
+	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
+	data := pattern(15, 8*pageSize)
+	v, err := b.Write(ctx, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh client has never read, so its digest cache is empty.
+	// NewClient fetches the provider directory; ReadMeta warms the ring.
+	fresh, err := cl.NewClient(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	fb, err := fresh.OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fb.ReadMeta(ctx, 0, uint64(len(data)), v); err != nil {
+		t.Fatal(err)
+	}
+
+	cl.Fabric().SetAddrFault(cl.PMAddr, netsim.Fault{Stall: true})
+	defer cl.Fabric().ClearAddrFault(cl.PMAddr)
+	rctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	got := make([]byte, len(data))
+	start := time.Now()
+	_, err = fb.Read(rctx, got, 0, v)
+	if err == nil {
+		err = rctx.Err() // served, but only after waiting out its deadline
+	}
+	if err != nil {
+		t.Fatalf("read with the provider manager stalled, after %v: %v", time.Since(start), err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("wrong bytes")

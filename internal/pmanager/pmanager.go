@@ -33,7 +33,8 @@ const (
 	MAllocate  = 0x0403
 	MList      = 0x0404
 	MMembers   = 0x0405
-	MDigests   = 0x0406
+	// 0x0406 is retired (the heartbeat digest relay's bulk fetch); left
+	// unassigned so an old peer's call cannot reach a new method.
 )
 
 func init() {
@@ -42,7 +43,6 @@ func init() {
 	rpc.RegisterMethodName(MAllocate, "pmanager.MAllocate")
 	rpc.RegisterMethodName(MList, "pmanager.MList")
 	rpc.RegisterMethodName(MMembers, "pmanager.MMembers")
-	rpc.RegisterMethodName(MDigests, "pmanager.MDigests")
 }
 
 // ErrNoProviders is returned when placement cannot be satisfied.
@@ -64,12 +64,6 @@ type provider struct {
 	// deadNotified marks that a DeathWatch pass already reported this
 	// provider silent; a heartbeat or re-registration re-arms it.
 	deadNotified bool
-	// digHash/digest hold the provider's latest bloom holdings digest,
-	// piggybacked on heartbeats (docs/replication.md): clients seed
-	// their routing caches from here instead of probing providers on
-	// first miss. digest is the wire encoding (provider.Digest.Encode).
-	digHash uint64
-	digest  []byte
 }
 
 // Manager is the provider manager service.
@@ -102,7 +96,7 @@ type Config struct {
 	// exactly what a stripe needs.
 	Redundancy erasure.Redundancy
 	// Tracer, if set, records membership transitions (heartbeat
-	// deaths, registrations, digest refreshes) for the monitor plane.
+	// deaths, registrations) for the monitor plane.
 	Tracer *trace.Tracer
 }
 
@@ -160,36 +154,21 @@ func (m *Manager) Register(addr string, capacity int64) uint32 {
 	return id
 }
 
-// Heartbeat records a provider's load report plus an optional bloom
-// holdings digest (digHash identifies it; digest is its wire encoding,
-// sent only when the provider believes ours is stale). It returns
-// whether the id is known and the digest hash now held, so the sender
-// can decide whether the next beat needs the bytes. Unknown IDs are
-// ignored (the provider should re-register after a manager restart).
-func (m *Manager) Heartbeat(id uint32, bytesUsed, activeOps int64, digHash uint64, digest []byte) (known bool, heldHash uint64) {
+// Heartbeat records a provider's load report and returns whether the id
+// is known. Unknown IDs are ignored (the provider should re-register
+// after a manager restart).
+func (m *Manager) Heartbeat(id uint32, bytesUsed, activeOps int64) (known bool) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	p, ok := m.byID[id]
 	if !ok {
-		m.mu.Unlock()
-		return false, 0
+		return false
 	}
 	p.bytesUsed = bytesUsed
 	p.activeOps = activeOps
 	p.lastSeen = time.Now()
 	p.deadNotified = false
-	refreshed := false
-	if len(digest) > 0 && digHash != p.digHash {
-		p.digHash = digHash
-		p.digest = append([]byte(nil), digest...)
-		refreshed = true
-	}
-	held := p.digHash
-	m.mu.Unlock()
-	if refreshed {
-		m.tracer.Emit(trace.SevInfo, trace.DigestRefresh, int64(id),
-			"provider %d pushed holdings digest (%d bytes)", id, len(digest))
-	}
-	return true, held
+	return true
 }
 
 // DeathWatch scans for providers that stopped heartbeating and calls
@@ -324,7 +303,6 @@ type Member struct {
 	Capacity  int64
 	BytesUsed int64
 	ActiveOps int64
-	DigHash   uint64
 }
 
 // Members returns every registered provider with liveness, the epoch
@@ -344,33 +322,10 @@ func (m *Manager) Members() (uint64, []Member) {
 			Capacity:  p.capacity,
 			BytesUsed: p.bytesUsed,
 			ActiveOps: p.activeOps,
-			DigHash:   p.digHash,
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return m.epoch, out
-}
-
-// ProviderDigest is one provider's piggybacked holdings digest.
-type ProviderDigest struct {
-	ID      uint32
-	DigHash uint64
-	Digest  []byte // wire encoding (provider.Digest.Encode); empty = none held
-}
-
-// Digests returns the holdings digests collected from heartbeats.
-func (m *Manager) Digests() []ProviderDigest {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]ProviderDigest, 0, len(m.byID))
-	for _, p := range m.byID {
-		if len(p.digest) == 0 {
-			continue
-		}
-		out = append(out, ProviderDigest{ID: p.info.ID, DigHash: p.digHash, Digest: p.digest})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
 }
 
 // RegisterHandlers wires the manager's RPC methods onto srv.
@@ -380,7 +335,6 @@ func (m *Manager) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MAllocate, m.handleAllocate)
 	srv.Handle(MList, m.handleList)
 	srv.Handle(MMembers, m.handleMembers)
-	srv.Handle(MDigests, m.handleDigests)
 }
 
 func (m *Manager) handleRegister(_ context.Context, body []byte) ([]byte, error) {
@@ -401,20 +355,11 @@ func (m *Manager) handleHeartbeat(_ context.Context, body []byte) ([]byte, error
 	id := r.Uint32()
 	bytesUsed := r.Varint()
 	activeOps := r.Varint()
-	// Digest piggyback fields; absent on the legacy 3-field form.
-	var digHash uint64
-	var digest []byte
-	if r.Remaining() > 0 {
-		digHash = r.Uint64()
-		digest = r.BytesField()
-	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("pmanager heartbeat: %w", err)
 	}
-	known, held := m.Heartbeat(id, bytesUsed, activeOps, digHash, digest)
-	w := wire.NewWriter(12)
-	w.Bool(known)
-	w.Uint64(held)
+	w := wire.NewWriter(1)
+	w.Bool(m.Heartbeat(id, bytesUsed, activeOps))
 	return w.Bytes(), nil
 }
 
@@ -433,23 +378,6 @@ func (m *Manager) handleMembers(_ context.Context, _ []byte) ([]byte, error) {
 		w.Varint(mb.Capacity)
 		w.Varint(mb.BytesUsed)
 		w.Varint(mb.ActiveOps)
-		w.Uint64(mb.DigHash)
-	}
-	return w.Bytes(), nil
-}
-
-func (m *Manager) handleDigests(_ context.Context, _ []byte) ([]byte, error) {
-	ds := m.Digests()
-	sz := 16
-	for _, d := range ds {
-		sz += 16 + len(d.Digest)
-	}
-	w := wire.NewWriter(sz)
-	w.Uvarint(uint64(len(ds)))
-	for _, d := range ds {
-		w.Uint32(d.ID)
-		w.Uint64(d.DigHash)
-		w.BytesField(d.Digest)
 	}
 	return w.Bytes(), nil
 }
@@ -542,70 +470,49 @@ func RegisterProvider(ctx context.Context, pool *rpc.Pool, pmAddr, addr string, 
 	return id, r.Err()
 }
 
-// SendHeartbeatDigest reports load plus the provider's holdings digest:
-// digHash identifies the digest the provider currently has, digest (its
-// wire encoding) rides along only when the sender believes the manager
-// is stale. The returned heldHash is what the manager holds after this
-// beat — when it differs from digHash the next beat should carry the
-// bytes.
-func SendHeartbeatDigest(ctx context.Context, pool *rpc.Pool, pmAddr string, id uint32, bytesUsed, activeOps int64, digHash uint64, digest []byte) (heldHash uint64, err error) {
-	w := wire.NewWriter(36 + len(digest))
+// SendHeartbeat reports a provider's load. known is false when the
+// manager has no provider id (it restarted and lost its registry).
+func SendHeartbeat(ctx context.Context, pool *rpc.Pool, pmAddr string, id uint32, bytesUsed, activeOps int64) (known bool, err error) {
+	w := wire.NewWriter(24)
 	w.Uint32(id)
 	w.Varint(bytesUsed)
 	w.Varint(activeOps)
-	w.Uint64(digHash)
-	w.BytesField(digest)
 	resp, err := pool.Call(ctx, pmAddr, MHeartbeat, w.Bytes())
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	r := wire.NewReader(resp)
-	r.Bool() // known
-	if r.Remaining() > 0 {
-		heldHash = r.Uint64()
-	}
-	return heldHash, r.Err()
+	return decodeHeartbeatReply(resp)
+}
+
+// decodeHeartbeatReply parses an MHeartbeat response.
+func decodeHeartbeatReply(body []byte) (known bool, err error) {
+	r := wire.NewReader(body)
+	known = r.Bool()
+	return known, r.Err()
 }
 
 // HeartbeatLoop reports data provider id's load to the manager at pmAddr
 // every interval until stop closes, sending through pool — which need
 // not dial from the provider's own host. Each beat reads the service
 // svc returns afresh, so a provider restarted under the same id reports
-// its new incarnation. The holdings digest rides the beats: it is
-// recomputed only when the store's put or page counters move, and its bytes are attached only while the
-// manager's held hash disagrees, so a steady state costs 8 bytes a beat.
-// A beat has max(interval, 1s) to land; a failed one goes to logf (when
+// its new incarnation. A beat has max(interval, 1s) to land; a failed one goes to logf (when
 // set) and the next beat retries.
 func HeartbeatLoop(stop <-chan struct{}, pool *rpc.Pool, pmAddr string, id uint32, interval time.Duration,
 	svc func() *dataprovider.Service, logf func(format string, args ...any)) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	timeout := max(interval, time.Second)
-	var digHash, held uint64
-	var digest []byte
-	lastPuts, lastPages := int64(-1), int64(-1)
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
 		}
-		sv := svc()
-		snap := sv.Snapshot()
-		if snap.Puts != lastPuts || snap.PageCount != lastPages {
-			digHash, digest = sv.DigestBytes()
-			lastPuts, lastPages = snap.Puts, snap.PageCount
-		}
-		var payload []byte
-		if digHash != 0 && digHash != held {
-			payload = digest
-		}
+		snap := svc().Snapshot()
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		h, err := SendHeartbeatDigest(ctx, pool, pmAddr, id, snap.BytesUsed, snap.ActiveOps, digHash, payload)
+		_, err := SendHeartbeat(ctx, pool, pmAddr, id, snap.BytesUsed, snap.ActiveOps)
 		cancel()
-		if err == nil {
-			held = h
-		} else if logf != nil {
+		if err != nil && logf != nil {
 			logf("heartbeat: %v", err)
 		}
 	}
@@ -641,7 +548,7 @@ func decodeMembership(body []byte) (Membership, error) {
 	r := wire.NewReader(body)
 	ms := Membership{Epoch: r.Uint64()}
 	ms.Redundancy = erasure.Redundancy{K: int(r.Uint8()), M: int(r.Uint8())}
-	n := r.Count(18) // id, address length, alive, four varints, digest hash
+	n := r.Count(10) // id, address length, alive, four varints
 	ms.Members = make([]Member, 0, n)
 	for i := 0; i < n; i++ {
 		ms.Members = append(ms.Members, Member{
@@ -652,36 +559,9 @@ func decodeMembership(body []byte) (Membership, error) {
 			Capacity:  r.Varint(),
 			BytesUsed: r.Varint(),
 			ActiveOps: r.Varint(),
-			DigHash:   r.Uint64(),
 		})
 	}
 	return ms, r.Err()
-}
-
-// FetchDigests retrieves the holdings digests the manager collected
-// from provider heartbeats. Digest bytes are copied out of the pooled
-// response, so callers may retain them.
-func FetchDigests(ctx context.Context, pool *rpc.Pool, pmAddr string) ([]ProviderDigest, error) {
-	resp, err := pool.Call(ctx, pmAddr, MDigests, nil)
-	if err != nil {
-		return nil, fmt.Errorf("pmanager: digests: %w", err)
-	}
-	return decodeDigests(resp)
-}
-
-// decodeDigests parses an MDigests response, copying the digest bytes.
-func decodeDigests(body []byte) ([]ProviderDigest, error) {
-	r := wire.NewReader(body)
-	n := r.Count(13) // id, digest hash, digest length
-	out := make([]ProviderDigest, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, ProviderDigest{
-			ID:      r.Uint32(),
-			DigHash: r.Uint64(),
-			Digest:  r.BytesCopy(),
-		})
-	}
-	return out, r.Err()
 }
 
 // FetchProviders retrieves the provider directory.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +13,6 @@ import (
 	"blob/internal/netsim"
 	dataprovider "blob/internal/provider"
 	"blob/internal/rpc"
-	"blob/internal/wire"
 )
 
 func newManagerWith(t *testing.T, cfg Config, n int) *Manager {
@@ -90,8 +88,8 @@ func TestRoundRobinBalances(t *testing.T) {
 // monitor's per-provider bytes_used falls back to Members.
 func TestAllocateLeavesBytesUsed(t *testing.T) {
 	m := newManagerWith(t, Config{}, 2)
-	m.Heartbeat(1, 4096, 0, 0, nil)
-	m.Heartbeat(2, 4096, 0, 0, nil)
+	m.Heartbeat(1, 4096, 0)
+	m.Heartbeat(2, 4096, 0)
 	if _, _, err := m.Allocate(8, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestHeartbeatTimeoutExcludesDead(t *testing.T) {
 	if _, _, err := m.Allocate(1, 1); !errors.Is(err, ErrNoProviders) {
 		t.Fatalf("stale providers still allocatable: %v", err)
 	}
-	m.Heartbeat(idA, 10, 0, 0, nil) // A comes back
+	m.Heartbeat(idA, 10, 0) // A comes back
 	ids, _, err := m.Allocate(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +123,7 @@ func TestHeartbeatTimeoutExcludesDead(t *testing.T) {
 
 func TestHeartbeatUnknownID(t *testing.T) {
 	m := New(Config{})
-	if known, _ := m.Heartbeat(99, 0, 0, 0, nil); known {
+	if m.Heartbeat(99, 0, 0) {
 		t.Error("heartbeat for unknown ID should report false")
 	}
 }
@@ -166,7 +164,7 @@ func TestRPCEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SendHeartbeatDigest(ctx, pool, "pm:rpc", id, 123, 4, 0, nil); err != nil {
+	if _, err := SendHeartbeat(ctx, pool, "pm:rpc", id, 123, 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,39 +194,12 @@ func TestRPCEndToEnd(t *testing.T) {
 		t.Errorf("default deployment advertises %v, want replicate", dir.Redundancy)
 	}
 
-	// Digest piggyback: the first extended heartbeat carries the bytes
-	// (manager held nothing), after which the held hash matches and a
-	// hash-only beat suffices. MDigests then serves the stored copy.
-	dig := []byte{1, 2, 3, 4}
-	held, err := SendHeartbeatDigest(ctx, pool, "pm:rpc", id, 123, 4, 0xfeed, dig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if held != 0xfeed {
-		t.Errorf("held hash after digest beat = %#x, want 0xfeed", held)
-	}
-	held, err = SendHeartbeatDigest(ctx, pool, "pm:rpc", id, 123, 4, 0xfeed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if held != 0xfeed {
-		t.Errorf("hash-only beat lost the held digest: held = %#x", held)
-	}
-	digs, err := FetchDigests(ctx, pool, "pm:rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(digs) != 1 || digs[0].ID != id || digs[0].DigHash != 0xfeed ||
-		string(digs[0].Digest) != string(dig) {
-		t.Errorf("digests = %+v", digs)
-	}
-
-	// Membership snapshot carries load and the digest hash.
+	// Membership snapshot carries load.
 	ms, err := FetchMembers(ctx, pool, "pm:rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms.Members) != 1 || !ms.Members[0].Alive || ms.Members[0].DigHash != 0xfeed ||
+	if len(ms.Members) != 1 || !ms.Members[0].Alive ||
 		ms.Members[0].BytesUsed != 123 {
 		t.Errorf("members = %+v", ms)
 	}
@@ -271,10 +242,6 @@ func TestHugeCountsRejected(t *testing.T) {
 		}},
 		{"decodeMembership", func(n uint64) error {
 			_, err := decodeMembership(binary.AppendUvarint(listHeader, n))
-			return err
-		}},
-		{"decodeDigests", func(n uint64) error {
-			_, err := decodeDigests(binary.AppendUvarint(nil, n))
 			return err
 		}},
 		{"dht.DecodeMembers", func(n uint64) error {
@@ -333,7 +300,7 @@ func TestDeathWatch(t *testing.T) {
 	}
 
 	// A heartbeat revives the provider and re-arms the watch.
-	if known, _ := m.Heartbeat(id, 0, 0, 0, nil); !known {
+	if !m.Heartbeat(id, 0, 0) {
 		t.Fatal("heartbeat rejected")
 	}
 	select {
@@ -363,33 +330,15 @@ func TestDeathWatchDisabled(t *testing.T) {
 	}
 }
 
-// TestHeartbeatLoopSendsDigestOnlyWhenStale pins HeartbeatLoop's digest
-// piggyback: the bytes ride the first beat, stay home while the
-// manager's held hash matches, ride once more after a put changes the
-// holdings, and closing stop returns the loop.
-func TestHeartbeatLoopSendsDigestOnlyWhenStale(t *testing.T) {
+// TestHeartbeatLoopReportsLoad pins HeartbeatLoop: every beat carries
+// the store's current load, and closing stop returns the loop.
+func TestHeartbeatLoopReportsLoad(t *testing.T) {
 	fab := netsim.New(netsim.Config{})
 	defer fab.Close()
 	m := New(Config{})
 	id := m.Register("prov0:data", 0)
-
-	// The manager's handler behind a recorder of which beats carried
-	// digest bytes.
-	var mu sync.Mutex
-	var carried []bool
 	srv := rpc.NewServer()
-	srv.Handle(MHeartbeat, func(ctx context.Context, body []byte) ([]byte, error) {
-		r := wire.NewReader(body)
-		r.Uint32()
-		r.Varint()
-		r.Varint()
-		r.Uint64()
-		n := len(r.BytesField())
-		mu.Lock()
-		carried = append(carried, n > 0)
-		mu.Unlock()
-		return m.handleHeartbeat(ctx, body)
-	})
+	m.RegisterHandlers(srv)
 	l, err := fab.Host("pm").Listen("rpc")
 	if err != nil {
 		t.Fatal(err)
@@ -400,41 +349,25 @@ func TestHeartbeatLoopSendsDigestOnlyWhenStale(t *testing.T) {
 	defer pool.Close()
 
 	svc := dataprovider.NewService(dataprovider.NewStore(0))
+	// reported waits until the manager holds the store's current bytes.
+	reported := func() {
+		t.Helper()
+		want := svc.Snapshot().BytesUsed
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if _, members := m.Members(); members[0].BytesUsed == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("manager never saw the store's %d bytes", want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	put := func(rel uint32) {
 		t.Helper()
 		if err := svc.Store().PutPages([]dataprovider.Page{{Blob: 1, Write: 1, RelPage: rel, Data: []byte("page")}}); err != nil {
 			t.Fatal(err)
-		}
-	}
-	// beats waits for at least n more beats than have arrived so far and
-	// returns how many carried the digest bytes in all.
-	beats := func(n int) (total, withBytes int) {
-		t.Helper()
-		mu.Lock()
-		want := len(carried) + n
-		mu.Unlock()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			mu.Lock()
-			total = len(carried)
-			withBytes = 0
-			for _, c := range carried {
-				if c {
-					withBytes++
-				}
-			}
-			first := total > 0 && carried[0]
-			mu.Unlock()
-			if total >= want {
-				if !first {
-					t.Fatal("the first beat carried no digest bytes")
-				}
-				return total, withBytes
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d beats arrived, want %d", total, want)
-			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -446,17 +379,9 @@ func TestHeartbeatLoopSendsDigestOnlyWhenStale(t *testing.T) {
 			func() *dataprovider.Service { return svc }, t.Logf)
 		close(done)
 	}()
-	if total, withBytes := beats(5); withBytes != 1 {
-		t.Fatalf("%d of %d beats carried the digest, want only the first", withBytes, total)
-	}
+	reported()
 	put(1)
-	if total, withBytes := beats(5); withBytes != 2 {
-		t.Fatalf("%d of %d beats carried the digest, want the first and one after the put", withBytes, total)
-	}
-	hash, _ := svc.DigestBytes()
-	if _, members := m.Members(); members[0].DigHash != hash {
-		t.Errorf("manager holds digest %#x, want the provider's current %#x", members[0].DigHash, hash)
-	}
+	reported()
 
 	close(stop)
 	select {

@@ -40,14 +40,3 @@ func FetchLatency(ctx context.Context, c Caller, addr string) (get, put stats.Hi
 	}
 	return get, put, nil
 }
-
-// DigestBytes summarizes the backend's holdings for the heartbeat
-// piggyback: the encoded bloom digest plus its wire.Checksum64 hash,
-// which the provider compares against the manager's held hash to decide
-// whether the bytes need resending at all.
-func (sv *Service) DigestBytes() (hash uint64, enc []byte) {
-	w := wire.NewWriter(256)
-	sv.store.BloomDigest().Encode(w)
-	enc = w.Bytes()
-	return wire.Checksum64(enc), enc
-}

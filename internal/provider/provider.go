@@ -79,9 +79,9 @@ type PageStore interface {
 	// holdings MListWrites enumerates. Iteration order is unspecified.
 	ForEachWrite(fn func(blob, write uint64, pages int))
 	// BloomDigest summarizes the page keys held as bloom filters without
-	// touching page data — the digest MListWrites and the heartbeat
-	// piggyback ship (docs/replication.md §3). Zero filters means the
-	// store holds nothing.
+	// touching page data — the digest MListWrites ships
+	// (docs/replication.md §3). Zero filters means the store holds
+	// nothing.
 	BloomDigest() Digest
 	// Snapshot returns current usage statistics.
 	Snapshot() Stats

@@ -123,7 +123,6 @@ func TestRepairRestoresWipedProvider(t *testing.T) {
 	// replica set was {0, j} must now be served by provider 0 itself.
 	for j := 1; j < 3; j++ {
 		cl.DataServers[j].Close()
-		c.InvalidateDigests()
 		got := make([]byte, len(want))
 		if _, err := b.Read(ctx, got, 0, v); err != nil {
 			t.Fatalf("read with provider %d stopped after repair: %v", j, err)

@@ -79,9 +79,10 @@ const (
 	// MembershipRefresh: the provider set changed (registration or
 	// re-registration bumped the epoch). Val is the new epoch.
 	MembershipRefresh
-	// DigestRefresh: pmanager accepted a new bloom digest from a
-	// provider's heartbeat. Val is the provider id.
-	DigestRefresh
+	// Retired slot (digest-refresh: the provider manager no longer
+	// collects holdings digests); kept so later types keep their
+	// numbers on the wire.
+	_
 	// RepairStart: a repair sweep began. Val is the blob count in
 	// scope.
 	RepairStart
@@ -135,7 +136,6 @@ var labels = map[Type]string{
 	HeartbeatDeath:     "heartbeat-death",
 	DeathWatchTrigger:  "deathwatch-trigger",
 	MembershipRefresh:  "membership-refresh",
-	DigestRefresh:      "digest-refresh",
 	RepairStart:        "repair-start",
 	RepairFinish:       "repair-finish",
 	PagesReconstructed: "pages-reconstructed",

@@ -24,7 +24,7 @@ func TestRoleAssemblyHasOneHome(t *testing.T) {
 	}{
 		{"blob/internal/dht", "NewStore", filepath.Join("internal", "mstore"), "mstore.NewProvider"},
 		{"blob/internal/provider", "NewDiskStore", filepath.Join("internal", "provider"), "provider.Open"},
-		{"blob/internal/pmanager", "SendHeartbeatDigest", filepath.Join("internal", "pmanager"), "pmanager.HeartbeatLoop"},
+		{"blob/internal/pmanager", "SendHeartbeat", filepath.Join("internal", "pmanager"), "pmanager.HeartbeatLoop"},
 		{"", "RepairAll", filepath.Join("internal", "repair"), "repair.Repairer.Sweep or Run"},
 	}
 	fset := token.NewFileSet()
