@@ -50,6 +50,69 @@ func TestDocLinks(t *testing.T) {
 	}
 }
 
+// testName matches a test or fuzz target cited in prose; a trailing *
+// cites every target with that prefix.
+var testName = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*\*?`)
+
+// testFunc matches a test or fuzz target's definition.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+
+// TestDocTestNames is the docs gate's other half: every test or fuzz
+// target README.md, docs/*.md and benchmark/README.md cite must be
+// defined by some _test.go in the repository, so a doc never points a
+// reader at a test that was renamed or deleted.
+func TestDocTestNames(t *testing.T) {
+	defined := make(map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		body, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(body), -1) {
+			defined[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, file := range append([]string{"README.md", filepath.Join("benchmark", "README.md")}, docs...) {
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range testName.FindAllString(string(body), -1) {
+			cited++
+			if !defined[name] && !definesPrefix(defined, name) {
+				t.Errorf("%s cites %s, which no _test.go defines", file, name)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no test names cited; the gate would check nothing")
+	}
+}
+
+// definesPrefix reports whether name is a prefix citation (Foo*) that
+// some defined test matches.
+func definesPrefix(defined map[string]bool, name string) bool {
+	prefix, ok := strings.CutSuffix(name, "*")
+	if !ok {
+		return false
+	}
+	for d := range defined {
+		if strings.HasPrefix(d, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDocCrossReferences pins the documentation topology itself: the
 // normative specs must be reachable from the README and from the
 // architecture overview, so a reader landing anywhere finds them.

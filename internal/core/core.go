@@ -26,7 +26,6 @@ import (
 	"blob/internal/meta"
 	"blob/internal/mstore"
 	"blob/internal/pmanager"
-	"blob/internal/provider"
 	"blob/internal/rpc"
 	"blob/internal/stats"
 	"blob/internal/trace"
@@ -86,10 +85,10 @@ type Options struct {
 	DisableHedging bool
 	// Breakers enables per-peer circuit breakers on the client's RPC
 	// pool (docs/robustness.md): a provider whose calls persistently
-	// fail or crawl is failed fast and routed around — replica routing
-	// treats an open breaker like a bloom miss, never skipping the last
-	// replica holding a page — until a background probe finds the peer
-	// healthy again.
+	// fail or crawl is failed fast — a read defers it to the end of each
+	// page's replica walk, and an rs(k,m) read asks it only for a stripe
+	// that cannot be decoded without it — until a background probe finds
+	// the peer healthy again.
 	Breakers bool
 	// Tracer records spans for this client's operations and propagates
 	// them to every service the operation touches (docs/observability.md),
@@ -116,15 +115,6 @@ type Client struct {
 	provMu    sync.RWMutex
 	providers map[uint32]string
 
-	// Bloom-hinted replica routing (docs/replication.md §6): per-provider
-	// holdings digests refreshed after a definite page miss by a direct
-	// MListWrites probe of the provider that missed. A fresh digest lets
-	// later fetches skip replicas that definitely lack a page before
-	// paying the RPC round trip; entries expire after digestTTL so a
-	// repaired provider is probed again.
-	digestMu sync.RWMutex
-	digests  map[uint32]digestEntry
-
 	// repairSem bounds concurrent background read-repair pushes; when it
 	// is saturated further repairs are dropped (the repair agent or a
 	// later read retries them).
@@ -140,10 +130,8 @@ type Client struct {
 	BytesWritten stats.Counter
 	BytesRead    stats.Counter
 	// ReadRepairs counts page replicas this client re-pushed to degraded
-	// providers after a read served them from a healthy replica;
-	// BloomSkips counts replica probes avoided by digest routing.
+	// providers after a read served them from a healthy replica.
 	ReadRepairs stats.Counter
-	BloomSkips  stats.Counter
 	// VersionTrips counts reads that asked the version manager for the
 	// latest published version: every ReadLatest, and a Read(v) only when
 	// v is above its handle's published watermark (Blob).
@@ -168,21 +156,6 @@ type Client struct {
 	// captured at connect; the effective creation mode when
 	// Options.Redundancy is zero.
 	clusterRed erasure.Redundancy
-}
-
-// digestTTL bounds how long a fetched provider digest steers replica
-// routing. Short enough that a provider healed behind the client's back
-// is probed again promptly; long enough to keep a dead replica from
-// being re-probed on every page of a large read.
-const digestTTL = 5 * time.Second
-
-// digestEntry caches one provider's MListWrites digest. ok records
-// whether the provider produced a digest at all — a provider that
-// cannot summarize its holdings is never skipped.
-type digestEntry struct {
-	d  provider.Digest
-	ok bool
-	at time.Time
 }
 
 // NewClient connects to a deployment.
@@ -215,7 +188,6 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 		vm:        vmanager.NewGroupClient(pool, opts.VManagerShards),
 		ms:        mstore.New(kv, opts.CacheNodes),
 		providers: make(map[uint32]string),
-		digests:   make(map[uint32]digestEntry),
 		repairSem: make(chan struct{}, 4),
 		lat:       newLatencies(),
 	}

@@ -35,30 +35,46 @@ import (
 type fetchItem struct {
 	leaf mstore.PageLeaf
 	dst  []byte
-	// provs is the page's replica walk, begun in wave base: wave tier
-	// asks provs[tier-base]. It starts as the leaf's replica list; when
-	// that runs out, the replicas a digest skipped are walked once more
-	// (retry), digests ignored.
-	provs []uint32
-	base  int
-	retry bool
+	// walk is the page's replica walk still to run: walk[0] is the
+	// replica the current wave asks, the rest queue behind it in order.
+	// It starts as the leaf's replica list, which the metadata cache may
+	// share, so reordering it copies it first.
+	walk []uint32
+	// deferred counts the walk's trailing replicas that an open breaker
+	// moved there (deferOpen).
+	deferred int
 	// missed collects providers that definitively lacked the page
-	// (absent response), skipped those a digest ruled out — both the
-	// read-repair targets.
-	missed  []uint32
-	skipped []uint32
+	// (absent response): the read-repair targets.
+	missed []uint32
 }
 
-// replica returns the provider the item asks in wave tier; ok is false
-// once its walk is exhausted.
-func (it *fetchItem) replica(tier int) (id uint32, ok bool) {
-	if i := tier - it.base; i < len(it.provs) {
-		return it.provs[i], true
+// deferOpen moves the head of the walk to its end while its provider's
+// circuit breaker is open: an open breaker makes a replica the page's
+// last resort, never drops it. A replica is deferred at most once per
+// read, and only behind one not yet deferred, so the walk still asks
+// every replica exactly once. It returns how many it deferred.
+func (it *fetchItem) deferOpen(c *Client) (n int) {
+	for len(it.walk)-it.deferred > 1 {
+		addr, ok := c.cachedProviderAddr(it.walk[0])
+		if !ok || c.pool.Available(addr) {
+			break
+		}
+		it.walk = append(it.walk[1:len(it.walk):len(it.walk)], it.walk[0])
+		it.deferred++
+		n++
 	}
-	return 0, false
+	return n
 }
 
-// fetchGroup batches one provider's page fetches for a tier wave. pages
+// pop drops the walk's head, the replica the page just failed on.
+func (it *fetchItem) pop() {
+	if len(it.walk) <= it.deferred {
+		it.deferred--
+	}
+	it.walk = it.walk[1:]
+}
+
+// fetchGroup batches one provider's page fetches for a wave. pages
 // is the fetch's sink: it reads the answer's payloads straight into the
 // items' dsts and records their outcomes.
 type fetchGroup struct {
@@ -130,7 +146,7 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 // waitFetchHedged waits for one replicated group's page fetch, whose
 // sink reads the answer straight into the items' dsts. When the answer
 // outlives the provider's adaptive hedge delay, the same pages are
-// requested from each page's next replica tier; hedge answers that
+// requested from each page's next replica; hedge answers that
 // arrive first populate hedged (scratch page bytes, checksum-verified),
 // and once every page is hedge-served the straggler is abandoned.
 //
@@ -139,7 +155,7 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 // abandoned, true when the hedge served everything and the primary was
 // detached, and the primary's error as Pending.Wait returned it. Unless
 // abandoned is set or err is ctx's, the primary has completed.
-func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, tier int, dispatched time.Time, fop *trace.Op) (hedged [][]byte, abandoned bool, err error) {
+func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, dispatched time.Time, fop *trace.Op) (hedged [][]byte, abandoned bool, err error) {
 	c := b.c
 	if c.opts.DisableHedging {
 		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
@@ -164,14 +180,14 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 	}
 
 	// The primary is a straggler. Build hedge sub-requests: each item's
-	// next replica tier, grouped by provider, skipping items with no
-	// next replica, an unresolvable one, or one whose breaker is open.
+	// next replica, grouped by provider, skipping items with no next
+	// replica, an unresolvable one, or one whose breaker is open.
 	subs := make(map[uint32]*hedgeSub)
 	for j, it := range g.items {
-		hid, ok := it.replica(tier + 1)
-		if !ok {
+		if len(it.walk) < 2 {
 			continue
 		}
+		hid := it.walk[1]
 		haddr, ok := c.cachedProviderAddr(hid)
 		if !ok || !c.pool.Available(haddr) {
 			continue
@@ -188,8 +204,8 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		s.dsts = append(s.dsts, make([]byte, b.pageSize))
 	}
 	if len(subs) == 0 {
-		// Nowhere to hedge: the straggler is these pages' only hope at
-		// this tier; wait it out.
+		// Nowhere to hedge: the straggler is these pages' only hope in
+		// this wave; wait it out.
 		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 	}
 
@@ -260,7 +276,7 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		}
 	}
 	// Every hedge landed without covering everything (misses, or pages
-	// with no next replica): the straggler is still those pages' tier —
+	// with no next replica): the straggler is still those pages' wave —
 	// wait it out.
 	return hedged, false, b.waitPrimary(ctx, pd, addr, dispatched)
 }

@@ -168,17 +168,15 @@ func (b *Blob) ReadMeta(ctx context.Context, offset, length uint64, v meta.Versi
 }
 
 // fetchPages downloads every non-zero leaf's page into buf, zero-filling
-// zero pages, with replica failover, checksum verification, bloom-hinted
-// and breaker-aware replica routing, hedged fetches and read-repair
-// (docs/replication.md §6, docs/robustness.md): a replica whose circuit
-// breaker is open is skipped without an RPC, and so is one whose cached
-// digest definitely lacks a page — until the page's other replicas have
-// failed, when it is asked after all. A definite miss refreshes that
-// replica's digest, a group that outlives its provider's adaptive hedge delay is
-// raced against the next replica tier (hedge.go), and a page a later
-// replica serves is re-pushed in the background to every replica that
-// definitively missed it, restoring redundancy as a side effect of
-// reading.
+// zero pages, with replica failover, checksum verification, hedged
+// fetches and read-repair (docs/replication.md §6, docs/robustness.md).
+// Each page walks its replicas in order, one wave at a time, until one
+// serves it; a replica whose circuit breaker is open is deferred to the
+// end of the walk, never left out of it. A group that outlives its
+// provider's adaptive hedge delay is raced against its pages' next
+// replicas (hedge.go), and a page a later replica serves is re-pushed in
+// the background to every replica that definitively missed it,
+// restoring redundancy as a side effect of reading.
 func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, leaves []mstore.PageLeaf) (err error) {
 	ctx, fop := trace.Start(ctx, "read.fetch")
 	if fop != nil {
@@ -199,7 +197,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 			striped = append(striped, stripedItem{leaf: l, dst: dst})
 			continue
 		}
-		remaining = append(remaining, fetchItem{leaf: l, dst: dst, provs: l.Leaf.Providers})
+		remaining = append(remaining, fetchItem{leaf: l, dst: dst, walk: l.Leaf.Providers})
 	}
 	if len(striped) > 0 {
 		if err := b.fetchStriped(ctx, striped); err != nil {
@@ -208,7 +206,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 	}
 
 	var repairs []readRepair
-	// pend holds the current tier's fetches, whose sinks read their
+	// pend holds the current wave's fetches, whose sinks read their
 	// answers straight into buf until they complete. A failing read —
 	// a cancelled ctx, any error return — detaches them before it
 	// returns, so nothing lands in buf once the read has returned (a
@@ -222,64 +220,31 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		}
 	}()
 
-	// Replica tiers: try everyone's first replica in one parallel wave,
-	// then the second replica for whatever failed, and so on. A page
-	// whose replica walk is exhausted is unrecoverable.
-	for tier := 0; len(remaining) > 0; tier++ {
-		if tier > 0 {
-			fop.Notef("retry: tier %d, %d pages", tier, len(remaining))
+	// Waves: ask every page's first replica in one parallel wave, then
+	// the next replica of whatever failed, and so on. A page whose walk
+	// is exhausted is unrecoverable.
+	for wave := 0; len(remaining) > 0; wave++ {
+		if wave > 0 {
+			fop.Notef("retry: wave %d, %d pages", wave, len(remaining))
 		}
 		// Pre-count the fan-out so each group's slices allocate exactly
 		// once (incremental append growth was a measurable slice of the
-		// read path, docs/perf.md). The count ignores bloom and breaker
-		// skips, so a skip merely leaves a little slack capacity.
+		// read path, docs/perf.md).
 		counts := make(map[uint32]int, 8)
 		for i := range remaining {
 			it := &remaining[i]
-			id, ok := it.replica(tier)
-			if !ok {
-				if len(it.skipped) == 0 {
-					return fmt.Errorf("%w: page %d (write %d) failed on all %d replicas",
-						ErrPageUnavailable, it.leaf.Page, it.leaf.Leaf.Write, len(it.leaf.Leaf.Providers))
-				}
-				// Every replica was asked or skipped on a digest's word,
-				// and a digest can be stale: the skipped ones get one
-				// more pass, digests ignored, before the page is
-				// declared unavailable.
-				fop.Notef("digest retry: page %d, %d replicas", it.leaf.Page, len(it.skipped))
-				it.provs, it.base, it.retry, it.skipped = it.skipped, tier, true, nil
-				id, _ = it.replica(tier)
+			if len(it.walk) == 0 {
+				return fmt.Errorf("%w: page %d (write %d) failed on all %d replicas",
+					ErrPageUnavailable, it.leaf.Page, it.leaf.Leaf.Write, len(it.leaf.Leaf.Providers))
 			}
-			counts[id]++
+			if n := it.deferOpen(b.c); n > 0 {
+				fop.Notef("breaker-defer: page %d, %d replicas", it.leaf.Page, n)
+			}
+			counts[it.walk[0]]++
 		}
 		groups := make(map[uint32]*fetchGroup, len(counts))
-		var next []fetchItem
 		for _, it := range remaining {
-			id, _ := it.replica(tier)
-			if _, more := it.replica(tier + 1); more {
-				// Breaker routing: a replica whose circuit breaker is
-				// open is skipped like a bloom miss, without an RPC — but
-				// never the last one, which is always worth a probe. An
-				// open breaker is not a definite miss, so unlike a bloom
-				// skip it marks no read-repair target.
-				if addr, ok := b.c.cachedProviderAddr(id); ok && !b.c.pool.Available(addr) {
-					fop.Notef("breaker-skip: provider %d", id)
-					next = append(next, it)
-					continue
-				}
-				// Bloom routing: skip a replica whose fresh digest rules
-				// the page out — but never the last one, and never on
-				// the retry pass, so a stale digest can cost extra hops
-				// yet never fail a read by itself.
-				if d, ok := b.c.cachedDigest(id); ok && !it.retry &&
-					!d.MightContain(b.id, it.leaf.Leaf.Write, it.leaf.Leaf.RelPage) {
-					b.c.BloomSkips.Inc()
-					fop.Notef("bloom-skip: provider %d", id)
-					it.skipped = append(it.skipped, id)
-					next = append(next, it)
-					continue
-				}
-			}
+			id := it.walk[0]
 			g := groups[id]
 			if g == nil {
 				n := counts[id]
@@ -300,7 +265,8 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		// Each group's sink records its pages' outcomes in its share of
 		// one status slab; the sinks run concurrently, on the groups'
 		// connections.
-		status := make([]provider.PageStatus, len(remaining)-len(next))
+		status := make([]provider.PageStatus, len(remaining))
+		var next []fetchItem
 		pend = make([]*rpc.Pending, 0, len(groups))
 		gs := make([]*fetchGroup, 0, len(groups))
 		ids := make([]uint32, 0, len(groups))
@@ -320,35 +286,23 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 			addrs = append(addrs, addr)
 		}
 		dispatched := time.Now()
-		// missedWrites gathers, per definitively-missing provider, the
-		// writes probed there — the digest refresh below scopes its
-		// MListWrites to them. Allocated only when a miss happens.
-		var missedWrites map[uint32][]uint64
-		miss := func(it fetchItem, id uint32) fetchItem {
-			it.missed = append(it.missed, id)
-			if missedWrites == nil {
-				missedWrites = make(map[uint32][]uint64)
-			}
-			missedWrites[id] = append(missedWrites[id], it.leaf.Leaf.Write)
-			return it
-		}
 		// served records a verified page, queueing a read-repair when
-		// earlier replicas definitively missed it or a digest ruled them
-		// out. The repair references the page bytes in place (it.dst);
-		// scheduleReadRepair materializes its own copy only for repairs
-		// it actually schedules.
+		// earlier replicas definitively missed it. The repair references
+		// the page bytes in place (it.dst); scheduleReadRepair
+		// materializes its own copy only for repairs it actually
+		// schedules.
 		served := func(it fetchItem) {
-			if targets := append(it.missed, it.skipped...); len(targets) > 0 {
+			if len(it.missed) > 0 {
 				repairs = append(repairs, readRepair{
 					write:     it.leaf.Leaf.Write,
 					rel:       it.leaf.Leaf.RelPage,
 					data:      it.dst,
-					providers: targets,
+					providers: it.missed,
 				})
 			}
 		}
 		for i, p := range pend {
-			hedged, abandoned, err := b.waitFetchHedged(ctx, p, gs[i], addrs[i], tier, dispatched, fop)
+			hedged, abandoned, err := b.waitFetchHedged(ctx, p, gs[i], addrs[i], dispatched, fop)
 			// serveHedged serves item j from verified hedge bytes when
 			// the hedge produced them — the first-usable-response-wins
 			// half of the race the primary lost (or failed).
@@ -387,12 +341,13 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				it := gs[i].items[j]
 				switch {
 				case st == provider.PageMissing:
-					if it = miss(it, ids[i]); !serveHedged(j, it) {
+					it.missed = append(it.missed, ids[i])
+					if !serveHedged(j, it) {
 						next = append(next, it)
 					}
 				case st == provider.PageBad ||
 					wire.Checksum64(it.dst) != it.leaf.Leaf.Checksum:
-					// Wrong size or corrupt: fail over; the next tier
+					// Wrong size or corrupt: fail over; the next wave
 					// overwrites whatever landed in dst.
 					if !serveHedged(j, it) {
 						next = append(next, it)
@@ -402,10 +357,11 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				}
 			}
 		}
-		// Refresh the digests of providers that just missed, so the rest
-		// of this failover (and the next digestTTL of reads) skips them
-		// without paying their round trip again.
-		b.c.refreshDigests(ctx, b.id, missedWrites)
+		// Every page left failed on its walk's head: the next wave asks
+		// the replica behind it.
+		for i := range next {
+			next[i].pop()
+		}
 		remaining = next
 	}
 

@@ -1,9 +1,8 @@
 package core
 
-// Client-side halves of the repair protocol (docs/replication.md §6):
-// the digest cache behind bloom-hinted replica routing, and the
-// background read-repair pushes that restore redundancy for pages a
-// read had to fail over on.
+// Client-side half of the repair protocol (docs/replication.md §6): the
+// background read-repair pushes that restore redundancy for pages a read
+// had to fail over on.
 
 import (
 	"context"
@@ -21,67 +20,6 @@ type readRepair struct {
 	rel       uint32
 	data      []byte
 	providers []uint32
-}
-
-// cachedDigest returns provider id's holdings digest if a fresh one is
-// cached. ok is false when none (or only a stale or digest-less entry)
-// is cached — the caller must probe the provider.
-func (c *Client) cachedDigest(id uint32) (provider.Digest, bool) {
-	c.digestMu.RLock()
-	e, ok := c.digests[id]
-	c.digestMu.RUnlock()
-	if !ok || !e.ok || time.Since(e.at) > digestTTL {
-		return provider.Digest{}, false
-	}
-	return e.d, true
-}
-
-// refreshDigests refreshes holdings digests for the given providers,
-// caching the results for digestTTL: each provider is asked directly,
-// with an MListWrites probe scoped to the writes that just missed there
-// — the only way a client learns what a replica holds. A provider whose
-// probe fails gets a negative entry, so a dead node is not
-// digest-probed on every page of a large read.
-func (c *Client) refreshDigests(ctx context.Context, blob uint64, writes map[uint32][]uint64) {
-	for id, ws := range writes {
-		c.digestMu.RLock()
-		e, ok := c.digests[id]
-		c.digestMu.RUnlock()
-		if ok && time.Since(e.at) <= digestTTL {
-			continue // fetched recently (possibly by a concurrent read)
-		}
-		refs := make([]provider.WriteRef, 0, len(ws))
-		seen := make(map[uint64]bool, len(ws))
-		for _, w := range ws {
-			if !seen[w] {
-				seen[w] = true
-				refs = append(refs, provider.WriteRef{Blob: blob, Write: w})
-			}
-		}
-		entry := digestEntry{at: time.Now()}
-		if addr, err := c.providerAddr(ctx, id); err == nil {
-			dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			resp, err := c.pool.Call(dctx, addr, provider.MListWrites, provider.EncodeListWrites(refs))
-			cancel()
-			if err == nil {
-				if h, err := provider.DecodeListWrites(resp); err == nil {
-					entry.d, entry.ok = h.Digest, true
-				}
-			}
-		}
-		c.digestMu.Lock()
-		c.digests[id] = entry
-		c.digestMu.Unlock()
-	}
-}
-
-// SeedDigest injects a provider digest into the routing cache as if
-// MListWrites had just returned it. Tests use it to pin the routing
-// behavior around bloom false positives and stale digests.
-func (c *Client) SeedDigest(id uint32, d provider.Digest) {
-	c.digestMu.Lock()
-	c.digests[id] = digestEntry{d: d, ok: true, at: time.Now()}
-	c.digestMu.Unlock()
 }
 
 // scheduleReadRepair re-pushes served pages to the replicas that missed

@@ -9,7 +9,6 @@ import (
 	"blob/internal/cluster"
 	"blob/internal/netsim"
 	"blob/internal/provider"
-	"blob/internal/wire"
 )
 
 // pageWrites returns every (write, pageCount) pair a store holds.
@@ -74,134 +73,51 @@ func TestReadRepairRestoresMissingReplica(t *testing.T) {
 	}
 }
 
-// TestBloomRoutingSkipsRuledOutReplica pins digest routing: a cached
-// digest that rules a page out must skip that replica without an RPC —
-// the page is served by the other replica and the skipped provider is
-// recorded as a repair target.
-func TestBloomRoutingSkipsRuledOutReplica(t *testing.T) {
+// TestHealedReplicaServesNextReads pins that read-repair returns a
+// healed replica to the rotation: once the pages a wiped replica missed
+// are re-pushed, the next reads fetch from it again and re-push nothing.
+func TestHealedReplicaServesNextReads(t *testing.T) {
 	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
 	ctx := context.Background()
 	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
-	data := pattern(5, 4*pageSize)
+	data := pattern(13, 8*pageSize)
 	v, err := b.Write(ctx, data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wipeStore(cl.DataStores[0], b.ID())
+	healed := int(tierProviders(t, b, v)[0]) - 1
+	lost := wipeStore(cl.DataStores[healed], b.ID())
 
-	// Provider IDs are assigned in registration order: store 0 serves
-	// provider id 1. An empty digest (zero filters) rules everything out.
-	c.SeedDigest(1, provider.Digest{})
-
-	got := make([]byte, 4*pageSize)
-	if _, err := b.Read(ctx, got, 0, v); err != nil {
-		t.Fatalf("read with ruled-out replica: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("routing returned wrong bytes")
-	}
-	if c.BloomSkips.Value() == 0 {
-		t.Error("no probe was skipped despite a ruling-out digest")
-	}
-	// A digest skip is a definite miss: the skipped replica must become
-	// a read-repair target and be repopulated in the background.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.ReadRepairs.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("digest-skipped replica was never read-repaired")
+	got := make([]byte, len(data))
+	read := func() {
+		t.Helper()
+		if _, err := b.Read(ctx, got, 0, v); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if !bytes.Equal(got, data) {
+			t.Fatal("wrong bytes")
+		}
 	}
-}
+	read()
+	for deadline := time.Now().Add(5 * time.Second); c.ReadRepairs.Value() < int64(lost); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("read-repair restored %d of %d pages", c.ReadRepairs.Value(), lost)
+		}
+	}
 
-// TestBloomFalsePositiveFallsThrough pins the failure-matrix row the
-// spec calls out: a replica whose digest says "might contain" but which
-// actually lacks the page must be probed, miss, and fall through to the
-// next replica — never error the read.
-func TestBloomFalsePositiveFallsThrough(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
-	ctx := context.Background()
-	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
-	data := pattern(9, 4*pageSize)
-	v, err := b.Write(ctx, data, 0)
-	if err != nil {
-		t.Fatal(err)
+	repairs := c.ReadRepairs.Value()
+	gets := cl.DataServices[healed].GetLatency.Count()
+	const reads = 10
+	for i := 0; i < reads; i++ {
+		read()
 	}
-	wipeStore(cl.DataStores[0], b.ID())
-
-	// Seed a digest claiming provider 1 might hold *everything* — the
-	// false-positive extreme. Routing must not trust it as presence.
-	all := wire.NewBloom(1)
-	filled := &provider.Digest{Filters: []*wire.Bloom{all}}
-	// Saturate the filter: one add sets 7 bits of a 64-bit word; add
-	// enough keys that MightContain answers true for any key.
-	for i := uint64(0); i < 200; i++ {
-		all.Add(i, i*31, uint32(i))
+	// Re-pushes run in the background: watch a while for any to land.
+	time.Sleep(100 * time.Millisecond)
+	if n := c.ReadRepairs.Value() - repairs; n != 0 {
+		t.Errorf("%d reads re-pushed %d pages to the healed replica", reads, n)
 	}
-	c.SeedDigest(1, *filled)
-
-	got := make([]byte, 4*pageSize)
-	if _, err := b.Read(ctx, got, 0, v); err != nil {
-		t.Fatalf("read with false-positive digest: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("fall-through returned wrong bytes")
-	}
-	if c.BloomSkips.Value() != 0 {
-		t.Error("false-positive digest caused a skip; replicas must be probed")
-	}
-}
-
-// TestDigestNeverSkipsLastReplica pins the safety rule: even a digest
-// ruling a page out on every replica leaves the last replica probed, so
-// a wholly stale cache degrades performance, never correctness.
-func TestDigestNeverSkipsLastReplica(t *testing.T) {
-	_, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
-	ctx := context.Background()
-	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
-	data := pattern(11, 2*pageSize)
-	v, err := b.Write(ctx, data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rule everything out everywhere: ids 1 and 2.
-	c.SeedDigest(1, provider.Digest{})
-	c.SeedDigest(2, provider.Digest{})
-
-	got := make([]byte, 2*pageSize)
-	if _, err := b.Read(ctx, got, 0, v); err != nil {
-		t.Fatalf("read failed under all-ruling-out digests: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("wrong bytes")
-	}
-}
-
-// TestStaleDigestRetriesSkippedReplica pins the last pass of
-// docs/replication.md §6 rule 4: a stale digest that rules a page out on
-// a replica which really holds it, while the page's other replica is
-// down, must not fail the read. Before the page is declared unavailable
-// the replicas its digests skipped are asked once more, digests ignored.
-func TestStaleDigestRetriesSkippedReplica(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
-	ctx := context.Background()
-	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
-	data := pattern(13, 4*pageSize)
-	v, err := b.Write(ctx, data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Provider id 1 holds every page, but its cached digest says it
-	// holds none; provider id 2 goes down.
-	c.SeedDigest(1, provider.Digest{})
-	cl.DataServers[1].Close()
-
-	got := make([]byte, 4*pageSize)
-	if _, err := b.Read(ctx, got, 0, v); err != nil {
-		t.Fatalf("read with a stale digest and a down replica: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("retry pass returned wrong bytes")
+	if n := cl.DataServices[healed].GetLatency.Count() - gets; n < reads {
+		t.Errorf("the healed replica served %d gets over %d reads", n, reads)
 	}
 }
 
@@ -220,8 +136,8 @@ func TestKnownVersionReadIgnoresProviderManager(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh client has never read, so its digest cache is empty.
-	// NewClient fetches the provider directory; ReadMeta warms the ring.
+	// A fresh client has never read: NewClient fetches the provider
+	// directory, and ReadMeta warms the ring.
 	fresh, err := cl.NewClient(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -98,10 +98,13 @@ func (b *Blob) putStriped(ctx context.Context, writeID uint64, buf []byte) ([]*m
 	return refs, nil
 }
 
-// stripedItem is one erasure-coded page a read must fill.
+// stripedItem is one erasure-coded page a read must fill. deferred
+// marks a page whose direct fetch an open breaker put off: its provider
+// was not asked, so reconstruction counts its slot among the survivors.
 type stripedItem struct {
-	leaf mstore.PageLeaf
-	dst  []byte
+	leaf     mstore.PageLeaf
+	dst      []byte
+	deferred bool
 }
 
 // shardGroup batches one provider's direct shard fetches.
@@ -134,14 +137,15 @@ func stripeOf(it stripedItem) stripeKey {
 
 // stripeWork is what the degraded path owes one stripe.
 type stripeWork struct {
-	failed []stripedItem // direct fetch errored, missed or was corrupt
+	failed []stripedItem // direct fetch errored, missed, was corrupt or was deferred
 	slow   []stripedItem // direct fetch is a straggler, still in flight
 }
 
 // fetchStriped downloads erasure-coded pages: a first wave fetches
 // every page from its single data provider; pages that fail (provider
-// down, definite miss, corrupt bytes) or outlive their provider's
-// adaptive hedge delay (the rs hedge, hedge.go) degrade to stripe
+// down, definite miss, corrupt bytes), whose provider's breaker is open,
+// or that outlive their provider's adaptive hedge delay (the rs hedge,
+// hedge.go) degrade to stripe
 // reconstruction — pull any k surviving shards, decode, serve, and
 // re-push the reconstructed page to its home provider in the
 // background. A stripe that cannot be reconstructed without its
@@ -177,11 +181,14 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 			continue
 		}
 		if !b.c.pool.Available(addr) {
-			// Open breaker: skip the fast-fail round trip and degrade
-			// straight to reconstruction (which probes every survivor,
-			// breakers or not — it is the path of last resort).
-			sop.Notef("breaker-skip: provider %d", id)
-			failed = append(failed, g.items...)
+			// Open breaker: defer the direct fetch to reconstruction,
+			// which asks this provider only for a stripe it cannot
+			// decode from the other shards.
+			sop.Notef("breaker-defer: provider %d", id)
+			for _, it := range g.items {
+				it.deferred = true
+				failed = append(failed, it)
+			}
 			continue
 		}
 		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages, [][]byte{provider.EncodeGetPages(g.refs)}, nil))
@@ -335,69 +342,79 @@ func (b *Blob) settleStragglers(ctx context.Context, late []straggler, short map
 
 // reconstructStripe serves the given pages (all members of one stripe)
 // by pulling the stripe's surviving shards and decoding. Any k verified
-// shards suffice; fewer fails the read with ErrPageUnavailable.
+// shards suffice; fewer fails the read with ErrPageUnavailable. A
+// survivor whose provider's breaker is open is asked only when the
+// others leave the stripe short of k shards.
 func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error {
 	ref := items[0].leaf.Leaf.Stripe
 	write := items[0].leaf.Leaf.Write
 	n := int(ref.K) + int(ref.M)
 
-	// Slots that already failed their direct fetch are not re-probed.
+	// Slots whose direct fetch failed or is still in flight are not
+	// re-probed; a deferred page's slot was never asked.
 	skip := make([]bool, n)
 	for _, it := range items {
-		if s := ref.SlotOf(it.leaf.Leaf.RelPage); s >= 0 {
+		if s := ref.SlotOf(it.leaf.Leaf.RelPage); s >= 0 && !it.deferred {
 			skip[s] = true
 		}
 	}
 
-	type group struct {
-		refs  []provider.PageRef
-		slots []int
-	}
-	groups := make(map[uint32]*group)
+	// A stripe's slots live on distinct providers (putStriped), so each
+	// survivor is asked on its own: first those whose provider's breaker
+	// is closed, then, if they leave the stripe short, the open ones.
+	var ready, open []int
+	addrs := make([]string, n)
 	for s := 0; s < n; s++ {
 		if skip[s] {
 			continue
 		}
-		id := ref.Provs[s]
-		g := groups[id]
-		if g == nil {
-			g = &group{}
-			groups[id] = g
-		}
-		g.refs = append(g.refs, provider.PageRef{Blob: b.id, Write: write, RelPage: ref.SlotRel(s)})
-		g.slots = append(g.slots, s)
-	}
-
-	shards := make([][]byte, n)
-	pend := make([]*rpc.Pending, 0, len(groups))
-	gs := make([]*group, 0, len(groups))
-	for id, g := range groups {
-		addr, err := b.c.providerAddr(ctx, id)
+		addr, err := b.c.providerAddr(ctx, ref.Provs[s])
 		if err != nil {
 			continue // unreachable survivor: maybe enough others remain
 		}
-		pend = append(pend, b.c.pool.Go(ctx, addr, provider.MGetPages, [][]byte{provider.EncodeGetPages(g.refs)}, nil))
-		gs = append(gs, g)
+		addrs[s] = addr
+		if b.c.pool.Available(addr) {
+			ready = append(ready, s)
+		} else {
+			open = append(open, s)
+		}
 	}
-	for i, p := range pend {
-		resp, err := p.Wait(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
+	shards := make([][]byte, n)
+	present := 0
+	probe := func(slots []int) error {
+		pend := make([]*rpc.Pending, len(slots))
+		for i, s := range slots {
+			pr := []provider.PageRef{{Blob: b.id, Write: write, RelPage: ref.SlotRel(s)}}
+			pend[i] = b.c.pool.Go(ctx, addrs[s], provider.MGetPages, [][]byte{provider.EncodeGetPages(pr)}, nil)
+		}
+		for i, p := range pend {
+			resp, err := p.Wait(ctx)
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				continue
 			}
-			continue
-		}
-		datas, err := provider.DecodeGetPages(resp, len(gs[i].refs))
-		if err != nil {
-			continue // an answer that does not parse holds no survivor
-		}
-		for j, data := range datas {
-			slot := gs[i].slots[j]
+			datas, err := provider.DecodeGetPages(resp, 1)
+			if err != nil {
+				continue // an answer that does not parse holds no survivor
+			}
+			slot, data := slots[i], datas[0]
 			if data == nil || uint64(len(data)) != b.pageSize ||
 				wire.Checksum64(data) != ref.Sums[slot] {
 				continue // absent or corrupt shard: not a survivor
 			}
 			shards[slot] = data
+			present++
+		}
+		return nil
+	}
+	if err := probe(ready); err != nil {
+		return err
+	}
+	if present < int(ref.K) && len(open) > 0 {
+		if err := probe(open); err != nil {
+			return err
 		}
 	}
 
@@ -420,6 +437,9 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 		}
 		copy(it.dst, data)
 		b.c.ReconstructedPages.Inc()
+		if it.deferred {
+			continue // an open breaker is not a miss: nothing to restore
+		}
 		// Re-push the reconstructed shard to its home provider in the
 		// background: a degraded read restores redundancy as a side
 		// effect, exactly like replication's read-repair.

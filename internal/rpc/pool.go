@@ -106,9 +106,9 @@ func (p *Pool) breakerFor(addr string) *breaker {
 }
 
 // Available reports whether calls to addr are currently admitted —
-// false only while addr's breaker is open. Routing layers use it the
-// way they use bloom hints: skip the peer, unless it is the last one
-// holding the data.
+// false only while addr's breaker is open. Routing layers use it to
+// ask the peer last: after the other peers holding the data, never
+// instead of them.
 func (p *Pool) Available(addr string) bool {
 	p.breakMu.Lock()
 	b := p.breakers[addr]
