@@ -136,7 +136,7 @@ type PageStore = provider.PageStore
 type ProviderStats = provider.Stats
 
 // Repairer is the replica repair agent: it walks blob metadata, asks
-// providers what they hold (bloom digests, never page lists) and directs
+// providers which pages of each write they hold and directs
 // degraded providers to pull missing pages from healthy peers. The
 // protocol is specified in docs/replication.md; clusters run it
 // automatically via ClusterConfig.RepairInterval, blobnode via the

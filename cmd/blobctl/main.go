@@ -271,11 +271,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("repair: %v", err)
 		}
-		fmt.Printf("checked %d replica slots over %d blob(s): %d degraded, %d repaired (%d bytes pulled, %d already held), %d reconstructed (%d bytes pushed, %d survivor bytes read), %d settled by digests, %d unrepairable\n",
+		fmt.Printf("checked %d replica slots over %d blob(s): %d degraded, %d repaired (%d bytes pulled, %d already held), %d reconstructed (%d bytes pushed, %d survivor bytes read), %d unrepairable\n",
 			rep.PagesChecked, rep.Blobs, rep.PagesMissing, rep.PagesRepaired,
 			rep.BytesPulled, rep.PagesSkipped,
 			rep.PagesReconstructed, rep.ReconstructedBytes, rep.SurvivorBytes,
-			rep.BloomSkips, rep.Unrepairable)
+			rep.Unrepairable)
 		if !rep.FullyRedundant() {
 			os.Exit(1)
 		}
@@ -353,7 +353,7 @@ func main() {
 		}
 		fmt.Printf("%-4s %-22s %10s %12s %12s %12s %8s %6s %10s %5s %8s %10s %7s\n",
 			"id", "addr", "pages", "bytes", "capacity", "disk", "segs", "live%", "replayB", "idx",
-			"repairP", "pullB", "bskip")
+			"repairP", "pullB", "pskip")
 		// A provider that cannot be queried fails the command: printing
 		// a zero-value row would read as "provider is empty", which an
 		// operator can mistake for data loss.
@@ -375,7 +375,7 @@ func main() {
 				p.ID, p.Addr, st.PageCount, st.BytesUsed, st.Capacity,
 				st.DiskBytes, st.Segments, 100*st.LiveRatio(),
 				st.ReplayedBytes, st.SidecarsLoaded,
-				st.RepairedPages, st.RepairBytes, st.BloomSkips)
+				st.RepairedPages, st.RepairBytes, st.PullSkips)
 		}
 		if failed > 0 {
 			log.Fatalf("stats incomplete: %d of %d providers did not answer", failed, len(provs))

@@ -58,9 +58,9 @@ func TestRestartZeroesRepairCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cl.DataServices[0].Snapshot()
-	if st.RepairedPages != 0 || st.RepairBytes != 0 || st.BloomSkips != 0 {
+	if st.RepairedPages != 0 || st.RepairBytes != 0 || st.PullSkips != 0 {
 		t.Fatalf("post-restart repair counters = %d/%d/%d, want zero",
-			st.RepairedPages, st.RepairBytes, st.BloomSkips)
+			st.RepairedPages, st.RepairBytes, st.PullSkips)
 	}
 	// The repaired pages themselves are durable — only the counters reset.
 	if st.PageCount == 0 {

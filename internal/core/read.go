@@ -169,7 +169,7 @@ func (b *Blob) ReadMeta(ctx context.Context, offset, length uint64, v meta.Versi
 
 // fetchPages downloads every non-zero leaf's page into buf, zero-filling
 // zero pages, with replica failover, checksum verification, hedged
-// fetches and read-repair (docs/replication.md §6, docs/robustness.md).
+// fetches and read-repair (docs/replication.md §5, docs/robustness.md).
 // Each page walks its replicas in order, one wave at a time, until one
 // serves it; a replica whose circuit breaker is open is deferred to the
 // end of the walk, never left out of it. A group that outlives its

@@ -1,6 +1,6 @@
 package core
 
-// Client-side half of the repair protocol (docs/replication.md §6): the
+// Client-side half of the repair protocol (docs/replication.md §5): the
 // background read-repair pushes that restore redundancy for pages a read
 // had to fail over on.
 

@@ -28,7 +28,7 @@ func wipeStore(st provider.PageStore, blobID uint64) int {
 }
 
 // TestReadRepairRestoresMissingReplica pins the read-repair side of
-// docs/replication.md §6: a page served by a healthy replica after a
+// docs/replication.md §5: a page served by a healthy replica after a
 // definite miss is re-pushed to the replica that missed it, restoring
 // redundancy as a side effect of reading.
 func TestReadRepairRestoresMissingReplica(t *testing.T) {

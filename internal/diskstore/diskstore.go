@@ -17,13 +17,13 @@
 //
 // Restart cost is O(live index), not O(disk): sealing a segment writes a
 // checksummed index sidecar (seg-NNNNNNNN.idx, see index.go and
-// docs/diskstore-format.md) holding the segment's index entries,
-// tombstones and a bloom filter over its page keys. Open absorbs sealed
-// segments by reading only their sidecars; the active tail segment is
-// always replayed, and a segment whose sidecar is missing, stale or
-// corrupt degrades to a full replay of just that segment, after which its
-// sidecar is rewritten. A crash can tear only the newest two segments:
-// the active one, and the one below it if its seal was still running.
+// docs/diskstore-format.md) holding the segment's index entries and
+// tombstones. Open absorbs sealed segments by reading only their
+// sidecars; the active tail segment is always replayed, and a segment
+// whose sidecar is missing, stale or corrupt degrades to a full replay
+// of just that segment, after which its sidecar is rewritten. A crash
+// can tear only the newest two segments: the active one, and the one
+// below it if its seal was still running.
 //
 // Concurrency: appends and index mutations serialize on one writer lock;
 // reads take a read lock only to resolve the index, then read the record
@@ -41,14 +41,15 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"blob/internal/trace"
-	"blob/internal/wire"
 )
 
 // Options configures a Store.
@@ -292,7 +293,6 @@ func (s *Store) loadSidecar(seg *segment, rp *replayState) bool {
 		return false
 	}
 	seg.size = sc.dataSize
-	seg.bloom = sc.bloom
 	for _, p := range sc.puts {
 		pk := pageKey{writeKey{p.blob, p.write}, p.rel}
 		if p.seq > rp.putSeq[pk] {
@@ -332,14 +332,14 @@ type sealJob struct {
 
 // sealLocked seals seg — it takes no further records — and starts its
 // background seal. Under the lock it only builds the index sidecar from
-// the segment's accumulated entries (no segment bytes are re-read) and
-// keeps the bloom filter in memory. A tracked goroutine then fsyncs the
-// segment and only then writes the sidecar, so a sidecar never describes
-// records the file could still lose. The goroutine pins the segment, so
-// a release that unlinks it (and its sidecar) comes after the sidecar
-// write. A failed fsync writes no sidecar, so the segment replays on the
-// next open, and waitSealLocked reports it; a failed sidecar write only
-// logs, since sidecars are an acceleration.
+// the segment's accumulated entries (no segment bytes are re-read). A
+// tracked goroutine then fsyncs the segment and only then writes the
+// sidecar, so a sidecar never describes records the file could still
+// lose. The goroutine pins the segment, so a release that unlinks it
+// (and its sidecar) comes after the sidecar write. A failed fsync writes
+// no sidecar, so the segment replays on the next open, and
+// waitSealLocked reports it; a failed sidecar write only logs, since
+// sidecars are an acceleration.
 //
 // The caller has waited out the previous seal with waitSealLocked and
 // holds mu (or owns the store exclusively during Open).
@@ -359,11 +359,6 @@ func (s *Store) sealLocked(seg *segment) {
 	}
 	seg.idx = nil // sealed: no further records; entries move to the file
 	sc.dataSize = seg.size
-	sc.bloom = wire.NewBloom(len(sc.puts))
-	for _, p := range sc.puts {
-		sc.bloom.Add(p.blob, p.write, p.rel)
-	}
-	seg.bloom = sc.bloom // valid regardless of the seal's fate
 	data := sc.encode()
 	dir := s.opts.Dir
 	job := &sealJob{done: make(chan struct{})}
@@ -838,105 +833,14 @@ func (s *Store) ForEachPage(fn func(blob, write uint64, rel uint32, data []byte)
 	}
 }
 
-// MightContain is the bloom-backed negative-lookup primitive: false
-// means the store definitely holds no live page under the key, true
-// means it may. True is conservative twice over — bloom false
-// positives, and deleted pages whose put records a bloom-covered
-// segment still physically holds (they keep answering true until
-// compaction drops them; segments without a filter are answered from
-// the exact index instead). It lets a caller — a replica router, a
-// future remote backend — rule this store out without a GetPage round
-// trip or disk touch.
-func (s *Store) MightContain(blob, write uint64, rel uint32) bool {
+// Rels returns the rels of (blob, write) holding a live page,
+// ascending. It reads only the in-memory index, never segment data.
+func (s *Store) Rels(blob, write uint64) []uint32 {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return false
-	}
-	unfiltered := false
-	for _, seg := range s.segs {
-		if seg.bloom == nil {
-			if seg.size > 0 {
-				unfiltered = true
-			}
-			continue
-		}
-		if seg.bloom.MightContain(blob, write, rel) {
-			return true
-		}
-	}
-	if unfiltered {
-		_, ok := s.index[writeKey{blob, write}][rel]
-		return ok
-	}
-	return false
-}
-
-// BloomDigest exports the store's holdings summary for the repair
-// protocol (docs/replication.md): one bloom filter per segment —
-// verbatim the filters the index sidecars maintain for sealed segments,
-// and a filter built from the active segment's in-memory sidecar
-// accumulator. The union is conservative the same way MightContain is:
-// a key answering false on every filter is definitely not held live; a
-// key answering true may be live, dead-but-unreclaimed, or a false
-// positive. The returned filters are shared immutable snapshots; callers
-// must not mutate them.
-func (s *Store) BloomDigest() []*wire.Bloom {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil
-	}
-	var out []*wire.Bloom
-	covered := true
-	for _, seg := range s.segs {
-		switch {
-		case seg.bloom != nil:
-			out = append(out, seg.bloom)
-		case seg.idx != nil:
-			b := wire.NewBloom(len(seg.idx.puts))
-			for _, p := range seg.idx.puts {
-				b.Add(p.blob, p.write, p.rel)
-			}
-			out = append(out, b)
-		case seg.size > 0:
-			covered = false
-		}
-	}
-	if !covered {
-		// A non-empty segment with neither filter nor accumulator has no
-		// per-segment summary; cover the whole live index instead so the
-		// digest never yields a false negative.
-		b := wire.NewBloom(int(s.pageCount))
-		for k, wm := range s.index {
-			for rel := range wm {
-				b.Add(k.blob, k.write, rel)
-			}
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// ForEachWrite visits every (blob, write) holding at least one live page
-// together with its live page count. Unlike ForEachPage this touches
-// only the in-memory index — no segment data is read — so it is cheap
-// enough for the repair protocol's holdings enumeration. Iteration order
-// is unspecified.
-func (s *Store) ForEachWrite(fn func(blob, write uint64, pages int)) {
-	type entry struct {
-		blob, write uint64
-		pages       int
-	}
-	s.mu.RLock()
-	entries := make([]entry, 0, len(s.index))
-	for k, wm := range s.index {
-		entries = append(entries, entry{k.blob, k.write, len(wm)})
-	}
+	rels := slices.Collect(maps.Keys(s.index[writeKey{blob, write}]))
 	s.mu.RUnlock()
-	for _, e := range entries {
-		fn(e.blob, e.write, e.pages)
-	}
+	slices.Sort(rels)
+	return rels
 }
 
 // Stats returns a usage snapshot.

@@ -4,15 +4,14 @@
 // store writes a companion file (seg-NNNNNNNN.idx) holding everything
 // recovery would otherwise learn by replaying the segment's data: every
 // put record's page key with its sequence number, offset and encoded
-// size, every tombstone with its sequence number, and a bloom filter
-// over the segment's put keys. On the next Open, sealed segments whose
-// sidecar is present and matches the segment file byte count are
-// absorbed by reading only the sidecar — restart cost becomes O(live
-// index), not O(disk) — while the active tail segment is always replayed
-// (a crash can tear only it and the segment below it, whose seal may not
-// have finished) and any segment whose sidecar is missing, torn or
-// checksum-corrupt degrades to the pre-sidecar full replay of just that
-// segment.
+// size, and every tombstone with its sequence number. On the next Open,
+// sealed segments whose sidecar is present and matches the segment file
+// byte count are absorbed by reading only the sidecar — restart cost
+// becomes O(live index), not O(disk) — while the active tail segment is
+// always replayed (a crash can tear only it and the segment below it,
+// whose seal may not have finished) and any segment whose sidecar is
+// missing, torn or checksum-corrupt degrades to the pre-sidecar full
+// replay of just that segment.
 //
 // Sidecars are pure acceleration: they are written tmp+rename (never
 // partially visible under their final name), carry a whole-file
@@ -37,9 +36,10 @@ const (
 	idxTmp    = ".idx.tmp"
 
 	idxMagic = 0x58444953 // "SIDX", little-endian
-	// idxVersion 2: the file checksum is CRC-32C. A version-1 (FNV-1a)
-	// sidecar fails validation, so its segment degrades to a replay.
-	idxVersion = 2
+	// idxVersion 3: no bloom filter section (version 2 ended with one;
+	// version 1 checksummed with FNV-1a). An older sidecar fails
+	// validation, so its segment degrades to a replay.
+	idxVersion = 3
 )
 
 // sidecarPath returns the sidecar filename for segment id.
@@ -81,7 +81,6 @@ type sidecar struct {
 	puts      []sidecarPut
 	delPages  []sidecarDelPages
 	delWrites []sidecarDelWrite
-	bloom     *wire.Bloom
 }
 
 // encode returns the sidecar's file bytes: fixed-width little-endian
@@ -115,7 +114,6 @@ func (sc *sidecar) encode() []byte {
 		w.Uint64(d.write)
 		w.Uint64(d.seq)
 	}
-	sc.bloom.Encode(w)
 	w.Uint64(wire.Checksum64(w.Bytes()))
 	return w.Bytes()
 }
@@ -125,7 +123,7 @@ func (sc *sidecar) encode() []byte {
 // implausible counts — returns ErrCorrupt; the caller falls back to a
 // full replay of the segment.
 func decodeSidecar(buf []byte) (*sidecar, error) {
-	if len(buf) < 48+8 {
+	if len(buf) < 56+8 { // an empty sidecar: header, three zero counts, checksum
 		return nil, fmt.Errorf("%w: sidecar %d bytes", ErrCorrupt, len(buf))
 	}
 	body, sumBytes := buf[:len(buf)-8], buf[len(buf)-8:]
@@ -175,11 +173,10 @@ func decodeSidecar(buf []byte) (*sidecar, error) {
 			blob: r.Uint64(), write: r.Uint64(), seq: r.Uint64(),
 		}
 	}
-	sc.bloom = wire.DecodeBloom(r)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%w: sidecar body: %v", ErrCorrupt, err)
 	}
-	if sc.bloom == nil || sc.dataSize < 0 {
+	if sc.dataSize < 0 {
 		return nil, fmt.Errorf("%w: sidecar structure", ErrCorrupt)
 	}
 	for _, p := range sc.puts {

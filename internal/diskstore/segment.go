@@ -1,8 +1,6 @@
 package diskstore
 
 import (
-	"blob/internal/wire"
-
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,11 +21,6 @@ type segment struct {
 	f    *os.File
 	size int64 // bytes written (valid prefix after recovery)
 	live int64 // bytes occupied by live put records
-
-	// bloom is the filter over the segment's put page keys, set when the
-	// segment is sealed or its sidecar is loaded; nil for the active
-	// segment. Immutable once set — sealed segments never gain records.
-	bloom *wire.Bloom
 
 	// idx accumulates the segment's sidecar entries as records are
 	// appended (or replayed at open), so sealing writes the sidecar from

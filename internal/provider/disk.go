@@ -129,18 +129,9 @@ func (d *DiskStore) Snapshot() Stats {
 	}
 }
 
-// BloomDigest implements PageStore with the per-segment filters the
-// diskstore's index sidecars already maintain — no page data is read and
-// no filter is rebuilt.
-func (d *DiskStore) BloomDigest() Digest {
-	return Digest{Filters: d.ds.BloomDigest()}
-}
-
-// ForEachWrite implements PageStore from the diskstore's in-memory
-// index; no segment data is read.
-func (d *DiskStore) ForEachWrite(fn func(blob, write uint64, pages int)) {
-	d.ds.ForEachWrite(fn)
-}
+// Rels implements PageStore from the diskstore's in-memory index; no
+// segment data is read.
+func (d *DiskStore) Rels(blob, write uint64) []uint32 { return d.ds.Rels(blob, write) }
 
 // CompactOnce exposes the underlying compactor for operational tooling
 // and tests; the store also compacts in the background once a minute.

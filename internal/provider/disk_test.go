@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"blob/internal/diskstore"
@@ -30,18 +31,11 @@ func backends(t *testing.T) map[string]PageStore {
 	}
 }
 
-// writeCounts collects ForEachWrite into a map.
-func writeCounts(s PageStore) map[WriteRef]int {
-	m := make(map[WriteRef]int)
-	s.ForEachWrite(func(blob, write uint64, pages int) { m[WriteRef{blob, write}] += pages })
-	return m
-}
-
 func TestPageStoreContract(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			if s.BloomDigest().MightContain(1, 10, 0) {
-				t.Error("empty store digest claims a page")
+			if rels := s.Rels(1, 10); len(rels) != 0 {
+				t.Errorf("empty store Rels = %v", rels)
 			}
 			if err := s.PutPages([]Page{
 				{Blob: 1, Write: 10, RelPage: 0, Data: []byte("page zero")},
@@ -75,14 +69,8 @@ func TestPageStoreContract(t *testing.T) {
 			if _, buf, ok := s.GetPagePooled(1, 10, 9); ok || buf != nil {
 				t.Errorf("absent pooled page: ok %v, buf %v", ok, buf)
 			}
-			if got := writeCounts(s); len(got) != 2 || got[WriteRef{1, 10}] != 2 || got[WriteRef{1, 11}] != 1 {
-				t.Errorf("ForEachWrite = %v", got)
-			}
-			dig := s.BloomDigest()
-			for _, p := range []PageRef{{1, 10, 0}, {1, 10, 1}, {1, 11, 0}} {
-				if !dig.MightContain(p.Blob, p.Write, p.RelPage) {
-					t.Errorf("digest false negative for held page %v", p)
-				}
+			if a, b := s.Rels(1, 10), s.Rels(1, 11); !slices.Equal(a, []uint32{0, 1}) || !slices.Equal(b, []uint32{0}) {
+				t.Errorf("Rels = %v, %v", a, b)
 			}
 			if n := s.DeletePages(1, 10, []uint32{1, 9}); n != 1 {
 				t.Errorf("DeletePages = %d, want 1", n)
@@ -102,8 +90,8 @@ func TestPageStoreContract(t *testing.T) {
 			if seen != 1 {
 				t.Errorf("ForEachPage visited %d pages, want 1", seen)
 			}
-			if got := writeCounts(s); len(got) != 1 || got[WriteRef{1, 10}] != 1 {
-				t.Errorf("ForEachWrite after deletes = %v", got)
+			if a, b := s.Rels(1, 10), s.Rels(1, 11); !slices.Equal(a, []uint32{0}) || len(b) != 0 {
+				t.Errorf("Rels after deletes = %v, %v", a, b)
 			}
 		})
 	}

@@ -18,7 +18,8 @@ import (
 // the page path on a RAM service: MPutPages, MGetPages, MListWrites and
 // MPullPages (which = 0..3). No body panics or sizes an allocation from
 // a count its bytes cannot hold; whatever a handler accepts it answers
-// with a response the client half parses. The pull handler's repair
+// with a response the client half parses. which = 2 also decodes the
+// body as an MListWrites answer. The pull handler's repair
 // pool stays disabled, so it must refuse every body — after decoding.
 // which = 4 feeds the body to the client half itself, as an MGetPages
 // answer: decoded in memory (DecodeGetPagesInto) and read off a
@@ -40,6 +41,18 @@ func FuzzProviderRequests(f *testing.F) {
 		append(binary.AppendUvarint([]byte{4, 1}, 1<<63), answer[3:]...),
 	} {
 		f.Add(uint8(4), body)
+	}
+	// Holdings answers: one write holding rels 0 and 3, then the same
+	// write claiming 2^40 and 2^63 rels, and rels overflowing u32.
+	holding := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64([]byte{1}, 1), 1)
+	for _, rels := range [][]byte{
+		{2, 0, 3},
+		binary.AppendUvarint(nil, 1<<40),
+		binary.AppendUvarint(nil, 1<<63),
+		binary.AppendUvarint([]byte{2}, 1<<32),
+		binary.AppendUvarint([]byte{2, 9}, 1<<64-1),
+	} {
+		f.Add(uint8(2), append(slices.Clip(holding), append(rels, 0, 0, 0)...))
 	}
 	held := NewStore(0)
 	for rel := uint32(0); rel < 4; rel++ {
@@ -68,6 +81,15 @@ func FuzzProviderRequests(f *testing.F) {
 				t.Fatalf("client cannot parse the answer to %d refs: %v", n, err)
 			}
 		case 2:
+			if h, err := DecodeListWrites(body); err == nil {
+				n := 0
+				for _, rels := range h {
+					n += len(rels)
+				}
+				if n > len(body) {
+					t.Fatalf("%d rels decoded from %d bytes", n, len(body))
+				}
+			}
 			resp, err := sv.handleListWrites(ctx, body)
 			if err != nil {
 				return

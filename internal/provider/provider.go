@@ -16,6 +16,8 @@ package provider
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"sync"
 
 	"blob/internal/rpc"
@@ -30,8 +32,8 @@ const (
 	MDeleteWrite = 0x0303
 	MStats       = 0x0304
 	MDeletePages = 0x0305
-	// Repair protocol (docs/replication.md): enumerate holdings with a
-	// bloom digest; pull missing pages from a named healthy peer.
+	// Repair protocol (docs/replication.md): list the pages held per
+	// write; pull missing pages from a named healthy peer.
 	MListWrites = 0x0306
 	MPullPages  = 0x0307
 
@@ -74,15 +76,10 @@ type PageStore interface {
 	// ForEachPage visits every stored page; iteration order is
 	// unspecified.
 	ForEachPage(fn func(blob, write uint64, rel uint32, data []byte))
-	// ForEachWrite visits every (blob, write) with at least one live
-	// page and its live page count, without reading page data — the
-	// holdings MListWrites enumerates. Iteration order is unspecified.
-	ForEachWrite(fn func(blob, write uint64, pages int))
-	// BloomDigest summarizes the page keys held as bloom filters without
-	// touching page data — the digest MListWrites ships
-	// (docs/replication.md §3). Zero filters means the store holds
-	// nothing.
-	BloomDigest() Digest
+	// Rels returns the rels of (blob, write) held live, ascending, read
+	// from the index without touching page data — the holdings
+	// MListWrites answers.
+	Rels(blob, write uint64) []uint32
 	// Snapshot returns current usage statistics.
 	Snapshot() Stats
 }
@@ -270,48 +267,15 @@ func (s *Store) ForEachPage(fn func(blob, write uint64, rel uint32, data []byte)
 	}
 }
 
-// BloomDigest implements PageStore with one filter built over the live
-// index. Unlike the diskstore's per-segment filters this is computed per
-// call; the shard walk touches keys only, never page data. Pages put
-// concurrently with the walk may be missing from the digest — consumers
-// must treat a digest as a point-in-time snapshot (docs/replication.md
-// §3).
-func (s *Store) BloomDigest() Digest {
-	b := wire.NewBloom(int(s.PageCount.Value()))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, wm := range sh.m {
-			for rel := range wm {
-				b.Add(k.blob, k.write, rel)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	if s.PageCount.Value() == 0 {
-		return Digest{} // empty store: zero filters, holds nothing
-	}
-	return Digest{Filters: []*wire.Bloom{b}}
-}
-
-// ForEachWrite implements PageStore without touching page data.
-func (s *Store) ForEachWrite(fn func(blob, write uint64, pages int)) {
-	type entry struct {
-		k     writeKey
-		pages int
-	}
-	var entries []entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, wm := range sh.m {
-			entries = append(entries, entry{k, len(wm)})
-		}
-		sh.mu.RUnlock()
-	}
-	for _, e := range entries {
-		fn(e.k.blob, e.k.write, e.pages)
-	}
+// Rels implements PageStore without touching page data.
+func (s *Store) Rels(blob, write uint64) []uint32 {
+	k := writeKey{blob, write}
+	sh := s.shard(k)
+	sh.mu.RLock()
+	rels := slices.Collect(maps.Keys(sh.m[k]))
+	sh.mu.RUnlock()
+	slices.Sort(rels)
+	return rels
 }
 
 // Stats is the load/usage snapshot served over MStats and piggybacked on
@@ -344,14 +308,13 @@ type Stats struct {
 
 	// Repair tier (docs/replication.md): pages this provider pulled from
 	// peers over MPullPages since its service started, the page payload
-	// bytes transferred for them, and lookups the provider resolved from
-	// its bloom digest / local index instead of transferring data (pull
-	// candidates it already held). Counters belong to the running
+	// bytes transferred for them, and pull candidates it already held
+	// (resolved from its own index instead of transferring data). Counters belong to the running
 	// service: a restarted provider reports only its own repair work,
 	// never its predecessor's.
 	RepairedPages int64
 	RepairBytes   int64
-	BloomSkips    int64
+	PullSkips     int64
 }
 
 // LiveRatio is the fraction of on-disk bytes still live (1 when the

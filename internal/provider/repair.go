@@ -4,75 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"blob/internal/wire"
 )
 
 // Provider-to-provider repair protocol (normative spec:
 // docs/replication.md). Two RPCs let a replica set heal itself without
-// client involvement: MListWrites enumerates a provider's holdings per
-// (blob, write) and piggybacks a bloom digest of its page keys, so a
-// peer (or the repair agent driving it) can decide what is missing
-// without transferring page lists; MPullPages then instructs the
-// degraded provider to fetch the missing pages directly from a named
-// healthy peer and store them locally. First-wins idempotent puts make
-// every repair action safe to over-approximate and to retry.
+// client involvement: MListWrites answers, for each (blob, write) asked
+// about, exactly which pages the provider holds, read from its index, so
+// the repair agent driving it can compare them with what the metadata
+// places there; MPullPages then instructs the degraded provider to fetch
+// the missing pages directly from a named healthy peer and store them
+// locally. First-wins idempotent puts make every repair action safe to
+// over-approximate and to retry.
 
 // ErrRepairDisabled is returned by MPullPages on a provider whose
 // service was not given a peer connection pool (one built by NewService
 // rather than Open).
 var ErrRepairDisabled = errors.New("provider: repair not enabled (no peer pool)")
-
-// Digest is a conservative bloom summary of the page keys a provider
-// may hold: MightContain returning false means the provider definitely
-// held no live page under that key when the digest was taken; true
-// means it may (live page, dead-but-unreclaimed record, or a bloom
-// false positive). A digest is a point-in-time snapshot — consumers
-// must tolerate staleness and never treat "might contain" as presence.
-type Digest struct {
-	// Filters are checked as a union: a key might be held if any filter
-	// says so. The diskstore backend exports one filter per segment (the
-	// same filters its index sidecars persist); the RAM Store exports one
-	// filter over its whole index. Zero filters = holds nothing.
-	Filters []*wire.Bloom
-}
-
-// MightContain reports whether the digested store may hold the page.
-func (d Digest) MightContain(blob, write uint64, rel uint32) bool {
-	for _, f := range d.Filters {
-		if f.MightContain(blob, write, rel) {
-			return true
-		}
-	}
-	return false
-}
-
-// Encode appends the digest's wire form: uvarint filter count, then
-// each filter in the layout of docs/diskstore-format.md §4.
-func (d Digest) Encode(w *wire.Writer) {
-	w.Uvarint(uint64(len(d.Filters)))
-	for _, f := range d.Filters {
-		f.Encode(w)
-	}
-}
-
-// DecodeDigest reads a digest written by Encode. A structural defect
-// poisons the reader and returns an empty digest.
-func DecodeDigest(r *wire.Reader) Digest {
-	n := r.Uvarint()
-	if r.Err() != nil || n > uint64(r.Remaining())/8 {
-		return Digest{}
-	}
-	fs := make([]*wire.Bloom, 0, n)
-	for i := uint64(0); i < n; i++ {
-		b := wire.DecodeBloom(r)
-		if b == nil {
-			return Digest{}
-		}
-		fs = append(fs, b)
-	}
-	return Digest{Filters: fs}
-}
 
 // WriteRef identifies one write on one blob.
 type WriteRef struct {
@@ -80,31 +31,17 @@ type WriteRef struct {
 	Write uint64
 }
 
-// WriteHolding is one write a provider holds pages for.
-type WriteHolding struct {
-	Blob  uint64
-	Write uint64
-	Pages int64 // live pages held for this write
+// Holdings is a decoded MListWrites response: for each requested write,
+// the rels the provider holds live, ascending.
+type Holdings map[WriteRef][]uint32
+
+// Has reports whether the provider listed page rel of (blob, write).
+func (h Holdings) Has(blob, write uint64, rel uint32) bool {
+	_, ok := slices.BinarySearch(h[WriteRef{Blob: blob, Write: write}], rel)
+	return ok
 }
 
-// Holdings is a decoded MListWrites response.
-type Holdings struct {
-	Writes []WriteHolding
-	Digest Digest
-}
-
-// Holds returns the live page count for (blob, write), or 0.
-func (h Holdings) Holds(blob, write uint64) int64 {
-	for _, w := range h.Writes {
-		if w.Blob == blob && w.Write == write {
-			return w.Pages
-		}
-	}
-	return 0
-}
-
-// EncodeListWrites builds an MListWrites request. An empty refs list
-// asks for every write the provider holds.
+// EncodeListWrites builds an MListWrites request for the listed writes.
 func EncodeListWrites(refs []WriteRef) []byte {
 	w := wire.NewWriter(4 + 16*len(refs))
 	w.Uvarint(uint64(len(refs)))
@@ -118,20 +55,26 @@ func EncodeListWrites(refs []WriteRef) []byte {
 // DecodeListWrites parses an MListWrites response.
 func DecodeListWrites(body []byte) (Holdings, error) {
 	r := wire.NewReader(body)
-	n := r.Uvarint()
-	if n > uint64(r.Remaining())/17 { // each entry ≥ 17 bytes
-		return Holdings{}, fmt.Errorf("provider: holdings count %d exceeds body", n)
+	m := r.Count(17) // u64 blob, u64 write, uvarint count
+	h := make(Holdings, m)
+	for i := 0; i < m && r.Err() == nil; i++ {
+		ref := WriteRef{Blob: r.Uint64(), Write: r.Uint64()}
+		rels := make([]uint32, r.Count(1))
+		var rel uint64
+		for j := range rels {
+			d := r.Uvarint()
+			if d > math.MaxUint32-rel {
+				return nil, fmt.Errorf("provider: holdings rel %d+%d overflows u32", rel, d)
+			}
+			rel += d
+			rels[j] = uint32(rel)
+		}
+		h[ref] = rels
 	}
-	h := Holdings{Writes: make([]WriteHolding, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		h.Writes = append(h.Writes, WriteHolding{
-			Blob:  r.Uint64(),
-			Write: r.Uint64(),
-			Pages: int64(r.Uvarint()),
-		})
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("provider: holdings: %w", err)
 	}
-	h.Digest = DecodeDigest(r)
-	return h, r.Err()
+	return h, nil
 }
 
 // PullRef is one page MPullPages should fetch, with the checksum the
@@ -185,11 +128,11 @@ type Caller interface {
 	Call(ctx context.Context, addr string, method uint32, body []byte) ([]byte, error)
 }
 
-// Wire formats (normative byte-level spec in docs/replication.md §4):
+// Wire formats (normative byte-level spec in docs/replication.md §3):
 //
-//	MListWrites request:  uvarint n | n × (u64 blob, u64 write)   (n = 0: all)
-//	MListWrites response: uvarint m | m × (u64 blob, u64 write, uvarint pages)
-//	                      | digest
+//	MListWrites request:  uvarint n | n × (u64 blob, u64 write)
+//	MListWrites response: uvarint m | m × (u64 blob, u64 write, uvarint c,
+//	                      c × uvarint Δrel)
 //	MPullPages request:   string peer | u64 blob | u64 write
 //	                      | uvarint n | n × (u32 rel, u64 checksum)
 //	MPullPages response:  uvarint pulled | uvarint bytes | uvarint skipped
@@ -205,39 +148,33 @@ func (sv *Service) handleListWrites(ctx context.Context, body []byte) ([]byte, e
 		return nil, err
 	}
 	r := wire.NewReader(body)
-	n := r.Uvarint()
-	// Each ref occupies exactly 16 request bytes: reject a count the body
-	// cannot hold before sizing the set.
-	if n > uint64(r.Remaining())/16 {
-		return nil, fmt.Errorf("provider list writes: request count %d exceeds body", n)
-	}
-	var want map[WriteRef]bool
-	if n > 0 {
-		want = make(map[WriteRef]bool, n)
-		for i := uint64(0); i < n; i++ {
-			want[WriteRef{Blob: r.Uint64(), Write: r.Uint64()}] = true
+	n := r.Count(16)
+	refs := make([]WriteRef, 0, n)
+	seen := make(map[WriteRef]bool, n)
+	for i := 0; i < n; i++ {
+		ref := WriteRef{Blob: r.Uint64(), Write: r.Uint64()}
+		if !seen[ref] {
+			seen[ref] = true
+			refs = append(refs, ref)
 		}
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("provider list writes: %w", err)
 	}
 
-	var holdings []WriteHolding
-	sv.store.ForEachWrite(func(blob, write uint64, pages int) {
-		if want != nil && !want[WriteRef{Blob: blob, Write: write}] {
-			return
+	w := wire.NewWriter(64 + 24*len(refs))
+	w.Uvarint(uint64(len(refs)))
+	for _, ref := range refs {
+		rels := sv.store.Rels(ref.Blob, ref.Write)
+		w.Uint64(ref.Blob)
+		w.Uint64(ref.Write)
+		w.Uvarint(uint64(len(rels)))
+		prev := uint32(0)
+		for _, rel := range rels {
+			w.Uvarint(uint64(rel - prev))
+			prev = rel
 		}
-		holdings = append(holdings, WriteHolding{Blob: blob, Write: write, Pages: int64(pages)})
-	})
-
-	w := wire.NewWriter(64 + 24*len(holdings))
-	w.Uvarint(uint64(len(holdings)))
-	for _, h := range holdings {
-		w.Uint64(h.Blob)
-		w.Uint64(h.Write)
-		w.Uvarint(uint64(h.Pages))
 	}
-	sv.store.BloomDigest().Encode(w)
 	return w.Bytes(), nil
 }
 
@@ -273,7 +210,7 @@ func (sv *Service) handlePullPages(ctx context.Context, body []byte) ([]byte, er
 	for _, ref := range refs {
 		if _, ok := sv.store.GetPage(blob, write, ref.Rel); ok {
 			skipped++
-			sv.bloomSkips.Inc()
+			sv.pullSkips.Inc()
 			continue
 		}
 		need = append(need, ref)

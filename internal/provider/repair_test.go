@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
-	"blob/internal/diskstore"
 	"blob/internal/wire"
 )
 
@@ -42,68 +42,22 @@ func put(t *testing.T, ps PageStore, blob, write uint64, rel uint32, data []byte
 	}
 }
 
-// TestBloomDigestAcrossBackends pins the BloomDigest contract on both
-// stores: no false negatives for held pages, empty-store digests rule
-// everything out, and the digest survives its wire round trip.
-func TestBloomDigestAcrossBackends(t *testing.T) {
-	newDisk := func(t *testing.T) PageStore {
-		ds, err := NewDiskStore(diskstore.Options{Dir: t.TempDir(), SegmentSize: 512}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ds.Close() })
-		return ds
-	}
-	backends := []struct {
-		name string
-		mk   func(t *testing.T) PageStore
-	}{
-		{"ram", func(t *testing.T) PageStore { return NewStore(0) }},
-		{"disk", newDisk},
-	}
-	for _, be := range backends {
-		t.Run(be.name, func(t *testing.T) {
-			ps := be.mk(t)
-			if ps.BloomDigest().MightContain(1, 2, 3) {
-				t.Error("empty store digest claims a page")
-			}
-			for rel := uint32(0); rel < 20; rel++ {
-				put(t, ps, 1, 7, rel, []byte{byte(rel), 1, 2})
-			}
-			// Wire round trip, as MListWrites ships it.
-			w := wire.NewWriter(256)
-			ps.BloomDigest().Encode(w)
-			got := DecodeDigest(wire.NewReader(w.Bytes()))
-			for rel := uint32(0); rel < 20; rel++ {
-				if !got.MightContain(1, 7, rel) {
-					t.Fatalf("false negative for held page %d", rel)
-				}
-			}
-			fp := 0
-			for i := uint64(0); i < 1000; i++ {
-				if got.MightContain(99, i, 0) {
-					fp++
-				}
-			}
-			if fp > 100 {
-				t.Errorf("%d/1000 false positives; digest useless", fp)
-			}
-		})
-	}
-}
-
 // TestListWritesEnumeratesHoldings exercises the MListWrites handler:
-// full enumeration, targeted enumeration, and the digest.
+// each requested write comes back with exactly the rels held live, a
+// write the provider holds nothing of with none, and writes not asked
+// about not at all.
 func TestListWritesEnumeratesHoldings(t *testing.T) {
 	st := NewStore(0)
-	for rel := uint32(0); rel < 3; rel++ {
+	for _, rel := range []uint32{0, 2, 300, 301} {
 		put(t, st, 1, 100, rel, []byte("aaa"))
 	}
 	put(t, st, 1, 200, 0, []byte("bbb"))
 	put(t, st, 2, 300, 0, []byte("ccc"))
+	st.DeletePages(1, 100, []uint32{2})
 	sv := NewService(st)
 
-	resp, err := sv.handleListWrites(context.Background(), EncodeListWrites(nil))
+	resp, err := sv.handleListWrites(context.Background(),
+		EncodeListWrites([]WriteRef{{Blob: 1, Write: 100}, {Blob: 5, Write: 5}, {Blob: 1, Write: 100}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,28 +65,11 @@ func TestListWritesEnumeratesHoldings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Writes) != 3 || h.Holds(1, 100) != 3 || h.Holds(1, 200) != 1 || h.Holds(2, 300) != 1 {
-		t.Fatalf("holdings = %+v", h.Writes)
+	if len(h) != 2 || !slices.Equal(h[WriteRef{1, 100}], []uint32{0, 300, 301}) || len(h[WriteRef{5, 5}]) != 0 {
+		t.Fatalf("holdings = %v", h)
 	}
-	if !h.Digest.MightContain(1, 100, 2) {
-		t.Error("digest lost a held page")
-	}
-
-	// Targeted: only the requested writes come back.
-	resp, err = sv.handleListWrites(context.Background(),
-		EncodeListWrites([]WriteRef{{Blob: 1, Write: 200}, {Blob: 5, Write: 5}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err = DecodeListWrites(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Writes) != 1 || h.Holds(1, 200) != 1 {
-		t.Fatalf("targeted holdings = %+v", h.Writes)
-	}
-	if h.Holds(5, 5) != 0 {
-		t.Error("absent write reported as held")
+	if !h.Has(1, 100, 300) || h.Has(1, 100, 2) || h.Has(1, 200, 0) {
+		t.Errorf("Has disagrees with holdings %v", h)
 	}
 }
 
@@ -177,8 +114,8 @@ func TestPullPagesRepairsFromPeer(t *testing.T) {
 		}
 	}
 	st := sv.Snapshot()
-	if st.RepairedPages != 2 || st.RepairBytes != 10 || st.BloomSkips != 1 {
-		t.Fatalf("repair counters = %d/%d/%d", st.RepairedPages, st.RepairBytes, st.BloomSkips)
+	if st.RepairedPages != 2 || st.RepairBytes != 10 || st.PullSkips != 1 {
+		t.Fatalf("repair counters = %d/%d/%d", st.RepairedPages, st.RepairBytes, st.PullSkips)
 	}
 
 	// Re-run: everything is held, nothing is transferred.
@@ -245,7 +182,7 @@ func TestStatsWireCarriesRepairCounters(t *testing.T) {
 	sv := NewService(NewStore(0))
 	sv.repairedPages.Add(5)
 	sv.repairBytes.Add(1234)
-	sv.bloomSkips.Add(2)
+	sv.pullSkips.Add(2)
 	body, err := sv.handleStats(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +191,7 @@ func TestStatsWireCarriesRepairCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RepairedPages != 5 || st.RepairBytes != 1234 || st.BloomSkips != 2 {
-		t.Fatalf("decoded repair counters = %d/%d/%d", st.RepairedPages, st.RepairBytes, st.BloomSkips)
+	if st.RepairedPages != 5 || st.RepairBytes != 1234 || st.PullSkips != 2 {
+		t.Fatalf("decoded repair counters = %d/%d/%d", st.RepairedPages, st.RepairBytes, st.PullSkips)
 	}
 }

@@ -31,7 +31,7 @@ type Service struct {
 
 	repairedPages stats.Counter
 	repairBytes   stats.Counter
-	bloomSkips    stats.Counter
+	pullSkips     stats.Counter
 
 	// GetLatency and PutLatency record page-serving handler latency;
 	// MLatency exports their snapshots for cluster-wide merging.
@@ -87,7 +87,7 @@ func (sv *Service) Snapshot() Stats {
 	st.ActiveOps = sv.ActiveOps.Value()
 	st.RepairedPages = sv.repairedPages.Value()
 	st.RepairBytes = sv.repairBytes.Value()
-	st.BloomSkips = sv.bloomSkips.Value()
+	st.PullSkips = sv.pullSkips.Value()
 	return st
 }
 

@@ -56,70 +56,33 @@ func (st *stripeState) checkedSlots() []int {
 	return slots
 }
 
-// repairStripes diagnoses and heals every collected stripe, folding
-// results into rep. holdings/heldBy/reachable come from the shared
-// MListWrites sweep in RepairBlob.
-func (r *Repairer) repairStripes(ctx context.Context, rep *Report, blobID uint64,
-	stripes map[stripeKey]*stripeState, addrs map[uint32]string,
-	holdings map[uint32]provider.Holdings, heldBy map[uint32]map[uint64]int64,
-	reachable map[uint32]bool) {
-	for _, st := range stripes {
-		r.repairStripe(ctx, rep, blobID, st, addrs, holdings, heldBy, reachable)
-	}
-}
-
-// slotSuspect reports whether provider holdings fail to affirm the
-// slot's presence. Conservative in the pull-everything direction, like
-// diagnose: a suspect slot is verified by an actual fetch before any
-// decode work happens, so over-suspicion costs one page read, never a
-// wrong reconstruction.
-func slotSuspect(h provider.Holdings, held int64, blob, write uint64, rel uint32) bool {
-	if held == 0 {
-		return true // write not listed at all
-	}
-	return !h.Digest.MightContain(blob, write, rel)
-}
-
-// repairStripe heals one stripe: settle it from digests when every
-// checked slot is affirmed; otherwise fetch all reachable shards,
-// reconstruct from any k verified survivors, and push exactly the
-// missing slots back to their providers.
+// repairStripe heals one stripe, given the MListWrites answers of the
+// providers that answered RepairBlob's sweep: done when every checked
+// slot is listed; otherwise fetch all reachable shards, reconstruct from
+// any k verified survivors, and push exactly the missing slots back to
+// their providers. A slot is suspect iff its provider did not answer or
+// does not list it.
 func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
-	st *stripeState, addrs map[uint32]string,
-	holdings map[uint32]provider.Holdings, heldBy map[uint32]map[uint64]int64,
-	reachable map[uint32]bool) {
+	st *stripeState, addrs map[uint32]string, held map[uint32]provider.Holdings) {
 	ref := st.ref
 	n := int(ref.K) + int(ref.M)
 	checked := st.checkedSlots()
 	rep.PagesChecked += int64(len(checked))
 
-	suspects := make(map[int]bool)
-	anyUnreachable := false
+	suspect := false
 	for _, slot := range checked {
-		id := ref.Provs[slot]
-		if !reachable[id] {
-			anyUnreachable = true
-			suspects[slot] = true
-			continue
+		h, ok := held[ref.Provs[slot]]
+		if !ok {
+			// Slots on unreachable providers cannot be restored this
+			// pass; count them now so FullyRedundant stays honest, but
+			// still try to heal the rest of the stripe below.
+			rep.PagesMissing++
+			rep.Unrepairable++
 		}
-		if slotSuspect(holdings[id], heldBy[id][st.write], blobID, st.write, ref.SlotRel(slot)) {
-			suspects[slot] = true
-		}
+		suspect = suspect || !h.Has(blobID, st.write, ref.SlotRel(slot))
 	}
-	if len(suspects) == 0 {
-		rep.BloomSkips += int64(len(checked)) // settled without page I/O
+	if !suspect {
 		return
-	}
-	if anyUnreachable {
-		// Slots on unreachable providers cannot be restored this pass;
-		// count them now so FullyRedundant stays honest, but still try
-		// to heal the rest of the stripe below.
-		for _, slot := range checked {
-			if !reachable[ref.Provs[slot]] {
-				rep.PagesMissing++
-				rep.Unrepairable++
-			}
-		}
 	}
 
 	// Fetch every reachable shard of the stripe (suspects included —
@@ -168,12 +131,12 @@ func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
 	// The slots to restore: checked, reachable, and absent in fact.
 	var missing []int
 	for _, slot := range checked {
-		if shards[slot] == nil && reachable[ref.Provs[slot]] {
+		if _, ok := held[ref.Provs[slot]]; ok && shards[slot] == nil {
 			missing = append(missing, slot)
 		}
 	}
 	if len(missing) == 0 {
-		return // suspicion not confirmed (stale digest, racing heal)
+		return // suspicion not confirmed (a racing heal)
 	}
 	rep.PagesMissing += int64(len(missing))
 

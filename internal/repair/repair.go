@@ -1,12 +1,12 @@
 // Package repair implements the replica repair agent: the active half
 // of the provider-side repair protocol specified in docs/replication.md.
 // The agent walks a blob's metadata to learn where every page replica
-// should live, asks each involved provider what it actually holds
-// (MListWrites — an exact write list plus a bloom digest, never full
-// page lists), and directs each degraded provider to pull its missing
-// pages straight from a healthy peer (MPullPages). Page bytes flow
-// provider-to-provider only; the agent moves metadata-sized messages,
-// so one small process can heal a large cluster.
+// should live, asks each involved provider which pages of those writes
+// it actually holds (MListWrites, answered from the provider's index),
+// and directs each degraded provider to pull its missing pages straight
+// from a healthy peer (MPullPages). Page bytes flow provider-to-provider
+// only; the agent moves metadata-sized messages, so one small process
+// can heal a large cluster.
 //
 // Repair is safe to over-approximate and to re-run: providers store
 // pulled pages with the same first-wins idempotent puts the write path
@@ -65,10 +65,6 @@ type Report struct {
 	PagesRepaired int64
 	BytesPulled   int64
 	PagesSkipped  int64
-	// BloomSkips counts slots settled from MListWrites results alone —
-	// no page data RPC — either ruled healthy (counts and digest agree)
-	// or ruled definitely-missing by the digest.
-	BloomSkips int64
 	// Erasure-coded stripes (docs/erasure.md): PagesReconstructed counts
 	// shards the agent rebuilt by decoding k survivors and re-pushed to
 	// their providers; ReconstructedBytes is the payload pushed for
@@ -242,12 +238,9 @@ walk:
 		}
 	}
 
-	// Ask every involved provider what it holds (one RPC each). heldBy
-	// indexes each response's write list for O(1) lookups in the
-	// diagnosis loops below.
-	holdings := make(map[uint32]provider.Holdings)
-	heldBy := make(map[uint32]map[uint64]int64)
-	reachable := make(map[uint32]bool)
+	// Ask every involved provider which pages of those writes it holds
+	// (one RPC each). The providers that answer are the reachable ones.
+	held := make(map[uint32]provider.Holdings)
 	for id, wm := range wantWrites {
 		addr, ok := addrs[id]
 		if !ok {
@@ -269,31 +262,24 @@ walk:
 			rep.ProviderErrors++
 			continue
 		}
-		held := make(map[uint64]int64, len(h.Writes))
-		for _, wh := range h.Writes {
-			if wh.Blob == blobID {
-				held[wh.Write] = wh.Pages
-			}
-		}
-		holdings[id] = h
-		heldBy[id] = held
-		reachable[id] = true
+		held[id] = h
 	}
 
-	// Diagnose and pull, provider by provider.
+	// Diagnose and pull, provider by provider: a slot is missing iff its
+	// provider answered and does not list its rel.
 	for id, wm := range perProv {
-		if !reachable[id] {
+		h, ok := held[id]
+		if !ok {
 			for _, ns := range wm {
 				rep.PagesChecked += int64(len(ns))
 				rep.Unrepairable += int64(len(ns))
 			}
 			continue
 		}
-		h := holdings[id]
-		// One MPullPages per (write, first-choice source) batch — the
-		// fast path. A batch that comes back short (bloom false positive
-		// at the source, concurrent GC, source lost the page) degrades to
-		// per-page pulls over each page's remaining replicas.
+		// One MPullPages per (write, first source) batch — the fast path.
+		// A batch that comes back short (concurrent GC, a source serving
+		// bytes that fail the checksum) degrades to per-page pulls over
+		// each page's remaining sources.
 		type pullKey struct {
 			write  uint64
 			source uint32
@@ -301,16 +287,17 @@ walk:
 		pulls := make(map[pullKey][]pageNeed)
 		for w, ns := range wm {
 			rep.PagesChecked += int64(len(ns))
-			missing := diagnose(h, heldBy[id][w], blobID, w, ns)
-			rep.BloomSkips += int64(len(ns) - len(missing))
-			for _, n := range missing {
+			for _, n := range ns {
+				if h.Has(blobID, w, n.rel) {
+					continue
+				}
 				rep.PagesMissing++
-				cands := eligibleSources(holdings, heldBy, reachable, n, id, blobID)
-				if len(cands) == 0 {
+				srcs := sources(held, blobID, n, id)
+				if len(srcs) == 0 {
 					rep.Unrepairable++
 					continue
 				}
-				pulls[pullKey{w, cands[0]}] = append(pulls[pullKey{w, cands[0]}], n)
+				pulls[pullKey{w, srcs[0]}] = append(pulls[pullKey{w, srcs[0]}], n)
 			}
 		}
 		for pk, ns := range pulls {
@@ -330,18 +317,18 @@ walk:
 				continue // every slot covered
 			}
 			// Short batch: the response doesn't say which pages failed,
-			// so resolve each one individually against every candidate
-			// source in turn. The degraded provider skips pages the batch
-			// already landed, so re-asking is a free membership check;
-			// only genuinely new pulls are counted (skips here would
+			// so resolve each one individually against every source in
+			// turn. The degraded provider skips pages the batch already
+			// landed, so re-asking is a free membership check; only
+			// genuinely new pulls are counted (skips here would
 			// double-count the batch's work).
 			for _, n := range ns {
 				resolved := false
-				for _, src := range eligibleSources(holdings, heldBy, reachable, n, id, blobID) {
+				for _, src := range sources(held, blobID, n, id) {
 					one, err := r.pull(ctx, addrs[id], addrs[src], blobID, pk.write,
 						[]provider.PullRef{{Rel: n.rel, Checksum: n.sum}})
 					if err != nil {
-						continue // next candidate
+						continue // next source
 					}
 					if one.Pulled > 0 {
 						rep.PagesRepaired += one.Pulled
@@ -359,7 +346,9 @@ walk:
 		}
 	}
 	// Erasure-coded stripes: reconstruction plans (reconstruct.go).
-	r.repairStripes(ctx, &rep, blobID, stripes, addrs, holdings, heldBy, reachable)
+	for _, st := range stripes {
+		r.repairStripe(ctx, &rep, blobID, st, addrs, held)
+	}
 
 	if rep.PagesMissing > 0 {
 		r.logf("repair: blob %d: %d/%d replica slots degraded, %d repaired (%d bytes pulled), %d reconstructed (%d bytes pushed), %d unrepairable",
@@ -397,38 +386,6 @@ func mergeExtents(hist []vmanager.WriteRecord) []meta.PageRange {
 	return out
 }
 
-// diagnose returns the pages of one write that provider holdings show
-// missing. The write list is exact, the digest conservative, and counts
-// reconcile the two: a write the provider doesn't list is entirely
-// missing; a listed write's definite misses come from the digest; and
-// whenever a count proves more pages gone than the digest names, every
-// page is pulled, because the pulling provider skips the ones it has,
-// so over-approximation costs one RPC, never correctness. A slot is
-// trusted healthy only when the count covers the expectation AND the
-// digest clears every page; the residual unsoundness (dead pages
-// inflating the count while a bloom false positive hides the real miss)
-// is the documented ~1%-of-rare window read-repair closes on access.
-func diagnose(h provider.Holdings, held int64, blob, write uint64, ns []pageNeed) []pageNeed {
-	if held == 0 {
-		return ns
-	}
-	var missing []pageNeed
-	for _, n := range ns {
-		if !h.Digest.MightContain(blob, write, n.rel) {
-			missing = append(missing, n)
-		}
-	}
-	if held >= int64(len(ns)) {
-		return missing // count covers and digest clears the rest
-	}
-	if int64(len(ns))-held > int64(len(missing)) {
-		// The digest under-detected (false positives): the count proves
-		// more pages are gone than the digest names. Pull everything.
-		return ns
-	}
-	return missing
-}
-
 // pull issues one MPullPages: targetAddr pulls refs of (blob, write)
 // from srcAddr.
 func (r *Repairer) pull(ctx context.Context, targetAddr, srcAddr string,
@@ -444,25 +401,16 @@ func (r *Repairer) pull(ctx context.Context, targetAddr, srcAddr string,
 	return provider.DecodePullPages(resp)
 }
 
-// eligibleSources orders the healthy peers one page could be pulled
-// from: first the replicas whose holdings affirmatively suggest the
-// page (listed write, digest not ruling it out), then — so a bloom
-// false positive at one source can never strand a slot a later replica
-// holds — every other reachable replica as a long-shot fallback.
-func eligibleSources(holdings map[uint32]provider.Holdings, heldBy map[uint32]map[uint64]int64,
-	reachable map[uint32]bool, n pageNeed, target uint32, blob uint64) []uint32 {
-	var likely, longshot []uint32
+// sources lists the replicas page n can be pulled from onto target: its
+// other providers that answered and list it, in the leaf's order.
+func sources(held map[uint32]provider.Holdings, blob uint64, n pageNeed, target uint32) []uint32 {
+	var out []uint32
 	for _, id := range n.provs {
-		if id == target || !reachable[id] {
-			continue
-		}
-		if heldBy[id][n.write] > 0 && holdings[id].Digest.MightContain(blob, n.write, n.rel) {
-			likely = append(likely, id)
-		} else {
-			longshot = append(longshot, id)
+		if id != target && held[id].Has(blob, n.write, n.rel) {
+			out = append(out, id)
 		}
 	}
-	return append(likely, longshot...)
+	return out
 }
 
 // Sweep runs one repair pass over the listed blobs, or over every blob
@@ -527,7 +475,6 @@ func (r *Repairer) RepairAll(ctx context.Context, blobs []uint64) (Report, error
 		total.PagesRepaired += rep.PagesRepaired
 		total.BytesPulled += rep.BytesPulled
 		total.PagesSkipped += rep.PagesSkipped
-		total.BloomSkips += rep.BloomSkips
 		total.PagesReconstructed += rep.PagesReconstructed
 		total.ReconstructedBytes += rep.ReconstructedBytes
 		total.SurvivorBytes += rep.SurvivorBytes

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"blob/internal/cluster"
 	"blob/internal/core"
+	"blob/internal/erasure"
 	"blob/internal/gc"
 	"blob/internal/mstore"
+	"blob/internal/provider"
 	"blob/internal/repair"
 	"blob/internal/trace"
 )
@@ -170,11 +173,11 @@ func TestRepairLoopHealsWithoutClientInvolvement(t *testing.T) {
 	}
 }
 
-// TestRepairReportsBloomEfficiency pins that a repair pass over a
-// healthy cluster settles every slot from holdings digests alone — no
-// page pulls, everything bloom-skipped.
-func TestRepairReportsBloomEfficiency(t *testing.T) {
-	_, c := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 3, DataReplicas: 2})
+// TestHealthySweepMovesNoPages pins that a repair pass over a healthy
+// cluster settles every slot from the MListWrites answers alone: no
+// provider serves a page read or a pull during the pass.
+func TestHealthySweepMovesNoPages(t *testing.T) {
+	cl, c := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 3, DataReplicas: 2})
 	ctx := context.Background()
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	if err != nil {
@@ -182,6 +185,10 @@ func TestRepairReportsBloomEfficiency(t *testing.T) {
 	}
 	if _, err := b.Write(ctx, pattern(4, 10*pageSize), 0); err != nil {
 		t.Fatal(err)
+	}
+	gets := make([]int64, len(cl.DataServices))
+	for i, sv := range cl.DataServices {
+		gets[i] = sv.Snapshot().Gets
 	}
 	rep, err := repair.New(c).RepairBlob(ctx, b.ID())
 	if err != nil {
@@ -193,11 +200,79 @@ func TestRepairReportsBloomEfficiency(t *testing.T) {
 	if rep.PagesMissing != 0 || rep.BytesPulled != 0 {
 		t.Fatalf("healthy cluster diagnosed degraded: %+v", rep)
 	}
-	if rep.BloomSkips != rep.PagesChecked {
-		t.Errorf("bloom skips = %d, want %d (all slots settled digest-side)", rep.BloomSkips, rep.PagesChecked)
-	}
 	if !rep.FullyRedundant() {
 		t.Errorf("healthy cluster not fully redundant: %+v", rep)
+	}
+	// Serving MGetPages reads the store, and serving MPullPages probes it
+	// for every page asked before it counts a pull or a skip.
+	for i, sv := range cl.DataServices {
+		st := sv.Snapshot()
+		if st.Gets != gets[i] || st.RepairedPages != 0 || st.PullSkips != 0 {
+			t.Errorf("provider %d served page reads or pulls during the pass: %d gets, %d pulled, %d skipped",
+				i, st.Gets-gets[i], st.RepairedPages, st.PullSkips)
+		}
+	}
+}
+
+// TestSweepSeesEveryLostSlot pins the exact holdings answer on the
+// disk-backed stores blobnode -data-dir runs, whose segments keep a
+// deleted page's put record until compaction: a provider missing one
+// slot is diagnosed missing exactly once and healed, whether the slot is
+// an erasure shard or a replica with a stray page of the same write
+// beside it.
+func TestSweepSeesEveryLostSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     cluster.Config
+		pages   int
+		stray   bool  // put a stray rel 40 of the same write on provider 0
+		lose    int   // index of the rel provider 0 loses, among those it holds
+		rebuilt int64 // PagesReconstructed
+		after   int64 // provider 0's page count after the sweep
+	}{
+		{"rs(2,1) shard", cluster.Config{DataProviders: 3, MetaProviders: 3, Redundancy: erasure.Redundancy{K: 2, M: 1}},
+			8, false, 0, 1, 4},
+		{"r=2 replica beside a stray", cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2},
+			4, true, 1, 0, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.DataDir = t.TempDir()
+			cl, c := launch(t, tc.cfg)
+			ctx := context.Background()
+			b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Write(ctx, pattern(5, tc.pages*pageSize), 0); err != nil {
+				t.Fatal(err)
+			}
+			ps := cl.DataStores[0]
+			var write uint64
+			var rels []uint32
+			ps.ForEachPage(func(_, w uint64, rel uint32, _ []byte) { write, rels = w, append(rels, rel) })
+			slices.Sort(rels)
+			lost := rels[tc.lose]
+			ps.DeletePages(b.ID(), write, []uint32{lost})
+			if tc.stray {
+				if err := ps.PutPages([]provider.Page{{Blob: b.ID(), Write: write, RelPage: 40, Data: pattern(9, pageSize)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			rep, err := repair.New(c).Sweep(ctx, b.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.PagesMissing != 1 || rep.PagesReconstructed != tc.rebuilt || !rep.FullyRedundant() {
+				t.Fatalf("sweep = %+v, want 1 missing, %d reconstructed", rep, tc.rebuilt)
+			}
+			if _, ok := ps.GetPage(b.ID(), write, lost); !ok {
+				t.Fatalf("rel %d not restored", lost)
+			}
+			if got := ps.Snapshot().PageCount; got != tc.after {
+				t.Fatalf("provider 0 holds %d pages, want %d", got, tc.after)
+			}
+		})
 	}
 }
 
@@ -285,11 +360,10 @@ func TestRepairFailsOnMetadataOutageMidWalk(t *testing.T) {
 }
 
 // TestRepairFailsOverToSecondSource pins the source-failover rule: when
-// the first-choice source's digest claims pages it no longer holds
-// (disk-backed stores keep deleted keys in their segment blooms), the
+// a source lists a page but serves bytes failing the leaf checksum, the
 // short batch must degrade to per-page pulls that reach the replica
-// that really has each page — a wrong digest can cost round trips,
-// never strand a slot.
+// holding good bytes — a rotten source can cost round trips, never
+// strand a slot.
 func TestRepairFailsOverToSecondSource(t *testing.T) {
 	cl, c := launch(t, cluster.Config{
 		DataProviders: 3,
@@ -309,14 +383,19 @@ func TestRepairFailsOverToSecondSource(t *testing.T) {
 	cl.DataStores[0].ForEachPage(func(_, w uint64, _ uint32, _ []byte) { write = w })
 
 	// Target: provider 0 loses everything. Sources: providers 1 and 2
-	// each keep only ONE of the two pages — but their disk blooms still
-	// claim the deleted one, so whichever is tried first for the full
-	// batch comes back short.
+	// each hold ONE of the two pages rotten — deleted and re-put with
+	// garbage — so whichever is tried first for the full batch comes
+	// back short.
 	if err := cl.WipeDataProvider(0); err != nil {
 		t.Fatal(err)
 	}
-	cl.DataStores[1].DeletePages(b.ID(), write, []uint32{0})
-	cl.DataStores[2].DeletePages(b.ID(), write, []uint32{1})
+	for i, rel := range []uint32{0, 1} {
+		ps := cl.DataStores[1+i]
+		ps.DeletePages(b.ID(), write, []uint32{rel})
+		if err := ps.PutPages([]provider.Page{{Blob: b.ID(), Write: write, RelPage: rel, Data: pattern(99, pageSize)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	rep, err := repair.New(c).RepairBlob(ctx, b.ID())
 	if err != nil {
@@ -326,7 +405,7 @@ func TestRepairFailsOverToSecondSource(t *testing.T) {
 		t.Fatalf("failover left slots stranded: %+v", rep)
 	}
 	// Provider 0 must hold both pages again, each pulled from the one
-	// replica that really had it.
+	// replica holding good bytes.
 	if got := cl.DataStores[0].Snapshot().PageCount; got != 2 {
 		t.Fatalf("target holds %d pages after repair, want 2", got)
 	}
