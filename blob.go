@@ -22,8 +22,7 @@
 // land in checksummed append-only segment files, a restarted provider
 // rebuilds its index by scanning them (truncating a torn final record),
 // and a background compactor reclaims the disk freed by garbage
-// collection. An optional write-through RAM cache tier keeps hot pages
-// served at memory speed.
+// collection.
 //
 // Replication is self-healing: reads fail over between page replicas
 // and re-push what they serve to replicas that missed it, and the
@@ -124,15 +123,14 @@ func Launch(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // PageStore is the storage backend interface of one data provider: the
-// in-RAM store, the persistent diskstore-backed store and the cached
-// stack all implement it, and Cluster.DataStores exposes the running
-// backends. It is the extension point for future tiered or
-// erasure-coded backends.
+// in-RAM store and the persistent diskstore-backed store implement it,
+// and Cluster.DataStores exposes the running backends.
 type PageStore = provider.PageStore
 
-// ProviderStats is one data provider's usage snapshot, including the
-// disk tier (segment bytes, live ratio) and cache tier counters for
-// persistent providers.
+// ProviderStats is one data provider's usage snapshot: its page
+// counters, the disk tier (segment bytes, live ratio) and restart
+// telemetry of persistent providers, and the repair tier (pages pulled
+// from peers).
 type ProviderStats = provider.Stats
 
 // Repairer is the replica repair agent: it walks blob metadata, asks

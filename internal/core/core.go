@@ -145,8 +145,9 @@ type Client struct {
 	ReconstructedPages stats.Counter
 	ParityBytes        stats.Counter
 	// Hedged-read counters (docs/robustness.md): HedgedReads counts
-	// hedge RPCs issued because a page fetch outlived its provider's
-	// adaptive hedge delay; HedgeWins counts pages actually served by
+	// hedge RPCs (replicate mode) and shard fetches handed to stripe
+	// reconstruction (rs mode) because a page fetch outlived its
+	// provider's adaptive hedge delay; HedgeWins counts pages served by
 	// hedge data (replicate mode) or by the early stripe reconstruction
 	// a straggling shard provider was abandoned for (rs mode).
 	HedgedReads stats.Counter

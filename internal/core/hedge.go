@@ -83,15 +83,29 @@ type fetchGroup struct {
 	pages provider.PagesInto
 }
 
+// hasNextReplica reports whether any of the group's pages has a replica
+// behind the one this wave asks: a group with none has nowhere to hedge
+// to, so an r=1 read never arms a hedge timer.
+func (g *fetchGroup) hasNextReplica() bool {
+	for i := range g.items {
+		if len(g.items[i].walk) > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // hedgeSub is one hedge sub-request: the slice of a straggling group's
 // pages whose next replica is the same provider. Hedge answers land in
 // scratch buffers, never the caller's dst — the straggler's sink may
 // still write there until it completes or is detached.
 type hedgeSub struct {
-	addr string
-	refs []provider.PageRef
-	idx  []int // indexes into the straggling group's items
-	dsts [][]byte
+	addr  string
+	pd    *rpc.Pending
+	taken bool // its answer was waited for: not abandoned with the rest
+	refs  []provider.PageRef
+	idx   []int // indexes into the straggling group's items
+	dsts  [][]byte
 }
 
 // waitPrimary waits a group's fetch out, feeding its latency and
@@ -145,8 +159,8 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 
 // waitFetchHedged waits for one replicated group's page fetch, whose
 // sink reads the answer straight into the items' dsts. When the answer
-// outlives the provider's adaptive hedge delay, the same pages are
-// requested from each page's next replica; hedge answers that
+// outlives the provider's adaptive hedge delay (waitHedged), the same
+// pages are requested from each page's next replica; hedge answers that
 // arrive first populate hedged (scratch page bytes, checksum-verified),
 // and once every page is hedge-served the straggler is abandoned.
 //
@@ -157,32 +171,21 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 // abandoned is set or err is ctx's, the primary has completed.
 func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, dispatched time.Time, fop *trace.Op) (hedged [][]byte, abandoned bool, err error) {
 	c := b.c
-	if c.opts.DisableHedging {
+	if !g.hasNextReplica() {
 		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 	}
-	if delay := c.lat.hedgeDelay(addr) - time.Since(dispatched); delay > 0 {
-		t := time.NewTimer(delay)
-		select {
-		case <-pd.Done():
-			t.Stop()
-			return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
-		case <-ctx.Done():
-			t.Stop()
-			return nil, false, ctx.Err()
-		case <-t.C:
+	if err := b.waitHedged(ctx, pd, addr, dispatched); !errors.Is(err, errHedged) {
+		if err == nil {
+			err = b.waitPrimary(ctx, pd, addr, dispatched)
 		}
-	} else {
-		select {
-		case <-pd.Done():
-			return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
-		default:
-		}
+		return nil, false, err
 	}
 
 	// The primary is a straggler. Build hedge sub-requests: each item's
 	// next replica, grouped by provider, skipping items with no next
 	// replica, an unresolvable one, or one whose breaker is open.
-	subs := make(map[uint32]*hedgeSub)
+	var subs []*hedgeSub
+	byID := make(map[uint32]*hedgeSub)
 	for j, it := range g.items {
 		if len(it.walk) < 2 {
 			continue
@@ -192,10 +195,11 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		if !ok || !c.pool.Available(haddr) {
 			continue
 		}
-		s := subs[hid]
+		s := byID[hid]
 		if s == nil {
 			s = &hedgeSub{addr: haddr}
-			subs[hid] = s
+			byID[hid] = s
+			subs = append(subs, s)
 		}
 		s.refs = append(s.refs, provider.PageRef{
 			Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.leaf.Leaf.RelPage,
@@ -209,55 +213,47 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 	}
 
-	hpend := make([]*rpc.Pending, 0, len(subs))
-	hsubs := make([]*hedgeSub, 0, len(subs))
+	hstart := time.Now()
+	hdone := make(chan *hedgeSub, len(subs))
 	for _, s := range subs {
 		fop.Notef("hedge: %d pages -> %s", len(s.refs), s.addr)
 		c.HedgedReads.Inc()
-		hpend = append(hpend, c.pool.Go(ctx, s.addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(s.refs)}, nil))
-		hsubs = append(hsubs, s)
-	}
-	hstart := time.Now()
-	hdone := make(chan int, len(hpend))
-	for i := range hpend {
-		i := i
+		s.pd = c.pool.Go(ctx, s.addr, provider.MGetPages,
+			[][]byte{provider.EncodeGetPages(s.refs)}, nil)
 		go func() {
 			select {
-			case <-hpend[i].Done():
-				hdone <- i
+			case <-s.pd.Done():
+				hdone <- s
 			case <-ctx.Done():
 			}
 		}()
 	}
-
-	hedged = make([][]byte, len(g.items))
-	served, outstanding := 0, len(hpend)
-	processed := make([]bool, len(hpend))
-	drainRest := func() {
-		for i := range hpend {
-			if !processed[i] {
-				b.abandonFetch(hpend[i], hsubs[i].addr, hstart)
+	// abandonRest drains the hedges the race no longer waits for.
+	abandonRest := func() {
+		for _, s := range subs {
+			if !s.taken {
+				b.abandonFetch(s.pd, s.addr, hstart)
 			}
 		}
 	}
-	for outstanding > 0 {
+
+	hedged = make([][]byte, len(g.items))
+	served := 0
+	for range subs {
 		select {
 		case <-pd.Done():
 			// The straggler beat the remaining hedges after all: it wins
 			// whatever the hedges have not already served.
 			err = b.waitPrimary(ctx, pd, addr, dispatched)
-			drainRest()
+			abandonRest()
 			return hedged, false, err
 		case <-ctx.Done():
-			drainRest()
+			abandonRest()
 			return hedged, false, ctx.Err()
-		case i := <-hdone:
-			processed[i] = true
-			outstanding--
-			s := hsubs[i]
+		case s := <-hdone:
+			s.taken = true
 			status := make([]provider.PageStatus, len(s.refs))
-			if b.waitPagesInto(ctx, hpend[i], s.addr, hstart, s.dsts, status) != nil {
+			if b.waitPagesInto(ctx, s.pd, s.addr, hstart, s.dsts, status) != nil {
 				continue
 			}
 			for k, st := range status {
@@ -281,20 +277,17 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 	return hedged, false, b.waitPrimary(ctx, pd, addr, dispatched)
 }
 
-// errShardHedged marks a striped shard fetch that outlived its hedge
-// delay (waitShardHedged); fetchStriped routes those pages to stripe
-// reconstruction and keeps the fetch's Pending as a straggler.
-var errShardHedged = errors.New("core: shard fetch hedged to stripe reconstruction")
+// errHedged marks a fetch that outlived its provider's hedge delay
+// (waitHedged).
+var errHedged = errors.New("core: fetch outlived its hedge delay")
 
-// waitShardHedged waits for a striped group's direct shard fetch to
-// complete, but only up to the provider's adaptive hedge delay: an
-// erasure-coded read rarely needs any one provider, so the caller stops
-// waiting for a straggler and serves its pages by decoding the stripe's
-// other shards — the rs(k,m) form of a hedged read. It returns nil once
-// the answer is in (the caller decodes it), errShardHedged for a
-// straggler, whose Pending stays live and the caller's to settle, or
-// ctx's error.
-func (b *Blob) waitShardHedged(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) error {
+// waitHedged waits for a fetch to complete, but only up to its
+// provider's adaptive hedge delay: the one hedge wait of both
+// redundancy modes. It returns nil once the answer is in (the caller
+// waits it out to take it), errHedged for a straggler, whose Pending
+// stays live and the caller's to settle, or ctx's error. With hedging
+// disabled it returns nil at once.
+func (b *Blob) waitHedged(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) error {
 	if b.c.opts.DisableHedging {
 		return nil
 	}
@@ -315,6 +308,5 @@ func (b *Blob) waitShardHedged(ctx context.Context, pd *rpc.Pending, addr string
 		default:
 		}
 	}
-	b.c.HedgedReads.Inc()
-	return errShardHedged
+	return errHedged
 }

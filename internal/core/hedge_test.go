@@ -10,6 +10,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -285,6 +286,141 @@ func TestStripedHedgeSlowIsNotLost(t *testing.T) {
 	t.Logf("%d hedged shard fetches, %d pages served without their straggler", c.HedgedReads.Value(), c.HedgeWins.Value())
 	if c.HedgedReads.Value() == 0 {
 		t.Fatal("no shard fetch outlived its hedge delay: the test exercised nothing")
+	}
+}
+
+// TestSlowReplicaIsNotLost is the replicated twin of
+// TestStripedHedgeSlowIsNotLost: page 0's first replica answers long
+// past its hedge delay. When the replica behind it has lost the page,
+// the slow replica still serves it, so the read succeeds byte-identical;
+// a hedge that dropped the slow replica failed it with "page
+// unavailable … failed on all 2 replicas". When the replica behind it
+// is behind an open breaker, the read does not hedge to it and waits
+// the slow replica out.
+func TestSlowReplicaIsNotLost(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		nextOpen  bool // the next replica is up, behind an open breaker
+		wantHedge bool
+	}{
+		{"next lost", false, true},
+		{"next behind an open breaker", true, false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cl, c := launch(t, cluster.Config{DataReplicas: 2, Breakers: true})
+			ctx := context.Background()
+			b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := pattern(37, pageSize)
+			v, err := b.Write(ctx, data, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(data))
+			// Seed the latency estimators, so the hedge delay is
+			// adaptive and far below the slow replica's latency.
+			for i := 0; i < 4; i++ {
+				if _, err := b.Read(ctx, got, 0, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			walk := tierProviders(t, b, v)
+			head, next := walk[0], walk[1]
+			cl.SlowProvider(int(head)-1, 300*time.Millisecond, 0)
+			defer cl.Heal()
+			if tt.nextOpen {
+				openBreaker(t, c, next)
+			} else if wipeStore(cl.DataStores[next-1], b.ID()) == 0 {
+				t.Fatal("test bug: the next replica held no pages")
+			}
+			slowGets := cl.DataServices[head-1].GetLatency.Count()
+			nextGets := cl.DataServices[next-1].GetLatency.Count()
+			hedged := c.HedgedReads.Value()
+
+			rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			defer cancel()
+			clear(got)
+			if _, err := b.Read(rctx, got, 0, v); err != nil {
+				t.Fatalf("read with a slow first replica: %v", err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("read returned wrong bytes")
+			}
+			if n := cl.DataServices[head-1].GetLatency.Count(); n == slowGets {
+				t.Error("the slow replica served no get")
+			}
+			if hedges := c.HedgedReads.Value() - hedged; (hedges > 0) != tt.wantHedge {
+				t.Errorf("%d hedged fetches, want hedging %v", hedges, tt.wantHedge)
+			}
+			if tt.nextOpen {
+				if n := cl.DataServices[next-1].GetLatency.Count(); n != nextGets {
+					t.Errorf("provider %d behind an open breaker served %d gets", next, n-nextGets)
+				}
+			}
+		})
+	}
+}
+
+// TestHedgeKeepsLargeReadPace: the hedge delay is priced per provider
+// on the reads it has seen, not on the size of the group it times. After
+// one-page reads, a 1 MiB read outlives that delay on transfer time
+// alone and hedges, but its stragglers are nearly done: the read must
+// still finish at about the fabric's transfer time. A hedge that gave
+// up on the stragglers and asked the next replicas afresh paid the
+// transfer twice (~185 ms against ~94 ms on this fabric, r=2 and r=3).
+func TestHedgeKeepsLargeReadPace(t *testing.T) {
+	const pages = 256
+	for _, r := range []int{2, 3} {
+		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
+			fabric := netsim.Grid5000()
+			_, c := launch(t, cluster.Config{DataReplicas: r, Net: fabric, CacheNodes: -1})
+			ctx := context.Background()
+			b, err := c.CreateBlob(ctx, pageSize, pages*pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := pattern(41, pages*pageSize)
+			v, err := b.Write(ctx, data, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(data))
+			if _, err := b.Read(ctx, got, 0, v); err != nil { // warms the metadata cache
+				t.Fatal(err)
+			}
+			// One-page reads price every provider's hedge delay at its
+			// floor, far below the large read's transfer time.
+			for i := 0; i < 6; i++ {
+				for p := uint64(0); p < 16; p++ {
+					if _, err := b.Read(ctx, got[:pageSize], p*pageSize, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			hedged := c.HedgedReads.Value()
+			start := time.Now()
+			clear(got)
+			if _, err := b.Read(ctx, got, 0, v); err != nil {
+				t.Fatal(err)
+			}
+			elapsed := time.Since(start)
+			if !bytes.Equal(got, data) {
+				t.Fatal("large read returned wrong bytes")
+			}
+			transfer := time.Duration(float64(len(data)) / fabric.BandwidthBps * float64(time.Second))
+			t.Logf("r=%d: %d-page read in %v (fabric transfer time %v), %d hedge fetches",
+				r, pages, elapsed, transfer, c.HedgedReads.Value()-hedged)
+			if c.HedgedReads.Value() == hedged {
+				t.Fatal("the large read never hedged: the test exercised nothing")
+			}
+			if elapsed > transfer*3/2 {
+				t.Errorf("large read took %v, want at most 1.5x the transfer time %v", elapsed, transfer)
+			}
+		})
 	}
 }
 

@@ -207,7 +207,7 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 		}
 	}()
 	for i, p := range pend {
-		err := b.waitShardHedged(ctx, p, addrs[i], dispatched)
+		err := b.waitHedged(ctx, p, addrs[i], dispatched)
 		if err == nil {
 			// Shards land straight in their destination slices; failures
 			// degrade to reconstruction, which overwrites dst.
@@ -223,7 +223,8 @@ func (b *Blob) fetchStriped(ctx context.Context, items []stripedItem) (err error
 				continue
 			}
 		}
-		if errors.Is(err, errShardHedged) {
+		if errors.Is(err, errHedged) {
+			b.c.HedgedReads.Inc()
 			sop.Notef("hedge: %d pages from %s -> reconstruction", len(gs[i].items), addrs[i])
 			late = append(late, straggler{pd: p, g: gs[i], addr: addrs[i]})
 			continue
