@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -37,6 +38,11 @@ type Client struct {
 
 	mu   sync.RWMutex
 	ring *Ring
+
+	// used counts, per node, the extras it sent that readers have taken
+	// (Values.Take) and it has not been told of yet.
+	usedMu sync.Mutex
+	used   map[string]uint64
 
 	// refreshMu rate-limits empty-ring directory refetches on the
 	// shared backoff curve: consecutive empty refreshes space out
@@ -218,34 +224,122 @@ func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
 	return nil
 }
 
-// MultiGet fetches a batch of keys, one aggregated request per node
-// (primary replicas), with per-key fallback to other replicas for keys
-// the primary missed. The result maps key to value; a key every asked
-// replica answered "not found" for is missing from the map. A key whose
-// last attempt ended in an error fails the whole call instead: "could
-// not ask" must never read as "absent" (mstore's ErrMissingNode, which
-// the repair agent takes to mean "garbage collected").
+// Values holds what MultiGet calls found, by key. A value aliases the
+// pooled response that carried it, so it is valid until Release hands
+// the responses back; the zero value is empty and ready for use.
+type Values struct {
+	kv    *Client
+	m     map[uint64]value
+	resps []*rpc.Pending // the responses the values alias
+}
+
+// value is one value found, where it came from and whether it was asked
+// for.
+type value struct {
+	body  []byte
+	from  string // the node that sent it
+	extra bool   // sent ahead by that node's follow hook, not asked for
+}
+
+// put records v under k. An asked value always lands; an extra never
+// displaces a value already there.
+func (vs *Values) put(k uint64, v value) {
+	if vs.m == nil {
+		vs.m = make(map[uint64]value)
+	}
+	if _, held := vs.m[k]; held && v.extra {
+		return
+	}
+	vs.m[k] = v
+}
+
+// Get returns the value found for k.
+func (vs *Values) Get(k uint64) ([]byte, bool) {
+	v, ok := vs.m[k]
+	return v.body, ok
+}
+
+// Len returns how many values are held.
+func (vs *Values) Len() int { return len(vs.m) }
+
+// Take returns the value found for k and forgets it. A value its node
+// sent ahead unasked counts as used by that node: the next request that
+// goes to it reports it (Hint.Used), so each store's served against
+// used compares its own extras.
+func (vs *Values) Take(k uint64) ([]byte, bool) {
+	v, ok := vs.m[k]
+	if !ok {
+		return nil, false
+	}
+	delete(vs.m, k)
+	if v.extra {
+		vs.kv.noteUsed(v.from)
+	}
+	return v.body, true
+}
+
+// Release hands the responses back to the rpc layer's pool. No value
+// may be used afterwards, and vs is empty again.
+func (vs *Values) Release() {
+	for _, p := range vs.resps {
+		p.Release()
+	}
+	clear(vs.resps)
+	vs.resps = vs.resps[:0]
+	clear(vs.m)
+}
+
+// noteUsed credits addr with one extra consumed.
+func (c *Client) noteUsed(addr string) {
+	c.usedMu.Lock()
+	if c.used == nil {
+		c.used = make(map[string]uint64)
+	}
+	c.used[addr]++
+	c.usedMu.Unlock()
+}
+
+// takeUsed returns and clears addr's count of extras consumed.
+func (c *Client) takeUsed(addr string) uint64 {
+	c.usedMu.Lock()
+	n := c.used[addr]
+	if n > 0 {
+		delete(c.used, addr)
+	}
+	c.usedMu.Unlock()
+	return n
+}
+
+// MultiGet fetches a batch of keys into into, one aggregated request per
+// node (primary replicas), with per-key fallback to other replicas for
+// keys the primary missed. A key every asked replica answered "not
+// found" for is missing from into. A key whose last attempt ended in an
+// error fails the whole call instead: "could not ask" must never read
+// as "absent" (mstore's ErrMissingNode, which the repair agent takes to
+// mean "garbage collected").
 //
 // hint rides every request. Stores with a follow hook answer a hint that
 // carries a range with extras — values nobody asked for yet, under their
-// own keys in the result — which the caller must treat as unverified
-// until it has derived their keys itself.
+// own keys in into — which the caller must treat as unverified until it
+// has derived their keys itself.
 //
 // Each tier is one wave dispatched from the calling goroutine and
-// collected in order, as MultiPut does, values copied out of the pooled
-// response before its release. Wave calls bypass the pool's retry and
-// breaker admission: outcomes go back through Observe, and a node whose
-// breaker is open or whose wave call broke in transport is (re-)asked
-// through CallWith before its keys count as missed on that tier.
-func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[uint64][]byte, error) {
-	out := make(map[uint64][]byte, len(keys))
+// collected in order, as MultiPut does. The values stay inside the
+// pooled responses that carried them, which into keeps until its
+// Release, also when MultiGet fails. Wave calls bypass the pool's retry
+// and breaker admission: outcomes go back through Observe, and a node
+// whose breaker is open or whose wave call broke in transport is
+// (re-)asked through CallWith, its answer copied out of the call's
+// buffer, before its keys count as missed on that tier.
+func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint, into *Values) error {
 	if len(keys) == 0 {
-		return out, nil
+		return nil
 	}
 	ring := c.ringOrRefresh(ctx)
 	if ring.Size() == 0 {
-		return nil, ErrNoNodes
+		return ErrNoNodes
 	}
+	into.kv = c
 	type group struct {
 		keys []uint64
 		body []byte
@@ -273,9 +367,10 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[ui
 		}
 		start := time.Now()
 		for addr, g := range groups {
+			h := hint
+			h.Used = c.takeUsed(addr)
 			w := wire.NewWriter(8*len(g.keys) + 16)
-			appendMultiGetRequest(w, g.keys, hint)
-			hint.Used = 0 // reported once, to whichever node is asked first
+			appendMultiGetRequest(w, g.keys, h)
 			g.body = w.Bytes()
 			if c.pool.Available(addr) {
 				g.pend = c.pool.Go(ctx, addr, MMultiGet, [][]byte{g.body}, nil)
@@ -286,7 +381,7 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[ui
 			answered := false
 			decode := func(resp []byte) error {
 				answered = true
-				missed, err := decodeMultiGetResponse(resp, g.keys, out)
+				missed, err := decodeMultiGetResponse(resp, g.keys, addr, into)
 				if err != nil {
 					return err
 				}
@@ -309,7 +404,8 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[ui
 						if heal == nil {
 							heal = make(map[string][]KV)
 						}
-						heal[behind] = append(heal[behind], KV{Key: k, Value: out[k]})
+						v, _ := into.Get(k)
+						heal[behind] = append(heal[behind], KV{Key: k, Value: v})
 					}
 					delete(absent, k)
 				}
@@ -322,20 +418,22 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[ui
 				resp, err = g.pend.Wait(ctx)
 				c.pool.Observe(addr, err, time.Since(start))
 				if err == nil {
+					into.resps = append(into.resps, g.pend)
 					err = decode(resp)
-					g.pend.Release()
 				} else {
 					reask = !rpc.IsServerError(err) && ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded)
 				}
 			}
 			if reask {
-				err = c.pool.CallWith(ctx, addr, MMultiGet, g.body, decode)
+				err = c.pool.CallWith(ctx, addr, MMultiGet, g.body, func(resp []byte) error {
+					return decode(bytes.Clone(resp)) // CallWith releases resp; the values outlive it
+				})
 			}
 			if err == nil {
 				continue
 			}
 			if answered {
-				return nil, err // the node answered and the answer does not parse
+				return err // the node answered and the answer does not parse
 			}
 			if failed == nil {
 				failed = make(map[uint64]error)
@@ -349,15 +447,16 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint) (map[ui
 	}
 	c.readRepair(ctx, heal)
 	for _, err := range failed {
-		return nil, fmt.Errorf("dht: multiget: %d of %d keys unresolved: %w", len(failed), len(keys), err)
+		return fmt.Errorf("dht: multiget: %d of %d keys unresolved: %w", len(failed), len(keys), err)
 	}
-	return out, nil
+	return nil
 }
 
 // readRepair re-puts values onto the replicas that answered "not found"
 // for them, one MMultiPut per node, asynchronously and best-effort,
 // under the trace and remaining budget of the MultiGet that found the
-// gap. The values are the caller's result copies, which nothing mutates.
+// gap. The values alias the MultiGet's responses: they are copied into
+// the requests here, before it returns.
 func (c *Client) readRepair(ctx context.Context, heal map[string][]KV) {
 	for addr, kvs := range heal {
 		w := wire.NewWriter(16 * len(kvs))

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -14,9 +15,10 @@ type Hint struct {
 	// First and Count are the range the reader is resolving. Count 0
 	// asks for the requested keys and nothing else.
 	First, Count uint64
-	// Used is how many extras of earlier responses the reader has since
-	// consumed and not yet reported; it feeds Store.FollowUsed, so that
-	// served against used can be read off the stores.
+	// Used is how many extras this node sent earlier that readers have
+	// since consumed (Values.Take) and it has not been told of; it feeds
+	// Store.FollowUsed, so that served against used can be read off each
+	// store. MultiGet sets it per node; callers leave it zero.
 	Used uint64
 }
 
@@ -49,12 +51,23 @@ func appendMultiGetRequest(w *wire.Writer, keys []uint64, h Hint) {
 	w.Uvarint(h.Used)
 }
 
-// decodeMultiGetRequest parses what appendMultiGetRequest wrote. The key
-// count is checked against the body (wire.Reader.Uint64Slice) and the
-// range against overflow, so a handler may loop and add over them.
-func decodeMultiGetRequest(body []byte) ([]uint64, Hint, error) {
+// keyRun is a counted key list read in place: little-endian u64s
+// aliasing the message body they arrived in.
+type keyRun []byte
+
+// Len returns the number of keys.
+func (k keyRun) Len() int { return len(k) / 8 }
+
+// At returns key i.
+func (k keyRun) At(i int) uint64 { return binary.LittleEndian.Uint64(k[8*i:]) }
+
+// decodeMultiGetRequest parses what appendMultiGetRequest wrote, the
+// keys in place. The key count is checked against the body
+// (wire.Reader.Count) and the range against overflow, so a handler may
+// loop and add over them.
+func decodeMultiGetRequest(body []byte) (keyRun, Hint, error) {
 	r := wire.NewReader(body)
-	keys := r.Uint64Slice()
+	keys := keyRun(r.Raw(8 * r.Count(8)))
 	h := Hint{First: r.Uvarint(), Count: r.Uvarint(), Used: r.Uvarint()}
 	if err := r.Err(); err != nil {
 		return nil, Hint{}, err
@@ -71,30 +84,31 @@ func decodeMultiGetRequest(body []byte) ([]uint64, Hint, error) {
 // An MMultiGet response is the request's key count, one found flag (and
 // value) per requested key in request order, then the extras the follow
 // hook led to — each a 1 byte, its key and its value — closed by a 0
-// byte. decodeMultiGetResponse copies every value into out (extras under
-// their own keys, never over a value already there) and returns the
-// requested keys answered "not found", in request order.
-func decodeMultiGetResponse(resp []byte, keys []uint64, out map[uint64][]byte) (missed []uint64, err error) {
+// byte. decodeMultiGetResponse puts every value into into, aliasing
+// resp, under from (extras under their own keys, never over a value
+// already there), and returns the requested keys answered "not found",
+// in request order.
+func decodeMultiGetResponse(resp []byte, keys []uint64, from string, into *Values) (missed []uint64, err error) {
 	r := wire.NewReader(resp)
 	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(keys)) {
 		return nil, fmt.Errorf("dht: multiget response count %d != %d", n, len(keys))
 	}
 	for _, k := range keys {
 		if r.Bool() {
-			out[k] = r.BytesCopy()
+			if v := r.BytesField(); r.Err() == nil {
+				into.put(k, value{body: v, from: from})
+			}
 		} else {
 			missed = append(missed, k)
 		}
 	}
 	for r.Bool() { // every round consumes at least minEntryBytes+1 or fails the reader
 		k := r.Uint64()
-		v := r.BytesCopy()
+		v := r.BytesField()
 		if r.Err() != nil {
 			break
 		}
-		if _, held := out[k]; !held {
-			out[k] = v
-		}
+		into.put(k, value{body: v, from: from, extra: true})
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("dht: multiget response: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,9 @@ import (
 	"blob/internal/stats"
 	"blob/internal/wire"
 )
+
+// poisonByte fills the rpc buffers released under test (testFabric).
+const poisonByte = 0xEE
 
 // chainFollow is a toy follow hook: a value names the keys that come
 // after it as consecutive little-endian u64s following a one-byte tag.
@@ -29,19 +33,30 @@ func chainValue(tag byte, next ...uint64) []byte {
 	return v
 }
 
+// serveMultiGet runs an MMultiGet body through the store's handler and
+// joins the answer's segments.
+func serveMultiGet(s *Store, body []byte) ([]byte, error) {
+	segs, _, err := s.handleMultiGet(context.Background(), body)
+	return bytes.Join(segs, nil), err
+}
+
 // ask runs one MMultiGet through the handler and the client's decoder.
 func ask(t *testing.T, s *Store, keys []uint64, h Hint) (got map[uint64][]byte, missed []uint64) {
 	t.Helper()
 	w := wire.NewWriter(64)
 	appendMultiGetRequest(w, keys, h)
-	resp, err := s.handleMultiGet(context.Background(), w.Bytes())
+	resp, err := serveMultiGet(s, w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = make(map[uint64][]byte)
-	missed, err = decodeMultiGetResponse(resp, keys, got)
+	var vs Values
+	missed, err = decodeMultiGetResponse(resp, keys, "", &vs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	got = make(map[uint64][]byte, vs.Len())
+	for k, v := range vs.m {
+		got[k] = v.body
 	}
 	return got, missed
 }
@@ -162,11 +177,11 @@ func TestHandlersBoundWireCounts(t *testing.T) {
 		"trailing byte":             bytes.Join([][]byte{uv(1), key, uv(0, 1, 0), {0}}, nil),
 		"padded varint":             bytes.Join([][]byte{uv(1), key, {0x80, 0x00}, uv(1, 0)}, nil),
 	} {
-		if _, err := s.handleMultiGet(ctx, body); err == nil {
+		if _, err := serveMultiGet(s, body); err == nil {
 			t.Errorf("multiget %s: accepted", name)
 		}
 	}
-	if _, err := s.handleMultiGet(ctx, bytes.Join([][]byte{uv(1), key, uv(1<<63, 1<<63-1, 0)}, nil)); err != nil {
+	if _, err := serveMultiGet(s, bytes.Join([][]byte{uv(1), key, uv(1<<63, 1<<63-1, 0)}, nil)); err != nil {
 		t.Errorf("multiget with the widest range that does not overflow: %v", err)
 	}
 	if _, err := s.handleDelete(ctx, key[:7]); err == nil {
@@ -184,25 +199,28 @@ func TestMultiGetResponseRejects(t *testing.T) {
 	keys := []uint64{1, 5}
 	w := wire.NewWriter(32)
 	appendMultiGetRequest(w, keys, Hint{Count: 1})
-	resp, err := s.handleMultiGet(context.Background(), w.Bytes())
+	resp, err := serveMultiGet(s, w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(resp); cut++ {
-		if _, err := decodeMultiGetResponse(resp[:cut], keys, map[uint64][]byte{}); err == nil {
+		if _, err := decodeMultiGetResponse(resp[:cut], keys, "", &Values{}); err == nil {
 			t.Errorf("response cut to %d of %d bytes accepted", cut, len(resp))
 		}
 	}
-	if _, err := decodeMultiGetResponse(append(bytes.Clone(resp), 0), keys, map[uint64][]byte{}); err == nil {
+	if _, err := decodeMultiGetResponse(append(bytes.Clone(resp), 0), keys, "", &Values{}); err == nil {
 		t.Error("trailing byte accepted")
 	}
-	if _, err := decodeMultiGetResponse(resp, keys[:1], map[uint64][]byte{}); err == nil {
+	if _, err := decodeMultiGetResponse(resp, keys[:1], "", &Values{}); err == nil {
 		t.Error("response for another key count accepted")
 	}
 	// An extra never displaces a value the caller already holds.
-	out := map[uint64][]byte{2: []byte("mine")}
-	if _, err := decodeMultiGetResponse(resp, keys, out); err != nil || string(out[2]) != "mine" {
-		t.Errorf("extra over a held value: %q, %v", out[2], err)
+	var out Values
+	out.put(2, value{body: []byte("mine")})
+	if _, err := decodeMultiGetResponse(resp, keys, "", &out); err != nil {
+		t.Errorf("extra over a held value: %v", err)
+	} else if v, _ := out.Get(2); string(v) != "mine" {
+		t.Errorf("extra over a held value: %q", v)
 	}
 }
 
@@ -263,5 +281,63 @@ func TestStoreStatsTableCoversStruct(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "dht_follow_served_total 1\n") {
 		t.Errorf("dht_follow_served_total should read 1:\n%s", sb.String())
+	}
+}
+
+// TestFollowUsedCreditsTheSender: an extra a reader takes is reported to
+// the node that sent it, with the next request that goes to that node —
+// never to whichever node the reader happens to ask next.
+func TestFollowUsedCreditsTheSender(t *testing.T) {
+	cli, stores, cleanup := testFabric(t, 2, 1)
+	defer cleanup()
+	ctx := context.Background()
+	store := map[string]*Store{}
+	for i, s := range stores {
+		s.Follow = chainFollow
+		store[fmt.Sprintf("meta%d:rpc", i)] = s
+	}
+	ring := cli.Ring()
+	primary := func(k uint64) string { n, _ := ring.Primary(k); return n.Addr }
+	// Two keys on one node, A, and one on the other, B.
+	var a []uint64
+	var b uint64
+	for i := uint64(0); len(a) < 2 || b == 0; i++ {
+		k := wire.HashFields(i)
+		switch {
+		case len(a) == 0 || primary(k) == primary(a[0]):
+			if len(a) < 2 {
+				a = append(a, k)
+			}
+		case b == 0:
+			b = k
+		}
+	}
+	A, B := store[primary(a[0])], store[primary(b)]
+	A.Put(a[0], chainValue('a', a[1])) // leads to a[1], which A sends ahead
+	A.Put(a[1], chainValue('b'))
+	B.Put(b, chainValue('c'))
+
+	var vs Values
+	defer vs.Release()
+	if err := cli.MultiGet(ctx, []uint64{a[0]}, Hint{First: 0, Count: 1}, &vs); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range a {
+		if _, ok := vs.Take(k); !ok {
+			t.Fatalf("key %d not received (asked %d)", k, a[0])
+		}
+	}
+	if err := cli.MultiGet(ctx, []uint64{b}, Hint{}, &vs); err != nil {
+		t.Fatal(err)
+	}
+	if A.FollowUsed.Value() != 0 || B.FollowUsed.Value() != 0 {
+		t.Fatalf("before A is asked again: A told of %d used, B of %d; want 0 and 0", A.FollowUsed.Value(), B.FollowUsed.Value())
+	}
+	if err := cli.MultiGet(ctx, []uint64{a[0]}, Hint{}, &vs); err != nil {
+		t.Fatal(err)
+	}
+	if A.FollowServed.Value() != 1 || A.FollowUsed.Value() != 1 || B.FollowUsed.Value() != 0 {
+		t.Fatalf("A served %d and was told of %d used, B told of %d; want 1, 1 and 0",
+			A.FollowServed.Value(), A.FollowUsed.Value(), B.FollowUsed.Value())
 	}
 }

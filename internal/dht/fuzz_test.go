@@ -2,7 +2,6 @@ package dht
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 
@@ -15,8 +14,8 @@ import (
 // range does not overflow, and whatever it accepts a store with a follow
 // hook answers with a response the client half parses, extras within
 // the caps. As a response (entries + extras): the decoder never panics,
-// accounts for every requested key exactly once and copies out no more
-// bytes than it was given.
+// accounts for every requested key exactly once and hands out no more
+// value bytes than it was given.
 func FuzzMultiGetCodec(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzMultiGetCodec) holds the
 	// shaped seeds: inflated counts, overflowing range, padded varints,
@@ -28,7 +27,11 @@ func FuzzMultiGetCodec(f *testing.F) {
 		store.Put(k, chainValue('f', k+1, k+150))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if keys, h, err := decodeMultiGetRequest(data); err == nil {
+		if run, h, err := decodeMultiGetRequest(data); err == nil {
+			keys := make([]uint64, run.Len())
+			for i := range keys {
+				keys[i] = run.At(i)
+			}
 			if len(keys) > len(data)/8 || h.Count > math.MaxUint64-h.First {
 				t.Fatalf("accepted %d keys, range [%d,+%d) from %d bytes", len(keys), h.First, h.Count, len(data))
 			}
@@ -37,12 +40,12 @@ func FuzzMultiGetCodec(f *testing.F) {
 			if !bytes.Equal(w.Bytes(), data) {
 				t.Fatalf("accepted request does not re-encode byte-identically:\n in %x\nout %x", data, w.Bytes())
 			}
-			resp, err := store.handleMultiGet(context.Background(), data)
+			resp, err := serveMultiGet(store, data)
 			if err != nil {
 				t.Fatalf("store refused a request the decoder accepts: %v", err)
 			}
-			out := make(map[uint64][]byte)
-			missed, err := decodeMultiGetResponse(resp, keys, out)
+			var out Values
+			missed, err := decodeMultiGetResponse(resp, keys, "", &out)
 			if err != nil {
 				t.Fatalf("client cannot parse the store's answer: %v", err)
 			}
@@ -51,7 +54,7 @@ func FuzzMultiGetCodec(f *testing.F) {
 				asked[k] = true
 			}
 			extras := 0
-			for k := range out {
+			for k := range out.m {
 				if !asked[k] {
 					extras++
 				}
@@ -71,8 +74,8 @@ func FuzzMultiGetCodec(f *testing.F) {
 		for i := range keys {
 			keys[i] = uint64(i)
 		}
-		out := make(map[uint64][]byte)
-		missed, err := decodeMultiGetResponse(data, keys, out)
+		var out Values
+		missed, err := decodeMultiGetResponse(data, keys, "", &out)
 		if err != nil {
 			return
 		}
@@ -84,12 +87,12 @@ func FuzzMultiGetCodec(f *testing.F) {
 		}
 		size := 0
 		for _, k := range keys {
-			if _, ok := out[k]; !ok && !isMissed[k] {
+			if _, ok := out.Get(k); !ok && !isMissed[k] {
 				t.Fatalf("asked key %d neither found nor missed", k)
 			}
 		}
-		for _, v := range out {
-			size += len(v)
+		for _, v := range out.m {
+			size += len(v.body)
 		}
 		if len(missed) > len(keys) || size > len(data) {
 			t.Fatalf("%d keys: %d missed, %d value bytes from %d", len(keys), len(missed), size, len(data))

@@ -223,7 +223,7 @@ func (s *Store) RegisterMetrics(reg *stats.Registry) {
 func (s *Store) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MDelete, s.handleDelete)
 	srv.Handle(MMultiPut, s.handleMultiPut)
-	srv.Handle(MMultiGet, s.handleMultiGet)
+	srv.HandleSegs(MMultiGet, s.handleMultiGet)
 	srv.Handle(MStats, s.handleStats)
 }
 
@@ -260,41 +260,52 @@ func (s *Store) handleMultiPut(_ context.Context, body []byte) ([]byte, error) {
 	return nil, nil
 }
 
-func (s *Store) handleMultiGet(_ context.Context, body []byte) ([]byte, error) {
+// handleMultiGet answers out of the store's own memory: each value
+// goes out as a segment aliasing the stored bytes, which are immutable
+// once put (Put copies, Delete only unlinks), so only the framing is
+// written.
+func (s *Store) handleMultiGet(_ context.Context, body []byte) ([][]byte, []*rpc.Buf, error) {
 	keys, hint, err := decodeMultiGetRequest(body)
 	if err != nil {
-		return nil, fmt.Errorf("dht multiget: %w", err)
+		return nil, nil, fmt.Errorf("dht multiget: %w", err)
 	}
 	s.FollowUsed.Add(int64(hint.Used))
 	follow := s.Follow != nil && hint.Count > 0
 	var next []uint64 // keys the hook named, in the order it named them
-	w := wire.NewWriter(64 * len(keys))
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		v, ok := s.Get(k)
-		w.Bool(ok)
-		if ok {
-			w.BytesField(v)
-			if follow {
-				next = s.Follow(next, v, hint.First, hint.Count)
-			}
+	if follow {
+		next = make([]uint64, 0, 16) // room for a few blocks' names before it grows
+	}
+	n := keys.Len()
+	w := wire.NewVec(8*n+16, 2*n+2)
+	w.Uvarint(uint64(n))
+	for i := range n {
+		v, ok := s.Get(keys.At(i))
+		if !ok {
+			w.Uint8(0)
+			continue
+		}
+		w.Uint8(1)
+		w.Uvarint(uint64(len(v)))
+		w.Alias(v)
+		if follow {
+			next = s.Follow(next, v, hint.First, hint.Count)
 		}
 	}
 	if len(next) > 0 {
-		s.serveFollowed(w, keys, next, hint)
+		s.serveFollowed(&w, keys, next, hint)
 	}
-	w.Bool(false)
-	return w.Bytes(), nil
+	w.Uint8(0)
+	return w.Segs(), nil, nil
 }
 
 // serveFollowed appends to w, as extras, the values among next that this
 // store holds, following each in turn (breadth first: next grows while
 // it is walked) until the walk runs dry or a cap is hit. A key is looked
 // up at most once and never served beside itself.
-func (s *Store) serveFollowed(w *wire.Writer, asked, next []uint64, hint Hint) {
-	seen := make(map[uint64]struct{}, len(asked)+len(next))
-	for _, k := range asked {
-		seen[k] = struct{}{}
+func (s *Store) serveFollowed(w *wire.VecWriter, asked keyRun, next []uint64, hint Hint) {
+	seen := make(map[uint64]struct{}, asked.Len()+len(next))
+	for i := range asked.Len() {
+		seen[asked.At(i)] = struct{}{}
 	}
 	served, size := 0, 0
 	for i := 0; i < len(next); i++ { // len(next) <= (len(asked)+MaxFollowBlocks) hook calls' worth
@@ -311,9 +322,10 @@ func (s *Store) serveFollowed(w *wire.Writer, asked, next []uint64, hint Hint) {
 			s.FollowCapHits.Inc()
 			break
 		}
-		w.Bool(true)
+		w.Uint8(1)
 		w.Uint64(k)
-		w.BytesField(v)
+		w.Uvarint(uint64(len(v)))
+		w.Alias(v)
 		served++
 		size += len(v)
 		next = s.Follow(next, v, hint.First, hint.Count)

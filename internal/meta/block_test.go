@@ -3,8 +3,10 @@ package meta
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 
 	"blob/internal/wire"
@@ -81,7 +83,7 @@ func TestBlockGeometry(t *testing.T) {
 				break
 			}
 		}
-		if want := (TreeHeight(total) + h - 1) / h; len(path) != want {
+		if want := (bits.Len64(total) + h - 1) / h; len(path) != want {
 			t.Errorf("total %d: a path crosses %d blocks, want %d", total, len(path), want)
 		}
 	}
@@ -216,5 +218,81 @@ func FuzzBlockDecode(f *testing.F) {
 		want.Range = NodeRange{Start: r.Uvarint(), Size: r.Uvarint()}
 		checkDecoded(t, body, want)
 		checkDecoded(t, body, key)
+		checkBlocksBelow(t, body, want)
 	})
+}
+
+// TestBlocksBelowScanAllocatesNothing: the scan a provider runs on every
+// block it serves allocates nothing, stripe-carrying leaves included,
+// and even a leaf-band block names blocks: an interior node's border
+// child of another version lives in that version's block of the same
+// band.
+func TestBlocksBelowScanAllocatesNothing(t *testing.T) {
+	key, nodes := sampleBlock()
+	body := encodeBlock(key, nodes)
+	pr := PageRange{First: key.Range.Start, Count: key.Range.Size}
+	want := decodedBlocksBelow(body, key, pr)
+	if len(want) == 0 {
+		t.Fatal("test bug: the sample block names nothing")
+	}
+	dst := make([]uint64, 0, 2*maxBlockNodes)
+	if allocs := testing.AllocsPerRun(100, func() { dst = AppendBlocksBelow(dst[:0], body, pr) }); allocs != 0 {
+		t.Fatalf("scan allocates %.1f times per block", allocs)
+	}
+	if !slices.Equal(dst, want) {
+		t.Fatalf("scan names %x, decode-based walk %x", dst, want)
+	}
+}
+
+// decodedBlocksBelow is the walk AppendBlocksBelow must match, over
+// DecodeBlock's nodes: the blocks other than key that hold the children
+// pr crosses of the nodes pr crosses; nothing when the body does not
+// decode.
+func decodedBlocksBelow(body []byte, key BlockKey, pr PageRange) []uint64 {
+	nodes, err := DecodeBlock(body, key)
+	if err != nil {
+		return nil
+	}
+	var out []uint64
+	for i := range nodes {
+		n := &nodes[i]
+		if n.IsLeaf() || !pr.Intersects(n.Key.Range) {
+			continue
+		}
+		left, right := n.Key.Range.Children()
+		if n.LeftVer != ZeroVersion && pr.Intersects(left) {
+			if child := (NodeKey{Blob: key.Blob, Version: n.LeftVer, Range: left}).Block(); child != key {
+				out = append(out, child.Hash())
+			}
+		}
+		if n.RightVer != ZeroVersion && pr.Intersects(right) {
+			if child := (NodeKey{Blob: key.Blob, Version: n.RightVer, Range: right}).Block(); child != key {
+				out = append(out, child.Hash())
+			}
+		}
+	}
+	return out
+}
+
+// checkBlocksBelow requires AppendBlocksBelow to name exactly, in order,
+// what the decode-based walk names, for the whole page space and for
+// single pages and pairs at the block's edges and middle, and to leave
+// what dst already held alone.
+func checkBlocksBelow(t *testing.T, body []byte, key BlockKey) {
+	t.Helper()
+	r := key.Range
+	ranges := []PageRange{
+		{First: 0, Count: math.MaxUint64},
+		{First: r.Start, Count: 1},
+		{First: r.Start + r.Size/2, Count: 1},
+		{First: r.Start + r.Size/2 - 1, Count: 2},
+		{First: r.End() - 1, Count: 1},
+	}
+	for _, pr := range ranges {
+		want := decodedBlocksBelow(body, key, pr)
+		got := AppendBlocksBelow([]uint64{42}, body, pr)
+		if got[0] != 42 || !slices.Equal(got[1:], want) {
+			t.Fatalf("range %v: scan names %x, decode-based walk %x", pr, got, want)
+		}
+	}
 }

@@ -131,6 +131,9 @@ func EncodeBlock(w *wire.Writer, key BlockKey, nodes []Node) {
 	}
 }
 
+// maxBlockNodes is the most nodes one block holds: a full band.
+const maxBlockNodes = 1<<BlockLevels - 1
+
 // DecodeBlock parses a stored block and validates it before use: the
 // stored key is the expected one, it holds 1..2^BlockLevels-1 nodes,
 // each a well-formed range inside this block's range and band, none
@@ -146,34 +149,68 @@ func DecodeBlock(body []byte, want BlockKey) ([]Node, error) {
 	if got != want {
 		return nil, fmt.Errorf("meta: block key mismatch: stored %+v, expected %+v (hash collision or routing bug)", got, want)
 	}
-	if count < 1 || count > 1<<BlockLevels-1 {
-		return nil, fmt.Errorf("meta: block %+v holds %d nodes, want 1..%d", want, count, 1<<BlockLevels-1)
+	if count < 1 || count > maxBlockNodes {
+		return nil, fmt.Errorf("meta: block %+v holds %d nodes, want 1..%d", want, count, maxBlockNodes)
 	}
 	nodes := make([]Node, count)
+	var seen [maxBlockNodes]NodeRange
 	for i := range nodes {
-		n := &nodes[i]
-		n.Key = NodeKey{Blob: want.Blob, Version: want.Version}
-		n.Key.Range = NodeRange{Start: r.Uvarint(), Size: r.Uvarint()}
-		if err := decodePayload(r, n); err != nil {
+		if err := readNode(r, want, &nodes[i], seen[:i], true); err != nil {
 			return nil, err
 		}
-		rg := n.Key.Range
-		if !IsPowerOfTwo(rg.Size) || rg.Start%rg.Size != 0 || rg.Block() != want.Range {
-			return nil, fmt.Errorf("meta: node range %v is not part of block %v", rg, want.Range)
-		}
-		for j := range nodes[:i] {
-			if nodes[j].Key.Range == rg {
-				return nil, fmt.Errorf("meta: node range %v twice in block %v", rg, want.Range)
-			}
-		}
-		if (n.Leaf != nil) != rg.IsLeaf() {
-			return nil, fmt.Errorf("meta: leaf/interior payload does not match range %v", rg)
-		}
+		seen[i] = nodes[i].Key.Range
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("meta: %d trailing bytes after block %+v", r.Remaining(), want)
 	}
 	return nodes, nil
+}
+
+// AppendBlocksBelow appends to dst the dht keys of the blocks a reader
+// of pr steps into from the stored block body: the blocks, other than
+// this one, holding the children that pr crosses of the block's nodes
+// that pr crosses. It names exactly what walking DecodeBlock's nodes
+// under the body's own stored key would, and nothing for a body
+// DecodeBlock rejects, but it materializes no node: leaf payloads are
+// checked and skipped, so a valid block costs no allocation beyond
+// dst's growth. A metadata provider runs it on every block it serves
+// (mstore.FollowBlock).
+func AppendBlocksBelow(dst []uint64, body []byte, pr PageRange) []uint64 {
+	r := wire.NewReader(body)
+	key := readBlockKey(r)
+	count := r.Uvarint()
+	if r.Err() != nil || count < 1 || count > maxBlockNodes {
+		return dst
+	}
+	named := len(dst)
+	var seen [maxBlockNodes]NodeRange
+	for i := range int(count) {
+		var n Node
+		if err := readNode(r, key, &n, seen[:i], false); err != nil {
+			return dst[:named]
+		}
+		seen[i] = n.Key.Range
+		if n.Key.Range.IsLeaf() || !pr.Intersects(n.Key.Range) {
+			continue
+		}
+		left, right := n.Key.Range.Children()
+		for _, side := range [2]struct {
+			r   NodeRange
+			ver Version
+		}{{left, n.LeftVer}, {right, n.RightVer}} {
+			if side.ver == ZeroVersion || !pr.Intersects(side.r) {
+				continue
+			}
+			child := NodeKey{Blob: key.Blob, Version: side.ver, Range: side.r}.Block()
+			if child != key {
+				dst = append(dst, child.Hash())
+			}
+		}
+	}
+	if r.Remaining() != 0 {
+		return dst[:named]
+	}
+	return dst
 }
 
 // readBlockKey parses the key EncodeBlock wrote first.
@@ -183,56 +220,104 @@ func readBlockKey(r *wire.Reader) BlockKey {
 	return k
 }
 
-// StoredBlockKey returns the key a stored block names itself by, for a
-// holder nobody told it to: a metadata provider walking its own store.
-// Nothing else of the body is looked at; DecodeBlock under the returned
-// key validates the rest.
-func StoredBlockKey(body []byte) (BlockKey, error) {
-	r := wire.NewReader(body)
-	k := readBlockKey(r)
-	if err := r.Err(); err != nil {
-		return BlockKey{}, fmt.Errorf("meta: stored block key: %w", err)
+// readNode parses the next node of block want into n and checks it the
+// one way DecodeBlock and AppendBlocksBelow share: a well-formed range
+// inside the block's range and band, none of the earlier nodes' ranges
+// (seen), its payload the shape its range asks for. With keep false a
+// leaf's payload is checked but not kept: n.Leaf stays nil, and nothing
+// is allocated.
+func readNode(r *wire.Reader, want BlockKey, n *Node, seen []NodeRange, keep bool) error {
+	n.Key = NodeKey{Blob: want.Blob, Version: want.Version}
+	n.Key.Range = NodeRange{Start: r.Uvarint(), Size: r.Uvarint()}
+	leaf, err := decodePayload(r, n, keep)
+	if err != nil {
+		return err
 	}
-	return k, nil
+	rg := n.Key.Range
+	if !IsPowerOfTwo(rg.Size) || rg.Start%rg.Size != 0 || rg.Block() != want.Range {
+		return fmt.Errorf("meta: node range %v is not part of block %v", rg, want.Range)
+	}
+	for _, s := range seen {
+		if s == rg {
+			return fmt.Errorf("meta: node range %v twice in block %v", rg, want.Range)
+		}
+	}
+	if leaf != rg.IsLeaf() {
+		return fmt.Errorf("meta: leaf/interior payload does not match range %v", rg)
+	}
+	return nil
 }
 
-// decodePayload parses what encodeTo wrote after a node's range.
-func decodePayload(r *wire.Reader, n *Node) error {
+// decodePayload parses what encodeTo wrote after a node's range and
+// reports whether it was a leaf payload, which it keeps in n.Leaf only
+// when keep is set.
+func decodePayload(r *wire.Reader, n *Node, keep bool) (leaf bool, err error) {
 	flags := r.Uint8()
 	switch {
 	case flags&^(nodeFlagLeaf|nodeFlagStripe) != 0 || flags == nodeFlagStripe:
-		return fmt.Errorf("meta: node flags %#x", flags)
+		return false, fmt.Errorf("meta: node flags %#x", flags)
 	case flags&nodeFlagLeaf != 0:
-		leaf := &LeafData{Write: r.Uvarint()}
+		leaf = true
+		ld := LeafData{Write: r.Uvarint()}
 		rel := r.Uvarint()
 		if rel > math.MaxUint32 {
-			return fmt.Errorf("meta: leaf rel-page %d overflows", rel)
+			return false, fmt.Errorf("meta: leaf rel-page %d overflows", rel)
 		}
-		leaf.RelPage = uint32(rel)
-		leaf.Checksum = r.Uint64()
-		leaf.Providers = r.Uint32Slice()
+		ld.RelPage = uint32(rel)
+		ld.Checksum = r.Uint64()
+		ld.Providers, _ = uint32s(r, keep)
 		if flags&nodeFlagStripe != 0 {
-			s := &StripeRef{
+			s := StripeRef{
 				K:          r.Uint8(),
 				M:          r.Uint8(),
 				FirstRel:   r.Uint32(),
 				ParityRel0: r.Uint32(),
 			}
-			s.Provs = r.Uint32Slice()
-			s.Sums = r.Uint64Slice()
-			if want := int(s.K) + int(s.M); r.Err() == nil && (len(s.Provs) != want || len(s.Sums) != want) {
-				return fmt.Errorf("meta: stripe ref shape %d provs/%d sums for rs(%d,%d)",
-					len(s.Provs), len(s.Sums), s.K, s.M)
+			var provs, sums int
+			s.Provs, provs = uint32s(r, keep)
+			s.Sums, sums = uint64s(r, keep)
+			if want := int(s.K) + int(s.M); r.Err() == nil && (provs != want || sums != want) {
+				return false, fmt.Errorf("meta: stripe ref shape %d provs/%d sums for rs(%d,%d)",
+					provs, sums, s.K, s.M)
 			}
-			leaf.Stripe = s
+			if keep {
+				kept := s
+				ld.Stripe = &kept
+			}
 		}
-		n.Leaf = leaf
+		if keep {
+			kept := ld
+			n.Leaf = &kept
+		}
 	default:
 		n.LeftVer = r.Uvarint()
 		n.RightVer = r.Uvarint()
 	}
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("meta: decode node: %w", err)
+		return false, fmt.Errorf("meta: decode node: %w", err)
 	}
-	return nil
+	return leaf, nil
+}
+
+// uint32s reads a counted uint32 slice, or with keep false only checks
+// and skips it; either way it returns the count.
+func uint32s(r *wire.Reader, keep bool) ([]uint32, int) {
+	if keep {
+		s := r.Uint32Slice()
+		return s, len(s)
+	}
+	n := r.Count(4)
+	r.Skip(4 * n)
+	return nil, n
+}
+
+// uint64s is uint32s for uint64 elements.
+func uint64s(r *wire.Reader, keep bool) ([]uint64, int) {
+	if keep {
+		s := r.Uint64Slice()
+		return s, len(s)
+	}
+	n := r.Count(8)
+	r.Skip(8 * n)
+	return nil, n
 }

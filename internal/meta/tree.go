@@ -175,13 +175,3 @@ func BorderResolver(borders []Border) func(NodeRange) (Version, error) {
 		return v, nil
 	}
 }
-
-// TreeHeight returns the number of levels in the tree over totalPages
-// (a single-page blob has height 1).
-func TreeHeight(totalPages uint64) int {
-	h := 1
-	for s := totalPages; s > 1; s /= 2 {
-		h++
-	}
-	return h
-}

@@ -64,18 +64,9 @@ func TestWriteSetSizes(t *testing.T) {
 	if n := CountWriteSet(16, PageRange{0, 16}); n != 31 {
 		t.Errorf("full write nodes = %d, want 31", n)
 	}
-	// Single-page write creates one node per level.
-	if n := CountWriteSet(16, PageRange{5, 1}); n != TreeHeight(16) {
-		t.Errorf("single-page write nodes = %d, want %d", n, TreeHeight(16))
-	}
-}
-
-func TestTreeHeight(t *testing.T) {
-	cases := map[uint64]int{1: 1, 2: 2, 4: 3, 16: 5, 1 << 24: 25}
-	for total, want := range cases {
-		if got := TreeHeight(total); got != want {
-			t.Errorf("TreeHeight(%d) = %d, want %d", total, got, want)
-		}
+	// Single-page write creates one node per level: five over 16 pages.
+	if n := CountWriteSet(16, PageRange{5, 1}); n != 5 {
+		t.Errorf("single-page write nodes = %d, want 5", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -233,7 +234,7 @@ func TestWeavingSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 pages in a 2^20-page tree: at most ~2*height nodes.
-	if max := 2 * TreeHeight(total); len(nodes) > max {
+	if max := 2 * bits.Len64(total); len(nodes) > max {
 		t.Errorf("small patch created %d nodes, want <= %d", len(nodes), max)
 	}
 	// All borders must resolve to version 1.

@@ -26,41 +26,15 @@ func NewProvider() *dht.Store {
 //
 // A block's nodes form one connected subtree (a version that writes a
 // node writes its ancestors), so every node the range crosses is on a
-// path the reader may walk and a flat scan finds them all. The reader
-// may have entered the block below its top, along a newer version's
-// path; for a range wider than one page the scan can then name blocks
-// that reader reaches through other versions. That costs bytes under
-// the store's caps and nothing else: the reader decodes only what its
-// own walk derives (descent.bodies). A block that does not decode names
-// nothing.
+// path the reader may walk and a flat scan finds them all
+// (meta.AppendBlocksBelow, which checks the body as meta.DecodeBlock
+// does but decodes no node: this runs on every block a provider
+// serves). The reader may have entered the block below its top, along a
+// newer version's path; for a range wider than one page the scan can
+// then name blocks that reader reaches through other versions. That
+// costs bytes under the store's caps and nothing else: the reader
+// decodes only what its own walk derives (descent.bodies). A block that
+// does not decode names nothing.
 func FollowBlock(dst []uint64, body []byte, first, count uint64) []uint64 {
-	key, err := meta.StoredBlockKey(body)
-	if err != nil {
-		return dst
-	}
-	nodes, err := meta.DecodeBlock(body, key)
-	if err != nil {
-		return dst
-	}
-	pr := meta.PageRange{First: first, Count: count}
-	for i := range nodes {
-		n := &nodes[i]
-		if n.IsLeaf() || !pr.Intersects(n.Key.Range) {
-			continue
-		}
-		left, right := n.Key.Range.Children()
-		for _, side := range [2]struct {
-			r   meta.NodeRange
-			ver meta.Version
-		}{{left, n.LeftVer}, {right, n.RightVer}} {
-			if side.ver == meta.ZeroVersion || !pr.Intersects(side.r) {
-				continue
-			}
-			child := meta.NodeKey{Blob: key.Blob, Version: side.ver, Range: side.r}.Block()
-			if child != key {
-				dst = append(dst, child.Hash())
-			}
-		}
-	}
-	return dst
+	return meta.AppendBlocksBelow(dst, body, meta.PageRange{First: first, Count: count})
 }

@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"blob/internal/dht"
 	"blob/internal/meta"
@@ -47,13 +46,6 @@ var ErrMissingNode = errors.New("mstore: metadata node not found")
 type Client struct {
 	kv    *dht.Client
 	cache *blockCache
-
-	// unreported counts blocks the providers sent ahead of being asked
-	// (FollowBlock) that a descent then reached and decoded instead of
-	// fetching, and that no provider has been told of yet: the next
-	// fetch reports them (dht.Hint.Used), so served against used reads
-	// off the stores' counters.
-	unreported atomic.Int64
 }
 
 // DefaultCacheNodes mirrors the paper's experimental setup: the client
@@ -114,6 +106,7 @@ func (c *Client) StoreNodes(ctx context.Context, nodes []meta.Node) error {
 // FetchNode retrieves a single node: the one-key case of FetchNodes.
 func (c *Client) FetchNode(ctx context.Context, key meta.NodeKey) (*meta.Node, error) {
 	d := descent{blocks: make(map[uint64]*block, 1)}
+	defer d.bodies.Release()
 	var out [1]*meta.Node
 	err := c.fetch(ctx, []meta.NodeKey{key}, out[:], &d)
 	return out[0], err
@@ -128,6 +121,7 @@ func (c *Client) FetchNode(ctx context.Context, key meta.NodeKey) (*meta.Node, e
 // not asked for.
 func (c *Client) FetchNodes(ctx context.Context, keys []meta.NodeKey) (map[meta.NodeKey]*meta.Node, error) {
 	d := descent{blocks: make(map[uint64]*block, len(keys))}
+	defer d.bodies.Release()
 	err := c.fetch(ctx, keys, make([]*meta.Node, len(keys)), &d)
 	nodes := make(map[meta.NodeKey]*meta.Node, len(keys))
 	for _, b := range d.blocks {
@@ -144,16 +138,35 @@ type descent struct {
 	// memo, so a block is looked up in the cache and fetched at most once
 	// even with the cache off, and serves every level it holds.
 	blocks map[uint64]*block
+	// last is the block the previous key fell in: a walk crosses a
+	// block's levels, and a wave's keys, in order, so the next key is
+	// first compared with it and its block key hashed only when it lies
+	// elsewhere.
+	last *block
 	// bodies holds, by dht key, block bodies the providers sent ahead
 	// (FollowBlock) and the walk has not reached. They are unverified
 	// bytes under a key a provider chose: one is decoded only when the
 	// walk itself derives that key, by meta.DecodeBlock against the
 	// block the walk expects there — so what a provider sends ahead can
 	// save a fetch or fail the read loudly, never change its result.
-	bodies map[uint64][]byte
+	// They sit in the pooled responses that carried them, until the
+	// traversal releases bodies as it returns; a decoded block keeps
+	// nothing of its body.
+	bodies dht.Values
 	// pages is the range the traversal resolves; empty asks providers
 	// for the requested blocks only.
 	pages meta.PageRange
+
+	// fetch's lists for the wave in hand, kept to be reused by the next.
+	miss []waiting // the keys whose block this wave decodes
+	want []*block  // the blocks this wave decodes
+	ask  []uint64  // their dht keys, less those received ahead
+}
+
+// waiting is a key of a wave, keys[i], whose block b the wave decodes.
+type waiting struct {
+	i int
+	b *block
 }
 
 // fetch resolves keys[i] into out[i]. A key whose block the memo holds
@@ -163,34 +176,32 @@ type descent struct {
 // MultiGet carrying d.pages. Every block decoded lands in d.blocks and in
 // the cache, whole.
 func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, out []*meta.Node, d *descent) error {
-	type waiting struct {
-		i int    // keys[i] lives in b,
-		b *block // which this wave decodes
-	}
-	var miss []waiting
-	var want []*block // blocks to decode this wave
-	var ask []uint64  // their dht keys, less those received ahead
-	used := 0         // blocks of this wave already received ahead
+	miss, want, ask := d.miss[:0], d.want[:0], d.ask[:0]
+	defer func() { d.miss, d.want, d.ask = miss, want, ask }()
+	used := 0 // blocks of this wave already received ahead
 	for i, k := range keys {
 		key := k.Block()
-		hash := key.Hash()
-		b := d.blocks[hash]
-		if b == nil {
-			if b = c.cache.get(hash, key); b == nil {
-				// Memoized before its body arrives, so the wave's other
-				// keys of this block find it and ask no second time.
-				b = &block{key: key, hash: hash}
-				want = append(want, b)
-				if _, ahead := d.bodies[hash]; ahead {
-					used++
-				} else {
-					ask = append(ask, hash)
+		b := d.last
+		if b == nil || b.key != key {
+			hash := key.Hash()
+			if b = d.blocks[hash]; b == nil {
+				if b = c.cache.get(hash, key); b == nil {
+					// Memoized before its body arrives, so the wave's other
+					// keys of this block find it and ask no second time.
+					b = &block{key: key, hash: hash}
+					want = append(want, b)
+					if _, ahead := d.bodies.Get(hash); ahead {
+						used++
+					} else {
+						ask = append(ask, hash)
+					}
 				}
+				d.blocks[hash] = b
 			}
-			d.blocks[hash] = b
-		}
-		if b.key != key {
-			return fmt.Errorf("mstore: blocks %+v and %+v share dht key %#x (hash collision)", b.key, key, hash)
+			if b.key != key {
+				return fmt.Errorf("mstore: blocks %+v and %+v share dht key %#x (hash collision)", b.key, key, hash)
+			}
+			d.last = b
 		}
 		if b.nodes == nil {
 			miss = append(miss, waiting{i, b})
@@ -203,41 +214,29 @@ func (c *Client) fetch(ctx context.Context, keys []meta.NodeKey, out []*meta.Nod
 	if len(miss) == 0 {
 		return nil
 	}
-	c.unreported.Add(int64(used))
 	fctx, op := trace.Start(ctx, "mstore.fetch")
 	extra := 0
 	if len(ask) > 0 {
+		held := d.bodies.Len()
 		hint := dht.Hint{First: d.pages.First, Count: d.pages.Count}
-		if hint.Count > 0 {
-			hint.Used = uint64(c.unreported.Swap(0))
-		}
-		got, err := c.kv.MultiGet(fctx, ask, hint)
-		if err != nil {
+		if err := c.kv.MultiGet(fctx, ask, hint, &d.bodies); err != nil {
 			op.EndErr(err)
 			return fmt.Errorf("mstore: fetch %d blocks: %w", len(ask), err)
 		}
-		extra = len(got)
+		extra = d.bodies.Len() - held
 		for _, hash := range ask {
-			if _, ok := got[hash]; ok {
+			if _, ok := d.bodies.Get(hash); ok {
 				extra--
-			}
-		}
-		if d.bodies == nil {
-			d.bodies = got
-		} else {
-			for hash, body := range got {
-				d.bodies[hash] = body
 			}
 		}
 	}
 	op.Notef("%d/%d cached; asked %d, extra %d, used %d", len(keys)-len(miss), len(keys), len(ask), extra, used)
 	op.End()
 	for _, b := range want {
-		body, ok := d.bodies[b.hash]
+		body, ok := d.bodies.Take(b.hash)
 		if !ok {
 			continue // its keys are reported missing below
 		}
-		delete(d.bodies, b.hash)
 		nodes, err := meta.DecodeBlock(body, b.key)
 		if err != nil {
 			return fmt.Errorf("mstore: block %+v: %w", b.key, err)
@@ -312,6 +311,7 @@ func (c *Client) ReadPlan(ctx context.Context, blob uint64, v meta.Version, tota
 	// One memo for the whole descent: a block serves every level it
 	// holds, and what the providers send ahead waits there to be reached.
 	d := descent{blocks: make(map[uint64]*block), pages: pr}
+	defer d.bodies.Release()
 	frontier := []meta.NodeKey{meta.RootKey(blob, v, totalPages)}
 	var next []meta.NodeKey // the two frontiers and nodes are reused wave to wave
 	var nodes []*meta.Node

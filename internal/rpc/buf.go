@@ -27,6 +27,10 @@ package rpc
 //     instead of silently reading recycled memory.
 //   - Never calling Release is always safe: the buffer is simply
 //     garbage-collected and the pool refills on demand.
+//   - A slice of the body kept past Release is the bug Bytes cannot
+//     catch. Tests turn on PoisonOnRelease, which overwrites every
+//     released buffer, so such a slice reads poison and fails the
+//     decode or checksum it feeds, loudly.
 //   - A response read by a caller's own sink never touches a Buf: the
 //     sink reads the body straight into the caller's memory, which the
 //     caller owns throughout and takes back early with Pending.Detach.
@@ -87,6 +91,15 @@ func (b *Buf) Release() {
 	if b.released.Swap(true) {
 		panic("rpc: Buf double Release")
 	}
+	if p := releasePoison.Load(); p != 0 {
+		fill := b.data
+		if b.ref != nil {
+			fill = *b.ref
+		}
+		for i := range fill {
+			fill[i] = byte(p)
+		}
+	}
 	if b.ref != nil {
 		ref := b.ref
 		b.ref, b.data = nil, nil
@@ -94,4 +107,19 @@ func (b *Buf) Release() {
 	} else {
 		b.data = nil
 	}
+}
+
+// releasePoison is PoisonOnRelease's state: 0 when off, else 0x100 |
+// the fill byte.
+var releasePoison atomic.Uint32
+
+// PoisonOnRelease makes every Release from now on overwrite the whole
+// buffer with fill before it goes back to its pool, and returns the
+// function that restores the previous setting. It is a test seam, like
+// a swapped-in sync function, not an option: a test that turns it on
+// turns a body decoded after its release into a decode or checksum
+// failure instead of a silent read of recycled memory.
+func PoisonOnRelease(fill byte) (restore func()) {
+	prev := releasePoison.Swap(0x100 | uint32(fill))
+	return func() { releasePoison.Store(prev) }
 }

@@ -31,8 +31,12 @@
 //     into its destination. A caller that stops waiting detaches its
 //     sink (Pending.Detach); the connection and its other calls carry
 //     on.
-//   - Handlers run in their own goroutines, so a slow request does not
-//     head-of-line-block the connection.
+//   - Each connection keeps a few handler workers: a request goes to an
+//     idle one, and a new one starts only when none is idle, so a slow
+//     request does not head-of-line-block the connection while a stream
+//     of small ones starts no goroutine. The surplus beyond
+//     maxIdleWorkers exits, and all exit when the connection closes.
+//     Handler CPU carries the runtime/pprof label method=<name>.
 //   - Transport is any net.Conn source: real TCP (Dialer) or the
 //     simulated fabric in internal/netsim.
 //

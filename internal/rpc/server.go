@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"blob/internal/stats"
@@ -43,14 +45,16 @@ func MethodName(method uint32) string {
 	return fmt.Sprintf("m_0x%04x", method)
 }
 
-// Server dispatches incoming requests to registered handlers. Responses
-// are coalesced per connection exactly like client requests: one response
-// writer goroutine per connection drains completed replies into single
-// vectored frames. Request bodies live in pooled buffers that are
-// released the moment the handler returns.
+// Server dispatches incoming requests to registered handlers. Each
+// connection keeps a few handler workers that take its requests in
+// turn (serverConn). Responses are coalesced per connection exactly
+// like client requests: one response writer goroutine per connection
+// drains completed replies into single vectored frames. Request bodies
+// live in pooled buffers that are released once the frame carrying
+// their response has been flushed.
 type Server struct {
 	mu       sync.Mutex
-	handlers map[uint32]SegHandlerFunc
+	handlers map[uint32]handler
 	conns    map[net.Conn]struct{}
 	lis      []net.Listener
 	closed   bool
@@ -67,10 +71,11 @@ type Server struct {
 
 // DefaultStallTimeout bounds how long a connection may sit mid-frame:
 // once a request's first header byte has arrived, the rest of the
-// message must follow within this window or the connection is cut. A
-// peer that opens a frame and stalls (slowloris) would otherwise pin a
-// connection goroutine and its pooled buffers forever. Idle
-// connections — no frame in progress — are never timed out.
+// message must follow within this window of the server first waiting
+// for it, or the connection is cut. A peer that opens a frame and
+// stalls (slowloris) would otherwise pin a connection goroutine and its
+// pooled buffers forever. Idle connections — no frame in progress — are
+// never timed out.
 const DefaultStallTimeout = 30 * time.Second
 
 // SetStallTimeout overrides the mid-frame stall timeout (tests use
@@ -100,11 +105,23 @@ func (m *serverMetrics) hist(method uint32) *stats.Histogram {
 	return h
 }
 
+// handler is one registered method: its function and the profiler
+// label set its requests run under, built once at registration, so a
+// CPU profile of the server splits its time by method.
+type handler struct {
+	fn     SegHandlerFunc
+	labels context.Context // pprof label method=<MethodName>
+}
+
+// unknownMethod is what lookup returns for an unregistered method: no
+// function, and the label set of its own.
+var unknownMethod = handler{labels: pprof.WithLabels(context.Background(), pprof.Labels("method", "unknown"))}
+
 // NewServer returns an empty server; register handlers before Serve.
 func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		handlers: make(map[uint32]SegHandlerFunc),
+		handlers: make(map[uint32]handler),
 		conns:    make(map[net.Conn]struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -132,16 +149,20 @@ func (s *Server) HandleSegs(method uint32, h SegHandlerFunc) {
 	if _, dup := s.handlers[method]; dup {
 		panic(fmt.Sprintf("rpc: duplicate handler for method %#x", method))
 	}
-	s.handlers[method] = h
+	s.handlers[method] = handler{fn: h, labels: pprof.WithLabels(context.Background(), pprof.Labels("method", MethodName(method)))}
 }
 
-// lookup returns the handler for a method (nil when none is registered)
-// plus the server's observability hooks (tracer, metrics) under one lock
-// acquisition.
-func (s *Server) lookup(method uint32) (SegHandlerFunc, *trace.Tracer, *serverMetrics) {
+// lookup returns the handler for a method (unknownMethod when none is
+// registered) plus the server's observability hooks (tracer, metrics)
+// under one lock acquisition.
+func (s *Server) lookup(method uint32) (handler, *trace.Tracer, *serverMetrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.handlers[method], s.tracer, s.metrics
+	h, ok := s.handlers[method]
+	if !ok {
+		h = unknownMethod
+	}
+	return h, s.tracer, s.metrics
 }
 
 // SetTracer attaches the process's recorder: every incoming traced
@@ -270,80 +291,49 @@ type reply struct {
 	held   []*Buf
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// request is one request read off a connection, on its way to a worker.
+type request struct {
+	id       uint64
+	method   uint32
+	tc       trace.Ctx // zero when the request is untraced
+	deadline time.Time // the caller's budget, anchored at the header; zero = none
+	body     *Buf
+}
+
+// maxIdleWorkers is how many handler workers a connection keeps waiting
+// between requests. A request goes to an idle worker of its connection,
+// so a steady stream of small requests reuses the same goroutines and
+// their grown stacks; a new worker starts only when none is idle, so a
+// slow handler still never blocks the requests behind it. Once more
+// than this many are idle, the surplus exits.
+const maxIdleWorkers = 4
+
+// serverConn is one served connection: the read loop that parses
+// requests, the handler workers that run them, and the writer that
+// coalesces their replies into frames.
+type serverConn struct {
+	s       *Server
+	nc      net.Conn
+	replies chan reply
+	done    chan struct{} // closed when the read loop ends
+	work    chan request  // unbuffered: a send succeeds only into an idle worker; closed with done
+	idle    atomic.Int32  // workers between requests, about to wait or waiting on work
+}
+
+func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
+	c := &serverConn{s: s, nc: nc, replies: make(chan reply, 1024), done: make(chan struct{}), work: make(chan request)}
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, nc)
 		s.mu.Unlock()
-		conn.Close()
+		nc.Close()
 	}()
+	defer close(c.done)
+	defer close(c.work) // the read loop is its only sender
 
-	replies := make(chan reply, 1024)
-	connDone := make(chan struct{})
-	defer close(connDone)
-
-	// Response writer: coalesce everything available into one vectored
-	// frame. Handler output segments go to the connection untouched;
-	// request buffers and handler-held response buffers are released
-	// once the frame carrying their response is on the wire.
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		enc := newFrameEncoder()
-		bufs := make([]*Buf, 0, 64)
-		for {
-			var r reply
-			select {
-			case r = <-replies:
-			case <-connDone:
-				return
-			}
-			enc.reset()
-			bufs = bufs[:0]
-			n := 0
-			appendResp := func(r reply) {
-				blen := 0
-				for _, s := range r.segs {
-					blen += len(s)
-				}
-				enc.hdrByte(kindResponse)
-				enc.hdrUint64(r.id)
-				enc.hdrByte(r.status)
-				enc.hdrUvarint(uint64(blen))
-				for _, s := range r.segs {
-					enc.bodySeg(s)
-				}
-				if r.req != nil {
-					bufs = append(bufs, r.req)
-				}
-				bufs = append(bufs, r.held...)
-				n++
-			}
-			appendResp(r)
-		drain:
-			for enc.total < maxFrame {
-				select {
-				case more := <-replies:
-					appendResp(more)
-				default:
-					break drain
-				}
-			}
-			enc.sealHeader()
-			M.FramesSent.Inc()
-			M.MessagesCoaled.Add(int64(n))
-			M.BytesSent.Add(int64(enc.total))
-			err := enc.flush(conn)
-			for _, b := range bufs {
-				b.Release()
-			}
-			if err != nil {
-				conn.Close() // unblocks the read loop below
-				return
-			}
-		}
-	}()
+	go c.writeLoop()
 
 	s.mu.Lock()
 	stall := s.stallTimeout
@@ -352,119 +342,251 @@ func (s *Server) serveConn(conn net.Conn) {
 		stall = DefaultStallTimeout
 	}
 
-	br := newFrameReader(conn)
+	// Between messages the connection may idle forever; inside one, the
+	// rest must follow within the stall timeout (see
+	// DefaultStallTimeout). The deadline is armed only by a read inside
+	// a frame that has to wait on the socket: a request the read-ahead
+	// already holds whole costs no deadline at all.
+	sr := &stallReader{conn: nc, stall: stall}
+	br := newFrameReader(sr)
 	for {
-		// Between messages the connection may idle forever; once a
-		// message's first byte arrives the rest must follow within the
-		// stall timeout (see DefaultStallTimeout).
-		conn.SetReadDeadline(time.Time{})
+		sr.endFrame()
 		if _, err := br.br.Peek(1); err != nil {
 			return
 		}
-		conn.SetReadDeadline(time.Now().Add(stall))
+		sr.inFrame = true
 		hdr, err := br.readRequestHeader()
 		if err != nil {
 			return
 		}
+		r := request{id: hdr.id, method: hdr.method, tc: hdr.tc}
 		// The budget is anchored to the moment the header was parsed.
-		var deadline time.Time
 		if hdr.budget > 0 {
-			deadline = time.Now().Add(hdr.budget)
+			r.deadline = time.Now().Add(hdr.budget)
 		}
-		id, method, tc := hdr.id, hdr.method, hdr.tc
-		body, err := br.readBody()
-		if err != nil {
+		if r.body, err = br.readBody(); err != nil {
 			return
 		}
-		M.BytesReceived.Add(int64(body.Len()))
+		M.BytesReceived.Add(int64(r.body.Len()))
+		c.dispatch(r)
+	}
+}
 
-		h, tracer, metrics := s.lookup(method)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			// Observability around the handler: a server-side span when
-			// the request carries a trace (an untracered server still
-			// forwards the ids to any RPCs the handler makes), and a
-			// per-method latency observation when metrics are enabled.
-			hctx := s.ctx
-			var op *trace.Op
-			if !tc.Zero() {
-				if tracer != nil {
-					hctx, op = tracer.Resume(s.ctx, tc, MethodName(method))
-					op.AddBytes(int64(body.Len()))
-				} else {
-					hctx = trace.ContextWith(s.ctx, nil, tc)
-				}
-			}
-			// Deadline propagation: the handler context expires when
-			// the caller's budget does, so nested RPCs the handler
-			// makes carry a shrunken budget downstream. Work whose
-			// budget lapsed while queued is dropped outright — the
-			// caller has already given up on it.
-			if !deadline.IsZero() {
-				if !time.Now().Before(deadline) {
-					M.CallsExpired.Inc()
-					op.EndErr(context.DeadlineExceeded)
-					r := reply{id: id, req: body, status: statusExpired}
-					select {
-					case replies <- r:
-					case <-connDone:
-					case <-s.ctx.Done():
-					}
-					return
-				}
-				dctx := withLazyDeadline(hctx, deadline)
-				defer dctx.finish(context.Canceled)
-				hctx = dctx
-			}
-			var start time.Time
-			if metrics != nil {
-				start = time.Now()
-			}
-			// The request body stays alive until its response is
-			// flushed (the reply carries it), so handlers may answer
-			// with slices of the request; anything retained beyond the
-			// response lifetime must still be copied.
-			var segs [][]byte
-			var held []*Buf
-			var err error
-			if h == nil {
-				err = fmt.Errorf("rpc: unknown method %#x", method)
-			} else {
-				segs, held, err = h(hctx, body.Bytes())
-			}
-			if metrics != nil {
-				// Traced requests leave their trace ID as the bucket's
-				// exemplar, so a latency spike on /metrics points at a
-				// concrete span tree.
-				metrics.hist(method).ObserveExemplar(time.Since(start), tc.TraceID)
-			}
-			op.EndErr(err)
-			r := reply{id: id, req: body, held: held}
-			switch {
-			case err == nil:
-				r.status = statusOK
-				r.segs = segs
-			case !deadline.IsZero() && errors.Is(err, context.DeadlineExceeded):
-				// The propagated budget ran out mid-handler: report it
-				// as an expiry, not an application error, so the client
-				// sees the same context.DeadlineExceeded it would have
-				// produced locally.
-				M.CallsExpired.Inc()
-				r.status = statusExpired
-			default:
-				r.status = statusErr
-				r.segs = [][]byte{[]byte(err.Error())}
-			}
-			M.CallsHandled.Inc()
+// dispatch hands r to an idle worker of the connection, or to a new one
+// when none is waiting.
+func (c *serverConn) dispatch(r request) {
+	select {
+	case c.work <- r:
+	default:
+		c.s.wg.Add(1)
+		go c.worker(r)
+	}
+}
+
+// worker serves r, then the requests dispatch hands it, until the
+// connection closes or enough of its siblings are idle already.
+func (c *serverConn) worker(r request) {
+	defer c.s.wg.Done()
+	for {
+		c.serve(r)
+		if c.idle.Add(1) > maxIdleWorkers {
+			c.idle.Add(-1)
+			return
+		}
+		var ok bool
+		if r, ok = <-c.work; !ok {
+			return
+		}
+		c.idle.Add(-1)
+	}
+}
+
+// serve runs one request's handler and queues its reply.
+func (c *serverConn) serve(r request) {
+	s := c.s
+	h, tracer, metrics := s.lookup(r.method)
+	// The worker's CPU counts against the method in profiles (the
+	// -admin listener's /debug/pprof/profile). The label set was built
+	// when the method was registered, so this allocates nothing.
+	pprof.SetGoroutineLabels(h.labels)
+	// Observability around the handler: a server-side span when the
+	// request carries a trace (an untracered server still forwards the
+	// ids to any RPCs the handler makes), and a per-method latency
+	// observation when metrics are enabled.
+	hctx := s.ctx
+	var op *trace.Op
+	if !r.tc.Zero() {
+		if tracer != nil {
+			hctx, op = tracer.Resume(s.ctx, r.tc, MethodName(r.method))
+			op.AddBytes(int64(r.body.Len()))
+		} else {
+			hctx = trace.ContextWith(s.ctx, nil, r.tc)
+		}
+	}
+	// Deadline propagation: the handler context expires when the
+	// caller's budget does, so nested RPCs the handler makes carry a
+	// shrunken budget downstream. Work whose budget lapsed while queued
+	// is dropped outright — the caller has already given up on it.
+	if !r.deadline.IsZero() {
+		if !time.Now().Before(r.deadline) {
+			M.CallsExpired.Inc()
+			op.EndErr(context.DeadlineExceeded)
+			c.send(reply{id: r.id, req: r.body, status: statusExpired})
+			return
+		}
+		dctx := withLazyDeadline(hctx, r.deadline)
+		defer dctx.finish(context.Canceled)
+		hctx = dctx
+	}
+	var start time.Time
+	if metrics != nil {
+		start = time.Now()
+	}
+	// The request body stays alive until its response is flushed (the
+	// reply carries it), so handlers may answer with slices of the
+	// request; anything retained beyond the response lifetime must
+	// still be copied.
+	var segs [][]byte
+	var held []*Buf
+	var err error
+	if h.fn == nil {
+		err = fmt.Errorf("rpc: unknown method %#x", r.method)
+	} else {
+		segs, held, err = h.fn(hctx, r.body.Bytes())
+	}
+	if metrics != nil {
+		// Traced requests leave their trace ID as the bucket's
+		// exemplar, so a latency spike on /metrics points at a
+		// concrete span tree.
+		metrics.hist(r.method).ObserveExemplar(time.Since(start), r.tc.TraceID)
+	}
+	op.EndErr(err)
+	rep := reply{id: r.id, req: r.body, held: held}
+	switch {
+	case err == nil:
+		rep.status = statusOK
+		rep.segs = segs
+	case !r.deadline.IsZero() && errors.Is(err, context.DeadlineExceeded):
+		// The propagated budget ran out mid-handler: report it as an
+		// expiry, not an application error, so the client sees the same
+		// context.DeadlineExceeded it would have produced locally.
+		M.CallsExpired.Inc()
+		rep.status = statusExpired
+	default:
+		rep.status = statusErr
+		rep.segs = [][]byte{[]byte(err.Error())}
+	}
+	M.CallsHandled.Inc()
+	c.send(rep)
+}
+
+// send queues a reply for the writer. A reply dropped on shutdown keeps
+// its buffers; the pool refills on demand and the GC reclaims them.
+func (c *serverConn) send(r reply) {
+	select {
+	case c.replies <- r: // the common case, without a three-way select
+		return
+	default:
+	}
+	select {
+	case c.replies <- r:
+	case <-c.done:
+	case <-c.s.ctx.Done():
+	}
+}
+
+// writeLoop is the connection's response writer: it coalesces every
+// reply available into one vectored frame. Handler output segments go
+// to the connection untouched; request buffers and handler-held
+// response buffers are released once the frame carrying their response
+// is on the wire.
+func (c *serverConn) writeLoop() {
+	defer c.s.wg.Done()
+	enc := newFrameEncoder()
+	bufs := make([]*Buf, 0, 64)
+	for {
+		var r reply
+		select {
+		case r = <-c.replies: // a reply already waiting costs no two-way select
+		default:
 			select {
-			case replies <- r:
-			case <-connDone:
-			case <-s.ctx.Done():
+			case r = <-c.replies:
+			case <-c.done:
+				return
 			}
-			// A reply dropped on shutdown keeps its buffers; the pool
-			// refills on demand and the GC reclaims them.
-		}()
+		}
+		enc.reset()
+		bufs = bufs[:0]
+		n := 0
+		appendResp := func(r reply) {
+			blen := 0
+			for _, s := range r.segs {
+				blen += len(s)
+			}
+			enc.hdrByte(kindResponse)
+			enc.hdrUint64(r.id)
+			enc.hdrByte(r.status)
+			enc.hdrUvarint(uint64(blen))
+			for _, s := range r.segs {
+				enc.bodySeg(s)
+			}
+			if r.req != nil {
+				bufs = append(bufs, r.req)
+			}
+			bufs = append(bufs, r.held...)
+			n++
+		}
+		appendResp(r)
+	drain:
+		for enc.total < maxFrame {
+			select {
+			case more := <-c.replies:
+				appendResp(more)
+			default:
+				break drain
+			}
+		}
+		enc.sealHeader()
+		M.FramesSent.Inc()
+		M.MessagesCoaled.Add(int64(n))
+		M.BytesSent.Add(int64(enc.total))
+		err := enc.flush(c.nc)
+		for _, b := range bufs {
+			b.Release()
+		}
+		if err != nil {
+			c.nc.Close() // unblocks the read loop
+			return
+		}
+	}
+}
+
+// stallReader is a served connection as its frame reader sees it. The
+// first read inside a frame that has to go to the socket arms the stall
+// deadline, once per frame, so a peer that trickles bytes cannot
+// stretch it; endFrame clears it, only if it was armed. A frame read
+// whole from the read-ahead never touches the deadline.
+type stallReader struct {
+	conn    net.Conn
+	stall   time.Duration
+	inFrame bool // a frame's first byte has arrived
+	armed   bool // the stall deadline is set
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if r.inFrame && !r.armed {
+		r.conn.SetReadDeadline(time.Now().Add(r.stall))
+		r.armed = true
+	}
+	return r.conn.Read(p)
+}
+
+// endFrame returns the connection to idling: no deadline.
+func (r *stallReader) endFrame() {
+	r.inFrame = false
+	if r.armed {
+		r.conn.SetReadDeadline(time.Time{})
+		r.armed = false
 	}
 }
 

@@ -123,6 +123,30 @@ func TestBufUseAfterReleasePanics(t *testing.T) {
 	_ = b.Bytes()
 }
 
+// TestPoisonOnRelease: with the seam on, a slice of a body kept past its
+// Release reads the poison byte, pooled or not; restored, Release leaves
+// the bytes alone again.
+func TestPoisonOnRelease(t *testing.T) {
+	restore := PoisonOnRelease(0xEE)
+	for _, n := range []int{100, 5 << 20} { // a pooled class and an unpooled size
+		b := GetBuf(n)
+		kept := b.Bytes()
+		copy(kept, "live")
+		b.Release()
+		if !bytes.Equal(kept[:4], []byte{0xEE, 0xEE, 0xEE, 0xEE}) {
+			t.Fatalf("%d-byte buffer: kept slice reads %x after Release, want poison", n, kept[:4])
+		}
+	}
+	restore()
+	b := GetBuf(100)
+	kept := b.Bytes()
+	copy(kept, "live")
+	b.Release()
+	if string(kept[:4]) != "live" {
+		t.Fatalf("poisoned after restore: %q", kept[:4])
+	}
+}
+
 // TestPooledBufferStress hammers the pooled-buffer path from many
 // goroutines with release enabled, verifying every response against its
 // expected payload. Under -race this is the reuse-correctness gate: a

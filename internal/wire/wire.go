@@ -344,6 +344,10 @@ func (r *Reader) Raw(n int) []byte {
 	return r.take(n)
 }
 
+// Skip discards the next n bytes, failing the reader as reading them
+// would.
+func (r *Reader) Skip(n int) { r.take(n) }
+
 // Count reads a uvarint element count for a list whose every entry
 // encodes in at least minEntryBytes bytes. A count the unread bytes
 // cannot hold fails the reader with ErrShort and returns 0, so a forged
