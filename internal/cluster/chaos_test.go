@@ -26,7 +26,7 @@ import (
 
 func TestChaosStormNoAckedWriteLoss(t *testing.T) {
 	ctx := context.Background()
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 4,
 		MetaProviders: 4,
 		DataReplicas:  2,

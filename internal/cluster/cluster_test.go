@@ -16,8 +16,21 @@ import (
 
 const pageSize = 4 << 10
 
+// poisonByte overwrites every pooled rpc buffer on release while a test
+// deployment runs (rpc.PoisonOnRelease).
+const poisonByte = 0xEE
+
+// launch is cluster.Launch with pooled rpc buffers poisoned on release
+// until the test's cleanup ends: a reply or body read after its buffer
+// went back to the pool reads poison and fails its checksum or decode
+// loudly.
+func launch(t testing.TB, cfg cluster.Config) (*cluster.Cluster, error) {
+	t.Cleanup(rpc.PoisonOnRelease(poisonByte)) // registered first, so restored last
+	return cluster.Launch(cfg)
+}
+
 func TestLaunchDefaultsAndShutdown(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{})
+	cl, err := launch(t, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +51,7 @@ func TestLaunchDefaultsAndShutdown(t *testing.T) {
 // like any other group. A lone replica restarts as a cold boot: it leads
 // again at once, with its RAM-only state gone.
 func TestDefaultClusterIsOneByOneGroup(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{DataProviders: 2, MetaProviders: 2, Monitor: true})
+	cl, err := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, Monitor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +92,7 @@ func TestDefaultClusterIsOneByOneGroup(t *testing.T) {
 }
 
 func TestClientsOnDistinctHosts(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{})
+	cl, err := launch(t, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +132,7 @@ func TestClientsOnDistinctHosts(t *testing.T) {
 }
 
 func TestCountersTrackStorage(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{DataProviders: 3, MetaProviders: 3})
+	cl, err := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +170,7 @@ func TestDeadWriterRepairOverRealStack(t *testing.T) {
 	// version directly from the version manager and vanishes without
 	// storing metadata. Later writers must still publish, and readers of
 	// the repaired version must see the previous content (no-op patch).
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 3, MetaProviders: 3,
 		RepairTimeout: 100 * time.Millisecond,
 	})
@@ -224,7 +237,7 @@ func TestDeadWriterRepairOverRealStack(t *testing.T) {
 }
 
 func TestHeartbeatsKeepProvidersAllocatable(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 2, MetaProviders: 2,
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
@@ -257,7 +270,7 @@ func TestHeartbeatsKeepProvidersAllocatable(t *testing.T) {
 }
 
 func TestSeparateDataAndMetaHosts(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 2, MetaProviders: 3,
 		Net: netsim.Fast(),
 	})
@@ -282,7 +295,7 @@ func TestSeparateDataAndMetaHosts(t *testing.T) {
 }
 
 func TestPlacementUsesEveryProvider(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 4, MetaProviders: 4,
 	})
 	if err != nil {
@@ -310,7 +323,7 @@ func TestPlacementUsesEveryProvider(t *testing.T) {
 }
 
 func TestVersionManagerUnreachableAfterShutdown(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{})
+	cl, err := launch(t, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

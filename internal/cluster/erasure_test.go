@@ -17,7 +17,7 @@ import (
 // returning the expected latest contents.
 func launchRS(t *testing.T, dir string) (*cluster.Cluster, []byte, uint64) {
 	t.Helper()
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 6,
 		MetaProviders: 6,
 		Redundancy:    erasure.Redundancy{K: 4, M: 2},
@@ -117,7 +117,7 @@ func TestWritePushesOncePerProvider(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := tt.cfg
 			cfg.DataProviders, cfg.MetaProviders, cfg.TraceSampleEvery = 3, 3, 1
-			cl, err := cluster.Launch(cfg)
+			cl, err := launch(t, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +266,7 @@ func TestErasureRepairIngestsLessThanReplication(t *testing.T) {
 	)
 	run := func(cfg cluster.Config) (stored int64, rep repair.Report) {
 		cfg.DataProviders, cfg.MetaProviders = 6, 6
-		cl, err := cluster.Launch(cfg)
+		cl, err := launch(t, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // historical version of a 40-version blob must stay byte-exact and
 // VersionSize-queryable afterwards.
 func TestHistoricalReadsSurviveVMLogTruncation(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 4,
 		MetaProviders: 4,
 		VShards:       2,

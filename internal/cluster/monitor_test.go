@@ -35,7 +35,7 @@ func waitHealth(t *testing.T, cl *cluster.Cluster, want string, check func(monit
 // green. The repair interval is an hour, so any repair seen here was
 // driven by death detection, not the timer.
 func TestMonitorKillProviderDrill(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders:     3,
 		MetaProviders:     3,
 		DataReplicas:      2,
@@ -141,7 +141,7 @@ func TestMonitorKillProviderDrill(t *testing.T) {
 // inside netsim: the embedded monitor's rollup reflects the deployment
 // (providers, shard leaders) and the event journals feed its tail.
 func TestMonitorSnapshotRPC(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders:     2,
 		MetaProviders:     2,
 		DataReplicas:      2,

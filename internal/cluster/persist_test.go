@@ -16,7 +16,7 @@ import (
 // every data provider is killed and relaunched over its data directory.
 // RAM providers would serve nothing after the same sequence.
 func TestPersistentProvidersSurviveRestart(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 2,
 		MetaProviders: 2,
 		DataDir:       t.TempDir(),
@@ -80,7 +80,7 @@ func TestPersistentProvidersSurviveRestart(t *testing.T) {
 // the same kill/relaunch sequence leaves the providers empty — the
 // diskstore is what makes restart survivable.
 func TestRAMProvidersLosePagesOnRestart(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{DataProviders: 2, MetaProviders: 2})
+	cl, err := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func tornLastSegment(t *testing.T, dir string, n int64) {
 // version reports its page unavailable rather than serving bad bytes.
 func TestTornWriteRecoveredWithoutEarlierLoss(t *testing.T) {
 	dataDir := t.TempDir()
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 1,
 		MetaProviders: 1,
 		DataDir:       dataDir,

@@ -14,7 +14,7 @@ import (
 // restarted after doing repair work reports zero — post-restart stats
 // must never claim the dead incarnation's pulls.
 func TestRestartZeroesRepairCounters(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders: 2,
 		MetaProviders: 2,
 		DataReplicas:  2,
@@ -73,7 +73,7 @@ func TestRestartZeroesRepairCounters(t *testing.T) {
 // the RepairInterval timer. With the interval set to an hour, only the
 // DeathWatch trigger can explain redundancy returning within seconds.
 func TestHeartbeatDeathTriggersRepair(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{
+	cl, err := launch(t, cluster.Config{
 		DataProviders:     3,
 		MetaProviders:     3,
 		DataReplicas:      2,

@@ -135,7 +135,7 @@ func (e *snapshotViolation) Error() string {
 }
 
 func TestSnapshotIsolationNetsim(t *testing.T) {
-	cl, err := cluster.Launch(cluster.Config{DataProviders: 4, MetaProviders: 4})
+	cl, err := launch(t, cluster.Config{DataProviders: 4, MetaProviders: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 // and three storage nodes each hosting a RAM-only data provider and a
 // metadata provider. It returns the options a client connects with.
 func tcpDeployment(t *testing.T) core.Options {
+	t.Cleanup(rpc.PoisonOnRelease(poisonByte))
 	listen := func() net.Listener {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blob/internal/erasure"
+	"blob/internal/rpc"
 	"blob/internal/trace"
 )
 
@@ -29,6 +30,7 @@ func TestTracedWriteSpansThreeProcesses(t *testing.T) {
 }
 
 func tracedWriteSpans(t *testing.T, cfg Config) {
+	t.Cleanup(rpc.PoisonOnRelease(0xEE)) // as the external tests' launch does
 	c, err := Launch(cfg)
 	if err != nil {
 		t.Fatal(err)

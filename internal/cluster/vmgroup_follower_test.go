@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"blob/internal/cluster"
 	"blob/internal/netsim"
 )
 
@@ -21,7 +20,7 @@ func TestVMGroupFollowerLossOrphanRepair(t *testing.T) {
 	cfg := vmGroupConfig(1, 2)
 	cfg.RepairTimeout = 100 * time.Millisecond
 	cfg.Net = netsim.Fast()
-	c, err := cluster.Launch(cfg)
+	c, err := launch(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ func TestVMGroupRealTCP(t *testing.T) {
 	const n = 3
 	// Bind every replica address first: peers must be known before any
 	// replica boots, exactly as -vpeers requires of the binaries.
+	t.Cleanup(rpc.PoisonOnRelease(poisonByte))
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for j := 0; j < n; j++ {

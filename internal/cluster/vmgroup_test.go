@@ -69,7 +69,7 @@ func TestVMGroupKillLeaderMidStorm(t *testing.T) {
 	// the crash leaves a pending version that would otherwise block the
 	// publish chain forever.
 	cfg.RepairTimeout = 150 * time.Millisecond
-	cl, err := cluster.Launch(cfg)
+	cl, err := launch(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestVMGroupKillLeaderMidStorm(t *testing.T) {
 // the last heal every shard must still accept writes and all replicas of
 // a shard must converge to one term and log.
 func TestVMGroupPartitionHealStress(t *testing.T) {
-	cl, err := cluster.Launch(vmGroupConfig(2, 3))
+	cl, err := launch(t, vmGroupConfig(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestVMGroupElectionUnderLatency(t *testing.T) {
 		VMHeartbeat:       10 * time.Millisecond,
 		VMElectionTimeout: 80 * time.Millisecond,
 	}
-	cl, err := cluster.Launch(cfg)
+	cl, err := launch(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestVMGroupElectionUnderLatency(t *testing.T) {
 // redirects reach the right leader, and FetchStatus exposes each
 // replica's view (what blobctl vmstatus prints).
 func TestVMGroupRoutingAndStatus(t *testing.T) {
-	cl, err := cluster.Launch(vmGroupConfig(3, 2))
+	cl, err := launch(t, vmGroupConfig(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,25 @@ import (
 	"blob/internal/core"
 	"blob/internal/dht"
 	"blob/internal/meta"
+	"blob/internal/rpc"
 )
 
 const pageSize = 4 << 10 // small pages keep tests fast
 
+// poisonByte overwrites every pooled rpc buffer on release while a test
+// deployment runs (rpc.PoisonOnRelease).
+const poisonByte = 0xEE
+
 // launch starts a deployment and connects one client to it, its options
-// passed through each adjust first.
+// passed through each adjust first. Outside benchmarks, pooled rpc
+// buffers are poisoned on release until the test's cleanup ends: a
+// reply or body read after its buffer went back to the pool reads
+// poison and fails its checksum or decode loudly.
 func launch(t testing.TB, cfg cluster.Config, adjust ...func(*core.Options)) (*cluster.Cluster, *core.Client) {
 	t.Helper()
+	if _, bench := t.(*testing.B); !bench {
+		t.Cleanup(rpc.PoisonOnRelease(poisonByte)) // registered first, so restored last
+	}
 	cl, err := cluster.Launch(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,10 +13,12 @@
 //     64-bit call identifiers.
 //   - Outgoing requests are queued; a writer goroutine drains the queue
 //     and writes everything available as one frame (the aggregation the
-//     paper describes). Responses are batched the same way on the server
-//     side.
+//     paper describes). It is the only writer goroutine: a served
+//     connection has none. There the worker that finishes a reply
+//     writes it, with whatever replies other workers finish meanwhile
+//     in the same frame (serverConn.send).
 //   - Message bodies are scatter-gather: a caller hands the framework a
-//     list of segments (Go) and the writer loop flushes header bytes
+//     list of segments (Go) and the frame is flushed as header bytes
 //     and payload segments with a single vectored write (net.Buffers /
 //     writev), so page payloads are never copied into a contiguous
 //     encode buffer.
@@ -172,7 +174,7 @@ const (
 // overflow.
 const maxDeadlineMS = 24 * 60 * 60 * 1000
 
-// maxFrame bounds how many payload bytes one writer-loop flush coalesces.
+// maxFrame bounds how many payload bytes one flush coalesces.
 const maxFrame = 1 << 20
 
 // Metrics collects framework-level counters, shared process-wide so the
@@ -260,21 +262,16 @@ type Client struct {
 	nextID atomic.Uint64
 	sendq  chan *call
 	done   chan struct{}
-
-	writerDone chan struct{}
-	readerDone chan struct{}
 }
 
 // NewClient wraps an established connection. Most callers use Dial or a
 // Pool instead.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
-		conn:       conn,
-		pending:    make(map[uint64]*call),
-		sendq:      make(chan *call, 4096),
-		done:       make(chan struct{}),
-		writerDone: make(chan struct{}),
-		readerDone: make(chan struct{}),
+		conn:    conn,
+		pending: make(map[uint64]*call),
+		sendq:   make(chan *call, 4096),
+		done:    make(chan struct{}),
 	}
 	c.sinkStopped.L = &c.smu
 	go c.writeLoop()
@@ -354,12 +351,7 @@ func (c *Client) issue(ctx context.Context, cl *call) {
 	c.pending[cl.id] = cl
 	c.mu.Unlock()
 
-	select {
-	case c.sendq <- cl:
-	default:
-		// Queue full: block (backpressure) rather than fail.
-		c.sendq <- cl
-	}
+	c.sendq <- cl // a full queue blocks: backpressure rather than failure
 	M.CallsSent.Inc()
 }
 
@@ -478,23 +470,15 @@ func (c *Client) deliver(cl *call, b *Body) error {
 // header bytes accumulate in a reusable arena (consecutive headers share
 // one segment), payload segments alias the callers' buffers untouched.
 // Growing the arena is safe mid-frame: sealed segments keep referencing
-// the memory they were carved from, whose contents are final.
+// the memory they were carved from, whose contents are final. The zero
+// value is ready to use; the arena and segment list grow to what the
+// connection's frames need and are reused from then on.
 type frameEncoder struct {
 	arena []byte
 	segs  [][]byte
-	start int // arena offset where the current unsealed header run began
-	total int // payload bytes accumulated (headers + bodies)
-}
-
-func newFrameEncoder() *frameEncoder {
-	return &frameEncoder{arena: make([]byte, 0, 16<<10), segs: make([][]byte, 0, 64)}
-}
-
-func (e *frameEncoder) reset() {
-	e.arena = e.arena[:0]
-	e.segs = e.segs[:0]
-	e.start = 0
-	e.total = 0
+	out   net.Buffers // the write's view of segs; a field, so no flush allocates it
+	start int         // arena offset where the current unsealed header run began
+	total int         // payload bytes accumulated (headers + bodies)
 }
 
 func (e *frameEncoder) hdrByte(v byte) { e.arena = append(e.arena, v) }
@@ -530,11 +514,21 @@ func (e *frameEncoder) bodySeg(s []byte) {
 	e.total += len(s)
 }
 
-// flush writes the frame with a single vectored write.
-func (e *frameEncoder) flush(conn net.Conn) error {
+// finish seals the frame, counts it as one frame carrying n messages,
+// writes it with a single vectored write and empties the encoder for
+// the next frame.
+func (e *frameEncoder) finish(conn net.Conn, n int) error {
 	e.sealHeader()
-	bufs := net.Buffers(e.segs)
-	return writeBuffers(conn, &bufs)
+	M.FramesSent.Inc()
+	M.MessagesCoaled.Add(int64(n))
+	M.BytesSent.Add(int64(e.total))
+	e.out = e.segs
+	err := writeBuffers(conn, &e.out)
+	e.arena = e.arena[:0]
+	e.segs = e.segs[:0]
+	e.start = 0
+	e.total = 0
+	return err
 }
 
 // BuffersWriter is the fast path for conns that can accept a whole
@@ -557,8 +551,7 @@ func writeBuffers(conn net.Conn, bufs *net.Buffers) error {
 // writeLoop drains the send queue, coalescing every queued request into a
 // single vectored write — the paper's RPC aggregation, minus the copies.
 func (c *Client) writeLoop() {
-	defer close(c.writerDone)
-	enc := newFrameEncoder()
+	var enc frameEncoder
 	for {
 		var cl *call
 		select {
@@ -566,7 +559,6 @@ func (c *Client) writeLoop() {
 		case <-c.done:
 			return
 		}
-		enc.reset()
 		n := 0
 		appendReq := func(cl *call) {
 			blen := 0
@@ -609,11 +601,7 @@ func (c *Client) writeLoop() {
 				break drain
 			}
 		}
-		enc.sealHeader()
-		M.FramesSent.Inc()
-		M.MessagesCoaled.Add(int64(n))
-		M.BytesSent.Add(int64(enc.total))
-		if err := enc.flush(c.conn); err != nil {
+		if err := enc.finish(c.conn, n); err != nil {
 			c.failAll(fmt.Errorf("rpc: write: %w", err))
 			return
 		}
@@ -625,7 +613,6 @@ func (c *Client) writeLoop() {
 // whatever the sink leaves unread — all of it for a call that was
 // dropped or detached — is discarded.
 func (c *Client) readLoop() {
-	defer close(c.readerDone)
 	fr := newFrameReader(c.conn)
 	body := &Body{fr: fr}
 	for {

@@ -47,11 +47,11 @@ func MethodName(method uint32) string {
 
 // Server dispatches incoming requests to registered handlers. Each
 // connection keeps a few handler workers that take its requests in
-// turn (serverConn). Responses are coalesced per connection exactly
-// like client requests: one response writer goroutine per connection
-// drains completed replies into single vectored frames. Request bodies
-// live in pooled buffers that are released once the frame carrying
-// their response has been flushed.
+// turn (serverConn). A served connection has no writer goroutine: the
+// worker that finishes a reply writes it, together with the replies
+// other workers finish while it writes, as single vectored frames.
+// Request bodies live in pooled buffers that are released once the
+// frame carrying their response has been flushed.
 type Server struct {
 	mu       sync.Mutex
 	handlers map[uint32]handler
@@ -309,31 +309,31 @@ type request struct {
 const maxIdleWorkers = 4
 
 // serverConn is one served connection: the read loop that parses
-// requests, the handler workers that run them, and the writer that
-// coalesces their replies into frames.
+// requests and the handler workers that run them and write their
+// replies.
 type serverConn struct {
-	s       *Server
-	nc      net.Conn
-	replies chan reply
-	done    chan struct{} // closed when the read loop ends
-	work    chan request  // unbuffered: a send succeeds only into an idle worker; closed with done
-	idle    atomic.Int32  // workers between requests, about to wait or waiting on work
+	s    *Server
+	nc   net.Conn
+	work chan request // unbuffered: a send succeeds only into an idle worker; closed when the read loop ends
+	idle atomic.Int32 // workers between requests, about to wait or waiting on work
+
+	wmu     sync.Mutex
+	writing bool         // a worker is writing: replies queue behind it
+	queued  []reply      // replies finished during the write, for the writer to send next
+	spare   []reply      // the writer's last batch, emptied, to queue into next
+	enc     frameEncoder // used only by the worker that set writing
 }
 
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
-	c := &serverConn{s: s, nc: nc, replies: make(chan reply, 1024), done: make(chan struct{}), work: make(chan request)}
+	c := &serverConn{s: s, nc: nc, work: make(chan request)}
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
 		nc.Close()
 	}()
-	defer close(c.done)
 	defer close(c.work) // the read loop is its only sender
-
-	s.wg.Add(1)
-	go c.writeLoop()
 
 	s.mu.Lock()
 	stall := s.stallTimeout
@@ -401,7 +401,7 @@ func (c *serverConn) worker(r request) {
 	}
 }
 
-// serve runs one request's handler and queues its reply.
+// serve runs one request's handler and sends its reply.
 func (c *serverConn) serve(r request) {
 	s := c.s
 	h, tracer, metrics := s.lookup(r.method)
@@ -480,85 +480,75 @@ func (c *serverConn) serve(r request) {
 	c.send(rep)
 }
 
-// send queues a reply for the writer. A reply dropped on shutdown keeps
-// its buffers; the pool refills on demand and the GC reclaims them.
+// send writes r to the connection. A worker that finds no write in
+// progress becomes the writer: it sends its own reply and then every
+// reply other workers queued while it wrote, so replies that finish
+// during a write share the next frame. A failed write closes the
+// connection, and the replies queued behind it are dropped with their
+// buffers, as are replies that finish later; the pool refills on demand
+// and the GC reclaims them.
 func (c *serverConn) send(r reply) {
-	select {
-	case c.replies <- r: // the common case, without a three-way select
+	c.wmu.Lock()
+	c.queued = append(c.queued, r)
+	if c.writing {
+		c.wmu.Unlock()
 		return
-	default:
 	}
-	select {
-	case c.replies <- r:
-	case <-c.done:
-	case <-c.s.ctx.Done():
+	c.writing = true
+	for len(c.queued) > 0 {
+		batch := c.queued
+		c.queued = c.spare
+		c.wmu.Unlock()
+		err := c.write(batch)
+		clear(batch) // the sent replies' segments may pin large memory
+		c.wmu.Lock()
+		c.spare = batch[:0]
+		if err != nil {
+			clear(c.queued)
+			c.queued = c.queued[:0]
+			c.nc.Close() // unblocks the read loop
+		}
 	}
+	c.writing = false
+	c.wmu.Unlock()
 }
 
-// writeLoop is the connection's response writer: it coalesces every
-// reply available into one vectored frame. Handler output segments go
-// to the connection untouched; request buffers and handler-held
-// response buffers are released once the frame carrying their response
-// is on the wire.
-func (c *serverConn) writeLoop() {
-	defer c.s.wg.Done()
-	enc := newFrameEncoder()
-	bufs := make([]*Buf, 0, 64)
-	for {
-		var r reply
-		select {
-		case r = <-c.replies: // a reply already waiting costs no two-way select
-		default:
-			select {
-			case r = <-c.replies:
-			case <-c.done:
-				return
-			}
+// write sends batch in frames of up to maxFrame bytes. Handler output
+// segments go to the connection untouched; each reply's request buffer
+// and handler-held buffers are released once the frame carrying it is
+// on the wire.
+func (c *serverConn) write(batch []reply) error {
+	first := 0
+	for i, r := range batch {
+		blen := 0
+		for _, s := range r.segs {
+			blen += len(s)
 		}
-		enc.reset()
-		bufs = bufs[:0]
-		n := 0
-		appendResp := func(r reply) {
-			blen := 0
-			for _, s := range r.segs {
-				blen += len(s)
-			}
-			enc.hdrByte(kindResponse)
-			enc.hdrUint64(r.id)
-			enc.hdrByte(r.status)
-			enc.hdrUvarint(uint64(blen))
-			for _, s := range r.segs {
-				enc.bodySeg(s)
-			}
+		c.enc.hdrByte(kindResponse)
+		c.enc.hdrUint64(r.id)
+		c.enc.hdrByte(r.status)
+		c.enc.hdrUvarint(uint64(blen))
+		for _, s := range r.segs {
+			c.enc.bodySeg(s)
+		}
+		if c.enc.total < maxFrame && i+1 < len(batch) {
+			continue
+		}
+		err := c.enc.finish(c.nc, i+1-first)
+		for _, r := range batch[first : i+1] {
 			if r.req != nil {
-				bufs = append(bufs, r.req)
+				r.req.Release()
 			}
-			bufs = append(bufs, r.held...)
-			n++
-		}
-		appendResp(r)
-	drain:
-		for enc.total < maxFrame {
-			select {
-			case more := <-c.replies:
-				appendResp(more)
-			default:
-				break drain
+			for _, b := range r.held {
+				b.Release()
 			}
-		}
-		enc.sealHeader()
-		M.FramesSent.Inc()
-		M.MessagesCoaled.Add(int64(n))
-		M.BytesSent.Add(int64(enc.total))
-		err := enc.flush(c.nc)
-		for _, b := range bufs {
-			b.Release()
 		}
 		if err != nil {
-			c.nc.Close() // unblocks the read loop
-			return
+			return err
 		}
+		first = i + 1
 	}
+	return nil
 }
 
 // stallReader is a served connection as its frame reader sees it. The

@@ -1,12 +1,13 @@
 package rpc
 
-// Tests for the server's per-connection handler workers and its lazily
-// armed stall deadline (server.go).
+// Tests for the server's per-connection handler workers, the reply
+// writes they make, and its lazily armed stall deadline (server.go).
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"runtime"
 	"runtime/pprof"
@@ -61,6 +62,9 @@ func TestClosedConnLeavesNoWorker(t *testing.T) {
 	}
 	defer c.Close()
 
+	// A worker of an earlier test's server may have signalled its
+	// server's Close and not yet returned; the count below is exact.
+	waitWorkers(0)
 	const burst = 3 * maxIdleWorkers
 	entered.Add(burst)
 	pend := make([]*Pending, burst)
@@ -86,6 +90,156 @@ func TestClosedConnLeavesNoWorker(t *testing.T) {
 	c.Close()
 	if got := waitWorkers(0); got != 0 {
 		t.Fatalf("%d workers left behind by a closed connection", got)
+	}
+}
+
+// frameCounter counts the frames — vectored writes — made on the
+// connection it wraps.
+type frameCounter struct {
+	net.Conn
+	frames atomic.Int64
+}
+
+func (c *frameCounter) WriteBuffers(b *net.Buffers) (int64, error) {
+	c.frames.Add(1)
+	return c.Conn.(BuffersWriter).WriteBuffers(b)
+}
+
+// TestStalledRepliesShareFrames: replies that finish while the reply
+// write ahead of them is stalled queue behind it instead of waiting to
+// write, and once the stall lifts they leave together in one frame.
+func TestStalledRepliesShareFrames(t *testing.T) {
+	n := netsim.New(netsim.Fast())
+	defer n.Close()
+	l, err := n.Host("srv").Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := n.Host("cli").Dial("srv:rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	sc, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	s := NewServer()
+	s.Handle(mEcho, func(_ context.Context, body []byte) ([]byte, error) { return body, nil })
+	nc := &frameCounter{Conn: sc}
+	c := &serverConn{s: s, nc: nc}
+
+	n.SetLinkFault("srv", "cli", netsim.Fault{Stall: true})
+	const replies = 16
+	returned := make(chan struct{}, replies)
+	for i := 0; i < replies; i++ {
+		body := GetBuf(1)
+		body.Bytes()[0] = byte(i)
+		go func() {
+			c.serve(request{id: uint64(i), method: mEcho, body: body})
+			returned <- struct{}{}
+		}()
+	}
+	// One worker writes and stalls; every other one queues its reply
+	// behind it and returns.
+	for i := 0; i < replies-1; i++ {
+		select {
+		case <-returned:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d workers returned while a reply write was stalled, want %d", i, replies, replies-1)
+		}
+	}
+	n.ClearLinkFault("srv", "cli")
+	<-returned
+
+	fr := newFrameReader(raw)
+	seen := make(map[uint64]bool)
+	for len(seen) < replies {
+		id, status, size, err := fr.readResponseHeader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, size)
+		if _, err := fr.readFull(body); err != nil {
+			t.Fatal(err)
+		}
+		if status != statusOK || !bytes.Equal(body, []byte{byte(id)}) || seen[id] {
+			t.Fatalf("reply %d: status %d, body %x (seen before: %v)", id, status, body, seen[id])
+		}
+		seen[id] = true
+	}
+	if got := nc.frames.Load(); got > 2 {
+		t.Fatalf("%d replies finished during a stalled write left in %d frames, want at most 2", replies, got)
+	}
+}
+
+// failingConn fails every write once fail is set, and leaves the
+// connection open: closing it is the server's job.
+type failingConn struct {
+	net.Conn
+	fail *atomic.Bool
+}
+
+func (c failingConn) WriteBuffers(b *net.Buffers) (int64, error) {
+	if c.fail.Load() {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.(BuffersWriter).WriteBuffers(b)
+}
+
+type failingListener struct {
+	net.Listener
+	fail *atomic.Bool
+}
+
+func (l failingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return failingConn{c, l.fail}, err
+}
+
+// TestFailedWriteLeavesNoWorker: a reply write that fails during a
+// burst of replies closes the connection, so the client's pending calls
+// fail instead of hanging, and no worker of the connection is left
+// behind.
+func TestFailedWriteLeavesNoWorker(t *testing.T) {
+	n := netsim.New(netsim.Fast())
+	defer n.Close()
+	s := NewServer()
+	release := make(chan struct{})
+	var entered sync.WaitGroup
+	s.Handle(mSlow, func(_ context.Context, body []byte) ([]byte, error) {
+		entered.Done()
+		<-release
+		return body, nil
+	})
+	l, err := n.Host("srv").Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fail atomic.Bool
+	s.Start(failingListener{l, &fail})
+	defer s.Close()
+	c := dialTest(t, n, "srv:rpc")
+
+	const burst = 3 * maxIdleWorkers
+	entered.Add(burst)
+	pend := make([]*Pending, burst)
+	for i := range pend {
+		pend[i] = c.Go(context.Background(), mSlow, [][]byte{{byte(i)}}, nil)
+	}
+	entered.Wait()
+	fail.Store(true)
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	for i, p := range pend {
+		if _, err := p.Wait(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: %v, want the connection's failure", i, err)
+		}
+	}
+	if got := waitWorkers(0); got != 0 {
+		t.Fatalf("%d workers left behind by a failed write", got)
 	}
 }
 
@@ -222,7 +376,7 @@ func TestDispatchAllocatesNothing(t *testing.T) {
 	s := NewServer()
 	segs := [][]byte{[]byte("static")}
 	s.HandleSegs(mEcho, func(context.Context, []byte) ([][]byte, []*Buf, error) { return segs, nil, nil })
-	c := &serverConn{s: s, replies: make(chan reply, 1), done: make(chan struct{})}
+	c := &serverConn{s: s, nc: discardConn{}}
 	const runs = 100
 	bodies := make([]*Buf, runs+1)
 	for i := range bodies {
@@ -231,13 +385,17 @@ func TestDispatchAllocatesNothing(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		c.serve(request{id: uint64(i), method: mEcho, body: bodies[i]})
-		<-c.replies
 		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("a dispatch allocates %.1f times, want 0", allocs)
 	}
 }
+
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkServeSmallRequest is the per-request cost of the server: a
 // 64-byte echo over the simulated fabric, one call at a time.
@@ -255,4 +413,35 @@ func BenchmarkServeSmallRequest(b *testing.B) {
 		}
 		p.Release()
 	}
+}
+
+// BenchmarkServeConcurrentRequests is the server's per-request cost when
+// eight callers share one connection: 64-byte echoes over the simulated
+// fabric, whose replies may share frames.
+func BenchmarkServeConcurrentRequests(b *testing.B) {
+	const callers = 8
+	n, addr := newTestServer(b, netsim.Fast())
+	c := dialTest(b, n, addr)
+	ctx := context.Background()
+	var left atomic.Int64
+	left.Store(int64(b.N))
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := make([]byte, 64)
+			for left.Add(-1) >= 0 {
+				p := c.Go(ctx, mEcho, [][]byte{body}, nil)
+				if _, err := p.Wait(ctx); err != nil {
+					b.Error(err)
+					return
+				}
+				p.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package vmanager
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -207,4 +208,103 @@ func TestCommittedLogSeedsPassChecksumGate(t *testing.T) {
 	if accepted == 0 {
 		t.Error("no committed seed decodes past the checksum gate; regenerate the corpus")
 	}
+}
+
+// replicationReq encodes an append or install request.
+func replicationReq(term uint64, leader uint8, seq uint64, rest []byte) []byte {
+	w := wire.NewWriter(17 + len(rest))
+	w.Uint64(term)
+	w.Uint8(leader)
+	w.Uint64(seq)
+	w.Raw(rest)
+	return w.Bytes()
+}
+
+// FuzzVManagerWire feeds arbitrary bodies to the version manager's
+// network decoders that the log and checkpoint fuzzers leave out: the
+// MAssign, MHistory and MVmStatus replies (which = 0, 1, 2), the
+// append/install reply and the MInfo reply (3, 4), and the append and
+// install requests, through their header decoder (5) and through a lone
+// replica's handlers (6, 7). No body panics or sizes an allocation from
+// a count its bytes cannot hold (2^40 and 2^63 counts are seeds), what
+// decodes re-encodes to the bytes it came from, and no request naming a
+// leader outside the shard is accepted (leader 255 is a seed).
+func FuzzVManagerWire(f *testing.F) {
+	ctx := context.Background()
+	r := newLone(f, Config{})
+	blob := newBlob(f, r)
+	a, err := r.AssignVersion(ctx, blob, 7, 0, 2*pageSize, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := r.Commit(ctx, blob, a.Version, false); err != nil {
+		f.Fatal(err)
+	}
+	assign, _ := r.handleAssign(ctx, newAssignReq(blob, 8, pageSize, pageSize, false))
+	history, _ := r.readHandler((*Manager).handleHistory)(ctx, newHistoryReq(blob, 0, 9))
+	status, _ := r.handleVmStatus(ctx, nil)
+	info, _ := r.readHandler((*Manager).handleInfo)(ctx, encodeUint64(blob))
+	records := EncodeLogRecords(sampleRecords())
+	ckpt := r.Manager().Checkpoint()
+	f.Add(uint8(0), assign)
+	f.Add(uint8(1), history)
+	f.Add(uint8(2), status)
+	f.Add(uint8(3), encodeAppendResp(3, 0, 9, respResync))
+	f.Add(uint8(3), encodeAppendResp(3, 255, 9, respRejected))
+	f.Add(uint8(4), info)
+	for _, leader := range []uint8{0, 255} {
+		f.Add(uint8(5), replicationReq(2, leader, 0, records))
+		f.Add(uint8(6), replicationReq(2, leader, 0, records))
+		f.Add(uint8(7), replicationReq(2, leader, 5, ckpt))
+	}
+	for _, n := range []uint64{1 << 40, 1 << 63} {
+		f.Add(uint8(0), binary.AppendUvarint(make([]byte, 16), n))
+		f.Add(uint8(1), binary.AppendUvarint(nil, n))
+	}
+	const peers = 3
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		switch which % 8 {
+		case 0:
+			if a, err := DecodeAssignment(body); err == nil && 3*cap(a.Borders) > len(body) {
+				t.Fatalf("%d borders sized from %d bytes", cap(a.Borders), len(body))
+			}
+		case 1:
+			if h, err := DecodeHistory(body); err == nil && historyRecordBytes*cap(h) > len(body) {
+				t.Fatalf("%d records sized from %d bytes", cap(h), len(body))
+			}
+		case 2:
+			DecodeReplicaStatus(body)
+		case 3:
+			resp, err := decodeAppendResp(body)
+			if err != nil {
+				return
+			}
+			if re := encodeAppendResp(resp.term, resp.leader, resp.logLen, resp.flags); !bytes.Equal(re, body[:len(re)]) {
+				t.Fatalf("reply does not round-trip:\n got %x\nwant %x", re, body[:len(re)])
+			}
+		case 4:
+			decodeBlobInfo(body)
+		case 5:
+			term, leader, seq, rest, err := decodeReplicationReq(body, peers)
+			if err != nil {
+				return
+			}
+			if leader >= peers {
+				t.Fatalf("request naming leader %d of %d accepted", leader, peers)
+			}
+			if re := replicationReq(term, uint8(leader), seq, rest); !bytes.Equal(re, body) {
+				t.Fatalf("request does not round-trip:\n got %x\nwant %x", re, body)
+			}
+		default:
+			lone := newLone(t, Config{})
+			handle := lone.handleVmAppend
+			if which%8 == 7 {
+				handle = lone.handleVmInstall
+			}
+			handle(ctx, body)
+			if st := lone.Status(); st.Leader != 0 {
+				t.Fatalf("a lone replica follows leader %d", st.Leader)
+			}
+		}
+	})
 }

@@ -657,6 +657,7 @@ func (r *Replica) handleAbort(ctx context.Context, body []byte) ([]byte, error) 
 // --- Replication protocol ---
 
 // Append request: term u64, leader u8, prevSeq u64, framed records.
+// Install request: term u64, leader u8, seq u64, checkpoint.
 // Append/install response: term u64, leader u8, logLen u64, flags u8.
 const (
 	respResync   = 1 << 0
@@ -688,6 +689,26 @@ func decodeAppendResp(body []byte) (appendResp, error) {
 		flags:  rd.Uint8(),
 	}
 	return resp, rd.Err()
+}
+
+// decodeReplicationReq parses an append or install request to a shard
+// of peers replicas. A leader index outside the shard makes the request
+// malformed: stored as the leader, it would make the election stagger
+// negative, so the replica campaigned on every tick, and it would be
+// handed to clients as their leader.
+func decodeReplicationReq(body []byte, peers int) (term uint64, leader int, seq uint64, rest []byte, err error) {
+	rd := wire.NewReader(body)
+	term = rd.Uint64()
+	leader = int(rd.Uint8())
+	seq = rd.Uint64()
+	rest = rd.Raw(rd.Remaining())
+	if err := rd.Err(); err != nil {
+		return 0, 0, 0, nil, err
+	}
+	if leader >= peers {
+		return 0, 0, 0, nil, fmt.Errorf("leader index %d outside a shard of %d", leader, peers)
+	}
+	return term, leader, seq, rest, nil
 }
 
 // acceptLeaderLocked runs the term/leader admission shared by append
@@ -728,12 +749,8 @@ func (r *Replica) handleVmAppend(_ context.Context, body []byte) ([]byte, error)
 	if r.netFault.Load() {
 		return nil, unavailableErr("partitioned")
 	}
-	rd := wire.NewReader(body)
-	term := rd.Uint64()
-	leaderIdx := int(rd.Uint8())
-	prevSeq := rd.Uint64()
-	payload := rd.Raw(rd.Remaining())
-	if err := rd.Err(); err != nil {
+	term, leaderIdx, prevSeq, payload, err := decodeReplicationReq(body, len(r.cfg.Peers))
+	if err != nil {
 		return nil, fmt.Errorf("vmanager append: %w", err)
 	}
 	recs, err := DecodeLogRecords(payload)
@@ -828,12 +845,8 @@ func (r *Replica) handleVmInstall(_ context.Context, body []byte) ([]byte, error
 	if r.netFault.Load() {
 		return nil, unavailableErr("partitioned")
 	}
-	rd := wire.NewReader(body)
-	term := rd.Uint64()
-	leaderIdx := int(rd.Uint8())
-	seq := rd.Uint64()
-	ckpt := rd.Raw(rd.Remaining())
-	if err := rd.Err(); err != nil {
+	term, leaderIdx, seq, ckpt, err := decodeReplicationReq(body, len(r.cfg.Peers))
+	if err != nil {
 		return nil, fmt.Errorf("vmanager install: %w", err)
 	}
 
@@ -945,8 +958,8 @@ func (r *Replica) syncPeer(peer int) bool {
 		return false // dead or partitioned peer; heartbeat retries
 	}
 	resp, err := decodeAppendResp(respBody)
-	if err != nil {
-		return false
+	if err != nil || resp.leader >= len(r.cfg.Peers) {
+		return false // a reply naming a leader outside the shard is malformed
 	}
 
 	r.mu.Lock()
@@ -1063,7 +1076,7 @@ func (r *Replica) campaign(startTerm uint64) {
 			if r.term <= st.Term {
 				r.term = st.Term
 				r.role = roleFollower
-				r.leader = st.Index
+				r.leader = j // the replica we asked, whatever index it names
 				r.lastBeat = time.Now()
 			}
 			r.mu.Unlock()

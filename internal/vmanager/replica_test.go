@@ -737,3 +737,18 @@ func TestRepliesNeverReflectUnackedState(t *testing.T) {
 		t.Errorf("acked commit not reported published: MLatest %v, MInfo %v, MVersionInfo %v", l, i, v)
 	}
 }
+
+// TestAppendNamingLeaderOutsideShardIsRejected: an append whose leader
+// index lies outside the shard is malformed, even at a higher term: it
+// fails and leaves the replica's term, role and leader as they were.
+func TestAppendNamingLeaderOutsideShardIsRejected(t *testing.T) {
+	r := newLone(t, Config{})
+	before := r.Status()
+	body := replicationReq(before.Term+1, 1, 0, nil) // a lone replica's shard has index 0 only
+	if _, err := r.handleVmAppend(context.Background(), body); err == nil {
+		t.Fatal("append naming leader 1 of a one-replica shard accepted")
+	}
+	if after := r.Status(); after != before {
+		t.Fatalf("status went from %+v to %+v", before, after)
+	}
+}
