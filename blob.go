@@ -115,7 +115,7 @@ type ClusterConfig = cluster.Config
 type Cluster = cluster.Cluster
 
 // Launch starts an in-process deployment: a version-manager group (one
-// shard of one replica unless configured otherwise), a provider
+// replica unless configured otherwise), a provider
 // manager with metadata directory, and the configured storage nodes,
 // all over the simulated network fabric.
 func Launch(cfg ClusterConfig) (*Cluster, error) {

@@ -26,11 +26,10 @@
 //	blobctl -vm ... -pm ... chaos -provider 2 -delay 500ms
 //	blobctl -vm ... -pm ... chaos -provider 2
 //
-// Against a sharded, replicated version plane (docs/vmanager-group.md)
-// -vm takes the group syntax: semicolon-separated shards,
-// comma-separated replicas — `-vm "h1:4001,h2:4001;h3:4001,h4:4001"`.
-// The vmstatus command prints every replica's role, term and log
-// position.
+// Against a replicated version plane (docs/vmanager-group.md) -vm takes
+// the group's replica addresses comma-separated —
+// `-vm "h1:4001,h2:4001,h3:4001"`. The vmstatus command prints every
+// replica's role, term and log position.
 //
 // The trace command queries every node's span ring buffer (the MSpans
 // RPC, see docs/observability.md) and reassembles one request's
@@ -58,7 +57,7 @@ import (
 )
 
 func main() {
-	vmAddr := flag.String("vm", "127.0.0.1:4001", `version manager address, or a shard group "a,b;c,d" (shards split by ';', replicas by ',')`)
+	vmAddr := flag.String("vm", "127.0.0.1:4001", `version manager address, or its replica group "a,b,c"`)
 	pmAddr := flag.String("pm", "127.0.0.1:4000", "provider manager / metadata directory address")
 	replicas := flag.Int("replicas", 1, "data replication factor for writes")
 	redundancy := flag.String("redundancy", "", `redundancy mode for created blobs: "replicate" or "rs(k,m)" (default: the cluster's advertised mode)`)
@@ -83,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("-redundancy: %v", err)
 	}
-	vmShards, err := vmanager.ParseGroupAddrs(*vmAddr)
+	vmGroup, err := vmanager.ParseGroupAddrs(*vmAddr)
 	if err != nil {
 		log.Fatalf("-vm: %v", err)
 	}
@@ -95,7 +94,7 @@ func main() {
 	ctx := context.Background()
 	client, err := blob.NewClient(ctx, blob.Options{
 		Network:        blob.TCP,
-		VManagerShards: vmShards,
+		VManagerShards: [][]string{vmGroup},
 		PManagerAddr:   *pmAddr,
 		MetaDirAddr:    *pmAddr,
 		DataReplicas:   *replicas,
@@ -124,7 +123,7 @@ func main() {
 			if sp.Parent != 0 {
 				continue
 			}
-			spans := gatherTrace(ctx, client, vmShards, *pmAddr, sp.TraceID, tracer)
+			spans := gatherTrace(ctx, client, vmGroup, *pmAddr, sp.TraceID, tracer)
 			fmt.Fprintf(os.Stderr, "trace %#x (%s): %d spans across %d process(es)\n",
 				sp.TraceID, sp.Name, len(spans), trace.Processes(spans))
 			fmt.Fprint(os.Stderr, trace.FormatTree(trace.BuildTree(spans)))
@@ -334,23 +333,6 @@ func main() {
 			return
 		}
 		fmt.Printf("cluster redundancy: %s\n", client.ClusterRedundancy())
-		if len(vmShards) > 1 || len(vmShards[0]) > 1 {
-			// Sharded version plane: one summary line per shard.
-			for s, shard := range vmShards {
-				lead, term, loglen := -1, uint64(0), uint64(0)
-				for j := range shard {
-					if st, err := client.VersionManager().FetchStatus(ctx, s, j); err == nil && st.IsLeader && (lead < 0 || st.Term > term) {
-						lead, term, loglen = j, st.Term, st.LogLen
-					}
-				}
-				if lead < 0 {
-					fmt.Printf("vmanager shard %d: no leader (%d replicas)\n", s, len(shard))
-				} else {
-					fmt.Printf("vmanager shard %d: leader %s (replica %d, term %d, %d log records)\n",
-						s, shard[lead], lead, term, loglen)
-				}
-			}
-		}
 		fmt.Printf("%-4s %-22s %10s %12s %12s %12s %8s %6s %10s %5s %8s %10s %7s\n",
 			"id", "addr", "pages", "bytes", "capacity", "disk", "segs", "live%", "replayB", "idx",
 			"repairP", "pullB", "pskip")
@@ -401,14 +383,13 @@ func main() {
 
 	case "vmstatus":
 		// Per-replica view of the version plane: role, term and log
-		// position of every shard member. The primary operator check
-		// after a node failure — a shard is healthy when exactly one
+		// position of every group member. The primary operator check
+		// after a node failure — the group is healthy when exactly one
 		// replica leads and the followers' log lengths track it.
 		fs := flag.NewFlagSet("vmstatus", flag.ExitOnError)
 		asJSON := fs.Bool("json", false, "machine-readable output: one JSON document instead of the table")
 		fs.Parse(args)
 		type replicaRow struct {
-			Shard   int    `json:"shard"`
 			Replica int    `json:"replica"`
 			Addr    string `json:"addr"`
 			Role    string `json:"role"`
@@ -420,43 +401,39 @@ func main() {
 		}
 		var rows []replicaRow
 		down := 0
-		for s, shard := range vmShards {
-			for j, addr := range shard {
-				row := replicaRow{Shard: s, Replica: j, Addr: addr}
-				st, err := client.VersionManager().FetchStatus(ctx, s, j)
-				if err != nil {
-					row.Role, row.Error = "down", err.Error()
-					down++
-				} else {
-					row.Role = "follower"
-					if st.IsLeader {
-						row.Role = "leader"
-					}
-					row.Term, row.LogLen, row.LogBase, row.Blobs = st.Term, st.LogLen, st.LogBase, st.Blobs
+		for j, addr := range vmGroup {
+			row := replicaRow{Replica: j, Addr: addr}
+			st, err := client.VersionManager().FetchStatus(ctx, j)
+			if err != nil {
+				row.Role, row.Error = "down", err.Error()
+				down++
+			} else {
+				row.Role = "follower"
+				if st.IsLeader {
+					row.Role = "leader"
 				}
-				rows = append(rows, row)
+				row.Term, row.LogLen, row.LogBase, row.Blobs = st.Term, st.LogLen, st.LogBase, st.Blobs
 			}
+			rows = append(rows, row)
 		}
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(struct {
-				Shards   int          `json:"shards"`
 				Replicas []replicaRow `json:"replicas"`
-			}{Shards: len(vmShards), Replicas: rows}); err != nil {
+			}{Replicas: rows}); err != nil {
 				log.Fatalf("encode: %v", err)
 			}
 		} else {
-			fmt.Printf("version plane: %d shard(s)\n", len(vmShards))
-			fmt.Printf("%-6s %-8s %-22s %-9s %6s %9s %9s %7s\n",
-				"shard", "replica", "addr", "role", "term", "loglen", "logbase", "blobs")
+			fmt.Printf("%-8s %-22s %-9s %6s %9s %9s %7s\n",
+				"replica", "addr", "role", "term", "loglen", "logbase", "blobs")
 			for _, r := range rows {
 				if r.Error != "" {
-					fmt.Printf("%-6d %-8d %-22s %-9s %s\n", r.Shard, r.Replica, r.Addr, r.Role, r.Error)
+					fmt.Printf("%-8d %-22s %-9s %s\n", r.Replica, r.Addr, r.Role, r.Error)
 					continue
 				}
-				fmt.Printf("%-6d %-8d %-22s %-9s %6d %9d %9d %7d\n",
-					r.Shard, r.Replica, r.Addr, r.Role, r.Term, r.LogLen, r.LogBase, r.Blobs)
+				fmt.Printf("%-8d %-22s %-9s %6d %9d %9d %7d\n",
+					r.Replica, r.Addr, r.Role, r.Term, r.LogLen, r.LogBase, r.Blobs)
 			}
 		}
 		if down > 0 {
@@ -516,7 +493,7 @@ func main() {
 		if err != nil || id == 0 {
 			log.Fatalf("trace: bad trace id %q", fs.Arg(0))
 		}
-		spans := gatherTrace(ctx, client, vmShards, *pmAddr, id, nil)
+		spans := gatherTrace(ctx, client, vmGroup, *pmAddr, id, nil)
 		if len(spans) == 0 {
 			log.Fatalf("trace %#x: no spans found — was the operation sampled, and do the rings still hold it?", id)
 		}
@@ -550,16 +527,14 @@ func metaStats(ctx context.Context, client *blob.Client) (map[string]dht.StoreSt
 // invocation itself was traced. Nodes that do not answer (unreachable,
 // or older builds) are noted and skipped; a partial tree is still
 // useful.
-func gatherTrace(ctx context.Context, client *blob.Client, vmShards [][]string, pmAddr string, id uint64, local *trace.Tracer) []trace.Span {
+func gatherTrace(ctx context.Context, client *blob.Client, vmGroup []string, pmAddr string, id uint64, local *trace.Tracer) []trace.Span {
 	var spans []trace.Span
 	if local != nil {
 		spans = append(spans, local.SpansFor(id)...)
 	}
 	addrSet := map[string]bool{pmAddr: true}
-	for _, shard := range vmShards {
-		for _, addr := range shard {
-			addrSet[addr] = true
-		}
+	for _, addr := range vmGroup {
+		addrSet[addr] = true
 	}
 	if provs, err := client.AllProviders(ctx); err == nil {
 		for _, p := range provs {

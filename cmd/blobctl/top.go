@@ -16,8 +16,8 @@ import (
 
 // runTop implements `blobctl -monitor host:port top`: a live refreshing
 // terminal dashboard over the monitor's MCluster snapshot — health
-// verdict with reasons, capacity, the provider and shard tables, and a
-// scrolling cluster event tail (docs/observability.md).
+// verdict with reasons, capacity, the provider table, the version-plane
+// row, and a scrolling cluster event tail (docs/observability.md).
 func runTop(monAddr string, args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	interval := fs.Duration("interval", 2*time.Second, "refresh period")
@@ -139,17 +139,13 @@ func printSnapshot(s monitor.ClusterSnapshot, tail int) {
 				p.ID, p.Addr, state, sizeOf(p.BytesUsed), p.PageCount, p.ActiveOps, p.GetsPerSec, p.PutsPerSec)
 		}
 	}
-	if len(s.Shards) > 0 {
-		fmt.Printf("\n%-6s %-8s %6s %11s %9s %7s\n",
-			"shard", "leader", "term", "reachable", "loglen", "blobs")
-		for _, sh := range s.Shards {
-			leader := "none"
-			if sh.Leader >= 0 {
-				leader = fmt.Sprintf("r%d", sh.Leader)
-			}
-			fmt.Printf("%-6d %-8s %6d %7d/%-3d %9d %7d\n",
-				sh.Shard, leader, sh.Term, sh.Reachable, sh.Replicas, sh.LogLen, sh.Blobs)
+	if vm := s.VM; vm != nil {
+		leader := "none"
+		if vm.Leader >= 0 {
+			leader = fmt.Sprintf("r%d", vm.Leader)
 		}
+		fmt.Printf("\n%-8s %6s %11s %9s %7s\n", "leader", "term", "reachable", "loglen", "blobs")
+		fmt.Printf("%-8s %6d %7d/%-3d %9d %7d\n", leader, vm.Term, vm.Reachable, vm.Replicas, vm.LogLen, vm.Blobs)
 	}
 	if n := len(s.Events); n > 0 && tail > 0 {
 		if n > tail {

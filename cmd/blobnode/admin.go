@@ -13,7 +13,7 @@ import (
 // startAdmin serves the node's observability plane on addr (see
 // docs/observability.md): Prometheus text exposition at /metrics, a
 // readiness probe at /healthz (503 with a reason until the node can
-// actually serve: page store open, shard leader reachable), the runtime
+// actually serve: page store open, group leader reachable), the runtime
 // profiler under /debug/pprof/ (delegated to the default mux the pprof
 // import populates), and — when this node hosts the monitor role — the
 // cluster-wide /cluster/* endpoints.

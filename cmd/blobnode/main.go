@@ -5,22 +5,21 @@
 // provider — maps onto:
 //
 //	# managers (provider manager co-hosts the metadata directory). The
-//	# version plane is always a replica group (docs/vmanager-group.md);
-//	# a bare vmanager role is its smallest form, one shard of one
-//	# RAM-only replica that restarts empty.
+//	# version plane is one replica group (docs/vmanager-group.md); a
+//	# bare vmanager role is its smallest form, one RAM-only replica
+//	# that restarts empty.
 //	blobnode -listen :4000 -roles pmanager
 //	blobnode -listen :4001 -advertise host1:4001 -roles vmanager -pm host0:4000
 //
 //	# optional replica repair agent (docs/replication.md)
 //	blobnode -listen :4002 -roles repairer -pm host0:4000 -vm host1:4001
 //
-//	# or a sharded, replicated version plane: one process per replica,
-//	# each shard a -vpeers group. Replica 0 of shard 0 looks like this;
-//	# vary -vshard/-vreplica/-listen for the rest.
+//	# or a replicated version plane: one process per replica of the
+//	# one -vpeers group. Replica 0 looks like this; vary -vreplica and
+//	# -listen for the rest.
 //	blobnode -listen :4001 -roles vmanager -pm host0:4000 \
-//	         -vshards 2 -vshard 0 -vreplica 0 \
-//	         -vpeers host1:4001,host2:4001,host3:4001
-//	# a crashed replica of a multi-replica shard restarts with the same
+//	         -vreplica 0 -vpeers host1:4001,host2:4001,host3:4001
+//	# a crashed replica of a multi-replica group restarts with the same
 //	# flags plus -vrejoin
 //
 //	# each storage node (add -data-dir for a persistent, crash-recoverable
@@ -30,8 +29,9 @@
 //	         -data-dir /var/lib/blob/pages
 //
 // Clients connect with blob.Options{Network: blob.TCP, VManagerShards:
-// [][]string{{"host1:4001"}}, PManagerAddr: "host0:4000", MetaDirAddr:
-// "host0:4000"}.
+// [][]string{{"host1:4001", "host2:4001", "host3:4001"}}, PManagerAddr:
+// "host0:4000", MetaDirAddr: "host0:4000"}: one entry, the group's
+// replicas.
 package main
 
 import (
@@ -74,21 +74,21 @@ func main() {
 		segSize    = flag.Int64("segment-size", 0, "segment file size for -data-dir in bytes (0 = 4 MiB default)")
 		syncWrites = flag.Bool("sync-writes", false, "fsync every page append to -data-dir")
 		repair     = flag.Duration("repair", 30*time.Second, "version manager dead-writer repair timeout (0 disables)")
-		vshards    = flag.Int("vshards", 1, "total version-manager shard count of the deployment (vmanager role)")
-		vshard     = flag.Int("vshard", 0, "this node's version-manager shard index (vmanager role)")
-		vreplica   = flag.Int("vreplica", 0, "this node's replica index within its shard (vmanager role)")
-		vpeers     = flag.String("vpeers", "", "comma-separated replica addresses of this shard, including this node (vmanager role; default: this node alone, a single-replica shard; docs/vmanager-group.md)")
-		vrejoin    = flag.Bool("vrejoin", false, "this replica is restarting after a crash into a multi-replica shard: boot as a follower and catch up from the incumbent leader")
-		vbeat      = flag.Duration("vheartbeat", 500*time.Millisecond, "shard leader idle append interval (vmanager role)")
+		vshards    = flag.Int("vshards", 1, "compatibility only: must be 1, the version plane is one replica group")
+		vshard     = flag.Int("vshard", 0, "compatibility only: must be 0, the version plane is one replica group")
+		vreplica   = flag.Int("vreplica", 0, "this node's replica index within the version-manager group (vmanager role)")
+		vpeers     = flag.String("vpeers", "", "comma-separated replica addresses of the version-manager group, including this node (vmanager role; default: this node alone, a single-replica group; docs/vmanager-group.md)")
+		vrejoin    = flag.Bool("vrejoin", false, "this replica is restarting after a crash into a multi-replica group: boot as a follower and catch up from the incumbent leader")
+		vbeat      = flag.Duration("vheartbeat", 500*time.Millisecond, "group leader idle append interval (vmanager role)")
 		repairEvr  = flag.Duration("repair-interval", time.Minute, "replica repair sweep period (repairer role)")
-		vmAddr     = flag.String("vm", "", `version manager address, or a shard group "a,b;c,d" (repairer role)`)
+		vmAddr     = flag.String("vm", "", `version manager address, or its replica group "a,b,c" (repairer role)`)
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "data provider heartbeat interval")
 		redundancy = flag.String("redundancy", "replicate", `advertised redundancy mode: "replicate" or "rs(k,m)" (pmanager role; clients adopt it for new blobs)`)
 		adminAddr  = flag.String("admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty disables)")
 		traceEvery = flag.Int("trace-sample", 0, "start a trace for 1-in-N of this process's own root operations (0 starts none, 1 traces everything); spans of traces that reach the node are recorded regardless")
 		slowThresh = flag.Duration("slow-threshold", 0, "log the span tree of client operations slower than this (repairer role; 0 disables)")
 		pollEvery  = flag.Duration("poll", time.Second, "cluster poll interval (monitor role)")
-		watchVM    = flag.String("watch-vm", "", `version-manager shards the monitor polls: replica addresses comma-separated within a shard, shards separated by ";" (monitor role)`)
+		watchVM    = flag.String("watch-vm", "", "comma-separated version-manager replica addresses the monitor polls (monitor role)")
 		watchEvs   = flag.String("watch-events", "", "comma-separated extra addresses the monitor tails MEvents from, e.g. the repairer node (monitor role)")
 	)
 	flag.Parse()
@@ -97,6 +97,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "at least one -roles value is required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *vshards != 1 || *vshard != 0 {
+		log.Fatalf("-vshards %d -vshard %d: the version plane is one replica group (-vshards 1 -vshard 0, or neither)", *vshards, *vshard)
 	}
 	adv := *advertise
 	if adv == "" {
@@ -164,21 +167,15 @@ func main() {
 				cfg.Store = mstore.New(kv, 0)
 			}
 			// One member of the version plane's replica group
-			// (docs/vmanager-group.md). Without -vpeers the shard is this
+			// (docs/vmanager-group.md). Without -vpeers the group is this
 			// node alone.
 			peers := []string{adv}
 			if *vpeers != "" {
-				peers = strings.Split(*vpeers, ",")
-				for i := range peers {
-					peers[i] = strings.TrimSpace(peers[i])
+				if peers, err = vmanager.ParseGroupAddrs(*vpeers); err != nil {
+					log.Fatalf("vmanager: -vpeers: %v", err)
 				}
 			}
-			if *vshard < 0 || *vshard >= *vshards {
-				log.Fatalf("vmanager: -vshard %d out of range for -vshards %d", *vshard, *vshards)
-			}
 			vrep, err = vmanager.NewReplica(vmanager.ReplicaConfig{
-				Shard:     *vshard,
-				Shards:    *vshards,
 				Index:     *vreplica,
 				Peers:     peers,
 				Pool:      pool,
@@ -188,14 +185,14 @@ func main() {
 				Manager:   cfg,
 			})
 			if errors.Is(err, vmanager.ErrLoneRejoin) {
-				log.Fatal("vmanager: -vrejoin needs a multi-replica shard (-vpeers): a lone replica has no leader to catch up from and would never lead; restart it without -vrejoin (it boots empty)")
+				log.Fatal("vmanager: -vrejoin needs a multi-replica group (-vpeers): a lone replica has no leader to catch up from and would never lead; restart it without -vrejoin (it boots empty)")
 			}
 			if err != nil {
 				log.Fatalf("vmanager: %v", err)
 			}
 			vrep.RegisterHandlers(srv)
-			log.Printf("role vmanager replica (shard %d/%d, replica %d of %d, rejoin %v, repair %v)",
-				*vshard, *vshards, *vreplica, len(peers), *vrejoin, *repair)
+			log.Printf("role vmanager replica (replica %d of %d, rejoin %v, repair %v)",
+				*vreplica, len(peers), *vrejoin, *repair)
 
 		case "provider":
 			if *pmAddr == "" {
@@ -241,7 +238,7 @@ func main() {
 			if *repairEvr <= 0 {
 				log.Fatal("repairer role needs -repair-interval > 0")
 			}
-			vmShards, err := vmanager.ParseGroupAddrs(*vmAddr)
+			vmGroup, err := vmanager.ParseGroupAddrs(*vmAddr)
 			if err != nil {
 				log.Fatalf("repairer: -vm: %v", err)
 			}
@@ -253,7 +250,7 @@ func main() {
 			// blobctl events and the monitor rollup (docs/robustness.md).
 			client, err := core.NewClient(ctx, core.Options{
 				Network:        rpc.TCP{},
-				VManagerShards: vmShards,
+				VManagerShards: [][]string{vmGroup},
 				PManagerAddr:   *pmAddr,
 				MetaDirAddr:    *pmAddr,
 				Tracer:         tracer,
@@ -276,10 +273,10 @@ func main() {
 			if *pmAddr == "" {
 				log.Fatal("monitor role needs -pm")
 			}
-			var shards [][]string
+			var vmGroup []string
 			if *watchVM != "" {
 				var err error
-				shards, err = vmanager.ParseGroupAddrs(*watchVM)
+				vmGroup, err = vmanager.ParseGroupAddrs(*watchVM)
 				if err != nil {
 					log.Fatalf("monitor: -watch-vm: %v", err)
 				}
@@ -295,14 +292,14 @@ func main() {
 			mon = monitor.New(monitor.Config{
 				Pool:       pool,
 				PMAddr:     *pmAddr,
-				VMShards:   shards,
+				VMReplicas: vmGroup,
 				EventNodes: extra,
 				Interval:   *pollEvery,
 				Logf:       log.Printf,
 			})
 			mon.RegisterHandlers(srv)
-			log.Printf("role monitor (poll %v, %d vm shards, %d extra event nodes)",
-				*pollEvery, len(shards), len(extra))
+			log.Printf("role monitor (poll %v, %d vm replicas, %d extra event nodes)",
+				*pollEvery, len(vmGroup), len(extra))
 
 		case "metadata":
 			if *pmAddr == "" {
@@ -336,7 +333,7 @@ func main() {
 	if *adminAddr != "" {
 		// Readiness (not liveness): serving goes false the moment
 		// shutdown begins — before the page store closes — and a
-		// vmanager replica is only ready while its shard has a leader
+		// vmanager replica is only ready while its group has a leader
 		// it can route to. The page store itself opened before the RPC
 		// listener, so "serving" also implies "store open".
 		ready := func() (bool, string) {
@@ -346,7 +343,7 @@ func main() {
 			if vrep != nil {
 				st := vrep.Status()
 				if !st.IsLeader && st.Leader < 0 {
-					return false, fmt.Sprintf("vmanager shard %d: no reachable leader", st.Shard)
+					return false, "vmanager group: no reachable leader"
 				}
 			}
 			return true, "ok"

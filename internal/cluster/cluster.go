@@ -1,6 +1,6 @@
 // Package cluster assembles a full deployment of the system inside one
 // process, over the simulated network fabric: a version manager group
-// (one shard of one replica by default), a provider manager (co-hosting
+// (one replica by default), a provider manager (co-hosting
 // the metadata directory), N data providers and M metadata providers —
 // the paper's experimental topology, where each storage node hosts one
 // data provider and one metadata provider and the two managers run on
@@ -85,15 +85,12 @@ type Config struct {
 	// involvement. Provider-to-provider pulls are always served
 	// regardless; the interval only drives the in-process agent.
 	RepairInterval time.Duration
-	// VShards is the number of version-manager shards (default 1) of the
-	// vmanager group (docs/vmanager-group.md): blob ids place onto
-	// shards by ring hash, and each shard is a leader + followers
-	// replica set.
-	VShards int
-	// VReplicas is the replica count per vmanager shard (default 1).
-	// Mutations are acked by a follower quorum before returning.
+	// VReplicas is the replica count of the version plane's vmanager
+	// group (default 1; docs/vmanager-group.md), one leader and its
+	// followers. Mutations are acked by a follower quorum before
+	// returning.
 	VReplicas int
-	// VMHeartbeat is the shard leaders' idle append interval (default
+	// VMHeartbeat is the group leader's idle append interval (default
 	// 25ms — simulation-fast).
 	VMHeartbeat time.Duration
 	// VMElectionTimeout is the base silence before a follower
@@ -142,9 +139,6 @@ func (c *Config) fillDefaults() {
 	if c.MetaReplicas < 1 {
 		c.MetaReplicas = 1
 	}
-	if c.VShards < 1 {
-		c.VShards = 1
-	}
 	if c.VReplicas < 1 {
 		c.VReplicas = 1
 	}
@@ -172,12 +166,12 @@ type Cluster struct {
 	PM  *pmanager.Manager
 	Dir *dht.Directory
 
-	// VMReplicas[s][r] is replica r of vmanager shard s; VMShardAddrs
-	// mirrors it with the replica RPC addresses and VMServers with the
+	// VMReplicas[r] is replica r of the vmanager group; VMAddrs mirrors
+	// it with the replica RPC addresses and VMServers with the
 	// per-replica RPC servers (for kill injection).
-	VMReplicas   [][]*vmanager.Replica
-	VMShardAddrs [][]string
-	VMServers    [][]*rpc.Server
+	VMReplicas []*vmanager.Replica
+	VMAddrs    []string
+	VMServers  []*rpc.Server
 
 	// DataStores holds each data provider's storage backend: in-RAM
 	// provider.Store by default, or a disk-backed (optionally cached)
@@ -337,38 +331,32 @@ func (c *Cluster) vmRepairStore(host *netsim.Host) (vmanager.NodeStore, error) {
 	return mstore.New(kv, 0), nil
 }
 
-// launchVMGroup boots the version plane: VShards x
-// VReplicas Replica processes, each on its own simulated host
-// "vm-s<shard>r<replica>". Peer addresses are deterministic functions of
-// the shard layout, so every replica knows its shard-mates up front and
-// a restarted replica comes back at the same address
+// launchVMGroup boots the version plane: VReplicas Replica processes,
+// each on its own simulated host "vm-r<replica>". Peer addresses are
+// deterministic, so every replica knows its group-mates up front and a
+// restarted replica comes back at the same address
 // (docs/vmanager-group.md).
 func (c *Cluster) launchVMGroup() error {
-	c.VMReplicas = make([][]*vmanager.Replica, c.cfg.VShards)
-	c.VMShardAddrs = make([][]string, c.cfg.VShards)
-	c.VMServers = make([][]*rpc.Server, c.cfg.VShards)
-	for s := 0; s < c.cfg.VShards; s++ {
-		peers := make([]string, c.cfg.VReplicas)
-		for j := range peers {
-			peers[j] = fmt.Sprintf("vm-s%dr%d:rpc", s, j)
-		}
-		c.VMShardAddrs[s] = peers
-		c.VMReplicas[s] = make([]*vmanager.Replica, c.cfg.VReplicas)
-		c.VMServers[s] = make([]*rpc.Server, c.cfg.VReplicas)
-		for j := 0; j < c.cfg.VReplicas; j++ {
-			if err := c.startVMReplica(s, j, false); err != nil {
-				return err
-			}
+	n := c.cfg.VReplicas
+	c.VMReplicas = make([]*vmanager.Replica, n)
+	c.VMServers = make([]*rpc.Server, n)
+	c.VMAddrs = make([]string, n)
+	for j := range c.VMAddrs {
+		c.VMAddrs[j] = fmt.Sprintf("vm-r%d:rpc", j)
+	}
+	for j := range n {
+		if err := c.startVMReplica(j, false); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// startVMReplica builds and serves replica j of vmanager shard s on its
-// dedicated host. Used at launch (rejoin=false) and by RestartVMReplica
+// startVMReplica builds and serves vmanager replica j on its dedicated
+// host. Used at launch (rejoin=false) and by RestartVMReplica
 // (rejoin=true: the replica boots follower even at index 0).
-func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
-	host := c.fab.Host(fmt.Sprintf("vm-s%dr%d", s, j))
+func (c *Cluster) startVMReplica(j int, rejoin bool) error {
+	host := c.fab.Host(fmt.Sprintf("vm-r%d", j))
 	repairStore, err := c.vmRepairStore(host)
 	if err != nil {
 		return err
@@ -379,10 +367,8 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 	rec := c.newRecorder(host.Name() + ":rpc")
 	pool.SetTracer(rec)
 	rep, err := vmanager.NewReplica(vmanager.ReplicaConfig{
-		Shard:           s,
-		Shards:          c.cfg.VShards,
 		Index:           j,
-		Peers:           c.VMShardAddrs[s],
+		Peers:           c.VMAddrs,
 		Pool:            pool,
 		Heartbeat:       c.cfg.VMHeartbeat,
 		ElectionTimeout: c.cfg.VMElectionTimeout,
@@ -403,8 +389,8 @@ func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
 		return err
 	}
 	c.svcMu.Lock()
-	c.VMReplicas[s][j] = rep
-	c.VMServers[s][j] = srv
+	c.VMReplicas[j] = rep
+	c.VMServers[j] = srv
 	c.svcMu.Unlock()
 	return nil
 }
@@ -506,8 +492,8 @@ func Launch(cfg Config) (*Cluster, error) {
 		c.MetaServers = append(c.MetaServers, srv)
 	}
 
-	// Version plane: VShards x VReplicas Replica processes on their own
-	// nodes, each with its own repair-path metadata client.
+	// Version plane: VReplicas Replica processes on their own nodes,
+	// each with its own repair-path metadata client.
 	if err := c.launchVMGroup(); err != nil {
 		c.Shutdown()
 		return nil, err
@@ -556,7 +542,7 @@ func Launch(cfg Config) (*Cluster, error) {
 		c.Mon = monitor.New(monitor.Config{
 			Pool:       c.newPool(c.fab.Host("monitor")),
 			PMAddr:     c.PMAddr,
-			VMShards:   c.VMShardAddrs,
+			VMReplicas: c.VMAddrs,
 			EventNodes: eventNodes,
 			Interval:   cfg.MonitorInterval,
 		})
@@ -633,7 +619,7 @@ func closeOnce(ch chan struct{}) {
 func (c *Cluster) ClientOptions(hostName string) core.Options {
 	return core.Options{
 		Network:        hostDialer{c.fab.Host(hostName)},
-		VManagerShards: c.VMShardAddrs,
+		VManagerShards: [][]string{c.VMAddrs},
 		PManagerAddr:   c.PMAddr,
 		MetaDirAddr:    c.DirAddr,
 		DataReplicas:   c.cfg.DataReplicas,
@@ -737,13 +723,11 @@ func (c *Cluster) Shutdown() {
 	for _, stop := range c.hbProvStop {
 		closeOnce(stop)
 	}
-	replicas := append([][]*vmanager.Replica(nil), c.VMReplicas...)
+	replicas := append([]*vmanager.Replica(nil), c.VMReplicas...)
 	c.svcMu.Unlock()
-	for _, shard := range replicas {
-		for _, rep := range shard {
-			if rep != nil {
-				rep.Close()
-			}
+	for _, rep := range replicas {
+		if rep != nil {
+			rep.Close()
 		}
 	}
 	c.svcMu.RLock()

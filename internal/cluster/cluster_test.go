@@ -37,7 +37,7 @@ func TestLaunchDefaultsAndShutdown(t *testing.T) {
 	if len(cl.DataStores) != 4 || len(cl.MetaStores) != 4 {
 		t.Errorf("defaults: %d data, %d meta providers", len(cl.DataStores), len(cl.MetaStores))
 	}
-	if len(cl.VMShardAddrs) == 0 || cl.PMAddr == "" {
+	if len(cl.VMAddrs) == 0 || cl.PMAddr == "" {
 		t.Error("manager addresses empty")
 	}
 	cl.Shutdown()
@@ -47,7 +47,7 @@ func TestLaunchDefaultsAndShutdown(t *testing.T) {
 
 // TestDefaultClusterIsOneByOneGroup: the version plane has one mode. A
 // config that asks for nothing gets the smallest replica group — one
-// shard of one replica, leading from boot — and the monitor watches it
+// replica, leading from boot — and the monitor watches it
 // like any other group. A lone replica restarts as a cold boot: it leads
 // again at once, with its RAM-only state gone.
 func TestDefaultClusterIsOneByOneGroup(t *testing.T) {
@@ -56,15 +56,15 @@ func TestDefaultClusterIsOneByOneGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Shutdown()
-	if len(cl.VMShardAddrs) != 1 || len(cl.VMShardAddrs[0]) != 1 {
-		t.Fatalf("VMShardAddrs = %v, want 1x1", cl.VMShardAddrs)
+	if len(cl.VMAddrs) != 1 {
+		t.Fatalf("VMAddrs = %v, want one replica", cl.VMAddrs)
 	}
-	if l := cl.WaitVMLeader(0, -1, 0); l != 0 {
-		t.Fatalf("shard 0 leader at boot = %d, want 0 without waiting", l)
+	if l := cl.WaitVMLeader(-1, 0); l != 0 {
+		t.Fatalf("leader at boot = %d, want 0 without waiting", l)
 	}
 	snap := waitHealth(t, cl, monitor.HealthGreen, nil, 5*time.Second)
-	if len(snap.Shards) != 1 || snap.Shards[0].Leader != 0 || snap.Shards[0].Replicas != 1 || snap.Shards[0].Reachable != 1 {
-		t.Fatalf("monitor shards = %+v, want one shard led by its one replica", snap.Shards)
+	if snap.VM == nil || snap.VM.Leader != 0 || snap.VM.Replicas != 1 || snap.VM.Reachable != 1 {
+		t.Fatalf("monitor version plane = %+v, want a group led by its one replica", snap.VM)
 	}
 
 	ctx := context.Background()
@@ -77,17 +77,17 @@ func TestDefaultClusterIsOneByOneGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.KillVMReplica(0, 0); err != nil {
+	if err := cl.KillVMReplica(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.RestartVMReplica(0, 0); err != nil {
+	if err := cl.RestartVMReplica(0); err != nil {
 		t.Fatal(err)
 	}
-	if l := cl.WaitVMLeader(0, -1, 0); l != 0 {
+	if l := cl.WaitVMLeader(-1, 0); l != 0 {
 		t.Fatalf("restarted lone replica does not lead (leader %d)", l)
 	}
 	if _, err := c.OpenBlob(ctx, b.ID()); err == nil {
-		t.Error("blob survived the restart of a RAM-only single-replica shard")
+		t.Error("blob survived the restart of a RAM-only single-replica group")
 	}
 }
 

@@ -22,29 +22,26 @@ import (
 	"blob/internal/vmanager"
 )
 
-// VMReplica returns replica j of vmanager shard s, or nil after
-// KillVMReplica (until RestartVMReplica brings it back).
-func (c *Cluster) VMReplica(s, j int) *vmanager.Replica {
+// VMReplica returns vmanager replica j, or nil after KillVMReplica
+// (until RestartVMReplica brings it back).
+func (c *Cluster) VMReplica(j int) *vmanager.Replica {
 	c.svcMu.RLock()
 	defer c.svcMu.RUnlock()
-	if s < 0 || s >= len(c.VMReplicas) || j < 0 || j >= len(c.VMReplicas[s]) {
+	if j < 0 || j >= len(c.VMReplicas) {
 		return nil
 	}
-	return c.VMReplicas[s][j]
+	return c.VMReplicas[j]
 }
 
-// VMShardLeader polls the live replicas of shard s and returns the index
-// of the one currently claiming leadership, or -1 if none does. When
+// VMLeader polls the live vmanager replicas and returns the index of
+// the one currently claiming leadership, or -1 if none does. When
 // several claim (a partitioned stale leader plus its replacement), the
 // highest term wins.
-func (c *Cluster) VMShardLeader(s int) int {
+func (c *Cluster) VMLeader() int {
 	c.svcMu.RLock()
 	defer c.svcMu.RUnlock()
-	if s < 0 || s >= len(c.VMReplicas) {
-		return -1
-	}
 	best, bestTerm := -1, uint64(0)
-	for j, rep := range c.VMReplicas[s] {
+	for j, rep := range c.VMReplicas {
 		if rep == nil {
 			continue
 		}
@@ -55,19 +52,19 @@ func (c *Cluster) VMShardLeader(s int) int {
 	return best
 }
 
-// KillVMReplica crash-stops replica j of shard s: its RPC server closes
+// KillVMReplica crash-stops vmanager replica j: its RPC server closes
 // (in-flight and future connections die) and the replica process stops.
 // All in-memory version state is lost — exactly a node crash. Restart
 // with RestartVMReplica. No-op if already killed.
-func (c *Cluster) KillVMReplica(s, j int) error {
+func (c *Cluster) KillVMReplica(j int) error {
 	c.svcMu.Lock()
-	if s < 0 || s >= len(c.VMReplicas) || j < 0 || j >= len(c.VMReplicas[s]) {
+	if j < 0 || j >= len(c.VMReplicas) {
 		c.svcMu.Unlock()
-		return fmt.Errorf("cluster: no vmanager replica s%dr%d", s, j)
+		return fmt.Errorf("cluster: no vmanager replica %d", j)
 	}
-	rep, srv := c.VMReplicas[s][j], c.VMServers[s][j]
-	c.VMReplicas[s][j] = nil
-	c.VMServers[s][j] = nil
+	rep, srv := c.VMReplicas[j], c.VMServers[j]
+	c.VMReplicas[j] = nil
+	c.VMServers[j] = nil
 	c.svcMu.Unlock()
 	if srv != nil {
 		srv.Close()
@@ -80,39 +77,36 @@ func (c *Cluster) KillVMReplica(s, j int) error {
 
 // RestartVMReplica relaunches a killed replica at its original address
 // with empty state. It rejoins as a follower and catches up by snapshot
-// install from the current leader — except in a single-replica shard,
+// install from the current leader — except in a single-replica group,
 // which has no incumbent: there the replica cold-boots as leader, and
-// the shard's version state is gone (RAM-only, as in the paper).
-func (c *Cluster) RestartVMReplica(s, j int) error {
+// the version state is gone (RAM-only, as in the paper).
+func (c *Cluster) RestartVMReplica(j int) error {
 	c.svcMu.RLock()
-	ok := s >= 0 && s < len(c.VMReplicas) && j >= 0 && j < len(c.VMReplicas[s])
-	var running bool
-	if ok {
-		running = c.VMReplicas[s][j] != nil
-	}
+	ok := j >= 0 && j < len(c.VMReplicas)
+	running := ok && c.VMReplicas[j] != nil
 	c.svcMu.RUnlock()
 	if !ok {
-		return fmt.Errorf("cluster: no vmanager replica s%dr%d", s, j)
+		return fmt.Errorf("cluster: no vmanager replica %d", j)
 	}
 	if running {
-		return fmt.Errorf("cluster: vmanager replica s%dr%d still running", s, j)
+		return fmt.Errorf("cluster: vmanager replica %d still running", j)
 	}
-	return c.startVMReplica(s, j, c.cfg.VReplicas > 1)
+	return c.startVMReplica(j, c.cfg.VReplicas > 1)
 }
 
-// PartitionVMReplica cuts replica j of shard s off from the network in
+// PartitionVMReplica cuts vmanager replica j off from the network in
 // both directions without stopping it — it keeps running (and a
 // partitioned leader keeps believing it leads until it fails to reach a
 // quorum). Heal with HealVMReplica.
-func (c *Cluster) PartitionVMReplica(s, j int) {
-	if rep := c.VMReplica(s, j); rep != nil {
+func (c *Cluster) PartitionVMReplica(j int) {
+	if rep := c.VMReplica(j); rep != nil {
 		rep.SetNetFault(true)
 	}
 }
 
 // HealVMReplica reconnects a partitioned replica.
-func (c *Cluster) HealVMReplica(s, j int) {
-	if rep := c.VMReplica(s, j); rep != nil {
+func (c *Cluster) HealVMReplica(j int) {
+	if rep := c.VMReplica(j); rep != nil {
 		rep.SetNetFault(false)
 	}
 }
@@ -170,14 +164,14 @@ func (c *Cluster) FlakyLink(from, to string, p float64) {
 // vmanager partitions — those are process-level, see HealVMReplica).
 func (c *Cluster) Heal() { c.fab.Heal() }
 
-// WaitVMLeader blocks until shard s has a replica claiming leadership
-// whose index differs from `not` (pass -1 to accept any), returning the
-// leader index, or -1 on timeout. The usual call after killing a leader:
-// WaitVMLeader(shard, killed, timeout).
-func (c *Cluster) WaitVMLeader(s, not int, timeout time.Duration) int {
+// WaitVMLeader blocks until a vmanager replica whose index differs from
+// `not` (pass -1 to accept any) claims leadership, returning the leader
+// index, or -1 on timeout. The usual call after killing a leader:
+// WaitVMLeader(killed, timeout).
+func (c *Cluster) WaitVMLeader(not int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
-		if l := c.VMShardLeader(s); l >= 0 && l != not {
+		if l := c.VMLeader(); l >= 0 && l != not {
 			return l
 		}
 		if time.Now().After(deadline) {

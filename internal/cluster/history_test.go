@@ -22,10 +22,9 @@ func TestHistoricalReadsSurviveVMLogTruncation(t *testing.T) {
 	cl, err := launch(t, cluster.Config{
 		DataProviders: 4,
 		MetaProviders: 4,
-		VShards:       2,
 		VReplicas:     2,
 		// Far below the 40 publishes issued here, forcing repeated
-		// half-drop truncations at the shard leader while history builds.
+		// half-drop truncations at the group leader while history builds.
 		VMMaxLogRecords: 8,
 	})
 	if err != nil {

@@ -139,14 +139,13 @@ func TestMonitorKillProviderDrill(t *testing.T) {
 
 // TestMonitorSnapshotRPC smoke-tests the federated plane end to end
 // inside netsim: the embedded monitor's rollup reflects the deployment
-// (providers, shard leaders) and the event journals feed its tail.
+// (providers, the vmanager leader) and the event journals feed its tail.
 func TestMonitorSnapshotRPC(t *testing.T) {
 	cl, err := launch(t, cluster.Config{
 		DataProviders:     2,
 		MetaProviders:     2,
 		DataReplicas:      2,
 		HeartbeatInterval: 10 * time.Millisecond,
-		VShards:           2,
 		VReplicas:         3,
 		VMHeartbeat:       20 * time.Millisecond,
 		Monitor:           true,
@@ -158,15 +157,7 @@ func TestMonitorSnapshotRPC(t *testing.T) {
 	defer cl.Shutdown()
 
 	snap := waitHealth(t, cl, monitor.HealthGreen, func(s monitor.ClusterSnapshot) bool {
-		if len(s.Providers) != 2 || len(s.Shards) != 2 {
-			return false
-		}
-		for _, sh := range s.Shards {
-			if sh.Leader < 0 || sh.Reachable != 3 {
-				return false
-			}
-		}
-		return true
+		return len(s.Providers) == 2 && s.VM != nil && s.VM.Leader >= 0 && s.VM.Reachable == 3
 	}, 10*time.Second)
 	// The pm journal's registration events must have reached the
 	// monitor's merged tail (a clean boot elects nobody — replica 0

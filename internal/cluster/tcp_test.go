@@ -19,8 +19,8 @@ import (
 // tcpDeployment wires every service over genuine TCP loopback sockets,
 // built by the role constructors cmd/blobnode uses (provider.Open,
 // mstore.NewProvider, vmanager.NewReplica): a provider manager
-// co-hosting the metadata directory, a one-shard one-replica
-// version-manager group (what a bare `blobnode -roles vmanager` boots)
+// co-hosting the metadata directory, a one-replica version-manager
+// group (what a bare `blobnode -roles vmanager` boots)
 // and three storage nodes each hosting a RAM-only data provider and a
 // metadata provider. It returns the options a client connects with.
 func tcpDeployment(t *testing.T) core.Options {

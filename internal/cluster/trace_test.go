@@ -84,7 +84,7 @@ func tracedWriteSpans(t *testing.T, cfg Config) {
 
 	// The same spans are reachable over the wire the way blobctl trace
 	// gathers them: every node serves its ring via the MSpans RPC.
-	resp, err := cl.Pool().Call(ctx, c.VMShardAddrs[0][0], trace.MSpans, trace.EncodeSpansQuery(traceID))
+	resp, err := cl.Pool().Call(ctx, c.VMAddrs[0], trace.MSpans, trace.EncodeSpansQuery(traceID))
 	if err != nil {
 		t.Fatalf("MSpans on vmanager: %v", err)
 	}

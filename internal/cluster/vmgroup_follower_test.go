@@ -9,15 +9,15 @@ import (
 )
 
 // TestVMGroupFollowerLossOrphanRepair covers the quorum-loss wedge on a
-// shard whose leader never changes: with n=2 the follower's death
-// blocks appends, a write that times out against the blocked shard
+// group whose leader never changes: with n=2 the follower's death
+// blocks appends, a write that times out against the blocked group
 // leaves an assigned-but-never-committed version, and once the
 // follower rejoins the STANDING leader's repair scan — not a
 // promotion-time RepairOrphans — must fill the orphan so publication
 // advances again. Regression test for the operator drill in
 // docs/vmanager-group.md §7.
 func TestVMGroupFollowerLossOrphanRepair(t *testing.T) {
-	cfg := vmGroupConfig(1, 2)
+	cfg := vmGroupConfig(2)
 	cfg.RepairTimeout = 100 * time.Millisecond
 	cfg.Net = netsim.Fast()
 	c, err := launch(t, cfg)
@@ -31,8 +31,10 @@ func TestVMGroupFollowerLossOrphanRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := blobPerShard(t, ctx, cl, 1)
-	b := blobs[0]
+	b, err := cl.CreateBlob(ctx, pageSize, 16*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	data := make([]byte, b.PageSize())
 	for i := range data {
@@ -48,7 +50,7 @@ func TestVMGroupFollowerLossOrphanRepair(t *testing.T) {
 
 	// Kill the follower: the strict n=2 quorum is gone, so the next
 	// write's assign cannot be acked and must fail/expire cleanly.
-	c.KillVMReplica(0, 1)
+	c.KillVMReplica(1)
 	wctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
 	if _, err := b.Write(wctx, data, 0); err == nil {
 		cancel()
@@ -59,7 +61,7 @@ func TestVMGroupFollowerLossOrphanRepair(t *testing.T) {
 	// Rejoin the follower. The standing leader (term unchanged, no
 	// promotion) must repair the orphaned assign via its scan loop and
 	// publication must advance for new writes.
-	if err := c.RestartVMReplica(0, 1); err != nil {
+	if err := c.RestartVMReplica(1); err != nil {
 		t.Fatal(err)
 	}
 	wctx2, cancel2 := context.WithTimeout(ctx, 15*time.Second)
@@ -74,8 +76,8 @@ func TestVMGroupFollowerLossOrphanRepair(t *testing.T) {
 
 	// The wedged write's version must be resolved (aborted/repaired),
 	// never half-pending: Latest reflects the newest real write.
-	lead := c.VMShardLeader(0)
-	latest, _, err := c.VMReplica(0, lead).Manager().Latest(b.ID())
+	lead := c.VMLeader()
+	latest, _, err := c.VMReplica(lead).Manager().Latest(b.ID())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package cluster_test
 
-// Live-TCP variant of the vmanager-group fault tests: a 1-shard,
-// 3-replica group on genuine loopback sockets (the deployment mode of
-// cmd/blobnode), with a leader crash, handoff, and a
-// Rejoin-restart at the original address. The netsim variants in
-// vmgroup_test.go cover the storm and partition matrix; this one proves
-// the protocol holds on a real network stack.
+// Live-TCP variant of the vmanager-group fault tests: a 3-replica group
+// on genuine loopback sockets (the deployment mode of cmd/blobnode),
+// with a leader crash, handoff, and a Rejoin-restart at the original
+// address. The netsim variants in vmgroup_test.go cover the storm and
+// partition tests; this one proves the protocol holds on a real network
+// stack.
 
 import (
 	"context"
@@ -41,7 +41,7 @@ func TestVMGroupRealTCP(t *testing.T) {
 		pool := rpc.NewPool(rpc.TCP{})
 		t.Cleanup(pool.Close)
 		rep, err := vmanager.NewReplica(vmanager.ReplicaConfig{
-			Shard: 0, Shards: 1, Index: j,
+			Index:           j,
 			Peers:           addrs,
 			Pool:            pool,
 			Heartbeat:       5 * time.Millisecond,
@@ -98,7 +98,7 @@ func TestVMGroupRealTCP(t *testing.T) {
 	ctx := context.Background()
 	cpool := rpc.NewPool(rpc.TCP{})
 	defer cpool.Close()
-	g := vmanager.NewGroupClient(cpool, [][]string{addrs})
+	g := vmanager.NewGroupClient(cpool, addrs)
 
 	blob, err := g.CreateBlob(ctx, pageSize, 16*pageSize, erasure.Redundancy{})
 	if err != nil {

@@ -1,10 +1,10 @@
 package cluster_test
 
-// Fault-injection tests for the sharded, replicated version plane
-// (docs/vmanager-group.md). The marquee scenario: kill one shard's
-// leader in the middle of a publish storm and prove that (a) the other
-// shards never stall, (b) the killed shard resumes under a new leader,
-// and (c) no acked publish is ever lost.
+// Fault-injection tests for the replicated version plane
+// (docs/vmanager-group.md). The marquee scenario: kill the group's
+// leader in the middle of a publish storm and prove that (a) every
+// writer resumes under a new leader, and (b) no acked publish is ever
+// lost.
 
 import (
 	"bytes"
@@ -22,49 +22,41 @@ import (
 	"blob/internal/vmanager"
 )
 
-// vmGroupConfig returns a cluster config for a VShards x VReplicas
-// version plane with election timings fast enough for test-scale
+// vmGroupConfig returns a cluster config for a version plane of the
+// given replica count with election timings fast enough for test-scale
 // failovers.
-func vmGroupConfig(shards, replicas int) cluster.Config {
+func vmGroupConfig(replicas int) cluster.Config {
 	return cluster.Config{
 		DataProviders: 3, MetaProviders: 3,
-		VShards: shards, VReplicas: replicas,
+		VReplicas:         replicas,
 		VMHeartbeat:       4 * time.Millisecond,
 		VMElectionTimeout: 30 * time.Millisecond,
 	}
 }
 
-// blobPerShard creates blobs until every vmanager shard owns at least
-// one, returning one open blob per shard (indexed by shard).
-func blobPerShard(t *testing.T, ctx context.Context, c *core.Client, shards int) []*core.Blob {
+// createBlobs creates n blobs of 16 pages each.
+func createBlobs(t *testing.T, ctx context.Context, c *core.Client, n int) []*core.Blob {
 	t.Helper()
-	blobs := make([]*core.Blob, shards)
-	covered := 0
-	for i := 0; i < 16*shards && covered < shards; i++ {
+	blobs := make([]*core.Blob, n)
+	for i := range blobs {
 		b, err := c.CreateBlob(ctx, pageSize, 16*pageSize)
 		if err != nil {
 			t.Fatalf("create blob %d: %v", i, err)
 		}
-		if s := vmanager.ShardOf(shards, b.ID()); blobs[s] == nil {
-			blobs[s] = b
-			covered++
-		}
-	}
-	if covered < shards {
-		t.Fatalf("only %d of %d shards own a blob", covered, shards)
+		blobs[i] = b
 	}
 	return blobs
 }
 
-// TestVMGroupKillLeaderMidStorm runs a concurrent publish storm across a
-// 3-shard x 3-replica version plane through the full client stack (data
-// pages, metadata, version commits), kills shard 0's leader mid-storm,
-// and asserts the three fault-tolerance claims the design document
-// makes: unaffected shards keep publishing throughout the outage, the
-// killed shard elects a new leader and resumes, and every write the
-// storm saw acked is still published afterwards.
+// TestVMGroupKillLeaderMidStorm runs a concurrent publish storm, one
+// writer on each of three blobs, against a 3-replica version plane
+// through the full client stack (data pages, metadata, version
+// commits), kills the group's leader mid-storm, and asserts the
+// fault-tolerance claims the design document makes: the group elects a
+// new leader, every writer resumes, and every write the storm saw acked
+// is still published afterwards.
 func TestVMGroupKillLeaderMidStorm(t *testing.T) {
-	cfg := vmGroupConfig(3, 3)
+	cfg := vmGroupConfig(3)
 	// Repair must be armed: a writer whose commit response is lost in
 	// the crash leaves a pending version that would otherwise block the
 	// publish chain forever.
@@ -81,9 +73,9 @@ func TestVMGroupKillLeaderMidStorm(t *testing.T) {
 	}
 	defer c.Close()
 
-	blobs := blobPerShard(t, ctx, c, 3)
+	blobs := createBlobs(t, ctx, c, 3)
 
-	// One writer per shard. Each records the versions its writes were
+	// One writer per blob. Each records the versions its writes were
 	// acked at; acked slices are read only after the writers exit.
 	var (
 		stop  = make(chan struct{})
@@ -91,11 +83,11 @@ func TestVMGroupKillLeaderMidStorm(t *testing.T) {
 		succ  [3]atomic.Uint64
 		acked [3][]meta.Version
 	)
-	for s := 0; s < 3; s++ {
+	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(s int) {
+		go func(w int) {
 			defer wg.Done()
-			payload := bytes.Repeat([]byte{byte(s + 1)}, pageSize)
+			payload := bytes.Repeat([]byte{byte(w + 1)}, pageSize)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -103,134 +95,131 @@ func TestVMGroupKillLeaderMidStorm(t *testing.T) {
 				default:
 				}
 				wctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-				v, err := blobs[s].Write(wctx, payload, uint64(i%4)*pageSize)
+				v, err := blobs[w].Write(wctx, payload, uint64(i%4)*pageSize)
 				cancel()
 				if err == nil {
-					acked[s] = append(acked[s], v)
-					succ[s].Add(1)
+					acked[w] = append(acked[w], v)
+					succ[w].Add(1)
 				}
 			}
-		}(s)
+		}(w)
 	}
-	waitCount := func(s int, min uint64, d time.Duration) {
+	waitCount := func(w int, min uint64, d time.Duration) {
 		t.Helper()
 		deadline := time.Now().Add(d)
-		for succ[s].Load() < min {
+		for succ[w].Load() < min {
 			if time.Now().After(deadline) {
-				t.Fatalf("shard %d: stuck at %d acked writes, want >= %d", s, succ[s].Load(), min)
+				t.Fatalf("writer %d: stuck at %d acked writes, want >= %d", w, succ[w].Load(), min)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// Warm up: every shard must be publishing before the fault.
-	for s := 0; s < 3; s++ {
-		waitCount(s, 5, 10*time.Second)
+	// Warm up: every writer must be publishing before the fault.
+	for w := 0; w < 3; w++ {
+		waitCount(w, 5, 10*time.Second)
 	}
 
-	// Crash shard 0's leader mid-storm.
-	leader := cl.VMShardLeader(0)
+	// Crash the leader mid-storm.
+	leader := cl.VMLeader()
 	if leader < 0 {
-		t.Fatal("shard 0 has no leader")
+		t.Fatal("the group has no leader")
 	}
 	before0, before1, before2 := succ[0].Load(), succ[1].Load(), succ[2].Load()
-	if err := cl.KillVMReplica(0, leader); err != nil {
+	if err := cl.KillVMReplica(leader); err != nil {
 		t.Fatal(err)
 	}
 
-	// The unaffected shards never stall: they make progress during the
-	// outage window, before shard 0 has recovered.
+	// The group hands off and every writer resumes.
+	newLeader := cl.WaitVMLeader(leader, 10*time.Second)
+	if newLeader < 0 {
+		t.Fatal("the group elected no new leader")
+	}
+	if newLeader == leader {
+		t.Fatalf("dead replica %d still leads", leader)
+	}
+	waitCount(0, before0+5, 10*time.Second)
 	waitCount(1, before1+5, 10*time.Second)
 	waitCount(2, before2+5, 10*time.Second)
 
-	// The killed shard hands off and resumes.
-	newLeader := cl.WaitVMLeader(0, leader, 10*time.Second)
-	if newLeader < 0 {
-		t.Fatal("shard 0 elected no new leader")
-	}
-	if newLeader == leader {
-		t.Fatalf("dead replica %d still leads shard 0", leader)
-	}
-	waitCount(0, before0+5, 10*time.Second)
-
 	// The crashed replica rejoins and catches up from the new leader.
-	if err := cl.RestartVMReplica(0, leader); err != nil {
+	if err := cl.RestartVMReplica(leader); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
 
-	// Zero acked-publish loss: for every shard, the latest published
+	// Zero acked-publish loss: for every blob, the latest published
 	// version reaches the storm's high-water mark (repair may first have
 	// to clear a crash-orphaned pending version), and every acked write
 	// sits in the history, not aborted.
-	for s := 0; s < 3; s++ {
-		if len(acked[s]) == 0 {
-			t.Fatalf("shard %d: no acked writes", s)
+	for w := 0; w < 3; w++ {
+		if len(acked[w]) == 0 {
+			t.Fatalf("writer %d: no acked writes", w)
 		}
-		max := acked[s][0]
-		for _, v := range acked[s] {
+		max := acked[w][0]
+		for _, v := range acked[w] {
 			if v > max {
 				max = v
 			}
 		}
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			v, _, err := blobs[s].Latest(ctx)
+			v, _, err := blobs[w].Latest(ctx)
 			if err == nil && v >= max {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("shard %d: latest %v (err %v) never reached acked v%d", s, v, err, max)
+				t.Fatalf("writer %d: latest %v (err %v) never reached acked v%d", w, v, err, max)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		hist, err := c.VersionManager().History(ctx, blobs[s].ID(), 0, ^uint64(0))
+		hist, err := c.VersionManager().History(ctx, blobs[w].ID(), 0, ^uint64(0))
 		if err != nil {
-			t.Fatalf("shard %d history: %v", s, err)
+			t.Fatalf("writer %d history: %v", w, err)
 		}
 		byVersion := make(map[meta.Version]vmanager.WriteRecord, len(hist))
 		for _, rec := range hist {
 			byVersion[rec.Version] = rec
 		}
-		for _, v := range acked[s] {
+		for _, v := range acked[w] {
 			rec, ok := byVersion[v]
 			if !ok {
-				t.Errorf("shard %d: acked v%d missing from history", s, v)
+				t.Errorf("writer %d: acked v%d missing from history", w, v)
 			} else if rec.Aborted {
-				t.Errorf("shard %d: acked v%d was aborted", s, v)
+				t.Errorf("writer %d: acked v%d was aborted", w, v)
 			}
 		}
 	}
 
-	// The restarted replica converges with its shard once the storm
+	// The restarted replica converges with the group once the storm
 	// quiesces: same term, same log length as the current leader.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		lead := cl.VMShardLeader(0)
-		rep := cl.VMReplica(0, leader)
+		lead := cl.VMLeader()
+		rep := cl.VMReplica(leader)
 		if lead >= 0 && rep != nil {
-			ls, rs := cl.VMReplica(0, lead).Status(), rep.Status()
+			ls, rs := cl.VMReplica(lead).Status(), rep.Status()
 			if rs.Term == ls.Term && rs.LogLen == ls.LogLen && rs.Blobs == ls.Blobs {
 				break
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("restarted replica never converged with shard 0")
+			t.Fatal("restarted replica never converged with the group")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestVMGroupPartitionHealStress drives concurrent AssignVersion/Commit
-// traffic against both shards of a 2x3 group while the test repeatedly
-// partitions the current leader of alternating shards, waits out the
-// election, and heals the stale leader. Run under -race this exercises
-// every replica-state transition concurrently with client traffic. After
-// the last heal every shard must still accept writes and all replicas of
-// a shard must converge to one term and log.
+// traffic on two blobs of a 3-replica group while the test repeatedly
+// partitions the current leader, waits out the election, and heals the
+// stale leader. Run under -race this exercises every replica-state
+// transition concurrently with client traffic. After the last heal
+// every blob must still accept writes and all replicas must converge to
+// one term and log.
 func TestVMGroupPartitionHealStress(t *testing.T) {
-	cl, err := launch(t, vmGroupConfig(2, 3))
+	cl, err := launch(t, vmGroupConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +232,7 @@ func TestVMGroupPartitionHealStress(t *testing.T) {
 	defer c.Close()
 	vm := c.VersionManager()
 
-	blobs := blobPerShard(t, ctx, c, 2)
+	blobs := createBlobs(t, ctx, c, 2)
 
 	var (
 		stop sync.Once
@@ -251,15 +240,15 @@ func TestVMGroupPartitionHealStress(t *testing.T) {
 		wg   sync.WaitGroup
 		succ [2]atomic.Uint64
 	)
-	// Two writers per shard, all through the redirect-following group
+	// Two writers per blob, all through the redirect-following group
 	// client; errors during partitions are expected, successes must be
 	// replicated mutations.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := w % 2
-			id := blobs[s].ID()
+			b := w % 2
+			id := blobs[b].ID()
 			for i := 0; ; i++ {
 				select {
 				case <-done:
@@ -270,7 +259,7 @@ func TestVMGroupPartitionHealStress(t *testing.T) {
 				a, err := vm.AssignVersion(octx, id, uint64(1000*w+i), 0, pageSize, false)
 				if err == nil {
 					if _, err = vm.Commit(octx, id, a.Version, false); err == nil {
-						succ[s].Add(1)
+						succ[b].Add(1)
 					}
 				}
 				cancel()
@@ -280,51 +269,50 @@ func TestVMGroupPartitionHealStress(t *testing.T) {
 	defer func() { stop.Do(func() { close(done) }); wg.Wait() }()
 
 	for round := 0; round < 6; round++ {
-		s := round % 2
-		leader := cl.WaitVMLeader(s, -1, 10*time.Second)
+		leader := cl.WaitVMLeader(-1, 10*time.Second)
 		if leader < 0 {
-			t.Fatalf("round %d: shard %d has no leader", round, s)
+			t.Fatalf("round %d: the group has no leader", round)
 		}
-		cl.PartitionVMReplica(s, leader)
-		next := cl.WaitVMLeader(s, leader, 10*time.Second)
+		cl.PartitionVMReplica(leader)
+		next := cl.WaitVMLeader(leader, 10*time.Second)
 		if next < 0 {
-			t.Fatalf("round %d: shard %d elected no successor to %d", round, s, leader)
+			t.Fatalf("round %d: the group elected no successor to %d", round, leader)
 		}
-		cl.HealVMReplica(s, leader)
+		cl.HealVMReplica(leader)
 		time.Sleep(20 * time.Millisecond)
 	}
 	stop.Do(func() { close(done) })
 	wg.Wait()
 
-	for s := 0; s < 2; s++ {
-		if succ[s].Load() == 0 {
-			t.Errorf("shard %d: no write ever succeeded", s)
+	for b := 0; b < 2; b++ {
+		if succ[b].Load() == 0 {
+			t.Errorf("blob %d: no write ever succeeded", b)
 		}
-		// The shard still takes writes after the final heal.
-		a, err := vm.AssignVersion(ctx, blobs[s].ID(), 9999, 0, pageSize, false)
+		// The blob still takes writes after the final heal.
+		a, err := vm.AssignVersion(ctx, blobs[b].ID(), 9999, 0, pageSize, false)
 		if err != nil {
-			t.Fatalf("shard %d post-heal assign: %v", s, err)
+			t.Fatalf("blob %d post-heal assign: %v", b, err)
 		}
-		if _, err := vm.Commit(ctx, blobs[s].ID(), a.Version, false); err != nil {
-			t.Fatalf("shard %d post-heal commit: %v", s, err)
+		if _, err := vm.Commit(ctx, blobs[b].ID(), a.Version, false); err != nil {
+			t.Fatalf("blob %d post-heal commit: %v", b, err)
 		}
-		// All three replicas converge: healed stale leaders resync to
-		// the incumbent's term and log.
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st := make([]vmanager.ReplicaStatus, 3)
-			for j := 0; j < 3; j++ {
-				st[j] = cl.VMReplica(s, j).Status()
-			}
-			if st[0].Term == st[1].Term && st[1].Term == st[2].Term &&
-				st[0].LogLen == st[1].LogLen && st[1].LogLen == st[2].LogLen {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("shard %d replicas never converged: %+v", s, st)
-			}
-			time.Sleep(5 * time.Millisecond)
+	}
+	// All three replicas converge: healed stale leaders resync to the
+	// incumbent's term and log.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := make([]vmanager.ReplicaStatus, 3)
+		for j := 0; j < 3; j++ {
+			st[j] = cl.VMReplica(j).Status()
 		}
+		if st[0].Term == st[1].Term && st[1].Term == st[2].Term &&
+			st[0].LogLen == st[1].LogLen && st[1].LogLen == st[2].LogLen {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never converged: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -335,8 +323,8 @@ func TestVMGroupPartitionHealStress(t *testing.T) {
 func TestVMGroupElectionUnderLatency(t *testing.T) {
 	cfg := cluster.Config{
 		DataProviders: 3, MetaProviders: 3,
-		Net:     netsim.Config{Latency: time.Millisecond},
-		VShards: 1, VReplicas: 3,
+		Net:               netsim.Config{Latency: time.Millisecond},
+		VReplicas:         3,
 		VMHeartbeat:       10 * time.Millisecond,
 		VMElectionTimeout: 80 * time.Millisecond,
 	}
@@ -373,29 +361,29 @@ func TestVMGroupElectionUnderLatency(t *testing.T) {
 		publish(uint64(100 + i))
 	}
 
-	leader := cl.VMShardLeader(0)
+	leader := cl.VMLeader()
 	if leader < 0 {
 		t.Fatal("no leader")
 	}
-	if err := cl.KillVMReplica(0, leader); err != nil {
+	if err := cl.KillVMReplica(leader); err != nil {
 		t.Fatal(err)
 	}
-	if next := cl.WaitVMLeader(0, leader, 15*time.Second); next < 0 {
+	if next := cl.WaitVMLeader(leader, 15*time.Second); next < 0 {
 		t.Fatal("no new leader under latency")
 	}
 	if v, _, err := vm.Latest(ctx, blob); err != nil || v != last {
 		t.Fatalf("latest after handoff = v%d, %v; want v%d", v, err, last)
 	}
 	publish(200)
-	if err := cl.RestartVMReplica(0, leader); err != nil {
+	if err := cl.RestartVMReplica(leader); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		lead := cl.VMShardLeader(0)
-		rep := cl.VMReplica(0, leader)
+		lead := cl.VMLeader()
+		rep := cl.VMReplica(leader)
 		if lead >= 0 && rep != nil {
-			ls, rs := cl.VMReplica(0, lead).Status(), rep.Status()
+			ls, rs := cl.VMReplica(lead).Status(), rep.Status()
 			if rs.Term == ls.Term && rs.LogLen == ls.LogLen {
 				break
 			}
@@ -407,12 +395,13 @@ func TestVMGroupElectionUnderLatency(t *testing.T) {
 	}
 }
 
-// TestVMGroupRoutingAndStatus sanity-checks the per-blob shard routing
-// the clients use: blobs created round-robin land on distinct shards,
-// redirects reach the right leader, and FetchStatus exposes each
-// replica's view (what blobctl vmstatus prints).
+// TestVMGroupRoutingAndStatus sanity-checks what clients and operators
+// see of a 3-replica group: blob ids are handed out in sequence, every
+// call reaches the leader, and FetchStatus exposes each replica's view
+// (what blobctl vmstatus prints) — one leader, which every replica
+// names, and every blob.
 func TestVMGroupRoutingAndStatus(t *testing.T) {
-	cl, err := launch(t, vmGroupConfig(3, 2))
+	cl, err := launch(t, vmGroupConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,28 +414,37 @@ func TestVMGroupRoutingAndStatus(t *testing.T) {
 	defer c.Close()
 	vm := c.VersionManager()
 
-	if got := len(vm.Shards()); got != 3 {
-		t.Fatalf("client sees %d shards, want 3", got)
+	if got := len(cl.VMAddrs); got != 3 {
+		t.Fatalf("the group has %d replicas, want 3", got)
 	}
-	blobs := blobPerShard(t, ctx, c, 3)
-	for s, b := range blobs {
+	blobs := createBlobs(t, ctx, c, 3)
+	for i, b := range blobs {
+		if b.ID() != uint64(i+1) {
+			t.Fatalf("blob %d has id %d, want %d", i, b.ID(), i+1)
+		}
 		if _, err := b.Write(ctx, bytes.Repeat([]byte{7}, pageSize), 0); err != nil {
-			t.Fatalf("shard %d write: %v", s, err)
-		}
-		// Only the owning shard knows the blob.
-		for s2 := 0; s2 < 3; s2++ {
-			for j := 0; j < 2; j++ {
-				st, err := vm.FetchStatus(ctx, s2, j)
-				if err != nil {
-					t.Fatalf("status s%dr%d: %v", s2, j, err)
-				}
-				if st.Shard != s2 || st.Index != j {
-					t.Fatalf("status s%dr%d reports s%dr%d", s2, j, st.Shard, st.Index)
-				}
-			}
+			t.Fatalf("blob %d write: %v", i, err)
 		}
 	}
-	// Each shard's Blobs union equals the full blob set.
+	leaders := 0
+	for j := 0; j < 3; j++ {
+		st, err := vm.FetchStatus(ctx, j)
+		if err != nil {
+			t.Fatalf("status r%d: %v", j, err)
+		}
+		if st.Index != j || st.Leader != cl.VMLeader() {
+			t.Fatalf("status r%d reports r%d following r%d, want r%d following r%d", j, st.Index, st.Leader, j, cl.VMLeader())
+		}
+		if st.IsLeader {
+			leaders++
+		}
+	}
+	if leaders != 1 {
+		t.Fatalf("%d replicas lead, want 1", leaders)
+	}
+	if _, err := vm.FetchStatus(ctx, 3); err == nil {
+		t.Error("status of a replica outside the group answered")
+	}
 	all, err := vm.Blobs(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -455,9 +453,9 @@ func TestVMGroupRoutingAndStatus(t *testing.T) {
 	for _, id := range all {
 		seen[id] = true
 	}
-	for s, b := range blobs {
+	for i, b := range blobs {
 		if !seen[b.ID()] {
-			t.Errorf("shard %d blob %d missing from group Blobs()", s, b.ID())
+			t.Errorf("blob %d (id %d) missing from group Blobs()", i, b.ID())
 		}
 	}
 }

@@ -49,11 +49,11 @@ var (
 type Options struct {
 	// Network provides connectivity (rpc.TCP{} or a netsim host).
 	Network rpc.Network
-	// VManagerShards addresses the version plane, a sharded+replicated
-	// vmanager group: one replica address list per shard
-	// (docs/vmanager-group.md); a lone version manager is
-	// [][]string{{addr}}. Blobs route to shards by id hash with NotLeader
-	// redirect handling.
+	// VManagerShards addresses the version plane, one vmanager replica
+	// group (docs/vmanager-group.md): exactly one entry, the group's
+	// replica addresses — [][]string{{addr}} for a lone version manager.
+	// The outer slice is kept for callers that still pass the older
+	// sharded shape; NewClient rejects any other count.
 	VManagerShards [][]string
 	// PManagerAddr is the provider manager's RPC address.
 	PManagerAddr string
@@ -164,8 +164,8 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	if opts.Network == nil {
 		return nil, errors.New("core: Options.Network is required")
 	}
-	if len(opts.VManagerShards) == 0 {
-		return nil, errors.New("core: Options.VManagerShards is required")
+	if len(opts.VManagerShards) != 1 || len(opts.VManagerShards[0]) == 0 {
+		return nil, fmt.Errorf("core: Options.VManagerShards needs exactly one replica group, got %v", opts.VManagerShards)
 	}
 	if opts.DataReplicas < 1 {
 		opts.DataReplicas = 1
@@ -186,7 +186,7 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	c := &Client{
 		opts:      opts,
 		pool:      pool,
-		vm:        vmanager.NewGroupClient(pool, opts.VManagerShards),
+		vm:        vmanager.NewGroupClient(pool, opts.VManagerShards[0]),
 		ms:        mstore.New(kv, opts.CacheNodes),
 		providers: make(map[uint32]string),
 		repairSem: make(chan struct{}, 4),

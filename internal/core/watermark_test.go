@@ -289,7 +289,7 @@ func TestKnownVersionsStayReadableWithVersionManagerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := cl.KillVMReplica(0, 0); err != nil {
+	if err := cl.KillVMReplica(0); err != nil {
 		t.Fatal(err)
 	}
 

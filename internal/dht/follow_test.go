@@ -189,6 +189,33 @@ func TestHandlersBoundWireCounts(t *testing.T) {
 	}
 }
 
+// TestTornMultiPutStoresNothing: a multiput body torn after its first
+// entry holds a count the body can carry, so only decoding the second
+// entry finds the tear — and by then nothing may have been stored.
+func TestTornMultiPutStoresNothing(t *testing.T) {
+	s := NewStore()
+	w := wire.NewWriter(64)
+	w.Uvarint(2)
+	w.Uint64(7)
+	w.BytesField([]byte("seven"))
+	w.Uint64(8)
+	w.BytesField([]byte("eight"))
+	body := w.Bytes()
+	torn := body[:len(body)-3]
+	if _, err := s.handleMultiPut(context.Background(), torn); err == nil {
+		t.Fatal("torn multiput accepted")
+	}
+	if n := s.Snapshot().Entries; n != 0 {
+		t.Fatalf("a rejected multiput left %d entries stored", n)
+	}
+	if _, err := s.handleMultiPut(context.Background(), body); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get(8); !ok || string(v) != "eight" {
+		t.Fatalf("whole multiput: key 8 = %q, %v", v, ok)
+	}
+}
+
 // TestMultiGetResponseRejects: the client half refuses a response that
 // is cut anywhere, carries a wrong count or has bytes left over.
 func TestMultiGetResponseRejects(t *testing.T) {

@@ -239,23 +239,18 @@ func (s *Store) handleDelete(_ context.Context, body []byte) ([]byte, error) {
 }
 
 func (s *Store) handleMultiPut(_ context.Context, body []byte) ([]byte, error) {
+	// Decode every entry before storing any: a body torn at entry i is
+	// rejected whole, never half-applied.
 	r := wire.NewReader(body)
-	n := r.Uvarint()
+	kvs := make([]KV, r.Count(minEntryBytes))
+	for i := range kvs {
+		kvs[i] = KV{Key: r.Uint64(), Value: r.BytesField()}
+	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("dht multiput: %w", err)
 	}
-	// A count the body cannot hold is malformed: reject it before any
-	// entry is applied.
-	if n > uint64(r.Remaining())/minEntryBytes {
-		return nil, fmt.Errorf("dht multiput: %d entries claimed in %d bytes", n, r.Remaining())
-	}
-	for i := uint64(0); i < n; i++ {
-		key := r.Uint64()
-		val := r.BytesField()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("dht multiput: entry %d: %w", i, err)
-		}
-		s.Put(key, val)
+	for _, kv := range kvs {
+		s.Put(kv.Key, kv.Value)
 	}
 	return nil, nil
 }

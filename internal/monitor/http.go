@@ -76,15 +76,9 @@ func (m *Monitor) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		p("cluster_provider_ops_per_sec{id=\"%d\",op=\"get\"} %g\n", pr.ID, pr.GetsPerSec)
 		p("cluster_provider_ops_per_sec{id=\"%d\",op=\"put\"} %g\n", pr.ID, pr.PutsPerSec)
 	}
-	if len(s.Shards) > 0 {
-		p("# TYPE cluster_shard_term gauge\n")
-		for _, sh := range s.Shards {
-			p("cluster_shard_term{shard=\"%d\"} %d\n", sh.Shard, sh.Term)
-		}
-		p("# TYPE cluster_shard_leader gauge\n")
-		for _, sh := range s.Shards {
-			p("cluster_shard_leader{shard=\"%d\"} %d\n", sh.Shard, sh.Leader)
-		}
+	if s.VM != nil {
+		p("# TYPE cluster_vm_term gauge\ncluster_vm_term %d\n", s.VM.Term)
+		p("# TYPE cluster_vm_leader gauge\ncluster_vm_leader %d\n", s.VM.Leader)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package monitor implements the cluster health plane's aggregator: a
 // process that polls every node's stats, status and event-tail RPCs,
-// rolls them up into one ClusterSnapshot (capacity, per-shard leaders,
+// rolls them up into one ClusterSnapshot (capacity, the vmanager leader,
 // redundancy debt, merged latency quantiles, a green/yellow/red
 // verdict with reasons) and serves the result three ways — the
 // MCluster RPC for blobctl top, and /cluster/metrics, /cluster/healthz
@@ -36,10 +36,9 @@ type Config struct {
 	// PMAddr is the provider manager's RPC address (required: provider
 	// membership is discovered from it every poll).
 	PMAddr string
-	// VMShards lists the version-manager group's replica addresses,
-	// VMShards[s][r] = replica r of shard s. Left empty, the monitor
-	// skips leader checks.
-	VMShards [][]string
+	// VMReplicas lists the version-manager group's replica addresses.
+	// Left empty, the monitor skips leader checks.
+	VMReplicas []string
 	// EventNodes are additional RPC addresses to tail MEvents from,
 	// beyond the provider manager, vmanager replicas and providers —
 	// e.g. the node hosting the repair agent.
@@ -194,10 +193,8 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 	for _, a := range m.cfg.EventNodes {
 		eventTargets[a] = true
 	}
-	for _, sh := range m.cfg.VMShards {
-		for _, a := range sh {
-			eventTargets[a] = true
-		}
+	for _, a := range m.cfg.VMReplicas {
+		eventTargets[a] = true
 	}
 	for _, mem := range ms.Members {
 		if mem.Alive {
@@ -237,16 +234,15 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 		}()
 	}
 
-	// Version-plane status, one shard at a time (replicas within a
-	// shard polled sequentially — there are few).
-	shardRolls := make([]ShardRoll, len(m.cfg.VMShards))
-	for s := range m.cfg.VMShards {
-		s := s
+	// Version-plane status (replicas polled sequentially — there are
+	// few).
+	var vm *VMRoll
+	if len(m.cfg.VMReplicas) > 0 {
+		vm = &VMRoll{Leader: -1, Replicas: len(m.cfg.VMReplicas)}
 		wg.Add(1)
-		go func() {
+		go func(roll *VMRoll) {
 			defer wg.Done()
-			roll := ShardRoll{Shard: s, Leader: -1, Replicas: len(m.cfg.VMShards[s])}
-			for rIdx, addr := range m.cfg.VMShards[s] {
+			for rIdx, addr := range m.cfg.VMReplicas {
 				var st vmanager.ReplicaStatus
 				err := m.call(ctx, func(c context.Context) error {
 					resp, err := m.cfg.Pool.Call(c, addr, vmanager.MVmStatus, nil)
@@ -273,8 +269,7 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 					roll.Leader = rIdx
 				}
 			}
-			shardRolls[s] = roll
-		}()
+		}(vm)
 	}
 
 	// Event tails, incremental per node.
@@ -315,7 +310,7 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 		}()
 	}
 	wg.Wait()
-	in.shards = shardRolls
+	in.vm = vm
 
 	// Merge fresh events into the bounded tail and the aggregates.
 	sort.SliceStable(fresh, func(i, j int) bool { return fresh[i].Time < fresh[j].Time })

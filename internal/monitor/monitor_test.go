@@ -234,10 +234,13 @@ func TestRollupHealthRules(t *testing.T) {
 	}
 
 	in = base()
-	in.shards = []ShardRoll{{Shard: 0, Leader: 0, Term: 1, Reachable: 3, Replicas: 3},
-		{Shard: 1, Leader: -1, Reachable: 1, Replicas: 3}}
+	in.vm = &VMRoll{Leader: 0, Term: 1, Reachable: 3, Replicas: 3}
+	if s := rollup(in); s.Health != HealthGreen {
+		t.Errorf("led vmanager group -> %s %v, want green", s.Health, s.Reasons)
+	}
+	in.vm = &VMRoll{Leader: -1, Reachable: 1, Replicas: 3}
 	if s := rollup(in); s.Health != HealthRed {
-		t.Errorf("leaderless shard -> %s, want red", s.Health)
+		t.Errorf("leaderless vmanager group -> %s, want red", s.Health)
 	}
 
 	in = base()
@@ -296,7 +299,7 @@ func TestHTTPEndpoints(t *testing.T) {
 			{ID: 2, Addr: "b", Alive: false},
 		},
 		DeadProviders: 1,
-		Shards:        []ShardRoll{{Shard: 0, Leader: 1, Term: 4, Reachable: 3, Replicas: 3}},
+		VM:            &VMRoll{Leader: 1, Term: 4, Reachable: 3, Replicas: 3},
 		ReadP50:       int64(time.Millisecond), ReadP99: int64(5 * time.Millisecond), ReadMax: int64(6 * time.Millisecond),
 	}
 	m.tail = []trace.Event{
@@ -338,7 +341,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		"cluster_redundancy_debt 3",
 		`cluster_providers{state="dead"} 1`,
 		`cluster_provider_ops_per_sec{id="1",op="get"} 2.5`,
-		`cluster_shard_term{shard="0"} 4`,
+		"cluster_vm_term 4",
+		"cluster_vm_leader 1",
 		`cluster_read_seconds{quantile="0.99"} 0.005`,
 	} {
 		if !strings.Contains(body, want) {

@@ -31,7 +31,7 @@ type ClusterSnapshot struct {
 	Redundancy string `json:"redundancy"` // advertised mode, e.g. "replicate" or "rs(4,2)"
 
 	Providers []ProviderRoll `json:"providers"`
-	Shards    []ShardRoll    `json:"shards,omitempty"`
+	VM        *VMRoll        `json:"vm,omitempty"`
 
 	CapacityBytes int64 `json:"capacity_bytes"` // 0 = unbounded
 	UsedBytes     int64 `json:"used_bytes"`
@@ -83,10 +83,10 @@ type ProviderRoll struct {
 	PutsPerSec float64 `json:"puts_per_sec"`
 }
 
-// ShardRoll is one vmanager shard's row: which replica leads, at what
-// term, and how many replicas answered the status poll.
-type ShardRoll struct {
-	Shard     int    `json:"shard"`
+// VMRoll is the version plane's row: which replica of the vmanager
+// group leads, at what term, and how many replicas answered the status
+// poll.
+type VMRoll struct {
 	Leader    int    `json:"leader"` // -1: no reachable replica claims leadership
 	Term      uint64 `json:"term"`
 	Reachable int    `json:"reachable"`
@@ -260,7 +260,7 @@ type rollupInput struct {
 	provStats  map[uint32]provider.Stats             // per alive provider
 	provRates  map[uint32][2]float64                 // gets, puts per sec
 	latency    map[uint32][2]stats.HistogramSnapshot // get, put
-	shards     []ShardRoll                           // pre-assembled from status polls
+	vm         *VMRoll                               // pre-assembled from status polls; nil when unwatched
 	agg        *eventAgg
 	tail       []trace.Event
 }
@@ -274,7 +274,7 @@ func rollup(in rollupInput) ClusterSnapshot {
 	s := ClusterSnapshot{
 		Time:   in.now.UnixNano(),
 		Events: in.tail,
-		Shards: in.shards,
+		VM:     in.vm,
 	}
 	var reasons []string
 
@@ -324,14 +324,11 @@ func rollup(in rollupInput) ClusterSnapshot {
 	}
 	sort.Slice(s.Providers, func(i, j int) bool { return s.Providers[i].ID < s.Providers[j].ID })
 
-	// Version plane: every shard needs a reachable leader.
-	noLeader := 0
-	for _, sh := range in.shards {
-		if sh.Leader < 0 {
-			noLeader++
-			reasons = append(reasons, fmt.Sprintf("vmanager shard %d has no reachable leader (%d/%d replicas answered)",
-				sh.Shard, sh.Reachable, sh.Replicas))
-		}
+	// Version plane: the group needs a reachable leader.
+	noLeader := in.vm != nil && in.vm.Leader < 0
+	if noLeader {
+		reasons = append(reasons, fmt.Sprintf("vmanager group has no reachable leader (%d/%d replicas answered)",
+			in.vm.Reachable, in.vm.Replicas))
 	}
 
 	// Redundancy accounting from the event stream.
@@ -347,7 +344,7 @@ func rollup(in rollupInput) ClusterSnapshot {
 		if s.RepairPending {
 			reasons = append(reasons, "repair pending: provider death newer than last repair sweep")
 		}
-		if n := a.electionsSince(in.now.Add(-electionChurnWindow).UnixNano()); len(in.shards) > 0 && n > len(in.shards) {
+		if n := a.electionsSince(in.now.Add(-electionChurnWindow).UnixNano()); in.vm != nil && n > 1 {
 			reasons = append(reasons, fmt.Sprintf("election churn: %d leader elections in the last %v", n, electionChurnWindow))
 		}
 		// Open circuit breakers mark gray peers: some node has stopped
@@ -380,7 +377,7 @@ func rollup(in rollupInput) ClusterSnapshot {
 	// Verdict: red for conditions needing an operator, yellow for
 	// degradation the cluster heals on its own, green otherwise.
 	switch {
-	case noLeader > 0:
+	case noLeader:
 		s.Health = HealthRed
 	case a != nil && a.lastUnrepT > 0 && a.lastUnrepT > a.lastCleanT:
 		s.Health = HealthRed

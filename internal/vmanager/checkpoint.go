@@ -12,7 +12,7 @@ import (
 )
 
 // The follower snapshot-install format. A replica that fell behind the
-// shard log's truncation horizon, diverged, or is campaigning against a
+// group log's truncation horizon, diverged, or is campaigning against a
 // fresher peer catches up by snapshot instead of log replay
 // (docs/vmanager-group.md): the leader serializes its Manager's entire
 // state — blob geometry, version counters, logical sizes, the write

@@ -178,7 +178,7 @@ func TestCheckpointMultipleBlobs(t *testing.T) {
 // commits and aborts every caught-up follower's checkpoint is the
 // leader's.
 func TestCheckpointDeterministic(t *testing.T) {
-	ts := newTestShard(t, 3, nil)
+	ts := newTestGroup(t, 3, nil)
 	g := ts.client()
 	ctx := context.Background()
 

@@ -228,7 +228,7 @@ func replicationReq(term uint64, leader uint8, seq uint64, rest []byte) []byte {
 // replica's handlers (6, 7). No body panics or sizes an allocation from
 // a count its bytes cannot hold (2^40 and 2^63 counts are seeds), what
 // decodes re-encodes to the bytes it came from, and no request naming a
-// leader outside the shard is accepted (leader 255 is a seed).
+// leader outside the group is accepted (leader 255 is a seed).
 func FuzzVManagerWire(f *testing.F) {
 	ctx := context.Background()
 	r := newLone(f, Config{})

@@ -10,8 +10,8 @@ import (
 )
 
 // The replicated publish log (docs/vmanager-group.md §2). Every mutation
-// a shard leader executes is appended to an in-memory log of LogRecords
-// and replicated to the shard's followers before the client call
+// the group leader executes is appended to an in-memory log of LogRecords
+// and replicated to the group's followers before the client call
 // returns. Followers re-execute the records in sequence order against
 // their own Manager, so a follower's state is a deterministic function
 // of the record stream. The byte framing below is also what travels in
@@ -40,7 +40,7 @@ const (
 	OpRepaired = uint8(5)
 )
 
-// LogRecord is one replicated mutation. Seq is the shard-wide log
+// LogRecord is one replicated mutation. Seq is the group-wide log
 // sequence number, contiguous from 1.
 type LogRecord struct {
 	Seq  uint64

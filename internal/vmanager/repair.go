@@ -163,7 +163,7 @@ func (m *Manager) repairVersion(ctx context.Context, blob uint64, v meta.Version
 
 	if needMark {
 		// The write did not take effect as issued. The abort mark must
-		// reach the shard log before the fill, so a leader that dies
+		// reach the group log before the fill, so a leader that dies
 		// mid-repair leaves followers an orphan they can finish, not a
 		// version they re-admit.
 		if err := m.cfg.Replicate(LogRecord{Op: OpAbort, Blob: blob, Version: v}); err != nil {

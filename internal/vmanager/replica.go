@@ -16,11 +16,11 @@ import (
 	"blob/internal/wire"
 )
 
-// Replica wraps a Manager as one member of a replicated vmanager shard
-// (docs/vmanager-group.md). Exactly one replica per shard acts as
-// leader: it turns every mutation into a LogRecord, applies it to its
-// Manager exactly as a follower would and appends it to the shard's
-// publish log (propose), and replies to clients — reads included — only
+// Replica wraps a Manager as one member of the version plane's replica
+// group (docs/vmanager-group.md). Exactly one replica acts as leader:
+// it turns every mutation into a LogRecord, applies it to its Manager
+// exactly as a follower would and appends it to the group's publish
+// log (propose), and replies to clients — reads included — only
 // once a follower quorum holds the log position the reply reflects.
 // Followers replay the log; on leader death the deterministic handoff
 // below promotes the live replica with the freshest state.
@@ -54,8 +54,8 @@ const (
 // NotLeaderError builds the redirect error a non-leader replica returns
 // to client mutations. leader is the replica index to try next (may be
 // the replica's possibly-stale belief).
-func NotLeaderError(shard, leader int) error {
-	return fmt.Errorf("%s (shard %d, try replica %d)", notLeaderPrefix, shard, leader)
+func NotLeaderError(leader int) error {
+	return fmt.Errorf("%s (try replica %d)", notLeaderPrefix, leader)
 }
 
 // ParseNotLeader recognizes a NotLeaderError (locally or over RPC) and
@@ -92,13 +92,10 @@ const (
 	roleLeader
 )
 
-// ReplicaConfig parameterizes one shard member.
+// ReplicaConfig parameterizes one group member.
 type ReplicaConfig struct {
-	// Shard is this shard's index; Shards is the group's shard count
-	// (blob ids are accepted only if the ring places them here).
-	Shard, Shards int
 	// Index is this replica's position in Peers; Peers lists every
-	// replica address of this shard, leader included.
+	// replica address of the group, leader included.
 	Index int
 	Peers []string
 	// Pool carries the replication RPCs to peers.
@@ -114,7 +111,7 @@ type ReplicaConfig struct {
 	// prefix is dropped and lagging followers catch up by checkpoint
 	// snapshot instead (default 4096).
 	MaxLogRecords int
-	// Rejoin marks a replica that is restarting into an existing shard:
+	// Rejoin marks a replica that is restarting into an existing group:
 	// it boots as a follower even at Index 0, because the deterministic
 	// term-0 leadership only belongs to a cold-booting group — a
 	// restarted replica 0 claiming it could serve empty state to clients
@@ -141,12 +138,9 @@ func (c *ReplicaConfig) defaults() {
 	if c.MaxLogRecords <= 0 {
 		c.MaxLogRecords = 4096
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 }
 
-// Replica is one member of a replicated vmanager shard.
+// Replica is one member of the version plane's replica group.
 type Replica struct {
 	cfg ReplicaConfig
 
@@ -172,10 +166,10 @@ type Replica struct {
 	wg   sync.WaitGroup
 }
 
-// ErrLoneRejoin rejects ReplicaConfig.Rejoin on a single-replica shard.
-var ErrLoneRejoin = errors.New("vmanager: Rejoin on a single-replica shard: no incumbent to follow, the replica would never lead")
+// ErrLoneRejoin rejects ReplicaConfig.Rejoin on a single-replica group.
+var ErrLoneRejoin = errors.New("vmanager: Rejoin on a single-replica group: no incumbent to follow, the replica would never lead")
 
-// NewReplica builds and starts a shard member. Replica 0 boots as
+// NewReplica builds and starts a group member. Replica 0 boots as
 // leader of term 0 (the deterministic initial assignment); everyone
 // else, and any Rejoin replica, boots follower.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
@@ -258,13 +252,13 @@ func (r *Replica) Manager() *Manager {
 
 // ReplicaStatus is a replica's self-description (MVmStatus).
 type ReplicaStatus struct {
-	Shard, Index int
-	Term         uint64
-	IsLeader     bool
-	Leader       int
-	LogLen       uint64 // logBase + len(log): total records applied
-	LogBase      uint64
-	Blobs        uint64
+	Index    int
+	Term     uint64
+	IsLeader bool
+	Leader   int
+	LogLen   uint64 // logBase + len(log): total records applied
+	LogBase  uint64
+	Blobs    uint64
 }
 
 // Status reports the replica's current role and log position.
@@ -272,7 +266,6 @@ func (r *Replica) Status() ReplicaStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return ReplicaStatus{
-		Shard:    r.cfg.Shard,
 		Index:    r.cfg.Index,
 		Term:     r.term,
 		IsLeader: r.role == roleLeader,
@@ -287,14 +280,14 @@ func (r *Replica) logLenLocked() uint64 { return r.logBase + uint64(len(r.log)) 
 
 func (r *Replica) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
-		r.cfg.Logf("vmanager s%dr%d: "+format, append([]any{r.cfg.Shard, r.cfg.Index}, args...)...)
+		r.cfg.Logf("vmanager r%d: "+format, append([]any{r.cfg.Index}, args...)...)
 	}
 }
 
 // emit records a cluster event prefixed with this replica's identity.
 // Safe when no tracer is configured.
 func (r *Replica) emit(sev trace.Severity, typ trace.Type, val int64, format string, args ...any) {
-	r.cfg.Tracer.Emit(sev, typ, val, "s%dr%d: "+format, append([]any{r.cfg.Shard, r.cfg.Index}, args...)...)
+	r.cfg.Tracer.Emit(sev, typ, val, "r%d: "+format, append([]any{r.cfg.Index}, args...)...)
 }
 
 // leaderLocked gates a client call on this replica being the live
@@ -310,7 +303,7 @@ func (r *Replica) leaderLocked() error {
 			// the incumbent; don't send clients in a circle.
 			hint = -1
 		}
-		return NotLeaderError(r.cfg.Shard, hint)
+		return NotLeaderError(hint)
 	}
 	return nil
 }
@@ -376,7 +369,7 @@ func (r *Replica) stepDownLocked(term uint64, leaderIdx int) {
 	r.broadcastLocked()
 }
 
-// waitQuorum blocks until ceil(n/2) of the shard's followers have
+// waitQuorum blocks until ceil(n/2) of the group's followers have
 // acknowledged seq (i.e. a majority of replicas, leader included, hold
 // the record), the replica loses leadership, or time runs out.
 func (r *Replica) waitQuorum(ctx context.Context, term, seq uint64) error {
@@ -414,7 +407,7 @@ func (r *Replica) waitQuorum(ctx context.Context, term, seq uint64) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-timer.C:
-			return unavailableErr(fmt.Sprintf("no follower quorum for seq %d (shard %d)", seq, r.cfg.Shard))
+			return unavailableErr(fmt.Sprintf("no follower quorum for seq %d", seq))
 		case <-r.stop:
 			return unavailableErr("replica closed")
 		}
@@ -435,7 +428,7 @@ func (r *Replica) propose(ctx context.Context, rec LogRecord, isAppend bool) (ap
 		r.mu.Unlock()
 		return applied{}, err
 	}
-	r.mgr.resolve(&rec, isAppend, r.owns)
+	r.mgr.resolve(&rec, isAppend)
 	res, err := r.mgr.apply(rec)
 	if err != nil {
 		r.mu.Unlock()
@@ -479,18 +472,13 @@ func (r *Replica) ackBarrier(ctx context.Context, term uint64) error {
 
 // --- Client-facing mutations (leader only) ---
 
-// CreateBlob allocates a blob whose id this shard owns.
+// CreateBlob allocates a blob under the next free id.
 func (r *Replica) CreateBlob(ctx context.Context, pageSize, capacityBytes uint64, red erasure.Redundancy) (uint64, error) {
 	res, err := r.propose(ctx, LogRecord{
 		Op: OpCreate, PageSize: pageSize, Capacity: capacityBytes,
 		K: uint8(red.K), M: uint8(red.M),
 	}, false)
 	return res.blob, err
-}
-
-// owns reports whether the group's ring places blob id on this shard.
-func (r *Replica) owns(id uint64) bool {
-	return ShardOf(r.cfg.Shards, id) == r.cfg.Shard
 }
 
 // AssignVersion serializes a write; for an append the offset resolves to
@@ -546,7 +534,7 @@ func (r *Replica) Abort(ctx context.Context, blob uint64, v meta.Version) error 
 // --- RPC wiring ---
 
 // RegisterHandlers wires both the client-facing vmanager methods and
-// the shard replication protocol onto srv.
+// the group's replication protocol onto srv.
 func (r *Replica) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MCreate, r.handleCreate)
 	srv.Handle(MInfo, r.readHandler((*Manager).handleInfo))
@@ -691,8 +679,8 @@ func decodeAppendResp(body []byte) (appendResp, error) {
 	return resp, rd.Err()
 }
 
-// decodeReplicationReq parses an append or install request to a shard
-// of peers replicas. A leader index outside the shard makes the request
+// decodeReplicationReq parses an append or install request to a group
+// of peers replicas. A leader index outside the group makes the request
 // malformed: stored as the leader, it would make the election stagger
 // negative, so the replica campaigned on every tick, and it would be
 // handed to clients as their leader.
@@ -706,7 +694,7 @@ func decodeReplicationReq(body []byte, peers int) (term uint64, leader int, seq 
 		return 0, 0, 0, nil, err
 	}
 	if leader >= peers {
-		return 0, 0, 0, nil, fmt.Errorf("leader index %d outside a shard of %d", leader, peers)
+		return 0, 0, 0, nil, fmt.Errorf("leader index %d outside a group of %d", leader, peers)
 	}
 	return term, leader, seq, rest, nil
 }
@@ -797,7 +785,6 @@ func (r *Replica) handleVmStatus(_ context.Context, _ []byte) ([]byte, error) {
 	}
 	st := r.Status()
 	w := wire.NewWriter(64)
-	w.Uint32(uint32(st.Shard))
 	w.Uint32(uint32(st.Index))
 	w.Uint64(st.Term)
 	w.Bool(st.IsLeader)
@@ -812,7 +799,6 @@ func (r *Replica) handleVmStatus(_ context.Context, _ []byte) ([]byte, error) {
 func DecodeReplicaStatus(body []byte) (ReplicaStatus, error) {
 	rd := wire.NewReader(body)
 	st := ReplicaStatus{
-		Shard:    int(rd.Uint32()),
 		Index:    int(rd.Uint32()),
 		Term:     rd.Uint64(),
 		IsLeader: rd.Bool(),
@@ -959,7 +945,7 @@ func (r *Replica) syncPeer(peer int) bool {
 	}
 	resp, err := decodeAppendResp(respBody)
 	if err != nil || resp.leader >= len(r.cfg.Peers) {
-		return false // a reply naming a leader outside the shard is malformed
+		return false // a reply naming a leader outside the group is malformed
 	}
 
 	r.mu.Lock()
@@ -1037,7 +1023,7 @@ func (r *Replica) electionLoop() {
 	}
 }
 
-// campaign polls the shard for the freshest state and promotes this
+// campaign polls the group for the freshest state and promotes this
 // replica if it can reach a quorum and no live leader objects. The
 // candidate adopts the highest (term, logLen) state it sees before
 // promoting at maxTerm+1, so every quorum-acked record survives the

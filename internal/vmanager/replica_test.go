@@ -15,11 +15,11 @@ import (
 	"blob/internal/rpc"
 )
 
-// testShard is an in-package harness for one replicated shard: n
+// testGroup is an in-package harness for one replica group: n
 // replicas on their own simulated hosts, plus kill/restart primitives.
-// The cross-layer variant (many shards, live clients, a full cluster)
-// lives in internal/cluster.
-type testShard struct {
+// The cross-layer variant (live clients, a full cluster) lives in
+// internal/cluster.
+type testGroup struct {
 	t     *testing.T
 	fab   *netsim.Net
 	peers []string
@@ -30,12 +30,12 @@ type testShard struct {
 	srvs []*rpc.Server
 }
 
-// newTestShard boots an n-replica shard with simulation-fast timings.
+// newTestGroup boots an n-replica group with simulation-fast timings.
 // mut, if non-nil, adjusts each replica's config before boot.
-func newTestShard(t *testing.T, n int, mut func(j int, cfg *ReplicaConfig)) *testShard {
+func newTestGroup(t *testing.T, n int, mut func(j int, cfg *ReplicaConfig)) *testGroup {
 	t.Helper()
 	fab := netsim.New(netsim.Fast())
-	ts := &testShard{
+	ts := &testGroup{
 		t:    t,
 		fab:  fab,
 		reps: make([]*Replica, n),
@@ -46,8 +46,6 @@ func newTestShard(t *testing.T, n int, mut func(j int, cfg *ReplicaConfig)) *tes
 	}
 	ts.cfg = func(j int) ReplicaConfig {
 		cfg := ReplicaConfig{
-			Shard:           0,
-			Shards:          1,
 			Index:           j,
 			Peers:           ts.peers,
 			Pool:            rpc.NewPool(hostDialer{fab.Host(fmt.Sprintf("r%d", j))}),
@@ -67,7 +65,7 @@ func newTestShard(t *testing.T, n int, mut func(j int, cfg *ReplicaConfig)) *tes
 	return ts
 }
 
-func (ts *testShard) start(j int, rejoin bool) {
+func (ts *testGroup) start(j int, rejoin bool) {
 	ts.t.Helper()
 	cfg := ts.cfg(j)
 	cfg.Rejoin = rejoin
@@ -88,14 +86,14 @@ func (ts *testShard) start(j int, rejoin bool) {
 	ts.mu.Unlock()
 }
 
-func (ts *testShard) rep(j int) *Replica {
+func (ts *testGroup) rep(j int) *Replica {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return ts.reps[j]
 }
 
 // kill crash-stops replica j: server closed, process stopped, state lost.
-func (ts *testShard) kill(j int) {
+func (ts *testGroup) kill(j int) {
 	ts.mu.Lock()
 	rep, srv := ts.reps[j], ts.srvs[j]
 	ts.reps[j], ts.srvs[j] = nil, nil
@@ -110,9 +108,9 @@ func (ts *testShard) kill(j int) {
 
 // restart relaunches a killed replica at the same address, empty, as a
 // rejoining follower.
-func (ts *testShard) restart(j int) { ts.start(j, true) }
+func (ts *testGroup) restart(j int) { ts.start(j, true) }
 
-func (ts *testShard) close() {
+func (ts *testGroup) close() {
 	ts.mu.Lock()
 	reps, srvs := ts.reps, ts.srvs
 	ts.reps, ts.srvs = make([]*Replica, len(reps)), make([]*rpc.Server, len(srvs))
@@ -133,7 +131,7 @@ func (ts *testShard) close() {
 // leaderIdx polls live replicas for the current leadership claimant.
 // A partitioned stale leader may still claim its old term, so the
 // highest-term claimant wins.
-func (ts *testShard) leaderIdx() int {
+func (ts *testGroup) leaderIdx() int {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	best, bestTerm := -1, uint64(0)
@@ -150,7 +148,7 @@ func (ts *testShard) leaderIdx() int {
 
 // waitLeader blocks until some live replica other than `not` claims
 // leadership.
-func (ts *testShard) waitLeader(not int, timeout time.Duration) int {
+func (ts *testGroup) waitLeader(not int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
 		if l := ts.leaderIdx(); l >= 0 && l != not {
@@ -164,10 +162,10 @@ func (ts *testShard) waitLeader(not int, timeout time.Duration) int {
 }
 
 // client builds a GroupClient dialing from its own host.
-func (ts *testShard) client() *GroupClient {
+func (ts *testGroup) client() *GroupClient {
 	pool := rpc.NewPool(hostDialer{ts.fab.Host("cli")})
 	ts.t.Cleanup(pool.Close)
-	return NewGroupClient(pool, [][]string{ts.peers})
+	return NewGroupClient(pool, ts.peers)
 }
 
 type hostDialer struct{ h *netsim.Host }
@@ -175,10 +173,10 @@ type hostDialer struct{ h *netsim.Host }
 func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) }
 
 // TestLoneReplicaOverRPC drives every client-facing method through the
-// smallest deployment there is — one shard of one replica, what a bare
+// smallest deployment there is — a group of one replica, what a bare
 // `blobnode -roles vmanager` boots — over the RPC codecs.
 func TestLoneReplicaOverRPC(t *testing.T) {
-	ts := newTestShard(t, 1, nil)
+	ts := newTestGroup(t, 1, nil)
 	c := ts.client()
 	ctx := context.Background()
 
@@ -223,12 +221,12 @@ func TestLoneReplicaOverRPC(t *testing.T) {
 	}
 }
 
-// TestLoneReplicaRejectsRejoin: a single-replica shard has no incumbent
+// TestLoneReplicaRejectsRejoin: a single-replica group has no incumbent
 // for a rejoining replica to follow and runs no election loop to promote
 // it, so Rejoin there used to boot a replica that answered NotLeader
 // forever. It is a config error; the restart that works is a cold boot.
 func TestLoneReplicaRejectsRejoin(t *testing.T) {
-	ts := newTestShard(t, 1, nil)
+	ts := newTestGroup(t, 1, nil)
 	ts.kill(0)
 	cfg := ts.cfg(0)
 	cfg.Rejoin = true
@@ -245,7 +243,7 @@ func TestLoneReplicaRejectsRejoin(t *testing.T) {
 }
 
 func TestReplicatedBasicOps(t *testing.T) {
-	ts := newTestShard(t, 3, nil)
+	ts := newTestGroup(t, 3, nil)
 	g := ts.client()
 	ctx := context.Background()
 
@@ -269,7 +267,7 @@ func TestReplicatedBasicOps(t *testing.T) {
 		t.Fatalf("history = %+v, %v", recs, err)
 	}
 
-	// Every mutation was quorum-acked; with an idle shard the followers
+	// Every mutation was quorum-acked; with an idle group the followers
 	// converge to the full log (create + assign + commit = 3 records).
 	deadline := time.Now().Add(2 * time.Second)
 	for j := 0; j < 3; j++ {
@@ -287,7 +285,7 @@ func TestReplicatedBasicOps(t *testing.T) {
 }
 
 func TestFollowerRedirects(t *testing.T) {
-	ts := newTestShard(t, 3, nil)
+	ts := newTestGroup(t, 3, nil)
 	ctx := context.Background()
 
 	// Direct call to a follower must produce a parseable redirect.
@@ -302,7 +300,7 @@ func TestFollowerRedirects(t *testing.T) {
 }
 
 func TestLeaderHandoffPreservesAckedWrites(t *testing.T) {
-	ts := newTestShard(t, 3, nil)
+	ts := newTestGroup(t, 3, nil)
 	g := ts.client()
 	ctx := context.Background()
 
@@ -340,7 +338,7 @@ func TestLeaderHandoffPreservesAckedWrites(t *testing.T) {
 		t.Fatalf("latest after handoff = %d, want %d", v, want)
 	}
 
-	// The shard keeps taking writes (quorum = 2 of 3 still live).
+	// The group keeps taking writes (quorum = 2 of 3 still live).
 	a, err := g.AssignVersion(cctx, blob, 999, 0, pageSize, false)
 	if err != nil {
 		t.Fatal(err)
@@ -368,8 +366,8 @@ func TestLeaderHandoffPreservesAckedWrites(t *testing.T) {
 func TestRestartedReplicaZeroDoesNotServeEmptyState(t *testing.T) {
 	// A killed replica 0 restarted *before* anyone campaigns must not
 	// reclaim its term-0 leadership with empty state: rejoining replicas
-	// boot follower and redirect clients until the shard has a leader.
-	ts := newTestShard(t, 2, func(_ int, cfg *ReplicaConfig) {
+	// boot follower and redirect clients until the group has a leader.
+	ts := newTestGroup(t, 2, func(_ int, cfg *ReplicaConfig) {
 		// Slow elections: the restart happens well before any campaign.
 		cfg.ElectionTimeout = 300 * time.Millisecond
 	})
@@ -395,7 +393,7 @@ func TestRestartedReplicaZeroDoesNotServeEmptyState(t *testing.T) {
 		t.Fatalf("rejoined replica error = %v, want redirect or unavailable", err)
 	}
 
-	// Eventually the shard elects a leader holding the acked state.
+	// Eventually the group elects a leader holding the acked state.
 	ts.waitLeader(-1, 5*time.Second)
 	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -406,7 +404,7 @@ func TestRestartedReplicaZeroDoesNotServeEmptyState(t *testing.T) {
 }
 
 func TestSnapshotCatchUpAfterTruncation(t *testing.T) {
-	ts := newTestShard(t, 2, func(_ int, cfg *ReplicaConfig) {
+	ts := newTestGroup(t, 2, func(_ int, cfg *ReplicaConfig) {
 		cfg.MaxLogRecords = 8 // force truncation quickly
 	})
 	g := ts.client()
@@ -475,7 +473,7 @@ func TestSnapshotCatchUpAfterTruncation(t *testing.T) {
 }
 
 func TestPartitionedLeaderCannotAck(t *testing.T) {
-	ts := newTestShard(t, 3, nil)
+	ts := newTestGroup(t, 3, nil)
 	g := ts.client()
 	ctx := context.Background()
 
@@ -545,7 +543,7 @@ func TestRepairSurvivesHandoff(t *testing.T) {
 	// the fill completes; the next leader must finish the fill.
 	shared := newFakeStore()
 	gate := &gateStore{fakeStore: shared, blocked: make(chan struct{})}
-	ts := newTestShard(t, 2, func(j int, cfg *ReplicaConfig) {
+	ts := newTestGroup(t, 2, func(j int, cfg *ReplicaConfig) {
 		cfg.Manager.RepairTimeout = 25 * time.Millisecond
 		cfg.Manager.RepairScan = 10 * time.Millisecond
 		if j == 0 {
@@ -620,42 +618,23 @@ func TestRepairSurvivesHandoff(t *testing.T) {
 	}
 }
 
-func TestShardOfStableAndBalanced(t *testing.T) {
-	// Placement must be deterministic (same blob -> same shard, every
-	// call) and must actually use all shards.
-	const shards = 4
-	seen := make(map[int]int)
-	for id := uint64(1); id <= 512; id++ {
-		s := ShardOf(shards, id)
-		if s < 0 || s >= shards {
-			t.Fatalf("ShardOf(%d) = %d out of range", id, s)
-		}
-		if again := ShardOf(shards, id); again != s {
-			t.Fatalf("ShardOf(%d) unstable: %d then %d", id, s, again)
-		}
-		seen[s]++
-	}
-	for s := 0; s < shards; s++ {
-		if seen[s] == 0 {
-			t.Errorf("shard %d never chosen over 512 ids", s)
-		}
-	}
-}
-
 func TestParseGroupAddrs(t *testing.T) {
-	g, err := ParseGroupAddrs("a:1,b:1;c:1,d:1")
-	if err != nil || len(g) != 2 || len(g[0]) != 2 || g[1][1] != "d:1" {
+	g, err := ParseGroupAddrs("a:1, b:1,c:1")
+	if err != nil || len(g) != 3 || g[1] != "b:1" || g[2] != "c:1" {
 		t.Fatalf("parse = %+v, %v", g, err)
 	}
 	single, err := ParseGroupAddrs("vm:rpc")
-	if err != nil || len(single) != 1 || len(single[0]) != 1 {
+	if err != nil || len(single) != 1 || single[0] != "vm:rpc" {
 		t.Fatalf("single parse = %+v, %v", single, err)
 	}
 	if _, err := ParseGroupAddrs(""); err == nil {
 		t.Error("empty spec accepted")
 	}
-	if _, err := ParseGroupAddrs("a,;b"); err == nil {
+	if _, err := ParseGroupAddrs("a,,b"); err == nil {
 		t.Error("empty replica entry accepted")
+	}
+	if _, err := ParseGroupAddrs("a:1,b:1;c:1,d:1"); err == nil {
+		t.Error("a second group accepted")
 	}
 }
 
@@ -664,7 +643,7 @@ func TestParseGroupAddrs(t *testing.T) {
 // published — its writer has not been told the commit succeeded, and a
 // leader crash now would lose it. Once the quorum acks, they must.
 func TestRepliesNeverReflectUnackedState(t *testing.T) {
-	ts := newTestShard(t, 3, func(_ int, cfg *ReplicaConfig) {
+	ts := newTestGroup(t, 3, func(_ int, cfg *ReplicaConfig) {
 		cfg.ElectionTimeout = 2 * time.Second // the commit outwaits the partition
 	})
 	ctx := context.Background()
@@ -739,14 +718,14 @@ func TestRepliesNeverReflectUnackedState(t *testing.T) {
 }
 
 // TestAppendNamingLeaderOutsideShardIsRejected: an append whose leader
-// index lies outside the shard is malformed, even at a higher term: it
+// index lies outside the group is malformed, even at a higher term: it
 // fails and leaves the replica's term, role and leader as they were.
 func TestAppendNamingLeaderOutsideShardIsRejected(t *testing.T) {
 	r := newLone(t, Config{})
 	before := r.Status()
-	body := replicationReq(before.Term+1, 1, 0, nil) // a lone replica's shard has index 0 only
+	body := replicationReq(before.Term+1, 1, 0, nil) // a lone replica's group has index 0 only
 	if _, err := r.handleVmAppend(context.Background(), body); err == nil {
-		t.Fatal("append naming leader 1 of a one-replica shard accepted")
+		t.Fatal("append naming leader 1 of a one-replica group accepted")
 	}
 	if after := r.Status(); after != before {
 		t.Fatalf("status went from %+v to %+v", before, after)

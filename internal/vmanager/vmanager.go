@@ -135,7 +135,7 @@ type Manager struct {
 	Repairs   stats.Counter
 
 	// passive suppresses autonomous repair activity. A replicated
-	// shard's followers run passive: they apply the leader's log and
+	// group's followers run passive: they apply the leader's log and
 	// must not race it with repairs of their own (replica.go flips this
 	// on promotion/demotion).
 	passive atomic.Bool
@@ -274,20 +274,15 @@ type applied struct {
 }
 
 // resolve fills in the fields of rec that only a leader chooses, reading
-// the applied state without changing it: a fresh blob id that owns
-// accepts (a shard hands out only ids the dht ring places on it, so every
-// client routes the blob back there — see group.go), and for an assign
-// the next version and, for an append, the offset at the logical end of
-// the blob.
-func (m *Manager) resolve(rec *LogRecord, isAppend bool, owns func(uint64) bool) {
+// the applied state without changing it: the next blob id, and for an
+// assign the next version and, for an append, the offset at the logical
+// end of the blob.
+func (m *Manager) resolve(rec *LogRecord, isAppend bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch rec.Op {
 	case OpCreate:
 		rec.Blob = m.nextID
-		for !owns(rec.Blob) {
-			rec.Blob++
-		}
 	case OpAssign:
 		if b, ok := m.blobs[rec.Blob]; ok {
 			rec.Version = b.latestAssigned + 1
@@ -299,7 +294,7 @@ func (m *Manager) resolve(rec *LogRecord, isAppend bool, owns func(uint64) bool)
 }
 
 // ApplyRecord applies one replicated log record to the manager's state —
-// the follower half of the shard replication protocol. Records must be
+// the follower half of the group replication protocol. Records must be
 // applied in log order; any divergence from the leader's expectations
 // (version mismatch, unknown blob) is returned as an error, signalling
 // the replica layer to resynchronize from a snapshot rather than limp
