@@ -101,10 +101,6 @@ func main() {
 		Redundancy:     red,
 		CacheNodes:     -1,
 		Tracer:         tracer,
-		// Operator reads get the production failure posture: hedged
-		// fetches are on by default and per-peer breakers route around
-		// gray peers (docs/robustness.md).
-		Breakers: true,
 	})
 	if err != nil {
 		log.Fatalf("connect: %v", err)

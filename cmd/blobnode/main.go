@@ -255,7 +255,6 @@ func main() {
 				MetaDirAddr:    *pmAddr,
 				Tracer:         tracer,
 				SlowThreshold:  *slowThresh,
-				Breakers:       true,
 			})
 			if err != nil {
 				log.Fatalf("repairer: connect: %v", err)

@@ -30,7 +30,6 @@ func TestChaosStormNoAckedWriteLoss(t *testing.T) {
 		DataProviders: 4,
 		MetaProviders: 4,
 		DataReplicas:  2,
-		Breakers:      true,
 		// A write killed mid-flight by a dropped connection leaves its
 		// allocated version uncommitted; dead-writer repair is what
 		// unblocks the publish window behind the hole. Any deployment

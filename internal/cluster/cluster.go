@@ -112,11 +112,6 @@ type Config struct {
 	// of them, like blobctl trace does over MSpans in a real deployment.
 	// Zero starts no traces (the allocation-free path).
 	TraceSampleEvery int
-	// Breakers arms per-peer circuit breakers (rpc.Pool.EnableBreakers)
-	// on every cluster client's connection pool; breaker
-	// transitions land in the client's recorder and surface
-	// through Events and the monitor.
-	Breakers bool
 	// Monitor, when true, embeds a cluster monitor (internal/monitor)
 	// polling the deployment from its own "monitor" host; Cluster.Mon
 	// exposes it.
@@ -174,8 +169,8 @@ type Cluster struct {
 	VMServers  []*rpc.Server
 
 	// DataStores holds each data provider's storage backend: in-RAM
-	// provider.Store by default, or a disk-backed (optionally cached)
-	// stack when Config.DataDir is set.
+	// provider.Store by default, or a provider.DiskStore when
+	// Config.DataDir is set.
 	DataStores []provider.PageStore
 	// DataServices hosts the RPC handlers over the corresponding
 	// DataStores entry.
@@ -626,7 +621,6 @@ func (c *Cluster) ClientOptions(hostName string) core.Options {
 		Redundancy:     c.cfg.Redundancy,
 		MetaReplicas:   c.cfg.MetaReplicas,
 		CacheNodes:     c.cfg.CacheNodes,
-		Breakers:       c.cfg.Breakers,
 		Tracer:         c.newRecorder(hostName),
 	}
 }

@@ -263,7 +263,7 @@ func TestHeartbeatsKeepProvidersAllocatable(t *testing.T) {
 	// Heartbeats carry load: the manager's membership view should see
 	// nonzero bytes after a flush interval.
 	time.Sleep(100 * time.Millisecond)
-	_, infos := cl.PM.List()
+	_, infos := cl.PM.Members()
 	if len(infos) != 2 {
 		t.Fatalf("providers = %d", len(infos))
 	}

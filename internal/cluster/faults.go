@@ -99,17 +99,11 @@ func (c *Cluster) RestartVMReplica(j int) error {
 // partitioned leader keeps believing it leads until it fails to reach a
 // quorum). Heal with HealVMReplica.
 func (c *Cluster) PartitionVMReplica(j int) {
-	if rep := c.VMReplica(j); rep != nil {
-		rep.SetNetFault(true)
-	}
+	c.fab.SetHostFault(fmt.Sprintf("vm-r%d", j), netsim.Fault{DropProb: 1, RefuseDial: true})
 }
 
 // HealVMReplica reconnects a partitioned replica.
-func (c *Cluster) HealVMReplica(j int) {
-	if rep := c.VMReplica(j); rep != nil {
-		rep.SetNetFault(false)
-	}
-}
+func (c *Cluster) HealVMReplica(j int) { c.fab.ClearHostFault(fmt.Sprintf("vm-r%d", j)) }
 
 // Fabric exposes the simulated network fabric for fault injection the
 // helpers below do not cover.

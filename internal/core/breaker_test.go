@@ -84,7 +84,7 @@ func TestOpenBreakerDefersReplica(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cl, c := launch(t, cluster.Config{
-				DataProviders: tt.replicas, MetaProviders: 2, DataReplicas: tt.replicas, Breakers: true,
+				DataProviders: tt.replicas, MetaProviders: 2, DataReplicas: tt.replicas,
 			})
 			ctx := context.Background()
 			b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
@@ -137,7 +137,7 @@ func TestOpenBreakerDefersShard(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cl, c := launch(t, cluster.Config{
-				DataProviders: 3, MetaProviders: 3, Breakers: true,
+				DataProviders: 3, MetaProviders: 3,
 				Redundancy: erasure.Redundancy{K: 2, M: 1},
 			}, unhedged)
 			ctx := context.Background()

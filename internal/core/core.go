@@ -83,13 +83,6 @@ type Options struct {
 	// verifyWrites) and by the tests that price the hedge against its
 	// absence (hedge_test.go).
 	DisableHedging bool
-	// Breakers enables per-peer circuit breakers on the client's RPC
-	// pool (docs/robustness.md): a provider whose calls persistently
-	// fail or crawl is failed fast — a read defers it to the end of each
-	// page's replica walk, and an rs(k,m) read asks it only for a stripe
-	// that cannot be decoded without it — until a background probe finds
-	// the peer healthy again.
-	Breakers bool
 	// Tracer records spans for this client's operations and propagates
 	// them to every service the operation touches (docs/observability.md),
 	// and receives the client's connectivity events: dial-failure bursts
@@ -175,9 +168,12 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	}
 	pool := rpc.NewPool(opts.Network)
 	pool.SetTracer(opts.Tracer)
-	if opts.Breakers {
-		pool.EnableBreakers()
-	}
+	// Per-peer circuit breakers (docs/robustness.md): a provider whose
+	// calls persistently fail or crawl is asked last — a read defers it
+	// to the end of each page's replica walk, and an rs(k,m) read asks it
+	// only for a stripe that cannot be decoded without it — until a
+	// success after the open window closes its breaker.
+	pool.EnableBreakers()
 	kv, err := dht.NewDirectoryClient(ctx, pool, opts.MetaDirAddr, opts.MetaReplicas)
 	if err != nil {
 		pool.Close()
@@ -220,8 +216,15 @@ func (c *Client) Tracer() *trace.Tracer { return c.opts.Tracer }
 // AllProviders lists every registered data provider (used by the GC to
 // broadcast deletions).
 func (c *Client) AllProviders(ctx context.Context) ([]pmanager.ProviderInfo, error) {
-	d, err := pmanager.FetchProviders(ctx, c.pool, c.opts.PManagerAddr)
-	return d.Providers, err
+	ms, err := pmanager.FetchMembers(ctx, c.pool, c.opts.PManagerAddr)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]pmanager.ProviderInfo, len(ms.Members))
+	for i, m := range ms.Members {
+		out[i] = pmanager.ProviderInfo{ID: m.ID, Addr: m.Addr}
+	}
+	return out, nil
 }
 
 // ClusterRedundancy returns the redundancy mode the provider manager
@@ -246,15 +249,15 @@ func (c *Client) creationRedundancy() erasure.Redundancy {
 // refreshProviders refetches the provider ID -> address map and the
 // advertised redundancy mode.
 func (c *Client) refreshProviders(ctx context.Context) error {
-	d, err := pmanager.FetchProviders(ctx, c.pool, c.opts.PManagerAddr)
+	ms, err := pmanager.FetchMembers(ctx, c.pool, c.opts.PManagerAddr)
 	if err != nil {
 		return fmt.Errorf("core: fetch providers: %w", err)
 	}
 	c.provMu.Lock()
-	for _, p := range d.Providers {
-		c.providers[p.ID] = p.Addr
+	for _, m := range ms.Members {
+		c.providers[m.ID] = m.Addr
 	}
-	c.clusterRed = d.Redundancy
+	c.clusterRed = ms.Redundancy
 	c.provMu.Unlock()
 	return nil
 }

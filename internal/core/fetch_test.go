@@ -200,7 +200,7 @@ func TestCancelledReadSparesOtherCalls(t *testing.T) {
 // the straggler is detached mid-answer, but the drain still waits for
 // its answer to end and counts the stall as the provider failing.
 func TestStallMidAnswerOpensBreaker(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2, Breakers: true})
+	cl, c := launch(t, cluster.Config{DataReplicas: 2})
 	ctx := context.Background()
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	if err != nil {

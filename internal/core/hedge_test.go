@@ -307,7 +307,7 @@ func TestSlowReplicaIsNotLost(t *testing.T) {
 		{"next behind an open breaker", true, false},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			cl, c := launch(t, cluster.Config{DataReplicas: 2, Breakers: true})
+			cl, c := launch(t, cluster.Config{DataReplicas: 2})
 			ctx := context.Background()
 			b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 			if err != nil {
@@ -425,7 +425,7 @@ func TestHedgeKeepsLargeReadPace(t *testing.T) {
 }
 
 func TestBreakerOpensOnFlakyProviderAndRecovers(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2, Breakers: true})
+	cl, c := launch(t, cluster.Config{DataReplicas: 2})
 	ctx := context.Background()
 
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
@@ -443,8 +443,8 @@ func TestBreakerOpensOnFlakyProviderAndRecovers(t *testing.T) {
 	cl.FlakyProvider(victim, 1) // every frame resets the connection
 	defer cl.Heal()
 
-	// Keep reading: each attempt on the flaky provider fails fast and
-	// the replica serves the page, while the failures accumulate into
+	// Keep reading: each attempt on the flaky provider fails and the
+	// replica serves the page, while the failures accumulate into
 	// the client's breaker until it opens.
 	got := make([]byte, len(data))
 	deadline := time.Now().Add(10 * time.Second)
@@ -463,8 +463,8 @@ func TestBreakerOpensOnFlakyProviderAndRecovers(t *testing.T) {
 		}
 	}
 
-	// Heal and keep reading: once OpenFor elapses routing re-admits the
-	// peer, the half-open probe succeeds, and the breaker closes —
+	// Heal and keep reading: once OpenFor elapses routing asks the peer
+	// in its turn again, the first success closes the breaker —
 	// journaling the transition.
 	cl.Heal()
 	breakerEvents := func() (opened, closed bool) {

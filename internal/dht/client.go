@@ -326,11 +326,12 @@ func (c *Client) takeUsed(addr string) uint64 {
 // Each tier is one wave dispatched from the calling goroutine and
 // collected in order, as MultiPut does. The values stay inside the
 // pooled responses that carried them, which into keeps until its
-// Release, also when MultiGet fails. Wave calls bypass the pool's retry
-// and breaker admission: outcomes go back through Observe, and a node
-// whose breaker is open or whose wave call broke in transport is
-// (re-)asked through CallWith, its answer copied out of the call's
-// buffer, before its keys count as missed on that tier.
+// Release, also when MultiGet fails. Wave calls bypass the pool's
+// retries: outcomes go back through Observe. A node whose breaker is
+// open is left out of the wave and asked after it, and a node whose wave
+// call broke in transport is re-asked, both through CallWith, its answer
+// copied out of the call's buffer, before its keys count as missed on
+// that tier.
 func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint, into *Values) error {
 	if len(keys) == 0 {
 		return nil
@@ -343,7 +344,7 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint, into *V
 	type group struct {
 		keys []uint64
 		body []byte
-		pend *rpc.Pending // nil: breaker open at dispatch, CallWith applies its admission
+		pend *rpc.Pending // nil: breaker open at dispatch, asked after the wave through CallWith
 	}
 	var failed map[uint64]error    // keys whose latest attempt ended in an error
 	var absent map[uint64][]string // key → nodes that answered "not found" (replicas > 1 only)

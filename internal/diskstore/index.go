@@ -142,9 +142,9 @@ func decodeSidecar(buf []byte) (*sidecar, error) {
 	sc.dataSize = int64(r.Uint64())
 	sc.maxSeq = r.Uint64()
 
-	nPuts := r.Uint64()
-	if nPuts > uint64(r.Remaining())/44 {
-		return nil, fmt.Errorf("%w: sidecar put count %d", ErrCorrupt, nPuts)
+	nPuts, err := wire.CheckCount(r.Uint64(), r.Remaining(), 44)
+	if err != nil {
+		return nil, fmt.Errorf("%w: sidecar put count: %v", ErrCorrupt, err)
 	}
 	sc.puts = make([]sidecarPut, nPuts)
 	for i := range sc.puts {
@@ -153,9 +153,9 @@ func decodeSidecar(buf []byte) (*sidecar, error) {
 			seq: r.Uint64(), off: int64(r.Uint64()), size: int64(r.Uint64()),
 		}
 	}
-	nDelPages := r.Uint64()
-	if nDelPages > uint64(r.Remaining())/28 {
-		return nil, fmt.Errorf("%w: sidecar del-pages count %d", ErrCorrupt, nDelPages)
+	nDelPages, err := wire.CheckCount(r.Uint64(), r.Remaining(), 28)
+	if err != nil {
+		return nil, fmt.Errorf("%w: sidecar del-pages count: %v", ErrCorrupt, err)
 	}
 	sc.delPages = make([]sidecarDelPages, nDelPages)
 	for i := range sc.delPages {
@@ -163,9 +163,9 @@ func decodeSidecar(buf []byte) (*sidecar, error) {
 			blob: r.Uint64(), write: r.Uint64(), rel: r.Uint32(), seq: r.Uint64(),
 		}
 	}
-	nDelWrites := r.Uint64()
-	if nDelWrites > uint64(r.Remaining())/24 {
-		return nil, fmt.Errorf("%w: sidecar del-writes count %d", ErrCorrupt, nDelWrites)
+	nDelWrites, err := wire.CheckCount(r.Uint64(), r.Remaining(), 24)
+	if err != nil {
+		return nil, fmt.Errorf("%w: sidecar del-writes count: %v", ErrCorrupt, err)
 	}
 	sc.delWrites = make([]sidecarDelWrite, nDelWrites)
 	for i := range sc.delWrites {

@@ -128,7 +128,7 @@ func TestEventAggBreakers(t *testing.T) {
 	}
 	closed := func(at int64, node, peer string) trace.Event {
 		return trace.Event{Time: ts(at), Type: trace.BreakerClose, Node: node,
-			Msg: "peer " + peer + ": circuit breaker closed after probe"}
+			Msg: "peer " + peer + ": circuit breaker closed"}
 	}
 
 	// Two clients trip against the same sick peer; one recovers.

@@ -348,7 +348,7 @@ func rollup(in rollupInput) ClusterSnapshot {
 			reasons = append(reasons, fmt.Sprintf("election churn: %d leader elections in the last %v", n, electionChurnWindow))
 		}
 		// Open circuit breakers mark gray peers: some node has stopped
-		// routing to a peer that is slow or erroring but not dead.
+		// asking first a peer that is slow or erroring but not dead.
 		s.OpenBreakers = a.openBreakers()
 		s.BreakersOpen = len(s.OpenBreakers)
 		if s.BreakersOpen > 0 {

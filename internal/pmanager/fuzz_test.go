@@ -11,8 +11,8 @@ import (
 
 // FuzzPManagerWire feeds arbitrary bodies to the provider manager's
 // network decoders: the MHeartbeat request and reply (which = 0, 1), the
-// MList and MMembers replies (2, 3), and the MAllocate request and reply
-// (4, 5). No body panics or sizes an allocation from a count its bytes
+// MRegister request (2), the MMembers reply (3), and the MAllocate
+// request and reply (4, 5). No body panics or sizes an allocation from a count its bytes
 // cannot hold, and whatever a handler accepts it answers with a reply
 // the client half parses into what was asked.
 func FuzzPManagerWire(f *testing.F) {
@@ -21,6 +21,12 @@ func FuzzPManagerWire(f *testing.F) {
 		m.Register(addr, 0)
 	}
 	ctx := context.Background()
+	register := func(addr string, capacity int64) []byte {
+		w := wire.NewWriter(16)
+		w.String(addr)
+		w.Varint(capacity)
+		return w.Bytes()
+	}
 	beat := func(id uint32) []byte {
 		w := wire.NewWriter(12)
 		w.Uint32(id)
@@ -28,20 +34,19 @@ func FuzzPManagerWire(f *testing.F) {
 		w.Varint(2)
 		return w.Bytes()
 	}
-	list, _ := m.handleList(ctx, nil)
 	members, _ := m.handleMembers(ctx, nil)
 	alloc, _ := m.handleAllocate(ctx, EncodeAllocate(2, 2))
 	f.Add(uint8(0), beat(1))
 	f.Add(uint8(0), beat(9))
 	f.Add(uint8(0), beat(1)[:5])
 	f.Add(uint8(1), []byte{1})
-	f.Add(uint8(2), list)
+	f.Add(uint8(2), register("d:1", 1<<30))
 	f.Add(uint8(3), members)
 	f.Add(uint8(4), EncodeAllocate(3, 2))
 	f.Add(uint8(5), alloc)
-	header := make([]byte, 10) // MList and MMembers: epoch, k, m
+	header := make([]byte, 10) // MMembers: epoch, k, m
 	for _, n := range []uint64{1 << 40, 1 << 63} {
-		f.Add(uint8(2), binary.AppendUvarint(slices.Clone(header), n))
+		f.Add(uint8(2), binary.AppendUvarint(nil, n)) // address length
 		f.Add(uint8(3), binary.AppendUvarint(slices.Clone(header), n))
 		f.Add(uint8(4), binary.AppendUvarint(binary.AppendUvarint(nil, n), 1))
 		f.Add(uint8(5), binary.AppendUvarint([]byte{0}, n))
@@ -60,8 +65,24 @@ func FuzzPManagerWire(f *testing.F) {
 		case 1:
 			decodeHeartbeatReply(body)
 		case 2:
-			if d, err := decodeDirectory(body); err == nil && len(d.Providers) > len(body)/5 {
-				t.Fatalf("%d providers from %d bytes", len(d.Providers), len(body))
+			// A fresh manager per input, so the placement cases keep
+			// seeing exactly ids 1..3; its one member makes a repeated
+			// address re-register.
+			reg := New(Config{})
+			reg.Register("a:1", 0)
+			resp, err := reg.handleRegister(ctx, body)
+			if err != nil {
+				return
+			}
+			addr := wire.NewReader(body).String()
+			id := wire.NewReader(resp).Uint32()
+			members, _ := reg.handleMembers(ctx, nil)
+			ms, err := decodeMembership(members)
+			if err != nil {
+				t.Fatalf("client cannot parse the listing: %v", err)
+			}
+			if i := slices.IndexFunc(ms.Members, func(m Member) bool { return m.ID == id }); i < 0 || ms.Members[i].Addr != addr {
+				t.Fatalf("registered %q as id %d, listing %+v", addr, id, ms.Members)
 			}
 		case 3:
 			if ms, err := decodeMembership(body); err == nil && len(ms.Members) > len(body)/10 {

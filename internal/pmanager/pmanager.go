@@ -31,17 +31,16 @@ const (
 	MRegister  = 0x0401
 	MHeartbeat = 0x0402
 	MAllocate  = 0x0403
-	MList      = 0x0404
 	MMembers   = 0x0405
-	// 0x0406 is retired (the heartbeat digest relay's bulk fetch); left
-	// unassigned so an old peer's call cannot reach a new method.
+	// 0x0404 (the client-only provider listing, which MMembers answers)
+	// and 0x0406 (the heartbeat digest relay's bulk fetch) are retired;
+	// left unassigned so an old peer's call cannot reach a new method.
 )
 
 func init() {
 	rpc.RegisterMethodName(MRegister, "pmanager.MRegister")
 	rpc.RegisterMethodName(MHeartbeat, "pmanager.MHeartbeat")
 	rpc.RegisterMethodName(MAllocate, "pmanager.MAllocate")
-	rpc.RegisterMethodName(MList, "pmanager.MList")
 	rpc.RegisterMethodName(MMembers, "pmanager.MMembers")
 }
 
@@ -282,19 +281,8 @@ func (m *Manager) Allocate(n, r int) ([]uint32, map[uint32]string, error) {
 	return ids, addrs, nil
 }
 
-// List returns all registered providers (dead or alive) and the epoch.
-func (m *Manager) List() (uint64, []ProviderInfo) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]ProviderInfo, 0, len(m.byID))
-	for _, p := range m.byID {
-		out = append(out, p.info)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return m.epoch, out
-}
-
-// Member is the monitor-facing view of one registered provider.
+// Member is one registered provider as MMembers lists it, to clients
+// and the monitor alike.
 type Member struct {
 	ID        uint32
 	Addr      string
@@ -305,8 +293,9 @@ type Member struct {
 	ActiveOps int64
 }
 
-// Members returns every registered provider with liveness, the epoch
-// and the advertised redundancy — the monitor's membership snapshot.
+// Members returns the epoch and every registered provider (dead or
+// alive) with its liveness and load — the one provider listing, which
+// MMembers serves with the advertised redundancy.
 func (m *Manager) Members() (uint64, []Member) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -333,7 +322,6 @@ func (m *Manager) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MRegister, m.handleRegister)
 	srv.Handle(MHeartbeat, m.handleHeartbeat)
 	srv.Handle(MAllocate, m.handleAllocate)
-	srv.Handle(MList, m.handleList)
 	srv.Handle(MMembers, m.handleMembers)
 }
 
@@ -406,20 +394,6 @@ func (m *Manager) handleAllocate(_ context.Context, body []byte) ([]byte, error)
 	for id, addr := range addrs {
 		w.Uint32(id)
 		w.String(addr)
-	}
-	return w.Bytes(), nil
-}
-
-func (m *Manager) handleList(_ context.Context, _ []byte) ([]byte, error) {
-	epoch, infos := m.List()
-	w := wire.NewWriter(24 + 24*len(infos))
-	w.Uint64(epoch)
-	w.Uint8(uint8(m.red.K))
-	w.Uint8(uint8(m.red.M))
-	w.Uvarint(uint64(len(infos)))
-	for _, p := range infos {
-		w.Uint32(p.ID)
-		w.String(p.Addr)
 	}
 	return w.Bytes(), nil
 }
@@ -518,15 +492,6 @@ func HeartbeatLoop(stop <-chan struct{}, pool *rpc.Pool, pmAddr string, id uint3
 	}
 }
 
-// Directory is a decoded MList response: the registration epoch, the
-// deployment's advertised redundancy mode, and every registered
-// provider.
-type Directory struct {
-	Epoch      uint64
-	Redundancy erasure.Redundancy
-	Providers  []ProviderInfo
-}
-
 // Membership is a decoded MMembers response.
 type Membership struct {
 	Epoch      uint64
@@ -534,7 +499,8 @@ type Membership struct {
 	Members    []Member
 }
 
-// FetchMembers retrieves the monitor-facing membership snapshot.
+// FetchMembers retrieves the provider listing: clients map provider ids
+// to addresses from it, the monitor reads liveness and load.
 func FetchMembers(ctx context.Context, pool *rpc.Pool, pmAddr string) (Membership, error) {
 	resp, err := pool.Call(ctx, pmAddr, MMembers, nil)
 	if err != nil {
@@ -562,26 +528,4 @@ func decodeMembership(body []byte) (Membership, error) {
 		})
 	}
 	return ms, r.Err()
-}
-
-// FetchProviders retrieves the provider directory.
-func FetchProviders(ctx context.Context, pool *rpc.Pool, pmAddr string) (Directory, error) {
-	resp, err := pool.Call(ctx, pmAddr, MList, nil)
-	if err != nil {
-		return Directory{}, fmt.Errorf("pmanager: list: %w", err)
-	}
-	return decodeDirectory(resp)
-}
-
-// decodeDirectory parses an MList response.
-func decodeDirectory(body []byte) (Directory, error) {
-	r := wire.NewReader(body)
-	d := Directory{Epoch: r.Uint64()}
-	d.Redundancy = erasure.Redundancy{K: int(r.Uint8()), M: int(r.Uint8())}
-	n := r.Count(5) // id + address length
-	d.Providers = make([]ProviderInfo, 0, n)
-	for i := 0; i < n; i++ {
-		d.Providers = append(d.Providers, ProviderInfo{ID: r.Uint32(), Addr: r.String()})
-	}
-	return d, r.Err()
 }

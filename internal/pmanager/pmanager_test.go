@@ -183,24 +183,18 @@ func TestRPCEndToEnd(t *testing.T) {
 		t.Errorf("addr map = %v", alloc.Addrs)
 	}
 
-	dir, err := FetchProviders(ctx, pool, "pm:rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir.Epoch == 0 || len(dir.Providers) != 1 || dir.Providers[0].Addr != "prov0:rpc" {
-		t.Errorf("list = %+v", dir)
-	}
-	if dir.Redundancy.IsRS() {
-		t.Errorf("default deployment advertises %v, want replicate", dir.Redundancy)
-	}
-
-	// Membership snapshot carries load.
+	// The one listing carries addresses, the advertised mode and load.
 	ms, err := FetchMembers(ctx, pool, "pm:rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms.Members) != 1 || !ms.Members[0].Alive ||
-		ms.Members[0].BytesUsed != 123 {
+	if ms.Epoch == 0 || len(ms.Members) != 1 || ms.Members[0].Addr != "prov0:rpc" {
+		t.Fatalf("members = %+v", ms)
+	}
+	if ms.Redundancy.IsRS() {
+		t.Errorf("default deployment advertises %v, want replicate", ms.Redundancy)
+	}
+	if !ms.Members[0].Alive || ms.Members[0].BytesUsed != 123 {
 		t.Errorf("members = %+v", ms)
 	}
 }
@@ -234,10 +228,6 @@ func TestHugeCountsRejected(t *testing.T) {
 		}},
 		{"DecodeAllocation", func(n uint64) error {
 			_, err := DecodeAllocation(binary.AppendUvarint([]byte{0}, n)) // no ids, then the address map
-			return err
-		}},
-		{"decodeDirectory", func(n uint64) error {
-			_, err := decodeDirectory(binary.AppendUvarint(listHeader, n))
 			return err
 		}},
 		{"decodeMembership", func(n uint64) error {

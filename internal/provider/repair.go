@@ -185,14 +185,9 @@ func (sv *Service) handlePullPages(ctx context.Context, body []byte) ([]byte, er
 	peer := r.String()
 	blob := r.Uint64()
 	write := r.Uint64()
-	n := r.Uvarint()
-	// Each ref occupies exactly 12 request bytes: reject a count the body
-	// cannot hold before sizing the list.
-	if n > uint64(r.Remaining())/12 {
-		return nil, fmt.Errorf("provider pull: request count %d exceeds body", n)
-	}
+	n := r.Count(12) // rel + checksum
 	refs := make([]PullRef, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		refs = append(refs, PullRef{Rel: r.Uint32(), Checksum: r.Uint64()})
 	}
 	if err := r.Err(); err != nil {
@@ -202,13 +197,15 @@ func (sv *Service) handlePullPages(ctx context.Context, body []byte) ([]byte, er
 		return nil, ErrRepairDisabled
 	}
 
-	// Drop pages already held (exact local probe), so a re-driven repair
-	// of a healthy provider transfers nothing and duplicate pulls from
-	// racing repairers are free.
+	// Drop pages already held, read from the index as MListWrites answers
+	// (no page data is touched), so a re-driven repair of a healthy
+	// provider transfers nothing and duplicate pulls from racing
+	// repairers are free.
+	held := sv.store.Rels(blob, write)
 	var need []PullRef
 	var skipped int64
 	for _, ref := range refs {
-		if _, ok := sv.store.GetPage(blob, write, ref.Rel); ok {
+		if _, ok := slices.BinarySearch(held, ref.Rel); ok {
 			skipped++
 			sv.pullSkips.Inc()
 			continue

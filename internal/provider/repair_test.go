@@ -129,6 +129,32 @@ func TestPullPagesRepairsFromPeer(t *testing.T) {
 	}
 }
 
+// TestPullOfHeldPagesReadsNoPageData pins where the pull handler learns
+// what it holds: the index, as MListWrites answers. A pull naming only
+// pages a disk-backed provider already holds skips them all without
+// reading one record back from its segments.
+func TestPullOfHeldPagesReadsNoPageData(t *testing.T) {
+	d := newDisk(t, t.TempDir(), 0)
+	var refs []PullRef
+	for rel := uint32(0); rel < 4; rel++ {
+		p := []byte(fmt.Sprintf("page%d", rel))
+		put(t, d, 9, 42, rel, p)
+		refs = append(refs, PullRef{Rel: rel, Checksum: wire.Checksum64(p)})
+	}
+	sv := NewService(d)
+	sv.peers = fakePeer{} // any call to the peer fails
+	resp, err := sv.handlePullPages(context.Background(), EncodePullPages("peer", 9, 42, refs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := DecodePullPages(resp); err != nil || res.Skipped != 4 || res.Pulled != 0 {
+		t.Fatalf("pull of held pages = %+v, %v; want 4 skipped", res, err)
+	}
+	if n := d.Gets.Value(); n != 0 {
+		t.Fatalf("pull of held pages read %d pages from the store, want 0", n)
+	}
+}
+
 // TestPullPagesRejectsBadChecksum pins that a peer serving bytes that
 // fail the metadata checksum never pollutes the degraded store.
 func TestPullPagesRejectsBadChecksum(t *testing.T) {
@@ -173,6 +199,17 @@ func TestHandlersRejectOversizedCounts(t *testing.T) {
 		if _, err := tc.handle(context.Background(), w.Bytes()); err == nil {
 			t.Errorf("%s: a count of 2^40 in %d bytes was accepted", tc.name, len(w.Bytes()))
 		}
+	}
+}
+
+// TestPutTornInHeaderIsRefused: a put body cut before its page count is
+// refused, not answered as a put of no pages.
+func TestPutTornInHeaderIsRefused(t *testing.T) {
+	w := wire.NewWriter(16)
+	w.Uint64(1)
+	w.Uint32(0) // half a write id
+	if _, err := NewService(NewStore(0)).handlePutPages(context.Background(), w.Bytes()); err == nil {
+		t.Fatal("a put torn inside its header was accepted")
 	}
 }
 

@@ -135,14 +135,12 @@ func (sv *Service) handlePutPages(_ context.Context, body []byte) ([]byte, error
 	r := wire.NewReader(body)
 	blob := r.Uint64()
 	write := r.Uint64()
-	n := r.Uvarint()
-	// Each page occupies at least 5 request bytes (rel + length varint):
-	// reject a count the body cannot hold before sizing the batch.
-	if n > uint64(r.Remaining())/5 {
-		return nil, fmt.Errorf("provider put: page count %d exceeds body", n)
+	n := r.Count(5) // rel + length varint
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("provider put: %w", err)
 	}
 	pages := make([]Page, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		rel := r.Uint32()
 		data := r.BytesField()
 		if err := r.Err(); err != nil {

@@ -1,22 +1,15 @@
 package rpc
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
 
-// ErrBreakerOpen is returned by pool calls to a peer whose circuit
-// breaker is open: recent traffic to that peer failed or crawled, so
-// new calls fail fast instead of queueing behind a browning-out node.
-// Routing layers treat it like a missing replica — try the next one.
-var ErrBreakerOpen = errors.New("rpc: peer circuit breaker open")
-
-// Breaker states, in transition order.
+// Breaker states. A breaker never refuses a call: an open breaker only
+// tells routing layers to ask its peer last (Pool.Available).
 const (
-	breakerClosed   = iota // normal operation
-	breakerOpen            // failing fast; no traffic except scheduled probes
-	breakerHalfOpen        // probing: limited traffic decides open vs closed
+	breakerClosed = iota // normal operation
+	breakerOpen          // recent calls failed or crawled: ask this peer last
 )
 
 // breakerConfig tunes a per-peer circuit breaker (see
@@ -34,12 +27,9 @@ type breakerConfig struct {
 	// exceeds it: the gray-failure case where a peer answers
 	// everything, slowly.
 	latencyTrip time.Duration
-	// openFor is how long the breaker stays open before the first
-	// half-open probe.
+	// openFor is how long an open breaker ignores outcomes; the first
+	// success after it closes the breaker, a failure re-arms it.
 	openFor time.Duration
-	// probeEvery spaces half-open probes, so an unhealed peer sees a
-	// trickle of traffic rather than a thundering herd.
-	probeEvery time.Duration
 }
 
 // defaultBreaker is the tuning of every pool's breakers.
@@ -53,7 +43,6 @@ var defaultBreaker = breakerConfig{
 	// the chaos harness injects.
 	latencyTrip: 250 * time.Millisecond,
 	openFor:     500 * time.Millisecond,
-	probeEvery:  250 * time.Millisecond,
 }
 
 // ewmaAlpha weights each new observation in the error-rate and latency
@@ -66,49 +55,22 @@ const ewmaAlpha = 0.2
 type breaker struct {
 	cfg breakerConfig
 
-	mu        sync.Mutex
-	state     int
-	errEWMA   float64       // failure rate, 0..1
-	latEWMA   time.Duration // success latency
-	samples   int
-	consec    int       // consecutive failures
-	openedAt  time.Time // state == breakerOpen
-	lastProbe time.Time // state == breakerHalfOpen
-	trips     int64
+	mu       sync.Mutex
+	state    int
+	errEWMA  float64       // failure rate, 0..1
+	latEWMA  time.Duration // success latency
+	samples  int
+	consec   int       // consecutive failures
+	openedAt time.Time // state == breakerOpen
+	trips    int64
 }
 
 func newBreaker(cfg breakerConfig) *breaker {
 	return &breaker{cfg: cfg}
 }
 
-// allow reports whether a call to this peer may proceed right now.
-// Open breakers deny until openFor has elapsed, then admit one probe
-// per probeEvery via the half-open state.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if now.Sub(b.openedAt) < b.cfg.openFor {
-			return false
-		}
-		b.state = breakerHalfOpen
-		b.lastProbe = now
-		return true
-	default: // breakerHalfOpen
-		if now.Sub(b.lastProbe) < b.cfg.probeEvery {
-			return false
-		}
-		b.lastProbe = now
-		return true
-	}
-}
-
-// available reports whether routing should consider this peer at all —
-// like allow, but without consuming a probe slot.
+// available reports whether routing should ask this peer in its turn:
+// false only inside an open breaker's openFor window.
 func (b *breaker) available() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -119,9 +81,12 @@ func (b *breaker) available() bool {
 }
 
 // record folds one call outcome in and returns the state transition it
-// caused: opened (closed/half-open → open) or closed (half-open →
-// closed). failure should be true for transport errors and blown
-// deadlines — not application errors, which prove the peer healthy.
+// caused: opened (closed → open) or closed (open → closed). An open
+// breaker ignores outcomes for openFor; after that its peer is asked in
+// its turn again, and the next outcome decides: a success closes the
+// breaker, a failure re-arms the window. failure should be true for
+// transport errors and blown deadlines — not application errors, which
+// prove the peer healthy.
 func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -141,19 +106,7 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 		}
 	}
 
-	switch b.state {
-	case breakerHalfOpen:
-		if failure {
-			b.trip()
-			return true, false
-		}
-		return b.probeSucceeded()
-	case breakerOpen:
-		// Async callers (Pool.Go) never pass through allow, so their
-		// outcomes reach an open breaker directly. Once openFor has
-		// elapsed, routing re-admits the peer (available) and these
-		// observations are its probes: a success closes the breaker, a
-		// failure re-arms the open window.
+	if b.state == breakerOpen {
 		if time.Since(b.openedAt) < b.cfg.openFor {
 			return false, false
 		}
@@ -161,30 +114,23 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 			b.trip()
 			return false, false // still open: no new transition to record
 		}
-		return b.probeSucceeded()
-	case breakerClosed:
-		tripNow := b.consec >= b.cfg.consecFails ||
-			(b.samples >= b.cfg.minSamples && b.errEWMA > b.cfg.errRate) ||
-			(b.samples >= b.cfg.minSamples && b.latEWMA > b.cfg.latencyTrip)
-		if tripNow {
+		// Close and reset the history that tripped the breaker; latency
+		// keeps its reading so a still-slow peer re-trips at once.
+		b.state = breakerClosed
+		b.errEWMA, b.samples, b.consec = 0, 0, 0
+		if b.latEWMA > b.cfg.latencyTrip {
 			b.trip()
-			return true, false
+			return true, true // closed and immediately re-opened
 		}
+		return false, true
+	}
+	if b.consec >= b.cfg.consecFails ||
+		(b.samples >= b.cfg.minSamples && b.errEWMA > b.cfg.errRate) ||
+		(b.samples >= b.cfg.minSamples && b.latEWMA > b.cfg.latencyTrip) {
+		b.trip()
+		return true, false
 	}
 	return false, false
-}
-
-// probeSucceeded closes the breaker after a healthy probe and resets
-// the history that tripped it; latency keeps its reading so a
-// still-slow peer re-trips quickly. Caller holds b.mu.
-func (b *breaker) probeSucceeded() (opened, closed bool) {
-	b.state = breakerClosed
-	b.errEWMA, b.samples, b.consec = 0, 0, 0
-	if b.latEWMA > b.cfg.latencyTrip {
-		b.trip()
-		return true, true // closed and immediately re-opened
-	}
-	return false, true
 }
 
 // trip moves to open; caller holds b.mu.

@@ -32,33 +32,30 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if !opened {
 		t.Fatal("did not open after 3 consecutive failures")
 	}
-	if b.allow() {
-		t.Fatal("open breaker admitted a call immediately")
+	if b.available() {
+		t.Fatal("open breaker reported available immediately")
 	}
 }
 
-func TestBreakerHalfOpenProbeAndClose(t *testing.T) {
+// TestBreakerClosesOnFirstSuccessAfterWindow: outcomes inside the open
+// window change nothing; the first success after it closes the breaker.
+func TestBreakerClosesOnFirstSuccessAfterWindow(t *testing.T) {
 	cfg := defaultBreaker
-	cfg.consecFails, cfg.openFor, cfg.probeEvery = 1, 20*time.Millisecond, 10*time.Millisecond
+	cfg.consecFails, cfg.openFor = 1, 20*time.Millisecond
 	b := newBreaker(cfg)
 	b.record(true, 0) // trip
-	if b.allow() {
-		t.Fatal("admitted during open window")
+	if _, closed := b.record(false, time.Millisecond); closed || b.available() {
+		t.Fatal("a success inside the open window closed the breaker")
 	}
 	time.Sleep(25 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("no probe admitted after OpenFor elapsed")
+	if !b.available() {
+		t.Fatal("breaker still unavailable after openFor elapsed")
 	}
-	// Second call inside ProbeEvery must be denied (single probe).
-	if b.allow() {
-		t.Fatal("second probe admitted before ProbeEvery elapsed")
+	if _, closed := b.record(false, time.Millisecond); !closed {
+		t.Fatal("first success after the window did not close the breaker")
 	}
-	_, closed := b.record(false, time.Millisecond)
-	if !closed {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	if !b.allow() {
-		t.Fatal("closed breaker denied a call")
+	if st, _, _, _ := b.snapshot(); st != breakerClosed || !b.available() {
+		t.Fatalf("state %d after close, want closed and available", st)
 	}
 }
 
@@ -68,14 +65,15 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	b := newBreaker(cfg)
 	b.record(true, 0)
 	time.Sleep(15 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("no probe admitted")
+	if !b.available() {
+		t.Fatal("breaker still unavailable after openFor elapsed")
 	}
-	if opened, _ := b.record(true, 0); !opened {
-		t.Fatal("failed probe did not reopen")
+	b.record(true, 0) // the first outcome after the window fails
+	if _, trips, _, _ := b.snapshot(); trips != 2 {
+		t.Fatalf("trips = %d after a failure past the window, want 2", trips)
 	}
-	if b.allow() {
-		t.Fatal("reopened breaker admitted a call")
+	if b.available() {
+		t.Fatal("re-armed breaker reported available")
 	}
 }
 
@@ -97,30 +95,34 @@ func TestBreakerLatencyEWMATrips(t *testing.T) {
 	}
 }
 
-// TestPoolBreakerFailsFastAndRecovers runs the full loop against a real
-// server: kill it, watch the breaker open (with a journal event), renew
-// it, watch a probe close the breaker (with a journal event).
-func TestPoolBreakerFailsFastAndRecovers(t *testing.T) {
+// echoServer serves mEcho on host:rpc.
+func echoServer(t *testing.T, n *netsim.Net, host string) *Server {
+	t.Helper()
+	s := NewServer()
+	s.Handle(mEcho, func(_ context.Context, body []byte) ([]byte, error) { return body, nil })
+	l, err := n.Host(host).Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(l)
+	return s
+}
+
+// TestPoolBreakerRecoversOnFirstSuccess runs the full loop against a
+// real server: kill it, watch the breaker open (with a journal event),
+// renew it, and once the open window has passed the first call closes
+// the breaker (with a journal event).
+func TestPoolBreakerRecoversOnFirstSuccess(t *testing.T) {
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
-	newServer := func() *Server {
-		s := NewServer()
-		s.Handle(mEcho, func(_ context.Context, body []byte) ([]byte, error) { return body, nil })
-		l, err := n.Host("srv").Listen("rpc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start(l)
-		return s
-	}
-	s := newServer()
+	s := echoServer(t, n, "srv")
 
 	j := trace.New("cli", 0)
 	p := NewPool(netDialer{n.Host("cli")})
 	defer p.Close()
 	p.SetTracer(j)
 	cfg := defaultBreaker
-	cfg.consecFails, cfg.openFor, cfg.probeEvery = 3, 30*time.Millisecond, 10*time.Millisecond
+	cfg.consecFails, cfg.openFor = 3, 30*time.Millisecond
 	p.enableBreakersWith(cfg)
 
 	ctx := context.Background()
@@ -140,28 +142,25 @@ func TestPoolBreakerFailsFastAndRecovers(t *testing.T) {
 		}
 		p.Call(ctx, "srv:rpc", mEcho, []byte("x"))
 	}
-	if _, err := p.Call(ctx, "srv:rpc", mEcho, []byte("x")); err == nil {
-		t.Fatal("call to dead open peer succeeded")
-	}
 	if len(p.OpenBreakers()) != 1 {
 		t.Fatalf("OpenBreakers = %v, want [srv:rpc]", p.OpenBreakers())
 	}
 
-	// Revive the server: a half-open probe must close the breaker.
-	s = newServer()
+	// Revive the server and let the open window pass: the first call
+	// succeeds and closes the breaker.
+	s = echoServer(t, n, "srv")
 	defer s.Close()
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if _, err := p.Call(ctx, "srv:rpc", mEcho, []byte("probe")); err == nil {
-			break
-		}
+	for !p.Available("srv:rpc") {
 		if time.Now().After(deadline) {
-			t.Fatal("breaker never recovered after server revival")
+			t.Fatal("breaker still unavailable after its window")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !p.Available("srv:rpc") {
-		t.Fatal("recovered peer still unavailable")
+	if _, err := p.Call(ctx, "srv:rpc", mEcho, []byte("again")); err != nil {
+		t.Fatalf("first call after the window: %v", err)
+	}
+	if open := p.OpenBreakers(); len(open) != 0 {
+		t.Fatalf("breakers still open after a success past the window: %v", open)
 	}
 
 	var sawOpen, sawClose bool
@@ -178,7 +177,9 @@ func TestPoolBreakerFailsFastAndRecovers(t *testing.T) {
 	}
 }
 
-// TestPoolBreakerOpenError pins the fast-fail error for routing layers.
+// TestPoolBreakerOpenError pins what a call to a peer whose breaker is
+// open gets: the call is made, so the peer's own error comes back, and
+// a peer that answers is answered from, open breaker or not.
 func TestPoolBreakerOpenError(t *testing.T) {
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
@@ -190,8 +191,19 @@ func TestPoolBreakerOpenError(t *testing.T) {
 
 	ctx := context.Background()
 	p.Call(ctx, "ghost:rpc", mEcho, nil) // dial failure trips instantly
-	_, err := p.Call(ctx, "ghost:rpc", mEcho, nil)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	if p.Available("ghost:rpc") {
+		t.Fatal("breaker did not open on a dial failure")
+	}
+	if _, err := p.Call(ctx, "ghost:rpc", mEcho, nil); !errors.Is(err, netsim.ErrRefused) {
+		t.Fatalf("err = %v, want the dial's own %v", err, netsim.ErrRefused)
+	}
+	s := echoServer(t, n, "ghost")
+	defer s.Close()
+	resp, err := p.Call(ctx, "ghost:rpc", mEcho, []byte("hi"))
+	if err != nil || string(resp) != "hi" {
+		t.Fatalf("call to a live peer behind an open breaker = %q, %v", resp, err)
+	}
+	if p.Available("ghost:rpc") {
+		t.Fatal("a success inside the open window closed the breaker")
 	}
 }

@@ -19,9 +19,9 @@ import (
 // Failure handling is policy-driven (docs/robustness.md): transport
 // failures retry under a jittered-exponential backoff bounded by a
 // per-pool retry budget (so a cluster-wide outage cannot become a
-// retry storm), and optional per-peer circuit breakers fail calls to a
-// persistently failing or crawling peer fast, probing it back to
-// health once it recovers.
+// retry storm), and per-peer circuit breakers mark a persistently
+// failing or crawling peer so routing layers ask it last (Available).
+// A breaker never refuses a call.
 type Pool struct {
 	network Network
 
@@ -80,7 +80,8 @@ func (p *Pool) SetTracer(t *trace.Tracer) {
 }
 
 // EnableBreakers turns on per-peer circuit breakers (tuned by
-// defaultBreaker). Call before the pool is shared.
+// defaultBreaker): every call's outcome feeds its peer's breaker, and
+// Available reports the open ones. Call before the pool is shared.
 func (p *Pool) EnableBreakers() {
 	p.breakMu.Lock()
 	p.breakCfg = defaultBreaker
@@ -105,10 +106,10 @@ func (p *Pool) breakerFor(addr string) *breaker {
 	return b
 }
 
-// Available reports whether calls to addr are currently admitted —
-// false only while addr's breaker is open. Routing layers use it to
-// ask the peer last: after the other peers holding the data, never
-// instead of them.
+// Available reports whether addr should be asked in its turn — false
+// only while addr's breaker is open. Routing layers use it to ask the
+// peer last: after the other peers holding the data, never instead of
+// them.
 func (p *Pool) Available(addr string) bool {
 	p.breakMu.Lock()
 	b := p.breakers[addr]
@@ -116,8 +117,8 @@ func (p *Pool) Available(addr string) bool {
 	return b == nil || b.available()
 }
 
-// OpenBreakers returns the addresses whose breakers are currently
-// denying traffic (for gauges and tests).
+// OpenBreakers returns the addresses whose breakers are currently open
+// (for gauges and tests).
 func (p *Pool) OpenBreakers() []string {
 	p.breakMu.Lock()
 	defer p.breakMu.Unlock()
@@ -142,8 +143,8 @@ func callFailure(err error) bool {
 // would otherwise bypass breaker accounting. latency matters only for
 // successes. Safe to call with breakers disabled.
 func (p *Pool) Observe(addr string, err error, latency time.Duration) {
-	if err != nil && (errors.Is(err, ErrBreakerOpen) || errors.Is(err, context.Canceled)) {
-		return // never admitted, or abandoned by the caller: not evidence
+	if errors.Is(err, context.Canceled) {
+		return // abandoned by the caller: not evidence
 	}
 	br := p.breakerFor(addr)
 	if br == nil {
@@ -167,7 +168,7 @@ func (p *Pool) emitBreaker(addr string, br *breaker, opened bool) {
 			addr, trips, errRate, lat.Round(time.Millisecond))
 	} else {
 		p.tracer.Emit(trace.SevInfo, trace.BreakerClose, trips,
-			"peer %s: circuit breaker closed after probe", addr)
+			"peer %s: circuit breaker closed", addr)
 	}
 }
 
@@ -247,22 +248,16 @@ func (p *Pool) Invalidate(addr string) {
 	}
 }
 
-// do runs one logical call under the pool's failure policy: breaker
-// admission, then up to 1+maxCallRetries attempts with backoff between
-// them, each attempt's outcome fed to the breaker. handle performs the
-// call on the given client and reports (error, final); final
-// short-circuits the retry loop (used for decode errors — the response
-// arrived, so re-asking would return the same bytes).
+// do runs one logical call under the pool's failure policy: up to
+// 1+maxCallRetries attempts with backoff between them, each attempt's
+// outcome fed to the breaker. handle performs the call on the given
+// client and reports (error, final); final short-circuits the retry
+// loop (used for decode errors — the response arrived, so re-asking
+// would return the same bytes).
 func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error, bool)) error {
 	br := p.breakerFor(addr)
 	var err error
 	for attempt := 0; ; attempt++ {
-		if br != nil && !br.allow() {
-			if err != nil {
-				return err // breaker slammed shut mid-loop: report the real failure
-			}
-			return ErrBreakerOpen
-		}
 		start := time.Now()
 		var final bool
 		var c *Client
@@ -293,9 +288,10 @@ func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error,
 	}
 }
 
-// Call performs a synchronous RPC to addr under the pool's retry and
-// breaker policy. Application errors (ServerError) are returned as-is
-// and never retried — re-asking the same node is futile.
+// Call performs a synchronous RPC to addr under the pool's retry
+// policy, feeding each attempt's outcome to addr's breaker. Application
+// errors (ServerError) are returned as-is and never retried — re-asking
+// the same node is futile.
 func (p *Pool) Call(ctx context.Context, addr string, method uint32, body []byte) ([]byte, error) {
 	var resp []byte
 	err := p.do(ctx, addr, func(c *Client) (error, bool) {
@@ -334,8 +330,8 @@ func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []
 // goroutine, and dial errors surface through the returned Pending's
 // Wait. The dial goroutine issues the same call, sink included, on the
 // new connection, so a Detach made while the dial is in flight holds.
-// Async calls bypass breaker admission — fan-outs consult Available for
-// routing instead — but callers should feed outcomes back via Observe.
+// Async outcomes do not reach the breaker by themselves: callers feed
+// them back via Observe.
 func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte, sink Sink) *Pending {
 	p.mu.Lock()
 	if p.closed {

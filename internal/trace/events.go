@@ -113,13 +113,13 @@ const (
 	// the consecutive-failure count.
 	DialFailure
 	// BreakerOpen: a peer's circuit breaker tripped — recent calls to
-	// it failed or crawled, and new calls now fail fast until a probe
-	// succeeds (docs/robustness.md). Val is the cumulative trip count
-	// for that peer.
+	// it failed or crawled, and routing now asks it last until a call
+	// after the open window succeeds (docs/robustness.md). Val is the
+	// cumulative trip count for that peer.
 	BreakerOpen
-	// BreakerClose: a half-open probe succeeded and the peer's
-	// breaker re-admitted traffic. Val is the trip count it recovered
-	// from.
+	// BreakerClose: the first call to the peer that succeeded after its
+	// open window closed the breaker. Val is the trip count it
+	// recovered from.
 	BreakerClose
 
 	maxType

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blob/internal/erasure"
@@ -76,8 +75,8 @@ func ParseNotLeader(err error) (leader int, ok bool) {
 	return leader, true
 }
 
-// IsUnavailable recognizes the transient replica errors (partitioned,
-// no quorum, handoff in progress) that a group client retries.
+// IsUnavailable recognizes the transient replica errors (no quorum,
+// leadership lost, replica closed) that a group client retries.
 func IsUnavailable(err error) bool {
 	return err != nil && strings.Contains(err.Error(), unavailablePrefix)
 }
@@ -159,8 +158,6 @@ type Replica struct {
 	ackCh      chan struct{}
 	closed     bool
 
-	netFault atomic.Bool
-
 	kick []chan struct{}
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -230,19 +227,6 @@ func (r *Replica) Close() {
 	mgr.Close()
 }
 
-// SetNetFault cuts the replica off from its peers and clients (both
-// directions) without stopping it — the harness's partition primitive.
-func (r *Replica) SetNetFault(fault bool) {
-	r.netFault.Store(fault)
-	if !fault {
-		r.mu.Lock()
-		// Healing resets the election timer so the replica listens for
-		// the incumbent before campaigning.
-		r.lastBeat = time.Now()
-		r.mu.Unlock()
-	}
-}
-
 // Manager returns the wrapped manager (a snapshot install replaces it).
 func (r *Replica) Manager() *Manager {
 	r.mu.Lock()
@@ -293,9 +277,6 @@ func (r *Replica) emit(sev trace.Severity, typ trace.Type, val int64, format str
 // leaderLocked gates a client call on this replica being the live
 // leader.
 func (r *Replica) leaderLocked() error {
-	if r.netFault.Load() {
-		return unavailableErr("partitioned")
-	}
 	if r.role != roleLeader {
 		hint := r.leader
 		if hint == r.cfg.Index {
@@ -734,9 +715,6 @@ func (r *Replica) leaderClaimLocked() int {
 }
 
 func (r *Replica) handleVmAppend(_ context.Context, body []byte) ([]byte, error) {
-	if r.netFault.Load() {
-		return nil, unavailableErr("partitioned")
-	}
 	term, leaderIdx, prevSeq, payload, err := decodeReplicationReq(body, len(r.cfg.Peers))
 	if err != nil {
 		return nil, fmt.Errorf("vmanager append: %w", err)
@@ -780,9 +758,6 @@ func (r *Replica) handleVmAppend(_ context.Context, body []byte) ([]byte, error)
 }
 
 func (r *Replica) handleVmStatus(_ context.Context, _ []byte) ([]byte, error) {
-	if r.netFault.Load() {
-		return nil, unavailableErr("partitioned")
-	}
 	st := r.Status()
 	w := wire.NewWriter(64)
 	w.Uint32(uint32(st.Index))
@@ -814,9 +789,6 @@ func DecodeReplicaStatus(body []byte) (ReplicaStatus, error) {
 // checkpoint stream. Candidates pull it to adopt the freshest state;
 // leaders push it (as MVmInstall) to lagging followers.
 func (r *Replica) handleVmState(_ context.Context, _ []byte) ([]byte, error) {
-	if r.netFault.Load() {
-		return nil, unavailableErr("partitioned")
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ckpt := r.mgr.Checkpoint()
@@ -828,9 +800,6 @@ func (r *Replica) handleVmState(_ context.Context, _ []byte) ([]byte, error) {
 }
 
 func (r *Replica) handleVmInstall(_ context.Context, body []byte) ([]byte, error) {
-	if r.netFault.Load() {
-		return nil, unavailableErr("partitioned")
-	}
 	term, leaderIdx, seq, ckpt, err := decodeReplicationReq(body, len(r.cfg.Peers))
 	if err != nil {
 		return nil, fmt.Errorf("vmanager install: %w", err)
@@ -902,7 +871,7 @@ func (r *Replica) sender(peer int) {
 // whether more records remain to push.
 func (r *Replica) syncPeer(peer int) bool {
 	r.mu.Lock()
-	if r.closed || r.role != roleLeader || r.netFault.Load() {
+	if r.closed || r.role != roleLeader {
 		r.mu.Unlock()
 		return false
 	}
@@ -1006,7 +975,7 @@ func (r *Replica) electionLoop() {
 		case <-ticker.C:
 		}
 		r.mu.Lock()
-		if r.closed || r.role == roleLeader || r.netFault.Load() {
+		if r.closed || r.role == roleLeader {
 			r.mu.Unlock()
 			continue
 		}
@@ -1110,7 +1079,7 @@ func (r *Replica) campaign(startTerm uint64) {
 	}
 
 	r.mu.Lock()
-	if r.term != startTerm || r.role != roleFollower || r.closed || r.netFault.Load() {
+	if r.term != startTerm || r.role != roleFollower || r.closed {
 		r.mu.Unlock()
 		return
 	}

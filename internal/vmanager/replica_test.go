@@ -106,6 +106,15 @@ func (ts *testGroup) kill(j int) {
 	}
 }
 
+// partition cuts replica j's host off from every other host, both
+// directions, without stopping the replica: its connections reset and
+// new dials are refused. heal reconnects it.
+func (ts *testGroup) partition(j int) {
+	ts.fab.SetHostFault(fmt.Sprintf("r%d", j), netsim.Fault{DropProb: 1, RefuseDial: true})
+}
+
+func (ts *testGroup) heal(j int) { ts.fab.ClearHostFault(fmt.Sprintf("r%d", j)) }
+
 // restart relaunches a killed replica at the same address, empty, as a
 // rejoining follower.
 func (ts *testGroup) restart(j int) { ts.start(j, true) }
@@ -419,14 +428,14 @@ func TestSnapshotCatchUpAfterTruncation(t *testing.T) {
 	// majority): a mutation must fail, not ack. Use CreateBlob as the
 	// probe — unlike an assign, a locally-executed-but-unacked create
 	// cannot wedge later publications.
-	ts.rep(1).SetNetFault(true)
+	ts.partition(1)
 	sctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
 	_, err = ts.rep(0).CreateBlob(sctx, pageSize, capBytes, erasure.Redundancy{})
 	cancel()
 	if err == nil {
 		t.Fatal("mutation quorum-acked with the only follower partitioned")
 	}
-	ts.rep(1).SetNetFault(false)
+	ts.heal(1)
 
 	// Healed: writes flow again, and enough of them truncate the log.
 	var last meta.Version
@@ -484,7 +493,7 @@ func TestPartitionedLeaderCannotAck(t *testing.T) {
 
 	// Partition the leader. Its own clients get "unavailable"; the
 	// remaining majority elects a new leader and keeps going.
-	ts.rep(0).SetNetFault(true)
+	ts.partition(0)
 	if _, err := ts.rep(0).AssignVersion(ctx, blob, 1, 0, pageSize, false); !IsUnavailable(err) {
 		t.Fatalf("partitioned leader error = %v, want unavailable", err)
 	}
@@ -504,7 +513,7 @@ func TestPartitionedLeaderCannotAck(t *testing.T) {
 
 	// Heal: the deposed leader must step down (higher term wins) and
 	// resync to the majority's state.
-	ts.rep(0).SetNetFault(false)
+	ts.heal(0)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := ts.rep(0).Status()
@@ -656,8 +665,8 @@ func TestRepliesNeverReflectUnackedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.rep(1).SetNetFault(true)
-	ts.rep(2).SetNetFault(true)
+	ts.partition(1)
+	ts.partition(2)
 
 	committed := make(chan error, 1)
 	go func() {
@@ -707,8 +716,8 @@ func TestRepliesNeverReflectUnackedState(t *testing.T) {
 	default:
 	}
 
-	ts.rep(1).SetNetFault(false)
-	ts.rep(2).SetNetFault(false)
+	ts.heal(1)
+	ts.heal(2)
 	if err := <-committed; err != nil {
 		t.Fatalf("commit after heal: %v", err)
 	}
