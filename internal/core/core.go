@@ -76,9 +76,11 @@ type Options struct {
 	CacheNodes int
 	// DisableHedging turns off hedged reads (docs/robustness.md):
 	// without it, a page fetch that outlives its provider's adaptive
-	// hedge delay (~p95 of that provider's recent latency) is raced
-	// against the next replica — or, for rs(k,m) blobs, served by early
-	// stripe reconstruction — and the first usable response wins. Set by
+	// hedge delay (~p95 of the provider's recent latency, as estimated
+	// by the client's rpc.Pool from every call it makes to that address)
+	// is raced against the next replica — or, for rs(k,m) blobs, served
+	// by early stripe reconstruction — and the first usable response
+	// wins. Latency estimates are kept with hedging off too. Set by
 	// the benchmark's write-verification pass (benchmark/workload.go
 	// verifyWrites) and by the tests that price the hedge against its
 	// absence (hedge_test.go).
@@ -112,10 +114,6 @@ type Client struct {
 	// is saturated further repairs are dropped (the repair agent or a
 	// later read retries them).
 	repairSem chan struct{}
-
-	// lat tracks per-provider fetch latency; the read path derives each
-	// provider's adaptive hedge delay from it (latency.go).
-	lat *latencies
 
 	// Completed operations and the bytes they moved.
 	Writes       stats.Counter
@@ -186,7 +184,6 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 		ms:        mstore.New(kv, opts.CacheNodes),
 		providers: make(map[uint32]string),
 		repairSem: make(chan struct{}, 4),
-		lat:       newLatencies(),
 	}
 	if err := c.refreshProviders(ctx); err != nil {
 		pool.Close()
@@ -291,18 +288,6 @@ func (c *Client) cachedProviderAddr(id uint32) (string, bool) {
 	addr, ok := c.providers[id]
 	c.provMu.RUnlock()
 	return addr, ok
-}
-
-// observeFetch feeds one page-fetch outcome into the latency tracker
-// (successes only — a failure's duration says nothing about the
-// provider's service time) and the pool's circuit breaker for the
-// provider. The async fetch fan-outs bypass the pool's synchronous
-// call path, so this is how their evidence reaches both.
-func (c *Client) observeFetch(addr string, err error, d time.Duration) {
-	if err == nil {
-		c.lat.observe(addr, d)
-	}
-	c.pool.Observe(addr, err, d)
 }
 
 // endRoot completes a traced operation's root span and, when the

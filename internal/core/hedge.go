@@ -4,7 +4,7 @@ package core
 // gray failures the breaker has not (yet) tripped on. A page-fetch
 // fan-out normally waits for every provider group it dispatched; when
 // one group outlives its provider's adaptive hedge delay (~p95 of that
-// provider's recent latency, latency.go), the same pages are requested
+// provider's recent latency, hedgeDelay), the same pages are requested
 // from each page's next replica into scratch buffers and whichever
 // usable response lands first serves the page. A group's own fetch
 // reads its answer straight into the read's buffer, so once the hedges
@@ -109,12 +109,12 @@ type hedgeSub struct {
 }
 
 // waitPrimary waits a group's fetch out, feeding its latency and
-// outcome to the latency tracker and the provider's breaker. The
-// outcome includes the sink's: an answer that does not parse counts as
-// the provider failing.
+// outcome to the provider's record in the pool: its latency estimate
+// and its breaker. The outcome includes the sink's: an answer that does
+// not parse counts as the provider failing.
 func (b *Blob) waitPrimary(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) error {
 	_, err := pd.Wait(ctx)
-	b.c.observeFetch(addr, err, time.Since(dispatched))
+	b.c.pool.Observe(addr, err, time.Since(dispatched))
 	return err
 }
 
@@ -128,7 +128,7 @@ func (b *Blob) waitPagesInto(ctx context.Context, pd *rpc.Pending, addr string, 
 		err = provider.DecodeGetPagesInto(resp, dsts, status)
 		pd.Release()
 	}
-	b.c.observeFetch(addr, err, time.Since(dispatched))
+	b.c.pool.Observe(addr, err, time.Since(dispatched))
 	return err
 }
 
@@ -152,7 +152,7 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		_, err := pd.Wait(ctx)
-		b.c.observeFetch(addr, err, time.Since(dispatched))
+		b.c.pool.Observe(addr, err, time.Since(dispatched))
 		pd.Release()
 	}()
 }
@@ -277,6 +277,35 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 	return hedged, false, b.waitPrimary(ctx, pd, addr, dispatched)
 }
 
+// The hedge policy. The delay is srtt + 4*rttvar of the provider's
+// latency estimate in the client's rpc.Pool, which every call the client
+// makes to that address feeds: ~p95+ of its recent latency, so a hedge
+// fires only for genuine stragglers and the no-fault hedge rate (and
+// hence the extra provider load) stays near zero.
+const (
+	// hedgeMinDelay floors the adaptive delay: on a fast local cluster
+	// the estimates converge to microseconds, where scheduler jitter
+	// alone would fire spurious hedges.
+	hedgeMinDelay = 10 * time.Millisecond
+	// hedgeMaxDelay caps the delay so one pathologically slow sample
+	// era cannot disable hedging for a provider that later degrades.
+	hedgeMaxDelay = time.Second
+	// hedgeDefaultDelay is used until a provider's estimate has
+	// hedgeMinSamples samples.
+	hedgeDefaultDelay = 50 * time.Millisecond
+	hedgeMinSamples   = 3
+)
+
+// hedgeDelay returns how long a fetch to addr may run before the read
+// hedges it, clamped to [hedgeMinDelay, hedgeMaxDelay].
+func (c *Client) hedgeDelay(addr string) time.Duration {
+	d := hedgeDefaultDelay
+	if srtt, rttvar, n := c.pool.Latency(addr); n >= hedgeMinSamples {
+		d = srtt + 4*rttvar
+	}
+	return min(max(d, hedgeMinDelay), hedgeMaxDelay)
+}
+
 // errHedged marks a fetch that outlived its provider's hedge delay
 // (waitHedged).
 var errHedged = errors.New("core: fetch outlived its hedge delay")
@@ -291,7 +320,7 @@ func (b *Blob) waitHedged(ctx context.Context, pd *rpc.Pending, addr string, dis
 	if b.c.opts.DisableHedging {
 		return nil
 	}
-	if delay := b.c.lat.hedgeDelay(addr) - time.Since(dispatched); delay > 0 {
+	if delay := b.c.hedgeDelay(addr) - time.Since(dispatched); delay > 0 {
 		t := time.NewTimer(delay)
 		defer t.Stop()
 		select {

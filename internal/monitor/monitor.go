@@ -45,14 +45,17 @@ type Config struct {
 	EventNodes []string
 	// Interval is the poll period (default 1s).
 	Interval time.Duration
-	// CallTimeout bounds each individual poll RPC (default 2s, clamped
-	// to Interval when the interval is shorter).
-	CallTimeout time.Duration
-	// EventTail caps the merged recent-events buffer (default 512).
-	EventTail int
 	// Logf, when set, receives poll-loop diagnostics.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// callTimeout bounds each individual poll RPC, clamped to
+	// Config.Interval when the interval is shorter.
+	callTimeout = 2 * time.Second
+	// eventTail caps the merged recent-events buffer.
+	eventTail = 512
+)
 
 // Monitor polls the cluster and maintains the latest ClusterSnapshot.
 type Monitor struct {
@@ -80,15 +83,6 @@ type cursor struct{ inc, seq uint64 }
 func New(cfg Config) *Monitor {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 2 * time.Second
-	}
-	if cfg.CallTimeout > cfg.Interval {
-		cfg.CallTimeout = cfg.Interval
-	}
-	if cfg.EventTail <= 0 {
-		cfg.EventTail = 512
 	}
 	return &Monitor{
 		cfg:     cfg,
@@ -163,7 +157,7 @@ func (m *Monitor) logf(format string, args ...any) {
 
 // call wraps one poll RPC in its timeout.
 func (m *Monitor) call(ctx context.Context, f func(context.Context) error) error {
-	cctx, cancel := context.WithTimeout(ctx, m.cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx, min(callTimeout, m.cfg.Interval))
 	defer cancel()
 	return f(cctx)
 }
@@ -183,7 +177,7 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 	in.membership = ms
 
 	// Fan out the per-node polls; each has its own timeout, so one dead
-	// node cannot stall the round past CallTimeout.
+	// node cannot stall the round past callTimeout.
 	var wg sync.WaitGroup
 	var collMu sync.Mutex
 	in.provStats = make(map[uint32]provider.Stats)
@@ -318,8 +312,8 @@ func (m *Monitor) Poll(ctx context.Context) ClusterSnapshot {
 	m.mu.Lock()
 	m.agg.ingest(fresh)
 	m.tail = append(m.tail, fresh...)
-	if len(m.tail) > m.cfg.EventTail {
-		m.tail = append([]trace.Event(nil), m.tail[len(m.tail)-m.cfg.EventTail:]...)
+	if len(m.tail) > eventTail {
+		m.tail = append([]trace.Event(nil), m.tail[len(m.tail)-eventTail:]...)
 	}
 	in.agg = &m.agg
 	in.tail = append([]trace.Event(nil), m.tail...)

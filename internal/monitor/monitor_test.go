@@ -124,7 +124,7 @@ func TestEventAggBreakers(t *testing.T) {
 	ts := func(s int64) int64 { return s * int64(time.Second) }
 	open := func(at int64, node, peer string) trace.Event {
 		return trace.Event{Time: ts(at), Type: trace.BreakerOpen, Node: node,
-			Msg: "peer " + peer + ": circuit breaker open (trip 1, err-rate 0.62, lat-ewma 310ms)"}
+			Msg: "peer " + peer + ": circuit breaker open (trip 1, err-rate 0.62, srtt 310ms)"}
 	}
 	closed := func(at int64, node, peer string) trace.Event {
 		return trace.Event{Time: ts(at), Type: trace.BreakerClose, Node: node,

@@ -130,7 +130,7 @@ func TestLatencyIsApplied(t *testing.T) {
 	}
 	rtt := time.Since(start)
 	if rtt < 2*lat {
-		t.Errorf("round trip = %v, want >= %v (two one-way latencies)", rtt, 2*lat)
+		t.Errorf("round trip = %v, want >= %v (two one-way link delays)", rtt, 2*lat)
 	}
 	if rtt > 20*lat {
 		t.Errorf("round trip = %v, implausibly slow", rtt)

@@ -1,9 +1,6 @@
 package rpc
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Breaker states. A breaker never refuses a call: an open breaker only
 // tells routing layers to ask its peer last (Pool.Available).
@@ -18,14 +15,14 @@ type breakerConfig struct {
 	// errRate trips the breaker when the error-rate EWMA exceeds it
 	// with at least minSamples observations folded in.
 	errRate float64
-	// minSamples gates both EWMA trips.
+	// minSamples gates both the error-rate and the latency trip.
 	minSamples int
 	// consecFails trips the breaker outright after this many
 	// consecutive failures, regardless of the EWMA.
 	consecFails int
-	// latencyTrip trips the breaker once the success latency EWMA
-	// exceeds it: the gray-failure case where a peer answers
-	// everything, slowly.
+	// latencyTrip trips the breaker once the peer's smoothed success
+	// latency (srtt) exceeds it: the gray-failure case where a peer
+	// answers everything, slowly.
 	latencyTrip time.Duration
 	// openFor is how long an open breaker ignores outcomes; the first
 	// success after it closes the breaker, a failure re-arms it.
@@ -45,24 +42,48 @@ var defaultBreaker = breakerConfig{
 	openFor:     500 * time.Millisecond,
 }
 
-// ewmaAlpha weights each new observation in the error-rate and latency
-// EWMAs: high enough that ~10 bad calls dominate the history, low
-// enough that one blip does not trip anything.
+// ewmaAlpha weights each new observation in the error-rate EWMA: high
+// enough that ~10 bad calls dominate the history, low enough that one
+// blip does not trip anything.
 const ewmaAlpha = 0.2
 
-// breaker is one peer's circuit breaker. All methods are safe for
-// concurrent use.
+// rttEstimate is a Jacobson/Karels estimate of one peer's success
+// latency: srtt tracks the mean, rttvar the deviation (gains 1/8 and
+// 1/4, the TCP RTO constants), so srtt + 4*rttvar approximates a high
+// percentile (~p95+) of the peer's recent latency.
+type rttEstimate struct {
+	srtt, rttvar time.Duration
+	n            int // samples folded in
+}
+
+// observe folds one successful call's latency in.
+func (e *rttEstimate) observe(d time.Duration) {
+	if e.n == 0 {
+		e.srtt, e.rttvar = d, d/2
+	} else {
+		diff := d - e.srtt
+		if diff < 0 {
+			diff = -diff
+		}
+		e.rttvar += (diff - e.rttvar) / 4
+		e.srtt += (d - e.srtt) / 8
+	}
+	e.n++
+}
+
+// breaker is one peer's circuit breaker, with the latency estimate its
+// latency trip reads. It has no lock of its own: a pool's breakers are
+// guarded by Pool.mu.
 type breaker struct {
 	cfg breakerConfig
 
-	mu       sync.Mutex
 	state    int
-	errEWMA  float64       // failure rate, 0..1
-	latEWMA  time.Duration // success latency
+	errEWMA  float64 // failure rate, 0..1
 	samples  int
 	consec   int       // consecutive failures
 	openedAt time.Time // state == breakerOpen
 	trips    int64
+	rtt      rttEstimate
 }
 
 func newBreaker(cfg breakerConfig) *breaker {
@@ -72,24 +93,17 @@ func newBreaker(cfg breakerConfig) *breaker {
 // available reports whether routing should ask this peer in its turn:
 // false only inside an open breaker's openFor window.
 func (b *breaker) available() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != breakerOpen {
-		return true
-	}
-	return time.Since(b.openedAt) >= b.cfg.openFor
+	return b.state != breakerOpen || time.Since(b.openedAt) >= b.cfg.openFor
 }
 
 // record folds one call outcome in and returns the state transition it
-// caused: opened (closed → open) or closed (open → closed). An open
-// breaker ignores outcomes for openFor; after that its peer is asked in
-// its turn again, and the next outcome decides: a success closes the
-// breaker, a failure re-arms the window. failure should be true for
-// transport errors and blown deadlines — not application errors, which
-// prove the peer healthy.
+// caused: opened (closed → open) or closed (open → closed). A success
+// feeds the latency estimate. An open breaker ignores outcomes for
+// openFor; after that its peer is asked in its turn again, and the next
+// outcome decides: a success closes the breaker, a failure re-arms the
+// window. failure should be true for transport errors and blown
+// deadlines — not application errors, which prove the peer healthy.
 func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.samples++
 	if failure {
 		b.consec++
@@ -97,13 +111,7 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 	} else {
 		b.consec = 0
 		b.errEWMA *= 1 - ewmaAlpha
-		if latency > 0 {
-			if b.latEWMA == 0 {
-				b.latEWMA = latency
-			} else {
-				b.latEWMA += time.Duration(ewmaAlpha * float64(latency-b.latEWMA))
-			}
-		}
+		b.rtt.observe(latency)
 	}
 
 	if b.state == breakerOpen {
@@ -114,11 +122,12 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 			b.trip()
 			return false, false // still open: no new transition to record
 		}
-		// Close and reset the history that tripped the breaker; latency
-		// keeps its reading so a still-slow peer re-trips at once.
+		// Close and reset the history that tripped the breaker; the
+		// latency estimate keeps its reading so a still-slow peer
+		// re-trips at once.
 		b.state = breakerClosed
 		b.errEWMA, b.samples, b.consec = 0, 0, 0
-		if b.latEWMA > b.cfg.latencyTrip {
+		if b.rtt.srtt > b.cfg.latencyTrip {
 			b.trip()
 			return true, true // closed and immediately re-opened
 		}
@@ -126,14 +135,14 @@ func (b *breaker) record(failure bool, latency time.Duration) (opened, closed bo
 	}
 	if b.consec >= b.cfg.consecFails ||
 		(b.samples >= b.cfg.minSamples && b.errEWMA > b.cfg.errRate) ||
-		(b.samples >= b.cfg.minSamples && b.latEWMA > b.cfg.latencyTrip) {
+		(b.samples >= b.cfg.minSamples && b.rtt.srtt > b.cfg.latencyTrip) {
 		b.trip()
 		return true, false
 	}
 	return false, false
 }
 
-// trip moves to open; caller holds b.mu.
+// trip moves to open.
 func (b *breaker) trip() {
 	b.state = breakerOpen
 	b.openedAt = time.Now()
@@ -141,8 +150,6 @@ func (b *breaker) trip() {
 }
 
 // snapshot returns the state and trip count for gauges and tests.
-func (b *breaker) snapshot() (state int, trips int64, errRate float64, lat time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.trips, b.errEWMA, b.latEWMA
+func (b *breaker) snapshot() (state int, trips int64, errRate float64, srtt time.Duration) {
+	return b.state, b.trips, b.errEWMA, b.rtt.srtt
 }

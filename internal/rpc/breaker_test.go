@@ -14,9 +14,7 @@ import (
 // defaultBreaker, so tests can shrink the windows.
 func (p *Pool) enableBreakersWith(cfg breakerConfig) {
 	p.EnableBreakers()
-	p.breakMu.Lock()
 	p.breakCfg = cfg
-	p.breakMu.Unlock()
 }
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {

@@ -16,44 +16,53 @@ import (
 // and metadata providers, the GC agent, the repair path in the version
 // manager) shares this type.
 //
+// Everything the pool knows about one address is one peer record: the
+// cached connection, the dial-failure burst, the circuit breaker and a
+// Jacobson/Karels estimate of the peer's success latency, fed by every
+// call outcome the pool sees (its own synchronous calls, and the async
+// ones callers hand back through Observe). One mutex guards the records;
+// each critical section is a map lookup and a few field updates.
+//
 // Failure handling is policy-driven (docs/robustness.md): transport
 // failures retry under a jittered-exponential backoff bounded by a
 // per-pool retry budget (so a cluster-wide outage cannot become a
-// retry storm), and per-peer circuit breakers mark a persistently
-// failing or crawling peer so routing layers ask it last (Available).
-// A breaker never refuses a call.
+// retry storm), and, once EnableBreakers is called, per-peer circuit
+// breakers mark a persistently failing or crawling peer so routing
+// layers ask it last (Available). A breaker never refuses a call.
 type Pool struct {
 	network Network
 
-	mu      sync.Mutex
-	clients map[string]*Client
-	closed  bool
+	mu     sync.Mutex
+	peers  map[string]*peer
+	closed bool
 
 	// retry policy for transport failures; the budget is shared by all
 	// peers of this pool.
 	retry       backoff.Policy
 	retryBudget *backoff.Budget
 
-	breakMu  sync.Mutex
-	breakCfg breakerConfig
+	// Set before the pool is shared (SetTracer, EnableBreakers).
+	tracer   *trace.Tracer // receives dial-failure and breaker events
 	breakOn  bool
-	breakers map[string]*breaker
+	breakCfg breakerConfig
+}
 
-	tracer  *trace.Tracer // receives dial-failure and breaker events
-	dialsMu sync.Mutex
-	dials   map[string]*dialState
+// peer is a pool's record of one address, guarded by Pool.mu. Records
+// are never removed, so a *peer stays valid across unlocks.
+type peer struct {
+	c *Client // cached connection; nil until dialed and after Invalidate
+	// dialFails counts consecutive failed dials; dialEmit is when the
+	// last DialFailure event for them was emitted.
+	dialFails int64
+	dialEmit  time.Time
+	// breaker holds the breaker state and the latency estimate; its
+	// state changes only while the pool's breakers are enabled.
+	breaker
 }
 
 // maxCallRetries bounds how many times one logical call is retried
 // after transport failures (the first attempt is free).
 const maxCallRetries = 2
-
-// dialState tracks consecutive dial failures to one address so the
-// tracer records failure bursts, not every failed attempt.
-type dialState struct {
-	fails    int64
-	lastEmit time.Time
-}
 
 // dialEventCooldown is the minimum spacing between dial-failure events
 // for the same address.
@@ -63,8 +72,9 @@ const dialEventCooldown = 5 * time.Second
 func NewPool(n Network) *Pool {
 	return &Pool{
 		network:     n,
-		clients:     make(map[string]*Client),
+		peers:       make(map[string]*peer),
 		retryBudget: backoff.NewBudget(0.1, 10),
+		breakCfg:    defaultBreaker,
 	}
 }
 
@@ -72,38 +82,23 @@ func NewPool(n Network) *Pool {
 // bursts of dial failures to one address emit a rate-limited
 // trace.DialFailure, and breaker transitions emit trace.BreakerOpen /
 // trace.BreakerClose. Call before the pool is shared.
-func (p *Pool) SetTracer(t *trace.Tracer) {
-	p.dialsMu.Lock()
-	p.tracer = t
-	p.dials = make(map[string]*dialState)
-	p.dialsMu.Unlock()
-}
+func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
 
 // EnableBreakers turns on per-peer circuit breakers (tuned by
 // defaultBreaker): every call's outcome feeds its peer's breaker, and
-// Available reports the open ones. Call before the pool is shared.
-func (p *Pool) EnableBreakers() {
-	p.breakMu.Lock()
-	p.breakCfg = defaultBreaker
-	p.breakOn = true
-	p.breakers = make(map[string]*breaker)
-	p.breakMu.Unlock()
-}
+// Available reports the open ones. Latency estimates are kept either
+// way. Call before the pool is shared.
+func (p *Pool) EnableBreakers() { p.breakOn = true }
 
-// breakerFor returns addr's breaker, creating it on first use, or nil
-// when breakers are disabled.
-func (p *Pool) breakerFor(addr string) *breaker {
-	p.breakMu.Lock()
-	defer p.breakMu.Unlock()
-	if !p.breakOn {
-		return nil
+// peerLocked returns addr's record, creating it on first use; caller
+// holds p.mu.
+func (p *Pool) peerLocked(addr string) *peer {
+	pr := p.peers[addr]
+	if pr == nil {
+		pr = &peer{breaker: breaker{cfg: p.breakCfg}}
+		p.peers[addr] = pr
 	}
-	b, ok := p.breakers[addr]
-	if !ok {
-		b = newBreaker(p.breakCfg)
-		p.breakers[addr] = b
-	}
-	return b
+	return pr
 }
 
 // Available reports whether addr should be asked in its turn — false
@@ -111,94 +106,70 @@ func (p *Pool) breakerFor(addr string) *breaker {
 // peer last: after the other peers holding the data, never instead of
 // them.
 func (p *Pool) Available(addr string) bool {
-	p.breakMu.Lock()
-	b := p.breakers[addr]
-	p.breakMu.Unlock()
-	return b == nil || b.available()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pr := p.peers[addr]
+	return pr == nil || pr.available()
 }
 
 // OpenBreakers returns the addresses whose breakers are currently open
 // (for gauges and tests).
 func (p *Pool) OpenBreakers() []string {
-	p.breakMu.Lock()
-	defer p.breakMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var open []string
-	for addr, b := range p.breakers {
-		if !b.available() {
+	for addr, pr := range p.peers {
+		if !pr.available() {
 			open = append(open, addr)
 		}
 	}
 	return open
 }
 
-// callFailure classifies err for breaker accounting: transport errors
-// and blown deadlines are the peer's failures; application errors and
-// caller-side cancellation are not.
-func callFailure(err error) bool {
-	return err != nil && !IsServerError(err) && !errors.Is(err, context.Canceled)
+// Latency returns addr's success-latency estimate: the smoothed mean
+// srtt, its deviation rttvar, and how many samples fed them (zero for a
+// peer never heard from).
+func (p *Pool) Latency(addr string) (srtt, rttvar time.Duration, samples int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pr := p.peers[addr]; pr != nil {
+		return pr.rtt.srtt, pr.rtt.rttvar, pr.rtt.n
+	}
+	return 0, 0, 0
 }
 
-// Observe feeds one call outcome into addr's breaker — the hook for
-// async callers (Go fan-outs) that wait on Pendings themselves and
-// would otherwise bypass breaker accounting. latency matters only for
-// successes. Safe to call with breakers disabled.
+// Observe feeds one call outcome into addr's record: a success's
+// latency into the estimate, and the outcome into the breaker when
+// breakers are enabled. The pool's own calls report themselves; async
+// callers (Go fan-outs), which wait on Pendings themselves, report
+// through it. latency matters only for successes.
 func (p *Pool) Observe(addr string, err error, latency time.Duration) {
 	if errors.Is(err, context.Canceled) {
 		return // abandoned by the caller: not evidence
 	}
-	br := p.breakerFor(addr)
-	if br == nil {
-		return
+	// Transport errors and blown deadlines are the peer's failures;
+	// application errors prove the peer healthy.
+	failure := err != nil && !IsServerError(err)
+	var opened, closed bool
+	p.mu.Lock()
+	pr := p.peerLocked(addr)
+	if p.breakOn {
+		opened, closed = pr.record(failure, latency)
+	} else if !failure {
+		pr.rtt.observe(latency)
 	}
-	opened, closed := br.record(callFailure(err), latency)
-	if opened || closed {
-		p.emitBreaker(addr, br, opened)
-	}
-}
-
-// emitBreaker emits breaker transition events.
-func (p *Pool) emitBreaker(addr string, br *breaker, opened bool) {
+	_, trips, errRate, srtt := pr.snapshot()
+	p.mu.Unlock()
 	if p.tracer == nil {
 		return
 	}
-	_, trips, errRate, lat := br.snapshot()
 	if opened {
 		p.tracer.Emit(trace.SevWarn, trace.BreakerOpen, trips,
-			"peer %s: circuit breaker open (trip %d, err-rate %.2f, lat-ewma %s)",
-			addr, trips, errRate, lat.Round(time.Millisecond))
-	} else {
+			"peer %s: circuit breaker open (trip %d, err-rate %.2f, srtt %s)",
+			addr, trips, errRate, srtt.Round(time.Millisecond))
+	} else if closed {
 		p.tracer.Emit(trace.SevInfo, trace.BreakerClose, trips,
 			"peer %s: circuit breaker closed", addr)
-	}
-}
-
-// noteDial records a dial outcome for addr, emitting a DialFailure
-// event when failures persist past the per-address cooldown.
-func (p *Pool) noteDial(addr string, err error) {
-	if p.tracer == nil {
-		return
-	}
-	p.dialsMu.Lock()
-	if err == nil {
-		delete(p.dials, addr)
-		p.dialsMu.Unlock()
-		return
-	}
-	st := p.dials[addr]
-	if st == nil {
-		st = &dialState{}
-		p.dials[addr] = st
-	}
-	st.fails++
-	fails := st.fails
-	emit := time.Since(st.lastEmit) >= dialEventCooldown
-	if emit {
-		st.lastEmit = time.Now()
-	}
-	p.dialsMu.Unlock()
-	if emit {
-		p.tracer.Emit(trace.SevWarn, trace.DialFailure, fails,
-			"dial %s failing (%d consecutive): %v", addr, fails, err)
 	}
 }
 
@@ -209,7 +180,8 @@ func (p *Pool) Get(addr string) (*Client, error) {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if c, ok := p.clients[addr]; ok && !c.Closed() {
+	pr := p.peerLocked(addr)
+	if c := pr.c; c != nil && !c.Closed() {
 		p.mu.Unlock()
 		return c, nil
 	}
@@ -217,22 +189,33 @@ func (p *Pool) Get(addr string) (*Client, error) {
 
 	// Dial outside the lock; racing dials are harmless (loser is closed).
 	c, err := Dial(p.network, addr)
-	p.noteDial(addr, err)
+	p.mu.Lock()
 	if err != nil {
+		pr.dialFails++
+		fails := pr.dialFails
+		emit := time.Since(pr.dialEmit) >= dialEventCooldown
+		if emit {
+			pr.dialEmit = time.Now()
+		}
+		p.mu.Unlock()
+		if emit && p.tracer != nil {
+			p.tracer.Emit(trace.SevWarn, trace.DialFailure, fails,
+				"dial %s failing (%d consecutive): %v", addr, fails, err)
+		}
 		return nil, err
 	}
-	p.mu.Lock()
+	pr.dialFails, pr.dialEmit = 0, time.Time{}
 	if p.closed {
 		p.mu.Unlock()
 		c.Close()
 		return nil, ErrClosed
 	}
-	if exist, ok := p.clients[addr]; ok && !exist.Closed() {
+	if exist := pr.c; exist != nil && !exist.Closed() {
 		p.mu.Unlock()
 		c.Close()
 		return exist, nil
 	}
-	p.clients[addr] = c
+	pr.c = c
 	p.mu.Unlock()
 	return c, nil
 }
@@ -240,8 +223,10 @@ func (p *Pool) Get(addr string) (*Client, error) {
 // Invalidate drops the cached connection for addr, closing it.
 func (p *Pool) Invalidate(addr string) {
 	p.mu.Lock()
-	c := p.clients[addr]
-	delete(p.clients, addr)
+	var c *Client
+	if pr := p.peers[addr]; pr != nil {
+		c, pr.c = pr.c, nil
+	}
 	p.mu.Unlock()
 	if c != nil {
 		c.Close()
@@ -250,12 +235,11 @@ func (p *Pool) Invalidate(addr string) {
 
 // do runs one logical call under the pool's failure policy: up to
 // 1+maxCallRetries attempts with backoff between them, each attempt's
-// outcome fed to the breaker. handle performs the call on the given
-// client and reports (error, final); final short-circuits the retry
-// loop (used for decode errors — the response arrived, so re-asking
-// would return the same bytes).
+// outcome fed to the peer's record (Observe). handle performs the call
+// on the given client and reports (error, final); final short-circuits
+// the retry loop (used for decode errors — the response arrived, so
+// re-asking would return the same bytes).
 func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error, bool)) error {
-	br := p.breakerFor(addr)
 	var err error
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
@@ -265,11 +249,7 @@ func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error,
 		if err == nil {
 			err, final = handle(c)
 		}
-		if br != nil && !errors.Is(err, context.Canceled) {
-			if opened, closed := br.record(callFailure(err), time.Since(start)); opened || closed {
-				p.emitBreaker(addr, br, opened)
-			}
-		}
+		p.Observe(addr, err, time.Since(start))
 		if err == nil {
 			p.retryBudget.Success()
 			return nil
@@ -289,7 +269,7 @@ func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error,
 }
 
 // Call performs a synchronous RPC to addr under the pool's retry
-// policy, feeding each attempt's outcome to addr's breaker. Application
+// policy, feeding each attempt's outcome to addr's record. Application
 // errors (ServerError) are returned as-is and never retried — re-asking
 // the same node is futile.
 func (p *Pool) Call(ctx context.Context, addr string, method uint32, body []byte) ([]byte, error) {
@@ -330,17 +310,20 @@ func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []
 // goroutine, and dial errors surface through the returned Pending's
 // Wait. The dial goroutine issues the same call, sink included, on the
 // new connection, so a Detach made while the dial is in flight holds.
-// Async outcomes do not reach the breaker by themselves: callers feed
-// them back via Observe.
+// Async outcomes do not reach the peer's record by themselves: callers
+// feed them back via Observe.
 func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte, sink Sink) *Pending {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return &Pending{c: &call{err: ErrClosed, done: closedChan}}
 	}
-	c, warm := p.clients[addr]
+	var c *Client
+	if pr := p.peers[addr]; pr != nil {
+		c = pr.c
+	}
 	p.mu.Unlock()
-	if warm && !c.Closed() {
+	if c != nil && !c.Closed() {
 		return c.Go(ctx, method, segs, sink)
 	}
 
@@ -360,11 +343,13 @@ func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	cs := make([]*Client, 0, len(p.clients))
-	for _, c := range p.clients {
-		cs = append(cs, c)
+	var cs []*Client
+	for _, pr := range p.peers {
+		if pr.c != nil {
+			cs = append(cs, pr.c)
+			pr.c = nil
+		}
 	}
-	p.clients = make(map[string]*Client)
 	p.mu.Unlock()
 	for _, c := range cs {
 		c.Close()

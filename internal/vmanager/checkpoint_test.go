@@ -120,7 +120,7 @@ func TestRestoreWithRepairCompletesDeadWriters(t *testing.T) {
 	// A writer dies, the manager crashes and restarts from checkpoint:
 	// the restored manager must repair the orphan and make progress.
 	store := newFakeStore()
-	m := newLone(t, Config{RepairTimeout: time.Hour, RepairScan: time.Hour, Store: store})
+	m := newLone(t, Config{RepairTimeout: time.Hour, Store: store})
 	blob := newBlob(t, m)
 	ctx := context.Background()
 
@@ -130,7 +130,6 @@ func TestRestoreWithRepairCompletesDeadWriters(t *testing.T) {
 
 	r := restoreLone(t, ckpt, Config{
 		RepairTimeout: 30 * time.Millisecond,
-		RepairScan:    10 * time.Millisecond,
 		Store:         store,
 	})
 

@@ -37,10 +37,11 @@ import (
 // possibly-partial application of the failed write — torn-write-on-crash
 // semantics; every successfully committed write remains atomic.
 
-// repairLoop periodically scans for expired pending writes.
+// repairLoop scans for expired pending writes four times per
+// RepairTimeout.
 func (m *Manager) repairLoop() {
 	defer m.repairWG.Done()
-	ticker := time.NewTicker(m.cfg.RepairScan)
+	ticker := time.NewTicker(m.cfg.RepairTimeout / 4)
 	defer ticker.Stop()
 	for {
 		select {

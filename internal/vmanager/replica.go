@@ -1042,9 +1042,11 @@ func (r *Replica) campaign(startTerm uint64) {
 		}
 	}
 
-	// Safety: the campaign set must intersect every possible ack set
-	// (ceil(n/2) replicas, self included).
-	if reached < n-n/2 {
+	// Safety: the campaign set is a majority (n/2+1 replicas, self
+	// included), the same count an ack needs, so it intersects every
+	// possible ack set; and a candidate cut off from the majority never
+	// promotes itself to a leadership it could not use to ack.
+	if reached < n/2+1 {
 		r.logf("campaign reached %d/%d replicas; not enough for a safe takeover", reached, n)
 		return
 	}

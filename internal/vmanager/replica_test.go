@@ -412,6 +412,31 @@ func TestRestartedReplicaZeroDoesNotServeEmptyState(t *testing.T) {
 	}
 }
 
+// TestPartitionedFollowerDoesNotPromote: the campaign quorum is a
+// majority, so a 2-replica group's follower, cut off from its leader,
+// reaches no quorum and stays a follower however many election
+// timeouts pass. On heal no term has moved and r0 still leads.
+func TestPartitionedFollowerDoesNotPromote(t *testing.T) {
+	ts := newTestGroup(t, 2, nil)
+	timeout := ts.cfg(1).ElectionTimeout
+
+	ts.partition(1)
+	time.Sleep(10 * timeout)
+	ts.heal(1)
+	time.Sleep(2 * timeout)
+
+	for j := 0; j < 2; j++ {
+		if st := ts.rep(j).Status(); st.Term != 0 || st.IsLeader != (j == 0) {
+			t.Errorf("r%d after a follower partition: term %d, leader %v; want term 0, r0 leading", j, st.Term, st.IsLeader)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := ts.client().CreateBlob(ctx, pageSize, capBytes, erasure.Redundancy{}); err != nil {
+		t.Fatalf("mutation after heal: %v", err)
+	}
+}
+
 func TestSnapshotCatchUpAfterTruncation(t *testing.T) {
 	ts := newTestGroup(t, 2, func(_ int, cfg *ReplicaConfig) {
 		cfg.MaxLogRecords = 8 // force truncation quickly
@@ -554,7 +579,6 @@ func TestRepairSurvivesHandoff(t *testing.T) {
 	gate := &gateStore{fakeStore: shared, blocked: make(chan struct{})}
 	ts := newTestGroup(t, 2, func(j int, cfg *ReplicaConfig) {
 		cfg.Manager.RepairTimeout = 25 * time.Millisecond
-		cfg.Manager.RepairScan = 10 * time.Millisecond
 		if j == 0 {
 			cfg.Manager.Store = gate // leader's fill wedges
 		} else {

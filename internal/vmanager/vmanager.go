@@ -98,9 +98,6 @@ type Config struct {
 	// repair (the paper's baseline behaviour, where a dead writer blocks
 	// publication of successors).
 	RepairTimeout time.Duration
-	// RepairScan is how often the repair loop scans for expired writes
-	// (default: RepairTimeout/4).
-	RepairScan time.Duration
 	// Store gives the repair path access to the metadata providers.
 	// Required only when RepairTimeout > 0.
 	Store NodeStore
@@ -151,9 +148,6 @@ func (m *Manager) SetPassive(p bool) { m.passive.Store(p) }
 
 // New creates a Manager and starts its repair loop if configured.
 func New(cfg Config) *Manager {
-	if cfg.RepairScan <= 0 {
-		cfg.RepairScan = cfg.RepairTimeout / 4
-	}
 	m := &Manager{
 		cfg:        cfg,
 		blobs:      make(map[uint64]*blobState),

@@ -397,7 +397,7 @@ func (f *fakeStore) storeBuilt(t *testing.T, blob uint64, a Assignment, wr meta.
 
 func TestRepairUnblocksSuccessors(t *testing.T) {
 	store := newFakeStore()
-	r := newLone(t, Config{RepairTimeout: 50 * time.Millisecond, RepairScan: 10 * time.Millisecond, Store: store})
+	r := newLone(t, Config{RepairTimeout: 50 * time.Millisecond, Store: store})
 	m := r.Manager()
 	blob := newBlob(t, r)
 	ctx := context.Background()
@@ -459,7 +459,7 @@ func TestRepairUnblocksSuccessors(t *testing.T) {
 func TestRepairZeroPages(t *testing.T) {
 	// Dead writer on a fresh blob: repair must produce zero-page leaves.
 	store := newFakeStore()
-	r := newLone(t, Config{RepairTimeout: 30 * time.Millisecond, RepairScan: 10 * time.Millisecond, Store: store})
+	r := newLone(t, Config{RepairTimeout: 30 * time.Millisecond, Store: store})
 	blob := newBlob(t, r)
 	ctx := context.Background()
 
@@ -483,7 +483,7 @@ func TestRepairZeroPages(t *testing.T) {
 
 func TestExplicitAbortRepairs(t *testing.T) {
 	store := newFakeStore()
-	r := newLone(t, Config{RepairTimeout: time.Hour, RepairScan: time.Hour, Store: store})
+	r := newLone(t, Config{RepairTimeout: time.Hour, Store: store})
 	blob := newBlob(t, r)
 	ctx := context.Background()
 
