@@ -24,19 +24,16 @@
 // and a background compactor reclaims the disk freed by garbage
 // collection.
 //
-// Replication is self-healing: reads fail over between page replicas
-// and re-push what they serve to replicas that missed it, and the
-// Repairer agent restores full redundancy after a provider crash or
-// disk loss by directing degraded providers to pull missing pages from
-// healthy peers (protocol spec: docs/replication.md).
-//
-// Full replication is not the only redundancy mode: rs(k,m)
-// erasure-coded page groups (Redundancy, spec: docs/erasure.md) stripe
-// each write over k+m distinct providers with m Reed-Solomon parity
-// pages per k data pages, matching m-failure tolerance at (k+m)/k
-// storage instead of (m+1)x. Reads decode degraded stripes inline and
-// the Repairer heals by reconstruction — pulling k survivors and
-// re-pushing only missing shards.
+// Page redundancy is one scheme (Redundancy, spec: docs/erasure.md):
+// each write is cut into rs(k,m) stripes of k data pages and m
+// Reed-Solomon parity pages on k+m distinct providers, and replication
+// at r copies is rs(1, r-1), whose parity pages are copies. rs(4,2)
+// matches rs(1,2)'s tolerance of any two losses at 1.5x storage instead
+// of 3x. It is self-healing: reads fail over between a page's copies or
+// decode its stripe inline, and re-push what they serve to providers
+// that missed it, and the Repairer agent restores full redundancy after
+// a provider crash or disk loss by rebuilding each missing slot from
+// its stripe's survivors.
 //
 // This package is the public facade: it re-exports the client API
 // (internal/core), the in-process cluster laboratory (internal/cluster),
@@ -71,7 +68,7 @@ type Client = core.Client
 type Blob = core.Blob
 
 // Options configures a Client (addresses of the version-manager group,
-// provider manager and metadata directory, replication factors, cache).
+// provider manager and metadata directory, redundancy mode, cache).
 type Options = core.Options
 
 // WriteResult reports a completed write with phase timings.
@@ -80,12 +77,13 @@ type WriteResult = core.WriteResult
 // ReadResult reports a completed read with phase timings.
 type ReadResult = core.ReadResult
 
-// Redundancy selects a page redundancy mode: the zero value is full
-// replication (Options.DataReplicas copies), Redundancy{K: 4, M: 2} is
-// rs(4,2) erasure-coded stripes (docs/erasure.md).
+// Redundancy selects a page redundancy mode (docs/erasure.md):
+// Redundancy{K: 1, M: 1} keeps two copies of each page, Redundancy{K:
+// 4, M: 2} is rs(4,2) erasure-coded stripes, and the zero value defers
+// to the deployment's mode.
 type Redundancy = erasure.Redundancy
 
-// ParseRedundancy parses "replicate" or "rs(k,m)".
+// ParseRedundancy parses "rs(k,m)".
 func ParseRedundancy(s string) (Redundancy, error) { return erasure.ParseRedundancy(s) }
 
 // Errors re-exported from the client.
@@ -94,7 +92,7 @@ var (
 	// latest published one.
 	ErrNotPublished = core.ErrNotPublished
 	// ErrPageUnavailable is returned when a page is unreachable on all
-	// of its replicas.
+	// of its copies and its stripe cannot be reconstructed.
 	ErrPageUnavailable = core.ErrPageUnavailable
 )
 
@@ -133,10 +131,10 @@ type PageStore = provider.PageStore
 // from peers).
 type ProviderStats = provider.Stats
 
-// Repairer is the replica repair agent: it walks blob metadata, asks
-// providers which pages of each write they hold and directs
-// degraded providers to pull missing pages from healthy peers. The
-// protocol is specified in docs/replication.md; clusters run it
+// Repairer is the repair agent: it walks blob metadata, asks providers
+// which pages of each write they hold and rebuilds each missing slot
+// from its stripe's survivors. The protocol is specified in
+// docs/erasure.md §5; clusters run it
 // automatically via ClusterConfig.RepairInterval, blobnode via the
 // repairer role, and blobctl's repair command drives it by hand.
 type Repairer = repair.Repairer

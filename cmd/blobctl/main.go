@@ -59,8 +59,7 @@ import (
 func main() {
 	vmAddr := flag.String("vm", "127.0.0.1:4001", `version manager address, or its replica group "a,b,c"`)
 	pmAddr := flag.String("pm", "127.0.0.1:4000", "provider manager / metadata directory address")
-	replicas := flag.Int("replicas", 1, "data replication factor for writes")
-	redundancy := flag.String("redundancy", "", `redundancy mode for created blobs: "replicate" or "rs(k,m)" (default: the cluster's advertised mode)`)
+	redundancy := flag.String("redundancy", "", `redundancy mode for created blobs: "rs(k,m)", where rs(1,m) keeps 1+m copies of each page (default: the cluster's advertised mode)`)
 	traceOps := flag.Bool("trace", false, "trace this invocation's operations and print their trace ids (inspect with blobctl trace <id>)")
 	monAddr := flag.String("monitor", "", "monitor node RPC address (top and events commands)")
 	flag.Parse()
@@ -97,7 +96,6 @@ func main() {
 		VManagerShards: [][]string{vmGroup},
 		PManagerAddr:   *pmAddr,
 		MetaDirAddr:    *pmAddr,
-		DataReplicas:   *replicas,
 		Redundancy:     red,
 		CacheNodes:     -1,
 		Tracer:         tracer,
@@ -215,7 +213,7 @@ func main() {
 				client.VersionTrips.Value())
 		}
 		// Surface the gray-failure machinery's verdict on this
-		// invocation: how often a fetch was hedged to a second replica,
+		// invocation: how often a fetch was hedged to another source,
 		// how often the hedge won, and which peers the client's
 		// breakers currently refuse (docs/robustness.md).
 		if hedged := client.HedgedReads.Value(); hedged > 0 {
@@ -249,7 +247,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("gc: %v", err)
 		}
-		fmt.Printf("collected %d versions: %d tree nodes and %d page replicas deleted (%d nodes kept)\n",
+		fmt.Printf("collected %d versions: %d tree nodes and %d pages deleted (%d nodes kept)\n",
 			rep.VersionsCollected, rep.NodesDeleted, rep.PagesDeleted, rep.NodesKept)
 
 	case "repair":
@@ -266,9 +264,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("repair: %v", err)
 		}
-		fmt.Printf("checked %d replica slots over %d blob(s): %d degraded, %d repaired (%d bytes pulled, %d already held), %d reconstructed (%d bytes pushed, %d survivor bytes read), %d unrepairable\n",
-			rep.PagesChecked, rep.Blobs, rep.PagesMissing, rep.PagesRepaired,
-			rep.BytesPulled, rep.PagesSkipped,
+		fmt.Printf("checked %d slots over %d blob(s): %d degraded, %d reconstructed (%d bytes pushed, %d survivor bytes read), %d unrepairable\n",
+			rep.PagesChecked, rep.Blobs, rep.PagesMissing,
 			rep.PagesReconstructed, rep.ReconstructedBytes, rep.SurvivorBytes,
 			rep.Unrepairable)
 		if !rep.FullyRedundant() {
@@ -329,9 +326,8 @@ func main() {
 			return
 		}
 		fmt.Printf("cluster redundancy: %s\n", client.ClusterRedundancy())
-		fmt.Printf("%-4s %-22s %10s %12s %12s %12s %8s %6s %10s %5s %8s %10s %7s\n",
-			"id", "addr", "pages", "bytes", "capacity", "disk", "segs", "live%", "replayB", "idx",
-			"repairP", "pullB", "pskip")
+		fmt.Printf("%-4s %-22s %10s %12s %12s %12s %8s %6s %10s %5s\n",
+			"id", "addr", "pages", "bytes", "capacity", "disk", "segs", "live%", "replayB", "idx")
 		// A provider that cannot be queried fails the command: printing
 		// a zero-value row would read as "provider is empty", which an
 		// operator can mistake for data loss.
@@ -349,11 +345,10 @@ func main() {
 				failed++
 				continue
 			}
-			fmt.Printf("%-4d %-22s %10d %12d %12d %12d %8d %5.1f%% %10d %5d %8d %10d %7d\n",
+			fmt.Printf("%-4d %-22s %10d %12d %12d %12d %8d %5.1f%% %10d %5d\n",
 				p.ID, p.Addr, st.PageCount, st.BytesUsed, st.Capacity,
 				st.DiskBytes, st.Segments, 100*st.LiveRatio(),
-				st.ReplayedBytes, st.SidecarsLoaded,
-				st.RepairedPages, st.RepairBytes, st.PullSkips)
+				st.ReplayedBytes, st.SidecarsLoaded)
 		}
 		if failed > 0 {
 			log.Fatalf("stats incomplete: %d of %d providers did not answer", failed, len(provs))

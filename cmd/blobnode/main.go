@@ -11,7 +11,7 @@
 //	blobnode -listen :4000 -roles pmanager
 //	blobnode -listen :4001 -advertise host1:4001 -roles vmanager -pm host0:4000
 //
-//	# optional replica repair agent (docs/replication.md)
+//	# optional repair agent (docs/erasure.md §5)
 //	blobnode -listen :4002 -roles repairer -pm host0:4000 -vm host1:4001
 //
 //	# or a replicated version plane: one process per replica of the
@@ -80,10 +80,10 @@ func main() {
 		vpeers     = flag.String("vpeers", "", "comma-separated replica addresses of the version-manager group, including this node (vmanager role; default: this node alone, a single-replica group; docs/vmanager-group.md)")
 		vrejoin    = flag.Bool("vrejoin", false, "this replica is restarting after a crash into a multi-replica group: boot as a follower and catch up from the incumbent leader")
 		vbeat      = flag.Duration("vheartbeat", 500*time.Millisecond, "group leader idle append interval (vmanager role)")
-		repairEvr  = flag.Duration("repair-interval", time.Minute, "replica repair sweep period (repairer role)")
+		repairEvr  = flag.Duration("repair-interval", time.Minute, "repair sweep period (repairer role)")
 		vmAddr     = flag.String("vm", "", `version manager address, or its replica group "a,b,c" (repairer role)`)
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "data provider heartbeat interval")
-		redundancy = flag.String("redundancy", "replicate", `advertised redundancy mode: "replicate" or "rs(k,m)" (pmanager role; clients adopt it for new blobs)`)
+		redundancy = flag.String("redundancy", "", `advertised redundancy mode "rs(k,m)", where rs(1,m) keeps 1+m copies of each page (pmanager role; clients adopt it for new blobs; default rs(1,0))`)
 		adminAddr  = flag.String("admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty disables)")
 		traceEvery = flag.Int("trace-sample", 0, "start a trace for 1-in-N of this process's own root operations (0 starts none, 1 traces everything); spans of traces that reach the node are recorded regardless")
 		slowThresh = flag.Duration("slow-threshold", 0, "log the span tree of client operations slower than this (repairer role; 0 disables)")
@@ -198,14 +198,12 @@ func main() {
 			if *pmAddr == "" {
 				log.Fatal("provider role needs -pm")
 			}
-			// Peer pulls (MPullPages) dial other providers through the
-			// node's shared TCP pool.
 			dataSvc, err = provider.Open(diskstore.Options{
 				Dir:         *dataDir,
 				SegmentSize: *segSize,
 				Sync:        *syncWrites,
 				Tracer:      tracer,
-			}, *capacity, pool)
+			}, *capacity)
 			if err != nil {
 				log.Fatalf("provider: open data dir %s: %v", *dataDir, err)
 			}
@@ -225,11 +223,9 @@ func main() {
 				id, *capacity, *dataDir)
 
 		case "repairer":
-			// The replica repair agent: periodically walks every blob's
-			// metadata, directs degraded providers to pull missing
-			// pages from healthy peers (docs/replication.md), and
-			// reconstructs missing erasure-coded shards from stripe
-			// survivors (docs/erasure.md). Needs both managers: -vm for
+			// The repair agent: periodically walks every blob's
+			// metadata and rebuilds each missing slot from its stripe's
+			// survivors (docs/erasure.md §5). Needs both managers: -vm for
 			// the blob list and versions, -pm for placement and the
 			// metadata directory.
 			if *pmAddr == "" || *vmAddr == "" {

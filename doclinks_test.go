@@ -118,15 +118,14 @@ func definesPrefix(defined map[string]bool, name string) bool {
 // architecture overview, so a reader landing anywhere finds them.
 func TestDocCrossReferences(t *testing.T) {
 	wants := map[string][]string{
-		"README.md":              {"docs/architecture.md", "docs/diskstore-format.md", "docs/replication.md", "docs/erasure.md", "docs/perf.md", "docs/observability.md", "docs/vmanager-group.md", "docs/workloads.md", "docs/robustness.md"},
-		"docs/architecture.md":   {"diskstore-format.md", "replication.md", "erasure.md", "perf.md", "observability.md", "vmanager-group.md", "workloads.md", "robustness.md"},
+		"README.md":              {"docs/architecture.md", "docs/diskstore-format.md", "docs/erasure.md", "docs/perf.md", "docs/observability.md", "docs/vmanager-group.md", "docs/workloads.md", "docs/robustness.md"},
+		"docs/architecture.md":   {"diskstore-format.md", "erasure.md", "perf.md", "observability.md", "vmanager-group.md", "workloads.md", "robustness.md"},
 		"docs/workloads.md":      {"architecture.md", "perf.md"},
-		"docs/erasure.md":        {"replication.md", "architecture.md"},
-		"docs/replication.md":    {"erasure.md", "architecture.md"},
+		"docs/erasure.md":        {"architecture.md"},
 		"docs/perf.md":           {"architecture.md"},
-		"docs/observability.md":  {"architecture.md", "perf.md", "replication.md", "vmanager-group.md", "robustness.md"},
-		"docs/vmanager-group.md": {"architecture.md", "replication.md"},
-		"docs/robustness.md":     {"architecture.md", "observability.md", "replication.md", "erasure.md", "workloads.md", "vmanager-group.md"},
+		"docs/observability.md":  {"architecture.md", "perf.md", "vmanager-group.md", "robustness.md"},
+		"docs/vmanager-group.md": {"architecture.md"},
+		"docs/robustness.md":     {"architecture.md", "observability.md", "erasure.md", "workloads.md", "vmanager-group.md"},
 	}
 	for file, targets := range wants {
 		body, err := os.ReadFile(file)

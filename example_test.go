@@ -76,14 +76,14 @@ func ExampleBlob_Append() {
 	// append 2 landed at page 2
 }
 
-// ExampleRepairer is the durability story end to end: a replicated
+// ExampleRepairer is the durability story end to end: a two-copy
 // write survives a provider crash, the read still succeeds from the
-// surviving replicas (re-pushing what it can on the way), and one
-// repair pass restores full redundancy provider-to-provider — the
-// protocol specified in docs/replication.md.
+// surviving copies (re-pushing what it can on the way), and one repair
+// pass restores full redundancy — the protocol specified in
+// docs/erasure.md §5.
 func ExampleRepairer() {
 	cl, err := blob.Launch(blob.ClusterConfig{
-		DataProviders: 3, MetaProviders: 3, DataReplicas: 2,
+		DataProviders: 3, MetaProviders: 3, Redundancy: blob.Redundancy{K: 1, M: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

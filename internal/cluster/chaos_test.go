@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"blob/internal/cluster"
+	"blob/internal/erasure"
 	"blob/internal/meta"
 )
 
@@ -29,7 +30,7 @@ func TestChaosStormNoAckedWriteLoss(t *testing.T) {
 	cl, err := launch(t, cluster.Config{
 		DataProviders: 4,
 		MetaProviders: 4,
-		DataReplicas:  2,
+		Redundancy:    erasure.Redundancy{K: 1, M: 1},
 		// A write killed mid-flight by a dropped connection leaves its
 		// allocated version uncommitted; dead-writer repair is what
 		// unblocks the publish window behind the hole. Any deployment

@@ -46,15 +46,13 @@ type Config struct {
 	// provider i share simulated host "node<i>" and its NIC — the
 	// paper's topology; otherwise each has a host of its own.
 	MetaProviders int
-	// DataReplicas is the page replication factor (default 1). Ignored
-	// when Redundancy selects erasure coding.
-	DataReplicas int
 	// Redundancy is the deployment's redundancy mode (docs/erasure.md):
-	// the zero value keeps full replication at DataReplicas copies;
 	// rs(k,m) stripes every new blob over k+m distinct providers with m
-	// parity pages per stripe. The provider manager advertises the mode
-	// and every cluster client (including the repair agent) adopts it.
-	// Requires DataProviders >= k+m.
+	// parity pages per stripe, and rs(1, r-1) stores r copies of each
+	// page. The zero value is rs(1,0), one copy. The provider manager
+	// advertises the mode and every cluster client (including the
+	// repair agent) adopts it. For k >= 2 it requires DataProviders >=
+	// k+m.
 	Redundancy erasure.Redundancy
 	// MetaReplicas is the tree node replication factor (default 1).
 	MetaReplicas int
@@ -78,12 +76,10 @@ type Config struct {
 	// SegmentSize is the disk-backed providers' segment file size
 	// (0 = diskstore default, 4 MiB). Ignored without DataDir.
 	SegmentSize int64
-	// RepairInterval, when positive, runs a background replica-repair
-	// agent (internal/repair, protocol in docs/replication.md) over every
-	// blob with that period, so a replica set degraded by a provider
-	// crash or disk loss returns to full strength without client
-	// involvement. Provider-to-provider pulls are always served
-	// regardless; the interval only drives the in-process agent.
+	// RepairInterval, when positive, runs a background repair agent
+	// (internal/repair, protocol in docs/erasure.md §5) over every blob
+	// with that period, so stripes degraded by a provider crash or disk
+	// loss return to full strength without client involvement.
 	RepairInterval time.Duration
 	// VReplicas is the replica count of the version plane's vmanager
 	// group (default 1; docs/vmanager-group.md), one leader and its
@@ -127,9 +123,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MetaProviders <= 0 {
 		c.MetaProviders = 4
-	}
-	if c.DataReplicas < 1 {
-		c.DataReplicas = 1
 	}
 	if c.MetaReplicas < 1 {
 		c.MetaReplicas = 1
@@ -289,18 +282,15 @@ func (c *Cluster) dataDir(i int) string {
 
 // startDataProvider opens data provider i (provider.Open) and serves it
 // at "<host>:data" with a fresh recorder — at launch, and again at each
-// restart, like a real process. Its peer pulls dial from its own host,
-// the vantage MPullPages pulls peers from.
+// restart, like a real process.
 func (c *Cluster) startDataProvider(i int) (*provider.Service, *rpc.Server, error) {
 	host := c.fab.Host(c.hostName("data", i))
 	rec := c.newRecorder(host.Name() + ":data")
-	pool := c.newPool(host)
-	pool.SetTracer(rec)
 	svc, err := provider.Open(diskstore.Options{
 		Dir:         c.dataDir(i),
 		SegmentSize: c.cfg.SegmentSize,
 		Tracer:      rec,
-	}, 0, pool)
+	}, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -428,7 +418,7 @@ func Launch(cfg Config) (*Cluster, error) {
 	if err := cfg.Redundancy.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Redundancy.IsRS() && cfg.DataProviders < cfg.Redundancy.Shards() {
+	if cfg.Redundancy.K > 1 && cfg.DataProviders < cfg.Redundancy.Shards() {
 		return nil, fmt.Errorf("cluster: %s needs at least %d data providers, config has %d",
 			cfg.Redundancy, cfg.Redundancy.Shards(), cfg.DataProviders)
 	}
@@ -447,7 +437,6 @@ func Launch(cfg Config) (*Cluster, error) {
 	recPM := c.newRecorder("pm:rpc")
 	c.PM = pmanager.New(pmanager.Config{
 		HeartbeatTimeout: hbTimeout,
-		Replicas:         cfg.DataReplicas,
 		Redundancy:       cfg.Redundancy,
 		Tracer:           recPM,
 	})
@@ -617,7 +606,6 @@ func (c *Cluster) ClientOptions(hostName string) core.Options {
 		VManagerShards: [][]string{c.VMAddrs},
 		PManagerAddr:   c.PMAddr,
 		MetaDirAddr:    c.DirAddr,
-		DataReplicas:   c.cfg.DataReplicas,
 		Redundancy:     c.cfg.Redundancy,
 		MetaReplicas:   c.cfg.MetaReplicas,
 		CacheNodes:     c.cfg.CacheNodes,
@@ -663,8 +651,6 @@ func (c *Cluster) TotalMetaBlocks() int {
 // this is where durability matters — a RAM provider comes back empty),
 // and a fresh store is opened over the same data directory and served at
 // the same address, so placements recorded in the metadata remain valid.
-// The fresh service starts with zeroed repair counters: post-restart
-// stats report only the new incarnation's repair work.
 func (c *Cluster) RestartDataProvider(i int) error {
 	return c.restartDataProvider(i, false)
 }
@@ -672,7 +658,7 @@ func (c *Cluster) RestartDataProvider(i int) error {
 // WipeDataProvider restarts data provider i with its data directory
 // destroyed first — the total-disk-loss scenario the repair protocol
 // exists for. The provider comes back empty at the same address; the
-// repair agent (or read-repair) must restore its replicas. For a
+// repair agent (or read-repair) must restore its slots. For a
 // RAM-only provider this is identical to RestartDataProvider.
 func (c *Cluster) WipeDataProvider(i int) error {
 	return c.restartDataProvider(i, true)

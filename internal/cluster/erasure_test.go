@@ -112,7 +112,7 @@ func TestWritePushesOncePerProvider(t *testing.T) {
 		pushes int // 0: one per provider the write reached
 	}{
 		{"rs(2,1)", cluster.Config{Redundancy: erasure.Redundancy{K: 2, M: 1}}, 3},
-		{"replicate r=2", cluster.Config{DataReplicas: 2}, 0},
+		{"replicate r=2", cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}}, 0},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := tt.cfg
@@ -253,10 +253,10 @@ func TestErasureReconstructionRepair(t *testing.T) {
 
 // TestErasureRepairIngestsLessThanReplication pins the storage and
 // repair-ingest claims of docs/erasure.md §7 with exact counts. The
-// same 72 logical pages on 6 providers are stored as 2x pages under 2x
-// replication and 1.5x under rs(4,2), both spread evenly; after one
-// provider loses everything, repair pushes a third of the logical
-// pages back into it under replication and a quarter under rs(4,2).
+// same 72 logical pages on 6 providers are stored as 2x pages under
+// rs(1,1), two copies, and 1.5x under rs(4,2), both spread evenly;
+// after one provider loses everything, repair pushes a third of the
+// logical pages back into it under rs(1,1) and a quarter under rs(4,2).
 func TestErasureRepairIngestsLessThanReplication(t *testing.T) {
 	const (
 		pageSize = 1 << 10
@@ -305,17 +305,17 @@ func TestErasureRepairIngestsLessThanReplication(t *testing.T) {
 		}
 		return stored, rep
 	}
-	replStored, repl := run(cluster.Config{DataReplicas: 2})
+	replStored, repl := run(cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	rsStored, rs := run(cluster.Config{Redundancy: erasure.Redundancy{K: 4, M: 2}})
 
 	if replStored != 2*logical || rsStored != logical*3/2 {
 		t.Errorf("stored pages for %d logical: %d replicated, %d rs(4,2); want %d and %d",
 			logical, replStored, rsStored, 2*logical, logical*3/2)
 	}
-	if repl.PagesRepaired != logical/3 || repl.BytesPulled != logical/3*pageSize || repl.PagesReconstructed != 0 {
-		t.Errorf("replication repair = %+v, want %d pages pulled into the wiped provider", repl, logical/3)
+	if repl.PagesReconstructed != logical/3 || repl.ReconstructedBytes != logical/3*pageSize {
+		t.Errorf("rs(1,1) repair = %+v, want %d pages pushed into the wiped provider", repl, logical/3)
 	}
-	if rs.PagesReconstructed != logical/4 || rs.ReconstructedBytes != logical/4*pageSize || rs.PagesRepaired != 0 {
+	if rs.PagesReconstructed != logical/4 || rs.ReconstructedBytes != logical/4*pageSize {
 		t.Errorf("rs(4,2) repair = %+v, want %d shards reconstructed into the wiped provider", rs, logical/4)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blob/internal/cluster"
+	"blob/internal/erasure"
 	"blob/internal/monitor"
 	"blob/internal/trace"
 )
@@ -38,7 +39,7 @@ func TestMonitorKillProviderDrill(t *testing.T) {
 	cl, err := launch(t, cluster.Config{
 		DataProviders:     3,
 		MetaProviders:     3,
-		DataReplicas:      2,
+		Redundancy:        erasure.Redundancy{K: 1, M: 1},
 		DataDir:           t.TempDir(),
 		HeartbeatInterval: 10 * time.Millisecond,
 		RepairInterval:    time.Hour,
@@ -144,7 +145,7 @@ func TestMonitorSnapshotRPC(t *testing.T) {
 	cl, err := launch(t, cluster.Config{
 		DataProviders:     2,
 		MetaProviders:     2,
-		DataReplicas:      2,
+		Redundancy:        erasure.Redundancy{K: 1, M: 1},
 		HeartbeatInterval: 10 * time.Millisecond,
 		VReplicas:         3,
 		VMHeartbeat:       20 * time.Millisecond,

@@ -41,7 +41,7 @@ func TestOpCounts(t *testing.T) {
 			read:  opCount{gets: 4, dhtGets: 8},
 			small: opCount{gets: 1, dhtGets: 5},
 		}},
-		{"r=2", cluster.Config{DataReplicas: 2}, ops{
+		{"r=2", cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}}, ops{
 			write: opCount{allocs: 1, puts: 4, dhtPuts: 7},
 			read:  opCount{gets: 2, dhtGets: 8},
 			small: opCount{gets: 1, dhtGets: 5},

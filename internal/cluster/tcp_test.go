@@ -61,7 +61,7 @@ func tcpDeployment(t *testing.T) core.Options {
 	t.Cleanup(rep.Close)
 	vmAddr := start(vmListener, rep.RegisterHandlers)
 	for i := 0; i < 3; i++ {
-		ds, err := provider.Open(diskstore.Options{}, 0, pool)
+		ds, err := provider.Open(diskstore.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,7 +84,7 @@ func TestOpenBreakerDefersReplica(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cl, c := launch(t, cluster.Config{
-				DataProviders: tt.replicas, MetaProviders: 2, DataReplicas: tt.replicas,
+				DataProviders: tt.replicas, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: tt.replicas - 1},
 			})
 			ctx := context.Background()
 			b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)

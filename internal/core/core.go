@@ -37,12 +37,12 @@ var (
 	// ErrNotPublished is returned by Read when the requested version is
 	// newer than the latest published version (the paper's failing READ).
 	ErrNotPublished = errors.New("core: version not yet published")
-	// ErrChecksum is returned when a page fails integrity verification on
-	// every replica.
+	// ErrChecksum is returned when a page its stripe reconstructed fails
+	// integrity verification.
 	ErrChecksum = errors.New("core: page checksum mismatch")
 	// ErrPageUnavailable is returned when a page cannot be fetched from
-	// any replica.
-	ErrPageUnavailable = errors.New("core: page unavailable on all replicas")
+	// any copy, nor reconstructed from its stripe.
+	ErrPageUnavailable = errors.New("core: page unavailable on all copies")
 )
 
 // Options configures a Client.
@@ -59,16 +59,19 @@ type Options struct {
 	PManagerAddr string
 	// MetaDirAddr is the metadata directory's RPC address (DHT membership).
 	MetaDirAddr string
-	// DataReplicas is the number of copies of each page (default 1).
-	// Ignored for blobs in rs(k,m) mode, whose redundancy is parity.
-	DataReplicas int
-	// Redundancy selects the redundancy mode for blobs this client
-	// creates (docs/erasure.md): the zero value defers to the mode the
-	// provider manager advertises for the deployment (falling back to
-	// full replication), rs(k,m) forces erasure-coded stripes. Blobs
+	// Redundancy selects the rs(k,m) mode of blobs this client creates
+	// (docs/erasure.md): rs(1, r-1) stores r copies of each page, rs(k,m)
+	// with k >= 2 erasure-coded stripes. The zero value defers to the
+	// mode the provider manager advertises for the deployment. Blobs
 	// opened with OpenBlob always use the mode recorded at their
 	// creation.
 	Redundancy erasure.Redundancy
+	// DataReplicas, when above 1 and Redundancy is unset, creates
+	// rs(1, DataReplicas-1) blobs. It stays only for the benchmark's
+	// survey-mixed workload (benchmark/workload.go), which still sets
+	// it; the next benchmark change moves that to Redundancy and drops
+	// this field.
+	DataReplicas int
 	// MetaReplicas is the DHT replication factor for tree nodes (default 1).
 	MetaReplicas int
 	// CacheNodes bounds the client metadata cache; 0 disables it,
@@ -78,9 +81,8 @@ type Options struct {
 	// without it, a page fetch that outlives its provider's adaptive
 	// hedge delay (~p95 of the provider's recent latency, as estimated
 	// by the client's rpc.Pool from every call it makes to that address)
-	// is raced against the next replica — or, for rs(k,m) blobs, served
-	// by early stripe reconstruction — and the first usable response
-	// wins. Latency estimates are kept with hedging off too. Set by
+	// is raced against the page's next copy — or, for a k >= 2 stripe,
+	// its reconstruction — and the first usable response wins. Latency estimates are kept with hedging off too. Set by
 	// the benchmark's write-verification pass (benchmark/workload.go
 	// verifyWrites) and by the tests that price the hedge against its
 	// absence (hedge_test.go).
@@ -120,27 +122,25 @@ type Client struct {
 	Reads        stats.Counter
 	BytesWritten stats.Counter
 	BytesRead    stats.Counter
-	// ReadRepairs counts page replicas this client re-pushed to degraded
-	// providers after a read served them from a healthy replica.
+	// ReadRepairs counts pages this client re-pushed to providers that
+	// had lost them, after a read served them from another slot.
 	ReadRepairs stats.Counter
 	// VersionTrips counts reads that asked the version manager for the
 	// latest published version: every ReadLatest, and a Read(v) only when
 	// v is above its handle's published watermark (Blob).
 	VersionTrips stats.Counter
 	// Erasure-coding counters (docs/erasure.md): DegradedReads counts
-	// stripe decodes the read path performed because a data shard was
-	// unreachable; ReconstructedPages the pages those decodes produced;
-	// ParityBytes the parity payload this client computed and uploaded
-	// on writes.
+	// k >= 2 stripe decodes the read path performed because a data shard
+	// was unreachable or slow; ReconstructedPages the pages those decodes
+	// produced; ParityBytes the parity payload this client computed and
+	// uploaded on writes (rs(1,m) copies are not computed).
 	DegradedReads      stats.Counter
 	ReconstructedPages stats.Counter
 	ParityBytes        stats.Counter
 	// Hedged-read counters (docs/robustness.md): HedgedReads counts
-	// hedge RPCs (replicate mode) and shard fetches handed to stripe
-	// reconstruction (rs mode) because a page fetch outlived its
-	// provider's adaptive hedge delay; HedgeWins counts pages served by
-	// hedge data (replicate mode) or by the early stripe reconstruction
-	// a straggling shard provider was abandoned for (rs mode).
+	// hedges — fetches from a next copy, and stripe reconstructions —
+	// started because a page fetch outlived its provider's adaptive
+	// hedge delay; HedgeWins counts pages a hedge served.
 	HedgedReads stats.Counter
 	HedgeWins   stats.Counter
 
@@ -158,9 +158,6 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	if len(opts.VManagerShards) != 1 || len(opts.VManagerShards[0]) == 0 {
 		return nil, fmt.Errorf("core: Options.VManagerShards needs exactly one replica group, got %v", opts.VManagerShards)
 	}
-	if opts.DataReplicas < 1 {
-		opts.DataReplicas = 1
-	}
 	if opts.MetaReplicas < 1 {
 		opts.MetaReplicas = 1
 	}
@@ -168,7 +165,7 @@ func NewClient(ctx context.Context, opts Options) (*Client, error) {
 	pool.SetTracer(opts.Tracer)
 	// Per-peer circuit breakers (docs/robustness.md): a provider whose
 	// calls persistently fail or crawl is asked last — a read defers it
-	// to the end of each page's replica walk, and an rs(k,m) read asks it
+	// to the end of each page's walk, and asks a k >= 2 page's slot on it
 	// only for a stripe that cannot be decoded without it — until a
 	// success after the open window closes its breaker.
 	pool.EnableBreakers()
@@ -234,13 +231,18 @@ func (c *Client) ClusterRedundancy() erasure.Redundancy {
 }
 
 // creationRedundancy is the mode CreateBlob uses: the client's explicit
-// option (an rs geometry, or a pinned "replicate" overriding an
-// advertised rs default), else the deployment's advertised mode.
+// option, else rs(1, DataReplicas-1) for more than one copy, else
+// the deployment's advertised mode, else rs(1,0).
 func (c *Client) creationRedundancy() erasure.Redundancy {
-	if c.opts.Redundancy.IsRS() || c.opts.Redundancy.Pinned {
-		return erasure.Redundancy{K: c.opts.Redundancy.K, M: c.opts.Redundancy.M}
+	switch red := c.ClusterRedundancy(); {
+	case c.opts.Redundancy.K > 0:
+		return c.opts.Redundancy
+	case c.opts.DataReplicas > 1:
+		return erasure.Redundancy{K: 1, M: c.opts.DataReplicas - 1}
+	case red.K > 0:
+		return red
 	}
-	return c.ClusterRedundancy()
+	return erasure.Redundancy{K: 1}
 }
 
 // refreshProviders refetches the provider ID -> address map and the

@@ -12,6 +12,7 @@ import (
 	"blob/internal/cluster"
 	"blob/internal/core"
 	"blob/internal/dht"
+	"blob/internal/erasure"
 	"blob/internal/meta"
 	"blob/internal/rpc"
 )
@@ -416,7 +417,7 @@ func TestReadersConcurrentWithWriters(t *testing.T) {
 }
 
 func TestReplicatedReadSurvivesProviderCrash(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 4, MetaProviders: 4, DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{DataProviders: 4, MetaProviders: 4, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, _ := c.CreateBlob(ctx, pageSize, 32*pageSize)
 	data := pattern(7, 8*pageSize)
@@ -437,7 +438,7 @@ func TestReplicatedReadSurvivesProviderCrash(t *testing.T) {
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, _ := c.CreateBlob(ctx, pageSize, 16*pageSize)
 	data := pattern(8, pageSize)
@@ -464,7 +465,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 }
 
 func TestChecksumFailoverToGoodReplica(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, _ := c.CreateBlob(ctx, pageSize, 16*pageSize)
 	data := pattern(8, pageSize)

@@ -200,7 +200,7 @@ func TestCancelledReadSparesOtherCalls(t *testing.T) {
 // the straggler is detached mid-answer, but the drain still waits for
 // its answer to end and counts the stall as the provider failing.
 func TestStallMidAnswerOpensBreaker(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestStallMidAnswerOpensBreaker(t *testing.T) {
 // returns, so its answer — sent when the stall heals — never lands in
 // the buffer.
 func TestHedgeWinLeavesBufferAlone(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	if err != nil {
@@ -289,7 +289,7 @@ func TestMalformedAnswerFailsOver(t *testing.T) {
 		name string
 		cfg  cluster.Config
 	}{
-		{"replicated", cluster.Config{DataReplicas: 2}},
+		{"replicated", cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}}},
 		{"rs(2,1)", cluster.Config{DataProviders: 3, MetaProviders: 3,
 			Redundancy: erasure.Redundancy{K: 2, M: 1}}},
 	} {

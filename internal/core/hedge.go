@@ -3,21 +3,18 @@ package core
 // Hedged reads (docs/robustness.md): the tail-latency defense against
 // gray failures the breaker has not (yet) tripped on. A page-fetch
 // fan-out normally waits for every provider group it dispatched; when
-// one group outlives its provider's adaptive hedge delay (~p95 of that
-// provider's recent latency, hedgeDelay), the same pages are requested
-// from each page's next replica into scratch buffers and whichever
-// usable response lands first serves the page. A group's own fetch
-// reads its answer straight into the read's buffer, so once the hedges
-// have won the straggler is detached — its answer discarded unread, or
-// its sink stopped if the answer is already arriving — and its
-// eventual completion is drained in the background, where it still
-// feeds the provider's breaker: one stalled replica costs a read roughly
-// one hedge delay instead of a full RPC timeout. Erasure-coded blobs
-// hedge differently: a stripe decodes from any k of its shards, so a
-// read stops waiting for a straggling shard fetch and serves its pages
-// by stripe reconstruction from the other survivors — falling back to
-// the straggler's own answer only when fewer than k others turn up
-// (striped.go).
+// one group outlives its provider's adaptive hedge delay (~p95 of the
+// provider's recent latency, hedgeDelay), each of its pages is raced
+// against its next source, into scratch buffers: a k=1 page's next copy
+// in its walk, a k>=2 page's stripe reconstructed from the other slots
+// (striped.go). Whichever usable response lands first serves the page.
+// A group's own fetch reads its answer straight into the read's buffer,
+// so once the hedges have won the straggler is detached — its answer
+// discarded unread, or its sink stopped if the answer is already
+// arriving — and its eventual completion is drained in the background,
+// where it still feeds the provider's breaker: one stalled provider
+// costs a read roughly one hedge delay instead of a full RPC timeout.
+// Slow is not lost: pages no hedge serves wait for the straggler.
 
 import (
 	"context"
@@ -31,34 +28,50 @@ import (
 	"blob/internal/wire"
 )
 
-// fetchItem is one replicated page a read must fill (fetchPages).
+// fetchItem is one page a read must fill (fetchPages).
 type fetchItem struct {
 	leaf mstore.PageLeaf
 	dst  []byte
-	// walk is the page's replica walk still to run: walk[0] is the
-	// replica the current wave asks, the rest queue behind it in order.
-	// It starts as the leaf's replica list, which the metadata cache may
+	// walk is the page's provider walk still to run: walk[0] is the
+	// provider the current wave asks, the rest queue behind it in order.
+	// It starts as the leaf's Providers, which the metadata cache may
 	// share, so reordering it copies it first.
 	walk []uint32
-	// deferred counts the walk's trailing replicas that an open breaker
+	// deferred counts the walk's trailing providers that an open breaker
 	// moved there (deferOpen).
 	deferred int
 	// missed collects providers that definitively lacked the page
 	// (absent response): the read-repair targets.
 	missed []uint32
+	// unasked marks a k>=2 page whose own slot an open breaker put off:
+	// its stripe's reconstruction counts that slot among the survivors.
+	unasked bool
+}
+
+// relOn returns the rel-page under which provider id holds the page.
+func (it *fetchItem) relOn(id uint32) uint32 {
+	l := &it.leaf.Leaf
+	for i, p := range l.Providers {
+		if p == id {
+			return l.ProviderRel(i)
+		}
+	}
+	return l.RelPage
+}
+
+// breakerOpen reports whether provider id's circuit breaker is open.
+func (c *Client) breakerOpen(id uint32) bool {
+	addr, ok := c.cachedProviderAddr(id)
+	return ok && !c.pool.Available(addr)
 }
 
 // deferOpen moves the head of the walk to its end while its provider's
-// circuit breaker is open: an open breaker makes a replica the page's
-// last resort, never drops it. A replica is deferred at most once per
+// circuit breaker is open: an open breaker makes a provider the page's
+// last resort, never drops it. A provider is deferred at most once per
 // read, and only behind one not yet deferred, so the walk still asks
-// every replica exactly once. It returns how many it deferred.
+// every provider exactly once. It returns how many it deferred.
 func (it *fetchItem) deferOpen(c *Client) (n int) {
-	for len(it.walk)-it.deferred > 1 {
-		addr, ok := c.cachedProviderAddr(it.walk[0])
-		if !ok || c.pool.Available(addr) {
-			break
-		}
+	for len(it.walk)-it.deferred > 1 && c.breakerOpen(it.walk[0]) {
 		it.walk = append(it.walk[1:len(it.walk):len(it.walk)], it.walk[0])
 		it.deferred++
 		n++
@@ -66,7 +79,7 @@ func (it *fetchItem) deferOpen(c *Client) (n int) {
 	return n
 }
 
-// pop drops the walk's head, the replica the page just failed on.
+// pop drops the walk's head, the provider the page just failed on.
 func (it *fetchItem) pop() {
 	if len(it.walk) <= it.deferred {
 		it.deferred--
@@ -83,22 +96,24 @@ type fetchGroup struct {
 	pages provider.PagesInto
 }
 
-// hasNextReplica reports whether any of the group's pages has a replica
-// behind the one this wave asks: a group with none has nowhere to hedge
-// to, so an r=1 read never arms a hedge timer.
-func (g *fetchGroup) hasNextReplica() bool {
+// canHedge reports whether any of the group's pages has a source behind
+// the provider this wave asks: a next copy, or a stripe to reconstruct.
+// A group with none has nowhere to hedge to, so an rs(1,0) read never
+// arms a hedge timer.
+func (g *fetchGroup) canHedge() bool {
 	for i := range g.items {
-		if len(g.items[i].walk) > 1 {
+		if len(g.items[i].walk) > 1 || g.items[i].leaf.Leaf.Stripe != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// hedgeSub is one hedge sub-request: the slice of a straggling group's
-// pages whose next replica is the same provider. Hedge answers land in
-// scratch buffers, never the caller's dst — the straggler's sink may
-// still write there until it completes or is detached.
+// hedgeSub is one hedge of a straggling group: either a fetch of the
+// pages whose next copy is on the same provider (pd), or the
+// reconstruction of one stripe of a k>=2 page (pd nil). Hedge answers
+// land in scratch buffers, never the caller's dst — the straggler's
+// sink may still write there until it completes or is detached.
 type hedgeSub struct {
 	addr  string
 	pd    *rpc.Pending
@@ -119,7 +134,7 @@ func (b *Blob) waitPrimary(ctx context.Context, pd *rpc.Pending, addr string, di
 }
 
 // waitPagesInto waits out a page fetch whose answer lands in a pooled
-// buffer (hedges, striped reads) and decodes it into dsts. As with
+// buffer (hedges) and decodes it into dsts. As with
 // waitPrimary, an answer that does not parse counts as the provider
 // failing, for the breaker too.
 func (b *Blob) waitPagesInto(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time, dsts [][]byte, status []provider.PageStatus) error {
@@ -157,12 +172,13 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 	}()
 }
 
-// waitFetchHedged waits for one replicated group's page fetch, whose
-// sink reads the answer straight into the items' dsts. When the answer
-// outlives the provider's adaptive hedge delay (waitHedged), the same
-// pages are requested from each page's next replica; hedge answers that
-// arrive first populate hedged (scratch page bytes, checksum-verified),
-// and once every page is hedge-served the straggler is abandoned.
+// waitFetchHedged waits for one group's page fetch, whose sink reads
+// the answer straight into the items' dsts. When the answer outlives the
+// provider's adaptive hedge delay (waitHedged), each page is hedged: a
+// fetch from its next copy, or its stripe's reconstruction. Hedge
+// answers that arrive first populate hedged (scratch page bytes,
+// checksum-verified), and once every page is hedge-served the straggler
+// is abandoned.
 //
 // It returns hedged[j] — non-nil page bytes for items the hedge served,
 // which the caller prefers when the primary failed those items —,
@@ -171,7 +187,7 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 // abandoned is set or err is ctx's, the primary has completed.
 func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, dispatched time.Time, fop *trace.Op) (hedged [][]byte, abandoned bool, err error) {
 	c := b.c
-	if !g.hasNextReplica() {
+	if !g.canHedge() {
 		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
 	}
 	if err := b.waitHedged(ctx, pd, addr, dispatched); !errors.Is(err, errHedged) {
@@ -181,12 +197,19 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		return nil, false, err
 	}
 
-	// The primary is a straggler. Build hedge sub-requests: each item's
-	// next replica, grouped by provider, skipping items with no next
-	// replica, an unresolvable one, or one whose breaker is open.
+	// The primary is a straggler. Build the hedges: each k>=2 page's
+	// stripe, and each other page's next copy, grouped by provider —
+	// skipping pages with no next copy, an unresolvable one, or one
+	// whose breaker is open.
 	var subs []*hedgeSub
 	byID := make(map[uint32]*hedgeSub)
 	for j, it := range g.items {
+		if it.leaf.Leaf.Stripe != nil {
+			// A stripe's slots live on distinct providers, so the group
+			// holds one page per stripe.
+			subs = append(subs, &hedgeSub{idx: []int{j}, dsts: make([][]byte, 1)})
+			continue
+		}
 		if len(it.walk) < 2 {
 			continue
 		}
@@ -202,7 +225,7 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			subs = append(subs, s)
 		}
 		s.refs = append(s.refs, provider.PageRef{
-			Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.leaf.Leaf.RelPage,
+			Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.relOn(hid),
 		})
 		s.idx = append(s.idx, j)
 		s.dsts = append(s.dsts, make([]byte, b.pageSize))
@@ -215,9 +238,25 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 
 	hstart := time.Now()
 	hdone := make(chan *hedgeSub, len(subs))
+	// Reconstructions run under rctx, cancelled once the race is over.
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	for _, s := range subs {
-		fop.Notef("hedge: %d pages -> %s", len(s.refs), s.addr)
 		c.HedgedReads.Inc()
+		if s.addr == "" {
+			l := &g.items[s.idx[0]].leaf
+			fop.Notef("hedge: page %d -> stripe reconstruction", l.Page)
+			go func() {
+				slot := l.Leaf.Stripe.SlotOf(l.Leaf.RelPage)
+				if shards, err := b.reconstructStripe(rctx, &l.Leaf, []int{slot}); err == nil {
+					s.dsts[0] = shards[slot]
+					c.ReconstructedPages.Inc()
+				}
+				hdone <- s
+			}()
+			continue
+		}
+		fop.Notef("hedge: %d pages -> %s", len(s.refs), s.addr)
 		s.pd = c.pool.Go(ctx, s.addr, provider.MGetPages,
 			[][]byte{provider.EncodeGetPages(s.refs)}, nil)
 		go func() {
@@ -228,10 +267,10 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			}
 		}()
 	}
-	// abandonRest drains the hedges the race no longer waits for.
+	// abandonRest drains the fetch hedges the race no longer waits for.
 	abandonRest := func() {
 		for _, s := range subs {
-			if !s.taken {
+			if s.pd != nil && !s.taken {
 				b.abandonFetch(s.pd, s.addr, hstart)
 			}
 		}
@@ -252,8 +291,12 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			return hedged, false, ctx.Err()
 		case s := <-hdone:
 			s.taken = true
-			status := make([]provider.PageStatus, len(s.refs))
-			if b.waitPagesInto(ctx, s.pd, s.addr, hstart, s.dsts, status) != nil {
+			status := make([]provider.PageStatus, len(s.idx))
+			if s.pd == nil {
+				if s.dsts[0] != nil {
+					status[0] = provider.PageOK
+				}
+			} else if b.waitPagesInto(ctx, s.pd, s.addr, hstart, s.dsts, status) != nil {
 				continue
 			}
 			for k, st := range status {
@@ -271,9 +314,9 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			}
 		}
 	}
-	// Every hedge landed without covering everything (misses, or pages
-	// with no next replica): the straggler is still those pages' wave —
-	// wait it out.
+	// Every hedge landed without covering everything (misses, a stripe
+	// short of survivors, or pages with no next copy): the straggler is
+	// still those pages' wave — wait it out.
 	return hedged, false, b.waitPrimary(ctx, pd, addr, dispatched)
 }
 
@@ -311,8 +354,7 @@ func (c *Client) hedgeDelay(addr string) time.Duration {
 var errHedged = errors.New("core: fetch outlived its hedge delay")
 
 // waitHedged waits for a fetch to complete, but only up to its
-// provider's adaptive hedge delay: the one hedge wait of both
-// redundancy modes. It returns nil once the answer is in (the caller
+// provider's adaptive hedge delay. It returns nil once the answer is in (the caller
 // waits it out to take it), errHedged for a straggler, whose Pending
 // stays live and the caller's to settle, or ctx's error. With hedging
 // disabled it returns nil at once.

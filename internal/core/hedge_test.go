@@ -37,7 +37,7 @@ func tierProviders(t *testing.T, b *core.Blob, v meta.Version) []uint32 {
 }
 
 func TestHedgedReadMasksStalledReplica(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
@@ -88,7 +88,7 @@ func TestHedgedReadMasksStalledReplica(t *testing.T) {
 }
 
 func TestDisableHedgingStalledReplicaBlocksRead(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2}, unhedged)
+	cl, c := launch(t, cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}}, unhedged)
 	ctx := context.Background()
 
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
@@ -136,7 +136,7 @@ func TestHealthyHedgeIssuesNoExtraGets(t *testing.T) {
 	const reads = 30
 	cell := func(disableHedging bool) (gets, hedged int64) {
 		cl, c := launch(t, cluster.Config{
-			DataReplicas: 2,
+			Redundancy: erasure.Redundancy{K: 1, M: 1},
 			// A fabric with latency: a 16-page fetch takes most of the
 			// hedge delay's 10 ms floor, so a mispriced delay shows.
 			Net:        netsim.Grid5000(),
@@ -307,7 +307,7 @@ func TestSlowReplicaIsNotLost(t *testing.T) {
 		{"next behind an open breaker", true, false},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			cl, c := launch(t, cluster.Config{DataReplicas: 2})
+			cl, c := launch(t, cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}})
 			ctx := context.Background()
 			b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 			if err != nil {
@@ -376,7 +376,7 @@ func TestHedgeKeepsLargeReadPace(t *testing.T) {
 	for _, r := range []int{2, 3} {
 		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
 			fabric := netsim.Grid5000()
-			_, c := launch(t, cluster.Config{DataReplicas: r, Net: fabric, CacheNodes: -1})
+			_, c := launch(t, cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: r - 1}, Net: fabric, CacheNodes: -1})
 			ctx := context.Background()
 			b, err := c.CreateBlob(ctx, pageSize, pages*pageSize)
 			if err != nil {
@@ -425,7 +425,7 @@ func TestHedgeKeepsLargeReadPace(t *testing.T) {
 }
 
 func TestBreakerOpensOnFlakyProviderAndRecovers(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)

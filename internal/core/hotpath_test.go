@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"blob/internal/cluster"
+	"blob/internal/erasure"
 )
 
 // TestVectoredConcurrentRoundTrips is the -race gate on the pooled
@@ -21,7 +22,7 @@ import (
 // over shared providers, every read verified byte-identical against
 // what its writer stored.
 func TestVectoredConcurrentRoundTrips(t *testing.T) {
-	_, c := launch(t, cluster.Config{DataProviders: 4, MetaProviders: 2, DataReplicas: 2})
+	_, c := launch(t, cluster.Config{DataProviders: 4, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	const workers = 6
 	const rounds = 8

@@ -168,15 +168,19 @@ func (b *Blob) ReadMeta(ctx context.Context, offset, length uint64, v meta.Versi
 }
 
 // fetchPages downloads every non-zero leaf's page into buf, zero-filling
-// zero pages, with replica failover, checksum verification, hedged
-// fetches and read-repair (docs/replication.md §5, docs/robustness.md).
-// Each page walks its replicas in order, one wave at a time, until one
-// serves it; a replica whose circuit breaker is open is deferred to the
-// end of the walk, never left out of it. A group that outlives its
-// provider's adaptive hedge delay is raced against its pages' next
-// replicas (hedge.go), and a page a later replica serves is re-pushed in
-// the background to every replica that definitively missed it,
-// restoring redundancy as a side effect of reading.
+// zero pages, with failover, checksum verification, hedged fetches and
+// read-repair (docs/erasure.md §5, docs/robustness.md). Each page walks
+// its leaf's Providers in order, one wave at a time, until one serves
+// it: every copy of a k=1 page, the own slot of a k>=2 page, which then
+// falls back to its stripe's reconstruction. A provider whose circuit
+// breaker is open is deferred to the end of the walk, never left out
+// of it — a k>=2 page's slot behind an open breaker goes straight to
+// reconstruction, which asks it only for a stripe it cannot decode
+// without it. A group that outlives its provider's adaptive hedge delay
+// is raced against its pages' next sources (hedge.go), and a page
+// served after a definite miss is re-pushed in the background to every
+// provider that missed it, restoring redundancy as a side effect of
+// reading.
 func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, leaves []mstore.PageLeaf) (err error) {
 	ctx, fop := trace.Start(ctx, "read.fetch")
 	if fop != nil {
@@ -184,28 +188,18 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		defer func() { fop.EndErr(err) }()
 	}
 	remaining := make([]fetchItem, 0, len(leaves))
-	var striped []stripedItem
 	for _, l := range leaves {
 		dst := buf[(l.Page-pr.First)*b.pageSize : (l.Page-pr.First+1)*b.pageSize]
 		if l.Leaf.Write == 0 {
 			clear(dst)
 			continue
 		}
-		if l.Leaf.Stripe != nil {
-			// Erasure-coded page: single data provider, failover is
-			// stripe reconstruction, not replica hopping (striped.go).
-			striped = append(striped, stripedItem{leaf: l, dst: dst})
-			continue
-		}
 		remaining = append(remaining, fetchItem{leaf: l, dst: dst, walk: l.Leaf.Providers})
-	}
-	if len(striped) > 0 {
-		if err := b.fetchStriped(ctx, striped); err != nil {
-			return err
-		}
 	}
 
 	var repairs []readRepair
+	// degraded collects the k>=2 pages left to their stripes.
+	var degraded []fetchItem
 	// pend holds the current wave's fetches, whose sinks read their
 	// answers straight into buf until they complete. A failing read —
 	// a cancelled ctx, any error return — detaches them before it
@@ -220,9 +214,9 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		}
 	}()
 
-	// Waves: ask every page's first replica in one parallel wave, then
-	// the next replica of whatever failed, and so on. A page whose walk
-	// is exhausted is unrecoverable.
+	// Waves: ask every page's first provider in one parallel wave, then
+	// the next provider of whatever failed, and so on. A k=1 page whose
+	// walk is exhausted is unrecoverable.
 	for wave := 0; len(remaining) > 0; wave++ {
 		if wave > 0 {
 			fop.Notef("retry: wave %d, %d pages", wave, len(remaining))
@@ -231,17 +225,28 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		// once (incremental append growth was a measurable slice of the
 		// read path, docs/perf.md).
 		counts := make(map[uint32]int, 8)
-		for i := range remaining {
-			it := &remaining[i]
-			if len(it.walk) == 0 {
-				return fmt.Errorf("%w: page %d (write %d) failed on all %d replicas",
+		asked := remaining[:0]
+		for _, it := range remaining {
+			switch {
+			case len(it.walk) == 0 && it.leaf.Leaf.Stripe == nil:
+				return fmt.Errorf("%w: page %d (write %d) failed on all %d copies",
 					ErrPageUnavailable, it.leaf.Page, it.leaf.Leaf.Write, len(it.leaf.Leaf.Providers))
+			case len(it.walk) == 0:
+				degraded = append(degraded, it)
+				continue
+			case it.leaf.Leaf.Stripe != nil && b.c.breakerOpen(it.walk[0]):
+				fop.Notef("breaker-defer: page %d to its stripe", it.leaf.Page)
+				it.unasked = true
+				degraded = append(degraded, it)
+				continue
 			}
 			if n := it.deferOpen(b.c); n > 0 {
-				fop.Notef("breaker-defer: page %d, %d replicas", it.leaf.Page, n)
+				fop.Notef("breaker-defer: page %d, %d copies", it.leaf.Page, n)
 			}
 			counts[it.walk[0]]++
+			asked = append(asked, it)
 		}
+		remaining = asked
 		groups := make(map[uint32]*fetchGroup, len(counts))
 		for _, it := range remaining {
 			id := it.walk[0]
@@ -256,7 +261,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 				groups[id] = g
 			}
 			g.refs = append(g.refs, provider.PageRef{
-				Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.leaf.Leaf.RelPage,
+				Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.relOn(id),
 			})
 			g.items = append(g.items, it)
 			g.pages.Dsts = append(g.pages.Dsts, it.dst)
@@ -274,7 +279,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		for id, g := range groups {
 			addr, err := b.c.providerAddr(ctx, id)
 			if err != nil {
-				// Unknown provider: try these pages on the next replica.
+				// Unknown provider: try these pages on their next source.
 				next = append(next, g.items...)
 				continue
 			}
@@ -287,17 +292,14 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 		}
 		dispatched := time.Now()
 		// served records a verified page, queueing a read-repair when
-		// earlier replicas definitively missed it. The repair references
-		// the page bytes in place (it.dst); scheduleReadRepair
-		// materializes its own copy only for repairs it actually
-		// schedules.
+		// earlier providers definitively missed it. The repair
+		// references the page bytes in place (it.dst);
+		// scheduleReadRepair materializes its own copy only for repairs
+		// it actually schedules.
 		served := func(it fetchItem) {
-			if len(it.missed) > 0 {
+			for _, id := range it.missed {
 				repairs = append(repairs, readRepair{
-					write:     it.leaf.Leaf.Write,
-					rel:       it.leaf.Leaf.RelPage,
-					data:      it.dst,
-					providers: it.missed,
+					write: it.leaf.Leaf.Write, rel: it.relOn(id), data: it.dst, provider: id,
 				})
 			}
 		}
@@ -328,7 +330,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 					return ctx.Err()
 				}
 				// A transport failure, an error answer or an answer that
-				// does not parse: the group failed on this replica.
+				// does not parse: the group failed on this provider.
 				for j, it := range gs[i].items {
 					if !serveHedged(j, it) {
 						next = append(next, it)
@@ -347,7 +349,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 					}
 				case st == provider.PageBad ||
 					wire.Checksum64(it.dst) != it.leaf.Leaf.Checksum:
-					// Wrong size or corrupt: fail over; the next wave
+					// Wrong size or corrupt: fail over; the next source
 					// overwrites whatever landed in dst.
 					if !serveHedged(j, it) {
 						next = append(next, it)
@@ -358,13 +360,18 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 			}
 		}
 		// Every page left failed on its walk's head: the next wave asks
-		// the replica behind it.
+		// the provider behind it.
 		for i := range next {
 			next[i].pop()
 		}
 		remaining = next
 	}
 
+	if len(degraded) > 0 {
+		if err := b.serveDegraded(ctx, degraded, &repairs); err != nil {
+			return err
+		}
+	}
 	if len(repairs) > 0 {
 		b.c.scheduleReadRepair(b.id, repairs)
 	}

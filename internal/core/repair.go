@@ -1,8 +1,7 @@
 package core
 
-// Client-side half of the repair protocol (docs/replication.md §5): the
-// background read-repair pushes that restore redundancy for pages a read
-// had to fail over on.
+// Read-repair (docs/erasure.md §5): the background pushes that restore
+// redundancy for pages a read found missing on a provider.
 
 import (
 	"context"
@@ -11,19 +10,19 @@ import (
 	"blob/internal/provider"
 )
 
-// readRepair is one page to re-push to the replicas that missed it.
-// data may alias the caller's read buffer (or a decode scratch buffer)
-// when handed to scheduleReadRepair, which copies it — only for repairs
-// it actually schedules — before returning.
+// readRepair is one page to re-push, as rel, to a provider that missed
+// it. data may alias the caller's read buffer (or a decode scratch
+// buffer) when handed to scheduleReadRepair, which copies it — only for
+// repairs it actually schedules — before returning.
 type readRepair struct {
-	write     uint64
-	rel       uint32
-	data      []byte
-	providers []uint32
+	write    uint64
+	rel      uint32
+	data     []byte
+	provider uint32
 }
 
-// scheduleReadRepair re-pushes served pages to the replicas that missed
-// them, in the background and bounded by repairSem — a saturated client
+// scheduleReadRepair re-pushes served pages to the providers that
+// missed them, in the background and bounded by repairSem — a saturated client
 // drops the repairs rather than queueing unboundedly (the repair agent
 // or a later read will retry). First-wins idempotent puts make
 // duplicate pushes harmless.
@@ -55,16 +54,14 @@ func (c *Client) scheduleReadRepair(blob uint64, repairs []readRepair) {
 		}
 		batches := make(map[key]*batch)
 		for _, r := range repairs {
-			for _, id := range r.providers {
-				k := key{id, r.write}
-				bt := batches[k]
-				if bt == nil {
-					bt = &batch{}
-					batches[k] = bt
-				}
-				bt.rels = append(bt.rels, r.rel)
-				bt.datas = append(bt.datas, r.data)
+			k := key{r.provider, r.write}
+			bt := batches[k]
+			if bt == nil {
+				bt = &batch{}
+				batches[k] = bt
 			}
+			bt.rels = append(bt.rels, r.rel)
+			bt.datas = append(bt.datas, r.data)
 		}
 		for k, bt := range batches {
 			addr, err := c.providerAddr(ctx, k.id)

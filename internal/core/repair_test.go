@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blob/internal/cluster"
+	"blob/internal/erasure"
 	"blob/internal/netsim"
 	"blob/internal/provider"
 )
@@ -32,7 +33,7 @@ func wipeStore(st provider.PageStore, blobID uint64) int {
 // definite miss is re-pushed to the replica that missed it, restoring
 // redundancy as a side effect of reading.
 func TestReadRepairRestoresMissingReplica(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	data := pattern(3, 8*pageSize)
@@ -77,7 +78,7 @@ func TestReadRepairRestoresMissingReplica(t *testing.T) {
 // healed replica to the rotation: once the pages a wiped replica missed
 // are re-pushed, the next reads fetch from it again and re-push nothing.
 func TestHealedReplicaServesNextReads(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	data := pattern(13, 8*pageSize)
@@ -127,7 +128,7 @@ func TestHealedReplicaServesNextReads(t *testing.T) {
 // metadata ring and provider directory are warm reads the version back
 // well inside its deadline.
 func TestKnownVersionReadIgnoresProviderManager(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{DataProviders: 2, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, _ := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	data := pattern(15, 8*pageSize)

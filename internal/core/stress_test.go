@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blob/internal/cluster"
+	"blob/internal/erasure"
 	"blob/internal/gc"
 	"blob/internal/meta"
 )
@@ -22,7 +23,7 @@ func TestStressMixedWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	cl, c := launch(t, cluster.Config{DataProviders: 5, MetaProviders: 5, DataReplicas: 2, CacheNodes: 0})
+	cl, c := launch(t, cluster.Config{DataProviders: 5, MetaProviders: 5, Redundancy: erasure.Redundancy{K: 1, M: 1}, CacheNodes: 0})
 	ctx := context.Background()
 	const totalPages = 64
 	b, err := c.CreateBlob(ctx, pageSize, totalPages*pageSize)

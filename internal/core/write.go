@@ -11,7 +11,6 @@ import (
 	"blob/internal/rpc"
 	"blob/internal/trace"
 	"blob/internal/vmanager"
-	"blob/internal/wire"
 )
 
 // WriteResult reports a completed write and its phase timings, which the
@@ -94,55 +93,14 @@ func (b *Blob) writeInternal(ctx context.Context, buf []byte, offset uint64, isA
 	}()
 
 	// Phase 1 (paper §III.B): get providers from the provider manager,
-	// then push all pages in parallel, batched per provider. The two
-	// redundancy modes differ only in what lands where: replication
-	// pushes r copies of each page, rs(k,m) pushes each page once plus
-	// m parity pages per stripe (docs/erasure.md). Both produce a
-	// leafAt function the metadata build below consumes.
+	// then push all pages in parallel, batched per provider: each page
+	// once plus m parity pages per stripe (docs/erasure.md), which under
+	// rs(1,m) are m copies of the page. It yields the leafAt function the
+	// metadata build below consumes.
 	t0 := time.Now()
 	pctx, pushOp := trace.Start(ctx, "write.push")
 	pushOp.AddBytes(int64(len(buf)))
-	var leafAt func(rel uint64) meta.LeafData
-	var pushErr error
-	if b.red.IsRS() {
-		refs, err := b.putStriped(pctx, writeID, buf)
-		if err != nil {
-			pushErr = err
-		} else {
-			k := uint64(b.red.K)
-			leafAt = func(rel uint64) meta.LeafData {
-				ref := refs[rel/k]
-				slot := int(uint32(rel) - ref.FirstRel)
-				return meta.LeafData{
-					Write:     writeID,
-					RelPage:   uint32(rel),
-					Providers: []uint32{ref.Provs[slot]},
-					Checksum:  ref.Sums[slot],
-					Stripe:    ref,
-				}
-			}
-		}
-	} else {
-		alloc, err := b.allocateProviders(pctx, int(npages), b.c.opts.DataReplicas)
-		if err != nil {
-			pushErr = err
-		} else if checksums, err := b.putPages(pctx, writeID, buf, alloc); err != nil {
-			pushErr = err
-		} else {
-			r := b.c.opts.DataReplicas
-			if r > len(alloc.IDs)/int(npages) {
-				r = len(alloc.IDs) / int(npages)
-			}
-			leafAt = func(rel uint64) meta.LeafData {
-				return meta.LeafData{
-					Write:     writeID,
-					RelPage:   uint32(rel),
-					Providers: alloc.IDs[int(rel)*r : (int(rel)+1)*r],
-					Checksum:  checksums[rel],
-				}
-			}
-		}
-	}
+	leafAt, pushErr := b.putStriped(pctx, writeID, buf)
 	pushOp.EndErr(pushErr)
 	if pushErr != nil {
 		// The concurrently assigned version will never commit; abort it
@@ -210,10 +168,9 @@ func (b *Blob) writeInternal(ctx context.Context, buf []byte, offset uint64, isA
 }
 
 // allocateProviders asks the provider manager for placement: r distinct
-// providers for each of npages groups (pages under replication, whole
-// stripes under rs).
-func (b *Blob) allocateProviders(ctx context.Context, npages, r int) (pmanager.Allocation, error) {
-	body := pmanager.EncodeAllocate(npages, r)
+// providers for each of n stripes.
+func (b *Blob) allocateProviders(ctx context.Context, n, r int) (pmanager.Allocation, error) {
+	body := pmanager.EncodeAllocate(n, r)
 	resp, err := b.c.pool.Call(ctx, b.c.opts.PManagerAddr, pmanager.MAllocate, body)
 	if err != nil {
 		return pmanager.Allocation{}, fmt.Errorf("core: allocate providers: %w", err)
@@ -231,31 +188,9 @@ func (b *Blob) allocateProviders(ctx context.Context, npages, r int) (pmanager.A
 	return alloc, nil
 }
 
-// putPages uploads every page to each of its r providers and returns
-// the per-page checksums.
-func (b *Blob) putPages(ctx context.Context, writeID uint64, buf []byte, alloc pmanager.Allocation) ([]uint64, error) {
-	npages := uint64(len(buf)) / b.pageSize
-	r := len(alloc.IDs) / int(npages)
-	checksums := make([]uint64, npages)
-	ids := alloc.IDs[:int(npages)*r]
-	rels := make([]uint32, len(ids))
-	datas := make([][]byte, len(ids))
-	for p := uint64(0); p < npages; p++ {
-		data := buf[p*b.pageSize : (p+1)*b.pageSize]
-		checksums[p] = wire.Checksum64(data)
-		for j := int(p) * r; j < int(p+1)*r; j++ {
-			rels[j], datas[j] = uint32(p), data
-		}
-	}
-	if err := b.pushPages(ctx, writeID, ids, rels, datas); err != nil {
-		return nil, err
-	}
-	return checksums, nil
-}
-
 // pushPages stores datas[i] as page rels[i] of the write on provider
 // ids[i], in one batched MPutPages per distinct provider, all in flight
-// at once, and waits for every one. Both redundancy modes end here. The
+// at once, and waits for every one. The
 // request bodies are scatter-gather segments aliasing the page bytes
 // (zero copies on the client), which stay immutable until every call
 // has been waited for — on an error too (drainPending).

@@ -1,11 +1,13 @@
-// Package erasure implements Reed-Solomon erasure coding of page groups
-// — the storage-efficient alternative to full page replication
-// (normative spec: docs/erasure.md). A blob in rs(k,m) mode groups each
-// k consecutive page slots of a write into a stripe, computes m parity
-// pages over them, and spreads the k+m shards over k+m distinct data
-// providers. Any k surviving shards reconstruct the rest, so the stripe
-// tolerates m provider losses at a storage overhead of (k+m)/k — e.g.
-// rs(4,2) matches 2-replication's fault tolerance at 1.5x instead of 2x.
+// Package erasure implements Reed-Solomon erasure coding of page groups,
+// the one redundancy scheme of the store (normative spec:
+// docs/erasure.md). A blob in rs(k,m) mode groups each k consecutive
+// page slots of a write into a stripe, computes m parity pages over
+// them, and spreads the k+m shards over k+m distinct data providers.
+// Any k surviving shards reconstruct the rest, so the stripe tolerates m
+// provider losses at a storage overhead of (k+m)/k — e.g. rs(4,2)
+// matches rs(1,1)'s fault tolerance at 1.5x instead of 2x. At k = 1
+// every parity row is all ones: an rs(1, r-1) stripe is a page and its
+// r-1 copies, which is replication.
 //
 // The codec is a systematic construction over GF(2^8): the first k rows
 // of the encode matrix are the identity (data shards are stored
@@ -96,12 +98,15 @@ type Code struct {
 	matrix [][]byte
 }
 
-// New builds an RS(k,m) codec. 1 <= k, 1 <= m, k+m <= 256.
+// New builds an RS(k,m) codec. 1 <= k, 0 <= m, k+m <= 256. At k = 1
+// every parity row is all ones, so each parity shard is a copy of the
+// one data shard: rs(1, m) is replication at 1+m copies, and rs(1, 0)
+// a single copy.
 func New(k, m int) (*Code, error) {
 	// k and m are bounded one by one before they are added: a huge k
 	// would otherwise wrap k+m negative and past the check.
-	if k < 1 || m < 1 || k > maxShards || m > maxShards || k+m > maxShards {
-		return nil, fmt.Errorf("erasure: invalid geometry rs(%d,%d): need k>=1, m>=1, k+m<=%d", k, m, maxShards)
+	if k < 1 || m < 0 || k > maxShards || m > maxShards || k+m > maxShards {
+		return nil, fmt.Errorf("erasure: invalid geometry rs(%d,%d): need k>=1, m>=0, k+m<=%d", k, m, maxShards)
 	}
 	mat := make([][]byte, k+m)
 	for i := range mat {
@@ -113,9 +118,13 @@ func New(k, m int) (*Code, error) {
 	for j := 0; j < k; j++ {
 		// Column j of the Cauchy block is inv((k+i) ^ j); scaling it by
 		// the inverse of its row-0 entry, (k ^ j), makes that entry 1.
+		// Any nonzero coefficient is MDS at k = 1, where 1 is the copy.
 		scale := byte(k) ^ byte(j)
 		for i := 0; i < m; i++ {
-			mat[k+i][j] = gfMul(gfInv(byte(k+i)^byte(j)), scale)
+			mat[k+i][j] = 1
+			if k > 1 {
+				mat[k+i][j] = gfMul(gfInv(byte(k+i)^byte(j)), scale)
+			}
 		}
 	}
 	return &Code{k: k, m: m, matrix: mat}, nil
@@ -312,46 +321,24 @@ func invert(m [][]byte) ([][]byte, error) {
 	return inv, nil
 }
 
-// Redundancy names a deployment's (or blob's) page redundancy scheme:
-// the zero value is full replication (the paper's mode, copy count set
-// by the data replication factor); K > 0 selects rs(K,M) erasure-coded
-// stripes.
+// Redundancy names a deployment's (or blob's) page redundancy scheme,
+// rs(K,M): every write is cut into stripes of K data pages and M parity
+// pages on K+M distinct providers. Replication at r copies is rs(1,
+// r-1), and rs(1,0) keeps a single copy. The zero value is the unset
+// mode: a client that leaves it unset defers to the mode the provider
+// manager advertises, and a deployment that leaves it unset advertises
+// rs(1,0).
 type Redundancy struct {
-	K int // data shards per stripe; 0 = full replication
+	K int // data shards per stripe
 	M int // parity shards per stripe
-	// Pinned marks a mode the user chose explicitly (ParseRedundancy
-	// sets it for every non-empty input). Only consultation points that
-	// fall back to an advertised default care: an unpinned zero value
-	// means "defer to the deployment", a pinned one means "replicate,
-	// even if the deployment advertises rs". Pinned is client-side
-	// intent only — it is never stored or sent on the wire.
-	Pinned bool
 }
-
-// IsRS reports whether the mode is erasure coding.
-func (r Redundancy) IsRS() bool { return r.K > 0 }
 
 // Shards returns K+M, the provider group size of one stripe.
 func (r Redundancy) Shards() int { return r.K + r.M }
 
-// Overhead returns the storage expansion factor: (K+M)/K for RS, or
-// float64(replicas) for replication.
-func (r Redundancy) Overhead(replicas int) float64 {
-	if r.IsRS() {
-		return float64(r.K+r.M) / float64(r.K)
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	return float64(replicas)
-}
-
-// Validate checks the geometry.
+// Validate checks the geometry; the unset zero value is valid.
 func (r Redundancy) Validate() error {
-	if !r.IsRS() {
-		if r.M != 0 {
-			return fmt.Errorf("erasure: parity %d without data shards", r.M)
-		}
+	if r == (Redundancy{}) {
 		return nil
 	}
 	_, err := New(r.K, r.M)
@@ -359,36 +346,27 @@ func (r Redundancy) Validate() error {
 }
 
 // String renders the mode in the form ParseRedundancy accepts.
-func (r Redundancy) String() string {
-	if !r.IsRS() {
-		return "replicate"
-	}
-	return fmt.Sprintf("rs(%d,%d)", r.K, r.M)
-}
+func (r Redundancy) String() string { return fmt.Sprintf("rs(%d,%d)", r.K, r.M) }
 
 var rsModeRE = regexp.MustCompile(`^rs\((\d+),(\d+)\)$`)
 
-// ParseRedundancy parses "replicate" or "rs(k,m)" (e.g. "rs(4,2)").
-// Any non-empty input returns a Pinned mode: an explicit "replicate"
-// overrides an advertised rs default instead of deferring to it.
+// ParseRedundancy parses "rs(k,m)" (e.g. "rs(4,2)", or "rs(1,1)" for
+// two copies). The empty string is the unset mode.
 func ParseRedundancy(s string) (Redundancy, error) {
 	if s == "" {
 		return Redundancy{}, nil
 	}
-	if s == "replicate" {
-		return Redundancy{Pinned: true}, nil
-	}
 	m := rsModeRE.FindStringSubmatch(s)
 	if m == nil {
-		return Redundancy{}, fmt.Errorf("erasure: bad redundancy mode %q (want \"replicate\" or \"rs(k,m)\")", s)
+		return Redundancy{}, fmt.Errorf("erasure: bad redundancy mode %q (want \"rs(k,m)\")", s)
 	}
 	k, errK := strconv.Atoi(m[1])
 	p, errM := strconv.Atoi(m[2])
 	if err := errors.Join(errK, errM); err != nil {
 		return Redundancy{}, fmt.Errorf("erasure: bad redundancy mode %q: %w", s, err)
 	}
-	r := Redundancy{K: k, M: p, Pinned: true}
-	if err := r.Validate(); err != nil {
+	r := Redundancy{K: k, M: p}
+	if _, err := New(k, p); err != nil {
 		return Redundancy{}, err
 	}
 	return r, nil

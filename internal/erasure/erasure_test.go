@@ -162,7 +162,7 @@ func TestNewRejectsHugeGeometry(t *testing.T) {
 	for _, g := range [][2]int{
 		{math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt, math.MaxInt},
 		{math.MaxInt - 255, 256}, {math.MinInt, 1}, {1, math.MinInt},
-		{257, 1}, {1, 256}, {256, 1}, {0, 1}, {1, 0},
+		{257, 1}, {1, 256}, {256, 1}, {0, 1}, {1, -1},
 	} {
 		if c, err := New(g[0], g[1]); err == nil {
 			t.Errorf("New(%d,%d) = rs(%d,%d), want an error", g[0], g[1], c.K(), c.M())
@@ -221,6 +221,23 @@ func TestGoldenMatrix(t *testing.T) {
 	for i := range want {
 		if got := c.MatrixRow(i); !bytes.Equal(got, want[i]) {
 			t.Fatalf("matrix row %d = %v, want %v", i, got, want[i])
+		}
+	}
+	// At k = 1 every parity row is all ones, so rs(1,m) parity is m
+	// copies of the page: rs(1,0) one copy, rs(1,1) two, rs(1,2) three.
+	for m, want := range [][][]byte{
+		{{1}},
+		{{1}, {1}},
+		{{1}, {1}, {1}},
+	} {
+		c, err := New(1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got := c.MatrixRow(i); !bytes.Equal(got, want[i]) {
+				t.Fatalf("rs(1,%d) matrix row %d = %v, want %v", m, i, got, want[i])
+			}
 		}
 	}
 }
@@ -307,11 +324,12 @@ func TestParseRedundancy(t *testing.T) {
 		ok   bool
 	}{
 		{"", Redundancy{}, true}, // unset: defer to the advertised mode
-		{"replicate", Redundancy{Pinned: true}, true},
-		{"rs(4,2)", Redundancy{K: 4, M: 2, Pinned: true}, true},
-		{"rs(1,1)", Redundancy{K: 1, M: 1, Pinned: true}, true},
+		{"replicate", Redundancy{}, false},
+		{"rs(4,2)", Redundancy{K: 4, M: 2}, true},
+		{"rs(1,1)", Redundancy{K: 1, M: 1}, true},
+		{"rs(1,0)", Redundancy{K: 1}, true},
+		{"rs(4,0)", Redundancy{K: 4}, true},
 		{"rs(0,2)", Redundancy{}, false},
-		{"rs(4,0)", Redundancy{}, false},
 		{"rs(200,100)", Redundancy{}, false}, // k+m > 256
 		{"rs(4;2)", Redundancy{}, false},
 		{"raid5", Redundancy{}, false},
@@ -327,11 +345,8 @@ func TestParseRedundancy(t *testing.T) {
 	if s := (Redundancy{K: 4, M: 2}).String(); s != "rs(4,2)" {
 		t.Fatalf("String() = %q", s)
 	}
-	if s := (Redundancy{}).String(); s != "replicate" {
+	if s := (Redundancy{K: 1}).String(); s != "rs(1,0)" {
 		t.Fatalf("String() = %q", s)
-	}
-	if o := (Redundancy{K: 4, M: 2}).Overhead(0); o != 1.5 {
-		t.Fatalf("Overhead = %v", o)
 	}
 }
 

@@ -55,7 +55,8 @@ type Report struct {
 	VersionsCollected int
 	// NodesDeleted counts metadata tree nodes removed (in whole blocks).
 	NodesDeleted int
-	// PagesDeleted counts page replicas removed across providers.
+	// PagesDeleted counts pages — data and parity — removed across
+	// providers.
 	PagesDeleted int
 	// NodesKept counts candidate nodes retained: those of every block
 	// with a marked node.
@@ -101,9 +102,10 @@ func (g *Collector) Collect(ctx context.Context, blobID uint64, keepFrom meta.Ve
 	// MARK.
 	markedNodes := make(map[meta.NodeKey]bool)
 	markedPages := make(map[pageRef]bool)
+	parity := make(map[uint64]int) // a write's parity slots per stripe, off its marked leaves
 	ms := g.c.Meta()
 	for v := keepFrom; v <= latest; v++ {
-		if err := g.mark(ctx, ms, blobID, v, info.TotalPages, markedNodes, markedPages); err != nil {
+		if err := g.mark(ctx, ms, blobID, v, info.TotalPages, markedNodes, markedPages, parity); err != nil {
 			return rep, fmt.Errorf("gc: mark v%d: %w", v, err)
 		}
 	}
@@ -150,25 +152,31 @@ func (g *Collector) Collect(ctx context.Context, blobID uint64, keepFrom meta.Ve
 				deadRels = append(deadRels, rel)
 			}
 		}
-		// Erasure-coded blobs (docs/erasure.md): parity pages live in
-		// the high half of the rel space and are referenced by no leaf,
-		// so sweep them explicitly — a stripe whose every data page
-		// died takes its parity along. Partially-dead stripes keep
-		// parity, or their surviving pages would lose reconstructability.
-		if red := info.Redundancy; red.IsRS() {
-			k := uint64(red.K)
-			for s := uint64(0); s < erasure.NumStripes(rec.Range.Count, red.K); s++ {
-				allDead := true
-				for rel := s * k; rel < (s+1)*k && rel < rec.Range.Count; rel++ {
-					if markedPages[pageRef{write: rec.WriteID, rel: uint32(rel)}] {
-						allDead = false
-						break
-					}
+		// Parity pages (docs/erasure.md) live in the high half of the rel
+		// space and are referenced by no leaf, so sweep them explicitly —
+		// a stripe whose every data page died takes its parity along, and
+		// under rs(1,m) that is the page's copies. Partially-dead stripes
+		// keep parity, or their surviving pages would lose
+		// reconstructability. A write's stripes share one parity count,
+		// read off a marked leaf: an rs(1,m) write may have placed fewer
+		// than m copies. A write with no marked leaf has every stripe
+		// dead, and the blob's m covers all of its parity rels.
+		k := uint64(max(info.Redundancy.K, 1))
+		m, ok := parity[rec.WriteID]
+		if !ok {
+			m = info.Redundancy.M
+		}
+		for s := uint64(0); s < erasure.NumStripes(rec.Range.Count, int(k)); s++ {
+			allDead := true
+			for rel := s * k; rel < (s+1)*k && rel < rec.Range.Count; rel++ {
+				if markedPages[pageRef{write: rec.WriteID, rel: uint32(rel)}] {
+					allDead = false
+					break
 				}
-				if allDead {
-					for j := 0; j < red.M; j++ {
-						deadRels = append(deadRels, erasure.ParityRel(uint32(s), j, red.M))
-					}
+			}
+			if allDead {
+				for j := 0; j < m; j++ {
+					deadRels = append(deadRels, erasure.ParityRel(uint32(s), j, m))
 				}
 			}
 		}
@@ -197,11 +205,11 @@ type pageRef struct {
 }
 
 // mark walks version v's tree breadth-first, recording reachable node
-// keys and leaf page references. Already-marked subtrees are skipped, so
+// keys, leaf page references and each write's parity count. Already-marked subtrees are skipped, so
 // the total work across all versions is proportional to the number of
 // distinct stored nodes.
 func (g *Collector) mark(ctx context.Context, ms *mstore.Client, blob uint64, v meta.Version,
-	totalPages uint64, markedNodes map[meta.NodeKey]bool, markedPages map[pageRef]bool) error {
+	totalPages uint64, markedNodes map[meta.NodeKey]bool, markedPages map[pageRef]bool, parity map[uint64]int) error {
 
 	if v == meta.ZeroVersion {
 		return nil
@@ -228,6 +236,7 @@ func (g *Collector) mark(ctx context.Context, ms *mstore.Client, blob uint64, v 
 			if n.IsLeaf() {
 				if n.Leaf.Write != 0 {
 					markedPages[pageRef{write: n.Leaf.Write, rel: n.Leaf.RelPage}] = true
+					parity[n.Leaf.Write] = int(n.Leaf.Layout().M)
 				}
 				continue
 			}

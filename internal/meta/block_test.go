@@ -103,9 +103,9 @@ func sampleBlock() (BlockKey, []Node) {
 			case start%2 == 0:
 				n.Leaf = &LeafData{Write: 77, RelPage: uint32(start), Providers: []uint32{2, 5}, Checksum: 0xfeed}
 			default:
-				n.Leaf = &LeafData{Write: 78, RelPage: uint32(start), Providers: []uint32{1}, Checksum: 0xbeef,
-					Stripe: &StripeRef{K: 2, M: 1, FirstRel: 4, ParityRel0: 1 << 31,
-						Provs: []uint32{1, 2, 3}, Sums: []uint64{4, 5, 6}}}
+				n.Leaf = &LeafData{Write: 78, RelPage: uint32(start), Providers: []uint32{2}, Checksum: 0xbeef,
+					Stripe: &StripeRef{K: 2, M: 1, FirstRel: uint32(start - 1), ParityRel0: 1<<31 | uint32(start/2),
+						Provs: []uint32{1, 2, 3}, Sums: []uint64{4, 0xbeef, 6}}}
 			}
 			nodes = append(nodes, n)
 		}
@@ -212,6 +212,17 @@ func FuzzBlockDecode(f *testing.F) {
 	key, nodes := sampleBlock()
 	f.Add(encodeBlock(key, nodes))
 	f.Add([]byte{})
+	// One leaf in each leaf encoding: a page of an rs(1,2) stripe (three
+	// providers, no stripe ref) and a page of an rs(3,2) stripe.
+	leaf := NodeKey{Blob: 3, Version: 9, Range: NodeRange{8, 1}}
+	for _, l := range []*LeafData{
+		{Write: 5, RelPage: 8, Providers: []uint32{4, 6, 1}, Checksum: 0xc0de},
+		{Write: 5, RelPage: 8, Providers: []uint32{6}, Checksum: 0xc0de, Stripe: &StripeRef{
+			K: 3, M: 2, FirstRel: 6, ParityRel0: 1<<31 | 4,
+			Provs: []uint32{4, 1, 6, 7, 8}, Sums: []uint64{1, 2, 0xc0de, 3, 4}}},
+	} {
+		f.Add(encodeBlock(leaf.Block(), []Node{{Key: leaf, Leaf: l}}))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r := wire.NewReader(body)
 		want := BlockKey{Blob: r.Uint64(), Version: r.Uvarint()}
@@ -220,6 +231,39 @@ func FuzzBlockDecode(f *testing.F) {
 		checkDecoded(t, body, key)
 		checkBlocksBelow(t, body, want)
 	})
+}
+
+// TestCopiesLeafCostsAReplicatedLeaf: a k = 1 leaf — a page and its
+// copies — encodes to exactly the bytes a replicated leaf with the same
+// providers and checksum took before replication became rs(1,m) (leaf
+// flag, write, rel, checksum, providers), and decodes with no more
+// allocations: the block's node slice, the leaf, its provider slice.
+func TestCopiesLeafCostsAReplicatedLeaf(t *testing.T) {
+	for _, provs := range [][]uint32{{7}, {7, 2}, {7, 2, 9}} {
+		key := NodeKey{Blob: 3, Version: 9, Range: NodeRange{8, 1}}
+		n := Node{Key: key, Leaf: &LeafData{Write: 1<<40 + 3, RelPage: 300, Providers: provs, Checksum: 0xfeedface}}
+		got := wire.NewWriter(64)
+		n.encodeTo(got)
+		want := wire.NewWriter(64)
+		want.Uvarint(8)
+		want.Uvarint(1)
+		want.Uint8(1)
+		want.Uvarint(1<<40 + 3)
+		want.Uvarint(300)
+		want.Uint64(0xfeedface)
+		want.Uint32Slice(provs)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%d providers: leaf encodes as %x, a replicated leaf was %x", len(provs), got.Bytes(), want.Bytes())
+		}
+		body := encodeBlock(key.Block(), []Node{n})
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeBlock(body, key.Block()); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 3 {
+			t.Errorf("%d providers: decoding the leaf's block allocates %.0f times, want <= 3", len(provs), allocs)
+		}
+	}
 }
 
 // TestBlocksBelowScanAllocatesNothing: the scan a provider runs on every

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"blob/internal/erasure"
 	"blob/internal/wire"
 )
 
@@ -11,15 +12,18 @@ import (
 // keyed on data providers by (blob, Write, RelPage): Write is the
 // client-generated write identity (pages are pushed before the version
 // number exists — paper §III.B), and RelPage the page's index relative to
-// the write's first page. Providers lists the replica provider IDs.
-// Checksum is wire.Checksum64 (CRC-32C, zero-extended) of the page
-// content, verified on read.
+// the write's first page. Checksum is wire.Checksum64 (CRC-32C,
+// zero-extended) of the page content, verified on read.
 //
-// Under rs(k,m) redundancy (docs/erasure.md) Providers holds the single
-// provider of the page's data shard and Stripe describes the rest of
-// the page's stripe — everything a degraded read or the repair agent
-// needs to reconstruct any shard from k survivors without further
-// metadata fetches.
+// Every page is a data slot of one rs(k,m) stripe of its write
+// (docs/erasure.md). Providers lists the providers a read asks for the
+// page itself, in order. For k = 1 those are all of the stripe's slots:
+// the page's provider, then each copy's (a parity slot of rs(1,m) holds
+// the page verbatim), and Stripe is nil, because the leaf implies the
+// rest of the layout (ProviderRel, Layout). For k >= 2 Providers is the
+// page's own slot only, and Stripe describes the whole stripe —
+// everything a degraded read or the repair agent needs to reconstruct
+// any shard from k survivors without further metadata fetches.
 type LeafData struct {
 	Write     uint64
 	RelPage   uint32
@@ -28,12 +32,40 @@ type LeafData struct {
 	Stripe    *StripeRef
 }
 
+// ProviderRel returns the rel-page under which Providers[i] holds the
+// page: RelPage for the page's own slot, the parity slot's rel for a
+// copy of a k = 1 page.
+func (l *LeafData) ProviderRel(i int) uint32 {
+	if i == 0 {
+		return l.RelPage
+	}
+	return erasure.ParityRel(l.RelPage, i-1, len(l.Providers)-1)
+}
+
+// Layout returns the page's stripe: *Stripe for k >= 2, and for a k = 1
+// page the rs(1, len(Providers)-1) stripe the leaf implies, its slots
+// all summing to Checksum.
+func (l *LeafData) Layout() StripeRef {
+	if l.Stripe != nil {
+		return *l.Stripe
+	}
+	m := len(l.Providers) - 1
+	sums := make([]uint64, len(l.Providers))
+	for i := range sums {
+		sums[i] = l.Checksum
+	}
+	return StripeRef{
+		K: 1, M: uint8(m), FirstRel: l.RelPage, ParityRel0: erasure.ParityRel(l.RelPage, 0, m),
+		Provs: l.Providers, Sums: sums,
+	}
+}
+
 // StripeRef is one stripe's full layout, embedded in each of its data
-// leaves (stripe members share a write, so the duplication is a few
-// dozen bytes per leaf and keeps reconstruction single-fetch). Slot i
-// of [0,K) is the data page at rel FirstRel+i; slot K+j the parity
-// page at rel ParityRel0+j. K is the stripe's own width — a short
-// final stripe records its actual data count, making every stripe
+// leaves when k >= 2 (stripe members share a write, so the duplication
+// is a few dozen bytes per leaf and keeps reconstruction single-fetch).
+// Slot i of [0,K) is the data page at rel FirstRel+i; slot K+j the
+// parity page at rel ParityRel0+j. K is the stripe's own width — a
+// short final stripe records its actual data count, making every stripe
 // self-describing.
 type StripeRef struct {
 	K, M       uint8
@@ -101,14 +133,16 @@ func (n *Node) encodeTo(w *wire.Writer) {
 		w.Uvarint(n.Leaf.Write)
 		w.Uvarint(uint64(n.Leaf.RelPage))
 		w.Uint64(n.Leaf.Checksum)
-		w.Uint32Slice(n.Leaf.Providers)
 		if s := n.Leaf.Stripe; s != nil {
+			// Providers is Provs' entry for the page's slot: not stored.
 			w.Uint8(s.K)
 			w.Uint8(s.M)
 			w.Uint32(s.FirstRel)
 			w.Uint32(s.ParityRel0)
 			w.Uint32Slice(s.Provs)
 			w.Uint64Slice(s.Sums)
+		} else {
+			w.Uint32Slice(n.Leaf.Providers)
 		}
 	} else {
 		w.Uint8(0)
@@ -265,8 +299,9 @@ func decodePayload(r *wire.Reader, n *Node, keep bool) (leaf bool, err error) {
 		}
 		ld.RelPage = uint32(rel)
 		ld.Checksum = r.Uint64()
-		ld.Providers, _ = uint32s(r, keep)
-		if flags&nodeFlagStripe != 0 {
+		if flags&nodeFlagStripe == 0 {
+			ld.Providers, _ = uint32s(r, keep)
+		} else {
 			s := StripeRef{
 				K:          r.Uint8(),
 				M:          r.Uint8(),
@@ -276,13 +311,18 @@ func decodePayload(r *wire.Reader, n *Node, keep bool) (leaf bool, err error) {
 			var provs, sums int
 			s.Provs, provs = uint32s(r, keep)
 			s.Sums, sums = uint64s(r, keep)
-			if want := int(s.K) + int(s.M); r.Err() == nil && (provs != want || sums != want) {
-				return false, fmt.Errorf("meta: stripe ref shape %d provs/%d sums for rs(%d,%d)",
-					provs, sums, s.K, s.M)
+			if err := r.Err(); err != nil {
+				return false, fmt.Errorf("meta: decode node: %w", err)
+			}
+			slot := s.SlotOf(ld.RelPage)
+			if want := int(s.K) + int(s.M); provs != want || sums != want || slot < 0 || slot >= int(s.K) {
+				return false, fmt.Errorf("meta: stripe ref shape %d provs/%d sums for rs(%d,%d), page at slot %d",
+					provs, sums, s.K, s.M, slot)
 			}
 			if keep {
 				kept := s
 				ld.Stripe = &kept
+				ld.Providers = kept.Provs[slot : slot+1 : slot+1]
 			}
 		}
 		if keep {

@@ -12,7 +12,7 @@
 // nodes record the version numbers of their two children; a child version
 // of zero denotes the implicit all-zero subtree of the initial blob
 // state. Leaves record where the page bytes live (the owning write and
-// its replica providers).
+// its stripe's providers).
 //
 // Nodes are stored packed: what a version creates inside one band of
 // BlockLevels levels under one ancestor is a single immutable block

@@ -28,7 +28,7 @@ type ClusterSnapshot struct {
 	Reasons []string `json:"reasons,omitempty"`
 
 	Epoch      uint64 `json:"epoch"`      // provider membership epoch
-	Redundancy string `json:"redundancy"` // advertised mode, e.g. "replicate" or "rs(4,2)"
+	Redundancy string `json:"redundancy"` // advertised mode, e.g. "rs(1,1)" or "rs(4,2)"
 
 	Providers []ProviderRoll `json:"providers"`
 	VM        *VMRoll        `json:"vm,omitempty"`

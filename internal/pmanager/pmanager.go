@@ -1,8 +1,9 @@
 // Package pmanager implements the provider manager: the registry of data
 // providers and the page-placement policy. On each WRITE the client asks
-// the provider manager for one provider per page (times the replication
-// factor); the manager picks providers "based on some strategy that
-// favors global load balancing" (paper §III.A).
+// the provider manager for one group of k+m distinct providers per
+// rs(k,m) stripe of the write — under rs(1,m), a page and its m copies;
+// the manager picks providers "based on some strategy that favors
+// global load balancing" (paper §III.A).
 //
 // Placement is round-robin over the live providers, which spreads every
 // burst of pages evenly across the deployment. Providers report load
@@ -68,7 +69,6 @@ type provider struct {
 // Manager is the provider manager service.
 type Manager struct {
 	hbTimeout  time.Duration // 0 disables liveness filtering
-	replicas   int
 	red        erasure.Redundancy
 	rrCounter  uint64
 	tracer     *trace.Tracer
@@ -85,14 +85,12 @@ type Config struct {
 	// from placement. Zero disables the filter (useful in tests and
 	// single-process clusters where processes cannot silently die).
 	HeartbeatTimeout time.Duration
-	// Replicas is the number of copies of each page (default 1).
-	Replicas int
 	// Redundancy is the deployment's advertised redundancy mode
-	// (docs/erasure.md): the zero value advertises full replication;
-	// rs(k,m) tells connecting clients to erasure-code new blobs unless
-	// they override it. The manager itself only advertises the mode —
-	// placement always yields distinct providers per group, which is
-	// exactly what a stripe needs.
+	// (docs/erasure.md), which connecting clients adopt for new blobs
+	// unless they override it: rs(k,m), or rs(1,m) for 1+m copies of
+	// each page. The zero value advertises rs(1,0). The manager itself
+	// only advertises the mode — placement always yields distinct
+	// providers per group, which is exactly what a stripe needs.
 	Redundancy erasure.Redundancy
 	// Tracer, if set, records membership transitions (heartbeat
 	// deaths, registrations) for the monitor plane.
@@ -101,21 +99,17 @@ type Config struct {
 
 // New creates a Manager.
 func New(cfg Config) *Manager {
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
+	if cfg.Redundancy == (erasure.Redundancy{}) {
+		cfg.Redundancy.K = 1
 	}
 	return &Manager{
 		hbTimeout: cfg.HeartbeatTimeout,
-		replicas:  cfg.Replicas,
 		red:       cfg.Redundancy,
 		tracer:    cfg.Tracer,
 		byID:      make(map[uint32]*provider),
 		nextID:    1,
 	}
 }
-
-// Replicas returns the configured replication factor for data pages.
-func (m *Manager) Replicas() int { return m.replicas }
 
 // Redundancy returns the deployment's advertised redundancy mode.
 func (m *Manager) Redundancy() erasure.Redundancy { return m.red }
@@ -233,16 +227,17 @@ func (m *Manager) liveLocked() []*provider {
 	return out
 }
 
-// Allocate picks placement for n pages with r replicas each. The result
-// is a flat slice of n*r provider IDs: page i's replicas occupy positions
-// [i*r, (i+1)*r). The second return value maps every used ID to its
-// address.
+// Allocate picks placement for n groups of r distinct providers each —
+// a client asks for one group per stripe, of k+m slots. The result is a
+// flat slice of n*r provider IDs: group i occupies positions
+// [i*r, (i+1)*r), and r is capped at the live provider count. The
+// second return value maps every used ID to its address.
 func (m *Manager) Allocate(n, r int) ([]uint32, map[uint32]string, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("pmanager: invalid page count %d", n)
 	}
 	if r < 1 {
-		r = m.replicas
+		return nil, nil, fmt.Errorf("pmanager: invalid group size %d", r)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -382,7 +377,7 @@ func (m *Manager) handleAllocate(_ context.Context, body []byte) ([]byte, error)
 	}
 	// Each factor is bounded before the product, so n*rep cannot wrap.
 	if n > maxAllocIDs || rep > maxAllocIDs || n*rep > maxAllocIDs {
-		return nil, fmt.Errorf("pmanager allocate: %d pages x %d replicas exceeds one reply frame", n, rep)
+		return nil, fmt.Errorf("pmanager allocate: %d groups x %d providers exceeds one reply frame", n, rep)
 	}
 	ids, addrs, err := m.Allocate(int(n), int(rep))
 	if err != nil {
@@ -402,17 +397,17 @@ func (m *Manager) handleAllocate(_ context.Context, body []byte) ([]byte, error)
 
 // Allocation is a decoded MAllocate response.
 type Allocation struct {
-	// IDs holds n*r provider IDs; page i's replicas are IDs[i*r:(i+1)*r].
+	// IDs holds n*r provider IDs; group i is IDs[i*r:(i+1)*r].
 	IDs []uint32
 	// Addrs maps each used provider ID to its RPC address.
 	Addrs map[uint32]string
 }
 
 // EncodeAllocate builds an MAllocate request.
-func EncodeAllocate(pages, replicas int) []byte {
+func EncodeAllocate(groups, size int) []byte {
 	w := wire.NewWriter(8)
-	w.Uvarint(uint64(pages))
-	w.Uvarint(uint64(replicas))
+	w.Uvarint(uint64(groups))
+	w.Uvarint(uint64(size))
 	return w.Bytes()
 }
 

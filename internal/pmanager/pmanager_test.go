@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"blob/internal/dht"
+	"blob/internal/erasure"
 	"blob/internal/netsim"
 	dataprovider "blob/internal/provider"
 	"blob/internal/rpc"
@@ -191,8 +192,8 @@ func TestRPCEndToEnd(t *testing.T) {
 	if ms.Epoch == 0 || len(ms.Members) != 1 || ms.Members[0].Addr != "prov0:rpc" {
 		t.Fatalf("members = %+v", ms)
 	}
-	if ms.Redundancy.IsRS() {
-		t.Errorf("default deployment advertises %v, want replicate", ms.Redundancy)
+	if ms.Redundancy != (erasure.Redundancy{K: 1}) {
+		t.Errorf("default deployment advertises %v, want rs(1,0)", ms.Redundancy)
 	}
 	if !ms.Members[0].Alive || ms.Members[0].BytesUsed != 123 {
 		t.Errorf("members = %+v", ms)
@@ -203,6 +204,9 @@ func TestAllocateInvalidCount(t *testing.T) {
 	m := newManagerWith(t, Config{}, 1)
 	if _, _, err := m.Allocate(0, 1); err == nil {
 		t.Error("Allocate(0) should fail")
+	}
+	if _, _, err := m.Allocate(1, 0); err == nil {
+		t.Error("Allocate(1, 0) should fail: the group size comes off the wire")
 	}
 }
 

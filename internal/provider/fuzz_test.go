@@ -16,19 +16,19 @@ import (
 
 // FuzzProviderRequests feeds arbitrary bodies to the request decoders of
 // the page path on a RAM service: MPutPages, MGetPages, MListWrites and
-// MPullPages (which = 0..3). No body panics or sizes an allocation from
-// a count its bytes cannot hold; whatever a handler accepts it answers
-// with a response the client half parses. which = 2 also decodes the
-// body as an MListWrites answer. The pull handler's repair
-// pool stays disabled, so it must refuse every body — after decoding.
-// which = 4 feeds the body to the client half itself, as an MGetPages
-// answer: decoded in memory (DecodeGetPagesInto) and read off a
-// connection (PagesInto), the two agree on the error, the statuses and
-// the destination bytes, and neither writes outside its destinations.
+// MDeletePages (which = 0..3). No body panics or sizes an allocation
+// from a count its bytes cannot hold; whatever a handler accepts it
+// answers with a response the client half parses. which = 2 also
+// decodes the body as an MListWrites answer. which = 4 feeds the body to
+// the client half itself, as an MGetPages answer: decoded in memory
+// (DecodeGetPagesInto) and read off a connection (PagesInto), the two
+// agree on the error, the statuses and the destination bytes, and
+// neither writes outside its destinations.
 func FuzzProviderRequests(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzProviderRequests) holds a
 	// well-formed body per handler and the oversized counts that used to
-	// crash put, pull and list. The answer seeds are here: well-formed
+	// crash put, list and the retired pull method, whose pull-* seeds
+	// now feed MDeletePages. The answer seeds are here: well-formed
 	// (two pages served, one missing, one of the wrong size), truncated
 	// mid-payload, and 2^40 and 2^63 counts and lengths.
 	answer := []byte{4, 1, 2, 1, 2, 0, 1, 3, 'a', 'b', 'c', 'd', 'x', 'y', 'z'}
@@ -98,8 +98,12 @@ func FuzzProviderRequests(f *testing.F) {
 				t.Fatalf("client cannot parse the holdings answer: %v", err)
 			}
 		case 3:
-			if _, err := sv.handlePullPages(ctx, body); err == nil {
-				t.Fatal("pull accepted with repair disabled")
+			// A fresh store per input, so accepted deletes cannot empty
+			// the shared one.
+			if resp, err := NewService(NewStore(0)).handleDeletePages(ctx, body); err == nil {
+				if r := wire.NewReader(resp); r.Uvarint() != 0 || r.Err() != nil {
+					t.Fatalf("delete from an empty store answered %x", resp)
+				}
 			}
 		case 4:
 			mem, memSt, memBack := answerDsts()

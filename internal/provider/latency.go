@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"blob/internal/rpc"
 	"blob/internal/stats"
 	"blob/internal/wire"
 )
@@ -26,7 +27,7 @@ func (sv *Service) handleLatency(_ context.Context, _ []byte) ([]byte, error) {
 }
 
 // FetchLatency retrieves a provider's get/put latency snapshots.
-func FetchLatency(ctx context.Context, c Caller, addr string) (get, put stats.HistogramSnapshot, err error) {
+func FetchLatency(ctx context.Context, c *rpc.Pool, addr string) (get, put stats.HistogramSnapshot, err error) {
 	resp, err := c.Call(ctx, addr, MLatency, nil)
 	if err != nil {
 		return get, put, err

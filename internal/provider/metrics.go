@@ -30,9 +30,6 @@ var statFields = []struct {
 	{"provider_restart_sidecar_bytes_total", false, func(s *Stats) *int64 { return &s.SidecarBytes }},
 	{"provider_restart_segments_replayed_total", false, func(s *Stats) *int64 { return &s.SegmentsReplayed }},
 	{"provider_restart_sidecars_loaded_total", false, func(s *Stats) *int64 { return &s.SidecarsLoaded }},
-	{"provider_repaired_pages_total", false, func(s *Stats) *int64 { return &s.RepairedPages }},
-	{"provider_repair_bytes_total", false, func(s *Stats) *int64 { return &s.RepairBytes }},
-	{"provider_pull_skips_total", false, func(s *Stats) *int64 { return &s.PullSkips }},
 }
 
 // MStats response: one varint per statFields entry, in table order.

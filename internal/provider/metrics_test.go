@@ -40,10 +40,10 @@ func TestStatsTableCoversStruct(t *testing.T) {
 	if err := sv.Store().PutPages([]Page{{Blob: 1, Write: 1, RelPage: 0, Data: []byte("abcd")}}); err != nil {
 		t.Fatal(err)
 	}
-	sv.pullSkips.Add(2)
+	sv.ActiveOps.Add(2)
 	body, _ := sv.handleStats(context.Background(), nil)
 	got, err := DecodeStats(body)
-	if err != nil || got != sv.Snapshot() || got.BytesUsed != 4 || got.PullSkips != 2 {
+	if err != nil || got != sv.Snapshot() || got.BytesUsed != 4 || got.ActiveOps != 2 {
 		t.Errorf("stats over the wire = %+v, %v; snapshot %+v", got, err, sv.Snapshot())
 	}
 	reg := stats.NewRegistry()

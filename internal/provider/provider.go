@@ -32,10 +32,9 @@ const (
 	MDeleteWrite = 0x0303
 	MStats       = 0x0304
 	MDeletePages = 0x0305
-	// Repair protocol (docs/replication.md): list the pages held per
-	// write; pull missing pages from a named healthy peer.
+	// MListWrites lists the pages held per write, for the repair agent
+	// (docs/erasure.md §5). 0x0307 is retired.
 	MListWrites = 0x0306
-	MPullPages  = 0x0307
 
 	// MLatency serves the provider's get/put latency histogram
 	// snapshots for the monitor's cluster-wide quantile rollups.
@@ -305,16 +304,6 @@ type Stats struct {
 	SidecarBytes     int64
 	SegmentsReplayed int64
 	SidecarsLoaded   int64
-
-	// Repair tier (docs/replication.md): pages this provider pulled from
-	// peers over MPullPages since its service started, the page payload
-	// bytes transferred for them, and pull candidates it already held
-	// (resolved from its own index instead of transferring data). Counters belong to the running
-	// service: a restarted provider reports only its own repair work,
-	// never its predecessor's.
-	RepairedPages int64
-	RepairBytes   int64
-	PullSkips     int64
 }
 
 // LiveRatio is the fraction of on-disk bytes still live (1 when the

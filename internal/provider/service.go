@@ -23,16 +23,6 @@ type Service struct {
 	// in heartbeats.
 	ActiveOps stats.Gauge
 
-	// Repair plumbing (Open): peers dials other providers for
-	// MPullPages. Repair counters are owned here, not by the store, so a
-	// restarted provider reports only its own repair work (a fresh
-	// Service starts from zero).
-	peers Caller
-
-	repairedPages stats.Counter
-	repairBytes   stats.Counter
-	pullSkips     stats.Counter
-
 	// GetLatency and PutLatency record page-serving handler latency;
 	// MLatency exports their snapshots for cluster-wide merging.
 	GetLatency stats.Histogram
@@ -44,16 +34,14 @@ type Service struct {
 	chaos chaos
 }
 
-// NewService creates a Service serving ps, with peer pulls disarmed.
+// NewService creates a Service serving ps.
 func NewService(ps PageStore) *Service { return &Service{store: ps} }
 
 // Open assembles one data provider: a Service over a fresh page store
 // bounded by capacity live bytes (0 = unlimited) — a diskstore segment
 // log in opts.Dir, recovering whatever the directory holds, or the
-// RAM-only Store, the paper's mode, when opts.Dir is empty — with peer
-// pulls (MPullPages) dialing through peers, which must dial from this
-// provider's network vantage.
-func Open(opts diskstore.Options, capacity int64, peers Caller) (*Service, error) {
+// RAM-only Store, the paper's mode, when opts.Dir is empty.
+func Open(opts diskstore.Options, capacity int64) (*Service, error) {
 	var ps PageStore
 	if opts.Dir == "" {
 		ps = NewStore(capacity)
@@ -64,7 +52,7 @@ func Open(opts diskstore.Options, capacity int64, peers Caller) (*Service, error
 		}
 		ps = ds
 	}
-	return &Service{store: ps, peers: peers}, nil
+	return &Service{store: ps}, nil
 }
 
 // Close closes the backend when it holds files (a DiskStore). Stop
@@ -85,9 +73,6 @@ func (sv *Service) Store() PageStore { return sv.store }
 func (sv *Service) Snapshot() Stats {
 	st := sv.store.Snapshot()
 	st.ActiveOps = sv.ActiveOps.Value()
-	st.RepairedPages = sv.repairedPages.Value()
-	st.RepairBytes = sv.repairBytes.Value()
-	st.PullSkips = sv.pullSkips.Value()
 	return st
 }
 
@@ -98,7 +83,6 @@ func init() {
 	rpc.RegisterMethodName(MDeletePages, "provider.MDeletePages")
 	rpc.RegisterMethodName(MStats, "provider.MStats")
 	rpc.RegisterMethodName(MListWrites, "provider.MListWrites")
-	rpc.RegisterMethodName(MPullPages, "provider.MPullPages")
 	rpc.RegisterMethodName(MLatency, "provider.MLatency")
 }
 
@@ -110,7 +94,6 @@ func (sv *Service) RegisterHandlers(srv *rpc.Server) {
 	srv.Handle(MDeletePages, sv.handleDeletePages)
 	srv.Handle(MStats, sv.handleStats)
 	srv.Handle(MListWrites, sv.handleListWrites)
-	srv.Handle(MPullPages, sv.handlePullPages)
 	srv.Handle(MLatency, sv.handleLatency)
 	srv.Handle(MChaos, sv.handleChaos)
 }

@@ -1,13 +1,12 @@
 package repair
 
-// Reconstruction plans for erasure-coded stripes (docs/erasure.md §5).
-// Replicated pages heal by provider-to-provider pulls (repair.go); an
-// rs(k,m) shard has no replica to pull, so the agent rebuilds it: pull
-// any k surviving shards of the stripe, decode, and re-push only the
-// missing slots to their providers. Traffic to the degraded provider is
-// exactly its lost shards — under rs(k,m) a provider holds a (k+m)/k / n
-// share of the logical bytes, measurably less than a replica's r/n
-// share (pinned against 2x replication by internal/cluster's
+// Stripe rebuilds (docs/erasure.md §5): pull the surviving shards of a
+// stripe, reconstruct from any k verified ones, and re-push only the
+// missing slots to their providers. Under rs(1,m) one surviving copy is
+// the page, so the rebuild is a copy. Traffic to the degraded provider
+// is exactly its lost shards — under rs(k,m) a provider holds a
+// (k+m)/k / n share of the logical bytes, measurably less than
+// rs(1,1)'s 2/n share (pinned by internal/cluster's
 // TestErasureRepairIngestsLessThanReplication). First-wins idempotent
 // puts keep re-pushes safe to over-approximate and to race with
 // degraded reads doing the same.
@@ -31,7 +30,7 @@ type stripeKey struct {
 // and which data slots live metadata still references.
 type stripeState struct {
 	write uint64
-	ref   *meta.StripeRef
+	ref   meta.StripeRef
 	// refd marks data slots referenced by at least one surviving
 	// version. A data slot no slot references has been garbage
 	// collected — restoring it would resurrect a dead page, so the

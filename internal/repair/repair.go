@@ -1,18 +1,16 @@
-// Package repair implements the replica repair agent: the active half
-// of the provider-side repair protocol specified in docs/replication.md.
-// The agent walks a blob's metadata to learn where every page replica
-// should live, asks each involved provider which pages of those writes
-// it actually holds (MListWrites, answered from the provider's index),
-// and directs each degraded provider to pull its missing pages straight
-// from a healthy peer (MPullPages). Page bytes flow provider-to-provider
-// only; the agent moves metadata-sized messages, so one small process
-// can heal a large cluster.
+// Package repair implements the repair agent (docs/erasure.md §5). The
+// agent walks a blob's metadata to learn every stripe's slots — under
+// rs(1,m) a page and its copies — asks each involved provider which
+// pages of those writes it holds (MListWrites, answered from the
+// provider's index), and rebuilds each missing slot from its stripe's
+// verified survivors: any k of them decode the stripe, and under k = 1
+// any one copy is the page. It pushes exactly the missing slots back to
+// their providers with ordinary MPutPages.
 //
 // Repair is safe to over-approximate and to re-run: providers store
-// pulled pages with the same first-wins idempotent puts the write path
-// uses, and the pulling provider skips pages it already holds. A second
-// pass reporting zero missing pages is therefore the agent's
-// convergence proof, and what the tests assert.
+// pushed pages with the same first-wins idempotent puts the write path
+// uses. A second pass reporting zero missing pages is therefore the
+// agent's convergence proof, and what the tests assert.
 package repair
 
 import (
@@ -55,47 +53,30 @@ func (r *Repairer) logf(format string, args ...any) {
 type Report struct {
 	// Blobs is the number of blobs the pass covered.
 	Blobs int
-	// PagesChecked counts (page, replica) slots examined; PagesMissing
-	// how many were found degraded. PagesRepaired/BytesPulled are the
-	// slots restored and the page bytes that moved between providers for
-	// them; PagesSkipped were reported already-held by the pulling
-	// provider (a racing read-repair or earlier pass got there first).
-	PagesChecked  int64
-	PagesMissing  int64
-	PagesRepaired int64
-	BytesPulled   int64
-	PagesSkipped  int64
-	// Erasure-coded stripes (docs/erasure.md): PagesReconstructed counts
-	// shards the agent rebuilt by decoding k survivors and re-pushed to
-	// their providers; ReconstructedBytes is the payload pushed for
-	// them (the bytes the degraded providers had to ingest — compare
-	// with BytesPulled for replication); SurvivorBytes the shard bytes
-	// the agent read to feed the decodes.
+	// PagesChecked counts the stripe slots examined; PagesMissing how
+	// many were found degraded.
+	PagesChecked int64
+	PagesMissing int64
+	// PagesReconstructed counts slots the agent rebuilt from their
+	// stripe's survivors and pushed back to their providers;
+	// ReconstructedBytes is the payload pushed for them (the bytes the
+	// degraded providers had to ingest); SurvivorBytes the shard bytes
+	// the agent read to feed the rebuilds.
 	PagesReconstructed int64
 	ReconstructedBytes int64
 	SurvivorBytes      int64
-	// Unrepairable counts slots that stayed degraded: no healthy peer
-	// holds the page, or the degraded provider is unreachable.
+	// Unrepairable counts slots that stayed degraded: too few verified
+	// survivors, or the degraded provider is unreachable.
 	Unrepairable int64
-	// ProviderErrors counts providers that could not be queried or
-	// instructed (down or erroring); their slots count as Unrepairable.
+	// ProviderErrors counts providers that could not be queried (down or
+	// erroring); their slots count as Unrepairable.
 	ProviderErrors int
 }
 
-// FullyRedundant reports whether the pass left every replica slot
-// restored: nothing unrepairable and every provider answerable. (Every
-// missing slot that was fixed shows up in PagesRepaired or PagesSkipped;
-// anything else lands in Unrepairable.)
+// FullyRedundant reports whether the pass left every slot restored:
+// nothing unrepairable and every provider answerable.
 func (rep Report) FullyRedundant() bool {
 	return rep.Unrepairable == 0 && rep.ProviderErrors == 0
-}
-
-// pageNeed is one page's placement: where its replicas must live.
-type pageNeed struct {
-	write uint64
-	rel   uint32
-	sum   uint64
-	provs []uint32
 }
 
 // RepairBlob runs one repair pass over every published version of one
@@ -132,14 +113,9 @@ func (r *Repairer) RepairBlob(ctx context.Context, blobID uint64) (rep Report, e
 		return rep, nil
 	}
 
-	// Collect every page's placement across all published versions.
-	// (write, rel) identifies page content; the same pair always maps to
-	// the same replicas and checksum, so later versions just dedupe.
-	type pageKey struct {
-		write uint64
-		rel   uint32
-	}
-	needs := make(map[pageKey]pageNeed)
+	// Collect every stripe across all published versions. (write,
+	// first rel) identifies a stripe, whose layout every one of its
+	// leaves carries, so later versions just dedupe.
 	stripes := make(map[stripeKey]*stripeState)
 walk:
 	for v := latest; v >= 1; v-- {
@@ -164,31 +140,18 @@ walk:
 				if l.Leaf.Write == 0 {
 					continue // never-written page: nothing stored anywhere
 				}
-				if s := l.Leaf.Stripe; s != nil {
-					// Erasure-coded page: repaired per stripe, by
-					// reconstruction rather than replica pulls.
-					sk := stripeKey{l.Leaf.Write, s.FirstRel}
-					st := stripes[sk]
-					if st == nil {
-						st = &stripeState{write: l.Leaf.Write, ref: s, refd: make(map[int]bool)}
-						stripes[sk] = st
-					}
-					if slot := s.SlotOf(l.Leaf.RelPage); slot >= 0 {
-						st.refd[slot] = true
-					}
-					continue
+				ref := l.Leaf.Layout()
+				sk := stripeKey{l.Leaf.Write, ref.FirstRel}
+				st := stripes[sk]
+				if st == nil {
+					st = &stripeState{write: l.Leaf.Write, ref: ref, refd: make(map[int]bool)}
+					stripes[sk] = st
 				}
-				k := pageKey{l.Leaf.Write, l.Leaf.RelPage}
-				if _, ok := needs[k]; !ok {
-					needs[k] = pageNeed{
-						write: l.Leaf.Write, rel: l.Leaf.RelPage,
-						sum: l.Leaf.Checksum, provs: l.Leaf.Providers,
-					}
-				}
+				st.refd[ref.SlotOf(l.Leaf.RelPage)] = true
 			}
 		}
 	}
-	if len(needs) == 0 && len(stripes) == 0 {
+	if len(stripes) == 0 {
 		return rep, nil
 	}
 
@@ -202,39 +165,18 @@ walk:
 		addrs[p.ID] = p.Addr
 	}
 
-	// Group: provider → write → the pages it must hold.
-	perProv := make(map[uint32]map[uint64][]pageNeed)
-	for _, n := range needs {
-		for _, id := range n.provs {
-			wm := perProv[id]
-			if wm == nil {
-				wm = make(map[uint64][]pageNeed)
-				perProv[id] = wm
-			}
-			wm[n.write] = append(wm[n.write], n)
-		}
-	}
-
-	// The MListWrites scope: every (provider, write) replication needs,
-	// plus every (provider, write) an erasure stripe's checked slots
-	// touch.
+	// The MListWrites scope: every (provider, write) a stripe's checked
+	// slots touch.
 	wantWrites := make(map[uint32]map[uint64]bool)
-	addWant := func(id uint32, w uint64) {
-		wm := wantWrites[id]
-		if wm == nil {
-			wm = make(map[uint64]bool)
-			wantWrites[id] = wm
-		}
-		wm[w] = true
-	}
-	for id, wm := range perProv {
-		for w := range wm {
-			addWant(id, w)
-		}
-	}
 	for _, st := range stripes {
 		for _, slot := range st.checkedSlots() {
-			addWant(st.ref.Provs[slot], st.write)
+			id := st.ref.Provs[slot]
+			wm := wantWrites[id]
+			if wm == nil {
+				wm = make(map[uint64]bool)
+				wantWrites[id] = wm
+			}
+			wm[st.write] = true
 		}
 	}
 
@@ -265,94 +207,13 @@ walk:
 		held[id] = h
 	}
 
-	// Diagnose and pull, provider by provider: a slot is missing iff its
-	// provider answered and does not list its rel.
-	for id, wm := range perProv {
-		h, ok := held[id]
-		if !ok {
-			for _, ns := range wm {
-				rep.PagesChecked += int64(len(ns))
-				rep.Unrepairable += int64(len(ns))
-			}
-			continue
-		}
-		// One MPullPages per (write, first source) batch — the fast path.
-		// A batch that comes back short (concurrent GC, a source serving
-		// bytes that fail the checksum) degrades to per-page pulls over
-		// each page's remaining sources.
-		type pullKey struct {
-			write  uint64
-			source uint32
-		}
-		pulls := make(map[pullKey][]pageNeed)
-		for w, ns := range wm {
-			rep.PagesChecked += int64(len(ns))
-			for _, n := range ns {
-				if h.Has(blobID, w, n.rel) {
-					continue
-				}
-				rep.PagesMissing++
-				srcs := sources(held, blobID, n, id)
-				if len(srcs) == 0 {
-					rep.Unrepairable++
-					continue
-				}
-				pulls[pullKey{w, srcs[0]}] = append(pulls[pullKey{w, srcs[0]}], n)
-			}
-		}
-		for pk, ns := range pulls {
-			refs := make([]provider.PullRef, len(ns))
-			for i, n := range ns {
-				refs[i] = provider.PullRef{Rel: n.rel, Checksum: n.sum}
-			}
-			res, err := r.pull(ctx, addrs[id], addrs[pk.source], blobID, pk.write, refs)
-			if err != nil {
-				r.logf("repair: pull %d pages onto provider %d: %v", len(refs), id, err)
-				res = provider.PullResult{} // resolve every page below
-			}
-			rep.PagesRepaired += res.Pulled
-			rep.BytesPulled += res.Bytes
-			rep.PagesSkipped += res.Skipped
-			if res.Pulled+res.Skipped >= int64(len(refs)) {
-				continue // every slot covered
-			}
-			// Short batch: the response doesn't say which pages failed,
-			// so resolve each one individually against every source in
-			// turn. The degraded provider skips pages the batch already
-			// landed, so re-asking is a free membership check; only
-			// genuinely new pulls are counted (skips here would
-			// double-count the batch's work).
-			for _, n := range ns {
-				resolved := false
-				for _, src := range sources(held, blobID, n, id) {
-					one, err := r.pull(ctx, addrs[id], addrs[src], blobID, pk.write,
-						[]provider.PullRef{{Rel: n.rel, Checksum: n.sum}})
-					if err != nil {
-						continue // next source
-					}
-					if one.Pulled > 0 {
-						rep.PagesRepaired += one.Pulled
-						rep.BytesPulled += one.Bytes
-					}
-					if one.Pulled+one.Skipped > 0 {
-						resolved = true
-						break
-					}
-				}
-				if !resolved {
-					rep.Unrepairable++
-				}
-			}
-		}
-	}
-	// Erasure-coded stripes: reconstruction plans (reconstruct.go).
 	for _, st := range stripes {
 		r.repairStripe(ctx, &rep, blobID, st, addrs, held)
 	}
 
 	if rep.PagesMissing > 0 {
-		r.logf("repair: blob %d: %d/%d replica slots degraded, %d repaired (%d bytes pulled), %d reconstructed (%d bytes pushed), %d unrepairable",
-			blobID, rep.PagesMissing, rep.PagesChecked, rep.PagesRepaired, rep.BytesPulled,
+		r.logf("repair: blob %d: %d/%d slots degraded, %d reconstructed (%d bytes pushed), %d unrepairable",
+			blobID, rep.PagesMissing, rep.PagesChecked,
 			rep.PagesReconstructed, rep.ReconstructedBytes, rep.Unrepairable)
 	}
 	return rep, nil
@@ -382,33 +243,6 @@ func mergeExtents(hist []vmanager.WriteRecord) []meta.PageRange {
 			continue
 		}
 		out = append(out, r)
-	}
-	return out
-}
-
-// pull issues one MPullPages: targetAddr pulls refs of (blob, write)
-// from srcAddr.
-func (r *Repairer) pull(ctx context.Context, targetAddr, srcAddr string,
-	blob, write uint64, refs []provider.PullRef) (provider.PullResult, error) {
-	pctx, op := trace.Start(ctx, "repair.pull")
-	op.Notef("%d pages from %s", len(refs), srcAddr)
-	body := provider.EncodePullPages(srcAddr, blob, write, refs)
-	resp, err := r.c.Pool().Call(pctx, targetAddr, provider.MPullPages, body)
-	op.EndErr(err)
-	if err != nil {
-		return provider.PullResult{}, err
-	}
-	return provider.DecodePullPages(resp)
-}
-
-// sources lists the replicas page n can be pulled from onto target: its
-// other providers that answered and list it, in the leaf's order.
-func sources(held map[uint32]provider.Holdings, blob uint64, n pageNeed, target uint32) []uint32 {
-	var out []uint32
-	for _, id := range n.provs {
-		if id != target && held[id].Has(blob, n.write, n.rel) {
-			out = append(out, id)
-		}
 	}
 	return out
 }
@@ -454,9 +288,8 @@ func (r *Repairer) Run(stop, wake <-chan struct{}, interval time.Duration) {
 			r.logf("repair: sweep: %v", err)
 		}
 		if rep.PagesMissing > 0 {
-			r.logf("repair: %d slots degraded, %d repaired (%d bytes pulled), %d reconstructed (%d bytes), %d unrepairable",
-				rep.PagesMissing, rep.PagesRepaired, rep.BytesPulled,
-				rep.PagesReconstructed, rep.ReconstructedBytes, rep.Unrepairable)
+			r.logf("repair: %d slots degraded, %d reconstructed (%d bytes), %d unrepairable",
+				rep.PagesMissing, rep.PagesReconstructed, rep.ReconstructedBytes, rep.Unrepairable)
 		}
 	}
 }
@@ -472,9 +305,6 @@ func (r *Repairer) RepairAll(ctx context.Context, blobs []uint64) (Report, error
 		rep, err := r.RepairBlob(ctx, id)
 		total.PagesChecked += rep.PagesChecked
 		total.PagesMissing += rep.PagesMissing
-		total.PagesRepaired += rep.PagesRepaired
-		total.BytesPulled += rep.BytesPulled
-		total.PagesSkipped += rep.PagesSkipped
 		total.PagesReconstructed += rep.PagesReconstructed
 		total.ReconstructedBytes += rep.ReconstructedBytes
 		total.SurvivorBytes += rep.SurvivorBytes
@@ -518,13 +348,13 @@ func (r *Repairer) emitSweep(total Report, err error) {
 		detail = "; aborted: " + err.Error()
 		// An aborted sweep proves nothing about unexamined slots: keep
 		// whatever degradation it saw on the books.
-		if m := total.PagesMissing - total.PagesRepaired - total.PagesSkipped - total.PagesReconstructed; m > outstanding {
+		if m := total.PagesMissing - total.PagesReconstructed; m > outstanding {
 			outstanding = m
 		}
 	} else if outstanding > 0 {
 		sev = trace.SevWarn
 	}
 	r.Tracer.Emit(sev, trace.RepairFinish, outstanding,
-		"sweep done: %d repaired, %d reconstructed, %d outstanding%s",
-		total.PagesRepaired, total.PagesReconstructed, outstanding, detail)
+		"sweep done: %d reconstructed, %d outstanding%s",
+		total.PagesReconstructed, outstanding, detail)
 }

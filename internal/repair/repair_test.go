@@ -57,7 +57,7 @@ func TestRepairRestoresWipedProvider(t *testing.T) {
 	cl, c := launch(t, cluster.Config{
 		DataProviders: 3,
 		MetaProviders: 3,
-		DataReplicas:  2,
+		Redundancy:    erasure.Redundancy{K: 1, M: 1},
 		DataDir:       t.TempDir(),
 	})
 	ctx := context.Background()
@@ -105,7 +105,7 @@ func TestRepairRestoresWipedProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PagesMissing == 0 || rep.PagesRepaired == 0 {
+	if rep.PagesMissing == 0 || rep.PagesReconstructed == 0 {
 		t.Fatalf("repair found/fixed nothing: %+v", rep)
 	}
 	if !rep.FullyRedundant() {
@@ -147,7 +147,7 @@ func TestRepairLoopHealsWithoutClientInvolvement(t *testing.T) {
 	cl, c := launch(t, cluster.Config{
 		DataProviders:  3,
 		MetaProviders:  3,
-		DataReplicas:   2,
+		Redundancy:     erasure.Redundancy{K: 1, M: 1},
 		DataDir:        t.TempDir(),
 		RepairInterval: 20 * time.Millisecond,
 	})
@@ -175,9 +175,9 @@ func TestRepairLoopHealsWithoutClientInvolvement(t *testing.T) {
 
 // TestHealthySweepMovesNoPages pins that a repair pass over a healthy
 // cluster settles every slot from the MListWrites answers alone: no
-// provider serves a page read or a pull during the pass.
+// provider serves a page read during the pass.
 func TestHealthySweepMovesNoPages(t *testing.T) {
-	cl, c := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 3, DataReplicas: 2})
+	cl, c := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 3, Redundancy: erasure.Redundancy{K: 1, M: 1}})
 	ctx := context.Background()
 	b, err := c.CreateBlob(ctx, pageSize, 64*pageSize)
 	if err != nil {
@@ -197,19 +197,16 @@ func TestHealthySweepMovesNoPages(t *testing.T) {
 	if rep.PagesChecked != 20 { // 10 pages × 2 replicas
 		t.Fatalf("checked %d slots, want 20", rep.PagesChecked)
 	}
-	if rep.PagesMissing != 0 || rep.BytesPulled != 0 {
+	if rep.PagesMissing != 0 || rep.ReconstructedBytes != 0 {
 		t.Fatalf("healthy cluster diagnosed degraded: %+v", rep)
 	}
 	if !rep.FullyRedundant() {
 		t.Errorf("healthy cluster not fully redundant: %+v", rep)
 	}
-	// Serving MGetPages reads the store, and serving MPullPages probes it
-	// for every page asked before it counts a pull or a skip.
+	// Serving MGetPages reads the store.
 	for i, sv := range cl.DataServices {
-		st := sv.Snapshot()
-		if st.Gets != gets[i] || st.RepairedPages != 0 || st.PullSkips != 0 {
-			t.Errorf("provider %d served page reads or pulls during the pass: %d gets, %d pulled, %d skipped",
-				i, st.Gets-gets[i], st.RepairedPages, st.PullSkips)
+		if st := sv.Snapshot(); st.Gets != gets[i] {
+			t.Errorf("provider %d served %d page reads during the pass", i, st.Gets-gets[i])
 		}
 	}
 }
@@ -232,8 +229,8 @@ func TestSweepSeesEveryLostSlot(t *testing.T) {
 	}{
 		{"rs(2,1) shard", cluster.Config{DataProviders: 3, MetaProviders: 3, Redundancy: erasure.Redundancy{K: 2, M: 1}},
 			8, false, 0, 1, 4},
-		{"r=2 replica beside a stray", cluster.Config{DataProviders: 2, MetaProviders: 2, DataReplicas: 2},
-			4, true, 1, 0, 5},
+		{"r=2 replica beside a stray", cluster.Config{DataProviders: 2, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}},
+			4, true, 1, 1, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.DataDir = t.TempDir()
@@ -283,7 +280,7 @@ func TestRepairToleratesCollectedVersions(t *testing.T) {
 	cl, c := launch(t, cluster.Config{
 		DataProviders: 3,
 		MetaProviders: 3,
-		DataReplicas:  2,
+		Redundancy:    erasure.Redundancy{K: 1, M: 1},
 		DataDir:       t.TempDir(),
 		CacheNodes:    0,
 	})
@@ -323,7 +320,7 @@ func TestRepairToleratesCollectedVersions(t *testing.T) {
 // that: the pass must fail rather than report on the versions it got
 // through before the outage.
 func TestRepairFailsOnMetadataOutageMidWalk(t *testing.T) {
-	cl, writer1 := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 2, DataReplicas: 2, CacheNodes: 1 << 10})
+	cl, writer1 := launch(t, cluster.Config{DataProviders: 3, MetaProviders: 2, Redundancy: erasure.Redundancy{K: 1, M: 1}, CacheNodes: 1 << 10})
 	ctx := context.Background()
 	b1, err := writer1.CreateBlob(ctx, pageSize, 64*pageSize)
 	if err != nil {
@@ -361,14 +358,13 @@ func TestRepairFailsOnMetadataOutageMidWalk(t *testing.T) {
 
 // TestRepairFailsOverToSecondSource pins the source-failover rule: when
 // a source lists a page but serves bytes failing the leaf checksum, the
-// short batch must degrade to per-page pulls that reach the replica
-// holding good bytes — a rotten source can cost round trips, never
-// strand a slot.
+// rebuild must reach the copy holding good bytes — a rotten source can
+// cost round trips, never strand a slot.
 func TestRepairFailsOverToSecondSource(t *testing.T) {
 	cl, c := launch(t, cluster.Config{
 		DataProviders: 3,
 		MetaProviders: 3,
-		DataReplicas:  3,
+		Redundancy:    erasure.Redundancy{K: 1, M: 2},
 		DataDir:       t.TempDir(),
 	})
 	ctx := context.Background()
@@ -376,23 +372,31 @@ func TestRepairFailsOverToSecondSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Write(ctx, pattern(6, 2*pageSize), 0); err != nil {
+	v, err := b.Write(ctx, pattern(6, 2*pageSize), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var write uint64
-	cl.DataStores[0].ForEachPage(func(_, w uint64, _ uint32, _ []byte) { write = w })
+	leaves, err := b.ReadMeta(ctx, 0, 2*pageSize, v)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Target: provider 0 loses everything. Sources: providers 1 and 2
 	// each hold ONE of the two pages rotten — deleted and re-put with
-	// garbage — so whichever is tried first for the full batch comes
-	// back short.
+	// garbage — so each page has one good source left.
 	if err := cl.WipeDataProvider(0); err != nil {
 		t.Fatal(err)
 	}
-	for i, rel := range []uint32{0, 1} {
+	for i, l := range leaves {
+		id := uint32(2 + i) // store 1+i
+		slot := slices.Index(l.Leaf.Providers, id)
+		if slot < 0 {
+			t.Fatalf("test bug: page %d has no copy on provider %d", i, id)
+		}
+		rel := l.Leaf.ProviderRel(slot)
 		ps := cl.DataStores[1+i]
-		ps.DeletePages(b.ID(), write, []uint32{rel})
-		if err := ps.PutPages([]provider.Page{{Blob: b.ID(), Write: write, RelPage: rel, Data: pattern(99, pageSize)}}); err != nil {
+		ps.DeletePages(b.ID(), l.Leaf.Write, []uint32{rel})
+		if err := ps.PutPages([]provider.Page{{Blob: b.ID(), Write: l.Leaf.Write, RelPage: rel, Data: pattern(99, pageSize)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,8 +408,8 @@ func TestRepairFailsOverToSecondSource(t *testing.T) {
 	if rep.Unrepairable != 0 {
 		t.Fatalf("failover left slots stranded: %+v", rep)
 	}
-	// Provider 0 must hold both pages again, each pulled from the one
-	// replica holding good bytes.
+	// Provider 0 must hold both pages again, each rebuilt from the one
+	// copy holding good bytes.
 	if got := cl.DataStores[0].Snapshot().PageCount; got != 2 {
 		t.Fatalf("target holds %d pages after repair, want 2", got)
 	}

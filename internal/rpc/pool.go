@@ -65,8 +65,8 @@ type peer struct {
 const maxCallRetries = 2
 
 // dialEventCooldown is the minimum spacing between dial-failure events
-// for the same address.
-const dialEventCooldown = 5 * time.Second
+// for the same address: a variable only so that a test can shorten it.
+var dialEventCooldown = 5 * time.Second
 
 // NewPool returns an empty pool over the given network.
 func NewPool(n Network) *Pool {

@@ -17,6 +17,8 @@ import (
 // failures, and a successful dial resets both the count and the
 // cooldown.
 func TestPoolDialFailureEvents(t *testing.T) {
+	defer func(d time.Duration) { dialEventCooldown = d }(dialEventCooldown)
+	dialEventCooldown = 50 * time.Millisecond
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
 	j := trace.New("cli", 0)

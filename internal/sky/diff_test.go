@@ -141,7 +141,7 @@ func TestDiffEpochsErasureDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Redundancy().IsRS() {
+	if b.Redundancy() != (erasure.Redundancy{K: 3, M: 2}) {
 		t.Fatal("blob did not adopt the deployment's rs(3,2) mode")
 	}
 	sv, err := sky.NewSurvey(b, cat, 2)

@@ -94,8 +94,8 @@ const (
 	// PagesReconstructed: erasure reconstruction rebuilt missing
 	// shards during a sweep. Val is pages reconstructed.
 	PagesReconstructed
-	// RedundancyDegraded: a sweep found stripes or replica slots
-	// below their redundancy target. Val is the degraded slot count
+	// RedundancyDegraded: a sweep found stripe slots below their
+	// redundancy target. Val is the degraded slot count
 	// found (before repair restored any).
 	RedundancyDegraded
 	// Unrepairable: a sweep found pages with too few survivors to
