@@ -134,9 +134,9 @@ func (b *Blob) waitPrimary(ctx context.Context, pd *rpc.Pending, addr string, di
 }
 
 // waitPagesInto waits out a page fetch whose answer lands in a pooled
-// buffer (hedges) and decodes it into dsts. As with
-// waitPrimary, an answer that does not parse counts as the provider
-// failing, for the breaker too.
+// buffer (hedges) and decodes it into dsts. As with waitPrimary, an
+// answer that does not parse counts as the provider failing, for the
+// breaker too.
 func (b *Blob) waitPagesInto(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time, dsts [][]byte, status []provider.PageStatus) error {
 	resp, err := pd.Wait(ctx)
 	if err == nil {
@@ -354,10 +354,10 @@ func (c *Client) hedgeDelay(addr string) time.Duration {
 var errHedged = errors.New("core: fetch outlived its hedge delay")
 
 // waitHedged waits for a fetch to complete, but only up to its
-// provider's adaptive hedge delay. It returns nil once the answer is in (the caller
-// waits it out to take it), errHedged for a straggler, whose Pending
-// stays live and the caller's to settle, or ctx's error. With hedging
-// disabled it returns nil at once.
+// provider's adaptive hedge delay. It returns nil once the answer is in
+// (the caller waits it out to take it), errHedged for a straggler, whose
+// Pending stays live and the caller's to settle, or ctx's error. With
+// hedging disabled it returns nil at once.
 func (b *Blob) waitHedged(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) error {
 	if b.c.opts.DisableHedging {
 		return nil
