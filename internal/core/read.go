@@ -169,7 +169,7 @@ func (b *Blob) ReadMeta(ctx context.Context, offset, length uint64, v meta.Versi
 
 // fetchPages downloads every non-zero leaf's page into buf, zero-filling
 // zero pages, with failover, checksum verification, hedged fetches and
-// read-repair (docs/erasure.md §5, docs/robustness.md). Each page walks
+// read-repair (docs/erasure.md §4, docs/robustness.md). Each page walks
 // its leaf's Providers in order, one wave at a time, until one serves
 // it: every copy of a k=1 page, the own slot of a k>=2 page, which then
 // falls back to its stripe's reconstruction. A provider whose circuit

@@ -1,6 +1,6 @@
 package core
 
-// Read-repair (docs/erasure.md §5): the background pushes that restore
+// Read-repair (docs/erasure.md §4): the background pushes that restore
 // redundancy for pages a read found missing on a provider.
 
 import (

@@ -1,6 +1,6 @@
 package erasure
 
-// Stripe layout (docs/erasure.md §2). A write of n pages in rs(k,m)
+// Stripe layout (docs/erasure.md §3). A write of n pages in rs(k,m)
 // mode is cut into ceil(n/k) stripes of k consecutive page slots; a
 // final short stripe simply uses a smaller k' = n mod k (the codec
 // accepts any geometry, and a self-describing per-stripe k keeps short

@@ -49,7 +49,7 @@ func (l *LeafData) Layout() StripeRef {
 	if l.Stripe != nil {
 		return *l.Stripe
 	}
-	m := len(l.Providers) - 1
+	m := max(len(l.Providers)-1, 0)
 	sums := make([]uint64, len(l.Providers))
 	for i := range sums {
 		sums[i] = l.Checksum

@@ -137,8 +137,8 @@ walk:
 				return rep, fmt.Errorf("repair: metadata of blob %d v%d: %w", blobID, v, err)
 			}
 			for _, l := range leaves {
-				if l.Leaf.Write == 0 {
-					continue // never-written page: nothing stored anywhere
+				if l.Leaf.Write == 0 || len(l.Leaf.Providers) == 0 {
+					continue // never-written page, or one placed nowhere: nothing stored anywhere
 				}
 				ref := l.Leaf.Layout()
 				sk := stripeKey{l.Leaf.Write, ref.FirstRel}
