@@ -21,8 +21,11 @@ import (
 // mstore.NewProvider, vmanager.NewReplica): a provider manager
 // co-hosting the metadata directory, a one-replica version-manager
 // group (what a bare `blobnode -roles vmanager` boots)
-// and three storage nodes each hosting a RAM-only data provider and a
-// metadata provider. It returns the options a client connects with.
+// and three storage nodes each hosting a disk-backed data provider and
+// a metadata provider, so every read is served from segment mappings
+// through real socket writes with PoisonOnRelease on (the netsim
+// cluster tests cover RAM providers). It returns the options a client
+// connects with.
 func tcpDeployment(t *testing.T) core.Options {
 	t.Cleanup(rpc.PoisonOnRelease(poisonByte))
 	listen := func() net.Listener {
@@ -61,10 +64,11 @@ func tcpDeployment(t *testing.T) core.Options {
 	t.Cleanup(rep.Close)
 	vmAddr := start(vmListener, rep.RegisterHandlers)
 	for i := 0; i < 3; i++ {
-		ds, err := provider.Open(diskstore.Options{}, 0)
+		ds, err := provider.Open(diskstore.Options{Dir: t.TempDir()}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { ds.Close() }) // after its server stops serving
 		ms := mstore.NewProvider()
 		addr := start(listen(), func(s *rpc.Server) {
 			ds.RegisterHandlers(s)

@@ -259,7 +259,7 @@ func (s *Store) handleMultiPut(_ context.Context, body []byte) ([]byte, error) {
 // goes out as a segment aliasing the stored bytes, which are immutable
 // once put (Put copies, Delete only unlinks), so only the framing is
 // written.
-func (s *Store) handleMultiGet(_ context.Context, body []byte) ([][]byte, []*rpc.Buf, error) {
+func (s *Store) handleMultiGet(_ context.Context, body []byte) ([][]byte, []rpc.Releaser, error) {
 	keys, hint, err := decodeMultiGetRequest(body)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dht multiget: %w", err)

@@ -2,7 +2,8 @@ package diskstore
 
 // Tests and microbenchmarks for the garbage-free paths: PutPages encodes
 // a batch into one store-owned buffer and writes it once per segment,
-// and ReadPage reads a record into whatever buffer its caller supplies.
+// and ReadPage returns a record's page where it lies in its segment's
+// mapping.
 
 import (
 	"bytes"
@@ -118,30 +119,30 @@ func TestPutPagesBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestReadPageUsesCallerBuffer pins the allocator contract: one call for
-// exactly the record size, the page aliases that buffer, and an absent
-// page costs no buffer at all.
+// TestReadPageUsesCallerBuffer pins the read contract, restated for
+// mapped segments: the page ReadPage returns is the record's payload
+// where it lies in its segment's mapping — no buffer is filled — and it
+// comes with a pin on that segment; an absent page comes with none.
 func TestReadPageUsesCallerBuffer(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{})
 	mustPut(t, s, 1, 2, 3, []byte("cutout"))
-	var bufs [][]byte
-	alloc := func(n int) []byte {
-		b := make([]byte, n)
-		bufs = append(bufs, b)
-		return b
+	data, pin, ok := s.ReadPage(1, 2, 3)
+	if !ok || string(data) != "cutout" || pin == nil {
+		t.Fatalf("ReadPage = %q, %v, %v", data, pin, ok)
 	}
-	data, ok := s.ReadPage(1, 2, 3, alloc)
-	if !ok || string(data) != "cutout" {
-		t.Fatalf("ReadPage = %q, %v", data, ok)
+	s.mu.RLock()
+	l := s.index[writeKey{1, 2}][3]
+	s.mu.RUnlock()
+	if pin.seg != l.seg || &data[0] != &l.seg.data[l.off+recHeaderSize+putBodyPrefix] {
+		t.Error("page bytes do not alias the record in its pinned segment's mapping")
 	}
-	if len(bufs) != 1 || len(bufs[0]) != recHeaderSize+putBodyPrefix+len("cutout") {
-		t.Fatalf("alloc calls = %d (sizes %v), want one of the record size", len(bufs), bufs)
+	before := l.seg.refs.Load()
+	pin.Release()
+	if after := l.seg.refs.Load(); after != before-1 {
+		t.Errorf("Release took segment refs %d -> %d, want one fewer", before, after)
 	}
-	if &data[0] != &bufs[0][recHeaderSize+putBodyPrefix] {
-		t.Error("page bytes do not alias the caller's buffer")
-	}
-	if _, ok := s.ReadPage(1, 2, 4, alloc); ok || len(bufs) != 1 {
-		t.Errorf("absent page: found=%v, alloc calls=%d", ok, len(bufs))
+	if _, pin, ok := s.ReadPage(1, 2, 4); ok || pin != nil {
+		t.Errorf("absent page: found=%v, pin=%v", ok, pin)
 	}
 }
 

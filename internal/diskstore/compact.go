@@ -1,7 +1,9 @@
 package diskstore
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"blob/internal/trace"
@@ -10,12 +12,13 @@ import (
 // Compaction rewrites mostly-dead sealed segments: every still-live put
 // record is re-appended (bytes verbatim — records are self-contained,
 // already checksummed, and keep their sequence number) to the active
-// segment, the index is repointed, and the old file is unlinked once the
-// last in-flight reader drains — its index sidecar with it; the records
-// live on in whatever segment received them, which gets its own sidecar
-// when it seals. Reads never block: a reader that resolved the old
-// location before the repoint finishes against the unlinked file's
-// still-open handle.
+// segment, the index is repointed, and the old file is unmapped and
+// unlinked once the last pin on it is released — its index sidecar with
+// it; the records live on in whatever segment received them, which gets
+// its own sidecar when it seals. Reads never block: a reader that
+// resolved the old location before the repoint, or a response still
+// sending pages from it, keeps the old segment mapped until it releases
+// its pin.
 //
 // Tombstones need care: a tombstone guards every dead put record with a
 // lower sequence number that is still physically on disk — dropping it
@@ -34,24 +37,26 @@ import (
 const compactEvery = time.Minute
 
 // compactLoop drives CompactOnce every compactEvery until the store
-// closes.
+// closes, under the profiler label diskstore=compact.
 func (s *Store) compactLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(compactEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			for {
-				again, err := s.CompactOnce()
-				if err != nil || !again {
-					break
+	pprof.Do(context.Background(), pprof.Labels("diskstore", "compact"), func(context.Context) {
+		t := time.NewTicker(compactEvery)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-t.C:
+				for {
+					again, err := s.CompactOnce()
+					if err != nil || !again {
+						break
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // CompactOnce rewrites the deadest sealed segment whose dead fraction is
@@ -92,22 +97,14 @@ func (s *Store) CompactOnce() (bool, error) {
 	defer cand.release()
 	dropTombstones := cand.id == minID
 
-	buf := make([]byte, size)
-	if _, err := cand.f.ReadAt(buf, 0); err != nil {
-		return false, fmt.Errorf("diskstore: compact read %s: %w", cand.path, err)
+	// The candidate is decoded where it lies in its mapping, and its
+	// surviving records are appended straight from there.
+	var err error
+	if !readMapped(func() { err = s.rewriteSegment(cand, size, dropTombstones) }) {
+		err = fmt.Errorf("diskstore: compact %s: fault reading the mapped segment", cand.path)
 	}
-	for off := int64(0); off < size; {
-		rec, n, err := decodeRecord(buf[off:])
-		if err != nil {
-			// A sealed segment should never fail to decode; leave it in
-			// place rather than silently dropping its tail.
-			return false, fmt.Errorf("diskstore: compact %s at %d: %w", cand.path, off, err)
-		}
-		raw := buf[off : off+int64(n)]
-		if err := s.rewriteRecord(cand, rec, off, raw, dropTombstones); err != nil {
-			return false, err
-		}
-		off += int64(n)
+	if err != nil {
+		return false, err
 	}
 
 	// The rewritten records must be durable before the only other copy
@@ -115,7 +112,7 @@ func (s *Store) CompactOnce() (bool, error) {
 	// would otherwise lose pages that had already survived restarts.
 	// Some may sit in a segment a roll handed to the sealer meanwhile.
 	s.mu.Lock()
-	err := s.waitSealLocked()
+	err = s.waitSealLocked()
 	if err == nil && s.active != nil {
 		err = syncFile(s.active.f)
 	}
@@ -130,6 +127,29 @@ func (s *Store) CompactOnce() (bool, error) {
 	s.opts.Tracer.Emit(trace.SevInfo, trace.CompactionDone, size-cand.live,
 		"rewrote segment %d: %d of %d bytes dead reclaimed", cand.id, size-cand.live, size)
 	return true, nil
+}
+
+// rewriteSegment migrates the first size bytes of a segment being
+// compacted, record by record. The caller holds a pin on cand.
+func (s *Store) rewriteSegment(cand *segment, size int64, dropTombstones bool) error {
+	if size > int64(len(cand.data)) {
+		return fmt.Errorf("diskstore: compact %s: %d bytes exceed its %d-byte mapping", cand.path, size, len(cand.data))
+	}
+	buf := cand.data[:size]
+	for off := int64(0); off < size; {
+		rec, n, err := decodeRecord(buf[off:])
+		if err != nil {
+			// A sealed segment should never fail to decode; leave it in
+			// place rather than silently dropping its tail.
+			return fmt.Errorf("diskstore: compact %s at %d: %w", cand.path, off, err)
+		}
+		raw := buf[off : off+int64(n)]
+		if err := s.rewriteRecord(cand, rec, off, raw, dropTombstones); err != nil {
+			return err
+		}
+		off += int64(n)
+	}
+	return nil
 }
 
 // rewriteRecord migrates one record out of a segment being compacted:

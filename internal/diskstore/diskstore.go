@@ -25,24 +25,34 @@
 // can tear only the newest two segments: the active one, and the one
 // below it if its seal was still running.
 //
+// Reads: each segment is mapped once, read-only and shared, when it is
+// opened, and that mapping is the one way a record is read. A read takes
+// a read lock only to resolve the index and pin the segment, then
+// verifies the record checksum where the record lies in the mapping and
+// returns the page bytes in place, with the pin: a provider sends them
+// to the socket from there and releases the pin once the response is
+// flushed. A fault on a mapped page (a file cut short behind the
+// store's back) reports the page absent, as a checksum mismatch does.
+// Mapping needs syscall.Mmap, so the package builds on unix only.
+//
 // Concurrency: appends and index mutations serialize on one writer lock;
-// reads take a read lock only to resolve the index, then read the record
-// bytes with ReadAt and verify its checksum — segments are immutable, so
-// reads proceed in parallel with appends and with compaction. Sealing a
-// full segment (its fsync, then its sidecar write) runs in the
-// background, one seal at a time, so no put or read waits on that
-// fsync; only the next roll, a Sync put, compaction and Close wait for
-// it. A segment being compacted away is unmapped from the index first
-// and its file is closed only when the last in-flight reader releases
-// it.
+// records are immutable once written, so reads proceed in parallel with
+// appends and with compaction. Sealing a full segment (its fsync, then
+// its sidecar write) runs in the background, one seal at a time, so no
+// put or read waits on that fsync; only the next roll, a Sync put,
+// compaction and Close wait for it. A segment being compacted away is
+// dropped from the index first; it is unmapped and its file closed (and
+// removed) only when the last pin on it is released.
 package diskstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
 	"maps"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"strconv"
@@ -58,7 +68,9 @@ type Options struct {
 	Dir string
 	// SegmentSize is the size at which the active segment is sealed and a
 	// new one started (default 4 MiB). Individual records may exceed it —
-	// a segment always holds at least one record.
+	// a segment always holds at least one record. Each segment is mapped
+	// over 2 × SegmentSize; a record that would end past that starts a
+	// segment of its own, mapped over it.
 	SegmentSize int64
 	// Capacity bounds live page payload bytes (0 = unlimited). A put
 	// batch whose genuinely new pages would exceed it fails atomically
@@ -206,7 +218,7 @@ func Open(opts Options) (*Store, error) {
 	replay := newReplayState()
 	var replayed []*segment // sealed segments that need a fresh sidecar
 	for i, id := range ids {
-		seg, err := openSegment(opts.Dir, id)
+		seg, err := openSegment(opts.Dir, id, 2*opts.SegmentSize)
 		if err != nil {
 			s.closeAll()
 			return nil, err
@@ -239,7 +251,7 @@ func Open(opts Options) (*Store, error) {
 				"segment %s: sidecar missing or corrupt; fully replaying %d bytes", seg.path, seg.size)
 		}
 		if err := s.scanSegment(seg, replay, mayBeTorn); err != nil {
-			seg.f.Close()
+			seg.retire(false)
 			s.closeAll()
 			return nil, err
 		}
@@ -365,7 +377,7 @@ func (s *Store) sealLocked(seg *segment) {
 	s.sealing = job
 	seg.acquire()
 	s.wg.Add(1)
-	go func() {
+	go pprof.Do(context.Background(), pprof.Labels("diskstore", "seal"), func(context.Context) {
 		defer s.wg.Done()
 		defer close(job.done)
 		defer seg.release()
@@ -376,7 +388,7 @@ func (s *Store) sealLocked(seg *segment) {
 		if err := writeSidecarBytes(dir, seg.id, data); err != nil {
 			log.Printf("diskstore: sidecar for %s: %v (segment will be replayed on restart)", seg.path, err)
 		}
-	}()
+	})
 }
 
 // waitSealLocked waits for the seal in flight, if any, and returns its
@@ -622,13 +634,13 @@ const maxRetainedBatch = 8 << 20
 // pages enter the index only after its write succeeded. Caller holds mu.
 func (s *Store) appendPutsLocked(pages []Page) error {
 	for len(pages) > 0 {
-		seg, err := s.activeLocked()
+		seg, err := s.activeLocked(putRecordSize(pages[0]))
 		if err != nil {
 			return err
 		}
 		buf := s.batch[:0]
 		n := 0 // records in this run; they take sequence numbers nextSeq..nextSeq+n-1
-		for n < len(pages) && seg.size+int64(len(buf)) < s.opts.SegmentSize {
+		for n < len(pages) && s.fits(seg, seg.size+int64(len(buf)), putRecordSize(pages[n])) {
 			p := pages[n]
 			buf = appendPutRecord(buf, s.nextSeq+uint64(n), p.Blob, p.Write, p.Rel, p.Data)
 			n++
@@ -640,7 +652,7 @@ func (s *Store) appendPutsLocked(pages []Page) error {
 			return fmt.Errorf("diskstore: append to %s: %w", seg.path, err)
 		}
 		for _, p := range pages[:n] {
-			l := loc{seg: seg, off: seg.size, size: int64(recHeaderSize + putBodyPrefix + len(p.Data))}
+			l := loc{seg: seg, off: seg.size, size: putRecordSize(p)}
 			seg.size += l.size
 			seg.noteRecord(recMeta{op: opPut, seq: s.takeSeq(), blob: p.Blob, write: p.Write, rel: p.Rel}, l.off, l.size)
 			k := writeKey{p.Blob, p.Write}
@@ -659,11 +671,22 @@ func (s *Store) appendPutsLocked(pages []Page) error {
 	return nil
 }
 
-// activeLocked returns the segment the next record goes to, rolling to
-// a fresh one first if the active segment is full. Caller holds mu.
-func (s *Store) activeLocked() (*segment, error) {
-	if s.active == nil || s.active.size >= s.opts.SegmentSize {
-		if err := s.rollLocked(); err != nil {
+func putRecordSize(p Page) int64 { return int64(recHeaderSize + putBodyPrefix + len(p.Data)) }
+
+// fits reports whether a record of n bytes may be appended to seg at
+// off: the segment is still below SegmentSize and the record ends
+// inside its mapping. A record of at most SegmentSize that starts below
+// SegmentSize always ends inside the 2 × SegmentSize mapping.
+func (s *Store) fits(seg *segment, off, n int64) bool {
+	return off < s.opts.SegmentSize && off+n <= int64(len(seg.data))
+}
+
+// activeLocked returns the segment the next record, of n bytes, goes
+// to, rolling to a fresh one first if it does not fit the active
+// segment. Caller holds mu.
+func (s *Store) activeLocked(n int64) (*segment, error) {
+	if s.active == nil || !s.fits(s.active, s.active.size, n) {
+		if err := s.rollLocked(n); err != nil {
 			return nil, err
 		}
 	}
@@ -674,7 +697,7 @@ func (s *Store) activeLocked() (*segment, error) {
 // compactor relocates verbatim) to the active segment and feeds it into
 // the segment's sidecar accumulator. Caller holds mu.
 func (s *Store) appendLocked(buf []byte, m recMeta) (loc, error) {
-	seg, err := s.activeLocked()
+	seg, err := s.activeLocked(int64(len(buf)))
 	if err != nil {
 		return loc{}, err
 	}
@@ -687,15 +710,17 @@ func (s *Store) appendLocked(buf []byte, m recMeta) (loc, error) {
 	return loc{seg: seg, off: off, size: int64(len(buf))}, nil
 }
 
-// rollLocked opens a fresh active segment and hands the old one to the
-// background sealer. It first waits out the previous seal, so at most
-// the newest two segments are ever unsynced — the sealing one and the
-// active one — and it fails with that seal's error if its fsync failed.
-func (s *Store) rollLocked() error {
+// rollLocked opens a fresh active segment, mapped over 2 × SegmentSize
+// or over a first record of n bytes if it is longer, and hands the old
+// one to the background sealer. It first waits out the previous seal,
+// so at most the newest two segments are ever unsynced — the sealing
+// one and the active one — and it fails with that seal's error if its
+// fsync failed.
+func (s *Store) rollLocked(n int64) error {
 	if err := s.waitSealLocked(); err != nil {
 		return err
 	}
-	seg, err := openSegment(s.opts.Dir, s.nextID)
+	seg, err := openSegment(s.opts.Dir, s.nextID, max(2*s.opts.SegmentSize, n))
 	if err != nil {
 		return err
 	}
@@ -708,48 +733,49 @@ func (s *Store) rollLocked() error {
 	return nil
 }
 
-// GetPage returns one page's bytes, or false if absent. The returned
-// slice is freshly allocated and owned by the caller: GetPage is ReadPage
-// with the heap as its allocator.
+// GetPage returns a copy of one page's bytes, or false if absent: the
+// bytes ReadPage verified, copied out of the mapping into memory the
+// caller owns.
 func (s *Store) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
-	return s.ReadPage(blob, write, rel, heapAlloc)
+	data, pin, ok := s.ReadPage(blob, write, rel)
+	if !ok {
+		return nil, false
+	}
+	defer pin.Release()
+	out := make([]byte, len(data))
+	if !readMapped(func() { copy(out, data) }) {
+		return nil, false
+	}
+	return out, true
 }
 
-func heapAlloc(n int) []byte { return make([]byte, n) }
-
-// ReadPage is the store's one page-read implementation: it reads the
-// page's whole record into the buffer alloc returns for the record's
-// encoded size, verifies the record checksum there, and returns the page
-// bytes — a sub-slice of that buffer, so the page lives exactly as long
-// as the caller keeps the buffer (a provider serving a read hands in a
-// pooled buffer and recycles it once the response is flushed). alloc is
-// called at most once and not at all for an absent page; ReadPage never
-// retains the buffer. A record whose checksum no longer matches (disk
-// corruption) is reported as absent — bad bytes are never served.
-func (s *Store) ReadPage(blob, write uint64, rel uint32, alloc func(n int) []byte) ([]byte, bool) {
+// ReadPage is the store's one page read: it resolves the page in the
+// index, pins its segment, verifies the record checksum where the
+// record lies in the segment's mapping, and returns the page bytes in
+// place. They alias the read-only mapping and stay valid until pin is
+// released, which the caller must do exactly once (a provider hands the
+// pin to the rpc server, which releases it once the response is
+// flushed). A record whose checksum no longer matches (disk corruption)
+// or whose mapped pages fault is reported as absent — bad bytes are
+// never served — and an absent page leaves nothing to release.
+func (s *Store) ReadPage(blob, write uint64, rel uint32) (data []byte, pin *Pin, ok bool) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return nil, false
+		return nil, nil, false
 	}
 	l, ok := s.index[writeKey{blob, write}][rel]
 	if !ok {
 		s.mu.RUnlock()
-		return nil, false
+		return nil, nil, false
 	}
 	l.seg.acquire()
 	s.mu.RUnlock()
-	defer l.seg.release()
-
-	buf := alloc(int(l.size))
-	if _, err := l.seg.f.ReadAt(buf, l.off); err != nil {
-		return nil, false
+	if data, ok = l.seg.readPut(l.off, l.size); !ok {
+		l.seg.release()
+		return nil, nil, false
 	}
-	rec, _, err := decodeRecord(buf)
-	if err != nil || rec.op != opPut {
-		return nil, false
-	}
-	return rec.data, true
+	return data, l.seg.pin(), true
 }
 
 // DeletePages removes specific pages of a write, returning how many were
@@ -866,7 +892,8 @@ func (s *Store) Stats() Stats {
 }
 
 // Close stops the compactor, fsyncs the active segment, waits for the
-// seal in flight and closes every segment file. It reports a failed
+// seal in flight and closes every segment file; a segment still pinned
+// stays mapped until its last pin is released. It reports a failed
 // fsync, the seal's included. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -891,8 +918,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// closeAll closes every segment file. Caller holds mu (or owns the store
-// exclusively during a failed Open).
+// closeAll drops the store's reference on every segment. Caller holds mu
+// (or owns the store exclusively during a failed Open).
 func (s *Store) closeAll() {
 	for _, seg := range s.segs {
 		seg.retire(false)

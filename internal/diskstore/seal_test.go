@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -292,5 +294,36 @@ func TestSealTornSegmentBelowTail(t *testing.T) {
 
 	if _, err := Open(Options{Dir: build(t, 1), SegmentSize: 128}); err == nil {
 		t.Error("Open accepted a torn segment two below the tail")
+	}
+}
+
+// TestBackgroundGoroutinesCarryLabels: the seal goroutine runs under
+// the profiler label diskstore=seal and the compaction loop under
+// diskstore=compact, so a CPU profile of a provider names their time.
+func TestBackgroundGoroutinesCarryLabels(t *testing.T) {
+	dir := t.TempDir()
+	g := holdSyncOf(t, segmentPath(dir, 1))
+	s := openTest(t, dir, Options{SegmentSize: 128})
+	t.Cleanup(g.open)
+	mustPut(t, s, 1, 1, 0, fill)
+	mustPut(t, s, 1, 2, 0, []byte("rolls")) // segment 1's seal starts and holds
+	if !returnsWithin(g.entered, timeout) {
+		t.Fatal("segment 1 was never synced")
+	}
+	for _, label := range []string{`"diskstore":"seal"`, `"diskstore":"compact"`} {
+		// The compaction loop may not have run its first line yet.
+		for deadline := time.Now().Add(timeout); ; time.Sleep(time.Millisecond) {
+			var dump strings.Builder
+			if err := pprof.Lookup("goroutine").WriteTo(&dump, 1); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(dump.String(), label) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("no goroutine carries the label %s", label)
+				break
+			}
+		}
 	}
 }

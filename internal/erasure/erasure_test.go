@@ -308,12 +308,6 @@ func TestParityRelSpace(t *testing.T) {
 	if r := ParityRel(3, 1, 2); r != ParityFlag|7 {
 		t.Fatalf("ParityRel(3,1,2) = %#x", r)
 	}
-	if IsParityRel(7) || !IsParityRel(ParityFlag|7) {
-		t.Fatal("IsParityRel misclassifies")
-	}
-	if s := StripeOf(11, 4); s != 2 {
-		t.Fatalf("StripeOf(11,4) = %d", s)
-	}
 }
 
 // TestParseRedundancy covers the mode grammar.

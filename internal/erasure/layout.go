@@ -15,9 +15,6 @@ package erasure
 // ParityFlag | [0, ceil(n/k)*m).
 const ParityFlag uint32 = 1 << 31
 
-// IsParityRel reports whether a rel-page addresses a parity slot.
-func IsParityRel(rel uint32) bool { return rel&ParityFlag != 0 }
-
 // ParityRel returns the rel-page of parity shard j of stripe s under m
 // parity shards per stripe.
 func ParityRel(stripe uint32, j, m int) uint32 {
@@ -29,10 +26,6 @@ func ParityRel(stripe uint32, j, m int) uint32 {
 func NumStripes(n uint64, k int) uint64 {
 	return (n + uint64(k) - 1) / uint64(k)
 }
-
-// StripeOf returns the stripe index of data rel r under k data shards
-// per stripe.
-func StripeOf(rel uint32, k int) uint32 { return rel / uint32(k) }
 
 // StripeWidth returns the data shard count k' of stripe s of an n-page
 // write under k data shards per stripe: k for full stripes, n mod k for

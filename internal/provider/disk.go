@@ -54,27 +54,24 @@ func (d *DiskStore) PutPages(pages []Page) error {
 	return nil
 }
 
-// GetPage implements PageStore; the returned slice is freshly allocated.
+// GetPage implements PageStore; the returned slice is a copy the
+// caller owns.
 func (d *DiskStore) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
 	data, ok := d.ds.GetPage(blob, write, rel)
 	d.countGet(ok)
 	return data, ok
 }
 
-// GetPagePooled implements PageStore: the same diskstore read, with the
-// record landing in a pooled buffer instead of a fresh allocation.
-func (d *DiskStore) GetPagePooled(blob, write uint64, rel uint32) ([]byte, *rpc.Buf, bool) {
-	var buf *rpc.Buf
-	data, ok := d.ds.ReadPage(blob, write, rel, func(n int) []byte {
-		buf = rpc.GetBuf(n)
-		return buf.Bytes()
-	})
+// GetPagePinned implements PageStore: the page is verified and returned
+// where it lies in its segment's mapping, with the pin that keeps the
+// segment mapped.
+func (d *DiskStore) GetPagePinned(blob, write uint64, rel uint32) ([]byte, rpc.Releaser, bool) {
+	data, pin, ok := d.ds.ReadPage(blob, write, rel)
 	d.countGet(ok)
-	if !ok && buf != nil { // unreadable or corrupt record
-		buf.Release()
-		buf = nil
+	if !ok {
+		return nil, nil, false // not a nil *Pin inside a non-nil Releaser
 	}
-	return data, buf, ok
+	return data, pin, true
 }
 
 func (d *DiskStore) countGet(ok bool) {

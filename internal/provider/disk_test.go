@@ -54,20 +54,20 @@ func TestPageStoreContract(t *testing.T) {
 			if _, ok := s.GetPage(1, 10, 9); ok {
 				t.Error("absent page reported found")
 			}
-			// The pooled read serves the same bytes; only the disk owes a
-			// buffer back.
-			d, buf, ok := s.GetPagePooled(1, 10, 1)
+			// The pinned read serves the same bytes; only the disk owes a
+			// pin back.
+			d, pin, ok := s.GetPagePinned(1, 10, 1)
 			if !ok || string(d) != "page one" {
-				t.Errorf("GetPagePooled = %q, %v", d, ok)
+				t.Errorf("GetPagePinned = %q, %v", d, ok)
 			}
-			if _, ram := s.(*Store); ram != (buf == nil) {
-				t.Errorf("GetPagePooled buf = %v on %s", buf, name)
+			if _, ram := s.(*Store); ram != (pin == nil) {
+				t.Errorf("GetPagePinned pin = %v on %s", pin, name)
 			}
-			if buf != nil {
-				buf.Release()
+			if pin != nil {
+				pin.Release()
 			}
-			if _, buf, ok := s.GetPagePooled(1, 10, 9); ok || buf != nil {
-				t.Errorf("absent pooled page: ok %v, buf %v", ok, buf)
+			if _, pin, ok := s.GetPagePinned(1, 10, 9); ok || pin != nil {
+				t.Errorf("absent pinned page: ok %v, pin %v", ok, pin)
 			}
 			if a, b := s.Rels(1, 10), s.Rels(1, 11); !slices.Equal(a, []uint32{0, 1}) || !slices.Equal(b, []uint32{0}) {
 				t.Errorf("Rels = %v, %v", a, b)

@@ -1,15 +1,17 @@
 package provider
 
-// Tests for the garbage-free serve path: a disk-backed provider reads
-// records into pooled rpc buffers (GetPagePooled) that handleGetPages
-// returns as held, and the rpc server releases once the response is
-// flushed.
+// Tests for the copy-free serve path: a disk-backed provider serves
+// each record where it lies in its segment's mapping (GetPagePinned),
+// handleGetPages returns the pins as held, and the rpc server releases
+// them once the response is flushed.
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,7 +52,7 @@ func fillWrite(t testing.TB, ps PageStore, write uint64, n, size int) []PageRef 
 	return refs
 }
 
-func releaseAll(held []*rpc.Buf) {
+func releaseAll(held []rpc.Releaser) {
 	for _, b := range held {
 		b.Release()
 	}
@@ -58,12 +60,12 @@ func releaseAll(held []*rpc.Buf) {
 
 // TestServeFromDiskAllocatesNoPageBuffers is the read-side garbage gate:
 // serving 16 × 64 KiB pages from a DiskStore through handleGetPages, with
-// the held buffers released as the rpc server releases them after the
-// flush, allocates headers and bookkeeping only — the 1 MiB of
-// page-sized buffers per read comes out of the pool.
+// the held pins released as the rpc server releases them after the
+// flush, allocates the response framing only — the pages are sent from
+// their segments' mappings, and pins come from a pool.
 func TestServeFromDiskAllocatesNoPageBuffers(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool sheds buffers at random under the race detector")
+		t.Skip("sync.Pool sheds pins at random under the race detector")
 	}
 	d, err := NewDiskStore(diskstore.Options{Dir: t.TempDir()}, 0)
 	if err != nil {
@@ -81,7 +83,7 @@ func TestServeFromDiskAllocatesNoPageBuffers(t *testing.T) {
 		}
 		releaseAll(held)
 	}
-	for i := 0; i < 4; i++ { // fill the pool's size class
+	for i := 0; i < 4; i++ { // fill the pin pool
 		serve()
 	}
 	const runs = 50
@@ -92,21 +94,25 @@ func TestServeFromDiskAllocatesNoPageBuffers(t *testing.T) {
 	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
 	t.Logf("%.1f allocs, %d bytes per 16-page serve", allocs, perRun)
 	// A GC cycle may empty the sync.Pool mid-measurement and cost a few
-	// refills; a page-sized allocation per page (16 × 72 KiB per run) is
+	// refills; a page-sized allocation per page (16 × 64 KiB per run) is
 	// two orders of magnitude above this bound.
 	if perRun >= servePage {
 		t.Errorf("a 16-page serve allocates %d bytes: page-sized read buffers are back", perRun)
 	}
-	if allocs > 24 {
-		t.Errorf("a 16-page serve makes %.1f allocations, want <= 24 (one Buf header per page + response framing)", allocs)
+	if allocs > 8 {
+		t.Errorf("a 16-page serve makes %.1f allocations, want <= 8 (response framing; no allocation per page)", allocs)
 	}
 }
 
-// TestServedPagesAliasHeldBuffers pins the ownership hand-off: every
-// page segment of a disk-backed response lies inside one of the held
-// buffers, and releasing them twice panics.
+// TestServedPagesAliasHeldBuffers pins the ownership hand-off, restated
+// for mapped segments: a disk-backed response holds one pin per page,
+// every page segment is the record's bytes where they lie in the
+// segment's shared mapping — a write to the file behind the store's
+// back shows through the served slice — and releasing a pin twice
+// panics.
 func TestServedPagesAliasHeldBuffers(t *testing.T) {
-	d, err := NewDiskStore(diskstore.Options{Dir: t.TempDir()}, 0)
+	dir := t.TempDir()
+	d, err := NewDiskStore(diskstore.Options{Dir: dir}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,34 +126,94 @@ func TestServedPagesAliasHeldBuffers(t *testing.T) {
 		t.Fatalf("disk serve: %d held, %v", len(held), err)
 	}
 	for i := range refs {
-		page, buf := segs[1+i], held[i].Bytes()
-		if !bytes.Equal(page, servedPage(3, uint32(i), 4096)) {
+		if _, ok := held[i].(*diskstore.Pin); !ok {
+			t.Fatalf("held[%d] is a %T, want a *diskstore.Pin", i, held[i])
+		}
+		if !bytes.Equal(segs[1+i], servedPage(3, uint32(i), 4096)) {
 			t.Fatalf("page %d: wrong bytes", i)
 		}
-		if &page[0] != &buf[len(buf)-len(page)] {
-			t.Fatalf("page %d does not alias its held buffer", i)
-		}
+	}
+	seg := filepath.Join(dir, "seg-00000001.log")
+	file, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(file, servedPage(3, 2, 4096))
+	if at < 0 {
+		t.Fatal("test bug: page 2 not found in the segment file")
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := []byte("written behind the store's back")
+	if _, err := f.WriteAt(stamp, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if !bytes.HasPrefix(segs[1+2], stamp) {
+		t.Error("served page 2 does not alias its segment's mapping")
 	}
 	releaseAll(held)
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("second release of a held buffer did not panic")
+				t.Error("second release of a held pin did not panic")
 			}
 		}()
 		held[0].Release()
 	}()
 }
 
-// TestPooledServeStress hammers the pooled read buffers over a real rpc
+// TestPinnedPagesOutliveCompaction pins the mapping lifetime: a served
+// response whose pages alias a segment keeps its bytes after compaction
+// relocates their records and retires the segment, and the segment file
+// is removed only once the response's pins are released.
+func TestPinnedPagesOutliveCompaction(t *testing.T) {
+	dir := t.TempDir()
+	// Two 4 KiB records per segment: pages 0 and 1 fill segment 1, and
+	// page 2 rolls to segment 2, sealing segment 1.
+	d, err := NewDiskStore(diskstore.Options{Dir: dir, SegmentSize: 5000}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	refs := fillWrite(t, d, 4, 4, 4096)
+	segs, held, err := NewService(d).handleGetPages(context.Background(), EncodeGetPages(refs[:1]))
+	if err != nil || len(held) != 1 {
+		t.Fatalf("disk serve: %d held, %v", len(held), err)
+	}
+	if n := d.DeletePages(1, 4, []uint32{1}); n != 1 {
+		t.Fatalf("DeletePages = %d", n)
+	}
+	if ok, err := d.CompactOnce(); !ok || err != nil {
+		t.Fatalf("CompactOnce = %v, %v; want segment 1 rewritten", ok, err)
+	}
+	seg1 := filepath.Join(dir, "seg-00000001.log")
+	if _, err := os.Stat(seg1); err != nil {
+		t.Fatalf("segment 1 removed while a served page still aliases it: %v", err)
+	}
+	if !bytes.Equal(segs[1], servedPage(4, 0, 4096)) {
+		t.Fatal("served page changed after its segment was compacted away")
+	}
+	if got, ok := d.GetPage(1, 4, 0); !ok || !bytes.Equal(got, servedPage(4, 0, 4096)) {
+		t.Fatal("page 0 unreadable at its new location")
+	}
+	releaseAll(held)
+	if _, err := os.Stat(seg1); !os.IsNotExist(err) {
+		t.Fatalf("segment 1 still on disk after the last pin was released: %v", err)
+	}
+}
+
+// TestPooledServeStress hammers the pinned serve over a real rpc
 // server: concurrent MGetPages calls race CompactOnce (records move
-// between segments under the readers), DeletePages (responses mix found
-// and missing pages) and clients that close their connection while a
-// 16-page response is being read or flushed (the server drops or fails
-// the reply that holds the buffers). Every page any call returns must
-// carry its own checksum: a buffer recycled while a response still
-// aliased it would surface as cross-talk here, or as a data race under
-// -race.
+// between segments under the readers, and retired segments are
+// unmapped), DeletePages (responses mix found and missing pages) and
+// clients that close their connection while a 16-page response is being
+// read or flushed (the server drops or fails the reply that holds the
+// pins). Every page any call returns must carry its own checksum: a
+// segment unmapped while a response still aliased it would surface as a
+// fault or cross-talk here, or as a data race under -race.
 func TestPooledServeStress(t *testing.T) {
 	fab := netsim.New(netsim.Fast())
 	defer fab.Close()

@@ -56,16 +56,15 @@ type PageStore interface {
 	PutPages(pages []Page) error
 	// GetPage returns one page's bytes, or false if absent.
 	GetPage(blob, write uint64, rel uint32) ([]byte, bool)
-	// GetPagePooled is GetPage for MGetPages' garbage-free serve: a
-	// backend whose read has to fill a fresh buffer (DiskStore reads the
-	// record off disk) fills a pooled rpc.Buf instead and returns it next
-	// to the page bytes, which alias it. The caller owns buf and must
-	// release it exactly once, after its last use of data — the Service
-	// hands it to the rpc server, which releases it once the response is
-	// flushed. buf is nil when data aliases long-lived store memory (the
-	// RAM Store) and there is nothing to release; it is always nil when
-	// ok is false.
-	GetPagePooled(blob, write uint64, rel uint32) (data []byte, buf *rpc.Buf, ok bool)
+	// GetPagePinned is GetPage for MGetPages' copy-free serve: the page
+	// bytes alias store memory, and pin, when non-nil, keeps that memory
+	// valid (DiskStore: the segment's mapping). The caller must release
+	// pin exactly once, after its last use of data — the Service hands it
+	// to the rpc server, which releases it once the response is flushed.
+	// pin is nil when data aliases long-lived store memory (the RAM
+	// Store) and there is nothing to release; it is always nil when ok
+	// is false.
+	GetPagePinned(blob, write uint64, rel uint32) (data []byte, pin rpc.Releaser, ok bool)
 	// DeletePages removes specific pages of a write, returning how many
 	// were present. Used by the GC when part of a write is superseded.
 	DeletePages(blob, write uint64, rels []uint32) int
@@ -194,9 +193,9 @@ func (s *Store) GetPage(blob, write uint64, rel uint32) ([]byte, bool) {
 	return data, ok
 }
 
-// GetPagePooled implements PageStore: a RAM page is long-lived store
-// memory, so there is never a buffer to release.
-func (s *Store) GetPagePooled(blob, write uint64, rel uint32) ([]byte, *rpc.Buf, bool) {
+// GetPagePinned implements PageStore: a RAM page is long-lived store
+// memory, so there is never a pin to release.
+func (s *Store) GetPagePinned(blob, write uint64, rel uint32) ([]byte, rpc.Releaser, bool) {
 	data, ok := s.GetPage(blob, write, rel)
 	return data, nil, ok
 }

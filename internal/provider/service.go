@@ -139,15 +139,15 @@ func (sv *Service) handlePutPages(_ context.Context, body []byte) ([]byte, error
 
 // handleGetPages answers MGetPages as scatter-gather segments: flag and
 // length headers accumulate in a small arena, page payloads alias the
-// slices GetPagePooled hands back, so fetched pages travel from store
+// slices GetPagePinned hands back, so fetched pages travel from store
 // memory to the socket without intermediate assembly. Those slices are
 // either immutable long-lived RAM store memory (pages are never updated
 // in place, and a slice outlives even a concurrent GC delete of its map
-// entry) or, from the DiskStore, pooled buffers this handler owns until
-// it returns them as held — the rpc server releases them once the
-// response is flushed, so a disk-backed provider serves reads without
-// allocating page-sized memory.
-func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]byte, held []*rpc.Buf, err error) {
+// entry) or, from the DiskStore, records in a segment's read-only
+// mapping, pinned until the handler returns the pins as held — the rpc
+// server releases them once the response is flushed, so a disk-backed
+// provider serves reads without a page-sized buffer or a copy.
+func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]byte, held []rpc.Releaser, err error) {
 	sv.ActiveOps.Add(1)
 	start := time.Now()
 	defer func() {
@@ -176,14 +176,14 @@ func (sv *Service) handleGetPages(ctx context.Context, body []byte) (segs [][]by
 			// held goes back with the error: the server releases it.
 			return nil, held, fmt.Errorf("provider get: request %d: %w", i, err)
 		}
-		data, buf, ok := sv.store.GetPagePooled(blob, write, rel)
-		if buf != nil {
-			// Sized on the first pooled page, so a RAM serve, which
+		data, pin, ok := sv.store.GetPagePinned(blob, write, rel)
+		if pin != nil {
+			// Sized on the first pinned page, so a RAM serve, which
 			// never holds one, allocates no list.
 			if held == nil {
-				held = make([]*rpc.Buf, 0, n)
+				held = make([]rpc.Releaser, 0, n)
 			}
-			held = append(held, buf)
+			held = append(held, pin)
 		}
 		if !ok {
 			hdr = append(hdr, 0)

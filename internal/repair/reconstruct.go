@@ -9,7 +9,9 @@ package repair
 // rs(1,1)'s 2/n share (pinned by internal/cluster's
 // TestErasureRepairIngestsLessThanReplication). First-wins idempotent
 // puts keep re-pushes safe to over-approximate and to race with
-// degraded reads doing the same.
+// degraded reads doing the same. The same first-wins rule would keep a
+// rotten copy — a slot its provider lists but serves no verified bytes
+// for — so the agent deletes that copy before it pushes the rebuilt one.
 
 import (
 	"context"
@@ -107,6 +109,7 @@ func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
 		g.slots = append(g.slots, slot)
 	}
 	shards := make([][]byte, n)
+	rotten := make(map[int]bool) // listed, answered, and not verified
 	for id, g := range groups {
 		resp, err := r.c.Pool().Call(ctx, addrs[id], provider.MGetPages, provider.EncodeGetPages(g.refs))
 		if err != nil {
@@ -120,6 +123,7 @@ func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
 		for i, data := range datas {
 			slot := g.slots[i]
 			if data == nil || wire.Checksum64(data) != ref.Sums[slot] {
+				rotten[slot] = held[id].Has(blobID, st.write, ref.SlotRel(slot))
 				continue
 			}
 			shards[slot] = data
@@ -152,11 +156,12 @@ func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
 		return
 	}
 
-	// Push exactly the missing slots, batched per provider.
+	// Push exactly the missing slots, batched per provider, each rotten
+	// copy deleted first.
 	type push struct {
-		rels  []uint32
-		datas [][]byte
-		slots []int
+		rels   []uint32
+		datas  [][]byte
+		rotten []uint32
 	}
 	pushes := make(map[uint32]*push)
 	for _, slot := range missing {
@@ -168,9 +173,19 @@ func (r *Repairer) repairStripe(ctx context.Context, rep *Report, blobID uint64,
 		}
 		p.rels = append(p.rels, ref.SlotRel(slot))
 		p.datas = append(p.datas, shards[slot])
-		p.slots = append(p.slots, slot)
+		if rotten[slot] {
+			p.rotten = append(p.rotten, ref.SlotRel(slot))
+		}
 	}
 	for id, p := range pushes {
+		if len(p.rotten) > 0 {
+			del := provider.EncodeDeletePages(blobID, st.write, p.rotten)
+			if _, err := r.c.Pool().Call(ctx, addrs[id], provider.MDeletePages, del); err != nil {
+				r.logf("repair: delete %d rotten shards on provider %d: %v", len(p.rotten), id, err)
+				rep.Unrepairable += int64(len(p.rels))
+				continue
+			}
+		}
 		segs := provider.EncodePutPagesVec(blobID, st.write, p.rels, p.datas)
 		if _, err := r.c.Pool().Go(ctx, addrs[id], provider.MPutPages, segs, nil).Wait(ctx); err != nil {
 			r.logf("repair: push %d reconstructed shards to provider %d: %v", len(p.rels), id, err)

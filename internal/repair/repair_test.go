@@ -359,7 +359,11 @@ func TestRepairFailsOnMetadataOutageMidWalk(t *testing.T) {
 // TestRepairFailsOverToSecondSource pins the source-failover rule: when
 // a source lists a page but serves bytes failing the leaf checksum, the
 // rebuild must reach the copy holding good bytes — a rotten source can
-// cost round trips, never strand a slot.
+// cost round trips, never strand a slot. The rotten copies are replaced,
+// not only reported: first-wins puts would keep them, so the agent
+// deletes each before it pushes the rebuilt page, and afterwards every
+// copy reads back the written bytes and a second pass finds none
+// missing.
 func TestRepairFailsOverToSecondSource(t *testing.T) {
 	cl, c := launch(t, cluster.Config{
 		DataProviders: 3,
@@ -412,6 +416,23 @@ func TestRepairFailsOverToSecondSource(t *testing.T) {
 	// copy holding good bytes.
 	if got := cl.DataStores[0].Snapshot().PageCount; got != 2 {
 		t.Fatalf("target holds %d pages after repair, want 2", got)
+	}
+	written := pattern(6, 2*pageSize)
+	for _, l := range leaves {
+		want := written[l.Page*pageSize : (l.Page+1)*pageSize]
+		for slot, id := range l.Leaf.Providers {
+			got, ok := cl.DataStores[id-1].GetPage(b.ID(), l.Leaf.Write, l.Leaf.ProviderRel(slot))
+			if !ok || !bytes.Equal(got, want) {
+				t.Errorf("page %d: the copy on provider %d does not read back the written bytes (present %v)", l.Page, id, ok)
+			}
+		}
+	}
+	rep, err = repair.New(c).RepairBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PagesMissing != 0 {
+		t.Errorf("second pass: %+v, want PagesMissing 0", rep)
 	}
 }
 

@@ -3,20 +3,19 @@ package rpc
 // Pooled message-body buffers. Every request body a server reads, and
 // every response body a client reads through the default sink
 // (body.go), lands in a size-classed sync.Pool buffer instead of a
-// fresh allocation, and a handler that has to
-// produce page-sized response bytes (a provider reading records off
-// disk) fills buffers from the same pool (GetBuf) and hands them back
-// with its response, so a busy connection recycles a small working set
-// of buffers instead of churning the garbage collector — the client-CPU
-// half of the paper's §V.C observation that processing power, not the
-// network, bounds fine-grain throughput.
+// fresh allocation, and a handler that has to produce response bytes
+// of its own can fill buffers from the same pool (GetBuf) and hand them
+// back with its response, so a busy connection recycles a small working
+// set of buffers instead of churning the garbage collector — the
+// client-CPU half of the paper's §V.C observation that processing
+// power, not the network, bounds fine-grain throughput.
 //
 // Ownership protocol:
 //
 //   - The reader that filled a Buf owns it until it hands it off (to the
 //     handler goroutine on a server, to the completed call on a client).
-//     A handler that filled a Buf owns it until it returns it as one of
-//     its response's held buffers (SegHandlerFunc); the server then owns
+//     A handler that filled a Buf owns it until it returns it in its
+//     response's held list (SegHandlerFunc); the server then owns
 //     it and releases it once the response has been flushed — the same
 //     point at which it releases the request body.
 //   - Exactly one Release returns the buffer to its pool. Release is
@@ -118,7 +117,9 @@ var releasePoison atomic.Uint32
 // function that restores the previous setting. It is a test seam, like
 // a swapped-in sync function, not an option: a test that turns it on
 // turns a body decoded after its release into a decode or checksum
-// failure instead of a silent read of recycled memory.
+// failure instead of a silent read of recycled memory. Only a Buf is
+// poisoned: a held Releaser of another kind (a pin on a read-only
+// mapping) is never written.
 func PoisonOnRelease(fill byte) (restore func()) {
 	prev := releasePoison.Swap(0x100 | uint32(fill))
 	return func() { releasePoison.Store(prev) }

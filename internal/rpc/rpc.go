@@ -106,12 +106,18 @@ type HandlerFunc func(ctx context.Context, body []byte) ([]byte, error)
 // client's call completes; the request-body lifetime rule is
 // HandlerFunc's.
 //
-// held lists the pooled buffers (GetBuf) the segments alias. Returning
-// them passes their ownership to the server, which releases each exactly
-// once after the response — or the error, when err is non-nil — has been
-// flushed; the handler must neither release nor touch them afterwards,
-// and a second Release panics, as it does for request bodies.
-type SegHandlerFunc func(ctx context.Context, body []byte) (segs [][]byte, held []*Buf, err error)
+// held lists what keeps the segments' memory valid: pooled buffers
+// (GetBuf) and anything else with a Release, such as a diskstore pin on
+// a mapped segment. Returning them passes their ownership to the server,
+// which releases each exactly once after the response — or the error,
+// when err is non-nil — has been flushed; the handler must neither
+// release nor touch them afterwards, and a second Release panics, as it
+// does for request bodies.
+type SegHandlerFunc func(ctx context.Context, body []byte) (segs [][]byte, held []Releaser, err error)
+
+// Releaser is one thing a response holds until it is flushed. *Buf is
+// one; a second Release of the same Releaser must panic.
+type Releaser interface{ Release() }
 
 // ServerError is an application-level error propagated from a remote
 // handler. It is distinguishable from transport failures so callers can

@@ -131,7 +131,7 @@ func NewServer() *Server {
 // Handle registers a handler for a method identifier. Registration after
 // Serve has started is allowed but must not race with itself.
 func (s *Server) Handle(method uint32, h HandlerFunc) {
-	s.HandleSegs(method, func(ctx context.Context, body []byte) ([][]byte, []*Buf, error) {
+	s.HandleSegs(method, func(ctx context.Context, body []byte) ([][]byte, []Releaser, error) {
 		out, err := h(ctx, body)
 		if err != nil {
 			return nil, nil, err
@@ -279,16 +279,17 @@ func (s *Server) Close() {
 
 // reply is one completed response awaiting transmission. segs are the
 // body segments, written back to back. req is the pooled request body
-// and held the pooled buffers the handler filled for segs; all are
-// released once the response is flushed — not when the handler returns —
-// so a handler may answer with slices of the request itself or of
-// buffers it drew from the pool.
+// and held what the handler returned to keep segs valid (pooled buffers
+// it filled, pins on mapped store memory); all are released once the
+// response is flushed — not when the handler returns — so a handler may
+// answer with slices of the request itself, of buffers it drew from the
+// pool, or of memory it pinned.
 type reply struct {
 	id     uint64
 	status uint8
 	segs   [][]byte
 	req    *Buf
-	held   []*Buf
+	held   []Releaser
 }
 
 // request is one request read off a connection, on its way to a worker.
@@ -447,7 +448,7 @@ func (c *serverConn) serve(r request) {
 	// request; anything retained beyond the response lifetime must
 	// still be copied.
 	var segs [][]byte
-	var held []*Buf
+	var held []Releaser
 	var err error
 	if h.fn == nil {
 		err = fmt.Errorf("rpc: unknown method %#x", r.method)
@@ -484,9 +485,10 @@ func (c *serverConn) serve(r request) {
 // progress becomes the writer: it sends its own reply and then every
 // reply other workers queued while it wrote, so replies that finish
 // during a write share the next frame. A failed write closes the
-// connection, and the replies queued behind it are dropped with their
-// buffers, as are replies that finish later; the pool refills on demand
-// and the GC reclaims them.
+// connection, and the replies queued behind it are dropped, as are
+// replies that finish later; each dropped reply's request body and held
+// releasers are released as it is dropped, since a held pin keeps
+// store memory mapped until it is.
 func (c *serverConn) send(r reply) {
 	c.wmu.Lock()
 	c.queued = append(c.queued, r)
@@ -504,6 +506,9 @@ func (c *serverConn) send(r reply) {
 		c.wmu.Lock()
 		c.spare = batch[:0]
 		if err != nil {
+			for _, r := range c.queued {
+				r.release()
+			}
 			clear(c.queued)
 			c.queued = c.queued[:0]
 			c.nc.Close() // unblocks the read loop
@@ -515,8 +520,8 @@ func (c *serverConn) send(r reply) {
 
 // write sends batch in frames of up to maxFrame bytes. Handler output
 // segments go to the connection untouched; each reply's request buffer
-// and handler-held buffers are released once the frame carrying it is
-// on the wire.
+// and what its handler held are released once the frame carrying it is
+// on the wire, or once a failed write drops it.
 func (c *serverConn) write(batch []reply) error {
 	first := 0
 	for i, r := range batch {
@@ -536,19 +541,28 @@ func (c *serverConn) write(batch []reply) error {
 		}
 		err := c.enc.finish(c.nc, i+1-first)
 		for _, r := range batch[first : i+1] {
-			if r.req != nil {
-				r.req.Release()
-			}
-			for _, b := range r.held {
-				b.Release()
-			}
+			r.release()
 		}
 		if err != nil {
+			for _, r := range batch[i+1:] {
+				r.release()
+			}
 			return err
 		}
 		first = i + 1
 	}
 	return nil
+}
+
+// release releases the reply's request body and everything its handler
+// held. It is called exactly once per reply, sent or dropped.
+func (r reply) release() {
+	if r.req != nil {
+		r.req.Release()
+	}
+	for _, h := range r.held {
+		h.Release()
+	}
 }
 
 // stallReader is a served connection as its frame reader sees it. The

@@ -30,14 +30,14 @@ func newVecServer(t testing.TB, cfg netsim.Config) (*netsim.Net, string) {
 	t.Helper()
 	n := netsim.New(cfg)
 	s := NewServer()
-	s.HandleSegs(mVecEcho, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
+	s.HandleSegs(mVecEcho, func(_ context.Context, body []byte) ([][]byte, []Releaser, error) {
 		if len(body) < 2 {
 			return [][]byte{body}, nil, nil
 		}
 		mid := len(body) / 2
 		return [][]byte{body[:mid], body[mid:]}, nil, nil
 	})
-	s.HandleSegs(mVecSplit, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
+	s.HandleSegs(mVecSplit, func(_ context.Context, body []byte) ([][]byte, []Releaser, error) {
 		segs := make([][]byte, len(body))
 		for i := range body {
 			segs[i] = body[i : i+1]
@@ -257,7 +257,7 @@ func TestVecErrorPath(t *testing.T) {
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
 	s := NewServer()
-	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
+	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, []Releaser, error) {
 		return nil, nil, fmt.Errorf("vec says no to %q", body)
 	})
 	l, err := n.Host("srv").Listen("rpc")
@@ -289,16 +289,16 @@ func TestHeldBuffersReleasedAfterFlush(t *testing.T) {
 	s := NewServer()
 	var mu sync.Mutex
 	var handed []*Buf
-	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, []*Buf, error) {
+	s.HandleSegs(7, func(_ context.Context, body []byte) ([][]byte, []Releaser, error) {
 		b := GetBuf(len(body))
 		copy(b.Bytes(), body)
 		mu.Lock()
 		handed = append(handed, b)
 		mu.Unlock()
 		if bytes.HasPrefix(body, []byte("fail")) {
-			return nil, []*Buf{b}, fmt.Errorf("no")
+			return nil, []Releaser{b}, fmt.Errorf("no")
 		}
-		return [][]byte{b.Bytes()}, []*Buf{b}, nil
+		return [][]byte{b.Bytes()}, []Releaser{b}, nil
 	})
 	l, err := n.Host("srv").Listen("rpc")
 	if err != nil {

@@ -375,7 +375,7 @@ func TestWorkerCarriesMethodLabel(t *testing.T) {
 func TestDispatchAllocatesNothing(t *testing.T) {
 	s := NewServer()
 	segs := [][]byte{[]byte("static")}
-	s.HandleSegs(mEcho, func(context.Context, []byte) ([][]byte, []*Buf, error) { return segs, nil, nil })
+	s.HandleSegs(mEcho, func(context.Context, []byte) ([][]byte, []Releaser, error) { return segs, nil, nil })
 	c := &serverConn{s: s, nc: discardConn{}}
 	const runs = 100
 	bodies := make([]*Buf, runs+1)
@@ -396,6 +396,53 @@ func TestDispatchAllocatesNothing(t *testing.T) {
 type discardConn struct{ net.Conn }
 
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestDroppedRepliesReleaseHeld: when a write fails, the writer's own
+// reply and every reply queued behind it are dropped, and what each
+// handler held is released as it is dropped — a held pin on mapped
+// store memory must not wait for the GC.
+func TestDroppedRepliesReleaseHeld(t *testing.T) {
+	s := NewServer()
+	var released atomic.Int32
+	s.HandleSegs(mEcho, func(context.Context, []byte) ([][]byte, []Releaser, error) {
+		return [][]byte{[]byte("page")}, []Releaser{countedRelease{&released}}, nil
+	})
+	nc := &brokenWriteConn{entered: make(chan struct{}), fail: make(chan struct{})}
+	c := &serverConn{s: s, nc: nc}
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		c.serve(request{id: 1, method: mEcho, body: GetBuf(8)}) // becomes the writer
+	}()
+	<-nc.entered
+	c.serve(request{id: 2, method: mEcho, body: GetBuf(8)}) // queues behind the write
+	close(nc.fail)
+	<-first
+	if n := released.Load(); n != 2 {
+		t.Fatalf("released %d of 2 dropped replies' held releasers", n)
+	}
+}
+
+type countedRelease struct{ n *atomic.Int32 }
+
+func (r countedRelease) Release() { r.n.Add(1) }
+
+// brokenWriteConn blocks its first write until fail closes, then fails
+// every write.
+type brokenWriteConn struct {
+	net.Conn
+	once    sync.Once
+	entered chan struct{}
+	fail    chan struct{}
+}
+
+func (c *brokenWriteConn) Write([]byte) (int, error) {
+	c.once.Do(func() { close(c.entered) })
+	<-c.fail
+	return 0, errors.New("connection broken")
+}
+
+func (c *brokenWriteConn) Close() error { return nil }
 
 // BenchmarkServeSmallRequest is the per-request cost of the server: a
 // 64-byte echo over the simulated fabric, one call at a time.
