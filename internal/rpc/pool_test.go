@@ -134,3 +134,32 @@ func TestPoolConcurrentPeerRecord(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPoolFanout prices a pool's per-call bookkeeping: one
+// iteration is a 64-call fan-out through Pool.Go to one warm peer over
+// netsim, then the 64 Waits.
+func BenchmarkPoolFanout(b *testing.B) {
+	n, addr := newTestServer(b, netsim.Fast())
+	p := NewPool(netDialer{n.Host("cli")})
+	defer p.Close()
+	p.EnableBreakers()
+	ctx := context.Background()
+	if _, err := p.Call(ctx, addr, mEcho, nil); err != nil {
+		b.Fatal(err)
+	}
+	body := [][]byte{make([]byte, 128)}
+	pend := make([]*Pending, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range pend {
+			pend[j] = p.Go(ctx, addr, mEcho, body, nil)
+		}
+		for _, pd := range pend {
+			if _, err := pd.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+			pd.Release()
+		}
+	}
+}
