@@ -17,16 +17,25 @@ import (
 	"blob/internal/core"
 	"blob/internal/erasure"
 	"blob/internal/meta"
+	"blob/internal/provider"
+	"blob/internal/rpc"
 )
 
 // breakerWindow bounds a read that must finish while the breakers a test
 // opened are still open: well inside the breaker's 500 ms open window.
 const breakerWindow = 250 * time.Millisecond
 
-// openBreaker opens c's circuit breaker on provider id by feeding its
-// pool the consecutive transport failures that trip one. The provider
-// itself stays up: it is a replica that healed while its breaker is
-// still open.
+// refuseAnswer is a sink that refuses every answer, as a reader refuses
+// one that does not parse: the pool counts such a call as its provider
+// failing.
+type refuseAnswer struct{}
+
+func (refuseAnswer) ReadBody(*rpc.Body) error { return errors.New("injected: answer does not parse") }
+
+// openBreaker opens c's circuit breaker on provider id with the
+// consecutive failed calls that trip one: real stats calls whose
+// answers the caller refuses. The provider itself stays up: it is a
+// replica that healed while its breaker is still open.
 func openBreaker(t *testing.T, c *core.Client, id uint32) {
 	t.Helper()
 	provs, err := c.AllProviders(context.Background())
@@ -41,7 +50,8 @@ func openBreaker(t *testing.T, c *core.Client, id uint32) {
 			if i == 100 {
 				t.Fatalf("breaker on provider %d never opened", id)
 			}
-			c.Pool().Observe(p.Addr, errors.New("injected transport failure"), 0)
+			ctx := context.Background()
+			c.Pool().Go(ctx, p.Addr, provider.MStats, nil, refuseAnswer{}).Wait(ctx)
 		}
 		return
 	}

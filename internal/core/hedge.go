@@ -11,8 +11,9 @@ package core
 // A group's own fetch reads its answer straight into the read's buffer,
 // so once the hedges have won the straggler is detached — its answer
 // discarded unread, or its sink stopped if the answer is already
-// arriving — and its eventual completion is drained in the background,
-// where it still feeds the provider's breaker: one stalled provider
+// arriving. No fetch here reports to the breaker: the pool records every
+// call it carries, a detached straggler when it answers, or as a timeout
+// at the pool's drain bound, once (rpc.Pool.Go). One stalled provider
 // costs a read roughly one hedge delay instead of a full RPC timeout.
 // Slow is not lost: pages no hedge serves wait for the straggler.
 
@@ -112,64 +113,16 @@ func (g *fetchGroup) canHedge() bool {
 // hedgeSub is one hedge of a straggling group: either a fetch of the
 // pages whose next copy is on the same provider (pd), or the
 // reconstruction of one stripe of a k>=2 page (pd nil). Hedge answers
-// land in scratch buffers, never the caller's dst — the straggler's
-// sink may still write there until it completes or is detached.
+// land in scratch buffers (pages.Dsts), never the caller's dst — the
+// straggler's sink may still write there until it completes or is
+// detached. A fetch reads its answer through pages, its sink, like a
+// group's own fetch does.
 type hedgeSub struct {
 	addr  string
 	pd    *rpc.Pending
-	taken bool // its answer was waited for: not abandoned with the rest
 	refs  []provider.PageRef
 	idx   []int // indexes into the straggling group's items
-	dsts  [][]byte
-}
-
-// waitPrimary waits a group's fetch out, feeding its latency and
-// outcome to the provider's record in the pool: its latency estimate
-// and its breaker. The outcome includes the sink's: an answer that does
-// not parse counts as the provider failing.
-func (b *Blob) waitPrimary(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time) error {
-	_, err := pd.Wait(ctx)
-	b.c.pool.Observe(addr, err, time.Since(dispatched))
-	return err
-}
-
-// waitPagesInto waits out a page fetch whose answer lands in a pooled
-// buffer (hedges) and decodes it into dsts. As with waitPrimary, an
-// answer that does not parse counts as the provider failing, for the
-// breaker too.
-func (b *Blob) waitPagesInto(ctx context.Context, pd *rpc.Pending, addr string, dispatched time.Time, dsts [][]byte, status []provider.PageStatus) error {
-	resp, err := pd.Wait(ctx)
-	if err == nil {
-		err = provider.DecodeGetPagesInto(resp, dsts, status)
-		pd.Release()
-	}
-	b.c.pool.Observe(addr, err, time.Since(dispatched))
-	return err
-}
-
-// drainTimeout bounds how long an abandoned straggler is waited on for
-// breaker evidence. A response this late is indistinguishable from none
-// at all, so the drain gives up and records a timeout instead — the
-// one way a totally stalled provider, whose calls never complete,
-// still accumulates evidence.
-const drainTimeout = time.Second
-
-// abandonFetch stops waiting for a straggler. It detaches the call
-// first, so the call's sink never writes after abandonFetch returns,
-// then drains it in the background: the call completes only once its
-// whole answer is in, so its eventual outcome — success, error, or the
-// drain timing out, mid-answer too — still reaches the breaker, and a
-// provider that stalls every call accumulates evidence even though no
-// read ever waits it out.
-func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) {
-	pd.Detach()
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		_, err := pd.Wait(ctx)
-		b.c.pool.Observe(addr, err, time.Since(dispatched))
-		pd.Release()
-	}()
+	pages provider.PagesInto
 }
 
 // waitFetchHedged waits for one group's page fetch, whose sink reads
@@ -178,7 +131,8 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 // fetch from its next copy, or its stripe's reconstruction. Hedge
 // answers that arrive first populate hedged (scratch page bytes,
 // checksum-verified), and once every page is hedge-served the straggler
-// is abandoned.
+// is detached. Every fetch feeds its provider's record in the pool by
+// itself, a detached one too (rpc.Pool.Go).
 //
 // It returns hedged[j] — non-nil page bytes for items the hedge served,
 // which the caller prefers when the primary failed those items —,
@@ -187,13 +141,8 @@ func (b *Blob) abandonFetch(pd *rpc.Pending, addr string, dispatched time.Time) 
 // abandoned is set or err is ctx's, the primary has completed.
 func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGroup, addr string, dispatched time.Time, fop *trace.Op) (hedged [][]byte, abandoned bool, err error) {
 	c := b.c
-	if !g.canHedge() {
-		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
-	}
-	if err := b.waitHedged(ctx, pd, addr, dispatched); !errors.Is(err, errHedged) {
-		if err == nil {
-			err = b.waitPrimary(ctx, pd, addr, dispatched)
-		}
+	if !g.canHedge() || !errors.Is(b.waitHedged(ctx, pd, addr, dispatched), errHedged) {
+		_, err := pd.Wait(ctx)
 		return nil, false, err
 	}
 
@@ -207,7 +156,9 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		if it.leaf.Leaf.Stripe != nil {
 			// A stripe's slots live on distinct providers, so the group
 			// holds one page per stripe.
-			subs = append(subs, &hedgeSub{idx: []int{j}, dsts: make([][]byte, 1)})
+			subs = append(subs, &hedgeSub{idx: []int{j}, pages: provider.PagesInto{
+				Dsts: make([][]byte, 1), Status: make([]provider.PageStatus, 1),
+			}})
 			continue
 		}
 		if len(it.walk) < 2 {
@@ -228,15 +179,9 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			Blob: b.id, Write: it.leaf.Leaf.Write, RelPage: it.relOn(hid),
 		})
 		s.idx = append(s.idx, j)
-		s.dsts = append(s.dsts, make([]byte, b.pageSize))
-	}
-	if len(subs) == 0 {
-		// Nowhere to hedge: the straggler is these pages' only hope in
-		// this wave; wait it out.
-		return nil, false, b.waitPrimary(ctx, pd, addr, dispatched)
+		s.pages.Dsts = append(s.pages.Dsts, make([]byte, b.pageSize))
 	}
 
-	hstart := time.Now()
 	hdone := make(chan *hedgeSub, len(subs))
 	// Reconstructions run under rctx, cancelled once the race is over.
 	rctx, cancel := context.WithCancel(ctx)
@@ -249,7 +194,8 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			go func() {
 				slot := l.Leaf.Stripe.SlotOf(l.Leaf.RelPage)
 				if shards, err := b.reconstructStripe(rctx, &l.Leaf, []int{slot}); err == nil {
-					s.dsts[0] = shards[slot]
+					s.pages.Dsts[0] = shards[slot]
+					s.pages.Status[0] = provider.PageOK
 					c.ReconstructedPages.Inc()
 				}
 				hdone <- s
@@ -257,8 +203,9 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			continue
 		}
 		fop.Notef("hedge: %d pages -> %s", len(s.refs), s.addr)
+		s.pages.Status = make([]provider.PageStatus, len(s.refs))
 		s.pd = c.pool.Go(ctx, s.addr, provider.MGetPages,
-			[][]byte{provider.EncodeGetPages(s.refs)}, nil)
+			[][]byte{provider.EncodeGetPages(s.refs)}, &s.pages)
 		go func() {
 			select {
 			case <-s.pd.Done():
@@ -267,11 +214,12 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 			}
 		}()
 	}
-	// abandonRest drains the fetch hedges the race no longer waits for.
-	abandonRest := func() {
+	// detachRest detaches the fetch hedges the race no longer waits for
+	// (detaching one that completed does nothing).
+	detachRest := func() {
 		for _, s := range subs {
-			if s.pd != nil && !s.taken {
-				b.abandonFetch(s.pd, s.addr, hstart)
+			if s.pd != nil {
+				s.pd.Detach()
 			}
 		}
 	}
@@ -283,41 +231,38 @@ func (b *Blob) waitFetchHedged(ctx context.Context, pd *rpc.Pending, g *fetchGro
 		case <-pd.Done():
 			// The straggler beat the remaining hedges after all: it wins
 			// whatever the hedges have not already served.
-			err = b.waitPrimary(ctx, pd, addr, dispatched)
-			abandonRest()
+			_, err = pd.Wait(ctx)
+			detachRest()
 			return hedged, false, err
 		case <-ctx.Done():
-			abandonRest()
+			detachRest()
 			return hedged, false, ctx.Err()
 		case s := <-hdone:
-			s.taken = true
-			status := make([]provider.PageStatus, len(s.idx))
-			if s.pd == nil {
-				if s.dsts[0] != nil {
-					status[0] = provider.PageOK
+			if s.pd != nil {
+				if _, err := s.pd.Wait(ctx); err != nil {
+					continue
 				}
-			} else if b.waitPagesInto(ctx, s.pd, s.addr, hstart, s.dsts, status) != nil {
-				continue
 			}
-			for k, st := range status {
+			for k, st := range s.pages.Status {
 				j := s.idx[k]
 				if st == provider.PageOK && hedged[j] == nil &&
-					wire.Checksum64(s.dsts[k]) == g.items[j].leaf.Leaf.Checksum {
-					hedged[j] = s.dsts[k]
+					wire.Checksum64(s.pages.Dsts[k]) == g.items[j].leaf.Leaf.Checksum {
+					hedged[j] = s.pages.Dsts[k]
 					served++
 				}
 			}
 			if served == len(g.items) {
-				fop.Notef("hedge win: %d pages, straggler %s abandoned", served, addr)
-				b.abandonFetch(pd, addr, dispatched)
+				fop.Notef("hedge win: %d pages, straggler %s detached", served, addr)
+				pd.Detach()
 				return hedged, true, nil
 			}
 		}
 	}
-	// Every hedge landed without covering everything (misses, a stripe
-	// short of survivors, or pages with no next copy): the straggler is
-	// still those pages' wave — wait it out.
-	return hedged, false, b.waitPrimary(ctx, pd, addr, dispatched)
+	// There was nowhere to hedge, or every hedge landed without covering
+	// everything (misses, a stripe short of survivors, or pages with no
+	// next copy): the straggler is still those pages' wave — wait it out.
+	_, err = pd.Wait(ctx)
+	return hedged, false, err
 }
 
 // The hedge policy. The delay is srtt + 4*rttvar of the provider's

@@ -12,18 +12,24 @@ import (
 
 // TestWaitHedgedFollowsPoolLatency: a fetch's hedge delay is read from
 // the latency estimate the client's pool keeps for the address, so the
-// outcomes the pool observes — from any call to that address, not only
-// page fetches — decide when waitHedged gives up on a fetch. Until an
+// calls the pool carries — any call to that address, not only page
+// fetches — decide when waitHedged gives up on a fetch. Until an
 // address has hedgeMinSamples samples the delay is the cold default.
 func TestWaitHedgedFollowsPoolLatency(t *testing.T) {
-	const mServe = 1
+	const mServe, mSeed = 1, 2
 	const serve = 100 * time.Millisecond
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
-	for _, h := range []string{"fast", "slow"} {
+	// mSeed answers at once on the fast peer and after 4*serve on the
+	// slow one; mServe answers after serve on both.
+	for h, seed := range map[string]time.Duration{"fast": 0, "slow": 4 * serve} {
 		s := rpc.NewServer()
 		s.Handle(mServe, func(context.Context, []byte) ([]byte, error) {
 			time.Sleep(serve)
+			return nil, nil
+		})
+		s.Handle(mSeed, func(context.Context, []byte) ([]byte, error) {
+			time.Sleep(seed)
 			return nil, nil
 		})
 		l, err := n.Host(h).Listen("rpc")
@@ -37,14 +43,16 @@ func TestWaitHedgedFollowsPoolLatency(t *testing.T) {
 	defer pool.Close()
 	b := &Blob{c: &Client{pool: pool}}
 
+	ctx := context.Background()
 	for i := 0; i < hedgeMinSamples; i++ {
 		for _, addr := range []string{"fast:rpc", "slow:rpc"} {
 			if d := b.c.hedgeDelay(addr); d != hedgeDefaultDelay {
 				t.Fatalf("%s after %d samples: hedge delay %v, want the cold %v", addr, i, d, hedgeDefaultDelay)
 			}
+			if _, err := pool.Call(ctx, addr, mSeed, nil); err != nil {
+				t.Fatalf("%s: seed call: %v", addr, err)
+			}
 		}
-		pool.Observe("fast:rpc", nil, time.Millisecond)
-		pool.Observe("slow:rpc", nil, 4*serve)
 	}
 	if d := b.c.hedgeDelay("fast:rpc"); d != hedgeMinDelay {
 		t.Errorf("fast peer: hedge delay %v, want the %v floor", d, hedgeMinDelay)
@@ -55,7 +63,6 @@ func TestWaitHedgedFollowsPoolLatency(t *testing.T) {
 
 	// A fetch served in 100ms outlives the fast peer's delay and not the
 	// slow peer's.
-	ctx := context.Background()
 	for _, tc := range []struct {
 		addr string
 		want error

@@ -204,7 +204,7 @@ func (b *Blob) fetchPages(ctx context.Context, buf []byte, pr meta.PageRange, le
 	// answers straight into buf until they complete. A failing read —
 	// a cancelled ctx, any error return — detaches them before it
 	// returns, so nothing lands in buf once the read has returned (a
-	// hedge win detaches its straggler itself, in abandonFetch).
+	// hedge win detaches its straggler itself, in waitFetchHedged).
 	var pend []*rpc.Pending
 	defer func() {
 		if err != nil {

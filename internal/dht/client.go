@@ -327,7 +327,8 @@ func (c *Client) takeUsed(addr string) uint64 {
 // collected in order, as MultiPut does. The values stay inside the
 // pooled responses that carried them, which into keeps until its
 // Release, also when MultiGet fails. Wave calls bypass the pool's
-// retries: outcomes go back through Observe. A node whose breaker is
+// retries, not its record: each feeds its node's breaker and latency
+// estimate by itself (rpc.Pool.Go). A node whose breaker is
 // open is left out of the wave and asked after it, and a node whose wave
 // call broke in transport is re-asked, both through CallWith, its answer
 // copied out of the call's buffer, before its keys count as missed on
@@ -366,7 +367,6 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint, into *V
 			}
 			g.keys = append(g.keys, k)
 		}
-		start := time.Now()
 		for addr, g := range groups {
 			h := hint
 			h.Used = c.takeUsed(addr)
@@ -417,7 +417,6 @@ func (c *Client) MultiGet(ctx context.Context, keys []uint64, hint Hint, into *V
 			if !reask {
 				var resp []byte
 				resp, err = g.pend.Wait(ctx)
-				c.pool.Observe(addr, err, time.Since(start))
 				if err == nil {
 					into.resps = append(into.resps, g.pend)
 					err = decode(resp)

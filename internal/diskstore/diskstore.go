@@ -230,11 +230,18 @@ func Open(opts Options) (*Store, error) {
 		mayBeTorn := i >= len(ids)-2
 		if !last {
 			if fi, err := seg.f.Stat(); err == nil && fi.Size() == 0 {
-				// A roll that crashed before its first append (or an
-				// operator-truncated file): the segment holds no records,
-				// so recover it as empty by deleting it — keeping it would
-				// pin the oldest-segment id forever and block the
-				// compactor's tombstone dropping.
+				// The segment holds no records, so recover it as empty by
+				// deleting it — keeping it would pin the oldest-segment id
+				// forever and block the compactor's tombstone dropping. A
+				// roll that crashed before its first append leaves no
+				// sidecar; one that lists records means the file was
+				// zeroed under them, and their loss is reported.
+				if sc, _ := readSidecar(opts.Dir, id); sc != nil {
+					if n := len(sc.puts) + len(sc.delPages) + len(sc.delWrites); n > 0 {
+						opts.Tracer.Emit(trace.SevError, trace.SidecarDegrade, int64(n),
+							"segment %s: empty, but its sidecar lists %d records; they are lost", seg.path, n)
+					}
+				}
 				seg.retire(true)
 				s.nextID = id + 1
 				continue
@@ -285,6 +292,19 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// readSidecar returns segment id's sidecar and its file size, or nil
+// when it has none that decodes as that segment's.
+func readSidecar(dir string, id uint64) (*sidecar, int) {
+	buf, err := os.ReadFile(sidecarPath(dir, id))
+	if err != nil {
+		return nil, 0
+	}
+	if sc, err := decodeSidecar(buf); err == nil && sc.id == id {
+		return sc, len(buf)
+	}
+	return nil, 0
+}
+
 // loadSidecar tries to absorb a sealed segment from its index sidecar,
 // feeding the entries into the replay state. It reports success; any
 // failure (no sidecar, torn or checksum-corrupt file, or a sidecar that
@@ -292,12 +312,8 @@ func Open(opts Options) (*Store, error) {
 // of a segment that was appended to after the sidecar was written) means
 // the caller must fully replay the segment.
 func (s *Store) loadSidecar(seg *segment, rp *replayState) bool {
-	buf, err := os.ReadFile(sidecarPath(s.opts.Dir, seg.id))
-	if err != nil {
-		return false
-	}
-	sc, err := decodeSidecar(buf)
-	if err != nil || sc.id != seg.id {
+	sc, n := readSidecar(s.opts.Dir, seg.id)
+	if sc == nil {
 		return false
 	}
 	fi, err := seg.f.Stat()
@@ -327,7 +343,7 @@ func (s *Store) loadSidecar(seg *segment, rp *replayState) bool {
 	if sc.maxSeq > rp.maxSeq {
 		rp.maxSeq = sc.maxSeq
 	}
-	s.sidecarBytes += int64(len(buf))
+	s.sidecarBytes += int64(n)
 	s.sidecarsLoaded++
 	return true
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"blob/internal/trace"
 	"blob/internal/wire"
 )
 
@@ -225,6 +227,68 @@ func TestZeroLengthSealedSegmentRecoveredAsEmpty(t *testing.T) {
 	}
 	if d, ok := r.GetPage(1, 2, 0); !ok || string(d) != "after" {
 		t.Fatalf("post-recovery append lost: %q, %v", d, ok)
+	}
+}
+
+// TestZeroedSealedSegmentIsReported: a sealed segment whose .log is
+// empty while its sidecar lists records was zeroed under them. Open
+// still deletes it, but reports the loss as an error-severity
+// sidecar-degrade event naming the segment and the records lost. An
+// empty segment with no sidecar, a roll that crashed, stays silent.
+func TestZeroedSealedSegmentIsReported(t *testing.T) {
+	degrades := func(rec *trace.Tracer) []trace.Event {
+		var evs []trace.Event
+		for _, e := range rec.Events() {
+			if e.Type == trace.SidecarDegrade {
+				evs = append(evs, e)
+			}
+		}
+		return evs
+	}
+
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{SegmentSize: 512})
+	fillSealed(t, s)
+	s.Close()
+	buf, err := os.ReadFile(sidecarPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := decodeSidecar(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := len(sc.puts) + len(sc.delPages) + len(sc.delWrites)
+	if lost == 0 {
+		t.Fatal("test bug: the oldest sealed segment lists no records")
+	}
+	if err := os.Truncate(segmentPath(dir, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New("p", 0)
+	openTest(t, dir, Options{SegmentSize: 512, Tracer: rec})
+	evs := degrades(rec)
+	if len(evs) != 1 || evs[0].Sev != trace.SevError || evs[0].Val != int64(lost) ||
+		!strings.Contains(evs[0].Msg, segmentPath(dir, 1)) {
+		t.Fatalf("sidecar-degrade events %+v, want one error naming %s and %d lost records",
+			evs, segmentPath(dir, 1), lost)
+	}
+	if _, err := os.Stat(segmentPath(dir, 1)); !os.IsNotExist(err) {
+		t.Error("zeroed sealed segment not deleted at open")
+	}
+
+	crashed := t.TempDir()
+	if err := os.WriteFile(segmentPath(crashed, 1), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segmentPath(crashed, 2),
+		appendPutRecord(nil, 1, 1, 1, 0, []byte("live")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec = trace.New("p", 0)
+	openTest(t, crashed, Options{Tracer: rec})
+	if evs := degrades(rec); len(evs) != 0 {
+		t.Fatalf("a crashed roll's empty segment reported: %+v", evs)
 	}
 }
 

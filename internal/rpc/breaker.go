@@ -86,10 +86,6 @@ type breaker struct {
 	rtt      rttEstimate
 }
 
-func newBreaker(cfg breakerConfig) *breaker {
-	return &breaker{cfg: cfg}
-}
-
 // available reports whether routing should ask this peer in its turn:
 // false only inside an open breaker's openFor window.
 func (b *breaker) available() bool {

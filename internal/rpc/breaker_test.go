@@ -17,6 +17,8 @@ func (p *Pool) enableBreakersWith(cfg breakerConfig) {
 	p.breakCfg = cfg
 }
 
+func newBreaker(cfg breakerConfig) *breaker { return &breaker{cfg: cfg} }
+
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	cfg := defaultBreaker
 	cfg.consecFails = 3

@@ -18,10 +18,13 @@ import (
 //
 // Everything the pool knows about one address is one peer record: the
 // cached connection, the dial-failure burst, the circuit breaker and a
-// Jacobson/Karels estimate of the peer's success latency, fed by every
-// call outcome the pool sees (its own synchronous calls, and the async
-// ones callers hand back through Observe). One mutex guards the records;
-// each critical section is a map lookup and a few field updates.
+// Jacobson/Karels estimate of the peer's success latency. Every call the
+// pool carries — Go, and Call and CallWith, which go through it — feeds
+// its outcome and send-to-reply latency (from its request's write-out to
+// its answer) to its peer's record when it completes, by itself: no
+// caller reports anything. One mutex guards the
+// records; each critical section is a map lookup and a few field
+// updates, and no call completes while it is held.
 //
 // Failure handling is policy-driven (docs/robustness.md): transport
 // failures retry under a jittered-exponential backoff bounded by a
@@ -138,12 +141,36 @@ func (p *Pool) Latency(addr string) (srtt, rttvar time.Duration, samples int) {
 	return 0, 0, 0
 }
 
-// Observe feeds one call outcome into addr's record: a success's
+// drainBound is how long a detached call may take to complete before
+// its peer record counts it as a timeout. An answer this late is
+// indistinguishable from none at all; counting it is the one way a
+// peer that stalls every call, so that no caller waits one out, still
+// accumulates evidence.
+const drainBound = time.Second
+
+// record feeds the outcome of cl, a call the pool issued, into its
+// peer's record, unless it has been fed already: at completion, or by
+// drain's timeout, whichever comes first.
+func (p *Pool) record(cl *call, err error, latency time.Duration) {
+	if cl.recorded.CompareAndSwap(false, true) {
+		p.observe(cl.addr, err, latency)
+	}
+}
+
+// drain arms drainBound for cl, which its caller has detached: if cl has
+// not completed by then, it is recorded as a timeout.
+func (p *Pool) drain(cl *call) {
+	select {
+	case <-cl.done:
+	default:
+		time.AfterFunc(drainBound, func() { p.record(cl, context.DeadlineExceeded, drainBound) })
+	}
+}
+
+// observe feeds one call outcome into addr's record: a success's
 // latency into the estimate, and the outcome into the breaker when
-// breakers are enabled. The pool's own calls report themselves; async
-// callers (Go fan-outs), which wait on Pendings themselves, report
-// through it. latency matters only for successes.
-func (p *Pool) Observe(addr string, err error, latency time.Duration) {
+// breakers are enabled. latency matters only for successes.
+func (p *Pool) observe(addr string, err error, latency time.Duration) {
 	if errors.Is(err, context.Canceled) {
 		return // abandoned by the caller: not evidence
 	}
@@ -173,8 +200,8 @@ func (p *Pool) Observe(addr string, err error, latency time.Duration) {
 	}
 }
 
-// Get returns a live client for addr, dialing if necessary.
-func (p *Pool) Get(addr string) (*Client, error) {
+// get returns a live client for addr, dialing if necessary.
+func (p *Pool) get(addr string) (*Client, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -233,52 +260,13 @@ func (p *Pool) Invalidate(addr string) {
 	}
 }
 
-// do runs one logical call under the pool's failure policy: up to
-// 1+maxCallRetries attempts with backoff between them, each attempt's
-// outcome fed to the peer's record (Observe). handle performs the call
-// on the given client and reports (error, final); final short-circuits
-// the retry loop (used for decode errors — the response arrived, so
-// re-asking would return the same bytes).
-func (p *Pool) do(ctx context.Context, addr string, handle func(*Client) (error, bool)) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		start := time.Now()
-		var final bool
-		var c *Client
-		c, err = p.Get(addr)
-		if err == nil {
-			err, final = handle(c)
-		}
-		p.Observe(addr, err, time.Since(start))
-		if err == nil {
-			p.retryBudget.Success()
-			return nil
-		}
-		if final || IsServerError(err) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		// Transport failure: the cached connection is dead.
-		p.Invalidate(addr)
-		if attempt >= maxCallRetries || !p.retryBudget.Allow() {
-			return err
-		}
-		if p.retry.Sleep(ctx, attempt) != nil {
-			return err
-		}
-	}
-}
-
-// Call performs a synchronous RPC to addr under the pool's retry
-// policy, feeding each attempt's outcome to addr's record. Application
-// errors (ServerError) are returned as-is and never retried — re-asking
-// the same node is futile.
+// Call performs a synchronous RPC to addr. A transport failure is
+// retried up to maxCallRetries times, with backoff between attempts and
+// within the pool's retry budget; each attempt is issued through Go, so
+// each feeds the peer's record. Application errors (ServerError) are
+// returned as-is and never retried — re-asking the same node is futile.
 func (p *Pool) Call(ctx context.Context, addr string, method uint32, body []byte) ([]byte, error) {
-	var resp []byte
-	err := p.do(ctx, addr, func(c *Client) (error, bool) {
-		b, err := c.Call(ctx, method, body)
-		resp = b
-		return err, false
-	})
+	_, resp, err := p.call(ctx, addr, method, body)
 	return resp, err
 }
 
@@ -287,19 +275,39 @@ func (p *Pool) Call(ctx context.Context, addr string, method uint32, body []byte
 // buffer. decode must not retain the body (or any sub-slice of it)
 // past its return — copy what it keeps. This is the hot-path shape:
 // callers get pooled-buffer reuse without giving up transparent
-// retries.
+// retries. A decode error is not retried: the response arrived, so
+// re-asking would return the same bytes.
 func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []byte, decode func([]byte) error) error {
-	return p.do(ctx, addr, func(c *Client) (error, bool) {
-		pd := c.Go(ctx, method, [][]byte{body}, nil)
+	pd, resp, err := p.call(ctx, addr, method, body)
+	if err != nil {
+		return err
+	}
+	err = decode(resp)
+	pd.Release()
+	return err
+}
+
+// call runs Call's attempts and returns the answered one.
+func (p *Pool) call(ctx context.Context, addr string, method uint32, body []byte) (*Pending, []byte, error) {
+	for attempt := 0; ; attempt++ {
+		pd := p.Go(ctx, addr, method, [][]byte{body}, nil)
 		resp, err := pd.Wait(ctx)
-		if err != nil {
-			return err, false
+		if err == nil {
+			p.retryBudget.Success()
+			return pd, resp, nil
 		}
-		err = decode(resp)
-		pd.Release()
-		// The response arrived; a decode error is final.
-		return err, true
-	})
+		if IsServerError(err) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
+			return nil, nil, err
+		}
+		// Transport failure: the cached connection is dead.
+		p.Invalidate(addr)
+		if attempt >= maxCallRetries || !p.retryBudget.Allow() {
+			return nil, nil, err
+		}
+		if p.retry.Sleep(ctx, attempt) != nil {
+			return nil, nil, err
+		}
+	}
 }
 
 // Go starts an asynchronous scatter-gather call to addr (see Client.Go
@@ -310,8 +318,9 @@ func (p *Pool) CallWith(ctx context.Context, addr string, method uint32, body []
 // goroutine, and dial errors surface through the returned Pending's
 // Wait. The dial goroutine issues the same call, sink included, on the
 // new connection, so a Detach made while the dial is in flight holds.
-// Async outcomes do not reach the peer's record by themselves: callers
-// feed them back via Observe.
+// The call feeds addr's record by itself, once: its outcome and its
+// send-to-reply latency when it completes, or a timeout when it is
+// detached and still incomplete at drainBound.
 func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte, sink Sink) *Pending {
 	p.mu.Lock()
 	if p.closed {
@@ -323,19 +332,20 @@ func (p *Pool) Go(ctx context.Context, addr string, method uint32, segs [][]byte
 		c = pr.c
 	}
 	p.mu.Unlock()
-	if c != nil && !c.Closed() {
-		return c.Go(ctx, method, segs, sink)
-	}
-
 	cl := newCall(method, segs, sink)
-	go func() {
-		c, err := p.Get(addr)
-		if err != nil {
-			cl.complete(err)
-			return
-		}
+	cl.pool, cl.addr = p, addr
+	if c != nil && !c.Closed() {
 		c.issue(ctx, cl)
-	}()
+	} else {
+		go func() {
+			c, err := p.get(addr)
+			if err != nil {
+				cl.complete(err)
+				return
+			}
+			c.issue(ctx, cl)
+		}()
+	}
 	return &Pending{c: cl}
 }
 

@@ -41,7 +41,7 @@ func TestPoolDialFailureEvents(t *testing.T) {
 	fail := func(times int) {
 		t.Helper()
 		for i := 0; i < times; i++ {
-			if _, err := p.Get("ghost:rpc"); err == nil {
+			if _, err := p.get("ghost:rpc"); err == nil {
 				t.Fatal("dial to an address nobody listens on succeeded")
 			}
 		}
@@ -70,10 +70,18 @@ func TestPoolDialFailureEvents(t *testing.T) {
 	wantOne("failures after a successful dial", 1)
 }
 
+// rejectAnswer is a sink that refuses every answer, as a reader refuses
+// one that does not parse: its call fails, and counts as its peer
+// failing.
+type rejectAnswer struct{}
+
+func (rejectAnswer) ReadBody(*Body) error { return errors.New("injected: answer does not parse") }
+
 // TestPoolConcurrentPeerRecord drives one pool's shared peer records
-// from every entry point at once — Go, Call, Observe, Available and
-// Invalidate on the same addresses, one of them dead — and closes the
-// pool under them. Run with -race: the records have one lock.
+// from every entry point at once — Go, Call, calls whose answers are
+// refused, Available and Invalidate on the same addresses, one of them
+// dead — and closes the pool under them. Run with -race: the records
+// have one lock.
 func TestPoolConcurrentPeerRecord(t *testing.T) {
 	n := netsim.New(netsim.Fast())
 	defer n.Close()
@@ -97,17 +105,14 @@ func TestPoolConcurrentPeerRecord(t *testing.T) {
 				addr := addrs[(w+i)%len(addrs)]
 				switch i % 5 {
 				case 0:
-					start := time.Now()
 					pd := p.Go(ctx, addr, mEcho, [][]byte{[]byte("go")}, nil)
-					_, err := pd.Wait(ctx)
-					p.Observe(addr, err, time.Since(start))
-					if err == nil {
+					if _, err := pd.Wait(ctx); err == nil {
 						pd.Release()
 					}
 				case 1:
 					p.Call(ctx, addr, mEcho, []byte("call"))
 				case 2:
-					p.Observe(addr, errors.New("injected"), 0)
+					p.Go(ctx, addr, mEcho, [][]byte{[]byte("bad")}, rejectAnswer{}).Wait(ctx)
 				case 3:
 					p.Available(addr)
 					p.Latency(addr)
@@ -133,6 +138,73 @@ func TestPoolConcurrentPeerRecord(t *testing.T) {
 			t.Errorf("%s: no latency sample from any success", addr)
 		}
 	}
+}
+
+// outcomes returns how many outcomes addr's record has folded in, and
+// how many of them were successes.
+func (p *Pool) outcomes(addr string) (all, ok int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pr := p.peers[addr]; pr != nil {
+		return pr.samples, pr.rtt.n
+	}
+	return 0, 0
+}
+
+// TestDetachedCallRecordedOnce pins what a detached pooled call feeds
+// its peer record: one outcome. A call that answers after its Detach is
+// recorded when it answers; one still unanswered at drainBound is
+// recorded as a timeout then, and not again when it finally completes.
+func TestDetachedCallRecordedOnce(t *testing.T) {
+	const mHold = 1
+	n := netsim.New(netsim.Fast())
+	defer n.Close()
+	release := map[string]chan struct{}{"late": make(chan struct{}), "mute": make(chan struct{})}
+	for host, ch := range release {
+		s := NewServer()
+		s.Handle(mHold, func(context.Context, []byte) ([]byte, error) {
+			<-ch
+			return []byte("late"), nil
+		})
+		l, err := n.Host(host).Listen("rpc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start(l)
+		defer s.Close()
+	}
+	p := NewPool(netDialer{n.Host("cli")})
+	defer p.Close()
+	p.EnableBreakers()
+	want := func(when, addr string, all, ok int) {
+		t.Helper()
+		if gotAll, gotOK := p.outcomes(addr); gotAll != all || gotOK != ok {
+			t.Fatalf("%s: %s recorded %d outcomes (%d successes), want %d (%d)", when, addr, gotAll, gotOK, all, ok)
+		}
+	}
+
+	ctx := context.Background()
+	late := p.Go(ctx, "late:rpc", mHold, nil, nil)
+	mute := p.Go(ctx, "mute:rpc", mHold, nil, nil)
+	late.Detach()
+	mute.Detach()
+	time.Sleep(50 * time.Millisecond)
+	want("both unanswered", "late:rpc", 0, 0)
+	want("both unanswered", "mute:rpc", 0, 0)
+
+	close(release["late"])
+	<-late.Done()
+	want("late answer in", "late:rpc", 1, 1)
+
+	time.Sleep(drainBound)
+	want("past the drain bound", "late:rpc", 1, 1)
+	want("past the drain bound", "mute:rpc", 1, 0)
+
+	close(release["mute"])
+	if _, err := mute.Wait(ctx); err != nil {
+		t.Fatalf("mute call: %v", err)
+	}
+	want("mute answer in", "mute:rpc", 1, 0)
 }
 
 // BenchmarkPoolFanout prices a pool's per-call bookkeeping: one

@@ -214,6 +214,16 @@ type call struct {
 	done   chan struct{}
 	resp   *Buf
 	err    error
+	// A call issued through a Pool feeds pool's record of addr with its
+	// outcome and its send-to-reply latency (Pool.record), once. sent is
+	// when it was issued, wrote how long after that its request had been
+	// written out (0 until then): a request's own upload, and the queue
+	// ahead of it on the client's link, are not the peer's latency.
+	pool     *Pool
+	addr     string
+	sent     time.Time
+	wrote    atomic.Int64
+	recorded atomic.Bool
 }
 
 // A call's sink states: its body reaches the sink only if the caller
@@ -246,9 +256,13 @@ func (cl *call) ReadBody(b *Body) error {
 	return nil
 }
 
-// complete finishes the call with err.
+// complete finishes the call with err. A pooled call's outcome reaches
+// its peer record first, so a waiter that wakes finds it there.
 func (cl *call) complete(err error) {
 	cl.err = err
+	if cl.pool != nil {
+		cl.pool.record(cl, err, time.Since(cl.sent)-time.Duration(cl.wrote.Load()))
+	}
 	close(cl.done)
 }
 
@@ -348,6 +362,7 @@ func (c *Client) issue(ctx context.Context, cl *call) {
 	cl.tc = trace.FromContext(ctx)
 	cl.dlMS = dlMS
 	cl.client = c
+	cl.sent = time.Now()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -425,11 +440,15 @@ func (p *Pending) Release() {
 // loop then lifts the deadline and discards the rest of the body off
 // the connection, which stays up for its other calls. The call still
 // completes once its answer is in, successfully if the whole answer
-// arrived, so Done and Wait keep working and a drain that waits the
-// call out still measures the peer. Detaching a call without a sink of
-// its own does nothing.
+// arrived, so Done and Wait keep working, and a pooled call still feeds
+// its peer record (Pool.Go): when it completes, or as a timeout at
+// drainBound. Detaching a call without a sink of its own touches no
+// sink.
 func (p *Pending) Detach() {
 	cl := p.c
+	if cl.pool != nil {
+		cl.pool.drain(cl)
+	}
 	if _, own := cl.sink.(*call); own || cl.state.CompareAndSwap(sinkIdle, sinkDetached) ||
 		cl.state.Load() != sinkRunning {
 		return
@@ -558,6 +577,7 @@ func writeBuffers(conn net.Conn, bufs *net.Buffers) error {
 // single vectored write — the paper's RPC aggregation, minus the copies.
 func (c *Client) writeLoop() {
 	var enc frameEncoder
+	var frame []*call // the requests of the frame being written
 	for {
 		var cl *call
 		select {
@@ -565,8 +585,8 @@ func (c *Client) writeLoop() {
 		case <-c.done:
 			return
 		}
-		n := 0
 		appendReq := func(cl *call) {
+			frame = append(frame, cl)
 			blen := 0
 			for _, s := range cl.segs {
 				blen += len(s)
@@ -593,7 +613,6 @@ func (c *Client) writeLoop() {
 			for _, s := range cl.segs {
 				enc.bodySeg(s)
 			}
-			n++
 		}
 		appendReq(cl)
 		// Opportunistically drain whatever else is queued right now:
@@ -607,10 +626,16 @@ func (c *Client) writeLoop() {
 				break drain
 			}
 		}
-		if err := enc.finish(c.conn, n); err != nil {
+		if err := enc.finish(c.conn, len(frame)); err != nil {
 			c.failAll(fmt.Errorf("rpc: write: %w", err))
 			return
 		}
+		now := time.Now()
+		for _, cl := range frame {
+			cl.wrote.Store(int64(now.Sub(cl.sent)))
+		}
+		clear(frame)
+		frame = frame[:0]
 	}
 }
 

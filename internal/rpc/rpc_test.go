@@ -271,11 +271,11 @@ func TestPoolReusesConnections(t *testing.T) {
 	n, addr := newTestServer(t, netsim.Fast())
 	p := NewPool(netDialer{n.Host("cli")})
 	defer p.Close()
-	c1, err := p.Get(addr)
+	c1, err := p.get(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := p.Get(addr)
+	c2, err := p.get(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPoolRedialsAfterFailure(t *testing.T) {
 		t.Fatalf("first call: %q, %v", got, err)
 	}
 	// Break the cached connection behind the pool's back.
-	c, _ := p.Get(addr)
+	c, _ := p.get(addr)
 	c.Close()
 	got, err = p.Call(context.Background(), addr, mEcho, []byte("two"))
 	if err != nil || string(got) != "two" {

@@ -105,8 +105,10 @@ const (
 	// Val is bytes reclaimed.
 	CompactionDone
 	// SidecarDegrade: a segment's index sidecar was missing, stale
-	// or corrupt and recovery fell back to a full replay. Val is the
-	// segment bytes replayed.
+	// or corrupt and recovery fell back to a full replay (Val is the
+	// segment bytes replayed), or a sealed segment was found empty
+	// while its sidecar listed records, which are lost (Val is their
+	// count).
 	SidecarDegrade
 	// DialFailure: an rpc client's dials to one address are failing
 	// (rate-limited to one event per address per cooldown). Val is
